@@ -20,15 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import q_identity_lhs, resonance_values
-from .dynamics import FAMILY_KINDS, HamiltonianPropagator, InitialFamily, evolve_analytic, prepare_initial
-from .entanglement import PAIR_LABELS, all_pairwise, wootters_concurrence, xstate_concurrence
-from .esd import esd_boundary_phi_AB, sweep, zero_intervals
+from .closedform import q_identity_lhs
+from .dynamics import FAMILY_KINDS, analytic_amplitudes
+from .engine import GridEngine
+from .entanglement import (
+    PAIR_LABELS,
+    concurrence_stack,
+    off_x_defect,
+    wootters_concurrence,
+)
+from .esd import boundary_AB, pair_curves, zero_intervals
 from .jcmodel import JCParams, total_hamiltonian
-from .linalg import partial_trace
+from .linalg import pair_density
 
 _C_COLUMNS = ["C_AB", "C_ab", "C_Aa", "C_Bb", "C_Ab", "C_Ba"]
-_Q_COLUMNS = ["Q_AB", "Q_ab", "Q_Aa", "Q_Ab"]
+_Q_PAIRS = ("AB", "ab", "Aa", "Ab")
+_Q_COLUMNS = [f"Q_{pair}" for pair in _Q_PAIRS]
 _EVOLVE_COLUMNS = ["t", "Gt", "alpha"] + _C_COLUMNS + _Q_COLUMNS
 _SWEEP_COLUMNS = ["alpha", "t", "Gt", "pair", "C", "Q", "is_zero"]
 
@@ -295,23 +302,17 @@ def _write_output(path, text):
         fh.write(text)
 
 
-def _series(cfg, params, ts, engine):
-    """all_pairwise results along a time grid for one engine."""
-    family = InitialFamily(cfg.family, cfg.alpha)
-    out = []
-    if engine == "analytic":
-        for t in ts:
-            out.append(all_pairwise(evolve_analytic(family, params, t)))
-    else:
-        propagator = HamiltonianPropagator(total_hamiltonian(params, params, n_max=cfg.n_max))
-        psi0 = prepare_initial(family, n_max=cfg.n_max)
-        for t in ts:
-            out.append(all_pairwise(propagator.evolve(psi0, t)))
-    return out
+def _engines(cfg, params):
+    """The requested engines, primary first ("both" runs analytic, then numeric)."""
+    names = ("analytic", "numeric") if cfg.engine == "both" else (cfg.engine,)
+    return [GridEngine(name, cfg.family, params, n_max=cfg.n_max) for name in names]
 
 
-def _q_of(result):
-    return math.nan if result.q is None else result.q
+def _disagreement_exit(worst, cfg):
+    if worst > cfg.tol:
+        print(f"engine disagreement {worst:.3e} exceeds tolerance {cfg.tol:.3e}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _cmd_evolve(args):
@@ -320,34 +321,25 @@ def _cmd_evolve(args):
     rabi = params.rabi(1)
     ts = [cfg.t_max * i / cfg.steps for i in range(cfg.steps + 1)]
 
-    engines = ("analytic", "numeric") if cfg.engine == "both" else (cfg.engine,)
-    series = {name: _series(cfg, params, ts, name) for name in engines}
-    primary = series[engines[0]]
+    results = [engine.values([cfg.alpha], ts) for engine in _engines(cfg, params)]
+    conc = results[0].concurrence[0]
+    q_cols = [PAIR_LABELS.index(pair) for pair in _Q_PAIRS]
+    q = results[0].q[0][:, q_cols]
 
     columns = list(_EVOLVE_COLUMNS)
+    rows = [[t, rabi * t, cfg.alpha] + c_row + q_row
+            for t, c_row, q_row in zip(ts, conc.tolist(), q.tolist())]
+    worst = 0.0
     if cfg.engine == "both":
         columns.append("max_engine_disagreement")
-
-    rows = []
-    worst = 0.0
-    for i, t in enumerate(ts):
-        res = primary[i]
-        row = [t, rabi * t, cfg.alpha]
-        row += [res[label].value for label in PAIR_LABELS]
-        row += [_q_of(res[label]) for label in ("AB", "ab", "Aa", "Ab")]
-        if cfg.engine == "both":
-            other = series["numeric"][i]
-            gap = max(abs(res[label].value - other[label].value) for label in PAIR_LABELS)
-            worst = max(worst, gap)
+        gaps = np.max(np.abs(conc - results[1].concurrence[0]), axis=1)
+        for row, gap in zip(rows, gaps.tolist()):
             row.append(gap)
-        rows.append(row)
+        worst = max(gaps.tolist())
 
     text = _csv_text(columns, rows) if cfg.fmt == "csv" else _json_table_text(columns, rows)
     _write_output(cfg.output, text)
-    if cfg.engine == "both" and worst > cfg.tol:
-        print(f"engine disagreement {worst:.3e} exceeds tolerance {cfg.tol:.3e}", file=sys.stderr)
-        return 3
-    return 0
+    return _disagreement_exit(worst, cfg)
 
 
 def _cmd_sweep(args):
@@ -358,76 +350,29 @@ def _cmd_sweep(args):
     t_grid = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
     pairs = [cfg.pair] if cfg.pair else list(PAIR_LABELS)
 
-    engine = "analytic" if cfg.engine == "both" else cfg.engine
-    results = {}
-    worst = 0.0
     try:
-        for pair in pairs:
-            res = sweep(cfg.family, pair, alpha_grid, t_grid, params, engine, zero_tol=cfg.zero_tol)
-            results[pair] = res
-            if cfg.engine == "both":
-                other = sweep(cfg.family, pair, alpha_grid, t_grid, params, "numeric",
-                              zero_tol=cfg.zero_tol)
-                worst = max(worst, float(np.max(np.abs(res.concurrence - other.concurrence))))
+        results = [engine.values(alpha_grid, t_grid, pairs) for engine in _engines(cfg, params)]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    worst = 0.0
+    if cfg.engine == "both":
+        worst = float(np.max(np.abs(results[0].concurrence - results[1].concurrence)))
 
+    conc = results[0].concurrence.tolist()
+    q = results[0].q.tolist()
     rows = []
-    for ia, alpha in enumerate(alpha_grid):
-        for it, t in enumerate(t_grid):
-            for pair in pairs:
-                res = results[pair]
+    for ia, alpha in enumerate(alpha_grid.tolist()):
+        for it, t in enumerate(t_grid.tolist()):
+            for ip, pair in enumerate(pairs):
+                c = conc[ia][it][ip]
                 rows.append([
-                    float(alpha), float(t), rabi * float(t), pair,
-                    float(res.concurrence[ia, it]), float(res.q[ia, it]),
-                    "true" if res.esd_map.zero_mask[ia, it] else "false",
+                    alpha, t, rabi * t, pair, c, q[ia][it][ip],
+                    "true" if c <= cfg.zero_tol else "false",
                 ])
 
     text = _csv_text(_SWEEP_COLUMNS, rows) if cfg.fmt == "csv" else _json_table_text(_SWEEP_COLUMNS, rows)
     _write_output(cfg.output, text)
-    if cfg.engine == "both" and worst > cfg.tol:
-        print(f"engine disagreement {worst:.3e} exceeds tolerance {cfg.tol:.3e}", file=sys.stderr)
-        return 3
-    return 0
-
-
-def _pair_curves(cfg, params, pair):
-    """(concurrence(t), signed_q(t)) samplers for one pair."""
-    rabi = params.rabi(1)
-    if cfg.engine == "closed":
-        if abs(params.detuning) > 1e-12:
-            raise UsageError("closed-form engine needs resonance (omega = omega0)")
-
-        def curve(t):
-            return resonance_values(cfg.family, cfg.alpha, rabi, t).concurrence[pair]
-
-        def q_curve(t):
-            return resonance_values(cfg.family, cfg.alpha, rabi, t).q_for(pair)
-
-        return curve, q_curve
-
-    family = InitialFamily(cfg.family, cfg.alpha)
-    keep = (pair[0], pair[1])
-    if cfg.engine == "numeric":
-        propagator = HamiltonianPropagator(total_hamiltonian(params, params, n_max=cfg.n_max))
-        psi0 = prepare_initial(family, n_max=cfg.n_max)
-
-        def state_at(t):
-            return propagator.evolve(psi0, t)
-    else:
-        def state_at(t):
-            return evolve_analytic(family, params, t)
-
-    def measure(t):
-        return wootters_concurrence(partial_trace(state_at(t), keep))
-
-    def curve(t):
-        return measure(t).value
-
-    def q_curve(t):
-        return _q_of(measure(t))
-
-    return curve, q_curve
+    return _disagreement_exit(worst, cfg)
 
 
 def _cmd_esd(args):
@@ -436,9 +381,10 @@ def _cmd_esd(args):
     rabi = params.rabi(1)
     min_width = cfg.min_width if cfg.min_width is not None else 1e-6 * (2.0 * math.pi / rabi)
 
+    (engine,) = _engines(cfg, params)
     pairs_report = {}
     for pair in PAIR_LABELS:
-        curve, q_curve = _pair_curves(cfg, params, pair)
+        curve, q_curve = pair_curves(engine, cfg.alpha, pair)
         intervals = zero_intervals(
             curve, 0.0, cfg.t_max,
             tol=cfg.zero_tol, min_width=min_width, samples=cfg.steps + 1, q_curve=q_curve,
@@ -455,13 +401,9 @@ def _cmd_esd(args):
         ]
 
     boundary = None
-    if cfg.family == "phi":
-        try:
-            pair_bounds = esd_boundary_phi_AB(cfg.alpha)
-        except ValueError:
-            pair_bounds = None
-        if pair_bounds is not None:
-            boundary = {"gt_lo": pair_bounds[0], "gt_hi": pair_bounds[1]}
+    window = boundary_AB(cfg.family, cfg.alpha, params)
+    if window is not None:
+        boundary = {"gt_lo": window[0], "gt_hi": window[1]}
 
     report = {
         "family": cfg.family,
@@ -502,7 +444,6 @@ def _verify_checks(cfg):
     if cfg.inject_fault:
         h = h.copy()
         h[0, 0] += 1e-3
-    propagator = HamiltonianPropagator(h)
 
     max_engine = 0.0
     max_closed = 0.0
@@ -513,61 +454,38 @@ def _verify_checks(cfg):
     max_fastpath = 0.0
     shift_gap = 0.0
 
+    def gap(x, y):
+        return float(np.max(np.abs(x - y)))
+
     for kind in FAMILY_KINDS:
-        c_analytic = {label: np.empty((alphas.size, ts.size)) for label in PAIR_LABELS}
-        for ia, alpha in enumerate(alphas):
-            family = InitialFamily(kind, alpha)
-            psi0 = prepare_initial(family)
-            for it, t in enumerate(ts):
-                state_a = evolve_analytic(family, params, t)
-                state_n = propagator.evolve(psi0, t)
-                closed = resonance_values(kind, alpha, rabi, t)
-                for label in PAIR_LABELS:
-                    keep = (label[0], label[1])
-                    rho_a = partial_trace(state_a, keep)
-                    rho_n = partial_trace(state_n, keep)
-                    res_a = wootters_concurrence(rho_a)
-                    res_n = wootters_concurrence(rho_n)
-                    c_analytic[label][ia, it] = res_a.value
-                    max_engine = max(max_engine, abs(res_a.value - res_n.value))
-                    max_closed = max(
-                        max_closed,
-                        abs(closed.concurrence[label] - res_a.value),
-                        abs(closed.concurrence[label] - res_n.value),
-                    )
-                    off_x = float(np.max(np.abs(rho_a - np.where(
-                        np.eye(4, dtype=bool) | np.fliplr(np.eye(4, dtype=bool)), rho_a, 0.0))))
-                    max_x_defect = max(max_x_defect, off_x)
-                    max_fastpath = max(
-                        max_fastpath, abs(xstate_concurrence(rho_a).value - res_a.value)
-                    )
-                if kind == "psi":
-                    total = (
-                        c_analytic["AB"][ia, it] + c_analytic["ab"][ia, it]
-                        - abs(math.sin(2.0 * alpha))
-                    )
-                    max_psi_conservation = max(max_psi_conservation, abs(total))
-                max_pair_sym = max(
-                    max_pair_sym, abs(c_analytic["Ba"][ia, it] - c_analytic["Ab"][ia, it])
-                )
-                if kind == "phi":
-                    max_local_sym = max(
-                        max_local_sym, abs(c_analytic["Aa"][ia, it] - c_analytic["Bb"][ia, it])
-                    )
+        analytic = GridEngine("analytic", kind, params).values(alphas, ts).concurrence
+        numeric = GridEngine("numeric", kind, params, hamiltonian=h).values(alphas, ts).concurrence
+        closed = GridEngine("closed", kind, params).values(alphas, ts).concurrence
+        max_engine = max(max_engine, gap(analytic, numeric))
+        max_closed = max(max_closed, gap(closed, analytic), gap(closed, numeric))
+        c = {label: analytic[..., i] for i, label in enumerate(PAIR_LABELS)}
+        if kind == "psi":
+            target = np.abs(np.sin(2.0 * alphas))[:, None]
+            max_psi_conservation = max(max_psi_conservation, gap(c["AB"] + c["ab"], target))
+        max_pair_sym = max(max_pair_sym, gap(c["Ba"], c["Ab"]))
+        if kind == "phi":
+            max_local_sym = max(max_local_sym, gap(c["Aa"], c["Bb"]))
         # C_ab shifted by half a Rabi period reproduces C_AB (grid step is pi/(4G))
-        shift_gap = max(
-            shift_gap,
-            float(np.max(np.abs(c_analytic["ab"][:, 4:] - c_analytic["AB"][:, :-4]))),
-        )
+        shift_gap = max(shift_gap, gap(c["ab"][:, 4:], c["AB"][:, :-4]))
+
+        # every reduction is X-shaped, and its entry-read C is the Wootters C
+        psi = analytic_amplitudes(kind, alphas, ts, params)
+        for i, label in enumerate(PAIR_LABELS):
+            rho = pair_density(psi, (label[0], label[1]))
+            max_x_defect = max(max_x_defect, float(np.max(off_x_defect(rho))))
+            general = [wootters_concurrence(cell).value for cell in rho.reshape(-1, 4, 4)]
+            max_fastpath = max(max_fastpath, gap(analytic[..., i].reshape(-1), np.array(general)))
 
     # C^Ab of the psi family peaks at exactly one half
     fine_alpha = np.linspace(0.0, 0.5 * math.pi, 41)
     fine_t = np.linspace(0.0, 2.0 * math.pi / rabi, 81)
-    c_ab_max = max(
-        resonance_values("psi", alpha, rabi, t).concurrence["Ab"]
-        for alpha in fine_alpha
-        for t in fine_t
-    )
+    psi_closed = GridEngine("closed", "psi", params).values(fine_alpha, fine_t, ("Ab",))
+    c_ab_max = float(np.max(psi_closed.concurrence))
 
     # the Q combination is constant in t; record which constant it matches
     q_ts = np.linspace(0.0, 2.0 * math.pi / rabi, 100)
@@ -592,10 +510,9 @@ def _verify_checks(cfg):
         q_constant = "no recorded constant"
 
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        rho = _random_x_state(rng)
-        gap = abs(xstate_concurrence(rho).value - wootters_concurrence(rho).value)
-        max_fastpath = max(max_fastpath, gap)
+    states = np.array([_random_x_state(rng) for _ in range(200)])
+    general = [wootters_concurrence(rho).value for rho in states]
+    max_fastpath = max(max_fastpath, gap(concurrence_stack(states)[0], np.array(general)))
 
     return [
         ("engine_agreement", max_engine <= cfg.tol,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-PAIR_ORDER = ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
 Q_PAIRS = ("AB", "ab", "Ab", "Aa")
 
 

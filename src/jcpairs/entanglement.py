@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_Y, hermiticity_defect, kron, partial_trace, sqrt_psd
+from .linalg import SIGMA_Y, dagger, kron, partial_trace, sqrt_psd
 
 PAIR_LABELS = ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
 
@@ -24,6 +24,7 @@ _SIGMA_YY = kron(SIGMA_Y, SIGMA_Y)
 _X_MASK = np.zeros((4, 4), dtype=bool)
 _X_MASK[np.arange(4), np.arange(4)] = True
 _X_MASK[np.arange(4), np.arange(4)[::-1]] = True
+_OFF_X_ROWS, _OFF_X_COLS = np.nonzero(~_X_MASK)
 
 
 @dataclass(frozen=True)
@@ -43,18 +44,33 @@ class ConcurrenceResult:
         return max(self.q_corner, self.q_inner)
 
 
+def _reject_first(bad, values, what):
+    """Raise for the first cell flagged in ``bad``, naming it when there is a stack."""
+    if not bad.any():
+        return
+    first = int(np.flatnonzero(bad)[0])
+    where = ""
+    if np.ndim(bad):
+        where = f" at cell {tuple(int(i) for i in np.unravel_index(first, np.shape(bad)))}"
+    raise ValueError(f"invalid density matrix: {what} {np.ravel(values)[first]:.3e}{where}")
+
+
 def _validate_density(rho, *, trace_tol=1e-8, herm_tol=1e-8, psd_tol=1e-8):
-    if rho.shape != (4, 4):
+    """Check one 4x4 density matrix or every cell of a (..., 4, 4) stack."""
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    trace_err = abs(rho.trace() - 1.0)
-    if trace_err > trace_tol:
-        raise ValueError(f"invalid density matrix: trace deviates from 1 by {trace_err:.3e}")
-    defect = hermiticity_defect(rho)
-    if defect > herm_tol:
-        raise ValueError(f"invalid density matrix: Hermiticity defect {defect:.3e}")
-    lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if lo < -psd_tol:
-        raise ValueError(f"invalid density matrix: not PSD, lowest eigenvalue {lo:.3e}")
+    trace_err = np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
+    _reject_first(trace_err > trace_tol, trace_err, "trace deviates from 1 by")
+    rho_dag = dagger(rho)
+    defect = np.abs(rho - rho_dag).max(axis=(-2, -1))
+    _reject_first(defect > herm_tol, defect, "Hermiticity defect")
+    lowest = np.linalg.eigvalsh(0.5 * (rho + rho_dag))[..., 0]
+    _reject_first(lowest < -psd_tol, lowest, "not PSD, lowest eigenvalue")
+
+
+def off_x_defect(rho):
+    """Largest entry outside the diagonal + anti-diagonal pattern, per 4x4 cell."""
+    return np.abs(rho[..., _OFF_X_ROWS, _OFF_X_COLS]).max(axis=-1)
 
 
 def _x_defect(rho):
@@ -64,11 +80,18 @@ def _x_defect(rho):
 
 
 def _x_qs(rho):
-    diag = np.clip(rho.diagonal().real, 0.0, None)
-    a, b, c, d = diag
-    q_corner = abs(rho[0, 3]) - np.sqrt(b * c)
-    q_inner = abs(rho[1, 2]) - np.sqrt(a * d)
-    return float(q_corner), float(q_inner)
+    """Signed (q_corner, q_inner) of X-shaped matrices, per 4x4 cell."""
+    a, b, c, d = (np.maximum(rho[..., i, i].real, 0.0) for i in range(4))
+    q_corner = np.abs(rho[..., 0, 3]) - np.sqrt(b * c)
+    q_inner = np.abs(rho[..., 1, 2]) - np.sqrt(a * d)
+    return q_corner, q_inner
+
+
+def _flip_singular_values(rho):
+    """Singular values of sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)), decreasing."""
+    root = sqrt_psd(rho, tol=1e-12)
+    flipped_root = _SIGMA_YY @ root.conj() @ _SIGMA_YY
+    return np.linalg.svd(root @ flipped_root, compute_uv=False)
 
 
 def wootters_concurrence(rho, *, validate=True, x_tol=1e-10):
@@ -82,14 +105,12 @@ def wootters_concurrence(rho, *, validate=True, x_tol=1e-10):
     rho = np.asarray(rho, dtype=complex)
     if validate:
         _validate_density(rho)
-    rho = 0.5 * (rho + rho.conj().T)
-    root = sqrt_psd(rho, tol=1e-12)
-    flipped_root = _SIGMA_YY @ root.conj() @ _SIGMA_YY
-    sigma = np.linalg.svd(root @ flipped_root, compute_uv=False)
+    rho = 0.5 * (rho + dagger(rho))
+    sigma = _flip_singular_values(rho)
     value = max(0.0, sigma[0] - sigma[1] - sigma[2] - sigma[3])
     q_corner = q_inner = None
-    if _x_defect(rho)[0] <= x_tol:
-        q_corner, q_inner = _x_qs(rho)
+    if off_x_defect(rho) <= x_tol:
+        q_corner, q_inner = (float(q) for q in _x_qs(rho))
     return ConcurrenceResult(
         value=float(value),
         zeta_eigenvalues=np.clip(sigma**2, 0.0, None),
@@ -114,7 +135,7 @@ def xstate_concurrence(rho, *, off_x_tol=1e-10, validate=True):
         raise ValueError(
             f"entry {pos} has magnitude {defect:.3e}, above the X-pattern tolerance {off_x_tol:.3e}"
         )
-    q_corner, q_inner = _x_qs(rho)
+    q_corner, q_inner = (float(q) for q in _x_qs(rho))
     diag = np.clip(rho.diagonal().real, 0.0, None)
     a, b, c, d = diag
     z, w = abs(rho[0, 3]), abs(rho[1, 2])
@@ -134,6 +155,28 @@ def xstate_concurrence(rho, *, off_x_tol=1e-10, validate=True):
         q_corner=q_corner,
         q_inner=q_inner,
     )
+
+
+def concurrence_stack(rho, *, x_tol=1e-10):
+    """Concurrence and signed Q of every cell of a (..., 4, 4) stack of densities.
+
+    The stack is validated once; the first invalid cell is named in the
+    error.  Cells that are X-shaped to within ``x_tol`` take their values
+    from the entries, C = 2 max{0, q_corner, q_inner} and Q = max(q_corner,
+    q_inner); any other cell goes through the general Wootters route and
+    gets Q = NaN.  Returns arrays (C, Q) of the stack's leading shape.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    _validate_density(rho)
+    rho = 0.5 * (rho + dagger(rho))
+    q = np.array(np.maximum(*_x_qs(rho)))  # an array also for a single matrix
+    conc = np.array(2.0 * np.maximum(q, 0.0))
+    general = off_x_defect(rho) > x_tol
+    if general.any():
+        sigma = _flip_singular_values(rho[general])
+        conc[general] = np.maximum(0.0, sigma[..., 0] - sigma[..., 1] - sigma[..., 2] - sigma[..., 3])
+        q[general] = np.nan
+    return conc, q
 
 
 def all_pairwise(state, *, leak_tol=1e-10, x_tol=1e-10):

@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import resonance_values
-from .dynamics import HamiltonianPropagator, InitialFamily, evolve_analytic, prepare_initial
-from .entanglement import wootters_concurrence
-from .jcmodel import total_hamiltonian
-from .linalg import partial_trace
-
-SWEEP_ENGINES = ("closed", "analytic", "numeric")
+from .engine import GridEngine
+from .jcmodel import dressed_data
 
 
 @dataclass(frozen=True)
@@ -74,6 +69,22 @@ def _refine_sign_change(q_curve, t_pos, t_neg, iters=80):
         else:
             t_neg = mid
     return 0.5 * (t_pos + t_neg)
+
+
+def pair_curves(engine, alpha, pair):
+    """(concurrence(t), signed_q(t)) samplers of one pair, one grid cell per call.
+
+    ``engine`` is a ``GridEngine``; the samplers suit ``zero_intervals``.
+    """
+    alphas, pairs = [alpha], (pair,)
+
+    def curve(t):
+        return float(engine.values(alphas, [t], pairs).concurrence[0, 0, 0])
+
+    def q_curve(t):
+        return float(engine.values(alphas, [t], pairs).q[0, 0, 0])
+
+    return curve, q_curve
 
 
 def zero_intervals(
@@ -146,20 +157,43 @@ def zero_intervals(
     return intervals
 
 
-def esd_boundary_phi_AB(alpha):
+def esd_boundary_phi_AB(alpha, ratio=1.0):
     """Death-window endpoints (in Gt) of the phi family's atom-atom pair.
 
-    The window exists for alpha < pi/4, where tan(alpha) = sin^2(Gt/2) is
-    solvable: endpoints 2 arcsin(sqrt(tan alpha)) and its mirror about Gt =
-    pi.  For alpha in [pi/4, pi/2) the curve only touches zero; outside
-    (0, pi/2) the caller should map back by symmetry first.
+    ``ratio`` is delta/G, the manifold splitting delta = hypot(Delta, G) over
+    the resonant Rabi splitting G (1 at resonance).  With
+    Q_AB = |f|^2 (u - k |h|^2) and |h|^2 = sin^2(theta) sin^2(delta t/2), the
+    window exists iff tan(alpha) < G^2/delta^2, with edges at
+    delta t = 2 arcsin(sqrt(tan alpha) delta/G) and its mirror about
+    delta t = pi; they are returned in units of Gt.  For larger alpha (up to
+    pi/2) the curve only touches zero or stays positive, and None is
+    returned.  Outside (0, pi/2) the caller should map back by symmetry
+    first: the window depends on alpha only through |tan alpha|.
     """
     if not 0.0 < alpha < 0.5 * math.pi:
         raise ValueError(f"alpha must lie in (0, pi/2), got {alpha!r}")
-    if alpha >= 0.25 * math.pi:
+    if not (math.isfinite(ratio) and ratio >= 1.0):
+        raise ValueError(f"ratio delta/G must be finite and >= 1, got {ratio!r}")
+    if alpha >= math.atan(1.0 / ratio**2):
         return None
-    gt_lo = 2.0 * math.asin(math.sqrt(math.tan(alpha)))
-    return gt_lo, 2.0 * math.pi - gt_lo
+    edge = 2.0 * math.asin(min(1.0, math.sqrt(math.tan(alpha)) * ratio))
+    return edge / ratio, (2.0 * math.pi - edge) / ratio
+
+
+def boundary_AB(kind, alpha, params):
+    """The phi family's AB death window (Gt_lo, Gt_hi) at any alpha and detuning.
+
+    Folds alpha into (0, pi/2) by |tan alpha| first; None for the psi family
+    and wherever no window exists.
+    """
+    if kind != "phi":
+        return None
+    if not 0.0 < alpha < 0.5 * math.pi:
+        alpha = math.atan(abs(math.tan(alpha)))
+        if not 0.0 < alpha < 0.5 * math.pi:
+            return None
+    dressed = dressed_data(params, 1)
+    return esd_boundary_phi_AB(alpha, dressed.splitting / dressed.rabi)
 
 
 def _require_grid(name, grid):
@@ -171,56 +205,27 @@ def _require_grid(name, grid):
     return grid
 
 
-def sweep(kind, pair, alpha_grid, t_grid, params, engine="closed", *, zero_tol=1e-12):
+def sweep(kind, pair, alpha_grid, t_grid, params, engine="closed", *, zero_tol=1e-12, n_max=1):
     """Concurrence of one pair over an (alpha, t) grid by the selected engine.
 
     Engines: "closed" evaluates the resonance formulas (requires zero
     detuning), "analytic" the dressed-state propagator, "numeric" full matrix
-    diagonalization.  The zero mask marks cells with C <= zero_tol; for
-    (phi, AB) the analytic death-window boundary is attached.
+    diagonalization at Fock truncation ``n_max``.  The zero mask marks cells
+    with C <= zero_tol; for (phi, AB) the analytic death-window boundary is
+    attached.
     """
     alpha_grid = _require_grid("alpha_grid", alpha_grid)
     t_grid = _require_grid("t_grid", t_grid)
-    if engine not in SWEEP_ENGINES:
-        raise ValueError(f"engine must be one of {SWEEP_ENGINES}, got {engine!r}")
-    if engine == "closed" and abs(params.detuning) > 1e-12:
-        raise ValueError(
-            f"closed-form engine needs resonance, got detuning {params.detuning!r}"
-        )
-    rabi = params.rabi(1)
-    conc = np.empty((alpha_grid.size, t_grid.size))
-    qval = np.empty_like(conc)
-
-    if engine == "closed":
-        for ia, alpha in enumerate(alpha_grid):
-            for it, t in enumerate(t_grid):
-                vals = resonance_values(kind, alpha, rabi, t)
-                conc[ia, it] = vals.concurrence[pair]
-                qval[ia, it] = vals.q_for(pair)
-    else:
-        keep = (pair[0], pair[1])
-        propagator = None
-        if engine == "numeric":
-            propagator = HamiltonianPropagator(total_hamiltonian(params, params, n_max=1))
-        for ia, alpha in enumerate(alpha_grid):
-            family = InitialFamily(kind, alpha)
-            psi0 = prepare_initial(family) if engine == "numeric" else None
-            for it, t in enumerate(t_grid):
-                if engine == "numeric":
-                    state = propagator.evolve(psi0, t)
-                else:
-                    state = evolve_analytic(family, params, t)
-                res = wootters_concurrence(partial_trace(state, keep))
-                conc[ia, it] = res.value
-                qval[ia, it] = res.q if res.q is not None else math.nan
+    values = GridEngine(engine, kind, params, n_max=n_max).values(alpha_grid, t_grid, (pair,))
+    conc = values.concurrence[..., 0]
 
     boundary = None
-    if kind == "phi" and pair == "AB":
+    if pair == "AB":
         rows = []
-        for alpha in alpha_grid:
-            if 0.0 < alpha < 0.25 * math.pi:
-                lo, hi = esd_boundary_phi_AB(alpha)
-                rows.append((alpha, lo, hi))
+        for alpha in alpha_grid.tolist():
+            window = boundary_AB(kind, alpha, params)
+            if window is not None:
+                rows.append((alpha, *window))
         if rows:
             boundary = np.array(rows)
 
@@ -230,4 +235,4 @@ def sweep(kind, pair, alpha_grid, t_grid, params, engine="closed", *, zero_tol=1
         zero_mask=conc <= zero_tol,
         boundary=boundary,
     )
-    return SweepResult(esd_map=esd_map, concurrence=conc, q=qval)
+    return SweepResult(esd_map=esd_map, concurrence=conc, q=values.q[..., 0])

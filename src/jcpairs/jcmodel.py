@@ -33,6 +33,10 @@ class JCParams:
     g: float
 
     def __post_init__(self):
+        for name in ("omega0", "omega", "g"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.g > 0 and self.omega0 > 0 and self.omega > 0):
             raise ValueError(
                 f"frequencies and coupling must be positive, got omega0={self.omega0}, "

@@ -24,10 +24,15 @@ def kron(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def dagger(m):
+    """Conjugate transpose of a matrix or of every matrix in a (..., n, n) stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermiticity_defect(m):
-    """max |M - M^dag|, elementwise."""
+    """max |M - M^dag|, elementwise (over the whole stack for a stack)."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.max(np.abs(m - dagger(m))))
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,8 @@ class Spectrum:
 def eig_hermitian(m, *, herm_tol=1e-12, with_vectors=True):
     """Spectrum of a Hermitian matrix, eigenvalues in decreasing order.
 
-    Rejects input whose Hermiticity defect exceeds ``herm_tol``, reporting the
-    measured defect.
+    Works on one matrix or on a (..., n, n) stack.  Rejects input whose
+    Hermiticity defect exceeds ``herm_tol``, reporting the measured defect.
     """
     m = np.asarray(m, dtype=complex)
     defect = hermiticity_defect(m)
@@ -52,13 +57,13 @@ def eig_hermitian(m, *, herm_tol=1e-12, with_vectors=True):
         )
     if not with_vectors:
         w = np.linalg.eigvalsh(m)
-        return Spectrum(values=w[::-1].copy())
+        return Spectrum(values=w[..., ::-1].copy())
     w, v = np.linalg.eigh(m)
-    return Spectrum(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
+    return Spectrum(values=w[..., ::-1].copy(), vectors=v[..., ::-1].copy())
 
 
 def sqrt_psd(m, tol=1e-12):
-    """Hermitian PSD square root via eigendecomposition.
+    """Hermitian PSD square root via eigendecomposition, of one matrix or a stack.
 
     Eigenvalues below ``-tol`` are rejected.  Eigenvalues within ``tol`` of
     zero are treated as exactly zero; this keeps square roots of nearly
@@ -67,57 +72,67 @@ def sqrt_psd(m, tol=1e-12):
     """
     spectrum = eig_hermitian(m, herm_tol=max(tol, 1e-12))
     w = spectrum.values
-    if w[-1] < -tol:
-        raise ValueError(f"matrix is not PSD: eigenvalue {w[-1]:.3e} below -{tol:.3e}")
+    lowest = float(np.min(w[..., -1]))
+    if lowest < -tol:
+        raise ValueError(f"matrix is not PSD: eigenvalue {lowest:.3e} below -{tol:.3e}")
     w = np.where(w <= tol, 0.0, w)
     v = spectrum.vectors
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
+    root = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    return 0.5 * (root + dagger(root))
 
 
 def partial_trace(state, keep, *, leak_tol=1e-10):
     """Reduce a four-factor pure state to the 4x4 density matrix of two factors.
 
     ``state`` must expose ``dims`` (the four factor dimensions) and
-    ``amplitudes`` (flat vector); ``keep`` is an ordered pair of labels from
-    ("A", "a", "B", "b") and fixes the ordering of the output factors.
+    ``amplitudes`` (flat vector); see ``pair_density`` for ``keep``, the
+    basis order and the cavity projection.
+    """
+    psi = np.asarray(state.amplitudes, dtype=complex).reshape(tuple(state.dims))
+    return pair_density(psi, keep, leak_tol=leak_tol)
+
+
+def pair_density(psi, keep, *, leak_tol=1e-10):
+    """Reduce a stack of four-factor pure states to the 4x4 densities of two factors.
+
+    ``psi`` has shape (..., d_A, d_a, d_B, d_b), one amplitude tensor per
+    cell of the leading axes; the result has shape (..., 4, 4).  ``keep`` is
+    an ordered pair of labels from ("A", "a", "B", "b") and fixes the
+    ordering of the output factors.
 
     Kept cavity factors are projected onto the zero/one photon subspace and
     reported in (one photon, vacuum) order, so every output basis lists the
     excited level first: (x1 x2) = (ee, eg, ge, gg)-like.  The projection is
-    refused when the kept cavity holds more than ``leak_tol`` probability
-    above one photon.
+    refused when a kept cavity holds more than ``leak_tol`` probability
+    above one photon in any cell.
     """
     if len(keep) != 2 or keep[0] == keep[1]:
         raise ValueError(f"keep must name two distinct subsystems, got {tuple(keep)!r}")
     for label in keep:
         if label not in _AXIS:
             raise ValueError(f"unknown subsystem label {label!r}; expected one of {SUBSYSTEMS}")
-    dims = tuple(state.dims)
-    psi = np.asarray(state.amplitudes, dtype=complex).reshape(dims)
+    psi = np.asarray(psi, dtype=complex)
+    lead = psi.ndim - 4
     keep_axes = tuple(_AXIS[label] for label in keep)
     traced_axes = tuple(ax for ax in range(4) if ax not in keep_axes)
-    d0, d1 = dims[keep_axes[0]], dims[keep_axes[1]]
-    mat = np.transpose(psi, keep_axes + traced_axes).reshape(d0 * d1, -1)
-    rho = mat @ mat.conj().T
-    rho4 = rho.reshape(d0, d1, d0, d1)
+    order = tuple(range(lead)) + tuple(lead + ax for ax in keep_axes + traced_axes)
+    kept = np.transpose(psi, order)  # (..., d0, d1, traced, traced)
 
-    populations = np.einsum("ijij->ij", rho4).real
-    selectors = []
+    selected = kept  # atoms already index (e, g)
     for pos, label in enumerate(keep):
-        d = (d0, d1)[pos]
-        if label in CAVITY_SUBSYSTEMS:
-            if d > 2:
-                leak = populations[2:, :].sum() if pos == 0 else populations[:, 2:].sum()
-                if leak > leak_tol:
-                    raise ValueError(
-                        f"cavity {label} holds probability {leak:.3e} above one photon "
-                        f"(tolerance {leak_tol:.3e}); cannot reduce to a qubit"
-                    )
-            selectors.append([1, 0])
-        else:
-            selectors.append([0, 1])
+        axis = lead + pos
+        if label not in CAVITY_SUBSYSTEMS:
+            continue
+        if kept.shape[axis] > 2:
+            above = np.take(kept, np.arange(2, kept.shape[axis]), axis=axis)
+            leak = float(np.max(np.sum(np.abs(above) ** 2, axis=(-4, -3, -2, -1))))
+            if leak > leak_tol:
+                raise ValueError(
+                    f"cavity {label} holds probability {leak:.3e} above one photon "
+                    f"(tolerance {leak_tol:.3e}); cannot reduce to a qubit"
+                )
+        selected = np.take(selected, [1, 0], axis=axis)
 
-    s0, s1 = selectors
-    rho_pair = rho4[np.ix_(s0, s1, s0, s1)].reshape(4, 4)
-    return 0.5 * (rho_pair + rho_pair.conj().T)
+    mat = selected.reshape(psi.shape[:lead] + (4, -1))
+    rho = mat @ dagger(mat)
+    return 0.5 * (rho + dagger(rho))

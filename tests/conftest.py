@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from jcpairs import JCParams
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; no example database is written.
+settings.register_profile(
+    "deterministic",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

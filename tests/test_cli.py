@@ -144,6 +144,18 @@ def test_esd_report_death_window(tmp_path):
     assert report["boundary_AB"]["gt_lo"] == pytest.approx(1.398370, abs=1e-6)
 
 
+@pytest.mark.parametrize("alpha, omega", [(math.pi - 0.3927, "5"), (0.3927, "5.6"), (2.9, "4.5")])
+def test_esd_report_boundary_matches_detected_window(tmp_path, alpha, omega):
+    out = tmp_path / "esd.json"
+    assert run("esd", "--family", "phi", "--alpha", str(alpha), "--omega", omega,
+               "--steps", "512", "--output", str(out)) == 0
+    report = json.loads(out.read_text())
+    deaths = [iv for iv in report["pairs"]["AB"] if iv["kind"] == "sudden_death"]
+    assert deaths
+    assert report["boundary_AB"]["gt_lo"] == pytest.approx(deaths[0]["gt_lo"], abs=1e-6)
+    assert report["boundary_AB"]["gt_hi"] == pytest.approx(deaths[0]["gt_hi"], abs=1e-6)
+
+
 def test_esd_report_touch_only_for_bell(tmp_path):
     out = tmp_path / "bell.json"
     assert run("esd", "--family", "phi", "--alpha", str(math.pi / 4), "--steps", "1024",
@@ -195,6 +207,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run("nonsense") == 1
     assert run() == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--g", "--omega0", "--omega"])
+def test_non_finite_parameter_is_a_usage_error(flag, capsys):
+    for value in ("inf", "nan"):
+        assert run("evolve", flag, value) == 1
+        assert "must be finite" in capsys.readouterr().err
 
 
 def test_io_error_exits_two(tmp_path):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from jcpairs import (
+    GridEngine,
     JCParams,
     ZeroInterval,
+    boundary_AB,
     esd_boundary_phi_AB,
+    pair_curves,
     resonance_values,
     sweep,
     zero_intervals,
@@ -53,6 +56,57 @@ def test_boundary_rejects_out_of_range():
     for alpha in (-0.1, 0.0, np.pi / 2, 2.0):
         with pytest.raises(ValueError, match="alpha"):
             esd_boundary_phi_AB(alpha)
+
+
+def detected_deaths(engine, alpha, params, samples=1025):
+    """AB sudden-death windows in Gt over one period of the dressed splitting."""
+    splitting = math.hypot(params.detuning, params.rabi(1))
+    curve, q_curve = pair_curves(GridEngine(engine, "phi", params), alpha, "AB")
+    intervals = zero_intervals(curve, 0.0, 2 * np.pi / splitting, q_curve=q_curve, samples=samples)
+    return [(iv.t_lo * params.rabi(1), iv.t_hi * params.rabi(1))
+            for iv in intervals if iv.kind == "sudden_death"]
+
+
+@pytest.mark.parametrize("engine", ["analytic", "numeric"])
+@pytest.mark.parametrize("omega", [4.0, 6.0, 7.5])
+@pytest.mark.parametrize("alpha", [0.1, 0.3, np.pi - 0.3])
+def test_detuned_boundary_matches_detected_window(engine, omega, alpha):
+    params = JCParams(omega0=5.0, omega=omega, g=0.5)
+    ratio = math.hypot(params.detuning, params.rabi(1)) / params.rabi(1)
+    window = boundary_AB("phi", alpha, params)
+    if abs(math.tan(alpha)) >= 1.0 / ratio**2:
+        assert window is None
+        assert detected_deaths(engine, alpha, params) == []
+        return
+    assert window == esd_boundary_phi_AB(math.atan(abs(math.tan(alpha))), ratio)
+    (detected,) = detected_deaths(engine, alpha, params)
+    assert detected == pytest.approx(window, abs=1e-6)
+
+
+def test_detuned_critical_angle():
+    # Delta = G: the window closes at arctan(G^2/delta^2) = arctan(1/2), below pi/4
+    params = JCParams(omega0=5.0, omega=6.0, g=0.5)
+    critical = math.atan(0.5)
+    assert esd_boundary_phi_AB(critical - 1e-3, math.sqrt(2.0)) is not None
+    assert esd_boundary_phi_AB(critical + 1e-3, math.sqrt(2.0)) is None
+    assert detected_deaths("analytic", critical + 1e-3, params) == []
+    assert detected_deaths("analytic", critical - 1e-2, params)
+
+
+def test_boundary_folds_alpha_by_tan(res_params):
+    base = esd_boundary_phi_AB(0.3927)
+    for alpha in (np.pi - 0.3927, -0.3927, 0.3927 - np.pi):
+        assert boundary_AB("phi", alpha, res_params) == pytest.approx(base, abs=1e-12)
+    assert boundary_AB("phi", 0.3927, res_params) == base
+    assert boundary_AB("psi", 0.3927, res_params) is None
+    for alpha in (0.0, np.pi / 2, 3 * np.pi / 4, -np.pi / 2):
+        assert boundary_AB("phi", alpha, res_params) is None
+
+
+def test_boundary_rejects_bad_ratio():
+    for ratio in (0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="ratio"):
+            esd_boundary_phi_AB(0.3, ratio)
 
 
 def test_zero_intervals_phi_death_window():

@@ -21,6 +21,14 @@ def test_params_validation():
     assert JCParams(omega0=5.0, omega=6.0, g=0.5).detuning == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("field", ["omega0", "omega", "g"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite(field, value):
+    values = {"omega0": 5.0, "omega": 5.0, "g": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        JCParams(**values)
+
+
 def test_dressed_resonance():
     d = dressed_data(JCParams(omega0=5.0, omega=5.0, g=1.0), 1)
     assert d.rabi == pytest.approx(2.0)
