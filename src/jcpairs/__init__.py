@@ -21,19 +21,16 @@ from .dynamics import (
     FourPartiteState,
     HamiltonianPropagator,
     InitialFamily,
-    analytic_amplitudes,
     evolve_analytic,
     evolve_numeric,
-    initial_amplitudes,
     prepare_initial,
     state_overlap,
 )
-from .engine import ENGINES, GridEngine, GridValues
+from .engine import GridEngine, GridValues
 from .entanglement import (
     PAIR_LABELS,
     ConcurrenceResult,
     all_pairwise,
-    concurrence_stack,
     wootters_concurrence,
     xstate_concurrence,
 )
@@ -41,9 +38,7 @@ from .esd import (
     EsdMap,
     SweepResult,
     ZeroInterval,
-    boundary_AB,
     esd_boundary_phi_AB,
-    pair_curves,
     sweep,
     zero_intervals,
 )
@@ -56,7 +51,7 @@ from .jcmodel import (
     total_excitation_numbers,
     total_hamiltonian,
 )
-from .linalg import SUBSYSTEMS, Spectrum, eig_hermitian, kron, pair_density, partial_trace, sqrt_psd
+from .linalg import SUBSYSTEMS, Spectrum, eig_hermitian, kron, partial_trace, sqrt_psd
 
 __version__ = "0.1.0"
 
@@ -64,7 +59,6 @@ __all__ = [
     "ClosedFormValues",
     "ConcurrenceResult",
     "DressedData",
-    "ENGINES",
     "EsdMap",
     "FourPartiteState",
     "GridEngine",
@@ -79,19 +73,13 @@ __all__ = [
     "SweepResult",
     "ZeroInterval",
     "all_pairwise",
-    "analytic_amplitudes",
     "bare_dressed_transform",
-    "boundary_AB",
-    "concurrence_stack",
     "dressed_data",
     "eig_hermitian",
     "esd_boundary_phi_AB",
     "evolve_analytic",
     "evolve_numeric",
-    "initial_amplitudes",
     "kron",
-    "pair_curves",
-    "pair_density",
     "partial_trace",
     "phi_offres_ingredients",
     "phi_resonance",

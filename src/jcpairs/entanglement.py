@@ -73,12 +73,6 @@ def off_x_defect(rho):
     return np.abs(rho[..., _OFF_X_ROWS, _OFF_X_COLS]).max(axis=-1)
 
 
-def _x_defect(rho):
-    off = np.abs(np.where(_X_MASK, 0.0, rho))
-    pos = np.unravel_index(int(off.argmax()), off.shape)
-    return float(off[pos]), (int(pos[0]), int(pos[1]))
-
-
 def _x_qs(rho):
     """Signed (q_corner, q_inner) of X-shaped matrices, per 4x4 cell."""
     a, b, c, d = (np.maximum(rho[..., i, i].real, 0.0) for i in range(4))
@@ -130,8 +124,10 @@ def xstate_concurrence(rho, *, off_x_tol=1e-10, validate=True):
     rho = np.asarray(rho, dtype=complex)
     if validate:
         _validate_density(rho)
-    defect, pos = _x_defect(rho)
+    defect = float(off_x_defect(rho))
     if defect > off_x_tol:
+        k = int(np.abs(rho[_OFF_X_ROWS, _OFF_X_COLS]).argmax())
+        pos = (int(_OFF_X_ROWS[k]), int(_OFF_X_COLS[k]))
         raise ValueError(
             f"entry {pos} has magnitude {defect:.3e}, above the X-pattern tolerance {off_x_tol:.3e}"
         )

@@ -205,18 +205,18 @@ def _require_grid(name, grid):
     return grid
 
 
-def sweep(kind, pair, alpha_grid, t_grid, params, engine="closed", *, zero_tol=1e-12, n_max=1):
+def sweep(kind, pair, alpha_grid, t_grid, params, engine="closed", *, zero_tol=1e-12):
     """Concurrence of one pair over an (alpha, t) grid by the selected engine.
 
     Engines: "closed" evaluates the resonance formulas (requires zero
     detuning), "analytic" the dressed-state propagator, "numeric" full matrix
-    diagonalization at Fock truncation ``n_max``.  The zero mask marks cells
-    with C <= zero_tol; for (phi, AB) the analytic death-window boundary is
-    attached.
+    diagonalization (``GridEngine`` takes other Fock truncations).  The zero
+    mask marks cells with C <= zero_tol; for (phi, AB) the analytic
+    death-window boundary is attached.
     """
     alpha_grid = _require_grid("alpha_grid", alpha_grid)
     t_grid = _require_grid("t_grid", t_grid)
-    values = GridEngine(engine, kind, params, n_max=n_max).values(alpha_grid, t_grid, (pair,))
+    values = GridEngine(engine, kind, params).values(alpha_grid, t_grid, (pair,))
     conc = values.concurrence[..., 0]
 
     boundary = None

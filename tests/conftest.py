@@ -38,9 +38,3 @@ def random_x_state(rng):
     rho[0, 3], rho[3, 0] = z, np.conj(z)
     rho[1, 2], rho[2, 1] = w, np.conj(w)
     return rho
-
-
-def off_x_defect(rho):
-    """Largest entry outside the diagonal + anti-diagonal pattern."""
-    mask = np.eye(4, dtype=bool) | np.fliplr(np.eye(4, dtype=bool))
-    return float(np.max(np.abs(np.where(mask, 0.0, rho))))

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import off_x_defect, random_x_state
+from conftest import random_x_state
 from jcpairs import (
     PAIR_LABELS,
     HamiltonianPropagator,
@@ -27,6 +27,7 @@ from jcpairs import (
     xstate_concurrence,
     zero_intervals,
 )
+from jcpairs.entanglement import off_x_defect
 from jcpairs.linalg import partial_trace
 
 PARAMS = JCParams(omega0=5.0, omega=5.0, g=1.0)

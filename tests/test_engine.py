@@ -13,7 +13,6 @@ from jcpairs import (
     HamiltonianPropagator,
     InitialFamily,
     JCParams,
-    concurrence_stack,
     evolve_analytic,
     prepare_initial,
     resonance_values,
@@ -22,9 +21,15 @@ from jcpairs import (
 )
 from jcpairs.cli import main
 from jcpairs.dynamics import FAMILY_KINDS
+from jcpairs.entanglement import concurrence_stack
 from jcpairs.linalg import partial_trace
 
 EPS = np.finfo(float).eps
+# The general Wootters route zeroes reduced eigenvalues below 1e-12, which
+# moves sqrt(rho) by up to sqrt(1e-12) in norm, each singular value of
+# sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)) by up to twice that, and C,
+# a signed sum of four of them, by up to eight times that.
+WOOTTERS_BUDGET = 1e-11 + 8.0 * math.sqrt(1e-12)
 
 kinds = st.sampled_from(FAMILY_KINDS)
 alphas = st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
@@ -64,12 +69,30 @@ def test_grid_matches_scalar_path(kind, alpha, params, fraction, n_max, engine):
     values = GridEngine(engine, kind, params, n_max=n_max).values([alpha], ts)
     for it, results in enumerate(scalar_results(engine, kind, alpha, params, ts, n_max)):
         for ip, res in enumerate(results):
-            q = values.q[0, it, ip]
+            q, conc = values.q[0, it, ip], values.concurrence[0, it, ip]
             if res.q is None:
                 assert math.isnan(q)
+                assert abs(conc - res.value) <= 1e-11
             else:
+                # the scalar path's entry-exact reference: its Q and 2 max(0, Q)
                 assert abs(q - res.q) <= 1e-14
-            assert abs(values.concurrence[0, it, ip] - res.value) <= 1e-11
+                assert abs(conc - 2.0 * max(0.0, res.q)) <= 1e-11
+            assert abs(conc - res.value) <= WOOTTERS_BUDGET
+
+
+def test_grid_c_is_exact_at_a_rank_deficient_reduction():
+    # A detuned phi point whose (A, b) reduction has two eigenvalues near
+    # 3e-13: sqrt_psd zeroes them, which moves the general Wootters C by
+    # 7.9e-7.  The reference is the Wootters formula on the same reduced
+    # matrix in 50-digit arithmetic (mpmath).
+    params = JCParams(omega0=6.050820918763499, omega=7.457674732047595, g=1.2264766325065353)
+    alpha, t = 0.7273963381550884, 2.2212815206411056
+    reference = 0.00083408526349841758
+    values = GridEngine("analytic", "phi", params).values([alpha], [t], ("Ab",))
+    assert abs(values.concurrence[0, 0, 0] - reference) <= 1e-15
+    state = evolve_analytic(InitialFamily("phi", alpha), params, t)
+    general = wootters_concurrence(partial_trace(state, ("A", "b"))).value
+    assert 1e-7 < abs(general - reference) <= WOOTTERS_BUDGET
 
 
 @given(kind=kinds, alpha=alphas, params=sites(resonant=True), fraction=st.floats(0.0, 1.0))

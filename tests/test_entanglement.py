@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import off_x_defect, random_x_state
+from conftest import random_x_state
 from jcpairs import (
     PAIR_LABELS,
     InitialFamily,
@@ -14,6 +14,7 @@ from jcpairs import (
     wootters_concurrence,
     xstate_concurrence,
 )
+from jcpairs.entanglement import off_x_defect
 
 
 def bell_phi_plus():

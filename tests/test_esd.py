@@ -7,13 +7,12 @@ from jcpairs import (
     GridEngine,
     JCParams,
     ZeroInterval,
-    boundary_AB,
     esd_boundary_phi_AB,
-    pair_curves,
     resonance_values,
     sweep,
     zero_intervals,
 )
+from jcpairs.esd import boundary_AB, pair_curves
 
 G = 2.0
 
