@@ -22,9 +22,7 @@ from .dynamics import (
     HamiltonianPropagator,
     InitialFamily,
     evolve_analytic,
-    evolve_numeric,
     prepare_initial,
-    state_overlap,
 )
 from .engine import GridEngine, GridValues
 from .entanglement import (
@@ -78,7 +76,6 @@ __all__ = [
     "eig_hermitian",
     "esd_boundary_phi_AB",
     "evolve_analytic",
-    "evolve_numeric",
     "kron",
     "partial_trace",
     "phi_offres_ingredients",
@@ -90,7 +87,6 @@ __all__ = [
     "resonance_values",
     "site_hamiltonian",
     "sqrt_psd",
-    "state_overlap",
     "sweep",
     "total_excitation_numbers",
     "total_hamiltonian",

@@ -193,12 +193,3 @@ class HamiltonianPropagator:
         evolved = (coeffs[:, None, :] * phases) @ self._v.T
         return evolved.reshape(psi0.shape[:1] + (phases.shape[0],) + psi0.shape[1:])
 
-
-def evolve_numeric(state0, h, t):
-    """Evolve by V exp(-i Lambda t) V^dag using the spectral decomposition of H."""
-    return HamiltonianPropagator(h).evolve(state0, t)
-
-
-def state_overlap(s1, s2):
-    """|<s1|s2>|, the global-phase-free fidelity between pure states."""
-    return float(abs(np.vdot(s1.amplitudes, s2.amplitudes)))

@@ -10,9 +10,10 @@
   product (``HamiltonianPropagator.evolve_grid``).
 
 The two evolution routes evolve each cell once, reduce it to every requested
-pair on stacks (``pair_density``) and read C and Q from the reduced entries
-(``concurrence_stack``).  The grid is processed in blocks of at most
-``BLOCK_CELLS`` cells, so memory stays bounded for any grid size.
+pair on stacks (``pair_density``), stack the pairs on one axis and read C and
+Q of the whole block from the reduced entries with one ``concurrence_stack``
+call.  The grid is processed in blocks of at most ``BLOCK_CELLS`` cells, so
+memory stays bounded for any grid size.
 """
 
 from __future__ import annotations
@@ -91,21 +92,26 @@ class GridEngine:
         return GridValues(pairs=pairs, concurrence=conc, q=q)
 
     def _block(self, alphas, ts, pairs):
-        shape = (alphas.size, ts.size, len(pairs))
         if self.name == "closed":
-            return self._closed_block(alphas, ts, pairs, shape)
+            return self._closed_block(alphas, ts, pairs)
+        return concurrence_stack(self._pair_densities(alphas, ts, pairs))
+
+    def _pair_densities(self, alphas, ts, pairs):
+        """Reduced densities of the evolved block, shape (n_alpha, n_t, n_pairs, 4, 4).
+
+        A method of its own so that the amplitude stack is freed before
+        ``concurrence_stack`` allocates its temporaries.
+        """
         if self.name == "analytic":
             psi = analytic_amplitudes(self.kind, alphas, ts, self.params)
         else:
             psi = self._propagator.evolve_grid(initial_amplitudes(self.kind, alphas, self.n_max), ts)
-        conc, q = np.empty(shape), np.empty(shape)
-        for i, pair in enumerate(pairs):
-            conc[..., i], q[..., i] = concurrence_stack(pair_density(psi, (pair[0], pair[1])))
-        return conc, q
+        return np.stack([pair_density(psi, (pair[0], pair[1])) for pair in pairs], axis=-3)
 
-    def _closed_block(self, alphas, ts, pairs, shape):
+    def _closed_block(self, alphas, ts, pairs):
         rabi = self.params.rabi(1)
-        conc, q = np.empty(shape), np.empty(shape)
+        conc = np.empty((alphas.size, ts.size, len(pairs)))
+        q = np.empty_like(conc)
         for ia, alpha in enumerate(alphas.tolist()):
             for it, t in enumerate(ts.tolist()):
                 vals = resonance_values(self.kind, alpha, rabi, t)

@@ -49,62 +49,64 @@ class SweepResult:
     q: np.ndarray
 
 
-def _refine_edge(curve, t_out, t_in, tol, iters=80):
-    """Boundary of the region curve(t) <= tol between an outside and an inside point."""
+def _columns(sample, ts):
+    """(C, Q) of ``sample(ts)`` as (len(ts), n_curves) arrays; Q may be None."""
+    c, q = sample(ts)
+    c = np.asarray(c, dtype=float).reshape(ts.size, -1)
+    if q is not None:
+        q = np.asarray(q, dtype=float).reshape(c.shape)
+    return c, q
+
+
+def _bisect(sample, curve, on_q, t_out, t_in, tol, iters=80):
+    """Bisect every edge in lockstep, one ``sample`` call per halving.
+
+    Edge e brackets the boundary of column ``curve[e]`` between ``t_out[e]``
+    (outside the zero region) and ``t_in[e]`` (inside).  A Q edge counts a
+    midpoint as inside unless Q > 0; a C edge when C <= tol.  An edge stops
+    once its midpoint rounds onto an endpoint: further halvings cannot move it.
+    """
+    t_out, t_in = np.array(t_out, dtype=float), np.array(t_in, dtype=float)
+    pending = np.arange(t_out.size)
     for _ in range(iters):
-        mid = 0.5 * (t_out + t_in)
-        if curve(mid) <= tol:
-            t_in = mid
-        else:
-            t_out = mid
+        mid = 0.5 * (t_out[pending] + t_in[pending])
+        moving = (mid != t_out[pending]) & (mid != t_in[pending])
+        pending, mid = pending[moving], mid[moving]
+        if not pending.size:
+            break
+        c, q = _columns(sample, mid)
+        rows, cols = np.arange(pending.size), curve[pending]
+        inside = c[rows, cols] <= tol
+        if q is not None:
+            inside = np.where(on_q[pending], ~(q[rows, cols] > 0.0), inside)
+        t_in[pending[inside]] = mid[inside]
+        t_out[pending[~inside]] = mid[~inside]
     return 0.5 * (t_out + t_in)
 
 
-def _refine_sign_change(q_curve, t_pos, t_neg, iters=80):
-    """Root of the signed Q between a positive and a negative sample."""
-    for _ in range(iters):
-        mid = 0.5 * (t_pos + t_neg)
-        if q_curve(mid) > 0.0:
-            t_pos = mid
-        else:
-            t_neg = mid
-    return 0.5 * (t_pos + t_neg)
-
-
-def pair_curves(engine, alpha, pair):
-    """(concurrence(t), signed_q(t)) samplers of one pair, one grid cell per call.
-
-    ``engine`` is a ``GridEngine``; the samplers suit ``zero_intervals``.
-    """
-    alphas, pairs = [alpha], (pair,)
-
-    def curve(t):
-        return float(engine.values(alphas, [t], pairs).concurrence[0, 0, 0])
-
-    def q_curve(t):
-        return float(engine.values(alphas, [t], pairs).q[0, 0, 0])
-
-    return curve, q_curve
-
-
 def zero_intervals(
-    curve,
+    sample,
     t_min,
     t_max,
     *,
     tol=1e-12,
     min_width=None,
     samples=2049,
-    q_curve=None,
     q_tol=1e-9,
 ):
-    """Maximal sub-windows of [t_min, t_max] where curve(t) <= tol.
+    """Maximal sub-windows of [t_min, t_max] where each sampled curve is <= tol.
 
-    Endpoints are polished by bisection; with ``q_curve`` supplied, sudden
-    death is recognized by the signed Q dropping below ``-q_tol`` inside the
-    window and its endpoints are polished on the Q sign change.  Without a Q
-    sampler the classification falls back to interval width against
-    ``min_width`` (default: 1e-6 of the window).
+    ``sample(ts)`` takes a 1-D array of times and returns ``(C, Q)``, arrays
+    of shape (len(ts), n_curves) with one column per curve (a 1-D array is
+    one curve); Q is the signed Q behind C, or None when there is none.
+    Returns one list of ``ZeroInterval`` per column.
+
+    The curves are sampled once on ``samples`` equally spaced times.  A zero
+    run whose Q drops below ``-q_tol`` is sudden death and its edges are the
+    Q sign changes; any other run is a touch with edges where C crosses
+    ``tol``.  Without Q the kind falls back to interval width against
+    ``min_width`` (default: 1e-6 of the window).  All edges of all curves are
+    then bisected together, at most 80 halvings, one ``sample`` call each.
 
     Detection is sample-limited: an isolated touch whose C <= tol plateau is
     narrower than the grid spacing goes unseen unless a sample lands on it.
@@ -116,44 +118,49 @@ def zero_intervals(
     if min_width is None:
         min_width = 1e-6 * (t_max - t_min)
     ts = np.linspace(t_min, t_max, samples)
-    cs = np.array([float(curve(t)) for t in ts])
-    if not np.all(np.isfinite(cs)):
-        bad = int(np.flatnonzero(~np.isfinite(cs))[0])
+    cs, qs = _columns(sample, ts)
+    finite = np.isfinite(cs).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"curve returned a non-finite value at t = {ts[bad]!r}")
 
-    zero = cs <= tol
-    if zero.all():
-        return [ZeroInterval(t_lo=float(t_min), t_hi=float(t_max), kind="degenerate")]
-
-    intervals = []
-    i = 0
-    while i < samples:
-        if not zero[i]:
-            i += 1
+    # runs: (curve, lo edge, hi edge, kind); an edge is an index into ``edges``,
+    # or None where the run reaches t_min or t_max
+    runs, edges = [], []
+    for k in range(cs.shape[1]):
+        zero = cs[:, k] <= tol
+        if zero.all():
+            runs.append((k, None, None, "degenerate"))
             continue
-        j = i
-        while j + 1 < samples and zero[j + 1]:
-            j += 1
+        flips = np.flatnonzero(np.diff(np.concatenate(([False], zero, [False]))))
+        for i, j in zip(flips[::2].tolist(), (flips[1::2] - 1).tolist()):
+            kind, on_q, in_lo, in_hi = None, False, ts[i], ts[j]
+            if qs is not None:
+                negatives = np.flatnonzero(qs[i : j + 1, k] < -q_tol)
+                kind = "sudden_death" if negatives.size else "touch"
+                if negatives.size:
+                    on_q, in_lo, in_hi = True, ts[i + negatives[0]], ts[i + negatives[-1]]
+            lo_edge = hi_edge = None
+            if i > 0:
+                lo_edge = len(edges)
+                edges.append((k, on_q, ts[i - 1], in_lo))
+            if j < samples - 1:
+                hi_edge = len(edges)
+                edges.append((k, on_q, ts[j + 1], in_hi))
+            runs.append((k, lo_edge, hi_edge, kind))
 
-        t_lo = float(t_min) if i == 0 else _refine_edge(curve, ts[i - 1], ts[i], tol)
-        t_hi = float(t_max) if j == samples - 1 else _refine_edge(curve, ts[j + 1], ts[j], tol)
+    refined = []
+    if edges:
+        curve, on_q, t_out, t_in = (np.array(column) for column in zip(*edges))
+        refined = _bisect(sample, curve, on_q, t_out, t_in, tol).tolist()
 
-        if q_curve is not None:
-            run_qs = np.array([float(q_curve(t)) for t in ts[i : j + 1]])
-            negatives = np.flatnonzero(run_qs < -q_tol)
-            if negatives.size:
-                kind = "sudden_death"
-                if i > 0:
-                    t_lo = _refine_sign_change(q_curve, ts[i - 1], ts[i + negatives[0]])
-                if j < samples - 1:
-                    t_hi = _refine_sign_change(q_curve, ts[j + 1], ts[i + negatives[-1]])
-            else:
-                kind = "touch"
-        else:
-            kind = "sudden_death" if (t_hi - t_lo) > min_width else "touch"
-
-        intervals.append(ZeroInterval(t_lo=float(t_lo), t_hi=float(t_hi), kind=kind))
-        i = j + 1
+    intervals = [[] for _ in range(cs.shape[1])]
+    for k, lo_edge, hi_edge, kind in runs:
+        lo = float(t_min) if lo_edge is None else refined[lo_edge]
+        hi = float(t_max) if hi_edge is None else refined[hi_edge]
+        if kind is None:
+            kind = "sudden_death" if (hi - lo) > min_width else "touch"
+        intervals[k].append(ZeroInterval(t_lo=lo, t_hi=hi, kind=kind))
     return intervals
 
 

@@ -118,21 +118,21 @@ def pair_density(psi, keep, *, leak_tol=1e-10):
     order = tuple(range(lead)) + tuple(lead + ax for ax in keep_axes + traced_axes)
     kept = np.transpose(psi, order)  # (..., d0, d1, traced, traced)
 
-    selected = kept  # atoms already index (e, g)
+    select = [slice(None)] * kept.ndim  # atoms already index (e, g)
     for pos, label in enumerate(keep):
         axis = lead + pos
         if label not in CAVITY_SUBSYSTEMS:
             continue
         if kept.shape[axis] > 2:
-            above = np.take(kept, np.arange(2, kept.shape[axis]), axis=axis)
+            above = kept[(slice(None),) * axis + (slice(2, None),)]
             leak = float(np.max(np.sum(np.abs(above) ** 2, axis=(-4, -3, -2, -1))))
             if leak > leak_tol:
                 raise ValueError(
                     f"cavity {label} holds probability {leak:.3e} above one photon "
                     f"(tolerance {leak_tol:.3e}); cannot reduce to a qubit"
                 )
-        selected = np.take(selected, [1, 0], axis=axis)
+        select[axis] = slice(1, None, -1)  # photon numbers (1, 0)
 
-    mat = selected.reshape(psi.shape[:lead] + (4, -1))
+    mat = kept[tuple(select)].reshape(psi.shape[:lead] + (4, -1))
     rho = mat @ dagger(mat)
     return 0.5 * (rho + dagger(rho))

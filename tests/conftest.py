@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from jcpairs import JCParams
+from jcpairs import JCParams, resonance_values
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic; no example database is written.
@@ -38,3 +38,15 @@ def random_x_state(rng):
     rho[0, 3], rho[3, 0] = z, np.conj(z)
     rho[1, 2], rho[2, 1] = w, np.conj(w)
     return rho
+
+
+def closed_sampler(kind, alpha, rabi, pairs=("AB",)):
+    """Array sampler of the resonance formulas for ``zero_intervals``: (C, Q) per pair."""
+    def sample(ts):
+        values = [resonance_values(kind, alpha, rabi, t) for t in ts]
+        return (
+            np.array([[v.concurrence[pair] for pair in pairs] for v in values]),
+            np.array([[v.q_for(pair) for pair in pairs] for v in values]),
+        )
+
+    return sample

@@ -21,7 +21,7 @@ from jcpairs import (
 )
 from jcpairs.cli import main
 from jcpairs.dynamics import FAMILY_KINDS
-from jcpairs.entanglement import concurrence_stack
+from jcpairs.entanglement import _x_lowest, concurrence_stack
 from jcpairs.linalg import partial_trace
 
 EPS = np.finfo(float).eps
@@ -121,13 +121,47 @@ def test_numeric_grid_matches_closed_form_within_phase_budget(kind, alpha, param
             assert abs(values.concurrence[0, it, ip] - closed.concurrence[pair]) <= budget
 
 
-@given(rows=st.integers(1, 4), cols=st.integers(1, 5), data=st.data())
-def test_stack_names_the_non_psd_cell(rows, cols, data):
-    bad = (data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1)))
-    rng = np.random.default_rng(rows * 10 + cols)
-    stack = np.array([[random_x_state(rng) for _ in range(cols)] for _ in range(rows)])
+@given(rows=st.integers(1, 4), cols=st.integers(1, 5), pairs=st.integers(1, 6), data=st.data())
+def test_stack_names_the_non_psd_cell(rows, cols, pairs, data):
+    # the engine passes (alpha, t, pair) stacks; the rejected cell is named (ia, it, ip)
+    bad = tuple(data.draw(st.integers(0, n - 1)) for n in (rows, cols, pairs))
+    rng = np.random.default_rng(rows * 100 + cols * 10 + pairs)
+    stack = np.array([[[random_x_state(rng) for _ in range(pairs)] for _ in range(cols)]
+                      for _ in range(rows)])
     stack[bad] = np.diag([0.6, 0.6, 0.0, -0.2])
-    with pytest.raises(ValueError, match=rf"not PSD.* at cell \({bad[0]}, {bad[1]}\)"):
+    with pytest.raises(ValueError, match=rf"not PSD.* at cell \({bad[0]}, {bad[1]}, {bad[2]}\)"):
+        concurrence_stack(stack)
+
+
+def test_x_block_lowest_eigenvalue_matches_eigvalsh():
+    rng = np.random.default_rng(11)
+    stack = np.array([random_x_state(rng) for _ in range(300)])
+    # coherences past sqrt(ad) give the stack non-PSD cells as well
+    stack[::3, 0, 3] *= 3.0
+    stack[::3, 3, 0] *= 3.0
+    lowest = _x_lowest(stack)
+    assert (lowest < -1e-8).any()
+    assert np.max(np.abs(lowest - np.linalg.eigvalsh(stack)[:, 0])) <= 1e-15
+
+
+@pytest.mark.parametrize("x_shaped", [True, False])
+def test_stack_rejects_a_non_psd_cell_on_either_route(x_shaped):
+    rng = np.random.default_rng(5)
+    stack = np.array([random_x_state(rng) for _ in range(6)])
+    bad = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    bad[0, 3] = bad[3, 0] = 0.6  # |z| > sqrt(ad): lowest eigenvalue 0.5 - 0.6
+    if not x_shaped:
+        bad[0, 1] = bad[1, 0] = 1e-3  # an off-X entry sends the cell to eigvalsh
+    stack[4] = bad
+    with pytest.raises(ValueError, match=r"not PSD, lowest eigenvalue -1\.000e-01 at cell \(4,\)"):
+        concurrence_stack(stack)
+
+
+def test_stack_names_the_non_hermitian_cell():
+    rng = np.random.default_rng(3)
+    stack = np.array([[random_x_state(rng) for _ in range(6)] for _ in range(2)])
+    stack[1, 2, 0, 1] += 0.1 - 0.2j
+    with pytest.raises(ValueError, match=r"Hermiticity defect 2\.236e-01 at cell \(1, 2\)"):
         concurrence_stack(stack)
 
 
@@ -211,6 +245,26 @@ def test_blocks_do_not_change_values(engine, res_params, monkeypatch):
         blocked = GridEngine(engine, "psi", res_params).values(alpha_grid, t_grid, ("AB", "Ab"))
         assert np.allclose(blocked.concurrence, whole.concurrence, rtol=0, atol=1e-15)
         assert np.allclose(blocked.q, whole.q, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 3)])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_block_reduces_every_pair_in_one_stack(engine, n_max, kind, det_params, monkeypatch):
+    shapes = []
+
+    def recording(rho):
+        shapes.append(rho.shape)
+        return concurrence_stack(rho)
+
+    alpha_grid, t_grid = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 6.0, 7)
+    grid = GridEngine(engine, kind, det_params, n_max=n_max)
+    alone = {pair: grid.values(alpha_grid, t_grid, (pair,)) for pair in PAIR_LABELS}
+    monkeypatch.setattr(engine_module, "concurrence_stack", recording)
+    stacked = grid.values(alpha_grid, t_grid)
+    assert shapes == [(3, 7, len(PAIR_LABELS), 4, 4)]
+    for ip, pair in enumerate(PAIR_LABELS):
+        assert np.array_equal(stacked.concurrence[..., ip], alone[pair].concurrence[..., 0])
+        assert np.array_equal(stacked.q[..., ip], alone[pair].q[..., 0])
 
 
 def test_engine_validations(res_params, det_params):

@@ -3,28 +3,30 @@ import math
 import numpy as np
 import pytest
 
+import jcpairs.engine as engine_module
+from conftest import closed_sampler
 from jcpairs import (
+    PAIR_LABELS,
     GridEngine,
     JCParams,
     ZeroInterval,
     esd_boundary_phi_AB,
-    resonance_values,
     sweep,
     zero_intervals,
 )
-from jcpairs.esd import boundary_AB, pair_curves
+from jcpairs.cli import main
+from jcpairs.esd import boundary_AB
 
 G = 2.0
 
 
-def closed_curves(kind, alpha, pair="AB"):
-    def curve(t):
-        return resonance_values(kind, alpha, G, t).concurrence[pair]
+def engine_sampler(engine, alpha, pairs=PAIR_LABELS):
+    """Array sampler of one ``GridEngine`` at one alpha, one call per array of times."""
+    def sample(ts):
+        values = engine.values([alpha], ts, pairs)
+        return values.concurrence[0], values.q[0]
 
-    def q_curve(t):
-        return resonance_values(kind, alpha, G, t).q_for(pair)
-
-    return curve, q_curve
+    return sample
 
 
 def test_boundary_known_value():
@@ -60,8 +62,8 @@ def test_boundary_rejects_out_of_range():
 def detected_deaths(engine, alpha, params, samples=1025):
     """AB sudden-death windows in Gt over one period of the dressed splitting."""
     splitting = math.hypot(params.detuning, params.rabi(1))
-    curve, q_curve = pair_curves(GridEngine(engine, "phi", params), alpha, "AB")
-    intervals = zero_intervals(curve, 0.0, 2 * np.pi / splitting, q_curve=q_curve, samples=samples)
+    sample = engine_sampler(GridEngine(engine, "phi", params), alpha, ("AB",))
+    (intervals,) = zero_intervals(sample, 0.0, 2 * np.pi / splitting, samples=samples)
     return [(iv.t_lo * params.rabi(1), iv.t_hi * params.rabi(1))
             for iv in intervals if iv.kind == "sudden_death"]
 
@@ -110,8 +112,7 @@ def test_boundary_rejects_bad_ratio():
 
 def test_zero_intervals_phi_death_window():
     alpha = np.pi / 8
-    curve, q_curve = closed_curves("phi", alpha)
-    intervals = zero_intervals(curve, 0.0, 2 * np.pi / G, q_curve=q_curve, samples=1025)
+    (intervals,) = zero_intervals(closed_sampler("phi", alpha, G), 0.0, 2 * np.pi / G, samples=1025)
     assert len(intervals) == 1
     (iv,) = intervals
     assert iv.kind == "sudden_death"
@@ -122,8 +123,7 @@ def test_zero_intervals_phi_death_window():
 
 @pytest.mark.parametrize("alpha", np.linspace(0.05, 0.78, 10))
 def test_zero_intervals_match_boundary(alpha):
-    curve, q_curve = closed_curves("phi", alpha)
-    intervals = zero_intervals(curve, 0.0, 2 * np.pi / G, q_curve=q_curve, samples=2049)
+    (intervals,) = zero_intervals(closed_sampler("phi", alpha, G), 0.0, 2 * np.pi / G, samples=2049)
     deaths = [iv for iv in intervals if iv.kind == "sudden_death"]
     assert len(deaths) == 1
     lo, hi = esd_boundary_phi_AB(alpha)
@@ -133,8 +133,7 @@ def test_zero_intervals_match_boundary(alpha):
 
 @pytest.mark.parametrize("alpha", [np.pi / 4, np.pi / 3])
 def test_zero_intervals_touch_only_above_quarter_pi(alpha):
-    curve, q_curve = closed_curves("phi", alpha)
-    intervals = zero_intervals(curve, 0.0, 4 * np.pi / G, q_curve=q_curve, samples=2049)
+    (intervals,) = zero_intervals(closed_sampler("phi", alpha, G), 0.0, 4 * np.pi / G, samples=2049)
     assert intervals, "the curve does reach zero"
     assert all(iv.kind == "touch" for iv in intervals)
     # touches sit at odd multiples of pi in Gt
@@ -146,31 +145,35 @@ def test_zero_intervals_touch_only_above_quarter_pi(alpha):
 
 def test_zero_intervals_psi_never_dies():
     for alpha in (0.2, np.pi / 4, 1.1):
-        for pair in ("AB", "ab", "Aa", "Bb", "Ab", "Ba"):
-            curve, q_curve = closed_curves("psi", alpha, pair)
-            intervals = zero_intervals(curve, 0.0, 4 * np.pi / G, q_curve=q_curve, samples=1025)
-            assert all(iv.kind != "sudden_death" for iv in intervals)
+        per_pair = zero_intervals(
+            closed_sampler("psi", alpha, G, PAIR_LABELS), 0.0, 4 * np.pi / G, samples=1025
+        )
+        assert len(per_pair) == len(PAIR_LABELS)
+        assert all(iv.kind != "sudden_death" for intervals in per_pair for iv in intervals)
 
 
 def test_zero_intervals_degenerate_curve():
-    curve, q_curve = closed_curves("phi", 0.0)  # product state: C^AB identically zero
-    intervals = zero_intervals(curve, 0.0, 3.0, q_curve=q_curve)
+    # product state: C^AB identically zero
+    (intervals,) = zero_intervals(closed_sampler("phi", 0.0, G), 0.0, 3.0)
     assert intervals == [ZeroInterval(t_lo=0.0, t_hi=3.0, kind="degenerate")]
 
 
 def test_zero_intervals_width_fallback_without_q():
-    plateau = zero_intervals(lambda t: max(0.0, abs(t - 1.0) - 0.2), 0.0, 2.0, samples=801)
+    (plateau,) = zero_intervals(
+        lambda ts: (np.maximum(0.0, np.abs(ts - 1.0) - 0.2), None), 0.0, 2.0, samples=801
+    )
     assert [iv.kind for iv in plateau] == ["sudden_death"]
     assert plateau[0].t_lo == pytest.approx(0.8, abs=1e-6)
     assert plateau[0].t_hi == pytest.approx(1.2, abs=1e-6)
-    pin = zero_intervals(lambda t: abs(t - 1.0), 0.0, 2.0, samples=801)
+    (pin,) = zero_intervals(lambda ts: (np.abs(ts - 1.0), None), 0.0, 2.0, samples=801)
     assert [iv.kind for iv in pin] == ["touch"]
 
 
 def test_zero_intervals_window_edges():
     # phi cavity pair starts its death window at t = 0
-    curve, q_curve = closed_curves("phi", np.pi / 8, "ab")
-    intervals = zero_intervals(curve, 0.0, 2 * np.pi / G, q_curve=q_curve, samples=1025)
+    (intervals,) = zero_intervals(
+        closed_sampler("phi", np.pi / 8, G, ("ab",)), 0.0, 2 * np.pi / G, samples=1025
+    )
     deaths = [iv for iv in intervals if iv.kind == "sudden_death"]
     assert deaths[0].t_lo == 0.0
     lo, _ = esd_boundary_phi_AB(np.pi / 8)
@@ -180,12 +183,94 @@ def test_zero_intervals_window_edges():
 
 def test_zero_intervals_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
-        zero_intervals(lambda t: float("nan"), 0.0, 1.0, samples=11)
+        zero_intervals(lambda ts: (np.full(ts.shape, np.nan), None), 0.0, 1.0, samples=11)
 
 
 def test_zero_intervals_rejects_bad_window():
     with pytest.raises(ValueError, match="t_max"):
-        zero_intervals(lambda t: 1.0, 1.0, 1.0)
+        zero_intervals(lambda ts: (np.ones(ts.shape), None), 1.0, 1.0)
+
+
+def scalar_scan(engine, alpha, t_max, samples, tol=1e-12, q_tol=1e-9):
+    """Reference scan: one-cell engine calls, then an 80-step scalar bisection per edge.
+
+    Sudden-death edges bisect on the sign of Q from the outer sample to the
+    first (last) negative-Q sample of the run; touch edges on C <= tol.
+    Returns (t_lo, t_hi, kind) runs per pair.
+    """
+    def point(t):
+        values = engine.values([alpha], [t], PAIR_LABELS)
+        return values.concurrence[0, 0], values.q[0, 0]
+
+    def bisect(inside, t_out, t_in):
+        for _ in range(80):
+            mid = 0.5 * (t_out + t_in)
+            if inside(mid):
+                t_in = mid
+            else:
+                t_out = mid
+        return 0.5 * (t_out + t_in)
+
+    ts = np.linspace(0.0, t_max, samples)
+    cs, qs = (np.array(column) for column in zip(*(point(t) for t in ts)))
+    scan = []
+    for k in range(len(PAIR_LABELS)):
+        runs = []
+        zero = cs[:, k] <= tol
+        i = 0
+        while i < samples:
+            if not zero[i]:
+                i += 1
+                continue
+            j = i
+            while j + 1 < samples and zero[j + 1]:
+                j += 1
+            negatives = np.flatnonzero(qs[i : j + 1, k] < -q_tol)
+            if negatives.size:
+                kind, in_lo, in_hi = "sudden_death", ts[i + negatives[0]], ts[i + negatives[-1]]
+                inside = lambda t, k=k: not point(t)[1][k] > 0.0  # noqa: E731
+            else:
+                kind, in_lo, in_hi = "touch", ts[i], ts[j]
+                inside = lambda t, k=k: point(t)[0][k] <= tol  # noqa: E731
+            lo = 0.0 if i == 0 else bisect(inside, ts[i - 1], in_lo)
+            hi = t_max if j == samples - 1 else bisect(inside, ts[j + 1], in_hi)
+            runs.append((lo, hi, kind))
+            i = j + 1
+        scan.append(runs)
+    return scan
+
+
+@pytest.mark.parametrize("omega, alpha", [(5.0, 0.3927), (6.0, 0.3)])
+def test_lockstep_edges_match_scalar_bisection(omega, alpha):
+    params = JCParams(omega0=5.0, omega=omega, g=1.0)
+    engine = GridEngine("analytic", "phi", params)
+    t_max = 2 * np.pi / math.hypot(params.detuning, params.rabi(1))
+    lockstep = zero_intervals(engine_sampler(engine, alpha), 0.0, t_max, samples=129)
+    reference = scalar_scan(engine, alpha, t_max, 129)
+    kinds = set()
+    for got, want in zip(lockstep, reference, strict=True):
+        assert [iv.kind for iv in got] == [kind for _, _, kind in want]
+        for iv, (lo, hi, kind) in zip(got, want):
+            assert abs(iv.t_lo - lo) <= 1e-14 and abs(iv.t_hi - hi) <= 1e-14
+            kinds.add(kind)
+    assert kinds == {"sudden_death", "touch"}  # both edge rules are exercised
+
+
+@pytest.mark.parametrize("site", [["--alpha", "0.3927"], ["--alpha", "0.3", "--omega", "6"]])
+def test_esd_makes_one_sampling_call_and_one_per_halving(monkeypatch, tmp_path, site):
+    calls = []
+    values = engine_module.GridEngine.values
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[1])
+        return values(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module.GridEngine, "values", counted)
+    out = tmp_path / "esd.json"
+    assert main(["esd", "--family", "phi", *site, "--output", str(out)]) == 0
+    assert 2 <= len(calls) <= 1 + 80
+    assert len(calls[0]) == 1025  # the sampling grid, then one call per halving
+    assert all(len(ts) <= len(calls[1]) for ts in calls[2:])
 
 
 def make_params():
