@@ -27,6 +27,7 @@ from .entanglement import (
     PAIR_LABELS,
     concurrence_stack,
     off_x_defect,
+    random_x_state,
     wootters_concurrence,
 )
 from .esd import boundary_AB, zero_intervals
@@ -272,34 +273,54 @@ def _validate(cfg):
         raise UsageError(f"zero-tol must be >= 0, got {cfg.zero_tol}")
 
 
-def _fmt(value):
-    return f"{float(value):.17g}"
+# Rows per CSV block: each block is formatted by one % call and written
+# before the next is built, so the whole table never exists as text at once.
+_ROW_BLOCK = 2048
+_BOOL_CELLS = np.array(["false", "true"], dtype=object)
 
 
-def _csv_text(columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+def _cells(fmt, values):
+    """Cells for float values, each formatted once: 17-digit text, or JSON numbers (NaN -> null)."""
+    values = np.asarray(values, dtype=float)
+    if fmt == "csv":
+        return np.array(["%.17g" % v for v in values.tolist()], dtype=object)
+    cells = values.astype(object)
+    cells[np.isnan(values)] = None
+    return cells
 
 
-def _json_table_text(columns, rows):
-    def cell(v):
-        if isinstance(v, str):
-            return v
-        f = float(v)
-        return None if math.isnan(f) else f
+def _table_chunks(fmt, columns, data):
+    """Text of a table given column by column, as chunks for ``_write_output``.
 
-    payload = {"columns": list(columns), "rows": [[cell(v) for v in row] for row in rows]}
-    return json.dumps(payload, indent=2) + "\n"
+    ``data`` holds one 1-D array per column, all of one length: float arrays
+    are numbers, object arrays hold ready cells (labels, or values that
+    ``_cells`` formatted once per axis value before they were repeated).
+    CSV comes one block of ``_ROW_BLOCK`` rows at a time, each from one row
+    template; JSON is one ``json.dumps`` of the rows.
+    """
+    if fmt == "json":
+        cells = [col if col.dtype == object else _cells(fmt, col) for col in data]
+        rows = list(zip(*(col.tolist() for col in cells)))
+        yield json.dumps({"columns": list(columns), "rows": rows}, indent=2) + "\n"
+        return
+    yield ",".join(columns) + "\n"
+    template = ",".join("%s" if col.dtype == object else "%.17g" for col in data) + "\n"
+    width = len(data)
+    for start in range(0, len(data[0]), _ROW_BLOCK):
+        block = [col[start:start + _ROW_BLOCK].tolist() for col in data]
+        args = [None] * (width * len(block[0]))
+        for i, cells in enumerate(block):
+            args[i::width] = cells
+        yield template * len(block[0]) % tuple(args)
 
 
-def _write_output(path, text):
+def _write_output(path, chunks):
+    """Write text chunks to ``path`` ('-' or None for stdout) as they come."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _engines(cfg, params):
@@ -319,26 +340,24 @@ def _cmd_evolve(args):
     cfg = _merged(args, "evolve")
     params = cfg.params()
     rabi = params.rabi(1)
-    ts = [cfg.t_max * i / cfg.steps for i in range(cfg.steps + 1)]
+    ts = np.array([cfg.t_max * i / cfg.steps for i in range(cfg.steps + 1)])
 
     results = [engine.values([cfg.alpha], ts) for engine in _engines(cfg, params)]
     conc = results[0].concurrence[0]
-    q_cols = [PAIR_LABELS.index(pair) for pair in _Q_PAIRS]
-    q = results[0].q[0][:, q_cols]
+    q = results[0].q[0]
 
     columns = list(_EVOLVE_COLUMNS)
-    rows = [[t, rabi * t, cfg.alpha] + c_row + q_row
-            for t, c_row, q_row in zip(ts, conc.tolist(), q.tolist())]
+    data = [ts, rabi * ts, np.repeat(_cells(cfg.fmt, [cfg.alpha]), ts.size)]
+    data += [conc[:, i] for i in range(len(PAIR_LABELS))]
+    data += [q[:, PAIR_LABELS.index(pair)] for pair in _Q_PAIRS]
     worst = 0.0
     if cfg.engine == "both":
         columns.append("max_engine_disagreement")
         gaps = np.max(np.abs(conc - results[1].concurrence[0]), axis=1)
-        for row, gap in zip(rows, gaps.tolist()):
-            row.append(gap)
+        data.append(gaps)
         worst = max(gaps.tolist())
 
-    text = _csv_text(columns, rows) if cfg.fmt == "csv" else _json_table_text(columns, rows)
-    _write_output(cfg.output, text)
+    _write_output(cfg.output, _table_chunks(cfg.fmt, columns, data))
     return _disagreement_exit(worst, cfg)
 
 
@@ -358,20 +377,18 @@ def _cmd_sweep(args):
     if cfg.engine == "both":
         worst = float(np.max(np.abs(results[0].concurrence - results[1].concurrence)))
 
-    conc = results[0].concurrence.tolist()
-    q = results[0].q.tolist()
-    rows = []
-    for ia, alpha in enumerate(alpha_grid.tolist()):
-        for it, t in enumerate(t_grid.tolist()):
-            for ip, pair in enumerate(pairs):
-                c = conc[ia][it][ip]
-                rows.append([
-                    alpha, t, rabi * t, pair, c, q[ia][it][ip],
-                    "true" if c <= cfg.zero_tol else "false",
-                ])
-
-    text = _csv_text(_SWEEP_COLUMNS, rows) if cfg.fmt == "csv" else _json_table_text(_SWEEP_COLUMNS, rows)
-    _write_output(cfg.output, text)
+    n_alpha, n_t, n_pairs = results[0].concurrence.shape
+    conc = results[0].concurrence.reshape(-1)
+    data = [
+        np.repeat(_cells(cfg.fmt, alpha_grid), n_t * n_pairs),
+        np.tile(np.repeat(_cells(cfg.fmt, t_grid), n_pairs), n_alpha),
+        np.tile(np.repeat(_cells(cfg.fmt, rabi * t_grid), n_pairs), n_alpha),
+        np.tile(np.array(pairs, dtype=object), n_alpha * n_t),
+        conc,
+        results[0].q.reshape(-1),
+        _BOOL_CELLS[(conc <= cfg.zero_tol).astype(np.intp)],
+    ]
+    _write_output(cfg.output, _table_chunks(cfg.fmt, _SWEEP_COLUMNS, data))
     return _disagreement_exit(worst, cfg)
 
 
@@ -421,18 +438,8 @@ def _cmd_esd(args):
         "pairs": pairs_report,
         "boundary_AB": boundary,
     }
-    _write_output(cfg.output, json.dumps(report, indent=2) + "\n")
+    _write_output(cfg.output, [json.dumps(report, indent=2) + "\n"])
     return 0
-
-
-def _random_x_state(rng):
-    diag = rng.dirichlet(np.ones(4))
-    z = rng.uniform(0.0, 0.98) * math.sqrt(diag[0] * diag[3]) * np.exp(2j * math.pi * rng.uniform())
-    w = rng.uniform(0.0, 0.98) * math.sqrt(diag[1] * diag[2]) * np.exp(2j * math.pi * rng.uniform())
-    rho = np.diag(diag).astype(complex)
-    rho[0, 3], rho[3, 0] = z, np.conj(z)
-    rho[1, 2], rho[2, 1] = w, np.conj(w)
-    return rho
 
 
 def _verify_checks(cfg):
@@ -502,7 +509,7 @@ def _verify_checks(cfg):
             max_q_gap = max(max_q_gap, abs(float(vals.mean()) - target))
 
     rng = np.random.default_rng(7)
-    states = np.array([_random_x_state(rng) for _ in range(200)])
+    states = np.array([random_x_state(rng) for _ in range(200)])
     general = [wootters_concurrence(rho).value for rho in states]
     max_fastpath = max(max_fastpath, gap(concurrence_stack(states)[0], np.array(general)))
 
@@ -535,7 +542,7 @@ def _cmd_verify(args):
     else:
         lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks]
         text = "\n".join(lines) + "\n"
-    _write_output(cfg.output, text)
+    _write_output(cfg.output, [text])
     if all(ok for _, ok, _ in checks):
         return 0
     failed = ", ".join(name for name, ok, _ in checks if not ok)

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 Q_PAIRS = ("AB", "ab", "Ab", "Aa")
 
 
@@ -111,6 +113,48 @@ def resonance_values(kind, alpha, rabi, t):
     if kind == "psi":
         return psi_resonance(alpha, rabi, t)
     raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
+
+
+def resonance_grid(kind, alphas, rabi, ts):
+    """Array twin of ``resonance_values`` over 1-D grids of alpha and t.
+
+    Returns (C, Q), each of shape (n_alpha, n_t, 6) with the pairs in
+    ``PAIR_LABELS`` order (AB, ab, Aa, Bb, Ab, Ba) and Q as ``q_for`` gives
+    it.  The sines and cosines are taken once per alpha and once per t with
+    ``math`` (numpy's need not match libm to the last bit), and the two axes
+    are combined by broadcasting in the operation order of
+    ``_resonance_pieces`` and the family formulas, so every value has the
+    same bits as the scalar route.
+    """
+    if kind not in ("phi", "psi"):
+        raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
+    alphas = np.asarray(alphas, dtype=float).reshape(-1).tolist()
+    halves = [0.5 * rabi * t for t in np.asarray(ts, dtype=float).reshape(-1).tolist()]
+    sin_h = np.array([math.sin(half) for half in halves])
+    cos_h = np.array([math.cos(half) for half in halves])
+    s2, c2 = sin_h * sin_h, cos_h * cos_h
+    root = np.abs(sin_h * cos_h)
+    u = np.array([abs(math.sin(alpha) * math.cos(alpha)) for alpha in alphas])[:, None]
+    k = np.array([math.cos(alpha) ** 2 for alpha in alphas])[:, None]
+    q_local = k * root
+    if kind == "phi":
+        q_atoms = c2 * (u - k * s2)
+        q_cavities = s2 * (u - k * c2)
+        q_cross = root * (u - k * root)
+        # 2 max(0, q): the comparison sends -0.0 and NaN to +0.0, as max() does
+        c_atoms, c_cavities, c_cross = (
+            2.0 * np.where(q > 0.0, q, 0.0) for q in (q_atoms, q_cavities, q_cross)
+        )
+        c_aa = c_bb = 2.0 * k * root
+    else:
+        q_atoms, q_cavities, q_cross = u * c2, u * s2, u * root
+        c_atoms, c_cavities, c_cross = 2.0 * q_atoms, 2.0 * q_cavities, 2.0 * q_cross
+        c_aa = 2.0 * q_local
+        sin_sq = np.array([math.sin(alpha) ** 2 for alpha in alphas])[:, None]
+        c_bb = 2.0 * sin_sq * root
+    conc = np.stack([c_atoms, c_cavities, c_aa, c_bb, c_cross, c_cross], axis=-1)
+    q = np.stack([q_atoms, q_cavities, q_local, 0.5 * c_bb, q_cross, q_cross], axis=-1)
+    return conc, q
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 ``GridEngine`` is the one place that chooses between the routes:
 
-* ``closed``: the resonance formulas, one ``resonance_values`` call per
-  (alpha, t) cell filling every requested pair;
+* ``closed``: the resonance formulas on whole arrays (``resonance_grid``:
+  the trigonometry once per alpha and once per t, then broadcasting), bit
+  for bit the values of ``resonance_values``;
 * ``analytic``: dressed-state amplitude stacks (``analytic_amplitudes``);
 * ``numeric``: one diagonalization of the lattice Hamiltonian at the
   requested Fock truncation, then every (alpha, t) cell by one matrix
@@ -12,8 +13,9 @@
 The two evolution routes evolve each cell once, reduce it to every requested
 pair on stacks (``pair_density``), stack the pairs on one axis and read C and
 Q of the whole block from the reduced entries with one ``concurrence_stack``
-call.  The grid is processed in blocks of at most ``BLOCK_CELLS`` cells, so
-memory stays bounded for any grid size.
+call.  They process the grid in blocks of at most ``BLOCK_CELLS`` cells, so
+memory stays bounded for any grid size.  The closed route keeps nothing per
+cell beyond its output and evaluates the whole grid in one call.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import resonance_values
+from .closedform import resonance_grid
 from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from .entanglement import PAIR_LABELS, concurrence_stack
 from .jcmodel import total_hamiltonian
@@ -81,6 +83,10 @@ class GridEngine:
         unknown = [pair for pair in pairs if pair not in PAIR_LABELS]
         if unknown:
             raise ValueError(f"unknown pairs {unknown}; expected labels from {PAIR_LABELS}")
+        if self.name == "closed":
+            conc, q = resonance_grid(self.kind, alphas, self.params.rabi(1), ts)
+            cols = [PAIR_LABELS.index(pair) for pair in pairs]
+            return GridValues(pairs=pairs, concurrence=conc[..., cols], q=q[..., cols])
         conc = np.empty((alphas.size, ts.size, len(pairs)))
         q = np.empty_like(conc)
         t_step = max(1, min(ts.size, BLOCK_CELLS))
@@ -88,13 +94,10 @@ class GridEngine:
         for a0 in range(0, alphas.size, a_step):
             for t0 in range(0, ts.size, t_step):
                 block = (slice(a0, a0 + a_step), slice(t0, t0 + t_step))
-                conc[block], q[block] = self._block(alphas[block[0]], ts[block[1]], pairs)
+                conc[block], q[block] = concurrence_stack(
+                    self._pair_densities(alphas[block[0]], ts[block[1]], pairs)
+                )
         return GridValues(pairs=pairs, concurrence=conc, q=q)
-
-    def _block(self, alphas, ts, pairs):
-        if self.name == "closed":
-            return self._closed_block(alphas, ts, pairs)
-        return concurrence_stack(self._pair_densities(alphas, ts, pairs))
 
     def _pair_densities(self, alphas, ts, pairs):
         """Reduced densities of the evolved block, shape (n_alpha, n_t, n_pairs, 4, 4).
@@ -107,14 +110,3 @@ class GridEngine:
         else:
             psi = self._propagator.evolve_grid(initial_amplitudes(self.kind, alphas, self.n_max), ts)
         return np.stack([pair_density(psi, (pair[0], pair[1])) for pair in pairs], axis=-3)
-
-    def _closed_block(self, alphas, ts, pairs):
-        rabi = self.params.rabi(1)
-        conc = np.empty((alphas.size, ts.size, len(pairs)))
-        q = np.empty_like(conc)
-        for ia, alpha in enumerate(alphas.tolist()):
-            for it, t in enumerate(ts.tolist()):
-                vals = resonance_values(self.kind, alpha, rabi, t)
-                conc[ia, it] = [vals.concurrence[pair] for pair in pairs]
-                q[ia, it] = [vals.q_for(pair) for pair in pairs]
-        return conc, q

@@ -88,6 +88,17 @@ def off_x_defect(rho):
     return np.abs(rho[..., _OFF_X_ROWS, _OFF_X_COLS]).max(axis=-1)
 
 
+def random_x_state(rng):
+    """Random valid X-shaped density matrix (coherences inside the PSD bound)."""
+    diag = rng.dirichlet(np.ones(4))
+    z = rng.uniform(0.0, 0.98) * np.sqrt(diag[0] * diag[3]) * np.exp(2j * np.pi * rng.uniform())
+    w = rng.uniform(0.0, 0.98) * np.sqrt(diag[1] * diag[2]) * np.exp(2j * np.pi * rng.uniform())
+    rho = np.diag(diag).astype(complex)
+    rho[0, 3], rho[3, 0] = z, np.conj(z)
+    rho[1, 2], rho[2, 1] = w, np.conj(w)
+    return rho
+
+
 def _x_qs(rho):
     """Signed (q_corner, q_inner) of X-shaped matrices, per 4x4 cell."""
     a, b, c, d = (np.maximum(rho[..., i, i].real, 0.0) for i in range(4))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from jcpairs import JCParams, resonance_values
+from jcpairs.entanglement import random_x_state  # noqa: F401  (test modules import it from here)
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic; no example database is written.
@@ -27,17 +28,6 @@ def res_params():
 def det_params():
     """Detuned site: Delta = 1, G = 1, splitting sqrt(2)."""
     return JCParams(omega0=5.0, omega=6.0, g=0.5)
-
-
-def random_x_state(rng):
-    """Random valid X-shaped density matrix (coherences inside the PSD bound)."""
-    diag = rng.dirichlet(np.ones(4))
-    z = rng.uniform(0.0, 0.98) * np.sqrt(diag[0] * diag[3]) * np.exp(2j * np.pi * rng.uniform())
-    w = rng.uniform(0.0, 0.98) * np.sqrt(diag[1] * diag[2]) * np.exp(2j * np.pi * rng.uniform())
-    rho = np.diag(diag).astype(complex)
-    rho[0, 3], rho[3, 0] = z, np.conj(z)
-    rho[1, 2], rho[2, 1] = w, np.conj(w)
-    return rho
 
 
 def closed_sampler(kind, alpha, rabi, pairs=("AB",)):

@@ -2,8 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+import jcpairs.cli as cli
+from jcpairs import PAIR_LABELS, GridEngine, JCParams
 from jcpairs.cli import main
 
 EVOLVE_HEADER = "t,Gt,alpha,C_AB,C_ab,C_Aa,C_Bb,C_Ab,C_Ba,Q_AB,Q_ab,Q_Aa,Q_Ab"
@@ -258,3 +261,115 @@ def test_stdout_output(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == EVOLVE_HEADER
     assert len(out.splitlines()) == 4
+
+
+# Reference for the table writer: the row-at-a-time formatter it replaced,
+# one f"{v:.17g}" per CSV cell and json.dumps over row lists.
+def reference_csv(columns, rows):
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(cell if isinstance(cell, str) else f"{float(cell):.17g}" for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(columns, rows):
+    def cell(v):
+        if isinstance(v, str):
+            return v
+        f = float(v)
+        return None if math.isnan(f) else f
+
+    payload = {"columns": list(columns), "rows": [[cell(v) for v in row] for row in rows]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+REFERENCE = {"csv": reference_csv, "json": reference_json}
+
+
+def assert_same_lines(actual, expected):
+    # compared as line lists: equal bytes, and a failure names the first
+    # differing line instead of diffing two long texts
+    if isinstance(actual, bytes):
+        actual = actual.decode()
+    assert actual.splitlines(keepends=True) == expected.splitlines(keepends=True)
+PARAMS = JCParams(omega0=5.0, omega=5.0, g=1.0)
+
+
+def reference_sweep(fmt, engine, pair, alpha_grid, t_grid):
+    name = "analytic" if engine == "both" else engine
+    pairs = [pair] if pair else list(PAIR_LABELS)
+    values = GridEngine(name, "phi", PARAMS).values(alpha_grid, t_grid, pairs)
+    rabi = PARAMS.rabi(1)
+    rows = []
+    for ia, alpha in enumerate(alpha_grid.tolist()):
+        for it, t in enumerate(t_grid.tolist()):
+            for ip, label in enumerate(pairs):
+                c = float(values.concurrence[ia, it, ip])
+                rows.append([alpha, t, rabi * t, label, c, float(values.q[ia, it, ip]),
+                             "true" if c <= 1e-12 else "false"])
+    return REFERENCE[fmt](["alpha", "t", "Gt", "pair", "C", "Q", "is_zero"], rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("pair", [None, "Ab"])
+@pytest.mark.parametrize("engine", ["closed", "analytic", "both"])
+def test_sweep_bytes_match_row_formatter(tmp_path, monkeypatch, engine, pair, fmt):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 5)  # 216 or 36 rows: many blocks, a short last one
+    out = tmp_path / "sweep.out"
+    argv = ["sweep", "--family", "phi", "--engine", engine, "--alpha-min", "-0.4",
+            "--alpha-max", str(math.pi - 0.3), "--alpha-points", "4", "--steps", "8",
+            "--t-max", str(math.pi), "--format", fmt, "--output", str(out)]
+    if pair:
+        argv += ["--pair", pair]
+    assert run(*argv) == 0
+    expected = reference_sweep(fmt, engine, pair, np.linspace(-0.4, math.pi - 0.3, 4),
+                               np.linspace(0.0, math.pi, 9))
+    assert_same_lines(out.read_bytes(), expected)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_both_bytes_match_row_formatter(tmp_path, fmt):
+    out = tmp_path / "evolve.out"
+    alpha, t_max, steps = 0.3927, 6.0, 40
+    assert run("evolve", "--family", "phi", "--alpha", str(alpha), "--engine", "both",
+               "--steps", str(steps), "--t-max", str(t_max), "--format", fmt,
+               "--output", str(out)) == 0
+    ts = [t_max * i / steps for i in range(steps + 1)]
+    analytic, numeric = (GridEngine(name, "phi", PARAMS).values([alpha], ts)
+                         for name in ("analytic", "numeric"))
+    conc, q = analytic.concurrence[0], analytic.q[0]
+    gaps = np.max(np.abs(conc - numeric.concurrence[0]), axis=1)
+    q_cols = [PAIR_LABELS.index(pair) for pair in ("AB", "ab", "Aa", "Ab")]
+    rows = [[t, PARAMS.rabi(1) * t, alpha] + conc[i].tolist() + q[i, q_cols].tolist() + [gaps[i]]
+            for i, t in enumerate(ts)]
+    columns = EVOLVE_HEADER.split(",") + ["max_engine_disagreement"]
+    assert_same_lines(out.read_bytes(), REFERENCE[fmt](columns, rows))
+
+
+EDGE_VALUES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1.0 / 3.0, 0.1 + 0.2, -1.5e300]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("repeat", [1, 2 * cli._ROW_BLOCK // len(EDGE_VALUES) + 1])
+def test_table_writer_matches_row_formatter_on_edge_values(fmt, repeat):
+    # repeat > 1 makes the table longer than two row blocks
+    values = np.tile(np.array(EDGE_VALUES), repeat)
+    labels = np.tile(np.array(["x", "y", "z"], dtype=object), values.size // 3)
+    data = [np.tile(cli._cells(fmt, EDGE_VALUES), repeat), values, labels, values[::-1].copy()]
+    rows = [[a, b, c, d] for a, b, c, d in zip(values.tolist(), values.tolist(), labels.tolist(),
+                                                 values[::-1].tolist())]
+    text = "".join(cli._table_chunks(fmt, ["key", "v", "label", "w"], data))
+    assert_same_lines(text, REFERENCE[fmt](["key", "v", "label", "w"], rows))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--engine", "closed", "--alpha-points", "3", "--steps", "5", "--t-max", "2.0"],
+    ["sweep", "--engine", "closed", "--alpha-points", "3", "--steps", "5", "--format", "json"],
+    ["evolve", "--engine", "both", "--steps", "16", "--t-max", "2.0"],
+])
+def test_stdout_and_output_file_get_the_same_bytes(tmp_path, capsys, argv):
+    out = tmp_path / "table.out"
+    assert run(*argv, "--output", str(out)) == 0
+    capsys.readouterr()
+    assert run(*argv) == 0
+    assert_same_lines(out.read_bytes(), capsys.readouterr().out)

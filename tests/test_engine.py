@@ -217,23 +217,36 @@ def test_sweep_passes_n_max_to_the_numeric_engine(tmp_path, monkeypatch):
     assert seen == [3]
 
 
-def test_closed_engine_reads_each_cell_once(res_params, monkeypatch):
-    calls = []
-    real = engine_module.resonance_values
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(engine_module, "resonance_values", counting)
-    alpha_grid, t_grid = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 2.0, 4)
-    values = GridEngine("closed", "phi", res_params).values(alpha_grid, t_grid)
-    assert len(calls) == alpha_grid.size * t_grid.size
-    for ia, alpha in enumerate(alpha_grid):
-        for it, t in enumerate(t_grid):
-            closed = real("phi", alpha, res_params.rabi(1), t)
-            assert values.concurrence[ia, it].tolist() == [closed.concurrence[p] for p in PAIR_LABELS]
-            assert values.q[ia, it].tolist() == [closed.q_for(p) for p in PAIR_LABELS]
+def _assert_closed_grid_bitwise(kind, alpha_grid, t_grid, params, pairs=PAIR_LABELS):
+    values = GridEngine("closed", kind, params).values(alpha_grid, t_grid, pairs)
+    rabi = params.rabi(1)
+    ref = [[resonance_values(kind, a, rabi, t) for t in t_grid.tolist()] for a in alpha_grid.tolist()]
+    ref_c = [[[cell.concurrence[p] for p in pairs] for cell in row] for row in ref]
+    ref_q = [[[cell.q_for(p) for p in pairs] for cell in row] for row in ref]
+    # bit patterns, so a -0.0 for +0.0 or a one-ulp change fails too
+    assert np.array_equal(_bits(values.concurrence), _bits(ref_c))
+    assert np.array_equal(_bits(values.q), _bits(ref_q))
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_closed_grid_is_bitwise_the_per_point_formulas(kind, res_params):
+    # the pole-free points alpha = 0, pi/2, an angle past pi/2, a negative
+    # angle; t = 0 and Gt = k pi/2, where sin and cos of Gt/2 hit 0 and 1
+    alpha_grid = np.array([0.0, 0.5 * math.pi, math.pi - 0.3, -0.4])
+    t_grid = np.arange(9) * 0.5 * math.pi / res_params.rabi(1)
+    _assert_closed_grid_bitwise(kind, alpha_grid, t_grid, res_params)
+    _assert_closed_grid_bitwise(kind, alpha_grid, t_grid, res_params, pairs=("Ba", "Bb", "AB"))
+
+
+@given(kind=kinds, alpha_list=st.lists(alphas, min_size=1, max_size=5),
+       t_list=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=7), g=st.floats(0.25, 1.5))
+def test_closed_grid_bits_match_per_point_on_random_grids(kind, alpha_list, t_list, g):
+    params = JCParams(omega0=5.0, omega=5.0, g=g)
+    _assert_closed_grid_bitwise(kind, np.array(alpha_list), np.array(t_list), params)
 
 
 @pytest.mark.parametrize("engine", ["analytic", "numeric", "closed"])
