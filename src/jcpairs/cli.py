@@ -289,29 +289,66 @@ def _cells(fmt, values):
     return cells
 
 
+def _json_texts(cells, memo):
+    """JSON text of each cell of an object column; ``memo`` maps id(cell) to its text.
+
+    Columns repeat a few cell objects (labels, per-axis values), so each is
+    encoded once; the objects stay alive in the column for the memo's life.
+    """
+    texts = []
+    for cell in cells:
+        text = memo.get(id(cell))
+        if text is None:
+            text = memo[id(cell)] = json.dumps(cell)
+        texts.append(text)
+    return texts
+
+
+def _json_numbers(values):
+    """JSON text of float values as ``json.dumps`` writes them, NaN as null."""
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = json.dumps(None if math.isnan(values[i]) else float(values[i]))
+    return texts
+
+
+def _row_major(block):
+    """The cells of a block of column lists in row order, for one ``%`` call."""
+    width = len(block)
+    args = [None] * (width * len(block[0]))
+    for i, cells in enumerate(block):
+        args[i::width] = cells
+    return tuple(args)
+
+
 def _table_chunks(fmt, columns, data):
     """Text of a table given column by column, as chunks for ``_write_output``.
 
     ``data`` holds one 1-D array per column, all of one length: float arrays
     are numbers, object arrays hold ready cells (labels, or values that
     ``_cells`` formatted once per axis value before they were repeated).
-    CSV comes one block of ``_ROW_BLOCK`` rows at a time, each from one row
-    template; JSON is one ``json.dumps`` of the rows.
+    Both formats come one block of ``_ROW_BLOCK`` rows at a time, each block
+    from one row template; JSON has the bytes of ``json.dumps(..., indent=2)``.
     """
+    blocks = range(0, len(data[0]), _ROW_BLOCK)
     if fmt == "json":
-        cells = [col if col.dtype == object else _cells(fmt, col) for col in data]
-        rows = list(zip(*(col.tolist() for col in cells)))
-        yield json.dumps({"columns": list(columns), "rows": rows}, indent=2) + "\n"
+        head = json.dumps(list(columns), indent=2).replace("\n", "\n  ")
+        yield '{\n  "columns": ' + head + ',\n  "rows": ['
+        memos = [{} for _ in data]
+        row = "    [\n      " + ",\n      ".join(["%s"] * len(data)) + "\n    ]"
+        for start in blocks:
+            block = [_json_texts(col[start:start + _ROW_BLOCK], memo) if col.dtype == object
+                     else _json_numbers(col[start:start + _ROW_BLOCK])
+                     for col, memo in zip(data, memos)]
+            text = ",\n".join([row] * len(block[0])) % _row_major(block)
+            yield (",\n" if start else "\n") + text
+        yield ("\n  ]" if blocks else "]") + "\n}\n"
         return
     yield ",".join(columns) + "\n"
     template = ",".join("%s" if col.dtype == object else "%.17g" for col in data) + "\n"
-    width = len(data)
-    for start in range(0, len(data[0]), _ROW_BLOCK):
+    for start in blocks:
         block = [col[start:start + _ROW_BLOCK].tolist() for col in data]
-        args = [None] * (width * len(block[0]))
-        for i, cells in enumerate(block):
-            args[i::width] = cells
-        yield template * len(block[0]) % tuple(args)
+        yield template * len(block[0]) % _row_major(block)
 
 
 def _write_output(path, chunks):
@@ -329,9 +366,20 @@ def _engines(cfg, params):
     return [GridEngine(name, cfg.family, params, n_max=cfg.n_max) for name in names]
 
 
-def _disagreement_exit(worst, cfg):
+def _disagreement_exit(results, alpha_grid, t_grid, pairs, cfg):
+    """Exit code 3 when two engines' concurrences differ by more than ``cfg.tol``.
+
+    The stderr message names the worst cell: its alpha, t and pair.
+    """
+    if len(results) < 2:
+        return 0
+    gap = np.abs(results[0].concurrence - results[1].concurrence)
+    ia, it, ip = np.unravel_index(np.argmax(gap), gap.shape)
+    worst = float(gap[ia, it, ip])
     if worst > cfg.tol:
-        print(f"engine disagreement {worst:.3e} exceeds tolerance {cfg.tol:.3e}", file=sys.stderr)
+        print(f"engine disagreement {worst:.3e} exceeds tolerance {cfg.tol:.3e} "
+              f"at alpha = {float(alpha_grid[ia])!r}, t = {float(t_grid[it])!r}, "
+              f"pair {pairs[ip]}", file=sys.stderr)
         return 3
     return 0
 
@@ -350,15 +398,12 @@ def _cmd_evolve(args):
     data = [ts, rabi * ts, np.repeat(_cells(cfg.fmt, [cfg.alpha]), ts.size)]
     data += [conc[:, i] for i in range(len(PAIR_LABELS))]
     data += [q[:, PAIR_LABELS.index(pair)] for pair in _Q_PAIRS]
-    worst = 0.0
     if cfg.engine == "both":
         columns.append("max_engine_disagreement")
-        gaps = np.max(np.abs(conc - results[1].concurrence[0]), axis=1)
-        data.append(gaps)
-        worst = max(gaps.tolist())
+        data.append(np.max(np.abs(conc - results[1].concurrence[0]), axis=1))
 
     _write_output(cfg.output, _table_chunks(cfg.fmt, columns, data))
-    return _disagreement_exit(worst, cfg)
+    return _disagreement_exit(results, [cfg.alpha], ts, PAIR_LABELS, cfg)
 
 
 def _cmd_sweep(args):
@@ -373,10 +418,6 @@ def _cmd_sweep(args):
         results = [engine.values(alpha_grid, t_grid, pairs) for engine in _engines(cfg, params)]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    worst = 0.0
-    if cfg.engine == "both":
-        worst = float(np.max(np.abs(results[0].concurrence - results[1].concurrence)))
-
     n_alpha, n_t, n_pairs = results[0].concurrence.shape
     conc = results[0].concurrence.reshape(-1)
     data = [
@@ -389,7 +430,7 @@ def _cmd_sweep(args):
         _BOOL_CELLS[(conc <= cfg.zero_tol).astype(np.intp)],
     ]
     _write_output(cfg.output, _table_chunks(cfg.fmt, _SWEEP_COLUMNS, data))
-    return _disagreement_exit(worst, cfg)
+    return _disagreement_exit(results, alpha_grid, t_grid, pairs, cfg)
 
 
 def _cmd_esd(args):

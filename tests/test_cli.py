@@ -71,6 +71,24 @@ def test_evolve_engine_both_agreement(tmp_path):
     assert all(float(r["max_engine_disagreement"]) <= 1e-9 for r in rows)
 
 
+def test_engine_disagreement_names_the_worst_cell(tmp_path, capsys):
+    # the long-time psi request where the engines drift apart (exit 3)
+    out = tmp_path / "long.csv"
+    assert run("evolve", "--engine", "both", "--family", "psi", "--t-max", "1e9",
+               "--steps", "8", "--output", str(out)) == 3
+    ts = [1e9 * i / 8 for i in range(9)]
+    analytic, numeric = (GridEngine(name, "psi", PARAMS).values([math.pi / 4], ts)
+                         for name in ("analytic", "numeric"))
+    gaps = np.abs(analytic.concurrence - numeric.concurrence)[0]
+    it, ip = np.unravel_index(np.argmax(gaps), gaps.shape)
+    column = [float(row["max_engine_disagreement"]) for row in read_csv(out)]
+    assert max(column) == gaps[it, ip]
+    assert capsys.readouterr().err == (
+        f"engine disagreement {gaps[it, ip]:.3e} exceeds tolerance 1.000e-09 "
+        f"at alpha = {math.pi / 4!r}, t = {ts[it]!r}, pair {PAIR_LABELS[ip]}\n"
+    )
+
+
 def test_evolve_json_output(tmp_path):
     out = tmp_path / "evolve.json"
     assert run("evolve", "--steps", "8", "--t-max", "1.0", "--format", "json",

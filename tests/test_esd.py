@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jcpairs.engine as engine_module
 from conftest import closed_sampler
@@ -256,6 +258,104 @@ def test_lockstep_edges_match_scalar_bisection(omega, alpha):
     assert kinds == {"sudden_death", "touch"}  # both edge rules are exercised
 
 
+@given(
+    alpha=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+    detuning=st.floats(-2.0 * G, 2.0 * G),
+    family=st.sampled_from(("phi", "psi")),
+    samples=st.sampled_from((65, 129, 257)),
+)
+@settings(max_examples=12)
+def test_itp_edges_match_scalar_bisection_property(alpha, detuning, family, samples):
+    params = JCParams(omega0=5.0, omega=5.0 + detuning, g=1.0)
+    engine = GridEngine("analytic", family, params)
+    t_max = 2 * np.pi / math.hypot(params.detuning, params.rabi(1))
+    lockstep = zero_intervals(engine_sampler(engine, alpha), 0.0, t_max, samples=samples)
+    reference = scalar_scan(engine, alpha, t_max, samples)
+    atol = 4 * math.ulp(t_max) + 1e-14
+    for got, want in zip(lockstep, reference, strict=True):
+        # a reference run over the whole window is what zero_intervals calls degenerate
+        kinds = ["degenerate" if (lo, hi) == (0.0, t_max) else kind for lo, hi, kind in want]
+        assert [iv.kind for iv in got] == kinds
+        for iv, (lo, hi, _) in zip(got, want):
+            assert abs(iv.t_lo - lo) <= atol and abs(iv.t_hi - hi) <= atol
+
+
+def test_itp_takes_at_most_one_step_more_than_bisection_on_a_stalling_curve():
+    # C = (t - root)^(1/8) past the root and 0 before it: regula falsi lands
+    # on the flat inside end at every step, so only the projection bounds the
+    # step count, at the n_1/2 + 1 of ITP's guarantee.
+    root = 0.5 + 1e-3 / 3
+    calls = []
+
+    def sample(ts):
+        calls.append(ts.size)
+        return np.maximum(0.0, ts - root) ** 0.125, None
+
+    (intervals,) = zero_intervals(sample, 0.0, 1.0, tol=0.0, samples=101)
+    resolution = 4 * math.ulp(1.0)
+    n_half = math.ceil(math.log2(0.01 / resolution))
+    assert len(calls) - 1 <= n_half + 1
+    assert [(iv.t_lo, iv.kind) for iv in intervals] == [(0.0, "sudden_death")]
+    assert abs(intervals[0].t_hi - root) <= resolution
+
+
+def test_nan_q_edges_take_midpoint_steps_to_the_bisection_edge():
+    # Q is NaN on (lo_root, 0.605), inside the window where it is negative
+    # (as on cells whose reduction is not X-shaped): once the lower edge's
+    # inside end lands there, every further step is a midpoint.
+    lo_root, hi_root = 0.3 + 1e-3 / 3, 0.7 - 1e-3 / 7
+    grid = np.linspace(0.0, 1.0, 101)
+
+    def signed_q(ts):
+        return (ts - lo_root) * (ts - hi_root)
+
+    def sample(ts):
+        calls.append(ts.copy())
+        q = np.where((ts > lo_root) & (ts < 0.605), np.nan, signed_q(ts))
+        return np.maximum(0.0, signed_q(ts)), q
+
+    calls = []
+    (intervals,) = zero_intervals(sample, 0.0, 1.0, samples=101)
+    assert [iv.kind for iv in intervals] == ["sudden_death"]
+    (iv,) = intervals
+
+    # replay the lower edge (the first pending edge in every call) from its
+    # bracket: the last sample before the window, the first with finite Q
+    resolution = 4 * math.ulp(1.0)
+    t_out, t_in, midpoints = grid[30], grid[61], 0
+    q_in = signed_q(t_in)
+    for ts in calls[1:]:
+        mid = 0.5 * (t_out + t_in)
+        if t_in - t_out <= resolution or mid in (t_out, t_in):
+            break
+        t = float(ts[0])
+        if math.isnan(q_in):
+            assert t == mid
+            midpoints += 1
+        q = math.nan if lo_root < t < 0.605 else signed_q(t)
+        if q > 0.0:
+            t_out = t
+        else:
+            t_in, q_in = t, q
+    assert midpoints >= 10
+    assert iv.t_lo == 0.5 * (t_out + t_in)
+
+    def bisect(inside, t_out, t_in):
+        for _ in range(80):
+            mid = 0.5 * (t_out + t_in)
+            if inside(mid):
+                t_in = mid
+            else:
+                t_out = mid
+        return 0.5 * (t_out + t_in)
+
+    def inside(t):
+        return not sample(np.array([t]))[1][0] > 0.0
+
+    assert abs(iv.t_lo - bisect(inside, grid[30], grid[61])) <= resolution
+    assert abs(iv.t_hi - bisect(inside, grid[70], grid[69])) <= resolution
+
+
 @pytest.mark.parametrize("site", [["--alpha", "0.3927"], ["--alpha", "0.3", "--omega", "6"]])
 def test_esd_makes_one_sampling_call_and_one_per_halving(monkeypatch, tmp_path, site):
     calls = []
@@ -268,8 +368,16 @@ def test_esd_makes_one_sampling_call_and_one_per_halving(monkeypatch, tmp_path, 
     monkeypatch.setattr(engine_module.GridEngine, "values", counted)
     out = tmp_path / "esd.json"
     assert main(["esd", "--family", "phi", *site, "--output", str(out)]) == 0
-    assert 2 <= len(calls) <= 1 + 80
-    assert len(calls[0]) == 1025  # the sampling grid, then one call per halving
+    # CLI defaults at g = 1: 1025 samples over [0, 2 pi].  Every edge here is
+    # bracketed by adjacent samples, so ITP needs at most n_1/2 + 1 steps, with
+    # n_1/2 the halvings from one spacing down to 4 ulp of t_max.
+    samples, t_max = 1025, 2 * math.pi
+    n_half = math.ceil(math.log2(t_max / (samples - 1) / (4 * math.ulp(t_max))))
+    assert 2 <= len(calls) <= 1 + n_half + 1
+    if site == ["--alpha", "0.3927"]:
+        # below the bound, in fewer steps than bisection: the t = 0 touch edges converge too
+        assert len(calls) - 1 < n_half
+    assert len(calls[0]) == samples  # the sampling grid, then one call per ITP step
     assert all(len(ts) <= len(calls[1]) for ts in calls[2:])
 
 
