@@ -31,6 +31,7 @@ from .entanglement import (
     wootters_concurrence,
 )
 from .esd import boundary_AB, zero_intervals
+from .floatfmt import format_g17
 from .jcmodel import JCParams, total_hamiltonian
 from .linalg import pair_density
 
@@ -283,7 +284,7 @@ def _cells(fmt, values):
     """Cells for float values, each formatted once: 17-digit text, or JSON numbers (NaN -> null)."""
     values = np.asarray(values, dtype=float)
     if fmt == "csv":
-        return np.array(["%.17g" % v for v in values.tolist()], dtype=object)
+        return np.array(format_g17(values), dtype=object)
     cells = values.astype(object)
     cells[np.isnan(values)] = None
     return cells
@@ -345,10 +346,17 @@ def _table_chunks(fmt, columns, data):
         yield ("\n  ]" if blocks else "]") + "\n}\n"
         return
     yield ",".join(columns) + "\n"
-    template = ",".join("%s" if col.dtype == object else "%.17g" for col in data) + "\n"
+    template = ",".join(["%s"] * len(data)) + "\n"
+    numbers = [i for i, col in enumerate(data) if col.dtype != object]
     for start in blocks:
-        block = [col[start:start + _ROW_BLOCK].tolist() for col in data]
-        yield template * len(block[0]) % _row_major(block)
+        block = [col[start:start + _ROW_BLOCK] for col in data]
+        rows = len(block[0])
+        # one formatter call for all float columns of the block
+        texts = format_g17(np.concatenate([block[i] for i in numbers]))
+        for k, i in enumerate(numbers):
+            block[i] = texts[k * rows:(k + 1) * rows]
+        block = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in block]
+        yield template * rows % _row_major(block)
 
 
 def _write_output(path, chunks):

@@ -65,17 +65,18 @@ def eig_hermitian(m, *, herm_tol=1e-12, with_vectors=True):
 def sqrt_psd(m, tol=1e-12):
     """Hermitian PSD square root via eigendecomposition, of one matrix or a stack.
 
-    Eigenvalues below ``-tol`` are rejected.  Eigenvalues within ``tol`` of
-    zero are treated as exactly zero; this keeps square roots of nearly
-    singular matrices from amplifying round-off (sqrt of an O(eps) eigenvalue
-    would be O(1e-8)).
+    Eigenvalues below ``-tol`` are rejected.  Eigenvalues at or below
+    n^2 eps times the largest one (16 eps for 4x4), which the eigensolver
+    cannot tell from zero, are set to zero, so the root does not turn their
+    round-off into O(1e-8) entries; every larger eigenvalue is kept.
     """
     spectrum = eig_hermitian(m, herm_tol=max(tol, 1e-12))
     w = spectrum.values
     lowest = float(np.min(w[..., -1]))
     if lowest < -tol:
         raise ValueError(f"matrix is not PSD: eigenvalue {lowest:.3e} below -{tol:.3e}")
-    w = np.where(w <= tol, 0.0, w)
+    cut = w.shape[-1] ** 2 * np.finfo(float).eps * w[..., :1]
+    w = np.where(w <= cut, 0.0, w)
     v = spectrum.vectors
     root = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
     return 0.5 * (root + dagger(root))

@@ -313,11 +313,11 @@ def assert_same_lines(actual, expected):
 PARAMS = JCParams(omega0=5.0, omega=5.0, g=1.0)
 
 
-def reference_sweep(fmt, engine, pair, alpha_grid, t_grid):
+def reference_sweep(fmt, engine, pair, alpha_grid, t_grid, params=PARAMS, n_max=1):
     name = "analytic" if engine == "both" else engine
     pairs = [pair] if pair else list(PAIR_LABELS)
-    values = GridEngine(name, "phi", PARAMS).values(alpha_grid, t_grid, pairs)
-    rabi = PARAMS.rabi(1)
+    values = GridEngine(name, "phi", params, n_max=n_max).values(alpha_grid, t_grid, pairs)
+    rabi = params.rabi(1)
     rows = []
     for ia, alpha in enumerate(alpha_grid.tolist()):
         for it, t in enumerate(t_grid.tolist()):
@@ -346,6 +346,20 @@ def test_sweep_bytes_match_row_formatter(tmp_path, monkeypatch, engine, pair, fm
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_detuned_sweep_bytes_match_row_formatter(tmp_path, fmt):
+    # alpha = 0 and pi/2 leave engine noise (|C|, |Q| down to 1e-34, and
+    # zeros) in the table: values the CSV formatter writes one at a time
+    out = tmp_path / "sweep.out"
+    assert run("sweep", "--family", "phi", "--engine", "both", "--n-max", "2", "--omega", "5.6",
+               "--alpha-points", "5", "--steps", "16", "--t-max", str(2 * math.pi),
+               "--format", fmt, "--output", str(out)) == 0
+    expected = reference_sweep(fmt, "both", None, np.linspace(0.0, math.pi / 2, 5),
+                               np.linspace(0.0, 2 * math.pi, 17),
+                               JCParams(omega0=5.0, omega=5.6, g=1.0), n_max=2)
+    assert_same_lines(out.read_bytes(), expected)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_evolve_both_bytes_match_row_formatter(tmp_path, fmt):
     out = tmp_path / "evolve.out"
     alpha, t_max, steps = 0.3927, 6.0, 40
@@ -364,14 +378,16 @@ def test_evolve_both_bytes_match_row_formatter(tmp_path, fmt):
     assert_same_lines(out.read_bytes(), REFERENCE[fmt](columns, rows))
 
 
-EDGE_VALUES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1.0 / 3.0, 0.1 + 0.2, -1.5e300]
+EDGE_VALUES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1.0 / 3.0, 0.1 + 0.2, -1.5e300,
+               1e-5, -3.2e-9, 1e-17, 9.999999999999999e15, 1e16, -2.0**53]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("repeat", [1, 2 * cli._ROW_BLOCK // len(EDGE_VALUES) + 1])
+@pytest.mark.parametrize("repeat", [1, 456])
 def test_table_writer_matches_row_formatter_on_edge_values(fmt, repeat):
     # repeat > 1 makes the table longer than two row blocks
     values = np.tile(np.array(EDGE_VALUES), repeat)
+    assert repeat == 1 or values.size > 2 * cli._ROW_BLOCK
     labels = np.tile(np.array(["x", "y", "z"], dtype=object), values.size // 3)
     data = [np.tile(cli._cells(fmt, EDGE_VALUES), repeat), values, labels, values[::-1].copy()]
     rows = [[a, b, c, d] for a, b, c, d in zip(values.tolist(), values.tolist(), labels.tolist(),

@@ -1,0 +1,80 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from jcpairs.floatfmt import format_g17
+
+
+def percent_g(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_any_bit_pattern_matches_percent_g(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert format_g17(values) == percent_g(values)
+
+
+def test_random_bit_patterns_and_magnitudes_match_percent_g():
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**63, 50_000, dtype=np.int64).view(np.float64)
+    window = 10.0 ** rng.uniform(-12.0, 17.0, 50_000) * rng.choice([-1.0, 1.0], 50_000)
+    values = np.concatenate([bits, -bits, window])
+    assert format_g17(values) == percent_g(values)
+
+
+def neighbours(values, steps=3):
+    values = np.asarray(values, dtype=np.float64)
+    out = [values]
+    below = above = values
+    for _ in range(steps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return np.concatenate(out)
+
+
+POWERS_OF_TEN = [10.0**k for k in range(-12, 18)] + [float(f"1e{k}") for k in range(-12, 18)]
+WINDOW_EDGES = [2.0**-36, 1e-11, 2.0**53, 1e16]
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("batch", [
+    neighbours(POWERS_OF_TEN),  # log10 guesses one off next to every power of ten
+    neighbours(WINDOW_EDGES),
+    SPECIALS,
+    # exact values with 18 significant digits ending in 5: ties at the 17th
+    [1000000000000000.25, 1000000000000000.75, 1234567890123456.5, 1234567890123457.5,
+     2.0**-25, 3.0 * 2.0**-25, 2.0**-25 * 1001.0, 0.5 + 2.0**-53],
+])
+def test_pinned_values_match_percent_g(batch):
+    values = np.concatenate([np.asarray(batch, dtype=np.float64)] * 2)
+    values[len(values) // 2:] *= -1.0
+    assert format_g17(values) == percent_g(values)
+
+
+@pytest.mark.parametrize("bias", [-1e-12, 1e-12])
+def test_wrong_exponent_guesses_fall_back(monkeypatch, bias):
+    # a shifted log10 makes the guess X one too low (or too high) for values
+    # within about 2e-12 of a power of ten; the range checks must catch them
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
+    values = neighbours(POWERS_OF_TEN, steps=50)
+    assert format_g17(values) == percent_g(values)
+
+
+def test_ties_round_half_to_even():
+    texts = format_g17(np.array([1000000000000000.25, 1000000000000000.75, 2.0**-25]))
+    assert texts == ["1000000000000000.2", "1000000000000000.8", "2.9802322387695312e-08"]
+
+
+def test_layouts_of_every_exponent_and_digit_count():
+    # %f style from 1e-4 to below 1e16, %e style below 1e-4; trailing zeros dropped
+    values = np.array([d * 10.0**x for x in range(-11, 16) for d in (1.0, 1.5, 1.25, 1.2345678901234567)])
+    assert format_g17(values) == percent_g(values)
+    assert format_g17(np.array([1e-5, 1.5e-4, 1000.0, -0.25])) == ["1.0000000000000001e-05",
+                                                                  "0.00014999999999999999",
+                                                                  "1000", "-0.25"]
