@@ -32,24 +32,15 @@ from .entanglement import (
     wootters_concurrence,
     xstate_concurrence,
 )
-from .esd import (
-    EsdMap,
-    SweepResult,
-    ZeroInterval,
-    esd_boundary_phi_AB,
-    sweep,
-    zero_intervals,
-)
+from .esd import ZeroInterval, esd_boundary_phi_AB, zero_intervals
 from .jcmodel import (
     DressedData,
     JCParams,
-    bare_dressed_transform,
     dressed_data,
     site_hamiltonian,
-    total_excitation_numbers,
     total_hamiltonian,
 )
-from .linalg import SUBSYSTEMS, Spectrum, eig_hermitian, kron, partial_trace, sqrt_psd
+from .linalg import SUBSYSTEMS, kron, partial_trace, sqrt_psd
 
 __version__ = "0.1.0"
 
@@ -57,7 +48,6 @@ __all__ = [
     "ClosedFormValues",
     "ConcurrenceResult",
     "DressedData",
-    "EsdMap",
     "FourPartiteState",
     "GridEngine",
     "GridValues",
@@ -67,13 +57,9 @@ __all__ = [
     "OffResIngredients",
     "PAIR_LABELS",
     "SUBSYSTEMS",
-    "Spectrum",
-    "SweepResult",
     "ZeroInterval",
     "all_pairwise",
-    "bare_dressed_transform",
     "dressed_data",
-    "eig_hermitian",
     "esd_boundary_phi_AB",
     "evolve_analytic",
     "kron",
@@ -87,8 +73,6 @@ __all__ = [
     "resonance_values",
     "site_hamiltonian",
     "sqrt_psd",
-    "sweep",
-    "total_excitation_numbers",
     "total_hamiltonian",
     "wootters_concurrence",
     "xstate_concurrence",

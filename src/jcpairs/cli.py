@@ -20,20 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import q_identity_lhs
-from .dynamics import FAMILY_KINDS, analytic_amplitudes
+from .checks import run_checks
+from .dynamics import FAMILY_KINDS
 from .engine import GridEngine
-from .entanglement import (
-    PAIR_LABELS,
-    concurrence_stack,
-    off_x_defect,
-    random_x_state,
-    wootters_concurrence,
-)
+from .entanglement import PAIR_LABELS
 from .esd import boundary_AB, zero_intervals
 from .floatfmt import format_g17
-from .jcmodel import JCParams, total_hamiltonian
-from .linalg import pair_density
+from .jcmodel import JCParams
 
 _C_COLUMNS = ["C_AB", "C_ab", "C_Aa", "C_Bb", "C_Ab", "C_Ba"]
 _Q_PAIRS = ("AB", "ab", "Aa", "Ab")
@@ -60,8 +53,8 @@ class RunConfig:
     omega: float = 5.0
     g: float = 1.0
     n_max: int = 1
-    t_max: float = 0.0
-    steps: int = 0
+    t_max: float | None = None
+    steps: int | None = None
     engine: str = "analytic"
     tol: float = 1e-9
     zero_tol: float = 1e-12
@@ -88,10 +81,10 @@ _ENGINES = {
     "esd": ("closed", "analytic", "numeric"),
 }
 
-_FLOAT_KEYS = {
+_FLOAT_KEYS = (
     "alpha", "alpha_deg", "omega0", "omega", "g", "t_max", "tol", "zero_tol",
     "min_width", "alpha_min", "alpha_max",
-}
+)
 _INT_KEYS = {"n_max", "steps", "alpha_points"}
 _BOOL_KEYS = {"json", "inject_fault"}
 _STR_KEYS = {"family", "engine", "format", "output", "pair"}
@@ -99,7 +92,7 @@ _STR_KEYS = {"family", "engine", "format", "output", "pair"}
 _COMMAND_KEYS = {
     "evolve": {"family", "alpha", "alpha_deg", "omega0", "omega", "g", "n_max",
                "t_max", "steps", "engine", "tol", "format", "output"},
-    "sweep": {"family", "alpha_deg", "omega0", "omega", "g", "n_max", "t_max",
+    "sweep": {"family", "omega0", "omega", "g", "n_max", "t_max",
               "steps", "engine", "tol", "zero_tol", "format", "output",
               "alpha_min", "alpha_max", "alpha_points", "pair"},
     "esd": {"family", "alpha", "alpha_deg", "omega0", "omega", "g", "n_max",
@@ -117,7 +110,7 @@ def _build_parser():
         p.add_argument("--family", choices=FAMILY_KINDS)
         if with_alpha:
             p.add_argument("--alpha", type=float, help="superposition angle (radians)")
-        p.add_argument("--alpha-deg", type=float, help="superposition angle (degrees)")
+            p.add_argument("--alpha-deg", type=float, help="superposition angle (degrees)")
         p.add_argument("--omega0", type=float, help="atomic frequency")
         p.add_argument("--omega", type=float, help="cavity frequency")
         p.add_argument("--g", type=float, help="atom-cavity coupling")
@@ -183,6 +176,10 @@ def _read_config_file(path, command):
             if key not in _COMMAND_KEYS[command]:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r} for command {command!r}")
             values[key] = _coerce_config_value(key, text.strip(), where=f"{path}:{lineno}")
+    if "alpha_deg" in values:
+        if "alpha" in values:
+            raise UsageError(f"{path}: give alpha or alpha_deg, not both")
+        values["alpha"] = math.radians(values.pop("alpha_deg"))
     return values
 
 
@@ -216,16 +213,15 @@ def _merged(args, command):
             return config[key]
         return default
 
+    # the angle is one setting: a flag in either unit beats the file's value
+    if getattr(args, "alpha_deg", None) is not None:
+        if args.alpha is not None:
+            raise UsageError("give --alpha or --alpha-deg, not both")
+        args.alpha = math.radians(args.alpha_deg)
+
     cfg = RunConfig(command=command)
     cfg.family = pick("family", cfg.family)
-    alpha = pick("alpha")
-    alpha_deg = pick("alpha_deg")
-    if getattr(args, "alpha", None) is not None and getattr(args, "alpha_deg", None) is not None:
-        raise UsageError("give --alpha or --alpha-deg, not both")
-    if alpha_deg is not None:
-        cfg.alpha = math.radians(alpha_deg)
-    elif alpha is not None:
-        cfg.alpha = alpha
+    cfg.alpha = pick("alpha", cfg.alpha)
     cfg.omega0 = pick("omega0", cfg.omega0)
     cfg.omega = pick("omega", cfg.omega)
     cfg.g = pick("g", cfg.g)
@@ -242,27 +238,34 @@ def _merged(args, command):
     cfg.pair = pick("pair", None)
     cfg.as_json = bool(pick("json", False))
     cfg.inject_fault = bool(pick("inject_fault", False))
+    cfg.t_max = pick("t_max")
+    cfg.steps = pick("steps")
 
-    rabi = 2.0 * cfg.g
-    period = 2.0 * math.pi / rabi if cfg.g > 0 else 0.0
-    cfg.t_max = pick("t_max", 2.0 * period)
-    cfg.steps = pick("steps", max(1, round(512 * cfg.t_max / period)) if period else 512)
+    # every float setting is finite before any default is derived from them
+    for name in _FLOAT_KEYS:
+        value = getattr(cfg, name, None)  # alpha_deg is already folded into alpha
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"{name.replace('_', '-')} must be finite, got {value}")
+    period = 2.0 * math.pi / cfg.params().rabi(1)
+    if cfg.t_max is None:
+        cfg.t_max = 2.0 * period
+    if cfg.steps is None:
+        cfg.steps = max(1, round(512 * cfg.t_max / period))
 
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg):
-    cfg.params()  # validates frequencies/coupling
     if cfg.command != "verify":
         if cfg.steps < 1:
             raise UsageError(f"steps must be >= 1, got {cfg.steps}")
+        if cfg.command == "esd" and cfg.steps < 2:
+            raise UsageError("steps must be >= 2 for esd")
         if not cfg.t_max > 0:
             raise UsageError(f"t-max must be positive, got {cfg.t_max}")
         if cfg.n_max < 1:
             raise UsageError(f"n-max must be >= 1, got {cfg.n_max}")
-        if not math.isfinite(cfg.alpha):
-            raise UsageError(f"alpha must be finite, got {cfg.alpha}")
     if cfg.command == "sweep":
         if cfg.alpha_points < 1:
             raise UsageError(f"alpha-points must be >= 1, got {cfg.alpha_points}")
@@ -491,100 +494,9 @@ def _cmd_esd(args):
     return 0
 
 
-def _verify_checks(cfg):
-    params = cfg.params()
-    if abs(params.detuning) > 1e-12:
-        raise UsageError("verify runs at resonance; set omega = omega0")
-    rabi = params.rabi(1)
-    alphas = np.linspace(0.0, 0.5 * math.pi, 9)
-    ts = np.linspace(0.0, 4.0 * math.pi / rabi, 17)  # step pi/(4G): t + pi/G is 4 cells over
-
-    h = total_hamiltonian(params, params, n_max=1)
-    if cfg.inject_fault:
-        h = h.copy()
-        h[0, 0] += 1e-3
-
-    max_engine = 0.0
-    max_closed = 0.0
-    max_psi_conservation = 0.0
-    max_pair_sym = 0.0
-    max_local_sym = 0.0
-    max_x_defect = 0.0
-    max_fastpath = 0.0
-    shift_gap = 0.0
-
-    def gap(x, y):
-        return float(np.max(np.abs(x - y)))
-
-    for kind in FAMILY_KINDS:
-        analytic = GridEngine("analytic", kind, params).values(alphas, ts).concurrence
-        numeric = GridEngine("numeric", kind, params, hamiltonian=h).values(alphas, ts).concurrence
-        closed = GridEngine("closed", kind, params).values(alphas, ts).concurrence
-        max_engine = max(max_engine, gap(analytic, numeric))
-        max_closed = max(max_closed, gap(closed, analytic), gap(closed, numeric))
-        c = {label: analytic[..., i] for i, label in enumerate(PAIR_LABELS)}
-        if kind == "psi":
-            target = np.abs(np.sin(2.0 * alphas))[:, None]
-            max_psi_conservation = max(max_psi_conservation, gap(c["AB"] + c["ab"], target))
-        max_pair_sym = max(max_pair_sym, gap(c["Ba"], c["Ab"]))
-        if kind == "phi":
-            max_local_sym = max(max_local_sym, gap(c["Aa"], c["Bb"]))
-        # C_ab shifted by half a Rabi period reproduces C_AB (grid step is pi/(4G))
-        shift_gap = max(shift_gap, gap(c["ab"][:, 4:], c["AB"][:, :-4]))
-
-        # every reduction is X-shaped, and its entry-read C is the Wootters C
-        psi = analytic_amplitudes(kind, alphas, ts, params)
-        for i, label in enumerate(PAIR_LABELS):
-            rho = pair_density(psi, (label[0], label[1]))
-            max_x_defect = max(max_x_defect, float(np.max(off_x_defect(rho))))
-            general = [wootters_concurrence(cell).value for cell in rho.reshape(-1, 4, 4)]
-            max_fastpath = max(max_fastpath, gap(analytic[..., i].reshape(-1), np.array(general)))
-
-    # C^Ab of the psi family peaks at exactly one half
-    fine_alpha = np.linspace(0.0, 0.5 * math.pi, 41)
-    fine_t = np.linspace(0.0, 2.0 * math.pi / rabi, 81)
-    psi_closed = GridEngine("closed", "psi", params).values(fine_alpha, fine_t, ("Ab",))
-    c_ab_max = float(np.max(psi_closed.concurrence))
-
-    # the Q combination is constant in t and equals |sin 2 alpha| / 2
-    q_ts = np.linspace(0.0, 2.0 * math.pi / rabi, 100)
-    max_q_std = 0.0
-    max_q_gap = 0.0
-    for kind in FAMILY_KINDS:
-        for alpha in np.linspace(0.0, 0.5 * math.pi, 10):
-            vals = np.array([q_identity_lhs(kind, alpha, rabi, t) for t in q_ts])
-            max_q_std = max(max_q_std, float(vals.std()))
-            target = 0.5 * abs(math.sin(2.0 * alpha))
-            max_q_gap = max(max_q_gap, abs(float(vals.mean()) - target))
-
-    rng = np.random.default_rng(7)
-    states = np.array([random_x_state(rng) for _ in range(200)])
-    general = [wootters_concurrence(rho).value for rho in states]
-    max_fastpath = max(max_fastpath, gap(concurrence_stack(states)[0], np.array(general)))
-
-    return [
-        ("engine_agreement", max_engine <= cfg.tol,
-         f"max |C_analytic - C_numeric| = {max_engine:.3e} (tol {cfg.tol:.1e})"),
-        ("closed_form_agreement", max_closed <= cfg.tol,
-         f"max |C_closed - C_engine| = {max_closed:.3e} (tol {cfg.tol:.1e})"),
-        ("psi_conservation", max_psi_conservation <= 1e-12,
-         f"max |C_AB + C_ab - |sin 2a|| = {max_psi_conservation:.3e} (tol 1e-12)"),
-        ("c_Ab_bound", abs(c_ab_max - 0.5) <= 1e-9,
-         f"max C_Ab (psi) = {c_ab_max:.12f}, expected 0.5 (tol 1e-09)"),
-        ("q_identity", max_q_std <= 1e-12 and max_q_gap <= 1e-12,
-         f"max std over t = {max_q_std:.3e}; max |mean - |sin 2a|/2| = {max_q_gap:.3e} (tol 1e-12)"),
-        ("shift_symmetry",
-         shift_gap <= 1e-10 and max_pair_sym <= 1e-12 and max_local_sym <= 1e-12,
-         f"max |C_ab(t+pi/G) - C_AB(t)| = {shift_gap:.3e} (tol 1e-10); "
-         f"|C_Ba - C_Ab| = {max_pair_sym:.3e}, |C_Aa - C_Bb| = {max_local_sym:.3e} (tol 1e-12)"),
-        ("x_form", max_x_defect <= 1e-10 and max_fastpath <= 1e-10,
-         f"max off-X entry = {max_x_defect:.3e}; max |C_x - C_general| = {max_fastpath:.3e} (tol 1e-10)"),
-    ]
-
-
 def _cmd_verify(args):
     cfg = _merged(args, "verify")
-    checks = _verify_checks(cfg)
+    checks = run_checks(cfg.params(), cfg.tol, cfg.inject_fault)
     if cfg.as_json:
         payload = [{"name": name, "passed": bool(ok), "detail": detail} for name, ok, detail in checks]
         text = json.dumps(payload, indent=2) + "\n"

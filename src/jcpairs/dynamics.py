@@ -73,12 +73,6 @@ class FourPartiteState:
                 f"amplitude vector has length {self.amplitudes.size}, dims {self.dims} need {expected}"
             )
 
-    def tensor(self):
-        return self.amplitudes.reshape(self.dims)
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def initial_amplitudes(kind, alphas, n_max=1):
     """Initial tensors (..., 2, n_max+1, 2, n_max+1) of the family for each alpha."""

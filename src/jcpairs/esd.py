@@ -1,4 +1,4 @@
-"""Zero-interval detection on concurrence curves and (alpha, t) region maps.
+"""Zero-interval detection on concurrence curves and the analytic ESD boundary.
 
 A concurrence curve can vanish three ways: over a finite window (sudden
 death), at isolated roots (touch), or identically (degenerate, e.g. product
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GridEngine
 from .jcmodel import dressed_data
 
 
@@ -26,27 +25,6 @@ class ZeroInterval:
     t_lo: float
     t_hi: float
     kind: str  # "sudden_death", "touch", or "degenerate"
-
-
-@dataclass(frozen=True)
-class EsdMap:
-    """Boolean zero-region map over an (alpha, t) grid.
-
-    ``boundary`` rows are (alpha, Gt_lo, Gt_hi) samples of the analytic
-    death-window boundary; attached only for the phi family's atom-atom pair.
-    """
-
-    alpha_grid: np.ndarray
-    t_grid: np.ndarray
-    zero_mask: np.ndarray
-    boundary: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    esd_map: EsdMap
-    concurrence: np.ndarray
-    q: np.ndarray
 
 
 def _columns(sample, ts):
@@ -247,45 +225,3 @@ def boundary_AB(kind, alpha, params):
             return None
     dressed = dressed_data(params, 1)
     return esd_boundary_phi_AB(alpha, dressed.splitting / dressed.rabi)
-
-
-def _require_grid(name, grid):
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D grid")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError(f"{name} must be strictly increasing")
-    return grid
-
-
-def sweep(kind, pair, alpha_grid, t_grid, params, engine="closed", *, zero_tol=1e-12):
-    """Concurrence of one pair over an (alpha, t) grid by the selected engine.
-
-    Engines: "closed" evaluates the resonance formulas (requires zero
-    detuning), "analytic" the dressed-state propagator, "numeric" full matrix
-    diagonalization (``GridEngine`` takes other Fock truncations).  The zero
-    mask marks cells with C <= zero_tol; for (phi, AB) the analytic
-    death-window boundary is attached.
-    """
-    alpha_grid = _require_grid("alpha_grid", alpha_grid)
-    t_grid = _require_grid("t_grid", t_grid)
-    values = GridEngine(engine, kind, params).values(alpha_grid, t_grid, (pair,))
-    conc = values.concurrence[..., 0]
-
-    boundary = None
-    if pair == "AB":
-        rows = []
-        for alpha in alpha_grid.tolist():
-            window = boundary_AB(kind, alpha, params)
-            if window is not None:
-                rows.append((alpha, *window))
-        if rows:
-            boundary = np.array(rows)
-
-    esd_map = EsdMap(
-        alpha_grid=alpha_grid,
-        t_grid=t_grid,
-        zero_mask=conc <= zero_tol,
-        boundary=boundary,
-    )
-    return SweepResult(esd_map=esd_map, concurrence=conc, q=values.q[..., 0])

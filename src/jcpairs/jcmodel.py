@@ -57,17 +57,11 @@ class JCParams:
 class DressedData:
     """Dressed-pair record for the n-excitation manifold of one site.
 
-    ``energy_plus``/``energy_minus`` follow the convention
-    n*omega + (Delta +- splitting)/2, which differs from the literal matrix
-    spectrum by a manifold-wide additive constant (see the tests); the
-    splitting itself is convention-free.
+    ``cos_half``/``sin_half`` are cos and sin of half the mixing angle theta_n.
     """
 
     n: int
-    energy_plus: float
-    energy_minus: float
     rabi: float
-    mixing_angle: float
     cos_half: float
     sin_half: float
     splitting: float
@@ -86,10 +80,7 @@ def dressed_data(params, n=1):
     theta = math.atan2(rabi, delta)
     return DressedData(
         n=n,
-        energy_plus=n * params.omega + 0.5 * (delta + splitting),
-        energy_minus=n * params.omega + 0.5 * (delta - splitting),
         rabi=rabi,
-        mixing_angle=theta,
         cos_half=math.cos(0.5 * theta),
         sin_half=math.sin(0.5 * theta),
         splitting=splitting,
@@ -125,32 +116,3 @@ def total_hamiltonian(params_aa, params_bb, n_max=1):
     h_bb = site_hamiltonian(params_bb, n_max)
     eye = np.eye(h_aa.shape[0], dtype=complex)
     return kron(h_aa, eye) + kron(eye, h_bb)
-
-
-def bare_dressed_transform(dressed, direction="to_dressed"):
-    """Rotation by theta_n/2 between bare and dressed site bases.
-
-    With bare order (|e, n-1>, |g, n>) and dressed order (|+>, |->), the
-    returned matrix T satisfies coeffs_out = T @ coeffs_in:
-
-        to_dressed:  |e,n-1> -> ( c, -s),  |g,n> -> ( s,  c)
-        to_bare:     the transpose (the rotation is orthogonal)
-    """
-    c, s = dressed.cos_half, dressed.sin_half
-    t = np.array([[c, s], [-s, c]])
-    if direction == "to_dressed":
-        return t
-    if direction == "to_bare":
-        return t.T.copy()
-    raise ValueError(f"direction must be 'to_dressed' or 'to_bare', got {direction!r}")
-
-
-def total_excitation_numbers(n_max=1):
-    """Total excitation count of every lattice basis state, in flat index order.
-
-    Excitation = (atom A excited) + photons in a + (atom B excited) + photons
-    in b; atoms use the excited-first index convention (index 0 = e).
-    """
-    n_ph = n_max + 1
-    i_a, k_a, i_b, k_b = np.indices((2, n_ph, 2, n_ph))
-    return ((1 - i_a) + k_a + (1 - i_b) + k_b).reshape(-1)

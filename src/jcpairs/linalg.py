@@ -8,8 +8,6 @@ g; cavities reduced to qubits: one photon then vacuum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SUBSYSTEMS = ("A", "a", "B", "b")
@@ -35,49 +33,30 @@ def hermiticity_defect(m):
     return float(np.max(np.abs(m - dagger(m))))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues sorted in decreasing order, with matching eigenvector columns."""
+def sqrt_psd(m, tol=1e-12):
+    """Hermitian PSD square root via eigendecomposition, of one matrix or a stack.
 
-    values: np.ndarray
-    vectors: np.ndarray | None = None
-
-
-def eig_hermitian(m, *, herm_tol=1e-12, with_vectors=True):
-    """Spectrum of a Hermitian matrix, eigenvalues in decreasing order.
-
-    Works on one matrix or on a (..., n, n) stack.  Rejects input whose
-    Hermiticity defect exceeds ``herm_tol``, reporting the measured defect.
+    Rejects input whose Hermiticity defect exceeds max(tol, 1e-12), and
+    eigenvalues below ``-tol``, reporting the measured value.  Eigenvalues
+    at or below n^2 eps times the largest one (16 eps for 4x4), which the
+    eigensolver cannot tell from zero, are set to zero, so the root does not
+    turn their round-off into O(1e-8) entries; every larger eigenvalue is
+    kept.
     """
     m = np.asarray(m, dtype=complex)
+    herm_tol = max(tol, 1e-12)
     defect = hermiticity_defect(m)
     if defect > herm_tol:
         raise ValueError(
             f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds tolerance {herm_tol:.3e}"
         )
-    if not with_vectors:
-        w = np.linalg.eigvalsh(m)
-        return Spectrum(values=w[..., ::-1].copy())
     w, v = np.linalg.eigh(m)
-    return Spectrum(values=w[..., ::-1].copy(), vectors=v[..., ::-1].copy())
-
-
-def sqrt_psd(m, tol=1e-12):
-    """Hermitian PSD square root via eigendecomposition, of one matrix or a stack.
-
-    Eigenvalues below ``-tol`` are rejected.  Eigenvalues at or below
-    n^2 eps times the largest one (16 eps for 4x4), which the eigensolver
-    cannot tell from zero, are set to zero, so the root does not turn their
-    round-off into O(1e-8) entries; every larger eigenvalue is kept.
-    """
-    spectrum = eig_hermitian(m, herm_tol=max(tol, 1e-12))
-    w = spectrum.values
+    w, v = w[..., ::-1], v[..., ::-1]  # decreasing order, which fixes the root's round-off
     lowest = float(np.min(w[..., -1]))
     if lowest < -tol:
         raise ValueError(f"matrix is not PSD: eigenvalue {lowest:.3e} below -{tol:.3e}")
     cut = w.shape[-1] ** 2 * np.finfo(float).eps * w[..., :1]
     w = np.where(w <= cut, 0.0, w)
-    v = spectrum.vectors
     root = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
     return 0.5 * (root + dagger(root))
 

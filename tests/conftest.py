@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from jcpairs import JCParams, resonance_values
-from jcpairs.entanglement import random_x_state  # noqa: F401  (test modules import it from here)
+from jcpairs.checks import random_x_state  # noqa: F401  (test modules import it from here)
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic; no example database is written.
@@ -28,6 +28,15 @@ def res_params():
 def det_params():
     """Detuned site: Delta = 1, G = 1, splitting sqrt(2)."""
     return JCParams(omega0=5.0, omega=6.0, g=0.5)
+
+
+def excitation_numbers(n_max):
+    """Total excitation of every lattice basis state, in flat (A, a, B, b) index order.
+
+    Excited atoms count one (index 0 = e), cavities their photon number.
+    """
+    i_a, k_a, i_b, k_b = np.indices((2, n_max + 1, 2, n_max + 1))
+    return ((1 - i_a) + k_a + (1 - i_b) + k_b).reshape(-1)
 
 
 def closed_sampler(kind, alpha, rabi, pairs=("AB",)):

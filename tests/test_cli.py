@@ -265,6 +265,63 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("conf_line, flags, expected", [
+    ("alpha_deg = 10", ["--alpha", "0.2"], 0.2),
+    ("alpha = 0.3", ["--alpha-deg", "45"], math.pi / 4),
+    ("alpha_deg = 10", [], math.radians(10)),
+], ids=["radian-flag-over-degree-key", "degree-flag-over-radian-key", "degree-key-alone"])
+def test_angle_flag_beats_config_file(tmp_path, conf_line, flags, expected):
+    conf = tmp_path / "run.conf"
+    conf.write_text(conf_line + "\nsteps = 2\nt_max = 1.0\n")
+    out = tmp_path / "out.csv"
+    assert run("evolve", "--config", str(conf), *flags, "--output", str(out)) == 0
+    assert float(read_csv(out)[0]["alpha"]) == expected
+
+
+def test_config_with_both_angle_keys_is_a_usage_error(tmp_path, capsys):
+    conf = tmp_path / "both.conf"
+    conf.write_text("alpha = 0.3\nalpha_deg = 10\n")
+    assert run("evolve", "--config", str(conf), "--alpha", "0.2") == 1
+    assert capsys.readouterr().err == f"error: {conf}: give alpha or alpha_deg, not both\n"
+
+
+_SMALL = {"evolve": ["--steps", "2"], "sweep": ["--steps", "2", "--alpha-points", "1"],
+          "esd": ["--steps", "2"], "verify": []}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("evolve", "--t-max", "inf"),
+    ("evolve", "--t-max", "nan"),
+    ("evolve", "--alpha", "inf"),
+    ("evolve", "--alpha-deg", "nan"),
+    ("evolve", "--tol", "nan"),
+    ("sweep", "--alpha-max", "inf"),
+    ("sweep", "--alpha-min", "nan"),
+    ("sweep", "--zero-tol", "nan"),
+    ("esd", "--min-width", "inf"),
+    ("esd", "--zero-tol", "nan"),
+    ("verify", "--tol", "inf"),
+])
+def test_non_finite_setting_is_a_usage_error(command, flag, value, capsys):
+    assert run(command, flag, value, *_SMALL[command]) == 1
+    name = "alpha" if flag == "--alpha-deg" else flag[2:]
+    assert capsys.readouterr().err == f"error: {name} must be finite, got {float(value)}\n"
+
+
+def test_esd_needs_two_steps(capsys):
+    assert run("esd", "--steps", "1") == 1
+    assert capsys.readouterr().err == "error: steps must be >= 2 for esd\n"
+
+
+def test_sweep_has_no_angle_setting(tmp_path, capsys):
+    assert run("sweep", "--alpha-deg", "10", "--steps", "2") == 1
+    assert "unrecognized arguments: --alpha-deg" in capsys.readouterr().err
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("alpha_deg = 10\n")
+    assert run("sweep", "--config", str(conf)) == 1
+    assert "unknown key 'alpha_deg'" in capsys.readouterr().err
+
+
 def test_alpha_deg_conversion(tmp_path):
     out_deg, out_rad = tmp_path / "deg.csv", tmp_path / "rad.csv"
     assert run("evolve", "--alpha-deg", "45", "--steps", "2", "--t-max", "1.0",

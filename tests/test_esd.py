@@ -13,7 +13,6 @@ from jcpairs import (
     JCParams,
     ZeroInterval,
     esd_boundary_phi_AB,
-    sweep,
     zero_intervals,
 )
 from jcpairs.cli import main
@@ -381,74 +380,59 @@ def test_esd_makes_one_sampling_call_and_one_per_halving(monkeypatch, tmp_path, 
     assert all(len(ts) <= len(calls[1]) for ts in calls[2:])
 
 
-def make_params():
-    return JCParams(omega0=5.0, omega=5.0, g=1.0)
+def pair_values(kind, pair, alpha_grid, t_grid, engine="closed"):
+    """C and Q of one pair over an (alpha, t) grid, each of shape (n_alpha, n_t)."""
+    values = GridEngine(engine, kind, JCParams(omega0=5.0, omega=5.0, g=1.0)).values(
+        alpha_grid, t_grid, (pair,))
+    return values.concurrence[..., 0], values.q[..., 0]
 
 
 def test_sweep_corner_values():
-    params = make_params()
-    res = sweep("phi", "AB", [0.0, np.pi / 4], [0.0, np.pi / G], params, "closed")
-    assert np.allclose(res.concurrence, [[0.0, 0.0], [1.0, 0.0]], atol=1e-14)
-    assert res.esd_map.zero_mask.tolist() == [[True, True], [False, True]]
+    conc, _ = pair_values("phi", "AB", [0.0, np.pi / 4], [0.0, np.pi / G])
+    assert np.allclose(conc, [[0.0, 0.0], [1.0, 0.0]], atol=1e-14)
+    assert (conc <= 1e-12).tolist() == [[True, True], [False, True]]
 
 
 def test_sweep_mask_matches_q_sign():
-    params = make_params()
     alpha_grid = np.linspace(0.0, np.pi / 2, 101)
     t_grid = np.linspace(0.0, 2 * np.pi / G, 201)
-    res = sweep("phi", "AB", alpha_grid, t_grid, params, "closed", zero_tol=1e-12)
+    conc, q = pair_values("phi", "AB", alpha_grid, t_grid)
     # C = 2 max(0, Q) <= tol exactly when Q <= tol/2
-    assert np.array_equal(res.esd_map.zero_mask, res.q <= 0.5e-12)
+    assert np.array_equal(conc <= 1e-12, q <= 0.5e-12)
 
 
 def test_sweep_engines_agree():
-    params = make_params()
     alpha_grid = np.linspace(0.0, np.pi / 2, 5)
     t_grid = np.linspace(0.0, 2 * np.pi / G, 9)
     for pair in ("AB", "Ab"):
-        closed = sweep("phi", pair, alpha_grid, t_grid, params, "closed")
-        analytic = sweep("phi", pair, alpha_grid, t_grid, params, "analytic")
-        numeric = sweep("phi", pair, alpha_grid, t_grid, params, "numeric")
-        assert np.max(np.abs(closed.concurrence - analytic.concurrence)) <= 1e-9
-        assert np.max(np.abs(closed.concurrence - numeric.concurrence)) <= 1e-9
-        assert np.array_equal(closed.esd_map.zero_mask, analytic.esd_map.zero_mask)
-        assert np.array_equal(closed.esd_map.zero_mask, numeric.esd_map.zero_mask)
+        closed, analytic, numeric = (pair_values("phi", pair, alpha_grid, t_grid, engine)[0]
+                                     for engine in ("closed", "analytic", "numeric"))
+        assert np.max(np.abs(closed - analytic)) <= 1e-9
+        assert np.max(np.abs(closed - numeric)) <= 1e-9
+        assert np.array_equal(closed <= 1e-12, analytic <= 1e-12)
+        assert np.array_equal(closed <= 1e-12, numeric <= 1e-12)
 
 
 def test_sweep_cross_pair_death_cells():
     # the A-b map has death cells exactly where |sin Gt| outruns 2|tan alpha|
-    params = make_params()
     alpha_grid = np.linspace(0.02, np.pi / 2 - 0.02, 21)
     t_grid = np.linspace(0.0, 2 * np.pi / G, 41)
-    res = sweep("phi", "Ab", alpha_grid, t_grid, params, "closed")
+    conc, _ = pair_values("phi", "Ab", alpha_grid, t_grid)
     for ia, alpha in enumerate(alpha_grid):
         for it, t in enumerate(t_grid):
             sin_gt = abs(math.sin(G * t))
             expected = sin_gt <= 1e-9 or 2 * abs(math.tan(alpha)) <= sin_gt + 1e-9
             if abs(2 * abs(math.tan(alpha)) - sin_gt) > 1e-6:  # skip knife-edge cells
-                assert bool(res.esd_map.zero_mask[ia, it]) == expected
+                assert bool(conc[ia, it] <= 1e-12) == expected
 
 
-def test_sweep_boundary_attachment():
-    params = make_params()
-    alpha_grid = np.linspace(0.05, 0.6, 6)
-    res = sweep("phi", "AB", alpha_grid, np.linspace(0.0, 3.0, 7), params, "closed")
-    below = alpha_grid[alpha_grid < np.pi / 4]
-    assert res.esd_map.boundary.shape == (below.size, 3)
-    for alpha, lo, hi in res.esd_map.boundary:
-        assert (lo, hi) == pytest.approx(esd_boundary_phi_AB(alpha))
-    psi_res = sweep("psi", "AB", alpha_grid, np.linspace(0.0, 3.0, 7), params, "closed")
-    assert psi_res.esd_map.boundary is None
-
-
-def test_sweep_validations():
-    params = make_params()
-    with pytest.raises(ValueError, match="non-empty"):
-        sweep("phi", "AB", [], [0.0, 1.0], params, "closed")
-    with pytest.raises(ValueError, match="increasing"):
-        sweep("phi", "AB", [0.5, 0.1], [0.0, 1.0], params, "closed")
-    with pytest.raises(ValueError, match="engine"):
-        sweep("phi", "AB", [0.1], [0.0, 1.0], params, "spectral")
-    detuned = JCParams(omega0=5.0, omega=6.0, g=1.0)
-    with pytest.raises(ValueError, match="resonance"):
-        sweep("phi", "AB", [0.1], [0.0, 1.0], detuned, "closed")
+def test_sweep_validations(capsys):
+    base = ["sweep", "--steps", "2", "--t-max", "1.0"]
+    assert main([*base, "--alpha-points", "0"]) == 1
+    assert "alpha-points must be >= 1" in capsys.readouterr().err
+    assert main([*base, "--alpha-min", "0.5", "--alpha-max", "0.1"]) == 1
+    assert "alpha-max must exceed alpha-min" in capsys.readouterr().err
+    assert main([*base, "--engine", "spectral"]) == 1
+    assert "--engine" in capsys.readouterr().err
+    assert main([*base, "--engine", "closed", "--omega", "6"]) == 1
+    assert "closed-form engine needs resonance" in capsys.readouterr().err

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import excitation_numbers
 from jcpairs import JCParams
-from jcpairs.jcmodel import (
-    bare_dressed_transform,
-    dressed_data,
-    site_hamiltonian,
-    total_excitation_numbers,
-    total_hamiltonian,
-)
+from jcpairs.jcmodel import dressed_data, site_hamiltonian, total_hamiltonian
 
 
 def test_params_validation():
@@ -32,12 +27,9 @@ def test_params_reject_non_finite(field, value):
 def test_dressed_resonance():
     d = dressed_data(JCParams(omega0=5.0, omega=5.0, g=1.0), 1)
     assert d.rabi == pytest.approx(2.0)
-    assert d.mixing_angle == pytest.approx(np.pi / 2)
     assert d.cos_half == pytest.approx(1 / np.sqrt(2), abs=1e-15)
     assert d.sin_half == pytest.approx(1 / np.sqrt(2), abs=1e-15)
     assert d.splitting == pytest.approx(2.0)
-    assert d.energy_plus == pytest.approx(6.0)
-    assert d.energy_minus == pytest.approx(4.0)
 
 
 def test_dressed_detuned(det_params):
@@ -45,7 +37,8 @@ def test_dressed_detuned(det_params):
     assert det_params.detuning == pytest.approx(1.0)
     assert d.rabi == pytest.approx(1.0)
     assert d.splitting == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    assert math.cos(d.mixing_angle) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+    # cos(theta) = Delta / splitting
+    assert d.cos_half**2 - d.sin_half**2 == pytest.approx(1 / np.sqrt(2), abs=1e-15)
     assert d.cos_half == pytest.approx(0.923880, abs=1e-6)
     assert d.sin_half == pytest.approx(0.382683, abs=1e-6)
 
@@ -67,23 +60,16 @@ def test_dressed_invariants():
         n = int(rng.integers(1, 5))
         d = dressed_data(p, n)
         assert d.cos_half**2 + d.sin_half**2 == pytest.approx(1.0, abs=1e-14)
-        assert d.energy_plus - d.energy_minus == pytest.approx(
-            np.hypot(p.detuning, d.rabi), abs=1e-12
-        )
-        assert d.energy_plus > d.energy_minus  # g > 0 forces a gap
+        assert d.splitting == pytest.approx(np.hypot(p.detuning, d.rabi), abs=1e-12)
+        assert d.splitting > 0  # g > 0 forces a gap
 
 
 def test_dressed_vs_block_diagonalization(det_params):
-    # the additive constant differs from the literal block spectrum by
-    # (omega + Delta)/2 per manifold; the splitting is convention-free
     d = dressed_data(det_params, 1)
     p = det_params
     block = np.array([[p.omega0 / 2, p.g], [p.g, p.omega - p.omega0 / 2]])
     w = np.linalg.eigvalsh(block)
     assert w[1] - w[0] == pytest.approx(d.splitting, abs=1e-12)
-    offset = 0.5 * (p.omega + p.detuning)
-    assert d.energy_plus == pytest.approx(w[1] + offset, abs=1e-12)
-    assert d.energy_minus == pytest.approx(w[0] + offset, abs=1e-12)
 
 
 def test_site_hamiltonian_resonance_splitting():
@@ -140,27 +126,5 @@ def test_total_hamiltonian_structure(res_params, det_params):
 
 def test_total_hamiltonian_conserves_excitation(det_params):
     h = total_hamiltonian(det_params, det_params, n_max=2)
-    n_op = np.diag(total_excitation_numbers(2).astype(float))
+    n_op = np.diag(excitation_numbers(2).astype(float))
     assert np.max(np.abs(h @ n_op - n_op @ h)) <= 1e-12
-
-
-def test_bare_dressed_transform_resonance():
-    d = dressed_data(JCParams(omega0=5.0, omega=5.0, g=1.0), 1)
-    t = bare_dressed_transform(d, "to_dressed")
-    coeffs = t @ np.array([1.0, 0.0])  # |e,0>
-    assert np.allclose(coeffs, [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-12)
-    coeffs = t @ np.array([0.0, 1.0])  # |g,1>
-    assert np.allclose(coeffs, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
-
-
-def test_bare_dressed_transform_round_trip(det_params):
-    d = dressed_data(det_params, 1)
-    fwd = bare_dressed_transform(d, "to_dressed")
-    back = bare_dressed_transform(d, "to_bare")
-    assert np.max(np.abs(back @ fwd - np.eye(2))) <= 1e-14
-    # rotation by half the mixing angle, orthonormal rows
-    half = d.mixing_angle / 2
-    assert np.allclose(fwd, [[np.cos(half), np.sin(half)], [-np.sin(half), np.cos(half)]], atol=1e-14)
-    assert np.allclose(fwd @ fwd.T, np.eye(2), atol=1e-14)
-    with pytest.raises(ValueError, match="direction"):
-        bare_dressed_transform(d, "sideways")

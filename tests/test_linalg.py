@@ -3,7 +3,7 @@ import pytest
 
 from jcpairs import InitialFamily, evolve_analytic, prepare_initial, wootters_concurrence
 from jcpairs.dynamics import FourPartiteState
-from jcpairs.linalg import SIGMA_Y, eig_hermitian, kron, partial_trace, sqrt_psd
+from jcpairs.linalg import SIGMA_Y, kron, partial_trace, sqrt_psd
 
 
 def test_kron_identity():
@@ -41,41 +41,23 @@ def test_kron_associative_and_bilinear():
         assert np.allclose(kron(a, b + c), kron(a, b) + kron(a, c), atol=1e-12)
 
 
-def test_eig_hermitian_diagonal():
-    spectrum = eig_hermitian(np.diag([3.0, 1.0]))
-    assert np.allclose(spectrum.values, [3.0, 1.0])
-
-
-def test_eig_hermitian_sigma_y():
-    spectrum = eig_hermitian(SIGMA_Y)
-    assert np.allclose(spectrum.values, [1.0, -1.0], atol=1e-15)
-
-
-def test_eig_hermitian_jc_block_splitting():
-    # n=1 block of the site Hamiltonian for omega0=5, omega=6, g=0.5
-    block = np.array([[2.5, 0.5], [0.5, 3.5]], dtype=complex)
-    spectrum = eig_hermitian(block)
-    delta, rabi = 1.0, 1.0
-    assert spectrum.values[0] - spectrum.values[1] == pytest.approx(np.hypot(delta, rabi), abs=1e-12)
-
-
-def test_eig_hermitian_reconstruction_and_trace():
+def test_sqrt_psd_reconstruction_and_trace():
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = x + x.conj().T
-        spectrum = eig_hermitian(m)
-        v = spectrum.vectors
-        assert np.all(np.diff(spectrum.values) <= 0)
-        assert np.allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
-        assert np.allclose((v * spectrum.values) @ v.conj().T, m, atol=1e-10)
-        assert spectrum.values.sum() == pytest.approx(m.trace().real, abs=1e-10)
+        m = x @ x.conj().T
+        r = sqrt_psd(m)
+        assert np.max(np.abs(r - r.conj().T)) <= 1e-12
+        assert np.allclose(r @ r, m, atol=1e-10)
+        assert (r @ r).trace().real == pytest.approx(m.trace().real, abs=1e-10)
+        # the root's eigenvalues are the roots of the matrix's, in the same order
+        assert np.allclose(np.linalg.eigvalsh(r) ** 2, np.linalg.eigvalsh(m), atol=1e-10)
 
 
-def test_eig_hermitian_rejects_asymmetry():
+def test_sqrt_psd_rejects_asymmetry():
     m = np.array([[1.0, 0.2], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="asymmetry"):
-        eig_hermitian(m)
+        sqrt_psd(m)
 
 
 def test_sqrt_psd_identity_and_diagonal():
@@ -120,7 +102,7 @@ def test_partial_trace_initial_local_pair():
 def test_partial_trace_matches_projection_sum(res_params):
     # independent oracle: sum the projected cavity slices by hand
     state = evolve_analytic(InitialFamily("phi", 0.6), res_params, 0.7)
-    psi = state.tensor()
+    psi = state.amplitudes.reshape(state.dims)
     oracle = np.zeros((4, 4), dtype=complex)
     for ka in range(2):
         for kb in range(2):
@@ -129,7 +111,7 @@ def test_partial_trace_matches_projection_sum(res_params):
     assert np.allclose(partial_trace(state, ("A", "B")), oracle, atol=1e-13)
     # the doubly-excited cavity slice is empty only for the psi family
     psi_state = evolve_analytic(InitialFamily("psi", 0.6), res_params, 0.7)
-    assert np.max(np.abs(psi_state.tensor()[:, 1, :, 1])) <= 1e-14
+    assert np.max(np.abs(psi_state.amplitudes.reshape(psi_state.dims)[:, 1, :, 1])) <= 1e-14
     assert np.max(np.abs(psi[:, 1, :, 1])) > 1e-3
 
 
