@@ -25,7 +25,7 @@ from .dynamics import FAMILY_KINDS
 from .engine import GridEngine
 from .entanglement import PAIR_LABELS
 from .esd import boundary_AB, zero_intervals
-from .floatfmt import format_g17
+from .floatfmt import g17_bytes
 from .jcmodel import JCParams
 
 _C_COLUMNS = ["C_AB", "C_ab", "C_Aa", "C_Bb", "C_Ab", "C_Ba"]
@@ -250,7 +250,11 @@ def _merged(args, command):
     if cfg.t_max is None:
         cfg.t_max = 2.0 * period
     if cfg.steps is None:
-        cfg.steps = max(1, round(512 * cfg.t_max / period))
+        steps = 512 * cfg.t_max / period
+        if steps > sys.maxsize:  # also inf, which round() cannot convert
+            raise UsageError(f"t-max {cfg.t_max} is too long for the default of 512 steps "
+                             "per Rabi period; give --steps")
+        cfg.steps = max(1, round(steps))
 
     _validate(cfg)
     return cfg
@@ -277,89 +281,76 @@ def _validate(cfg):
         raise UsageError(f"zero-tol must be >= 0, got {cfg.zero_tol}")
 
 
-# Rows per CSV block: each block is formatted by one % call and written
+# Rows per block: each block is formatted as one byte matrix and written
 # before the next is built, so the whole table never exists as text at once.
 _ROW_BLOCK = 2048
-_BOOL_CELLS = np.array(["false", "true"], dtype=object)
 
 
-def _cells(fmt, values):
-    """Cells for float values, each formatted once: 17-digit text, or JSON numbers (NaN -> null)."""
+def _text_matrix(texts):
+    """ASCII texts as a NUL-padded uint8 matrix, one row per text."""
+    return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
+
+
+def _label_cells(fmt, labels):
+    """Cells of text labels: the labels in CSV, JSON strings in JSON."""
+    return _text_matrix(labels if fmt == "csv" else [json.dumps(label) for label in labels])
+
+
+def _number_cells(fmt, values):
+    """Cells of float values: '%.17g' text in CSV, ``json.dumps`` numbers (NaN as null) in JSON."""
     values = np.asarray(values, dtype=float)
     if fmt == "csv":
-        return np.array(format_g17(values), dtype=object)
-    cells = values.astype(object)
-    cells[np.isnan(values)] = None
-    return cells
-
-
-def _json_texts(cells, memo):
-    """JSON text of each cell of an object column; ``memo`` maps id(cell) to its text.
-
-    Columns repeat a few cell objects (labels, per-axis values), so each is
-    encoded once; the objects stay alive in the column for the memo's life.
-    """
-    texts = []
-    for cell in cells:
-        text = memo.get(id(cell))
-        if text is None:
-            text = memo[id(cell)] = json.dumps(cell)
-        texts.append(text)
-    return texts
-
-
-def _json_numbers(values):
-    """JSON text of float values as ``json.dumps`` writes them, NaN as null."""
+        return g17_bytes(values)
     texts = list(map(float.__repr__, values.tolist()))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         texts[i] = json.dumps(None if math.isnan(values[i]) else float(values[i]))
-    return texts
+    return _text_matrix(texts)
 
 
-def _row_major(block):
-    """The cells of a block of column lists in row order, for one ``%`` call."""
-    width = len(block)
-    args = [None] * (width * len(block[0]))
-    for i, cells in enumerate(block):
-        args[i::width] = cells
-    return tuple(args)
+def _table_chunks(fmt, columns, shape, data):
+    """Text of a table as chunks for ``_write_output``, one per block of ``_ROW_BLOCK`` rows.
 
-
-def _table_chunks(fmt, columns, data):
-    """Text of a table given column by column, as chunks for ``_write_output``.
-
-    ``data`` holds one 1-D array per column, all of one length: float arrays
-    are numbers, object arrays hold ready cells (labels, or values that
-    ``_cells`` formatted once per axis value before they were repeated).
-    Both formats come one block of ``_ROW_BLOCK`` rows at a time, each block
-    from one row template; JSON has the bytes of ``json.dumps(..., indent=2)``.
+    Row r is the cell ``np.unravel_index(r, shape)`` of the table.  ``data``
+    has one entry per column: a float array that reshapes to ``shape``,
+    formatted a block at a time, or a pair ``(cells, key)`` of ready cells
+    (``_label_cells``, ``_number_cells``) and the row of ``cells`` at each
+    table cell: its index along the axis ``key``, or ``key[cell]`` for an
+    integer array of ``shape``.  Each block is one byte matrix of cells and
+    separators, written without its NUL padding; JSON has the bytes of
+    ``json.dumps(..., indent=2)``.
     """
-    blocks = range(0, len(data[0]), _ROW_BLOCK)
+    n = math.prod(shape)
     if fmt == "json":
         head = json.dumps(list(columns), indent=2).replace("\n", "\n  ")
         yield '{\n  "columns": ' + head + ',\n  "rows": ['
-        memos = [{} for _ in data]
-        row = "    [\n      " + ",\n      ".join(["%s"] * len(data)) + "\n    ]"
-        for start in blocks:
-            block = [_json_texts(col[start:start + _ROW_BLOCK], memo) if col.dtype == object
-                     else _json_numbers(col[start:start + _ROW_BLOCK])
-                     for col, memo in zip(data, memos)]
-            text = ",\n".join([row] * len(block[0])) % _row_major(block)
-            yield (",\n" if start else "\n") + text
-        yield ("\n  ]" if blocks else "]") + "\n}\n"
-        return
-    yield ",".join(columns) + "\n"
-    template = ",".join(["%s"] * len(data)) + "\n"
-    numbers = [i for i, col in enumerate(data) if col.dtype != object]
-    for start in blocks:
-        block = [col[start:start + _ROW_BLOCK] for col in data]
-        rows = len(block[0])
+        # every row opens with ",\n"; the first row's comma is dropped
+        opening, separator, closing = ",\n    [\n      ", ",\n      ", "\n    ]"
+    else:
+        yield ",".join(columns) + "\n"
+        opening, separator, closing = "", ",", "\n"
+    opening, separator, closing = (np.tile(np.frombuffer(text.encode(), np.uint8), (_ROW_BLOCK, 1))
+                                   for text in (opening, separator, closing))
+    floats = [col.reshape(shape) for col in data if not isinstance(col, tuple)]
+    for start in range(0, n, _ROW_BLOCK):
+        axes = np.unravel_index(np.arange(start, min(n, start + _ROW_BLOCK)), shape)
         # one formatter call for all float columns of the block
-        texts = format_g17(np.concatenate([block[i] for i in numbers]))
-        for k, i in enumerate(numbers):
-            block[i] = texts[k * rows:(k + 1) * rows]
-        block = [cells.tolist() if isinstance(cells, np.ndarray) else cells for cells in block]
-        yield template * rows % _row_major(block)
+        numbers = _number_cells(fmt, np.concatenate([col[axes] for col in floats]))
+        numbers = iter(np.split(numbers, len(floats)))
+        parts = [opening]
+        for col in data:
+            if isinstance(col, tuple):
+                table, key = col
+                index = axes[key] if isinstance(key, int) else key[axes]
+                parts.append(np.take(table, index, axis=0))
+            else:
+                parts.append(next(numbers))
+            parts.append(separator)
+        parts[-1] = closing
+        block = np.concatenate([part[:axes[0].size] for part in parts], axis=1)
+        text = block[block != 0].tobytes().decode("ascii")
+        yield text[1:] if fmt == "json" and not start else text
+    if fmt == "json":
+        yield ("\n  ]" if n else "]") + "\n}\n"
 
 
 def _write_output(path, chunks):
@@ -406,14 +397,14 @@ def _cmd_evolve(args):
     q = results[0].q[0]
 
     columns = list(_EVOLVE_COLUMNS)
-    data = [ts, rabi * ts, np.repeat(_cells(cfg.fmt, [cfg.alpha]), ts.size)]
+    data = [ts, rabi * ts, (_number_cells(cfg.fmt, [cfg.alpha]), 0)]
     data += [conc[:, i] for i in range(len(PAIR_LABELS))]
     data += [q[:, PAIR_LABELS.index(pair)] for pair in _Q_PAIRS]
     if cfg.engine == "both":
         columns.append("max_engine_disagreement")
         data.append(np.max(np.abs(conc - results[1].concurrence[0]), axis=1))
 
-    _write_output(cfg.output, _table_chunks(cfg.fmt, columns, data))
+    _write_output(cfg.output, _table_chunks(cfg.fmt, columns, (1, ts.size), data))
     return _disagreement_exit(results, [cfg.alpha], ts, PAIR_LABELS, cfg)
 
 
@@ -429,18 +420,18 @@ def _cmd_sweep(args):
         results = [engine.values(alpha_grid, t_grid, pairs) for engine in _engines(cfg, params)]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    n_alpha, n_t, n_pairs = results[0].concurrence.shape
-    conc = results[0].concurrence.reshape(-1)
+    conc = results[0].concurrence
+    # rows run over (alpha, t, pair); the per-axis cells are formatted once
     data = [
-        np.repeat(_cells(cfg.fmt, alpha_grid), n_t * n_pairs),
-        np.tile(np.repeat(_cells(cfg.fmt, t_grid), n_pairs), n_alpha),
-        np.tile(np.repeat(_cells(cfg.fmt, rabi * t_grid), n_pairs), n_alpha),
-        np.tile(np.array(pairs, dtype=object), n_alpha * n_t),
+        (_number_cells(cfg.fmt, alpha_grid), 0),
+        (_number_cells(cfg.fmt, t_grid), 1),
+        (_number_cells(cfg.fmt, rabi * t_grid), 1),
+        (_label_cells(cfg.fmt, pairs), 2),
         conc,
-        results[0].q.reshape(-1),
-        _BOOL_CELLS[(conc <= cfg.zero_tol).astype(np.intp)],
+        results[0].q,
+        (_label_cells(cfg.fmt, ["false", "true"]), (conc <= cfg.zero_tol).view(np.uint8)),
     ]
-    _write_output(cfg.output, _table_chunks(cfg.fmt, _SWEEP_COLUMNS, data))
+    _write_output(cfg.output, _table_chunks(cfg.fmt, _SWEEP_COLUMNS, conc.shape, data))
     return _disagreement_exit(results, alpha_grid, t_grid, pairs, cfg)
 
 

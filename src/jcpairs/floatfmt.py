@@ -19,7 +19,8 @@ bytes with integer array arithmetic:
    size, half a unit of the 17th digit is at most 5e-17.)
 4. The ``%g`` layout depends only on the sign, X and the number of digits
    left once trailing zeros are dropped.  One table indexed by those three
-   holds each layout as byte positions, applied to all values by one gather.
+   holds each layout as byte positions, applied to all values by one gather
+   into the rows of a NUL-padded byte matrix.
 
 Zero takes the same path as D = 0 at X = 0.  Non-finite values, other
 values outside the window and range check failures go through
@@ -35,12 +36,13 @@ import numpy as np
 _E_MIN, _E_MAX = -88, 0  # exponents e of m 2^e, m in [2^52, 2^53), inside the window
 _X_MIN, _X_MAX = -11, 15  # decimal exponents inside the window
 _DIGITS = 17
-_WIDTH = 23  # longest text: "-1.2345678901234567e-11" or "-0.00012345678901234567"
-_LITERALS = "\0-.e+0123456789"  # "\0" pads short texts; numpy drops trailing NULs
+# longest text: "-1.7976931348623157e+308" and "-2.2250738585072014e-308" (fallbacks);
+# inside the window "-1.2345678901234567e-11" or "-0.00012345678901234567", 23
+_WIDTH = 24
+_LITERALS = "\0-.e+0123456789"  # NUL pads short texts to the row width
 _ROWS = 1 + _DIGITS + len(_LITERALS)  # source rows: a leading "0", the digits, the literals
 _CHUNK = 4096  # values per pass through the arithmetic, which bounds its arrays
 _GATHER = 1024  # values per gather, which bounds its (values, _WIDTH) index array
-_TEXT = np.dtype(("U", _WIDTH))
 
 
 @functools.cache
@@ -135,27 +137,28 @@ def _digit_rows(d):
     return src, kept
 
 
-def format_g17(values):
-    """``['%.17g' % v for v in values]`` for a 1-D float64 array."""
+def g17_bytes(values):
+    """``'%.17g' % v`` of each value of a 1-D float64 array, as an (n, 24) uint8 matrix.
+
+    Row i holds the ASCII text of ``values[i]`` padded with NUL bytes.
+    """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    cells = []
+    out = np.empty((values.size, _WIDTH), dtype=np.uint8)
     for start in range(0, values.size, _CHUNK):
-        cells += _texts(values[start:start + _CHUNK])
-    return cells
+        _write_chunk(values[start:start + _CHUNK], out[start:start + _CHUNK])
+    return out
 
 
-def _texts(values):
-    """The cells of one chunk of ``format_g17``."""
+def _write_chunk(values, out):
+    """The rows of one chunk of ``g17_bytes``, written into ``out``."""
     n = values.size
     d, x, ok = _decimal(values)
     src, kept = _digit_rows(d)
     code = (np.signbit(values) * (_X_MAX - _X_MIN + 1) + x - _X_MIN) * _DIGITS + kept - 1
     layouts = _tables()[3] * n
-    cells = []
     for start in range(0, n, _GATHER):
         index = layouts[code[start:start + _GATHER]]
         index += np.arange(start, min(n, start + _GATHER))[:, None]
-        cells += src.ravel()[index].astype(np.uint32).view(_TEXT).ravel().tolist()
-    for i in np.flatnonzero(~ok).tolist():
-        cells[i] = "%.17g" % values[i]
-    return cells
+        out[start:start + _GATHER] = src.ravel()[index]
+    texts = ["%.17g" % v for v in values[~ok].tolist()]  # the fallback cells
+    out[~ok] = np.array(texts, dtype=(bytes, _WIDTH)).view(np.uint8).reshape(-1, _WIDTH)

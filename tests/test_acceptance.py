@@ -126,8 +126,8 @@ def test_criterion_07_shift_and_pair_symmetries(checks):
 
 def test_criterion_08_x_form_universality(checks):
     x_ok, x_detail = checks["x_form"]
-    # the suite reads the analytic route's reductions; the numeric route's carry
-    # round-off in their zero entries, which the general route must not amplify
+    # the suite compares both routes' reductions with the per-point Wootters C;
+    # this adds the stacked general route on the numeric route's reductions
     propagator = HamiltonianPropagator(total_hamiltonian(PARAMS, PARAMS, n_max=1))
     x_defect = 0.0
     fast_gap = 0.0

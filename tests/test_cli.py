@@ -308,6 +308,14 @@ def test_non_finite_setting_is_a_usage_error(command, flag, value, capsys):
     assert capsys.readouterr().err == f"error: {name} must be finite, got {float(value)}\n"
 
 
+@pytest.mark.parametrize("command", ["evolve", "sweep", "esd"])
+def test_default_steps_of_a_huge_t_max_is_a_usage_error(command, capsys):
+    # 512 steps per Rabi period would be more than any array can hold (inf at 1e308)
+    assert run(command, "--t-max", "1e308") == 1
+    assert capsys.readouterr().err == ("error: t-max 1e+308 is too long for the default of 512 "
+                                       "steps per Rabi period; give --steps\n")
+
+
 def test_esd_needs_two_steps(capsys):
     assert run("esd", "--steps", "1") == 1
     assert capsys.readouterr().err == "error: steps must be >= 2 for esd\n"
@@ -403,6 +411,24 @@ def test_sweep_bytes_match_row_formatter(tmp_path, monkeypatch, engine, pair, fm
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("alpha_points, steps, pair", [(1, 8, None), (4, 1, None), (3, 6, "Ab")])
+def test_sweep_grid_edges_match_row_formatter(tmp_path, monkeypatch, fmt, alpha_points, steps,
+                                              pair):
+    # 5 rows per block divides none of n_pairs * n_t = 54, 12, 7
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 5)
+    out = tmp_path / "sweep.out"
+    argv = ["sweep", "--family", "phi", "--engine", "closed", "--alpha-min", "0.3",
+            "--alpha-max", "1.2", "--alpha-points", str(alpha_points), "--steps", str(steps),
+            "--t-max", str(math.pi), "--format", fmt, "--output", str(out)]
+    if pair:
+        argv += ["--pair", pair]
+    assert run(*argv) == 0
+    expected = reference_sweep(fmt, "closed", pair, np.linspace(0.3, 1.2, alpha_points),
+                               np.linspace(0.0, math.pi, steps + 1))
+    assert_same_lines(out.read_bytes(), expected)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_detuned_sweep_bytes_match_row_formatter(tmp_path, fmt):
     # alpha = 0 and pi/2 leave engine noise (|C|, |Q| down to 1e-34, and
     # zeros) in the table: values the CSV formatter writes one at a time
@@ -445,11 +471,13 @@ def test_table_writer_matches_row_formatter_on_edge_values(fmt, repeat):
     # repeat > 1 makes the table longer than two row blocks
     values = np.tile(np.array(EDGE_VALUES), repeat)
     assert repeat == 1 or values.size > 2 * cli._ROW_BLOCK
-    labels = np.tile(np.array(["x", "y", "z"], dtype=object), values.size // 3)
-    data = [np.tile(cli._cells(fmt, EDGE_VALUES), repeat), values, labels, values[::-1].copy()]
-    rows = [[a, b, c, d] for a, b, c, d in zip(values.tolist(), values.tolist(), labels.tolist(),
-                                                 values[::-1].tolist())]
-    text = "".join(cli._table_chunks(fmt, ["key", "v", "label", "w"], data))
+    shape = (repeat, len(EDGE_VALUES))
+    data = [(cli._number_cells(fmt, EDGE_VALUES), 1), values,
+            (cli._label_cells(fmt, ["x", "y", "z"]), np.arange(values.size).reshape(shape) % 3),
+            values[::-1]]
+    rows = [[a, a, "xyz"[i % 3], d] for i, (a, d) in enumerate(zip(values.tolist(),
+                                                                    values[::-1].tolist()))]
+    text = "".join(cli._table_chunks(fmt, ["key", "v", "label", "w"], shape, data))
     assert_same_lines(text, REFERENCE[fmt](["key", "v", "label", "w"], rows))
 
 

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jcpairs.floatfmt import format_g17
+from jcpairs.floatfmt import g17_bytes
+
+
+def g17_texts(values):
+    """The rows of ``g17_bytes(values)`` as strings; every row is its text padded with NULs."""
+    matrix = g17_bytes(np.asarray(values, dtype=np.float64))
+    assert matrix.dtype == np.uint8 and matrix.shape == (len(values), 24)
+    texts = [bytes(row).rstrip(b"\0") for row in matrix]
+    assert all(text and b"\0" not in text for text in texts)
+    return [text.decode("ascii") for text in texts]
 
 
 def percent_g(values):
@@ -15,7 +24,7 @@ def percent_g(values):
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
 def test_any_bit_pattern_matches_percent_g(patterns):
     values = np.array(patterns, dtype=np.uint64).view(np.float64)
-    assert format_g17(values) == percent_g(values)
+    assert g17_texts(values) == percent_g(values)
 
 
 def test_random_bit_patterns_and_magnitudes_match_percent_g():
@@ -23,7 +32,7 @@ def test_random_bit_patterns_and_magnitudes_match_percent_g():
     bits = rng.integers(0, 2**63, 50_000, dtype=np.int64).view(np.float64)
     window = 10.0 ** rng.uniform(-12.0, 17.0, 50_000) * rng.choice([-1.0, 1.0], 50_000)
     values = np.concatenate([bits, -bits, window])
-    assert format_g17(values) == percent_g(values)
+    assert g17_texts(values) == percent_g(values)
 
 
 def neighbours(values, steps=3):
@@ -53,7 +62,7 @@ SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623
 def test_pinned_values_match_percent_g(batch):
     values = np.concatenate([np.asarray(batch, dtype=np.float64)] * 2)
     values[len(values) // 2:] *= -1.0
-    assert format_g17(values) == percent_g(values)
+    assert g17_texts(values) == percent_g(values)
 
 
 @pytest.mark.parametrize("bias", [-1e-12, 1e-12])
@@ -63,18 +72,25 @@ def test_wrong_exponent_guesses_fall_back(monkeypatch, bias):
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
     values = neighbours(POWERS_OF_TEN, steps=50)
-    assert format_g17(values) == percent_g(values)
+    assert g17_texts(values) == percent_g(values)
 
 
 def test_ties_round_half_to_even():
-    texts = format_g17(np.array([1000000000000000.25, 1000000000000000.75, 2.0**-25]))
+    texts = g17_texts(np.array([1000000000000000.25, 1000000000000000.75, 2.0**-25]))
     assert texts == ["1000000000000000.2", "1000000000000000.8", "2.9802322387695312e-08"]
 
 
 def test_layouts_of_every_exponent_and_digit_count():
     # %f style from 1e-4 to below 1e16, %e style below 1e-4; trailing zeros dropped
     values = np.array([d * 10.0**x for x in range(-11, 16) for d in (1.0, 1.5, 1.25, 1.2345678901234567)])
-    assert format_g17(values) == percent_g(values)
-    assert format_g17(np.array([1e-5, 1.5e-4, 1000.0, -0.25])) == ["1.0000000000000001e-05",
-                                                                  "0.00014999999999999999",
-                                                                  "1000", "-0.25"]
+    assert g17_texts(values) == percent_g(values)
+    assert g17_texts(np.array([1e-5, 1.5e-4, 1000.0, -0.25])) == ["1.0000000000000001e-05",
+                                                                 "0.00014999999999999999",
+                                                                 "1000", "-0.25"]
+
+
+def test_longest_fallback_texts_fill_the_row():
+    # the two 24-character '%.17g' texts, both outside the arithmetic's window
+    values = [-1.7976931348623157e308, -2.2250738585072014e-308]
+    assert g17_texts(values) == ["-1.7976931348623157e+308", "-2.2250738585072014e-308"]
+    assert np.all(g17_bytes(np.array(values)) != 0)
