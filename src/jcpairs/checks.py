@@ -25,7 +25,7 @@ from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, 
 from .engine import GridEngine
 from .entanglement import PAIR_LABELS, concurrence_stack, off_x_defect, wootters_concurrence
 from .jcmodel import total_hamiltonian
-from .linalg import pair_density
+from .linalg import pair_densities
 
 
 def random_x_state(rng):
@@ -92,11 +92,10 @@ def run_checks(params, tol, inject_fault=False):
         routes = ((analytic_amplitudes(kind, alphas, ts, params), analytic),
                   (propagator.evolve_grid(initial_amplitudes(kind, alphas), ts), numeric))
         for psi, conc in routes:
-            for i, label in enumerate(PAIR_LABELS):
-                rho = pair_density(psi, (label[0], label[1]))
-                max_x_defect = max(max_x_defect, float(np.max(off_x_defect(rho))))
-                general = [wootters_concurrence(cell).value for cell in rho.reshape(-1, 4, 4)]
-                max_fastpath = max(max_fastpath, gap(conc[..., i].reshape(-1), np.array(general)))
+            rho = pair_densities(psi, PAIR_LABELS)  # (alpha, t, pair, 4, 4), as conc
+            max_x_defect = max(max_x_defect, float(np.max(off_x_defect(rho))))
+            general = [wootters_concurrence(cell).value for cell in rho.reshape(-1, 4, 4)]
+            max_fastpath = max(max_fastpath, gap(conc.reshape(-1), np.array(general)))
 
     # C^Ab of the psi family peaks at exactly one half
     fine_alpha = np.linspace(0.0, 0.5 * math.pi, 41)

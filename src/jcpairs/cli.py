@@ -13,6 +13,7 @@ defaults; explicit flags override the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -101,6 +102,7 @@ _COMMAND_KEYS = {
 }
 
 
+@functools.cache  # built on the first request, then reused: argparse keeps no per-parse state
 def _build_parser():
     parser = _Parser(prog="jcpairs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)

@@ -10,10 +10,13 @@
   requested Fock truncation, then every (alpha, t) cell by one matrix
   product (``HamiltonianPropagator.evolve_grid``).
 
-The two evolution routes evolve each cell once, reduce it to every requested
-pair on stacks (``pair_density``), stack the pairs on one axis and read C and
-Q of the whole block from the reduced entries with one ``concurrence_stack``
-call.  They process the grid in blocks of at most ``BLOCK_CELLS`` cells, so
+The two evolution routes evolve each cell once and reduce it to every
+requested pair with one ``pair_densities`` call: one gather of the pairs'
+amplitude blocks and one batched ``mat @ dagger(mat)`` per traced dimension
+(one at ``n_max = 1``, three above it).  One ``concurrence_stack`` call then
+checks the (alpha, t, pair) stack (Hermiticity on the 10 entries on and
+above the diagonal; an exactly Hermitian stack is not symmetrized again)
+and reads C and Q of the whole block from the reduced entries.  They process the grid in blocks of at most ``BLOCK_CELLS`` cells, so
 memory stays bounded for any grid size.  The closed route keeps nothing per
 cell beyond its output and evaluates the whole grid in one call.
 """
@@ -28,7 +31,7 @@ from .closedform import resonance_grid
 from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from .entanglement import PAIR_LABELS, concurrence_stack
 from .jcmodel import total_hamiltonian
-from .linalg import pair_density
+from .linalg import pair_densities
 
 ENGINES = ("closed", "analytic", "numeric")
 # A cell holds 4 (n_max + 1)^2 amplitudes on the numeric route, so one block
@@ -109,4 +112,4 @@ class GridEngine:
             psi = analytic_amplitudes(self.kind, alphas, ts, self.params)
         else:
             psi = self._propagator.evolve_grid(initial_amplitudes(self.kind, alphas, self.n_max), ts)
-        return np.stack([pair_density(psi, (pair[0], pair[1])) for pair in pairs], axis=-3)
+        return pair_densities(psi, pairs)

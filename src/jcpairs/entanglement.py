@@ -25,6 +25,10 @@ _X_MASK = np.zeros((4, 4), dtype=bool)
 _X_MASK[np.arange(4), np.arange(4)] = True
 _X_MASK[np.arange(4), np.arange(4)[::-1]] = True
 _OFF_X_ROWS, _OFF_X_COLS = np.nonzero(~_X_MASK)
+# flat positions of the 10 entries on and above the diagonal, and of their mirrors
+_UPPER_ROWS, _UPPER_COLS = np.triu_indices(4)
+_UPPER = 4 * _UPPER_ROWS + _UPPER_COLS
+_MIRROR = 4 * _UPPER_COLS + _UPPER_ROWS
 
 
 @dataclass(frozen=True)
@@ -58,16 +62,22 @@ def _reject_first(bad, values, what):
 def _hermitian_part(rho, *, trace_tol=1e-8, herm_tol=1e-8):
     """Check the trace and Hermiticity of a 4x4 matrix or a (..., 4, 4) stack.
 
-    Returns the Hermitian part 0.5 (rho + rho^dag).
+    Returns the Hermitian part 0.5 (rho + rho^dag), or ``rho`` itself when
+    every entry already equals the conjugate of its mirror entry.  The
+    defect max |rho - rho^dag| is taken over the 10 entries on and above
+    the diagonal: |rho - rho^dag| is symmetric, so that is the same maximum.
     """
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     trace_err = np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
     _reject_first(trace_err > trace_tol, trace_err, "trace deviates from 1 by")
-    # |rho - rho^dag| from the real and imaginary views, without complex temporaries
-    re, im = rho.real, rho.imag
-    defect = np.hypot(re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)).max(axis=(-2, -1))
+    flat = rho.reshape(rho.shape[:-2] + (16,))
+    diff, mirror = np.take(flat, _UPPER, axis=-1), np.take(flat, _MIRROR, axis=-1)
+    diff -= np.conjugate(mirror, out=mirror)  # rho - rho^dag on and above the diagonal
+    defect = np.hypot(diff.real, diff.imag).max(axis=-1)
     _reject_first(defect > herm_tol, defect, "Hermiticity defect")
+    if not defect.any():
+        return rho
     herm = dagger(rho)
     herm += rho
     herm *= 0.5
@@ -88,19 +98,24 @@ def off_x_defect(rho):
     return np.abs(rho[..., _OFF_X_ROWS, _OFF_X_COLS]).max(axis=-1)
 
 
-def _x_qs(rho):
-    """Signed (q_corner, q_inner) of X-shaped matrices, per 4x4 cell."""
-    a, b, c, d = (np.maximum(rho[..., i, i].real, 0.0) for i in range(4))
-    q_corner = np.abs(rho[..., 0, 3]) - np.sqrt(b * c)
-    q_inner = np.abs(rho[..., 1, 2]) - np.sqrt(a * d)
-    return q_corner, q_inner
+def _x_entries(rho):
+    """Real diagonal (a, b, c, d) and coherence moduli |rho[0,3]|, |rho[1,2]|, per 4x4 cell."""
+    diag = rho.diagonal(axis1=-2, axis2=-1).real
+    return (*(diag[..., i] for i in range(4)), np.abs(rho[..., 0, 3]), np.abs(rho[..., 1, 2]))
 
 
-def _x_lowest(rho):
-    """Lowest eigenvalue of Hermitian X-shaped matrices, per cell, from their two 2x2 blocks."""
-    a, b, c, d = (rho[..., i, i].real for i in range(4))
-    corner = 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(rho[..., 0, 3]))
-    inner = 0.5 * (b + c) - np.hypot(0.5 * (b - c), np.abs(rho[..., 1, 2]))
+def _x_qs(entries):
+    """Signed (q_corner, q_inner) of X-shaped matrices from their ``_x_entries``."""
+    a, b, c, d, z, w = entries
+    a, b, c, d = (np.maximum(x, 0.0) for x in (a, b, c, d))
+    return z - np.sqrt(b * c), w - np.sqrt(a * d)
+
+
+def _x_lowest(entries):
+    """Lowest eigenvalue of Hermitian X-shaped matrices from their ``_x_entries``, via the two 2x2 blocks."""
+    a, b, c, d, z, w = entries
+    corner = 0.5 * (a + d) - np.hypot(0.5 * (a - d), z)
+    inner = 0.5 * (b + c) - np.hypot(0.5 * (b - c), w)
     return np.minimum(corner, inner)
 
 
@@ -127,7 +142,7 @@ def wootters_concurrence(rho, *, validate=True, x_tol=1e-10):
     value = max(0.0, sigma[0] - sigma[1] - sigma[2] - sigma[3])
     q_corner = q_inner = None
     if off_x_defect(rho) <= x_tol:
-        q_corner, q_inner = (float(q) for q in _x_qs(rho))
+        q_corner, q_inner = (float(q) for q in _x_qs(_x_entries(rho)))
     return ConcurrenceResult(
         value=float(value),
         zeta_eigenvalues=np.clip(sigma**2, 0.0, None),
@@ -154,7 +169,7 @@ def xstate_concurrence(rho, *, off_x_tol=1e-10, validate=True):
         raise ValueError(
             f"entry {pos} has magnitude {defect:.3e}, above the X-pattern tolerance {off_x_tol:.3e}"
         )
-    q_corner, q_inner = (float(q) for q in _x_qs(rho))
+    q_corner, q_inner = (float(q) for q in _x_qs(_x_entries(rho)))
     diag = np.clip(rho.diagonal().real, 0.0, None)
     a, b, c, d = diag
     z, w = abs(rho[0, 3]), abs(rho[1, 2])
@@ -191,11 +206,12 @@ def concurrence_stack(rho, *, x_tol=1e-10):
     """
     rho = _hermitian_part(np.asarray(rho, dtype=complex))
     general = np.array(off_x_defect(rho) > x_tol)  # arrays also for a single matrix
-    lowest = np.array(_x_lowest(rho))
+    entries = _x_entries(rho)
+    lowest = np.array(_x_lowest(entries))
     if general.any():
         lowest[general] = np.linalg.eigvalsh(rho[general])[..., 0]
     _reject_non_psd(lowest)
-    q = np.array(np.maximum(*_x_qs(rho)))
+    q = np.array(np.maximum(*_x_qs(entries)))
     conc = np.array(2.0 * np.maximum(q, 0.0))
     if general.any():
         sigma = _flip_singular_values(rho[general])

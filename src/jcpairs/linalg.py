@@ -8,6 +8,9 @@ g; cavities reduced to qubits: one photon then vacuum).
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 SUBSYSTEMS = ("A", "a", "B", "b")
@@ -65,7 +68,7 @@ def partial_trace(state, keep, *, leak_tol=1e-10):
     """Reduce a four-factor pure state to the 4x4 density matrix of two factors.
 
     ``state`` must expose ``dims`` (the four factor dimensions) and
-    ``amplitudes`` (flat vector); see ``pair_density`` for ``keep``, the
+    ``amplitudes`` (flat vector); see ``pair_densities`` for ``keep``, the
     basis order and the cavity projection.
     """
     psi = np.asarray(state.amplitudes, dtype=complex).reshape(tuple(state.dims))
@@ -73,46 +76,94 @@ def partial_trace(state, keep, *, leak_tol=1e-10):
 
 
 def pair_density(psi, keep, *, leak_tol=1e-10):
-    """Reduce a stack of four-factor pure states to the 4x4 densities of two factors.
+    """The 4x4 densities of one pair: ``pair_densities(psi, (keep,))[..., 0, :, :]``."""
+    return pair_densities(psi, (keep,), leak_tol=leak_tol)[..., 0, :, :]
+
+
+def pair_densities(psi, pairs, *, leak_tol=1e-10):
+    """Reduce a stack of four-factor pure states to the 4x4 densities of several pairs.
 
     ``psi`` has shape (..., d_A, d_a, d_B, d_b), one amplitude tensor per
-    cell of the leading axes; the result has shape (..., 4, 4).  ``keep`` is
-    an ordered pair of labels from ("A", "a", "B", "b") and fixes the
-    ordering of the output factors.
+    cell of the leading axes; the result has shape (..., len(pairs), 4, 4).
+    Each pair is an ordered pair of labels from ("A", "a", "B", "b") (such
+    as ``("A", "b")`` or ``"Ab"``) and fixes the ordering of its output
+    factors.
 
     Kept cavity factors are projected onto the zero/one photon subspace and
     reported in (one photon, vacuum) order, so every output basis lists the
     excited level first: (x1 x2) = (ee, eg, ge, gg)-like.  The projection is
     refused when a kept cavity holds more than ``leak_tol`` probability
     above one photon in any cell.
+
+    Pairs that trace out the same dimension are reduced together: one
+    gather of their (4, traced) amplitude blocks through a cached index
+    table and one batched ``mat @ dagger(mat)``.  That is one group for
+    ``n_max = 1`` and three above it (AB, ab and the four mixed pairs).
     """
-    if len(keep) != 2 or keep[0] == keep[1]:
-        raise ValueError(f"keep must name two distinct subsystems, got {tuple(keep)!r}")
-    for label in keep:
-        if label not in _AXIS:
-            raise ValueError(f"unknown subsystem label {label!r}; expected one of {SUBSYSTEMS}")
     psi = np.asarray(psi, dtype=complex)
-    lead = psi.ndim - 4
-    keep_axes = tuple(_AXIS[label] for label in keep)
-    traced_axes = tuple(ax for ax in range(4) if ax not in keep_axes)
-    order = tuple(range(lead)) + tuple(lead + ax for ax in keep_axes + traced_axes)
-    kept = np.transpose(psi, order)  # (..., d0, d1, traced, traced)
+    lead = psi.shape[:-4]
+    cavities, groups = _reduction_plan(psi.shape[-4:], tuple(tuple(keep) for keep in pairs))
+    for label, above in cavities:
+        leak = float(np.max(np.sum(np.abs(psi[above]) ** 2, axis=(-4, -3, -2, -1))))
+        if leak > leak_tol:
+            raise ValueError(
+                f"cavity {label} holds probability {leak:.3e} above one photon "
+                f"(tolerance {leak_tol:.3e}); cannot reduce to a qubit"
+            )
+    flat = psi.reshape(lead + (-1,))
+    if len(groups) == 1:
+        ((_, index, traced),) = groups
+        rho = _gram(flat, index, lead + (len(pairs), 4, traced))
+    else:
+        rho = np.empty(lead + (len(pairs), 4, 4), dtype=complex)
+        for slots, index, traced in groups:
+            rho[..., slots, :, :] = _gram(flat, index, lead + (len(slots), 4, traced))
+    herm = rho + dagger(rho)
+    herm *= 0.5
+    return herm
 
-    select = [slice(None)] * kept.ndim  # atoms already index (e, g)
-    for pos, label in enumerate(keep):
-        axis = lead + pos
-        if label not in CAVITY_SUBSYSTEMS:
-            continue
-        if kept.shape[axis] > 2:
-            above = kept[(slice(None),) * axis + (slice(2, None),)]
-            leak = float(np.max(np.sum(np.abs(above) ** 2, axis=(-4, -3, -2, -1))))
-            if leak > leak_tol:
-                raise ValueError(
-                    f"cavity {label} holds probability {leak:.3e} above one photon "
-                    f"(tolerance {leak_tol:.3e}); cannot reduce to a qubit"
-                )
-        select[axis] = slice(1, None, -1)  # photon numbers (1, 0)
 
-    mat = kept[tuple(select)].reshape(psi.shape[:lead] + (4, -1))
-    rho = mat @ dagger(mat)
-    return 0.5 * (rho + dagger(rho))
+def _gram(flat, index, shape):
+    """mat @ dagger(mat) of the (..., n, 4, traced) blocks ``mat`` gathered from ``flat`` at ``index``.
+
+    ``np.take`` gives a C-contiguous ``mat``, which keeps the product on the
+    BLAS path of the one-pair reduction (same bits, no strided copies).
+    """
+    mat = np.take(flat, index, axis=-1).reshape(shape)
+    return mat @ dagger(mat)
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_plan(dims, pairs):
+    """How ``pair_densities`` reduces ``pairs`` of states with factor dimensions ``dims``.
+
+    Returns ``(cavities, groups)``.  ``cavities`` lists the kept cavities
+    that can hold more than one photon, as (label, index of those levels),
+    in order of first appearance.  ``groups`` has one ``(slots, index,
+    traced)`` per traced dimension: the output positions of its pairs, the
+    flat amplitude indices of their (4, traced) blocks, and the dimension.
+    """
+    positions = np.arange(math.prod(dims)).reshape(dims)
+    cavities = {}
+    blocks = {}  # traced dimension -> (slots, index tables)
+    for slot, keep in enumerate(pairs):
+        if len(keep) != 2 or keep[0] == keep[1]:
+            raise ValueError(f"keep must name two distinct subsystems, got {keep!r}")
+        for label in keep:
+            if label not in _AXIS:
+                raise ValueError(f"unknown subsystem label {label!r}; expected one of {SUBSYSTEMS}")
+            axis = _AXIS[label]
+            if label in CAVITY_SUBSYSTEMS and dims[axis] > 2:
+                cavities.setdefault(label, (Ellipsis,) + (slice(None),) * axis + (slice(2, None),)
+                                    + (slice(None),) * (3 - axis))
+        kept_axes = tuple(_AXIS[label] for label in keep)
+        traced_axes = tuple(ax for ax in range(4) if ax not in kept_axes)
+        # kept cavities are read at photon numbers (1, 0); atoms already index (e, g)
+        select = tuple(slice(1, None, -1) if label in CAVITY_SUBSYSTEMS else slice(None) for label in keep)
+        table = positions.transpose(kept_axes + traced_axes)[select].reshape(-1)
+        slots, tables = blocks.setdefault(table.size // 4, ([], []))
+        slots.append(slot)
+        tables.append(table)
+    groups = tuple((np.array(slots), np.concatenate(tables), traced)
+                   for traced, (slots, tables) in blocks.items())
+    return tuple(cavities.items()), groups

@@ -30,7 +30,7 @@ from jcpairs import (
 from jcpairs.checks import run_checks
 from jcpairs.dynamics import initial_amplitudes
 from jcpairs.entanglement import concurrence_stack, off_x_defect
-from jcpairs.linalg import pair_density, partial_trace
+from jcpairs.linalg import pair_densities, partial_trace
 
 PARAMS = JCParams(omega0=5.0, omega=5.0, g=1.0)
 RABI = PARAMS.rabi(1)
@@ -133,7 +133,7 @@ def test_criterion_08_x_form_universality(checks):
     fast_gap = 0.0
     for kind in ("phi", "psi"):
         psi = propagator.evolve_grid(initial_amplitudes(kind, ALPHA_GRID), GT_GRID / RABI)
-        rho = np.stack([pair_density(psi, (label[0], label[1])) for label in PAIR_LABELS])
+        rho = pair_densities(psi, PAIR_LABELS)
         x_defect = max(x_defect, float(off_x_defect(rho).max()))
         # x_tol < 0 sends every cell through the general Wootters route
         general = concurrence_stack(rho, x_tol=-1.0)[0]

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,3 +496,31 @@ def test_stdout_and_output_file_get_the_same_bytes(tmp_path, capsys, argv):
     capsys.readouterr()
     assert run(*argv) == 0
     assert_same_lines(out.read_bytes(), capsys.readouterr().out)
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of ``python -m jcpairs argv`` in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "jcpairs", *argv], capture_output=True, text=True,
+                          env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("sequence", [
+    [["esd", "--engine", "warp"], ["esd", "--alpha", "0.3927", "--steps", "16"]],
+    [["esd", "--alpha-deg", "30", "--steps", "16"], ["esd", "--steps", "16"]],
+    [["evolve", "--config", "{conf}", "--steps", "4"], ["evolve", "--steps", "4", "--t-max", "1.0"]],
+], ids=["usage-error-then-esd", "alpha-deg-then-default-alpha", "config-then-flags"])
+def test_requests_in_one_process_match_fresh_processes(tmp_path, capsys, sequence):
+    conf = tmp_path / "run.conf"
+    conf.write_text("alpha = 0.3\nt_max = 2.0\nfamily = psi\n")
+    sequence = [[arg.format(conf=conf) for arg in argv] for argv in sequence]
+    cli.main(["esd", "--steps", "2"])  # the process has built its parser before the sequence
+    capsys.readouterr()
+    built = cli._build_parser.cache_info().misses
+    for argv in sequence:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _fresh_process(argv)
+    assert cli._build_parser.cache_info().misses == built

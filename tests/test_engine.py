@@ -21,7 +21,7 @@ from jcpairs import (
 )
 from jcpairs.cli import main
 from jcpairs.dynamics import FAMILY_KINDS
-from jcpairs.entanglement import _x_lowest, concurrence_stack
+from jcpairs.entanglement import _hermitian_part, _x_entries, _x_lowest, concurrence_stack
 from jcpairs.linalg import partial_trace
 
 EPS = np.finfo(float).eps
@@ -141,7 +141,7 @@ def test_x_block_lowest_eigenvalue_matches_eigvalsh():
     # coherences past sqrt(ad) give the stack non-PSD cells as well
     stack[::3, 0, 3] *= 3.0
     stack[::3, 3, 0] *= 3.0
-    lowest = _x_lowest(stack)
+    lowest = _x_lowest(_x_entries(stack))
     assert (lowest < -1e-8).any()
     assert np.max(np.abs(lowest - np.linalg.eigvalsh(stack)[:, 0])) <= 1e-15
 
@@ -165,6 +165,51 @@ def test_stack_names_the_non_hermitian_cell():
     stack[1, 2, 0, 1] += 0.1 - 0.2j
     with pytest.raises(ValueError, match=r"Hermiticity defect 2\.236e-01 at cell \(1, 2\)"):
         concurrence_stack(stack)
+
+
+def _full_defect(rho):
+    """max |rho - rho^dag| over all 16 entries of each cell, by the hypot of the real and imaginary parts."""
+    re, im = rho.real, rho.imag
+    return np.hypot(re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0])
+def test_hermiticity_defect_of_the_upper_triangle_is_the_full_defect(scale):
+    rng = np.random.default_rng(int(-math.log10(scale)))
+    stack = np.array([[random_x_state(rng) for _ in range(6)] for _ in range(5)])
+    stack += scale * (rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape))
+    stack /= stack.trace(axis1=-2, axis2=-1)[..., None, None]
+    defect = _full_defect(stack)
+    assert np.allclose(defect, np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1)),
+                       rtol=1e-15, atol=0)
+    # every cell alone reports its own defect, with the text of the full 4x4 maximum
+    for cell in np.ndindex(defect.shape):
+        with pytest.raises(ValueError) as err:
+            _hermitian_part(stack[cell], herm_tol=0.0)
+        assert str(err.value) == f"invalid density matrix: Hermiticity defect {defect[cell]:.3e}"
+    # a stack names its first cell above the tolerance
+    tol = float(np.median(defect))
+    first = tuple(int(i) for i in np.argwhere(defect > tol)[0])
+    with pytest.raises(ValueError) as err:
+        _hermitian_part(stack, herm_tol=tol)
+    assert str(err.value) == f"invalid density matrix: Hermiticity defect {defect[first]:.3e} at cell {first}"
+
+
+@pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 3)])
+def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, det_params):
+    grid = GridEngine(engine, "psi", det_params, n_max=n_max)
+    stack = grid._pair_densities(np.linspace(0.1, 3.0, 4), np.linspace(0.0, 9.0, 11), PAIR_LABELS)
+    assert _full_defect(stack).max() == 0.0
+    herm = _hermitian_part(stack)
+    assert np.array_equal(herm.view(np.uint64), stack.view(np.uint64))
+    # symmetrizing again would give the same bits: skipping it changes no output
+    again = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    assert np.array_equal(again.view(np.uint64), stack.view(np.uint64))
+    # a stack that is not exactly Hermitian is symmetrized
+    stack[0, 0, 0, 0, 1] += 1e-12
+    herm = _hermitian_part(stack)
+    assert herm[0, 0, 0, 0, 1] == herm[0, 0, 0, 1, 0].conjugate()
+    assert herm[0, 0, 0, 0, 1] == pytest.approx(stack[0, 0, 0, 0, 1] - 0.5e-12, abs=1e-16)
 
 
 @given(size=st.integers(1, 12), data=st.data())

@@ -1,9 +1,32 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from jcpairs import InitialFamily, evolve_analytic, prepare_initial, wootters_concurrence
-from jcpairs.dynamics import FourPartiteState
-from jcpairs.linalg import SIGMA_Y, kron, partial_trace, sqrt_psd
+from jcpairs import (
+    HamiltonianPropagator,
+    InitialFamily,
+    JCParams,
+    evolve_analytic,
+    prepare_initial,
+    total_hamiltonian,
+    wootters_concurrence,
+)
+from jcpairs.dynamics import FAMILY_KINDS, FourPartiteState, analytic_amplitudes, initial_amplitudes
+from jcpairs.linalg import (
+    SIGMA_Y,
+    SUBSYSTEMS,
+    kron,
+    pair_densities,
+    pair_density,
+    partial_trace,
+    sqrt_psd,
+)
+
+# every ordered pair of distinct subsystems
+KEEPS = [(x, y) for x in SUBSYSTEMS for y in SUBSYSTEMS if x != y]
 
 
 def test_kron_identity():
@@ -154,3 +177,87 @@ def test_partial_trace_rejects_bad_labels():
         partial_trace(state, ("A", "A"))
     with pytest.raises(ValueError, match="unknown"):
         partial_trace(state, ("A", "x"))
+
+
+@functools.lru_cache(maxsize=None)
+def _propagator(n_max):
+    params = JCParams(omega0=5.0, omega=5.6, g=0.8)
+    return HamiltonianPropagator(total_hamiltonian(params, params, n_max=n_max))
+
+
+def _amplitude_stack(route, kind, n_max, alphas, ts):
+    """(n_alpha, n_t, 2, n_max+1, 2, n_max+1) amplitudes of one evolution route.
+
+    The analytic route's n_max = 1 tensors are embedded in the larger Fock
+    space with empty higher levels.
+    """
+    if route == "numeric":
+        return _propagator(n_max).evolve_grid(initial_amplitudes(kind, alphas, n_max), ts)
+    params = JCParams(omega0=5.0, omega=5.6, g=0.8)
+    psi = np.zeros((len(alphas), len(ts), 2, n_max + 1, 2, n_max + 1), dtype=complex)
+    psi[..., :2, :, :2] = analytic_amplitudes(kind, alphas, ts, params)
+    return psi
+
+
+def _einsum_density(psi, keep):
+    """Independent reduction: cavity levels (1, 0) selected, the other two factors traced by einsum."""
+    axes = ["ABCD"[SUBSYSTEMS.index(label)] for label in keep]
+    for label, axis in zip(keep, axes):
+        if label in ("a", "b"):
+            psi = np.take(psi, [1, 0], axis="ABCD".index(axis) - 4)
+    bra = "".join({axes[0]: "w", axes[1]: "x"}.get(c, c) for c in "ABCD")
+    ket = "".join({axes[0]: "y", axes[1]: "z"}.get(c, c) for c in "ABCD")
+    rho = np.einsum(f"...{bra},...{ket}->...wxyz", psi, psi.conj())
+    return rho.reshape(rho.shape[:-4] + (4, 4))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@given(
+    route=st.sampled_from(["analytic", "numeric"]),
+    kind=st.sampled_from(FAMILY_KINDS),
+    n_max=st.integers(1, 4),
+    keeps=st.lists(st.sampled_from(KEEPS), min_size=1, max_size=len(KEEPS), unique=True),
+    alphas=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+    ts=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
+)
+def test_all_pair_reduction_matches_one_pair_reductions(route, kind, n_max, keeps, alphas, ts):
+    psi = _amplitude_stack(route, kind, n_max, alphas, ts)
+    rho = pair_densities(psi, keeps)
+    assert rho.shape == (len(alphas), len(ts), len(keeps), 4, 4)
+    for slot, keep in enumerate(keeps):
+        # the same bits as reducing the pair alone, whatever else is reduced with it
+        assert np.array_equal(_bits(rho[..., slot, :, :]), _bits(pair_density(psi, keep)))
+        assert np.max(np.abs(rho[..., slot, :, :] - _einsum_density(psi, keep))) <= 1e-15
+    # labels may also be given as two-letter strings
+    assert np.array_equal(_bits(pair_densities(psi, ["".join(k) for k in keeps])), _bits(rho))
+
+
+def test_leakage_error_names_the_first_leaking_cavity_and_its_largest_population():
+    # two cells at n_max = 2: cavity a holds 0.3 and then 0.45 above one photon, cavity b 0.2
+    psi = np.zeros((2, 2, 3, 2, 3), dtype=complex)
+    psi[0, 0, 0, 1, 0], psi[0, 1, 2, 0, 0] = np.sqrt(0.7), np.sqrt(0.3)
+    psi[1, 0, 0, 1, 0], psi[1, 1, 2, 0, 0] = np.sqrt(0.35), np.sqrt(0.45)
+    psi[1, 1, 1, 0, 2] = np.sqrt(0.2)
+    leak_a = float(np.max(np.sum(np.abs(psi[:, :, 2:]) ** 2, axis=(1, 2, 3, 4))))
+    leak_b = float(np.max(np.sum(np.abs(psi[..., 2:]) ** 2, axis=(1, 2, 3, 4))))
+    message = "cavity {} holds probability {:.3e} above one photon (tolerance 1.000e-10); cannot reduce to a qubit"
+    # the cavities are checked in the order their labels first appear in the pairs
+    for keeps, label, leak in (
+        (["ab"], "a", leak_a),
+        (["Ab", "ab"], "b", leak_b),
+        (["AB", "Ba", "Bb"], "a", leak_a),
+        (["bB", "Aa"], "b", leak_b),
+    ):
+        with pytest.raises(ValueError) as err:
+            pair_densities(psi, keeps)
+        assert str(err.value) == message.format(label, leak)
+    for keep, label, leak in ((("A", "a"), "a", leak_a), (("b", "B"), "b", leak_b)):
+        with pytest.raises(ValueError) as err:
+            pair_density(psi, keep)
+        assert str(err.value) == message.format(label, leak)
+    assert message.format("a", leak_a).startswith("cavity a holds probability 4.500e-01")
+    # tracing both cavities out needs no projection
+    assert pair_densities(psi, ["AB"]).shape == (2, 1, 4, 4)
