@@ -9,10 +9,7 @@ windows.
 
 from .closedform import (
     ClosedFormValues,
-    OffResIngredients,
-    phi_offres_ingredients,
     phi_resonance,
-    psi_offres_ingredients,
     psi_resonance,
     q_identity_lhs,
     resonance_values,
@@ -54,7 +51,6 @@ __all__ = [
     "HamiltonianPropagator",
     "InitialFamily",
     "JCParams",
-    "OffResIngredients",
     "PAIR_LABELS",
     "SUBSYSTEMS",
     "ZeroInterval",
@@ -64,10 +60,8 @@ __all__ = [
     "evolve_analytic",
     "kron",
     "partial_trace",
-    "phi_offres_ingredients",
     "phi_resonance",
     "prepare_initial",
-    "psi_offres_ingredients",
     "psi_resonance",
     "q_identity_lhs",
     "resonance_values",

@@ -81,6 +81,9 @@ _ENGINES = {
     "sweep": ("closed", "analytic", "numeric", "both"),
     "esd": ("closed", "analytic", "numeric"),
 }
+# the allowed values of a setting (engine's per command above), for its flag
+# and its config-file key alike
+_CHOICES = {"family": FAMILY_KINDS, "format": ("csv", "json"), "pair": PAIR_LABELS}
 
 _FLOAT_KEYS = (
     "alpha", "alpha_deg", "omega0", "omega", "g", "t_max", "tol", "zero_tol",
@@ -88,7 +91,6 @@ _FLOAT_KEYS = (
 )
 _INT_KEYS = {"n_max", "steps", "alpha_points"}
 _BOOL_KEYS = {"json", "inject_fault"}
-_STR_KEYS = {"family", "engine", "format", "output", "pair"}
 
 _COMMAND_KEYS = {
     "evolve": {"family", "alpha", "alpha_deg", "omega0", "omega", "g", "n_max",
@@ -109,7 +111,7 @@ def _build_parser():
 
     def add_common(p, *, with_alpha=True):
         p.add_argument("--config", help="key = value file of defaults")
-        p.add_argument("--family", choices=FAMILY_KINDS)
+        p.add_argument("--family", choices=_CHOICES["family"])
         if with_alpha:
             p.add_argument("--alpha", type=float, help="superposition angle (radians)")
             p.add_argument("--alpha-deg", type=float, help="superposition angle (degrees)")
@@ -124,7 +126,7 @@ def _build_parser():
     p_evolve.add_argument("--steps", type=int)
     p_evolve.add_argument("--engine", choices=_ENGINES["evolve"])
     p_evolve.add_argument("--tol", type=float, help="engine-agreement tolerance for --engine both")
-    p_evolve.add_argument("--format", choices=("csv", "json"))
+    p_evolve.add_argument("--format", choices=_CHOICES["format"])
     p_evolve.add_argument("--output")
 
     p_sweep = sub.add_parser("sweep", help="(alpha, t) concurrence table")
@@ -135,10 +137,10 @@ def _build_parser():
     p_sweep.add_argument("--t-max", type=float)
     p_sweep.add_argument("--steps", type=int)
     p_sweep.add_argument("--engine", choices=_ENGINES["sweep"])
-    p_sweep.add_argument("--pair", choices=PAIR_LABELS, help="restrict to one pair")
+    p_sweep.add_argument("--pair", choices=_CHOICES["pair"], help="restrict to one pair")
     p_sweep.add_argument("--tol", type=float)
     p_sweep.add_argument("--zero-tol", type=float)
-    p_sweep.add_argument("--format", choices=("csv", "json"))
+    p_sweep.add_argument("--format", choices=_CHOICES["format"])
     p_sweep.add_argument("--output")
 
     p_esd = sub.add_parser("esd", help="zero-interval report (JSON)")
@@ -177,7 +179,7 @@ def _read_config_file(path, command):
             key = key.strip().lower().replace("-", "_")
             if key not in _COMMAND_KEYS[command]:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r} for command {command!r}")
-            values[key] = _coerce_config_value(key, text.strip(), where=f"{path}:{lineno}")
+            values[key] = _coerce_config_value(command, key, text.strip(), where=f"{path}:{lineno}")
     if "alpha_deg" in values:
         if "alpha" in values:
             raise UsageError(f"{path}: give alpha or alpha_deg, not both")
@@ -185,7 +187,11 @@ def _read_config_file(path, command):
     return values
 
 
-def _coerce_config_value(key, text, *, where):
+def _coerce_config_value(command, key, text, *, where):
+    choices = _ENGINES[command] if key == "engine" else _CHOICES.get(key)
+    if choices is not None and text not in choices:
+        raise UsageError(f"{where}: bad value for {key}: {text!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
     try:
         if key in _FLOAT_KEYS:
             return float(text)

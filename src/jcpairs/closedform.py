@@ -1,14 +1,20 @@
-"""Closed-form concurrences at resonance, detuned density-matrix ingredients,
-and the time-independent Q combination.
+"""Closed-form concurrences at any detuning and the time-independent Q combination.
 
 Notation: alpha is the superposition angle of the initial family, G the
-resonant Rabi splitting (= 2g for one excitation), and per site
+resonant Rabi splitting (= 2g for one excitation), Delta = omega - omega0 the
+detuning and delta = hypot(Delta, G) the manifold splitting.  A site that
+starts in |e, 0> evolves to f |e, 0> + h |g, 1> with
 
-    |f(t)|^2 = c0^4 + s0^4 + 2 c0^2 s0^2 cos(delta t)      (excitation on atom)
-    |h(t)|^2 = c0^2 s0^2 (2 - 2 cos(delta t))              (excitation on cavity)
+    |f(t)|^2 = cos^2(delta t/2) + (Delta/delta)^2 sin^2(delta t/2)   (excitation on atom)
+    |h(t)|^2 = (G/delta)^2 sin^2(delta t/2)                          (excitation on cavity)
 
-with c0 = cos(theta/2), s0 = sin(theta/2), delta the manifold splitting.  At
-resonance |f|^2 = cos^2(Gt/2) and |h|^2 = sin^2(Gt/2).
+(Yonac, Yu & Eberly, J. Phys. B 39, S621 (2006)).  Every pair's reduced
+matrix is an X state whose entries depend on each site through |f| and |h|
+only, so one set of family formulas holds at every detuning.  At resonance
+|f|^2 = cos^2(Gt/2) and |h|^2 = sin^2(Gt/2); ``phi_resonance``,
+``psi_resonance`` and ``resonance_values`` are the scalar paper form there,
+and ``closed_grid`` evaluates the formulas on whole (alpha, t) grids at any
+site.
 
 The tan(alpha) factors of the factored resonance formulas are always combined
 as cos^2(alpha) tan(alpha) = sin(alpha) cos(alpha) before use, which removes
@@ -115,25 +121,40 @@ def resonance_values(kind, alpha, rabi, t):
     raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
 
 
-def resonance_grid(kind, alphas, rabi, ts):
-    """Array twin of ``resonance_values`` over 1-D grids of alpha and t.
+def closed_grid(kind, alphas, params, ts):
+    """The closed form over 1-D grids of alpha and t at the site ``params``, any detuning.
 
     Returns (C, Q), each of shape (n_alpha, n_t, 6) with the pairs in
     ``PAIR_LABELS`` order (AB, ab, Aa, Bb, Ab, Ba) and Q as ``q_for`` gives
-    it.  The sines and cosines are taken once per alpha and once per t with
+    it.  The family formulas take each site through |f| and |h| only, so
+    cos^2(Gt/2), sin^2(Gt/2) and |sin(Gt)|/2 of the resonance formulas
+    become |f|^2, |h|^2 and |f||h| with
+
+        |f| = hypot(cos(delta t/2), (Delta/delta) sin(delta t/2)),
+        |h| = (G/delta) |sin(delta t/2)|.
+
+    The sines and cosines are taken once per alpha and once per t with
     ``math`` (numpy's need not match libm to the last bit), and the two axes
     are combined by broadcasting in the operation order of
-    ``_resonance_pieces`` and the family formulas, so every value has the
-    same bits as the scalar route.
+    ``_resonance_pieces`` and the family formulas.  At resonance delta = G,
+    G/delta = 1.0 and Delta/delta = 0.0 exactly, and hypot(x, 0) = |x|, so
+    every value there has the same bits as ``resonance_values``.
     """
     if kind not in ("phi", "psi"):
         raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
     alphas = np.asarray(alphas, dtype=float).reshape(-1).tolist()
-    halves = [0.5 * rabi * t for t in np.asarray(ts, dtype=float).reshape(-1).tolist()]
-    sin_h = np.array([math.sin(half) for half in halves])
-    cos_h = np.array([math.cos(half) for half in halves])
-    s2, c2 = sin_h * sin_h, cos_h * cos_h
-    root = np.abs(sin_h * cos_h)
+    rabi = params.rabi(1)
+    delta = math.hypot(params.detuning, rabi)
+    coupled, detuned = rabi / delta, params.detuning / delta
+    f_abs, h_abs = [], []
+    for t in np.asarray(ts, dtype=float).reshape(-1).tolist():
+        half = 0.5 * delta * t
+        sin_h, cos_h = math.sin(half), math.cos(half)
+        f_abs.append(math.hypot(cos_h, detuned * sin_h))
+        h_abs.append(abs(coupled * sin_h))
+    f_abs, h_abs = np.array(f_abs), np.array(h_abs)
+    s2, c2 = h_abs * h_abs, f_abs * f_abs
+    root = f_abs * h_abs
     u = np.array([abs(math.sin(alpha) * math.cos(alpha)) for alpha in alphas])[:, None]
     k = np.array([math.cos(alpha) ** 2 for alpha in alphas])[:, None]
     q_local = k * root
@@ -157,99 +178,6 @@ def resonance_grid(kind, alphas, rabi, ts):
     return conc, q
 
 
-@dataclass(frozen=True)
-class OffResIngredients:
-    """Coherence magnitude and opposing populations of one reduced pair.
-
-    ``z_abs`` is the magnitude of the single nonzero coherence of the reduced
-    matrix, ``b`` and ``c`` the two populations whose geometric mean opposes
-    it, so Q = z_abs - sqrt(b c).  The *_cell fields give the (row, col)
-    entries of the 4x4 reduced matrix (excited-first basis) each value maps
-    to.
-    """
-
-    z_abs: float
-    b: float
-    c: float
-    coherence_cell: tuple
-    b_cell: tuple
-    c_cell: tuple
-
-
-def _site_populations(dressed, t):
-    c2 = dressed.cos_half**2
-    s2 = dressed.sin_half**2
-    cos_dt = math.cos(dressed.splitting * t)
-    f_sq = c2 * c2 + s2 * s2 + 2.0 * c2 * s2 * cos_dt
-    h_sq = c2 * s2 * (2.0 - 2.0 * cos_dt)
-    return f_sq, h_sq
-
-
-def phi_offres_ingredients(alpha, dressed, t, pair="AB"):
-    """General-detuning |z|, b, c for the (ee, gg) family, pairs AB or Ab.
-
-    AB:  |z| = |sin a cos a| |f|^2,  b = c = cos^2(a) |f|^2 |h|^2
-    Ab:  |z| = |sin a cos a| |f||h|, b = cos^2(a) |f|^4,  c = cos^2(a) |h|^4
-
-    Both reduced matrices carry the coherence on the outer corner (rows 1<->4).
-    """
-    f_sq, h_sq = _site_populations(dressed, t)
-    u = abs(math.sin(alpha) * math.cos(alpha))
-    k = math.cos(alpha) ** 2
-    if pair == "AB":
-        return OffResIngredients(
-            z_abs=u * f_sq,
-            b=k * f_sq * h_sq,
-            c=k * f_sq * h_sq,
-            coherence_cell=(0, 3),
-            b_cell=(1, 1),
-            c_cell=(2, 2),
-        )
-    if pair == "Ab":
-        return OffResIngredients(
-            z_abs=u * math.sqrt(f_sq * h_sq),
-            b=k * f_sq * f_sq,
-            c=k * h_sq * h_sq,
-            coherence_cell=(0, 3),
-            b_cell=(1, 1),
-            c_cell=(2, 2),
-        )
-    raise ValueError(f"pair must be 'AB' or 'Ab', got {pair!r}")
-
-
-def psi_offres_ingredients(alpha, dressed, t, pair="AB"):
-    """General-detuning |z|, b, c for the (eg, ge) family, pairs AB or Ab.
-
-    Here the coherence sits on the inner anti-diagonal (rows 2<->3), and one
-    of the opposing populations vanishes identically, so Q = z_abs >= 0:
-
-    AB:  |z| = |sin a cos a| |f|^2,   b = |h|^2 (gg),             c = 0 (ee)
-    Ab:  |z| = |sin a cos a| |f||h|,  b = sin^2(a)|f|^2
-                                          + cos^2(a)|h|^2 (g,0), c = 0 (e,1)
-    """
-    f_sq, h_sq = _site_populations(dressed, t)
-    u = abs(math.sin(alpha) * math.cos(alpha))
-    if pair == "AB":
-        return OffResIngredients(
-            z_abs=u * f_sq,
-            b=h_sq,
-            c=0.0,
-            coherence_cell=(1, 2),
-            b_cell=(3, 3),
-            c_cell=(0, 0),
-        )
-    if pair == "Ab":
-        return OffResIngredients(
-            z_abs=u * math.sqrt(f_sq * h_sq),
-            b=math.sin(alpha) ** 2 * f_sq + math.cos(alpha) ** 2 * h_sq,
-            c=0.0,
-            coherence_cell=(1, 2),
-            b_cell=(3, 3),
-            c_cell=(0, 0),
-        )
-    raise ValueError(f"pair must be 'AB' or 'Ab', got {pair!r}")
-
-
 def q_identity_lhs(kind, alpha, rabi, t):
     """The combination Q^AB + Q^ab + 2 Q^Aa |tan a| - 2 Q^Ab at resonance.
 
@@ -257,15 +185,6 @@ def q_identity_lhs(kind, alpha, rabi, t):
     cos^2(a) tan(a) = sin(a) cos(a), so alpha = pi/2 is regular.  For both
     families the result is independent of t.
     """
-    u, k, s2, c2, root = _resonance_pieces(alpha, rabi, t)
-    if kind == "phi":
-        q_atoms = c2 * (u - k * s2)
-        q_cavities = s2 * (u - k * c2)
-        q_cross = root * (u - k * root)
-    elif kind == "psi":
-        q_atoms = u * c2
-        q_cavities = u * s2
-        q_cross = u * root
-    else:
-        raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
-    return q_atoms + q_cavities + 2.0 * u * root - 2.0 * q_cross
+    q = resonance_values(kind, alpha, rabi, t).q
+    u, _, _, _, root = _resonance_pieces(alpha, rabi, t)
+    return q["AB"] + q["ab"] + 2.0 * u * root - 2.0 * q["Ab"]

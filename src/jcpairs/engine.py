@@ -2,9 +2,10 @@
 
 ``GridEngine`` is the one place that chooses between the routes:
 
-* ``closed``: the resonance formulas on whole arrays (``resonance_grid``:
-  the trigonometry once per alpha and once per t, then broadcasting), bit
-  for bit the values of ``resonance_values``;
+* ``closed``: the closed form on whole arrays at any detuning
+  (``closed_grid``: the trigonometry once per alpha and once per t, then
+  broadcasting), at resonance bit for bit the values of
+  ``resonance_values``;
 * ``analytic``: dressed-state amplitude stacks (``analytic_amplitudes``);
 * ``numeric``: one diagonalization of the lattice Hamiltonian at the
   requested Fock truncation, then every (alpha, t) cell by one matrix
@@ -16,9 +17,10 @@ amplitude blocks and one batched ``mat @ dagger(mat)`` per traced dimension
 (one at ``n_max = 1``, three above it).  One ``concurrence_stack`` call then
 checks the (alpha, t, pair) stack (Hermiticity on the 10 entries on and
 above the diagonal; an exactly Hermitian stack is not symmetrized again)
-and reads C and Q of the whole block from the reduced entries.  They process the grid in blocks of at most ``BLOCK_CELLS`` cells, so
-memory stays bounded for any grid size.  The closed route keeps nothing per
-cell beyond its output and evaluates the whole grid in one call.
+and reads C and Q of the whole block from the reduced entries.  They process
+the grid in blocks of at most ``BLOCK_CELLS`` cells, so memory stays bounded
+for any grid size.  The closed route keeps nothing per cell beyond its output
+and evaluates the whole grid in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import resonance_grid
+from .closedform import closed_grid
 from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from .entanglement import PAIR_LABELS, concurrence_stack
 from .jcmodel import total_hamiltonian
@@ -65,10 +67,6 @@ class GridEngine:
             raise ValueError(f"engine must be one of {ENGINES}, got {name!r}")
         if kind not in FAMILY_KINDS:
             raise ValueError(f"kind must be one of {FAMILY_KINDS}, got {kind!r}")
-        if name == "closed" and abs(params.detuning) > 1e-12:
-            raise ValueError(
-                f"closed-form engine needs resonance, got detuning {params.detuning!r}"
-            )
         self.name = name
         self.kind = kind
         self.params = params
@@ -87,7 +85,7 @@ class GridEngine:
         if unknown:
             raise ValueError(f"unknown pairs {unknown}; expected labels from {PAIR_LABELS}")
         if self.name == "closed":
-            conc, q = resonance_grid(self.kind, alphas, self.params.rabi(1), ts)
+            conc, q = closed_grid(self.kind, alphas, self.params, ts)
             cols = [PAIR_LABELS.index(pair) for pair in pairs]
             return GridValues(pairs=pairs, concurrence=conc[..., cols], q=q[..., cols])
         conc = np.empty((alphas.size, ts.size, len(pairs)))

@@ -269,6 +269,25 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, conf_line, allowed", [
+    ("evolve", "format = xml", "'csv', 'json'"),
+    ("esd", "engine = both", "'closed', 'analytic', 'numeric'"),
+    ("evolve", "engine = closed", "'analytic', 'numeric', 'both'"),
+    ("sweep", "family = chi", "'phi', 'psi'"),
+], ids=["format-xml", "esd-engine-both", "evolve-engine-closed", "family-chi"])
+def test_config_value_outside_the_flag_choices_is_a_usage_error(tmp_path, capsys, command,
+                                                                 conf_line, allowed):
+    # a config value must be one the flag accepts, with the same message for every key
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"steps = 2\n{conf_line}\n")
+    out = tmp_path / "out"
+    assert run(command, "--config", str(conf), "--output", str(out)) == 1
+    key, value = (part.strip() for part in conf_line.split("="))
+    assert capsys.readouterr().err == (
+        f"error: {conf}:2: bad value for {key}: {value!r} (choose from {allowed})\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("conf_line, flags, expected", [
     ("alpha_deg = 10", ["--alpha", "0.2"], 0.2),
     ("alpha = 0.3", ["--alpha-deg", "45"], math.pi / 4),
@@ -524,3 +543,19 @@ def test_requests_in_one_process_match_fresh_processes(tmp_path, capsys, sequenc
         out, err = capsys.readouterr()
         assert (code, out, err) == _fresh_process(argv)
     assert cli._build_parser.cache_info().misses == built
+
+
+def test_detuned_closed_sweep_agrees_with_the_analytic_sweep(tmp_path):
+    tables = {}
+    for engine in ("closed", "analytic"):
+        out = tmp_path / f"{engine}.csv"
+        assert run("sweep", "--engine", engine, "--omega", "5.7", "--alpha-points", "21",
+                   "--steps", "200", "--output", str(out)) == 0
+        tables[engine] = read_csv(out)
+    closed, analytic = tables["closed"], tables["analytic"]
+    assert len(closed) == len(analytic) == 21 * 201 * len(PAIR_LABELS)
+    for ours, theirs in zip(closed, analytic):
+        assert [ours[key] for key in ("alpha", "t", "Gt", "pair")] == \
+            [theirs[key] for key in ("alpha", "t", "Gt", "pair")]
+        assert abs(float(ours["C"]) - float(theirs["C"])) <= 1e-12
+        assert abs(float(ours["Q"]) - float(theirs["Q"])) <= 1e-12

@@ -4,21 +4,14 @@ import numpy as np
 import pytest
 
 from jcpairs import (
-    HamiltonianPropagator,
     InitialFamily,
     all_pairwise,
     evolve_analytic,
-    phi_offres_ingredients,
     phi_resonance,
-    prepare_initial,
-    psi_offres_ingredients,
     psi_resonance,
     q_identity_lhs,
     resonance_values,
-    total_hamiltonian,
 )
-from jcpairs.jcmodel import JCParams, dressed_data
-from jcpairs.linalg import partial_trace
 
 G = 2.0  # resonance Rabi splitting for g = 1
 
@@ -125,54 +118,6 @@ def test_q_for_covers_all_pairs():
     assert vals.q_for("Bb") == pytest.approx(0.5 * vals.concurrence["Bb"], abs=1e-15)
     with pytest.raises(KeyError):
         vals.q_for("xy")
-
-
-def test_offres_reduces_to_resonance():
-    d = dressed_data(JCParams(omega0=5.0, omega=5.0, g=1.0), 1)
-    for alpha in (0.3, 1.0):
-        for t in np.linspace(0.0, 3.0, 9):
-            gt_half = 0.5 * d.splitting * t
-            f_sq, h_sq = math.cos(gt_half) ** 2, math.sin(gt_half) ** 2
-            u = abs(math.sin(alpha) * math.cos(alpha))
-            k = math.cos(alpha) ** 2
-            ab = phi_offres_ingredients(alpha, d, t, "AB")
-            assert ab.z_abs == pytest.approx(u * f_sq, abs=1e-14)
-            assert ab.b == pytest.approx(k * f_sq * h_sq, abs=1e-14)
-            cross = phi_offres_ingredients(alpha, d, t, "Ab")
-            assert cross.z_abs == pytest.approx(u * math.sqrt(f_sq * h_sq), abs=1e-14)
-
-
-def test_offres_initial_coherence():
-    d = dressed_data(JCParams(omega0=5.0, omega=6.5, g=0.4), 1)
-    alpha = 0.9
-    ing = phi_offres_ingredients(alpha, d, 0.0, "AB")
-    assert ing.z_abs == pytest.approx(abs(math.sin(alpha) * math.cos(alpha)), abs=1e-14)
-    assert ing.b == pytest.approx(0.0, abs=1e-14)
-    assert ing.c == pytest.approx(0.0, abs=1e-14)
-
-
-def test_offres_matches_numeric_reduction():
-    # Delta = G: the printed ingredients reproduce the reduced-matrix entries
-    params = JCParams(omega0=5.0, omega=7.0, g=1.0)
-    d = dressed_data(params, 1)
-    alpha = np.pi / 5
-    t = 1.3 / d.splitting
-    h = total_hamiltonian(params, params, 1)
-    prop = HamiltonianPropagator(h)
-    for kind, fn in (("phi", phi_offres_ingredients), ("psi", psi_offres_ingredients)):
-        state = prop.evolve(prepare_initial(InitialFamily(kind, alpha)), t)
-        for pair, keep in (("AB", ("A", "B")), ("Ab", ("A", "b"))):
-            rho = partial_trace(state, keep)
-            ing = fn(alpha, d, t, pair)
-            assert abs(rho[ing.coherence_cell]) == pytest.approx(ing.z_abs, abs=1e-9)
-            assert rho[ing.b_cell].real == pytest.approx(ing.b, abs=1e-9)
-            assert rho[ing.c_cell].real == pytest.approx(ing.c, abs=1e-9)
-
-
-def test_offres_rejects_unknown_pair():
-    d = dressed_data(JCParams(omega0=5.0, omega=6.0, g=0.5), 1)
-    with pytest.raises(ValueError, match="pair"):
-        phi_offres_ingredients(0.3, d, 1.0, "Aa")
 
 
 def test_q_identity_vanishes_for_product_state():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -434,5 +435,37 @@ def test_sweep_validations(capsys):
     assert "alpha-max must exceed alpha-min" in capsys.readouterr().err
     assert main([*base, "--engine", "spectral"]) == 1
     assert "--engine" in capsys.readouterr().err
-    assert main([*base, "--engine", "closed", "--omega", "6"]) == 1
-    assert "closed-form engine needs resonance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, math.pi - 0.3, 0.9])
+def test_esd_closed_route_at_a_detuned_site(tmp_path, alpha):
+    # Delta = 1, G = 2, delta = sqrt(5): the AB window exists iff
+    # |tan alpha| < G^2/delta^2, below the critical angle arctan(4/5) = 0.675,
+    # and recurs every 2 pi / delta
+    params = JCParams(omega0=5.0, omega=6.0, g=1.0)
+    reports = {}
+    for engine in ("closed", "analytic"):
+        out = tmp_path / f"{engine}.json"
+        assert main(["esd", "--engine", engine, "--omega", "6", "--alpha", str(alpha),
+                     "--output", str(out)]) == 0
+        reports[engine] = json.loads(out.read_text())
+    closed, analytic = reports["closed"], reports["analytic"]
+    for pair in PAIR_LABELS:
+        ours, theirs = closed["pairs"][pair], analytic["pairs"][pair]
+        assert [iv["kind"] for iv in ours] == [iv["kind"] for iv in theirs]
+        for a, b in zip(ours, theirs):
+            assert abs(a["t_lo"] - b["t_lo"]) <= 1e-12 and abs(a["t_hi"] - b["t_hi"]) <= 1e-12
+
+    window = boundary_AB("phi", alpha, params)
+    if abs(math.tan(alpha)) >= G**2 / (params.detuning**2 + G**2):
+        assert window is None and closed["boundary_AB"] is None
+        assert closed["pairs"]["AB"] == []  # |f|^2 >= (Delta/delta)^2 > 0: not even a touch
+        return
+    assert closed["boundary_AB"] == {"gt_lo": window[0], "gt_hi": window[1]}
+    period = 2 * math.pi * G / math.hypot(params.detuning, G)  # in units of Gt
+    deaths = [iv for iv in closed["pairs"]["AB"] if iv["kind"] == "sudden_death"]
+    whole = [iv for iv in deaths if iv["t_hi"] < closed["t_max"]]  # leave out a window cut at t_max
+    assert len(whole) == 2
+    for k, iv in enumerate(whole):
+        assert abs(iv["gt_lo"] - (window[0] + k * period)) <= 1e-12
+        assert abs(iv["gt_hi"] - (window[1] + k * period)) <= 1e-12
