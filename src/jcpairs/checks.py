@@ -23,7 +23,7 @@ import numpy as np
 from .closedform import q_identity_lhs
 from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from .engine import GridEngine
-from .entanglement import PAIR_LABELS, concurrence_stack, off_x_defect, wootters_concurrence
+from .entanglement import PAIR_LABELS, concurrence_stack, off_x_defect
 from .jcmodel import total_hamiltonian
 from .linalg import pair_densities
 
@@ -87,15 +87,15 @@ def run_checks(params, tol, inject_fault=False):
         shift_gap = max(shift_gap, gap(c["ab"][:, 4:], c["AB"][:, :-4]))
 
         # every reduction of both evolution routes is X-shaped, and its
-        # entry-read C is the Wootters C; the numeric route's zero entries
-        # carry round-off, which the general route must not amplify
+        # entry-read C is the Wootters C (x_tol < 0 sends every cell through
+        # the general route); the numeric route's zero entries carry
+        # round-off, which the general route must not amplify
         routes = ((analytic_amplitudes(kind, alphas, ts, params), analytic),
                   (propagator.evolve_grid(initial_amplitudes(kind, alphas), ts), numeric))
         for psi, conc in routes:
             rho = pair_densities(psi, PAIR_LABELS)  # (alpha, t, pair, 4, 4), as conc
             max_x_defect = max(max_x_defect, float(np.max(off_x_defect(rho))))
-            general = [wootters_concurrence(cell).value for cell in rho.reshape(-1, 4, 4)]
-            max_fastpath = max(max_fastpath, gap(conc.reshape(-1), np.array(general)))
+            max_fastpath = max(max_fastpath, gap(conc, concurrence_stack(rho, x_tol=-1.0)[0]))
 
     # C^Ab of the psi family peaks at exactly one half
     fine_alpha = np.linspace(0.0, 0.5 * math.pi, 41)
@@ -116,8 +116,8 @@ def run_checks(params, tol, inject_fault=False):
 
     rng = np.random.default_rng(7)
     states = np.array([random_x_state(rng) for _ in range(200)])
-    general = [wootters_concurrence(rho).value for rho in states]
-    max_fastpath = max(max_fastpath, gap(concurrence_stack(states)[0], np.array(general)))
+    max_fastpath = max(max_fastpath, gap(concurrence_stack(states)[0],
+                                         concurrence_stack(states, x_tol=-1.0)[0]))
 
     return [
         ("engine_agreement", max_engine <= tol,

@@ -8,9 +8,12 @@ Hamiltonian's energy zero point, so they agree at the amplitude level, not
 just in derived quantities.
 
 Each engine evolves one state at one time (``evolve_analytic``,
-``HamiltonianPropagator.evolve``) or a whole (alpha, t) grid at once
+``HamiltonianPropagator.evolve``) or a whole (alpha, t) block at once
 (``analytic_amplitudes``, ``HamiltonianPropagator.evolve_grid``), returning
-amplitude stacks of shape (n_alpha, n_t, 2, d, 2, d).
+amplitude stacks with the cells last, shape (2, d, 2, d, n_alpha, n_t): each
+amplitude is one row of n_alpha n_t values, which is what the reducer
+(``linalg.pair_entries``) works on.  Given a ``linalg.Workspace``, the grid
+routes write their result and their temporaries into its buffers.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jcmodel import dressed_data
-from .linalg import hermiticity_defect
+from .linalg import Workspace, hermiticity_defect
 
 FAMILY_KINDS = ("phi", "psi")
 
@@ -75,15 +78,15 @@ class FourPartiteState:
 
 
 def initial_amplitudes(kind, alphas, n_max=1):
-    """Initial tensors (..., 2, n_max+1, 2, n_max+1) of the family for each alpha."""
+    """Initial tensors (2, n_max+1, 2, n_max+1, *alphas.shape) of the family, one per alpha."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     alphas = np.asarray(alphas, dtype=float)
     n_ph = n_max + 1
-    psi = np.zeros(alphas.shape + (2, n_ph, 2, n_ph), dtype=complex)
+    psi = np.zeros((2, n_ph, 2, n_ph) + alphas.shape, dtype=complex)
     first, second = _INITIAL_CELLS[kind]
-    psi[(Ellipsis, *first)] = np.cos(alphas)
-    psi[(Ellipsis, *second)] = np.sin(alphas)
+    psi[first] = np.cos(alphas)
+    psi[second] = np.sin(alphas)
     return psi
 
 
@@ -111,18 +114,18 @@ def _site_factors(params, t):
 
 
 def _fill_evolved(psi, kind, ca, sa, f, h, ground):
-    """Write the evolved family into the (..., 2, 2, 2, 2) tensor ``psi``."""
+    """Write the evolved family into the zeroed (2, 2, 2, 2, ...) tensor ``psi``."""
     if kind == "phi":
-        psi[..., 0, 0, 0, 0] = ca * f * f
-        psi[..., 0, 0, 1, 1] = ca * f * h
-        psi[..., 1, 1, 0, 0] = ca * h * f
-        psi[..., 1, 1, 1, 1] = ca * h * h
-        psi[..., 1, 0, 1, 0] = sa * ground * ground
+        psi[0, 0, 0, 0] = ca * f * f
+        psi[0, 0, 1, 1] = ca * f * h
+        psi[1, 1, 0, 0] = ca * h * f
+        psi[1, 1, 1, 1] = ca * h * h
+        psi[1, 0, 1, 0] = sa * ground * ground
     else:
-        psi[..., 0, 0, 1, 0] = ca * f * ground
-        psi[..., 1, 1, 1, 0] = ca * h * ground
-        psi[..., 1, 0, 0, 0] = sa * ground * f
-        psi[..., 1, 0, 1, 1] = sa * ground * h
+        psi[0, 0, 1, 0] = ca * f * ground
+        psi[1, 1, 1, 0] = ca * h * ground
+        psi[1, 0, 0, 0] = sa * ground * f
+        psi[1, 0, 1, 1] = sa * ground * h
     return psi
 
 
@@ -138,14 +141,23 @@ def evolve_analytic(family, params, t):
     return FourPartiteState(dims=psi.shape, amplitudes=psi.reshape(-1), time=t)
 
 
-def analytic_amplitudes(kind, alphas, ts, params):
-    """``evolve_analytic`` over a grid: a (n_alpha, n_t, 2, 2, 2, 2) amplitude stack."""
-    alphas = np.asarray(alphas, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    f, h, ground = _site_factors(params, ts)
-    ca, sa = np.cos(alphas)[:, None], np.sin(alphas)[:, None]
-    psi = np.zeros((alphas.size, ts.size, 2, 2, 2, 2), dtype=complex)
-    return _fill_evolved(psi, kind, ca, sa, f, h, ground)
+def analytic_amplitudes(kind, alphas, ts, params, *, work=None):
+    """``evolve_analytic`` over a grid: a (2, 2, 2, 2, n_alpha, n_t) amplitude stack.
+
+    The products run on flat vectors of the n_alpha n_t cells, so each cell
+    takes the same numpy loop whatever the block's shape (a one-cell block
+    broadcast from an (n_alpha, 1) and an (n_t,) operand takes a loop that
+    rounds complex products differently).  The stack is the
+    ``"amplitudes"`` buffer of ``work`` when one is given.
+    """
+    alphas = np.asarray(alphas, dtype=float).reshape(-1)
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    f, h, ground = (np.tile(x, alphas.size) for x in _site_factors(params, ts))
+    ca, sa = (np.repeat(trig(alphas), ts.size).astype(complex) for trig in (np.cos, np.sin))
+    psi = (Workspace() if work is None else work).get("amplitudes", (2, 2, 2, 2, alphas.size, ts.size))
+    psi.fill(0.0)
+    _fill_evolved(psi.reshape(2, 2, 2, 2, -1), kind, ca, sa, f, h, ground)
+    return psi
 
 
 class HamiltonianPropagator:
@@ -158,6 +170,7 @@ class HamiltonianPropagator:
             raise ValueError(f"Hamiltonian is not Hermitian: asymmetry {defect:.3e}")
         self._dim = h.shape[0]
         self._w, self._v = np.linalg.eigh(h)
+        self._v_conj = self._v.conj()
 
     def evolve(self, state, t):
         amps = np.asarray(state.amplitudes, dtype=complex).reshape(-1)
@@ -165,25 +178,51 @@ class HamiltonianPropagator:
             raise ValueError(
                 f"dimension mismatch: state has {amps.size} amplitudes, Hamiltonian is {self._dim}x{self._dim}"
             )
-        coeffs = self._v.conj().T @ amps
+        coeffs = self._v_conj.T @ amps
         evolved = self._v @ (np.exp(-1j * self._w * t) * coeffs)
         return FourPartiteState(dims=state.dims, amplitudes=evolved, time=state.time + t)
 
-    def evolve_grid(self, psi0, ts):
-        """Evolve a stack of initial tensors (n_states, ...) to every time in ``ts``.
+    def evolve_grid(self, psi0, ts, *, work=None):
+        """Evolve initial tensors (..., n_states) to every time in ``ts``, shape (..., n_states, n_t).
 
-        Returns shape (n_states, n_t, ...): V (exp(-i Lambda t) (V^dag psi0))
-        for all states and times as one matrix product.
+        The amplitudes are V (exp(-i Lambda t) (V^dag psi0)): the phased
+        eigen-coefficients of all cells form one (cells, dim) matrix X, and
+        one product X V^T gives every cell's amplitudes, which are then
+        laid out with the cells last.  Both products take at least two
+        rows (a lone row gets a zero row below it): OpenBLAS computes a
+        one-row product by its vector kernel, whose rounding differs, and
+        with two or more rows each row's bits do not depend on the others.  So a cell's
+        amplitudes do not depend on how the grid is split into calls.  The
+        result and the temporaries live in ``work`` (a ``Workspace``) when
+        one is given.
         """
         psi0 = np.asarray(psi0, dtype=complex)
-        flat = psi0.reshape(psi0.shape[0], -1)
-        if flat.shape[1] != self._dim:
+        n_states = psi0.shape[-1]
+        flat = psi0.reshape(-1, n_states)
+        if flat.shape[0] != self._dim:
             raise ValueError(
-                f"dimension mismatch: states have {flat.shape[1]} amplitudes, "
+                f"dimension mismatch: states have {flat.shape[0]} amplitudes, "
                 f"Hamiltonian is {self._dim}x{self._dim}"
             )
-        coeffs = flat @ self._v.conj()
-        phases = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=float), self._w))
-        evolved = (coeffs[:, None, :] * phases) @ self._v.T
-        return evolved.reshape(psi0.shape[:1] + (phases.shape[0],) + psi0.shape[1:])
+        if work is None:
+            work = Workspace()
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        n_t, cells = ts.size, n_states * ts.size
+        coeffs = _at_least_two_rows(flat.T) @ self._v_conj
+        # the exponent -i w t written in place as (+0, t (-w)): the bits of -1j * outer(ts, w)
+        phases = work.get("evolve.phases", (n_t, self._dim))
+        phases.real = 0.0
+        np.multiply.outer(ts, -self._w, out=phases.imag)
+        np.exp(phases, out=phases)
+        x = work.get("evolve.x", (max(cells, 2), self._dim))
+        np.multiply(coeffs[:n_states, None, :], phases, out=x[:cells].reshape(n_states, n_t, self._dim))
+        x[cells:] = 0.0
+        y = np.matmul(x, self._v.T, out=work.get("evolve.y", x.shape))
+        out = work.get("amplitudes", psi0.shape + (n_t,))
+        np.copyto(out.reshape(self._dim, cells), y[:cells].T)
+        return out
 
+
+def _at_least_two_rows(rows):
+    """``rows`` (n, k), with a zero row below it when n = 1."""
+    return np.concatenate([rows, np.zeros_like(rows)]) if rows.shape[0] == 1 else rows

@@ -11,16 +11,23 @@
   requested Fock truncation, then every (alpha, t) cell by one matrix
   product (``HamiltonianPropagator.evolve_grid``).
 
-The two evolution routes evolve each cell once and reduce it to every
-requested pair with one ``pair_densities`` call: one gather of the pairs'
-amplitude blocks and one batched ``mat @ dagger(mat)`` per traced dimension
-(one at ``n_max = 1``, three above it).  One ``concurrence_stack`` call then
-checks the (alpha, t, pair) stack (Hermiticity on the 10 entries on and
-above the diagonal; an exactly Hermitian stack is not symmetrized again)
-and reads C and Q of the whole block from the reduced entries.  They process
-the grid in blocks of at most ``BLOCK_CELLS`` cells, so memory stays bounded
-for any grid size.  The closed route keeps nothing per cell beyond its output
-and evaluates the whole grid in one call.
+The two evolution routes evolve each block of cells once, with the cells
+last (amplitudes (2, d, 2, d, n_alpha, n_t)), and reduce it to every
+requested pair with one ``pair_entries`` call: for each traced index, one
+gather of the entries' amplitude rows and of their partners' conjugate rows
+and one elementwise product, on rows as long as the block, per traced
+dimension (one at ``n_max = 1``, three above it).  That gives the 10 entries
+on and above the diagonal of every pair density, Hermitian by construction.
+One ``concurrence_from_entries`` call then checks every cell (trace, and PSD
+from the two 2x2 blocks of X cells) and reads C and Q straight from those
+entries into the output; only cells off the X pattern are built as 4x4
+matrices.  They process the grid in blocks of at most ``BLOCK_CELLS`` cells,
+so memory stays bounded for any grid size, and every block writes into one
+``Workspace`` that ``values`` allocates per call, sized by its first block:
+no block allocates a large temporary of its own.  A cell's values do not
+depend on how the grid is split into blocks or calls.  The closed route
+keeps nothing per cell beyond its output and evaluates the whole grid in one
+call.
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ import numpy as np
 
 from .closedform import closed_grid
 from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
-from .entanglement import PAIR_LABELS, concurrence_stack
+from .entanglement import PAIR_LABELS, concurrence_from_entries
 from .jcmodel import total_hamiltonian
-from .linalg import pair_densities
+from .linalg import Workspace, pair_entries
 
 ENGINES = ("closed", "analytic", "numeric")
 # A cell holds 4 (n_max + 1)^2 amplitudes on the numeric route, so one block
@@ -92,22 +99,17 @@ class GridEngine:
         q = np.empty_like(conc)
         t_step = max(1, min(ts.size, BLOCK_CELLS))
         a_step = max(1, BLOCK_CELLS // t_step)
+        work = Workspace()
         for a0 in range(0, alphas.size, a_step):
             for t0 in range(0, ts.size, t_step):
                 block = (slice(a0, a0 + a_step), slice(t0, t0 + t_step))
-                conc[block], q[block] = concurrence_stack(
-                    self._pair_densities(alphas[block[0]], ts[block[1]], pairs)
-                )
+                if self.name == "analytic":
+                    amps = analytic_amplitudes(self.kind, alphas[block[0]], ts[block[1]], self.params,
+                                               work=work)
+                else:
+                    psi0 = initial_amplitudes(self.kind, alphas[block[0]], self.n_max)
+                    amps = self._propagator.evolve_grid(psi0, ts[block[1]], work=work)
+                entries = pair_entries(amps, pairs, work=work)  # (pair, 10, alpha, t)
+                concurrence_from_entries(np.moveaxis(entries, (1, 0), (0, -1)),
+                                         out=(conc[block], q[block]))
         return GridValues(pairs=pairs, concurrence=conc, q=q)
-
-    def _pair_densities(self, alphas, ts, pairs):
-        """Reduced densities of the evolved block, shape (n_alpha, n_t, n_pairs, 4, 4).
-
-        A method of its own so that the amplitude stack is freed before
-        ``concurrence_stack`` allocates its temporaries.
-        """
-        if self.name == "analytic":
-            psi = analytic_amplitudes(self.kind, alphas, ts, self.params)
-        else:
-            psi = self._propagator.evolve_grid(initial_amplitudes(self.kind, alphas, self.n_max), ts)
-        return pair_densities(psi, pairs)

@@ -8,6 +8,11 @@ reads the concurrence of X-shaped matrices directly from their entries:
 the corner coherence competes with the inner populations and vice versa,
 
     C = 2 max{0, |z| - sqrt(b c), |w| - sqrt(a d)}.
+
+``concurrence_from_entries`` is the one stack reader: it takes the 10
+entries on and above the diagonal that ``linalg.pair_entries`` writes
+(cells last) and checks and reads every cell from them; only cells off the
+X pattern are built as 4x4 matrices for the general route.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA_Y, dagger, kron, partial_trace, sqrt_psd
+from .linalg import SIGMA_Y, dagger, entry_matrices, kron, partial_trace, sqrt_psd, upper_entries
 
 PAIR_LABELS = ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
 
@@ -59,6 +64,11 @@ def _reject_first(bad, values, what):
     raise ValueError(f"invalid density matrix: {what} {np.ravel(values)[first]:.3e}{where}")
 
 
+def _check_trace(trace, trace_tol=1e-8):
+    trace_err = np.abs(trace - 1.0)
+    _reject_first(trace_err > trace_tol, trace_err, "trace deviates from 1 by")
+
+
 def _hermitian_part(rho, *, trace_tol=1e-8, herm_tol=1e-8):
     """Check the trace and Hermiticity of a 4x4 matrix or a (..., 4, 4) stack.
 
@@ -69,8 +79,7 @@ def _hermitian_part(rho, *, trace_tol=1e-8, herm_tol=1e-8):
     """
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    trace_err = np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
-    _reject_first(trace_err > trace_tol, trace_err, "trace deviates from 1 by")
+    _check_trace(rho.trace(axis1=-2, axis2=-1), trace_tol)
     flat = rho.reshape(rho.shape[:-2] + (16,))
     diff, mirror = np.take(flat, _UPPER, axis=-1), np.take(flat, _MIRROR, axis=-1)
     diff -= np.conjugate(mirror, out=mirror)  # rho - rho^dag on and above the diagonal
@@ -98,10 +107,9 @@ def off_x_defect(rho):
     return np.abs(rho[..., _OFF_X_ROWS, _OFF_X_COLS]).max(axis=-1)
 
 
-def _x_entries(rho):
-    """Real diagonal (a, b, c, d) and coherence moduli |rho[0,3]|, |rho[1,2]|, per 4x4 cell."""
-    diag = rho.diagonal(axis1=-2, axis2=-1).real
-    return (*(diag[..., i] for i in range(4)), np.abs(rho[..., 0, 3]), np.abs(rho[..., 1, 2]))
+def _x_entries(entries):
+    """Real diagonal (a, b, c, d) and coherence moduli |rho[0,3]|, |rho[1,2]| from the 10 ``upper_entries``."""
+    return (*entries[:4].real, np.abs(entries[4]), np.abs(entries[5]))
 
 
 def _x_qs(entries):
@@ -112,10 +120,14 @@ def _x_qs(entries):
 
 
 def _x_lowest(entries):
-    """Lowest eigenvalue of Hermitian X-shaped matrices from their ``_x_entries``, via the two 2x2 blocks."""
+    """Lowest eigenvalue of Hermitian X-shaped matrices from their ``_x_entries``, via the two 2x2 blocks.
+
+    The square roots take sums of squares rather than ``np.hypot``, which
+    runs a scalar loop; density entries are at most 1, so nothing overflows.
+    """
     a, b, c, d, z, w = entries
-    corner = 0.5 * (a + d) - np.hypot(0.5 * (a - d), z)
-    inner = 0.5 * (b + c) - np.hypot(0.5 * (b - c), w)
+    corner = 0.5 * (a + d) - np.sqrt(np.square(0.5 * (a - d)) + np.square(z))
+    inner = 0.5 * (b + c) - np.sqrt(np.square(0.5 * (b - c)) + np.square(w))
     return np.minimum(corner, inner)
 
 
@@ -142,7 +154,7 @@ def wootters_concurrence(rho, *, validate=True, x_tol=1e-10):
     value = max(0.0, sigma[0] - sigma[1] - sigma[2] - sigma[3])
     q_corner = q_inner = None
     if off_x_defect(rho) <= x_tol:
-        q_corner, q_inner = (float(q) for q in _x_qs(_x_entries(rho)))
+        q_corner, q_inner = (float(q) for q in _x_qs(_x_entries(upper_entries(rho))))
     return ConcurrenceResult(
         value=float(value),
         zeta_eigenvalues=np.clip(sigma**2, 0.0, None),
@@ -169,7 +181,7 @@ def xstate_concurrence(rho, *, off_x_tol=1e-10, validate=True):
         raise ValueError(
             f"entry {pos} has magnitude {defect:.3e}, above the X-pattern tolerance {off_x_tol:.3e}"
         )
-    q_corner, q_inner = (float(q) for q in _x_qs(_x_entries(rho)))
+    q_corner, q_inner = (float(q) for q in _x_qs(_x_entries(upper_entries(rho))))
     diag = np.clip(rho.diagonal().real, 0.0, None)
     a, b, c, d = diag
     z, w = abs(rho[0, 3]), abs(rho[1, 2])
@@ -194,27 +206,46 @@ def xstate_concurrence(rho, *, off_x_tol=1e-10, validate=True):
 def concurrence_stack(rho, *, x_tol=1e-10):
     """Concurrence and signed Q of every cell of a (..., 4, 4) stack of densities.
 
-    The stack is validated once; the first invalid cell is named in the
-    error.  Cells that are X-shaped to within ``x_tol`` take their values
-    from the entries, C = 2 max{0, q_corner, q_inner} and Q = max(q_corner,
-    q_inner); any other cell goes through the general Wootters route and
-    gets Q = NaN.  Returns arrays (C, Q) of the stack's leading shape.
-
-    The PSD check of an X cell reads its lowest eigenvalue from the two 2x2
-    blocks; ignoring off-X entries up to ``x_tol`` moves it by at most
-    sqrt(12) x_tol (Weyl), far below the 1e-8 PSD tolerance.
+    The trace and Hermiticity of the stack are checked once (the first
+    invalid cell is named in the error); ``concurrence_from_entries`` then
+    reads C and Q from the entries of its Hermitian part.  Returns arrays
+    (C, Q) of the stack's leading shape.
     """
     rho = _hermitian_part(np.asarray(rho, dtype=complex))
-    general = np.array(off_x_defect(rho) > x_tol)  # arrays also for a single matrix
-    entries = _x_entries(rho)
-    lowest = np.array(_x_lowest(entries))
+    return concurrence_from_entries(upper_entries(rho), x_tol=x_tol)
+
+
+def concurrence_from_entries(entries, *, x_tol=1e-10, out=None):
+    """Concurrence and signed Q of Hermitian densities given as their 10 upper entries (10, ...).
+
+    ``entries`` holds the ``linalg.ENTRY_ROWS``/``ENTRY_COLS`` entries of
+    each cell, as ``linalg.pair_entries`` writes them; the results have its
+    trailing shape and go to ``out`` = (C, Q) when given.  Every cell's trace
+    is checked, and its PSD-ness: an X cell's lowest eigenvalue is read from
+    the two 2x2 blocks, which ignoring off-X entries up to ``x_tol`` moves
+    by at most sqrt(12) x_tol (Weyl), far below the 1e-8 PSD tolerance.
+    Cells that are X-shaped to within ``x_tol`` take their values from the
+    entries, C = 2 max{0, q_corner, q_inner} and Q = max(q_corner,
+    q_inner); any other cell is built as a 4x4 matrix, goes through the
+    general Wootters route and gets Q = NaN.  The first invalid cell is
+    named in the error.
+    """
+    shape = entries.shape[1:]
+    conc, q = (np.empty(shape), np.empty(shape)) if out is None else out
+    diag = entries[:4].real
+    _check_trace(diag[0] + diag[1] + diag[2] + diag[3])
+    general = np.array(np.abs(entries[6:]).max(axis=0) > x_tol)  # arrays also for a single matrix
+    x = _x_entries(entries)
+    lowest = np.array(_x_lowest(x))
     if general.any():
-        lowest[general] = np.linalg.eigvalsh(rho[general])[..., 0]
+        off_x = entry_matrices(entries[:, general])
+        lowest[general] = np.linalg.eigvalsh(off_x)[..., 0]
     _reject_non_psd(lowest)
-    q = np.array(np.maximum(*_x_qs(entries)))
-    conc = np.array(2.0 * np.maximum(q, 0.0))
+    np.maximum(*_x_qs(x), out=q)
+    np.maximum(q, 0.0, out=conc)
+    conc *= 2.0
     if general.any():
-        sigma = _flip_singular_values(rho[general])
+        sigma = _flip_singular_values(off_x)
         conc[general] = np.maximum(0.0, sigma[..., 0] - sigma[..., 1] - sigma[..., 2] - sigma[..., 3])
         q[general] = np.nan
     return conc, q

@@ -4,18 +4,32 @@ Conventions used throughout the package: matrices are numpy complex arrays;
 the lattice tensor factors are ordered (A, a, B, b) = (atom, cavity, atom,
 cavity); every two-level basis lists the excited level first (atoms: e then
 g; cavities reduced to qubits: one photon then vacuum).
+
+Stacks of states put the cells last: amplitudes of shape (d_A, d_a, d_B,
+d_b, *cells), so each amplitude is one row as long as the stack.
+``pair_entries``, the one reducer, turns them into the 10 entries on and
+above the diagonal of each pair's 4x4 density, (pairs, 10, *cells), with
+elementwise products on those rows; ``entry_matrices`` and
+``pair_densities`` give the same densities as (..., 4, 4) matrices.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 SUBSYSTEMS = ("A", "a", "B", "b")
 CAVITY_SUBSYSTEMS = frozenset(("a", "b"))
 _AXIS = {label: i for i, label in enumerate(SUBSYSTEMS)}
+
+# The 10 entries on and above the diagonal of a 4x4 density, in the order
+# the reducer writes them: the diagonal (a, b, c, d), the X coherences
+# rho[0, 3] and rho[1, 2], then the four entries off the X pattern.
+ENTRY_ROWS = np.array([0, 1, 2, 3, 0, 1, 0, 0, 1, 2])
+ENTRY_COLS = np.array([0, 1, 2, 3, 3, 2, 1, 2, 3, 3])
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -64,11 +78,47 @@ def sqrt_psd(m, tol=1e-12):
     return 0.5 * (root + dagger(root))
 
 
+
+
+class Workspace:
+    """Named flat buffers that every block of one grid evaluation reuses.
+
+    ``get(name, shape, dtype)`` returns a C-contiguous view of the first
+    prod(shape) elements of the buffer called ``name``, allocating it only
+    when it is missing or too small.  The first block of a grid is its
+    largest, so each buffer is allocated once per grid and later blocks
+    write into memory that is already mapped.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def get(self, name, shape, dtype=complex):
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def upper_entries(rho):
+    """The 10 entries of a 4x4 matrix or stack (..., 4, 4), in ``ENTRY_ROWS``/``ENTRY_COLS`` order, as (10, ...)."""
+    return np.moveaxis(np.asarray(rho)[..., ENTRY_ROWS, ENTRY_COLS], -1, 0)
+
+
+def entry_matrices(entries):
+    """Hermitian 4x4 matrices (..., 4, 4) from their 10 entries (10, ...): the lower triangle is the conjugate mirror."""
+    rho = np.empty(entries.shape[1:] + (4, 4), dtype=complex)
+    rho[..., ENTRY_ROWS, ENTRY_COLS] = np.moveaxis(entries, 0, -1)
+    rho[..., ENTRY_COLS[4:], ENTRY_ROWS[4:]] = np.moveaxis(entries[4:], 0, -1).conj()
+    return rho
+
+
 def partial_trace(state, keep, *, leak_tol=1e-10):
     """Reduce a four-factor pure state to the 4x4 density matrix of two factors.
 
     ``state`` must expose ``dims`` (the four factor dimensions) and
-    ``amplitudes`` (flat vector); see ``pair_densities`` for ``keep``, the
+    ``amplitudes`` (flat vector); see ``pair_entries`` for ``keep``, the
     basis order and the cavity projection.
     """
     psi = np.asarray(state.amplitudes, dtype=complex).reshape(tuple(state.dims))
@@ -81,13 +131,21 @@ def pair_density(psi, keep, *, leak_tol=1e-10):
 
 
 def pair_densities(psi, pairs, *, leak_tol=1e-10):
-    """Reduce a stack of four-factor pure states to the 4x4 densities of several pairs.
+    """``pair_entries`` as 4x4 matrices: shape (*cells, len(pairs), 4, 4) for amplitudes (d_A, d_a, d_B, d_b, *cells)."""
+    return entry_matrices(np.moveaxis(pair_entries(psi, pairs, leak_tol=leak_tol), 0, -1))
 
-    ``psi`` has shape (..., d_A, d_a, d_B, d_b), one amplitude tensor per
-    cell of the leading axes; the result has shape (..., len(pairs), 4, 4).
-    Each pair is an ordered pair of labels from ("A", "a", "B", "b") (such
-    as ``("A", "b")`` or ``"Ab"``) and fixes the ordering of its output
-    factors.
+
+def pair_entries(amps, pairs, *, leak_tol=1e-10, work=None):
+    """Reduce a stack of four-factor pure states to the upper entries of several pair densities.
+
+    ``amps`` has shape (d_A, d_a, d_B, d_b, *cells), one amplitude tensor
+    per cell of the trailing axes; the result has shape (len(pairs), 10,
+    *cells) and holds the 10 entries on and above the diagonal of each
+    pair's 4x4 density in ``ENTRY_ROWS``/``ENTRY_COLS`` order.  The lower
+    triangle is their conjugate mirror (``entry_matrices``), so the density
+    is Hermitian by construction.  Each pair is an ordered pair of labels
+    from ("A", "a", "B", "b") (such as ``("A", "b")`` or ``"Ab"``) and fixes
+    the ordering of its output factors.
 
     Kept cavity factors are projected onto the zero/one photon subspace and
     reported in (one photon, vacuum) order, so every output basis lists the
@@ -95,57 +153,82 @@ def pair_densities(psi, pairs, *, leak_tol=1e-10):
     refused when a kept cavity holds more than ``leak_tol`` probability
     above one photon in any cell.
 
-    Pairs that trace out the same dimension are reduced together: one
-    gather of their (4, traced) amplitude blocks through a cached index
-    table and one batched ``mat @ dagger(mat)``.  That is one group for
-    ``n_max = 1`` and three above it (AB, ab and the four mixed pairs).
+    Pairs that trace out the same dimension are reduced together (one group
+    at ``n_max = 1``, three above it: AB, ab and the four mixed pairs).  For
+    each traced index k the group gathers, through the cached index tables
+    of ``_reduction_plan``, the amplitude rows of its entries and the
+    conjugate rows of their partners, and adds their product, all on rows as
+    long as the block.  The buffers come from ``work`` (a ``Workspace``;
+    a new one when None), and the result is a view into it.
     """
-    psi = np.asarray(psi, dtype=complex)
-    lead = psi.shape[:-4]
-    cavities, groups = _reduction_plan(psi.shape[-4:], tuple(tuple(keep) for keep in pairs))
-    for label, above in cavities:
-        leak = float(np.max(np.sum(np.abs(psi[above]) ** 2, axis=(-4, -3, -2, -1))))
+    amps = np.asarray(amps, dtype=complex)
+    dims, cells = amps.shape[:4], amps.shape[4:]
+    n = math.prod(cells)
+    plan = _reduction_plan(dims, tuple(tuple(keep) for keep in pairs))
+    tensor = amps.reshape(dims + (n,))
+    for label, above in plan.cavities:
+        high = tensor[above]
+        leak = float(np.max(np.einsum("ijkln,ijkln->n", high.real, high.real)
+                            + np.einsum("ijkln,ijkln->n", high.imag, high.imag), initial=0.0))
         if leak > leak_tol:
             raise ValueError(
                 f"cavity {label} holds probability {leak:.3e} above one photon "
                 f"(tolerance {leak_tol:.3e}); cannot reduce to a qubit"
             )
-    flat = psi.reshape(lead + (-1,))
-    if len(groups) == 1:
-        ((_, index, traced),) = groups
-        rho = _gram(flat, index, lead + (len(pairs), 4, traced))
-    else:
-        rho = np.empty(lead + (len(pairs), 4, 4), dtype=complex)
-        for slots, index, traced in groups:
-            rho[..., slots, :, :] = _gram(flat, index, lead + (len(slots), 4, traced))
-    herm = rho + dagger(rho)
-    herm *= 0.5
-    return herm
+    if work is None:
+        work = Workspace()
+    flat = tensor.reshape(-1, n)
+    conj = np.conjugate(flat, out=work.get("reduce.conj", flat.shape))
+    rows_buf = work.get("reduce.rows", (plan.max_rows, n))
+    cols_buf = work.get("reduce.cols", (plan.max_rows, n))
+    entries = work.get("reduce.entries", (len(pairs), 10, n))
+    acc_all = entries.reshape(-1, n)
+    for start, stop, row_index, col_index in plan.groups:
+        acc, rows, cols = acc_all[start:stop], rows_buf[:stop - start], cols_buf[:stop - start]
+        for k, (row_k, col_k) in enumerate(zip(row_index, col_index)):
+            np.take(conj, col_k, axis=0, out=cols, mode="clip")
+            if k == 0:
+                np.take(flat, row_k, axis=0, out=acc, mode="clip")
+                np.multiply(acc, cols, out=acc)
+            else:
+                np.take(flat, row_k, axis=0, out=rows, mode="clip")
+                np.multiply(rows, cols, out=rows)
+                np.add(acc, rows, out=acc)
+    # the diagonal is real: only the round-off of fused products lands in its imaginary part
+    entries[:, :4].imag = 0.0
+    if plan.order is not None:
+        entries = np.take(entries, plan.order, axis=0, out=work.get("reduce.ordered", entries.shape),
+                          mode="clip")
+    return entries.reshape((len(pairs), 10) + cells)
 
 
-def _gram(flat, index, shape):
-    """mat @ dagger(mat) of the (..., n, 4, traced) blocks ``mat`` gathered from ``flat`` at ``index``.
+@dataclass(frozen=True)
+class _Plan:
+    """How ``pair_entries`` reduces a tuple of pairs; see ``_reduction_plan``."""
 
-    ``np.take`` gives a C-contiguous ``mat``, which keeps the product on the
-    BLAS path of the one-pair reduction (same bits, no strided copies).
-    """
-    mat = np.take(flat, index, axis=-1).reshape(shape)
-    return mat @ dagger(mat)
+    cavities: tuple
+    groups: tuple
+    order: np.ndarray | None
+    max_rows: int
 
 
 @functools.lru_cache(maxsize=None)
 def _reduction_plan(dims, pairs):
-    """How ``pair_densities`` reduces ``pairs`` of states with factor dimensions ``dims``.
+    """How ``pair_entries`` reduces ``pairs`` of states with factor dimensions ``dims``.
 
-    Returns ``(cavities, groups)``.  ``cavities`` lists the kept cavities
-    that can hold more than one photon, as (label, index of those levels),
-    in order of first appearance.  ``groups`` has one ``(slots, index,
-    traced)`` per traced dimension: the output positions of its pairs, the
-    flat amplitude indices of their (4, traced) blocks, and the dimension.
+    ``cavities`` lists the kept cavities that can hold more than one photon,
+    as (label, index of their levels above one photon in the amplitude
+    tensor), in order of first appearance.  ``groups`` has one ``(start,
+    stop, rows, cols)`` per traced dimension: the group's output rows in
+    the flattened (pair, entry) axis, and two (traced, 10 x group pairs)
+    tables of the flat amplitude indices whose products, summed over the
+    traced index, give those entries (``rows`` conjugated on the right by
+    ``cols``).  Groups hold consecutive output slots; ``order`` maps each
+    requested pair to its slot, None when that is the request order.
     """
     positions = np.arange(math.prod(dims)).reshape(dims)
     cavities = {}
-    blocks = {}  # traced dimension -> (slots, index tables)
+    members = {}  # traced dimension -> [(requested slot, (4, traced) index table)]
     for slot, keep in enumerate(pairs):
         if len(keep) != 2 or keep[0] == keep[1]:
             raise ValueError(f"keep must name two distinct subsystems, got {keep!r}")
@@ -154,16 +237,25 @@ def _reduction_plan(dims, pairs):
                 raise ValueError(f"unknown subsystem label {label!r}; expected one of {SUBSYSTEMS}")
             axis = _AXIS[label]
             if label in CAVITY_SUBSYSTEMS and dims[axis] > 2:
-                cavities.setdefault(label, (Ellipsis,) + (slice(None),) * axis + (slice(2, None),)
-                                    + (slice(None),) * (3 - axis))
+                cavities.setdefault(label, (slice(None),) * axis + (slice(2, None),))
         kept_axes = tuple(_AXIS[label] for label in keep)
         traced_axes = tuple(ax for ax in range(4) if ax not in kept_axes)
         # kept cavities are read at photon numbers (1, 0); atoms already index (e, g)
         select = tuple(slice(1, None, -1) if label in CAVITY_SUBSYSTEMS else slice(None) for label in keep)
-        table = positions.transpose(kept_axes + traced_axes)[select].reshape(-1)
-        slots, tables = blocks.setdefault(table.size // 4, ([], []))
-        slots.append(slot)
-        tables.append(table)
-    groups = tuple((np.array(slots), np.concatenate(tables), traced)
-                   for traced, (slots, tables) in blocks.items())
-    return tuple(cavities.items()), groups
+        table = positions.transpose(kept_axes + traced_axes)[select].reshape(4, -1)
+        members.setdefault(table.shape[1], []).append((slot, table))
+    groups = []
+    order = np.empty(len(pairs), dtype=np.intp)
+    next_slot = 0
+    for tables in members.values():
+        start = 10 * next_slot
+        for slot, _ in tables:
+            order[slot] = next_slot
+            next_slot += 1
+        rows = np.concatenate([table[ENTRY_ROWS] for _, table in tables]).T.copy()
+        cols = np.concatenate([table[ENTRY_COLS] for _, table in tables]).T.copy()
+        groups.append((start, 10 * next_slot, rows, cols))
+    in_order = np.array_equal(order, np.arange(len(pairs)))
+    return _Plan(cavities=tuple(cavities.items()), groups=tuple(groups),
+                 order=None if in_order else order,
+                 max_rows=max((stop - start for start, stop, _, _ in groups), default=0))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from jcpairs import (
     wootters_concurrence,
 )
 from jcpairs.cli import main
-from jcpairs.dynamics import FAMILY_KINDS
+from jcpairs.dynamics import FAMILY_KINDS, analytic_amplitudes, initial_amplitudes
 from jcpairs.entanglement import _hermitian_part, _x_entries, _x_lowest, concurrence_stack
-from jcpairs.linalg import partial_trace
+from jcpairs.linalg import pair_densities, partial_trace, upper_entries
 
 EPS = np.finfo(float).eps
 # The general Wootters route zeroes reduced eigenvalues at or below
@@ -156,7 +157,7 @@ def test_x_block_lowest_eigenvalue_matches_eigvalsh():
     # coherences past sqrt(ad) give the stack non-PSD cells as well
     stack[::3, 0, 3] *= 3.0
     stack[::3, 3, 0] *= 3.0
-    lowest = _x_lowest(_x_entries(stack))
+    lowest = _x_lowest(_x_entries(upper_entries(stack)))
     assert (lowest < -1e-8).any()
     assert np.max(np.abs(lowest - np.linalg.eigvalsh(stack)[:, 0])) <= 1e-15
 
@@ -212,14 +213,23 @@ def test_hermiticity_defect_of_the_upper_triangle_is_the_full_defect(scale):
 
 @pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 3)])
 def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, det_params):
-    grid = GridEngine(engine, "psi", det_params, n_max=n_max)
-    stack = grid._pair_densities(np.linspace(0.1, 3.0, 4), np.linspace(0.0, 9.0, 11), PAIR_LABELS)
+    alpha_grid, t_grid = np.linspace(0.1, 3.0, 4), np.linspace(0.0, 9.0, 11)
+    if engine == "analytic":
+        psi = analytic_amplitudes("psi", alpha_grid, t_grid, det_params)
+    else:
+        propagator = HamiltonianPropagator(total_hamiltonian(det_params, det_params, n_max))
+        psi = propagator.evolve_grid(initial_amplitudes("psi", alpha_grid, n_max), t_grid)
+    stack = pair_densities(psi, PAIR_LABELS)
     assert _full_defect(stack).max() == 0.0
     herm = _hermitian_part(stack)
     assert np.array_equal(herm.view(np.uint64), stack.view(np.uint64))
-    # symmetrizing again would give the same bits: skipping it changes no output
+    # symmetrizing again gives the same values (only the sign of a zero
+    # imaginary part can differ) and the same C and Q bits: skipping it
+    # changes no output
     again = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
-    assert np.array_equal(again.view(np.uint64), stack.view(np.uint64))
+    assert np.array_equal(again, stack)
+    for ours, theirs in zip(concurrence_stack(stack), concurrence_stack(again)):
+        assert np.array_equal(_bits(ours), _bits(theirs))
     # a stack that is not exactly Hermitian is symmetrized
     stack[0, 0, 0, 0, 1] += 1e-12
     herm = _hermitian_part(stack)
@@ -318,28 +328,72 @@ def test_blocks_do_not_change_values(engine, res_params, monkeypatch):
     for block in (1, 7, 20):
         monkeypatch.setattr(engine_module, "BLOCK_CELLS", block)
         blocked = GridEngine(engine, "psi", res_params).values(alpha_grid, t_grid, ("AB", "Ab"))
-        assert np.allclose(blocked.concurrence, whole.concurrence, rtol=0, atol=1e-15)
-        assert np.allclose(blocked.q, whole.q, rtol=0, atol=1e-15)
+        assert np.array_equal(_bits(blocked.concurrence), _bits(whole.concurrence))
+        assert np.array_equal(_bits(blocked.q), _bits(whole.q))
+
+
+@given(engine=st.sampled_from(("analytic", "numeric")), kind=kinds, n_max=st.integers(1, 4),
+       params=sites(), alpha_list=st.lists(alphas, min_size=1, max_size=3),
+       n_t=st.integers(1, 40), cuts=st.lists(st.integers(1, 39), max_size=6),
+       fraction=st.floats(0.0, 1.0), data=st.data())
+def test_any_split_of_the_times_gives_the_bits_of_one_call(engine, kind, n_max, params, alpha_list,
+                                                           n_t, cuts, fraction, data):
+    # one-cell calls (a single alpha and a single time) included: the numeric
+    # route's products must not change kernels with the number of cells
+    ts = np.linspace(0.0, fraction * 50.0 / params.rabi(1), n_t)
+    grid = GridEngine(engine, kind, params, n_max=n_max)
+    whole = grid.values(alpha_list, ts)
+    parts = [grid.values(alpha_list, part) for part in np.split(ts, sorted({c for c in cuts if c < n_t}))]
+    ia, it = data.draw(st.integers(0, len(alpha_list) - 1)), data.draw(st.integers(0, n_t - 1))
+    cell = grid.values(alpha_list[ia:ia + 1], ts[it:it + 1])
+    for field in ("concurrence", "q"):
+        joined = np.concatenate([getattr(part, field) for part in parts], axis=1)
+        assert np.array_equal(_bits(joined), _bits(getattr(whole, field)))
+        assert np.array_equal(_bits(getattr(cell, field)[0, 0]), _bits(getattr(whole, field)[ia, it]))
 
 
 @pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 3)])
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_block_reduces_every_pair_in_one_stack(engine, n_max, kind, det_params, monkeypatch):
+    # one reader call per block, on the entries of every requested pair
     shapes = []
+    real = engine_module.concurrence_from_entries
 
-    def recording(rho):
-        shapes.append(rho.shape)
-        return concurrence_stack(rho)
+    def recording(entries, **kwargs):
+        shapes.append(entries.shape)
+        return real(entries, **kwargs)
 
     alpha_grid, t_grid = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 6.0, 7)
     grid = GridEngine(engine, kind, det_params, n_max=n_max)
     alone = {pair: grid.values(alpha_grid, t_grid, (pair,)) for pair in PAIR_LABELS}
-    monkeypatch.setattr(engine_module, "concurrence_stack", recording)
-    stacked = grid.values(alpha_grid, t_grid)
-    assert shapes == [(3, 7, len(PAIR_LABELS), 4, 4)]
-    for ip, pair in enumerate(PAIR_LABELS):
-        assert np.array_equal(stacked.concurrence[..., ip], alone[pair].concurrence[..., 0])
-        assert np.array_equal(stacked.q[..., ip], alone[pair].q[..., 0])
+    monkeypatch.setattr(engine_module, "concurrence_from_entries", recording)
+    for block, expected in ((256, [(10, 3, 7, 6)]), (7, [(10, 1, 7, 6)] * 3)):
+        monkeypatch.setattr(engine_module, "BLOCK_CELLS", block)
+        shapes.clear()
+        stacked = grid.values(alpha_grid, t_grid)
+        assert shapes == expected
+        for ip, pair in enumerate(PAIR_LABELS):
+            assert np.array_equal(stacked.concurrence[..., ip], alone[pair].concurrence[..., 0])
+            assert np.array_equal(stacked.q[..., ip], alone[pair].q[..., 0])
+
+
+@pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 4)])
+def test_grid_memory_does_not_grow_with_the_grid(engine, n_max, det_params):
+    # the peak of a 3 x 8193 evaluation (99 blocks, the last of each row one
+    # cell) above its two output arrays, against a fixed budget; the
+    # workspace of n_max = 4 holds about 2.6 MB
+    grid = GridEngine(engine, "psi", det_params, n_max=n_max)
+    alpha_grid, t_grid = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 20.0, 8193)
+    grid.values(alpha_grid, t_grid[:3])  # caches and one-time allocations
+    tracemalloc.start()
+    try:
+        values = grid.values(alpha_grid, t_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = values.concurrence.nbytes + values.q.nbytes
+    assert outputs == 2 * 3 * 8193 * 6 * 8
+    assert peak - outputs <= 3_500_000
 
 
 def test_engine_validations(res_params):
