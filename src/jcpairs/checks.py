@@ -7,7 +7,8 @@ at one resonant site:
 * engine and closed-form agreement of every C over an (alpha, t) grid;
 * psi-family conservation C_AB + C_ab = |sin 2 alpha|;
 * the psi cross-pair bound max C_Ab = 1/2;
-* the time-independent Q combination, equal to |sin 2 alpha| / 2;
+* the time-independent Q combination, equal to |sin 2 alpha| / 2, on the
+  closed form's Q columns;
 * the shift symmetry C_ab(t + pi/G) = C_AB(t) and the pair symmetries;
 * X-form universality (Yu & Eberly, QIC 7, 459 (2007)): every reduction of
   the analytic and numeric routes is X-shaped and its entry-read C is the
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .closedform import q_identity_lhs
+from .closedform import closed_grid
 from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from .engine import GridEngine
 from .entanglement import PAIR_LABELS, concurrence_stack, off_x_defect
@@ -103,16 +104,17 @@ def run_checks(params, tol, inject_fault=False):
     psi_closed = GridEngine("closed", "psi", params).values(fine_alpha, fine_t, ("Ab",))
     c_ab_max = float(np.max(psi_closed.concurrence))
 
-    # the Q combination is constant in t and equals |sin 2 alpha| / 2
+    # Q_AB + Q_ab + 2 |tan alpha| Q_Aa - 2 Q_Ab is constant in t and equals |sin 2 alpha| / 2
+    q_alphas = np.linspace(0.0, 0.5 * math.pi, 10)
     q_ts = np.linspace(0.0, 2.0 * math.pi / rabi, 100)
     max_q_std = 0.0
     max_q_gap = 0.0
     for kind in FAMILY_KINDS:
-        for alpha in np.linspace(0.0, 0.5 * math.pi, 10):
-            vals = np.array([q_identity_lhs(kind, alpha, rabi, t) for t in q_ts])
-            max_q_std = max(max_q_std, float(vals.std()))
-            target = 0.5 * abs(math.sin(2.0 * alpha))
-            max_q_gap = max(max_q_gap, abs(float(vals.mean()) - target))
+        q = dict(zip(PAIR_LABELS, np.moveaxis(closed_grid(kind, q_alphas, params, q_ts)[1], -1, 0)))
+        lhs = q["AB"] + q["ab"] + 2.0 * np.abs(np.tan(q_alphas))[:, None] * q["Aa"] - 2.0 * q["Ab"]
+        max_q_std = max(max_q_std, float(lhs.std(axis=1).max()))
+        target = 0.5 * np.abs(np.sin(2.0 * q_alphas))
+        max_q_gap = max(max_q_gap, float(np.abs(lhs.mean(axis=1) - target).max()))
 
     rng = np.random.default_rng(7)
     states = np.array([random_x_state(rng) for _ in range(200)])

@@ -278,6 +278,13 @@ def _validate(cfg):
             raise UsageError(f"t-max must be positive, got {cfg.t_max}")
         if cfg.n_max < 1:
             raise UsageError(f"n-max must be >= 1, got {cfg.n_max}")
+        # twice a site's largest energy bounds every phase rate a route takes
+        params = cfg.params()
+        rate = 2.0 * (0.5 * params.omega0 + cfg.n_max * params.omega + math.sqrt(cfg.n_max) * params.g)
+        if not math.isfinite(rate * cfg.t_max):
+            raise UsageError(f"t-max {cfg.t_max} times the largest phase rate, 2 (omega0/2 + "
+                             f"n_max omega + sqrt(n_max) g) = {rate}, overflows; lower t-max, "
+                             "omega0, omega or g")
     if cfg.command == "sweep":
         if cfg.alpha_points < 1:
             raise UsageError(f"alpha-points must be >= 1, got {cfg.alpha_points}")

@@ -1,25 +1,21 @@
-"""Initial states of the two-site lattice and their time evolution.
+"""Initial states of the two-site lattice and their time evolution on (alpha, t) grids.
 
-Two independent engines produce the evolving pure state: an analytic
+Two independent engines produce the evolving pure states: an analytic
 propagator that phases the dressed states of each site (restricted to the
-single-excitation ladder the initial families live in), and brute-force
-spectral decomposition of the full Hamiltonian matrix.  Both use the literal
-Hamiltonian's energy zero point, so they agree at the amplitude level, not
-just in derived quantities.
+single-excitation ladder the initial families live in,
+``analytic_amplitudes``), and brute-force spectral decomposition of the full
+Hamiltonian matrix (``HamiltonianPropagator.evolve_grid``).  Both use the
+literal Hamiltonian's energy zero point, so they agree at the amplitude
+level, not just in derived quantities.
 
-Each engine evolves one state at one time (``evolve_analytic``,
-``HamiltonianPropagator.evolve``) or a whole (alpha, t) block at once
-(``analytic_amplitudes``, ``HamiltonianPropagator.evolve_grid``), returning
-amplitude stacks with the cells last, shape (2, d, 2, d, n_alpha, n_t): each
-amplitude is one row of n_alpha n_t values, which is what the reducer
-(``linalg.pair_entries``) works on.  Given a ``linalg.Workspace``, the grid
-routes write their result and their temporaries into its buffers.
+Both evolve a whole (alpha, t) block at once and return amplitude stacks
+with the cells last, shape (2, d, 2, d, n_alpha, n_t): each amplitude is one
+row of n_alpha n_t values, which is what the reducer
+(``linalg.pair_entries``) works on.  Given a ``linalg.Workspace``, they
+write their result and their temporaries into its buffers.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,48 +31,6 @@ _INITIAL_CELLS = {
 }
 
 
-@dataclass(frozen=True)
-class InitialFamily:
-    """Two-atom superposition family, cavities in vacuum.
-
-    kind 'phi' pairs the doubly-excited and doubly-ground atoms,
-    cos(alpha)|e e> + sin(alpha)|g g>; kind 'psi' pairs the single-excitation
-    atoms, cos(alpha)|e g> + sin(alpha)|g e>.  alpha = pi/4 gives the Bell
-    states.
-    """
-
-    kind: str
-    alpha: float
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"kind must be one of {FAMILY_KINDS}, got {self.kind!r}")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
-
-
-@dataclass
-class FourPartiteState:
-    """Pure state over factors (atom A, cavity a, atom B, cavity b).
-
-    ``dims`` = (2, n_max+1, 2, n_max+1); atoms index (e, g), cavities index
-    photon number.  ``amplitudes`` is the flat row-major vector.
-    """
-
-    dims: tuple
-    amplitudes: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        expected = math.prod(self.dims)
-        if self.amplitudes.size != expected:
-            raise ValueError(
-                f"amplitude vector has length {self.amplitudes.size}, dims {self.dims} need {expected}"
-            )
-
-
 def initial_amplitudes(kind, alphas, n_max=1):
     """Initial tensors (2, n_max+1, 2, n_max+1, *alphas.shape) of the family, one per alpha."""
     if n_max < 1:
@@ -90,18 +44,12 @@ def initial_amplitudes(kind, alphas, n_max=1):
     return psi
 
 
-def prepare_initial(family, n_max=1):
-    """Initial lattice state of the chosen family at time zero."""
-    psi = initial_amplitudes(family.kind, family.alpha, n_max)
-    return FourPartiteState(dims=psi.shape, amplitudes=psi.reshape(-1), time=0.0)
-
-
 def _site_factors(params, t):
     """Amplitude pair (f, h) for |e,0> -> f|e,0> + h|g,1>, plus the |g,0> phase.
 
     Uses the literal site spectrum: n=1 manifold energies omega/2 +- delta/2
     (whose eigenvectors pair the upper level with (sin, cos) of the half
-    mixing angle) and ground energy -omega0/2.  ``t`` may be an array.
+    mixing angle) and ground energy -omega0/2, at every time of the array ``t``.
     """
     d = dressed_data(params, 1)
     center = 0.5 * params.omega
@@ -113,42 +61,16 @@ def _site_factors(params, t):
     return f, h, ground
 
 
-def _fill_evolved(psi, kind, ca, sa, f, h, ground):
-    """Write the evolved family into the zeroed (2, 2, 2, 2, ...) tensor ``psi``."""
-    if kind == "phi":
-        psi[0, 0, 0, 0] = ca * f * f
-        psi[0, 0, 1, 1] = ca * f * h
-        psi[1, 1, 0, 0] = ca * h * f
-        psi[1, 1, 1, 1] = ca * h * h
-        psi[1, 0, 1, 0] = sa * ground * ground
-    else:
-        psi[0, 0, 1, 0] = ca * f * ground
-        psi[1, 1, 1, 0] = ca * h * ground
-        psi[1, 0, 0, 0] = sa * ground * f
-        psi[1, 0, 1, 1] = sa * ground * h
-    return psi
-
-
-def evolve_analytic(family, params, t):
-    """Evolve the family's initial state to time t by dressed-state phases.
+def analytic_amplitudes(kind, alphas, ts, params, *, work=None):
+    """The family evolved to every (alpha, t) by dressed-state phases, shape (2, 2, 2, 2, n_alpha, n_t).
 
     Both sites share ``params``; the state stays in the single-excitation
-    ladder of each site, so the returned state has n_max = 1.
-    """
-    f, h, ground = _site_factors(params, t)
-    ca, sa = math.cos(family.alpha), math.sin(family.alpha)
-    psi = _fill_evolved(np.zeros((2, 2, 2, 2), dtype=complex), family.kind, ca, sa, f, h, ground)
-    return FourPartiteState(dims=psi.shape, amplitudes=psi.reshape(-1), time=t)
-
-
-def analytic_amplitudes(kind, alphas, ts, params, *, work=None):
-    """``evolve_analytic`` over a grid: a (2, 2, 2, 2, n_alpha, n_t) amplitude stack.
-
-    The products run on flat vectors of the n_alpha n_t cells, so each cell
-    takes the same numpy loop whatever the block's shape (a one-cell block
-    broadcast from an (n_alpha, 1) and an (n_t,) operand takes a loop that
-    rounds complex products differently).  The stack is the
-    ``"amplitudes"`` buffer of ``work`` when one is given.
+    ladder of each site, so the stack has n_max = 1.  The products run on
+    flat vectors of the n_alpha n_t cells, so each cell takes the same numpy
+    loop whatever the block's shape (a one-cell block broadcast from an
+    (n_alpha, 1) and an (n_t,) operand takes a loop that rounds complex
+    products differently).  The stack is the ``"amplitudes"`` buffer of
+    ``work`` when one is given.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -156,7 +78,18 @@ def analytic_amplitudes(kind, alphas, ts, params, *, work=None):
     ca, sa = (np.repeat(trig(alphas), ts.size).astype(complex) for trig in (np.cos, np.sin))
     psi = (Workspace() if work is None else work).get("amplitudes", (2, 2, 2, 2, alphas.size, ts.size))
     psi.fill(0.0)
-    _fill_evolved(psi.reshape(2, 2, 2, 2, -1), kind, ca, sa, f, h, ground)
+    cells = psi.reshape(2, 2, 2, 2, -1)
+    if kind == "phi":
+        cells[0, 0, 0, 0] = ca * f * f
+        cells[0, 0, 1, 1] = ca * f * h
+        cells[1, 1, 0, 0] = ca * h * f
+        cells[1, 1, 1, 1] = ca * h * h
+        cells[1, 0, 1, 0] = sa * ground * ground
+    else:
+        cells[0, 0, 1, 0] = ca * f * ground
+        cells[1, 1, 1, 0] = ca * h * ground
+        cells[1, 0, 0, 0] = sa * ground * f
+        cells[1, 0, 1, 1] = sa * ground * h
     return psi
 
 
@@ -171,16 +104,6 @@ class HamiltonianPropagator:
         self._dim = h.shape[0]
         self._w, self._v = np.linalg.eigh(h)
         self._v_conj = self._v.conj()
-
-    def evolve(self, state, t):
-        amps = np.asarray(state.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != self._dim:
-            raise ValueError(
-                f"dimension mismatch: state has {amps.size} amplitudes, Hamiltonian is {self._dim}x{self._dim}"
-            )
-        coeffs = self._v_conj.T @ amps
-        evolved = self._v @ (np.exp(-1j * self._w * t) * coeffs)
-        return FourPartiteState(dims=state.dims, amplitudes=evolved, time=state.time + t)
 
     def evolve_grid(self, psi0, ts, *, work=None):
         """Evolve initial tensors (..., n_states) to every time in ``ts``, shape (..., n_states, n_t).

@@ -4,8 +4,7 @@
 
 * ``closed``: the closed form on whole arrays at any detuning
   (``closed_grid``: the trigonometry once per alpha and once per t, then
-  broadcasting), at resonance bit for bit the values of
-  ``resonance_values``;
+  broadcasting), at resonance bit for bit the paper's scalar formulas;
 * ``analytic``: dressed-state amplitude stacks (``analytic_amplitudes``);
 * ``numeric``: one diagonalization of the lattice Hamiltonian at the
   requested Fock truncation, then every (alpha, t) cell by one matrix
@@ -28,6 +27,9 @@ no block allocates a large temporary of its own.  A cell's values do not
 depend on how the grid is split into blocks or calls.  The closed route
 keeps nothing per cell beyond its output and evaluates the whole grid in one
 call.
+
+A one-cell grid is how to get the values at one (alpha, t): every cell of a
+larger call has the same bits.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .linalg import Workspace, pair_entries
 
 ENGINES = ("closed", "analytic", "numeric")
 # A cell holds 4 (n_max + 1)^2 amplitudes on the numeric route, so one block
-# of amplitudes is 400 KB at n_max = 4; larger blocks raised the peak memory
-# of n_max = 4 series above the per-point route's without being faster.
+# of amplitudes is 400 KB at n_max = 4; larger blocks raise the peak memory
+# of n_max = 4 series without being faster.
 BLOCK_CELLS = 256
 
 

@@ -1,31 +1,30 @@
-"""Wootters concurrence for the six subsystem pairs of the lattice.
+"""Wootters concurrence for the six subsystem pairs of the lattice, on whole stacks.
 
-The general route computes the spin-flip spectrum through a Hermitized
-product: the sqrt-eigenvalues of zeta = rho rho~ (rho~ the spin-flipped
-matrix) equal the singular values of sqrt(rho) (sigma_y x sigma_y)
-conj(sqrt(rho)), which keeps round-off out of the square roots.  A fast path
-reads the concurrence of X-shaped matrices directly from their entries:
-the corner coherence competes with the inner populations and vice versa,
+``concurrence_from_entries`` is the one reader: it takes the 10 entries on
+and above the diagonal that ``linalg.pair_entries`` writes (cells last) and
+checks and reads every cell from them.  X-shaped cells take the fast path,
+which reads the concurrence from the entries: the corner coherence competes
+with the inner populations and vice versa,
 
     C = 2 max{0, |z| - sqrt(b c), |w| - sqrt(a d)}.
 
-``concurrence_from_entries`` is the one stack reader: it takes the 10
-entries on and above the diagonal that ``linalg.pair_entries`` writes
-(cells last) and checks and reads every cell from them; only cells off the
-X pattern are built as 4x4 matrices for the general route.
+Only cells off the X pattern are built as 4x4 matrices, for the general
+route.  It computes the spin-flip spectrum through a Hermitized product:
+the sqrt-eigenvalues of zeta = rho rho~ (rho~ the spin-flipped matrix)
+equal the singular values of sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)),
+which keeps round-off out of the square roots.  ``concurrence_stack`` is the
+reader's view for (..., 4, 4) stacks of matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import SIGMA_Y, dagger, entry_matrices, kron, partial_trace, sqrt_psd, upper_entries
+from .linalg import SIGMA_Y, dagger, entry_matrices, sqrt_psd, upper_entries
 
 PAIR_LABELS = ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
 
-_SIGMA_YY = kron(SIGMA_Y, SIGMA_Y)
+_SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 _X_MASK = np.zeros((4, 4), dtype=bool)
 _X_MASK[np.arange(4), np.arange(4)] = True
 _X_MASK[np.arange(4), np.arange(4)[::-1]] = True
@@ -34,23 +33,6 @@ _OFF_X_ROWS, _OFF_X_COLS = np.nonzero(~_X_MASK)
 _UPPER_ROWS, _UPPER_COLS = np.triu_indices(4)
 _UPPER = 4 * _UPPER_ROWS + _UPPER_COLS
 _MIRROR = 4 * _UPPER_COLS + _UPPER_ROWS
-
-
-@dataclass(frozen=True)
-class ConcurrenceResult:
-    """Concurrence with its zeta spectrum and, on X states, the signed Q pair."""
-
-    value: float
-    zeta_eigenvalues: np.ndarray
-    q_corner: float | None = None
-    q_inner: float | None = None
-
-    @property
-    def q(self):
-        """Signed Q of the dominant branch; None when the state is not X-form."""
-        if self.q_corner is None:
-            return None
-        return max(self.q_corner, self.q_inner)
 
 
 def _reject_first(bad, values, what):
@@ -93,15 +75,6 @@ def _hermitian_part(rho, *, trace_tol=1e-8, herm_tol=1e-8):
     return herm
 
 
-def _reject_non_psd(lowest, psd_tol=1e-8):
-    _reject_first(lowest < -psd_tol, lowest, "not PSD, lowest eigenvalue")
-
-
-def _validate_density(rho):
-    """Check one 4x4 density matrix or every cell of a (..., 4, 4) stack."""
-    _reject_non_psd(np.linalg.eigvalsh(_hermitian_part(rho))[..., 0])
-
-
 def off_x_defect(rho):
     """Largest entry outside the diagonal + anti-diagonal pattern, per 4x4 cell."""
     return np.abs(rho[..., _OFF_X_ROWS, _OFF_X_COLS]).max(axis=-1)
@@ -136,71 +109,6 @@ def _flip_singular_values(rho):
     root = sqrt_psd(rho, tol=1e-12)
     flipped_root = _SIGMA_YY @ root.conj() @ _SIGMA_YY
     return np.linalg.svd(root @ flipped_root, compute_uv=False)
-
-
-def wootters_concurrence(rho, *, validate=True, x_tol=1e-10):
-    """Concurrence of a two-qubit density matrix (general mixed states).
-
-    Returns the zeta eigenvalues sorted in decreasing order (negative
-    round-off clamped) and C = max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) -
-    sqrt(l4)}.  When the matrix is X-shaped to within ``x_tol``, the signed
-    corner/inner Q diagnostics are attached.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if validate:
-        _validate_density(rho)
-    rho = 0.5 * (rho + dagger(rho))
-    sigma = _flip_singular_values(rho)
-    value = max(0.0, sigma[0] - sigma[1] - sigma[2] - sigma[3])
-    q_corner = q_inner = None
-    if off_x_defect(rho) <= x_tol:
-        q_corner, q_inner = (float(q) for q in _x_qs(_x_entries(upper_entries(rho))))
-    return ConcurrenceResult(
-        value=float(value),
-        zeta_eigenvalues=np.clip(sigma**2, 0.0, None),
-        q_corner=q_corner,
-        q_inner=q_inner,
-    )
-
-
-def xstate_concurrence(rho, *, off_x_tol=1e-10, validate=True):
-    """Concurrence of an X-shaped density matrix from its entries.
-
-    With diagonal (a, b, c, d), corner coherence z = rho[0,3] and inner
-    coherence w = rho[1,2]:  C = 2 max{0, |z| - sqrt(bc), |w| - sqrt(ad)}.
-    Any off-X entry above ``off_x_tol`` is rejected, reporting its magnitude
-    and position.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if validate:
-        _validate_density(rho)
-    defect = float(off_x_defect(rho))
-    if defect > off_x_tol:
-        k = int(np.abs(rho[_OFF_X_ROWS, _OFF_X_COLS]).argmax())
-        pos = (int(_OFF_X_ROWS[k]), int(_OFF_X_COLS[k]))
-        raise ValueError(
-            f"entry {pos} has magnitude {defect:.3e}, above the X-pattern tolerance {off_x_tol:.3e}"
-        )
-    q_corner, q_inner = (float(q) for q in _x_qs(_x_entries(upper_entries(rho))))
-    diag = np.clip(rho.diagonal().real, 0.0, None)
-    a, b, c, d = diag
-    z, w = abs(rho[0, 3]), abs(rho[1, 2])
-    lams = np.sort(
-        np.array(
-            [
-                (z + np.sqrt(a * d)) ** 2,
-                (z - np.sqrt(a * d)) ** 2,
-                (w + np.sqrt(b * c)) ** 2,
-                (w - np.sqrt(b * c)) ** 2,
-            ]
-        )
-    )[::-1]
-    return ConcurrenceResult(
-        value=2.0 * max(0.0, q_corner, q_inner),
-        zeta_eigenvalues=lams,
-        q_corner=q_corner,
-        q_inner=q_inner,
-    )
 
 
 def concurrence_stack(rho, *, x_tol=1e-10):
@@ -240,7 +148,7 @@ def concurrence_from_entries(entries, *, x_tol=1e-10, out=None):
     if general.any():
         off_x = entry_matrices(entries[:, general])
         lowest[general] = np.linalg.eigvalsh(off_x)[..., 0]
-    _reject_non_psd(lowest)
+    _reject_first(lowest < -1e-8, lowest, "not PSD, lowest eigenvalue")
     np.maximum(*_x_qs(x), out=q)
     np.maximum(q, 0.0, out=conc)
     conc *= 2.0
@@ -249,12 +157,3 @@ def concurrence_from_entries(entries, *, x_tol=1e-10, out=None):
         conc[general] = np.maximum(0.0, sigma[..., 0] - sigma[..., 1] - sigma[..., 2] - sigma[..., 3])
         q[general] = np.nan
     return conc, q
-
-
-def all_pairwise(state, *, leak_tol=1e-10, x_tol=1e-10):
-    """Concurrence of every subsystem pair, keyed by PAIR_LABELS order."""
-    results = {}
-    for label in PAIR_LABELS:
-        rho = partial_trace(state, (label[0], label[1]), leak_tol=leak_tol)
-        results[label] = wootters_concurrence(rho, x_tol=x_tol)
-    return results

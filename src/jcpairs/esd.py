@@ -143,7 +143,7 @@ def zero_intervals(
     finite = np.isfinite(cs).all(axis=1)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"curve returned a non-finite value at t = {ts[bad]!r}")
+        raise ValueError(f"curve returned a non-finite value at t = {float(ts[bad])!r}")
 
     # runs: (curve, lo edge, hi edge, kind); an edge is an index into ``edges``,
     # or None where the run reaches t_min or t_max; edges hold sample indices

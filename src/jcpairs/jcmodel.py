@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
-
 
 @dataclass(frozen=True)
 class JCParams:
@@ -41,6 +39,12 @@ class JCParams:
             raise ValueError(
                 f"frequencies and coupling must be positive, got omega0={self.omega0}, "
                 f"omega={self.omega}, g={self.g}"
+            )
+        # every route takes the manifold splitting hypot(Delta, 2g) and the Rabi coupling 2g
+        if not math.isfinite(math.hypot(self.detuning, self.rabi(1))):
+            raise ValueError(
+                f"the manifold splitting hypot(omega - omega0, 2g) overflows for "
+                f"omega0={self.omega0}, omega={self.omega}, g={self.g}"
             )
 
     @property
@@ -115,4 +119,4 @@ def total_hamiltonian(params_aa, params_bb, n_max=1):
     h_aa = site_hamiltonian(params_aa, n_max)
     h_bb = site_hamiltonian(params_bb, n_max)
     eye = np.eye(h_aa.shape[0], dtype=complex)
-    return kron(h_aa, eye) + kron(eye, h_bb)
+    return np.kron(h_aa, eye) + np.kron(eye, h_bb)

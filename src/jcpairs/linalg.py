@@ -10,7 +10,8 @@ d_b, *cells), so each amplitude is one row as long as the stack.
 ``pair_entries``, the one reducer, turns them into the 10 entries on and
 above the diagonal of each pair's 4x4 density, (pairs, 10, *cells), with
 elementwise products on those rows; ``entry_matrices`` and
-``pair_densities`` give the same densities as (..., 4, 4) matrices.
+``pair_densities`` give the same densities as (..., 4, 4) matrices, and
+``sqrt_psd`` takes the square roots of the general Wootters route.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ ENTRY_ROWS = np.array([0, 1, 2, 3, 0, 1, 0, 0, 1, 2])
 ENTRY_COLS = np.array([0, 1, 2, 3, 3, 2, 1, 2, 3, 3])
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
-
-def kron(a, b):
-    """Kronecker product: C[(i1,i2),(j1,j2)] = A[i1,j1] * B[i2,j2]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def dagger(m):
@@ -78,8 +74,6 @@ def sqrt_psd(m, tol=1e-12):
     return 0.5 * (root + dagger(root))
 
 
-
-
 class Workspace:
     """Named flat buffers that every block of one grid evaluation reuses.
 
@@ -112,22 +106,6 @@ def entry_matrices(entries):
     rho[..., ENTRY_ROWS, ENTRY_COLS] = np.moveaxis(entries, 0, -1)
     rho[..., ENTRY_COLS[4:], ENTRY_ROWS[4:]] = np.moveaxis(entries[4:], 0, -1).conj()
     return rho
-
-
-def partial_trace(state, keep, *, leak_tol=1e-10):
-    """Reduce a four-factor pure state to the 4x4 density matrix of two factors.
-
-    ``state`` must expose ``dims`` (the four factor dimensions) and
-    ``amplitudes`` (flat vector); see ``pair_entries`` for ``keep``, the
-    basis order and the cavity projection.
-    """
-    psi = np.asarray(state.amplitudes, dtype=complex).reshape(tuple(state.dims))
-    return pair_density(psi, keep, leak_tol=leak_tol)
-
-
-def pair_density(psi, keep, *, leak_tol=1e-10):
-    """The 4x4 densities of one pair: ``pair_densities(psi, (keep,))[..., 0, :, :]``."""
-    return pair_densities(psi, (keep,), leak_tol=leak_tol)[..., 0, :, :]
 
 
 def pair_densities(psi, pairs, *, leak_tol=1e-10):

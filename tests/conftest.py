@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from jcpairs import JCParams, resonance_values
+from jcpairs import JCParams
 from jcpairs.checks import random_x_state  # noqa: F401  (test modules import it from here)
+from reference import resonance_values
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic; no example database is written.
@@ -40,12 +41,12 @@ def excitation_numbers(n_max):
 
 
 def closed_sampler(kind, alpha, rabi, pairs=("AB",)):
-    """Array sampler of the resonance formulas for ``zero_intervals``: (C, Q) per pair."""
+    """Array sampler of the scalar resonance formulas for ``zero_intervals``: (C, Q) per pair."""
     def sample(ts):
         values = [resonance_values(kind, alpha, rabi, t) for t in ts]
         return (
-            np.array([[v.concurrence[pair] for pair in pairs] for v in values]),
-            np.array([[v.q_for(pair) for pair in pairs] for v in values]),
+            np.array([[conc[pair] for pair in pairs] for conc, _ in values]),
+            np.array([[q[pair] for pair in pairs] for _, q in values]),
         )
 
     return sample

@@ -1,0 +1,40 @@
+"""The public surface: what a grid user needs, and none of the per-point layer."""
+
+import importlib
+
+import jcpairs
+
+PUBLIC = [
+    "GridEngine",
+    "GridValues",
+    "JCParams",
+    "PAIR_LABELS",
+    "ZeroInterval",
+    "esd_boundary_phi_AB",
+    "total_hamiltonian",
+    "zero_intervals",
+]
+
+# module -> names whose behaviour the grid functions now carry
+DELETED = {
+    "closedform": ["ClosedFormValues", "phi_resonance", "psi_resonance", "q_identity_lhs",
+                   "resonance_values", "_resonance_pieces"],
+    "dynamics": ["FourPartiteState", "InitialFamily", "evolve_analytic", "prepare_initial"],
+    "entanglement": ["ConcurrenceResult", "all_pairwise", "wootters_concurrence",
+                     "xstate_concurrence", "_validate_density"],
+    "linalg": ["kron", "pair_density", "partial_trace"],
+}
+
+
+def test_all_is_the_grid_surface():
+    assert sorted(jcpairs.__all__) == PUBLIC
+    for name in jcpairs.__all__:
+        assert getattr(jcpairs, name) is not None
+
+
+def test_deleted_names_are_gone():
+    for module, names in DELETED.items():
+        mod = importlib.import_module(f"jcpairs.{module}")
+        assert [name for name in names if hasattr(mod, name)] == []
+        assert [name for name in names if hasattr(jcpairs, name)] == []
+    assert not hasattr(importlib.import_module("jcpairs.dynamics").HamiltonianPropagator, "evolve")

@@ -339,6 +339,26 @@ def test_default_steps_of_a_huge_t_max_is_a_usage_error(command, capsys):
                                        "steps per Rabi period; give --steps\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # 2g overflows, so the Rabi period would be 0
+    (["evolve", "--g", "1e308"],
+     "error: the manifold splitting hypot(omega - omega0, 2g) overflows for "
+     "omega0=5.0, omega=5.0, g=1e+308\n"),
+    (["sweep", "--engine", "closed", "--omega", "1e308", "--alpha-points", "1", "--steps", "2"],
+     "error: t-max 6.283185307179586 times the largest phase rate, 2 (omega0/2 + n_max omega + "
+     "sqrt(n_max) g) = inf, overflows; lower t-max, omega0, omega or g\n"),
+    (["esd", "--omega", "1e308", "--steps", "8"],
+     "error: t-max 6.283185307179586 times the largest phase rate, 2 (omega0/2 + n_max omega + "
+     "sqrt(n_max) g) = inf, overflows; lower t-max, omega0, omega or g\n"),
+    (["sweep", "--t-max", "1e307", "--steps", "3", "--n-max", "2"],
+     "error: t-max 1e+307 times the largest phase rate, 2 (omega0/2 + n_max omega + "
+     "sqrt(n_max) g) = 27.82842712474619, overflows; lower t-max, omega0, omega or g\n"),
+], ids=["evolve-g", "sweep-omega", "esd-omega", "sweep-t-max"])
+def test_overflowing_rates_or_phases_are_usage_errors(argv, message):
+    # a fresh process, so that a numpy warning or a traceback would show on stderr
+    assert _fresh_process(argv) == (1, "", message)
+
+
 def test_esd_needs_two_steps(capsys):
     assert run("esd", "--steps", "1") == 1
     assert capsys.readouterr().err == "error: steps must be >= 2 for esd\n"

@@ -7,31 +7,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import jcpairs.engine as engine_module
+import reference
 from conftest import random_x_state
-from jcpairs import (
-    PAIR_LABELS,
-    GridEngine,
-    HamiltonianPropagator,
-    InitialFamily,
-    JCParams,
-    evolve_analytic,
-    prepare_initial,
-    resonance_values,
-    total_hamiltonian,
-    wootters_concurrence,
-)
+from jcpairs import PAIR_LABELS, GridEngine, JCParams, total_hamiltonian
 from jcpairs.cli import main
-from jcpairs.dynamics import FAMILY_KINDS, analytic_amplitudes, initial_amplitudes
-from jcpairs.entanglement import _hermitian_part, _x_entries, _x_lowest, concurrence_stack
-from jcpairs.linalg import pair_densities, partial_trace, upper_entries
+from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
+from jcpairs.entanglement import _hermitian_part, _x_entries, _x_lowest, concurrence_stack, off_x_defect
+from jcpairs.linalg import pair_densities, upper_entries
+from reference import resonance_values
 
 EPS = np.finfo(float).eps
-# The general Wootters route zeroes reduced eigenvalues at or below
-# 16 eps lambda_max <= 16 eps (eigh cannot tell them from zero), and keeps
-# larger ones with round-off of that size.  Either moves sqrt(rho) by up to
+# Both Wootters routes take square roots of eigenvalues that round-off can
+# leave near zero.  The general route zeroes reduced eigenvalues at or below
+# 16 eps lambda_max <= 16 eps (eigh cannot tell them from zero) and keeps
+# larger ones with round-off of that size: sqrt(rho) moves by up to
 # sqrt(16 eps) in norm, each singular value of
 # sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)) by up to twice that, and C,
-# a signed sum of four of them, by up to eight times that.
+# a signed sum of four of them, by up to eight times that.  The textbook
+# reference (``reference.wootters``) takes the roots of the eigenvalues of
+# rho rho~, resolved to about 16 eps, so its C moves by up to four times
+# sqrt(16 eps); the X-entry C it is compared with is exact to rounding.
 WOOTTERS_BUDGET = 1e-11 + 8.0 * math.sqrt(16.0 * EPS)
 
 kinds = st.sampled_from(FAMILY_KINDS)
@@ -53,15 +48,21 @@ def time_grid(params, fraction):
 
 
 def scalar_results(engine, kind, alpha, params, ts, n_max):
-    """Per-point reference: evolve one state, reduce each pair, Wootters concurrence."""
-    family = InitialFamily(kind, alpha)
+    """Per-cell reference on the route's own amplitudes: (Q, C) of each pair, by einsum and textbook formulas.
+
+    Q is None where the reduction is not X-shaped.
+    """
     if engine == "numeric":
         propagator = HamiltonianPropagator(total_hamiltonian(params, params, n_max))
-        psi0 = prepare_initial(family, n_max)
+        psi = propagator.evolve_grid(initial_amplitudes(kind, [alpha], n_max), ts)
+    else:
+        psi = analytic_amplitudes(kind, [alpha], ts, params)
     out = []
-    for t in ts:
-        state = propagator.evolve(psi0, t) if engine == "numeric" else evolve_analytic(family, params, t)
-        out.append([wootters_concurrence(partial_trace(state, (p[0], p[1]))) for p in PAIR_LABELS])
+    for it in range(len(ts)):
+        cell = psi[..., 0, it]
+        rhos = [reference.pair_density(cell, pair) for pair in PAIR_LABELS]
+        out.append([(reference.x_state_q(rho) if off_x_defect(rho) <= 1e-10 else None,
+                     reference.wootters(rho)) for rho in rhos])
     return out
 
 
@@ -71,16 +72,16 @@ def test_grid_matches_scalar_path(kind, alpha, params, fraction, n_max, engine):
     ts = time_grid(params, fraction)
     values = GridEngine(engine, kind, params, n_max=n_max).values([alpha], ts)
     for it, results in enumerate(scalar_results(engine, kind, alpha, params, ts, n_max)):
-        for ip, res in enumerate(results):
+        for ip, (ref_q, ref_c) in enumerate(results):
             q, conc = values.q[0, it, ip], values.concurrence[0, it, ip]
-            if res.q is None:
+            if ref_q is None:
                 assert math.isnan(q)
-                assert abs(conc - res.value) <= 1e-11
+                assert abs(conc - ref_c) <= 1e-11
             else:
-                # the scalar path's entry-exact reference: its Q and 2 max(0, Q)
-                assert abs(q - res.q) <= 1e-14
-                assert abs(conc - 2.0 * max(0.0, res.q)) <= 1e-11
-            assert abs(conc - res.value) <= WOOTTERS_BUDGET
+                # the entry-exact reference: Q from the entries and 2 max(0, Q)
+                assert abs(q - ref_q) <= 1e-14
+                assert abs(conc - 2.0 * max(0.0, ref_q)) <= 1e-11
+            assert abs(conc - ref_c) <= WOOTTERS_BUDGET
 
 
 def test_grid_c_is_exact_at_a_rank_deficient_reduction():
@@ -90,12 +91,12 @@ def test_grid_c_is_exact_at_a_rank_deficient_reduction():
     # matrix in 50-digit arithmetic (mpmath).
     params = JCParams(omega0=6.050820918763499, omega=7.457674732047595, g=1.2264766325065353)
     alpha, t = 0.7273963381550884, 2.2212815206411056
-    reference = 0.00083408526349841758
+    reference_c = 0.00083408526349841758
     values = GridEngine("analytic", "phi", params).values([alpha], [t], ("Ab",))
-    assert abs(values.concurrence[0, 0, 0] - reference) <= 1e-15
-    state = evolve_analytic(InitialFamily("phi", alpha), params, t)
-    general = wootters_concurrence(partial_trace(state, ("A", "b"))).value
-    assert abs(general - reference) <= 1e-11
+    assert abs(values.concurrence[0, 0, 0] - reference_c) <= 1e-15
+    rho = pair_densities(analytic_amplitudes("phi", [alpha], [t], params), ("Ab",))
+    general = concurrence_stack(rho, x_tol=-1.0)[0]  # every cell through the general route
+    assert abs(general.item() - reference_c) <= 1e-11
 
 
 @given(kind=kinds, alpha=alphas, params=sites(resonant=True), fraction=st.floats(0.0, 1.0))
@@ -250,12 +251,11 @@ def test_off_x_cell_takes_the_general_route(size, data):
     assert single_c.shape == single_q.shape == ()
     assert single_c == conc[general] and math.isnan(single_q)
     for i, rho in enumerate(stack):
-        reference = wootters_concurrence(rho)
-        assert conc[i] == pytest.approx(reference.value, abs=1e-10)
+        assert conc[i] == pytest.approx(reference.wootters(rho), abs=1e-10)
         if i == general:
-            assert reference.q is None and math.isnan(q[i])
+            assert off_x_defect(rho) > 1e-10 and math.isnan(q[i])
         else:
-            assert q[i] == pytest.approx(reference.q, abs=1e-15)
+            assert q[i] == pytest.approx(reference.x_state_q(rho), abs=1e-15)
             assert conc[i] == 2.0 * max(0.0, q[i])
 
 
@@ -297,8 +297,8 @@ def _assert_closed_grid_bitwise(kind, alpha_grid, t_grid, params, pairs=PAIR_LAB
     values = GridEngine("closed", kind, params).values(alpha_grid, t_grid, pairs)
     rabi = params.rabi(1)
     ref = [[resonance_values(kind, a, rabi, t) for t in t_grid.tolist()] for a in alpha_grid.tolist()]
-    ref_c = [[[cell.concurrence[p] for p in pairs] for cell in row] for row in ref]
-    ref_q = [[[cell.q_for(p) for p in pairs] for cell in row] for row in ref]
+    ref_c = [[[conc[p] for p in pairs] for conc, _ in row] for row in ref]
+    ref_q = [[[q[p] for p in pairs] for _, q in row] for row in ref]
     # bit patterns, so a -0.0 for +0.0 or a one-ulp change fails too
     assert np.array_equal(_bits(values.concurrence), _bits(ref_c))
     assert np.array_equal(_bits(values.q), _bits(ref_q))

@@ -188,6 +188,16 @@ def test_zero_intervals_rejects_nonfinite():
         zero_intervals(lambda ts: (np.full(ts.shape, np.nan), None), 0.0, 1.0, samples=11)
 
 
+def test_nonfinite_error_names_the_time_as_a_plain_float():
+    def sample(ts):
+        c = np.where(ts > 2.0, np.nan, 0.5)
+        return c, None
+
+    with pytest.raises(ValueError) as err:
+        zero_intervals(sample, 0.0, np.pi, samples=5)
+    assert str(err.value) == "curve returned a non-finite value at t = 2.356194490192345"
+
+
 def test_zero_intervals_rejects_bad_window():
     with pytest.raises(ValueError, match="t_max"):
         zero_intervals(lambda ts: (np.ones(ts.shape), None), 1.0, 1.0)

@@ -16,6 +16,14 @@ def test_params_validation():
     assert JCParams(omega0=5.0, omega=6.0, g=0.5).detuning == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("omega, g", [(5.0, 1e308), (1.7e308, 8e307)])
+def test_params_reject_an_overflowing_splitting(omega, g):
+    # 2g = inf in the first, hypot(Delta, 2g) = inf in the second
+    with pytest.raises(ValueError, match=r"splitting hypot\(omega - omega0, 2g\) overflows"):
+        JCParams(omega0=5.0, omega=omega, g=g)
+    assert math.isfinite(JCParams(omega0=5.0, omega=1e308, g=1.0).rabi(1))
+
+
 @pytest.mark.parametrize("field", ["omega0", "omega", "g"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_params_reject_non_finite(field, value):

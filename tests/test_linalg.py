@@ -5,63 +5,37 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jcpairs import (
-    HamiltonianPropagator,
-    InitialFamily,
-    JCParams,
-    evolve_analytic,
-    prepare_initial,
-    total_hamiltonian,
-    wootters_concurrence,
-)
-from jcpairs.dynamics import FAMILY_KINDS, FourPartiteState, analytic_amplitudes, initial_amplitudes
-from jcpairs.linalg import (
-    SIGMA_Y,
-    SUBSYSTEMS,
-    kron,
-    pair_densities,
-    pair_density,
-    partial_trace,
-    sqrt_psd,
-)
+import reference
+from jcpairs import JCParams, total_hamiltonian
+from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
+from jcpairs.entanglement import _SIGMA_YY, concurrence_stack
+from jcpairs.jcmodel import site_hamiltonian
+from jcpairs.linalg import SIGMA_Y, SUBSYSTEMS, pair_densities, sqrt_psd
 
 # every ordered pair of distinct subsystems
 KEEPS = [(x, y) for x in SUBSYSTEMS for y in SUBSYSTEMS if x != y]
 
 
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+def reduce_one(psi, keep, **kwargs):
+    """The 4x4 density of one pair of one amplitude tensor (d_A, d_a, d_B, d_b)."""
+    return pair_densities(psi[..., None], [keep], **kwargs)[0, 0]
+
+
+def test_kron_matches_index_formula(res_params, det_params):
+    # the lattice Hamiltonian on factors (Aa, Bb): H[(i1,i2),(j1,j2)] = H_Aa[i1,j1] d(i2,j2) + d(i1,j1) H_Bb[i2,j2]
+    h_aa, h_bb = site_hamiltonian(res_params, 1), site_hamiltonian(det_params, 1)
+    h = total_hamiltonian(res_params, det_params, n_max=1)
+    for i1, i2, j1, j2 in np.ndindex(4, 4, 4, 4):
+        expected = h_aa[i1, j1] * (i2 == j2) + (i1 == j1) * h_bb[i2, j2]
+        assert h[4 * i1 + i2, 4 * j1 + j2] == pytest.approx(expected, abs=1e-15)
 
 
 def test_kron_sigma_y_pair():
-    syy = kron(SIGMA_Y, SIGMA_Y)
+    # the spin flip of the general Wootters route
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3], expected[1, 2], expected[2, 1], expected[3, 0] = -1, 1, 1, -1
-    assert np.allclose(syy, expected, atol=0)
-
-
-def test_kron_matches_index_formula():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    got = kron(a, b)
-    # naive elementwise oracle
-    for i1 in range(2):
-        for i2 in range(2):
-            for j1 in range(2):
-                for j2 in range(2):
-                    assert got[2 * i1 + i2, 2 * j1 + j2] == pytest.approx(
-                        a[i1, j1] * b[i2, j2], abs=1e-15
-                    )
-
-
-def test_kron_associative_and_bilinear():
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-        assert np.allclose(kron(a + b, c), kron(a, c) + kron(b, c), atol=1e-12)
-        assert np.allclose(kron(a, b + c), kron(a, b) + kron(a, c), atol=1e-12)
+    assert np.array_equal(_SIGMA_YY, expected)
+    assert np.array_equal(np.kron(SIGMA_Y, SIGMA_Y), expected)
 
 
 def test_sqrt_psd_reconstruction_and_trace():
@@ -107,55 +81,50 @@ def test_sqrt_psd_rejects_negative_eigenvalue():
 def test_partial_trace_product_state():
     psi = np.zeros((2, 2, 2, 2), dtype=complex)
     psi[0, 0, 1, 0] = 1.0  # |e>_A |0>_a |g>_B |0>_b
-    state = FourPartiteState(dims=psi.shape, amplitudes=psi.reshape(-1))
-    rho = partial_trace(state, ("A", "B"))
+    rho = reduce_one(psi, ("A", "B"))
     expected = np.zeros((4, 4))
     expected[1, 1] = 1.0  # |e g><e g|
     assert np.allclose(rho, expected, atol=1e-14)
 
 
 def test_partial_trace_initial_local_pair():
-    state = prepare_initial(InitialFamily("phi", np.pi / 4))
-    rho = partial_trace(state, ("A", "a"))
+    psi = initial_amplitudes("phi", np.pi / 4)
+    rho = reduce_one(psi, ("A", "a"))
     # atom maximally mixed, cavity in vacuum: diag over (e0, g0)
     assert np.allclose(rho, np.diag([0.0, 0.5, 0.0, 0.5]), atol=1e-14)
-    assert wootters_concurrence(rho).value == pytest.approx(0.0, abs=1e-12)
+    assert concurrence_stack(rho)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_partial_trace_matches_projection_sum(res_params):
     # independent oracle: sum the projected cavity slices by hand
-    state = evolve_analytic(InitialFamily("phi", 0.6), res_params, 0.7)
-    psi = state.amplitudes.reshape(state.dims)
+    psi = analytic_amplitudes("phi", [0.6], [0.7], res_params)[..., 0, 0]
     oracle = np.zeros((4, 4), dtype=complex)
     for ka in range(2):
         for kb in range(2):
             v = psi[:, ka, :, kb].reshape(4)
             oracle += np.outer(v, v.conj())
-    assert np.allclose(partial_trace(state, ("A", "B")), oracle, atol=1e-13)
+    assert np.allclose(reduce_one(psi, ("A", "B")), oracle, atol=1e-13)
     # the doubly-excited cavity slice is empty only for the psi family
-    psi_state = evolve_analytic(InitialFamily("psi", 0.6), res_params, 0.7)
-    assert np.max(np.abs(psi_state.amplitudes.reshape(psi_state.dims)[:, 1, :, 1])) <= 1e-14
+    psi_family = analytic_amplitudes("psi", [0.6], [0.7], res_params)[..., 0, 0]
+    assert np.max(np.abs(psi_family[:, 1, :, 1])) <= 1e-14
     assert np.max(np.abs(psi[:, 1, :, 1])) > 1e-3
 
 
 def test_partial_trace_reductions_are_density_matrices(res_params):
     for kind in ("phi", "psi"):
-        for t in (0.0, 0.9, 2.3):
-            state = evolve_analytic(InitialFamily(kind, 0.5), res_params, t)
-            for keep in (("A", "B"), ("a", "b"), ("A", "a"), ("B", "b"), ("A", "b"), ("B", "a")):
-                rho = partial_trace(state, keep)
-                assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
-                assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
-                assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
+        rho = pair_densities(analytic_amplitudes(kind, [0.5], [0.0, 0.9, 2.3], res_params),
+                             ("AB", "ab", "Aa", "Bb", "Ab", "Ba"))
+        assert np.max(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
 
 
 def test_partial_trace_keep_order():
     rng = np.random.default_rng(5)
     amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    amps /= np.linalg.norm(amps)
-    state = FourPartiteState(dims=(2, 2, 2, 2), amplitudes=amps)
-    rho_ab = partial_trace(state, ("A", "B"))
-    rho_ba = partial_trace(state, ("B", "A"))
+    psi = (amps / np.linalg.norm(amps)).reshape(2, 2, 2, 2)
+    rho_ab = reduce_one(psi, ("A", "B"))
+    rho_ba = reduce_one(psi, ("B", "A"))
     swapped = rho_ab.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     assert np.allclose(rho_ba, swapped, atol=1e-14)
 
@@ -163,20 +132,19 @@ def test_partial_trace_keep_order():
 def test_partial_trace_cavity_leakage_rejected():
     psi = np.zeros((2, 3, 2, 3), dtype=complex)
     psi[1, 2, 1, 0] = 1.0  # two photons in cavity a
-    state = FourPartiteState(dims=psi.shape, amplitudes=psi.reshape(-1))
     with pytest.raises(ValueError, match="above one photon"):
-        partial_trace(state, ("A", "a"))
+        reduce_one(psi, ("A", "a"))
     # tracing the leaking cavity out is fine
-    rho = partial_trace(state, ("A", "B"))
+    rho = reduce_one(psi, ("A", "B"))
     assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partial_trace_rejects_bad_labels():
-    state = prepare_initial(InitialFamily("phi", 0.3))
+    psi = initial_amplitudes("phi", 0.3)
     with pytest.raises(ValueError, match="distinct"):
-        partial_trace(state, ("A", "A"))
+        reduce_one(psi, ("A", "A"))
     with pytest.raises(ValueError, match="unknown"):
-        partial_trace(state, ("A", "x"))
+        reduce_one(psi, ("A", "x"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,18 +167,6 @@ def _amplitude_stack(route, kind, n_max, alphas, ts):
     return psi
 
 
-def _einsum_density(psi, keep):
-    """Independent reduction: cavity levels (1, 0) selected, the other two factors traced by einsum."""
-    axes = ["ABCD"[SUBSYSTEMS.index(label)] for label in keep]
-    for label, axis in zip(keep, axes):
-        if label in ("a", "b"):
-            psi = np.take(psi, [1, 0], axis="ABCD".index(axis))
-    bra = "".join({axes[0]: "w", axes[1]: "x"}.get(c, c) for c in "ABCD")
-    ket = "".join({axes[0]: "y", axes[1]: "z"}.get(c, c) for c in "ABCD")
-    rho = np.einsum(f"{bra}...,{ket}...->...wxyz", psi, psi.conj())
-    return rho.reshape(rho.shape[:-4] + (4, 4))
-
-
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -229,8 +185,8 @@ def test_all_pair_reduction_matches_one_pair_reductions(route, kind, n_max, keep
     assert rho.shape == (len(alphas), len(ts), len(keeps), 4, 4)
     for slot, keep in enumerate(keeps):
         # the same bits as reducing the pair alone, whatever else is reduced with it
-        assert np.array_equal(_bits(rho[..., slot, :, :]), _bits(pair_density(psi, keep)))
-        assert np.max(np.abs(rho[..., slot, :, :] - _einsum_density(psi, keep))) <= 1e-15
+        assert np.array_equal(_bits(rho[..., slot, :, :]), _bits(pair_densities(psi, [keep])[..., 0, :, :]))
+        assert np.max(np.abs(rho[..., slot, :, :] - reference.pair_density(psi, keep))) <= 1e-15
     # labels may also be given as two-letter strings
     assert np.array_equal(_bits(pair_densities(psi, ["".join(k) for k in keeps])), _bits(rho))
 
@@ -257,7 +213,7 @@ def test_leakage_error_names_the_first_leaking_cavity_and_its_largest_population
         assert str(err.value) == message.format(label, leak)
     for keep, label, leak in ((("A", "a"), "a", leak_a), (("b", "B"), "b", leak_b)):
         with pytest.raises(ValueError) as err:
-            pair_density(cells_last, keep)
+            pair_densities(cells_last, [keep])
         assert str(err.value) == message.format(label, leak)
     assert message.format("a", leak_a).startswith("cavity a holds probability 4.500e-01")
     # tracing both cavities out needs no projection
