@@ -44,9 +44,9 @@ def run_checks(params, tol, inject_fault=False):
     """(name, passed, detail) of every invariant check at the resonant site ``params``.
 
     ``tol`` bounds the engine and closed-form gaps; the other checks have
-    fixed tolerances.  ``inject_fault`` adds 1e-3 to one diagonal entry of
-    the numeric route's Hamiltonian, a negative control that must fail
-    ``engine_agreement``.
+    fixed tolerances.  A NaN gap fails its check.  ``inject_fault`` adds
+    1e-3 to one diagonal entry of the numeric route's Hamiltonian, a
+    negative control that must fail ``engine_agreement``.
     """
     if abs(params.detuning) > 1e-12:
         raise ValueError("verify runs at resonance; set omega = omega0")
@@ -71,21 +71,24 @@ def run_checks(params, tol, inject_fault=False):
     def gap(x, y):
         return float(np.max(np.abs(x - y)))
 
+    def worst(*gaps):  # NaN if any gap is NaN, which Python's max would drop
+        return float(np.max(gaps))
+
     for kind in FAMILY_KINDS:
         analytic = GridEngine("analytic", kind, params).values(alphas, ts).concurrence
         numeric = GridEngine("numeric", kind, params, hamiltonian=h).values(alphas, ts).concurrence
         closed = GridEngine("closed", kind, params).values(alphas, ts).concurrence
-        max_engine = max(max_engine, gap(analytic, numeric))
-        max_closed = max(max_closed, gap(closed, analytic), gap(closed, numeric))
+        max_engine = worst(max_engine, gap(analytic, numeric))
+        max_closed = worst(max_closed, gap(closed, analytic), gap(closed, numeric))
         c = {label: analytic[..., i] for i, label in enumerate(PAIR_LABELS)}
         if kind == "psi":
             target = np.abs(np.sin(2.0 * alphas))[:, None]
-            max_psi_conservation = max(max_psi_conservation, gap(c["AB"] + c["ab"], target))
-        max_pair_sym = max(max_pair_sym, gap(c["Ba"], c["Ab"]))
+            max_psi_conservation = worst(max_psi_conservation, gap(c["AB"] + c["ab"], target))
+        max_pair_sym = worst(max_pair_sym, gap(c["Ba"], c["Ab"]))
         if kind == "phi":
-            max_local_sym = max(max_local_sym, gap(c["Aa"], c["Bb"]))
+            max_local_sym = worst(max_local_sym, gap(c["Aa"], c["Bb"]))
         # C_ab shifted by half a Rabi period reproduces C_AB (grid step is pi/(4G))
-        shift_gap = max(shift_gap, gap(c["ab"][:, 4:], c["AB"][:, :-4]))
+        shift_gap = worst(shift_gap, gap(c["ab"][:, 4:], c["AB"][:, :-4]))
 
         # every reduction of both evolution routes is X-shaped, and its
         # entry-read C is the Wootters C (x_tol < 0 sends every cell through
@@ -95,8 +98,8 @@ def run_checks(params, tol, inject_fault=False):
                   (propagator.evolve_grid(initial_amplitudes(kind, alphas), ts), numeric))
         for psi, conc in routes:
             rho = pair_densities(psi, PAIR_LABELS)  # (alpha, t, pair, 4, 4), as conc
-            max_x_defect = max(max_x_defect, float(np.max(off_x_defect(rho))))
-            max_fastpath = max(max_fastpath, gap(conc, concurrence_stack(rho, x_tol=-1.0)[0]))
+            max_x_defect = worst(max_x_defect, float(np.max(off_x_defect(rho))))
+            max_fastpath = worst(max_fastpath, gap(conc, concurrence_stack(rho, x_tol=-1.0)[0]))
 
     # C^Ab of the psi family peaks at exactly one half
     fine_alpha = np.linspace(0.0, 0.5 * math.pi, 41)
@@ -112,14 +115,14 @@ def run_checks(params, tol, inject_fault=False):
     for kind in FAMILY_KINDS:
         q = dict(zip(PAIR_LABELS, np.moveaxis(closed_grid(kind, q_alphas, params, q_ts)[1], -1, 0)))
         lhs = q["AB"] + q["ab"] + 2.0 * np.abs(np.tan(q_alphas))[:, None] * q["Aa"] - 2.0 * q["Ab"]
-        max_q_std = max(max_q_std, float(lhs.std(axis=1).max()))
+        max_q_std = worst(max_q_std, float(lhs.std(axis=1).max()))
         target = 0.5 * np.abs(np.sin(2.0 * q_alphas))
-        max_q_gap = max(max_q_gap, float(np.abs(lhs.mean(axis=1) - target).max()))
+        max_q_gap = worst(max_q_gap, float(np.abs(lhs.mean(axis=1) - target).max()))
 
     rng = np.random.default_rng(7)
     states = np.array([random_x_state(rng) for _ in range(200)])
-    max_fastpath = max(max_fastpath, gap(concurrence_stack(states)[0],
-                                         concurrence_stack(states, x_tol=-1.0)[0]))
+    max_fastpath = worst(max_fastpath, gap(concurrence_stack(states)[0],
+                                           concurrence_stack(states, x_tol=-1.0)[0]))
 
     return [
         ("engine_agreement", max_engine <= tol,

@@ -6,8 +6,9 @@ Outputs are deterministic: CSV gets LF line endings and 17-significant-digit
 floats, JSON uses fixed key order.  Exit codes: 0 success, 1 usage error,
 2 I/O error, 3 verification failure.
 
-A config file of ``key = value`` lines (# comments allowed) supplies
-defaults; explicit flags override the file.
+Every setting is one entry of ``_SETTINGS``: a flag of the commands that
+take it and a key of the config file, ``key = value`` lines (# comments
+allowed).  Explicit flags override the file, which overrides the defaults.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,47 @@ _Q_COLUMNS = [f"Q_{pair}" for pair in _Q_PAIRS]
 _EVOLVE_COLUMNS = ["t", "Gt", "alpha"] + _C_COLUMNS + _Q_COLUMNS
 _SWEEP_COLUMNS = ["alpha", "t", "Gt", "pair", "C", "Q", "is_zero"]
 
+_RUNS = ("evolve", "sweep", "esd")
+_ALL = _RUNS + ("verify",)
 
-class UsageError(Exception):
-    pass
+# Every setting, in --help order: key -> (type, default, commands, choices,
+# help).  The key names it in a config file; its flag is --key with - for _.
+# A default of None means unset, or derived in _merged from the other
+# settings.  engine's choices depend on the command.
+_SETTINGS = {
+    "family": (str, "phi", _RUNS, FAMILY_KINDS, "initial-state family"),
+    "alpha": (float, 0.25 * math.pi, ("evolve", "esd"), None, "superposition angle (radians)"),
+    "alpha_deg": (float, None, ("evolve", "esd"), None, "superposition angle (degrees)"),
+    "omega0": (float, 5.0, _ALL, None, "atomic frequency"),
+    "omega": (float, 5.0, _ALL, None, "cavity frequency"),
+    "g": (float, 1.0, _ALL, None, "atom-cavity coupling"),
+    "n_max": (int, 1, _RUNS, None, "Fock-space truncation (numeric engine)"),
+    "alpha_min": (float, 0.0, ("sweep",), None, "first angle of the grid (radians)"),
+    "alpha_max": (float, 0.5 * math.pi, ("sweep",), None, "last angle of the grid (radians)"),
+    "alpha_points": (int, 9, ("sweep",), None, "number of angles in the grid"),
+    "t_max": (float, None, _RUNS, None, "last time (default: two Rabi periods)"),
+    "steps": (int, None, _RUNS, None, "time steps (default: 512 per Rabi period)"),
+    "engine": (str, "analytic", _RUNS, {"evolve": ("analytic", "numeric", "both"),
+                                        "sweep": ("closed", "analytic", "numeric", "both"),
+                                        "esd": ("closed", "analytic", "numeric")},
+               "evolution route; both runs analytic and numeric and compares them"),
+    "pair": (str, None, ("sweep",), PAIR_LABELS, "restrict to one pair"),
+    "tol": (float, 1e-9, ("evolve", "sweep", "verify"), None,
+            "largest engine gap that passes (exit 3 above it)"),
+    "zero_tol": (float, 1e-12, ("sweep", "esd"), None, "largest C that counts as zero"),
+    "min_width": (float, None, ("esd",), None,
+                  "width below which a zero run without Q is a touch (default: 1e-6 Rabi periods)"),
+    "format": (str, "csv", ("evolve", "sweep"), ("csv", "json"), "table format"),
+    "json": (bool, False, ("verify",), None, "write the checks as JSON"),
+    "inject_fault": (bool, False, ("verify",), None,
+                     "perturb one Hamiltonian entry (negative control)"),
+    "output": (str, "-", _ALL, None, "output file (default: stdout)"),
+}
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+class UsageError(ValueError):
+    """A request the settings rule out (exit code 1)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,124 +83,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family: str = "phi"
-    alpha: float = 0.25 * math.pi
-    omega0: float = 5.0
-    omega: float = 5.0
-    g: float = 1.0
-    n_max: int = 1
-    t_max: float | None = None
-    steps: int | None = None
-    engine: str = "analytic"
-    tol: float = 1e-9
-    zero_tol: float = 1e-12
-    fmt: str = "csv"
-    output: str = "-"
-    min_width: float | None = None
-    alpha_min: float = 0.0
-    alpha_max: float = 0.5 * math.pi
-    alpha_points: int = 9
-    pair: str | None = None
-    as_json: bool = False
-    inject_fault: bool = False
-
-    def params(self):
-        try:
-            return JCParams(omega0=self.omega0, omega=self.omega, g=self.g)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-
-_ENGINES = {
-    "evolve": ("analytic", "numeric", "both"),
-    "sweep": ("closed", "analytic", "numeric", "both"),
-    "esd": ("closed", "analytic", "numeric"),
-}
-# the allowed values of a setting (engine's per command above), for its flag
-# and its config-file key alike
-_CHOICES = {"family": FAMILY_KINDS, "format": ("csv", "json"), "pair": PAIR_LABELS}
-
-_FLOAT_KEYS = (
-    "alpha", "alpha_deg", "omega0", "omega", "g", "t_max", "tol", "zero_tol",
-    "min_width", "alpha_min", "alpha_max",
-)
-_INT_KEYS = {"n_max", "steps", "alpha_points"}
-_BOOL_KEYS = {"json", "inject_fault"}
-
-_COMMAND_KEYS = {
-    "evolve": {"family", "alpha", "alpha_deg", "omega0", "omega", "g", "n_max",
-               "t_max", "steps", "engine", "tol", "format", "output"},
-    "sweep": {"family", "omega0", "omega", "g", "n_max", "t_max",
-              "steps", "engine", "tol", "zero_tol", "format", "output",
-              "alpha_min", "alpha_max", "alpha_points", "pair"},
-    "esd": {"family", "alpha", "alpha_deg", "omega0", "omega", "g", "n_max",
-            "t_max", "steps", "engine", "zero_tol", "min_width", "output"},
-    "verify": {"omega0", "omega", "g", "tol", "output", "json", "inject_fault"},
-}
+def _choices(key, command):
+    choices = _SETTINGS[key][3]
+    return choices[command] if isinstance(choices, dict) else choices
 
 
 @functools.cache  # built on the first request, then reused: argparse keeps no per-parse state
 def _build_parser():
     parser = _Parser(prog="jcpairs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def add_common(p, *, with_alpha=True):
+    for command, handler in _HANDLERS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
         p.add_argument("--config", help="key = value file of defaults")
-        p.add_argument("--family", choices=_CHOICES["family"])
-        if with_alpha:
-            p.add_argument("--alpha", type=float, help="superposition angle (radians)")
-            p.add_argument("--alpha-deg", type=float, help="superposition angle (degrees)")
-        p.add_argument("--omega0", type=float, help="atomic frequency")
-        p.add_argument("--omega", type=float, help="cavity frequency")
-        p.add_argument("--g", type=float, help="atom-cavity coupling")
-        p.add_argument("--n-max", type=int, help="Fock-space truncation (numeric engine)")
-
-    p_evolve = sub.add_parser("evolve", help="concurrence time series")
-    add_common(p_evolve)
-    p_evolve.add_argument("--t-max", type=float)
-    p_evolve.add_argument("--steps", type=int)
-    p_evolve.add_argument("--engine", choices=_ENGINES["evolve"])
-    p_evolve.add_argument("--tol", type=float, help="engine-agreement tolerance for --engine both")
-    p_evolve.add_argument("--format", choices=_CHOICES["format"])
-    p_evolve.add_argument("--output")
-
-    p_sweep = sub.add_parser("sweep", help="(alpha, t) concurrence table")
-    add_common(p_sweep, with_alpha=False)
-    p_sweep.add_argument("--alpha-min", type=float)
-    p_sweep.add_argument("--alpha-max", type=float)
-    p_sweep.add_argument("--alpha-points", type=int)
-    p_sweep.add_argument("--t-max", type=float)
-    p_sweep.add_argument("--steps", type=int)
-    p_sweep.add_argument("--engine", choices=_ENGINES["sweep"])
-    p_sweep.add_argument("--pair", choices=_CHOICES["pair"], help="restrict to one pair")
-    p_sweep.add_argument("--tol", type=float)
-    p_sweep.add_argument("--zero-tol", type=float)
-    p_sweep.add_argument("--format", choices=_CHOICES["format"])
-    p_sweep.add_argument("--output")
-
-    p_esd = sub.add_parser("esd", help="zero-interval report (JSON)")
-    add_common(p_esd)
-    p_esd.add_argument("--t-max", type=float)
-    p_esd.add_argument("--steps", type=int)
-    p_esd.add_argument("--engine", choices=_ENGINES["esd"])
-    p_esd.add_argument("--zero-tol", type=float)
-    p_esd.add_argument("--min-width", type=float)
-    p_esd.add_argument("--output")
-
-    p_verify = sub.add_parser("verify", help="run the invariant self-checks")
-    p_verify.add_argument("--config", help="key = value file of defaults")
-    p_verify.add_argument("--omega0", type=float)
-    p_verify.add_argument("--omega", type=float)
-    p_verify.add_argument("--g", type=float)
-    p_verify.add_argument("--tol", type=float)
-    p_verify.add_argument("--json", action="store_true", default=None)
-    p_verify.add_argument("--inject-fault", action="store_true", default=None,
-                          help="perturb one Hamiltonian entry (negative control)")
-    p_verify.add_argument("--output")
-
+        for key, (kind, _, commands, _, text) in _SETTINGS.items():
+            if command not in commands:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(flag, type=kind, choices=_choices(key, command), help=text)
     return parser
 
 
@@ -177,9 +117,9 @@ def _read_config_file(path, command):
                 raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, text = line.split("=", 1)
             key = key.strip().lower().replace("-", "_")
-            if key not in _COMMAND_KEYS[command]:
+            if key not in _SETTINGS or command not in _SETTINGS[key][2]:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r} for command {command!r}")
-            values[key] = _coerce_config_value(command, key, text.strip(), where=f"{path}:{lineno}")
+            values[key] = _config_value(command, key, text.strip(), where=f"{path}:{lineno}")
     if "alpha_deg" in values:
         if "alpha" in values:
             raise UsageError(f"{path}: give alpha or alpha_deg, not both")
@@ -187,76 +127,46 @@ def _read_config_file(path, command):
     return values
 
 
-def _coerce_config_value(command, key, text, *, where):
-    choices = _ENGINES[command] if key == "engine" else _CHOICES.get(key)
+def _config_value(command, key, text, *, where):
+    choices = _choices(key, command)
     if choices is not None and text not in choices:
         raise UsageError(f"{where}: bad value for {key}: {text!r} "
                          f"(choose from {', '.join(map(repr, choices))})")
+    kind = _SETTINGS[key][0]
     try:
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _BOOL_KEYS:
-            low = text.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
-        return text
-    except ValueError as exc:
+        return _BOOLEANS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError) as exc:
         raise UsageError(f"{where}: bad value for {key}: {text!r}") from exc
 
 
 def _merged(args, command):
-    """Flags override config-file values, which override built-in defaults."""
-    config = _read_config_file(args.config, command) if getattr(args, "config", None) else {}
+    """Every setting by key, flag over config file over default, and the site's ``params``.
 
-    def pick(key, default=None):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in config:
-            return config[key]
-        return default
-
+    A setting the command does not take holds its default, which passes
+    every check.
+    """
+    config = _read_config_file(args.config, command) if args.config else {}
     # the angle is one setting: a flag in either unit beats the file's value
     if getattr(args, "alpha_deg", None) is not None:
         if args.alpha is not None:
             raise UsageError("give --alpha or --alpha-deg, not both")
-        args.alpha = math.radians(args.alpha_deg)
+        args.alpha, args.alpha_deg = math.radians(args.alpha_deg), None
 
-    cfg = RunConfig(command=command)
-    cfg.family = pick("family", cfg.family)
-    cfg.alpha = pick("alpha", cfg.alpha)
-    cfg.omega0 = pick("omega0", cfg.omega0)
-    cfg.omega = pick("omega", cfg.omega)
-    cfg.g = pick("g", cfg.g)
-    cfg.n_max = pick("n_max", cfg.n_max)
-    cfg.engine = pick("engine", "analytic")
-    cfg.tol = pick("tol", cfg.tol)
-    cfg.zero_tol = pick("zero_tol", cfg.zero_tol)
-    cfg.fmt = pick("format", cfg.fmt)
-    cfg.output = pick("output", cfg.output)
-    cfg.min_width = pick("min_width", None)
-    cfg.alpha_min = pick("alpha_min", cfg.alpha_min)
-    cfg.alpha_max = pick("alpha_max", cfg.alpha_max)
-    cfg.alpha_points = pick("alpha_points", cfg.alpha_points)
-    cfg.pair = pick("pair", None)
-    cfg.as_json = bool(pick("json", False))
-    cfg.inject_fault = bool(pick("inject_fault", False))
-    cfg.t_max = pick("t_max")
-    cfg.steps = pick("steps")
+    cfg = argparse.Namespace(command=command)
+    for key, (kind, default, *_) in _SETTINGS.items():
+        value = getattr(args, key, None)
+        value = config.get(key, default) if value is None else value
+        # every float setting is finite before any default is derived from them
+        if kind is float and value is not None and not math.isfinite(value):
+            raise UsageError(f"{key.replace('_', '-')} must be finite, got {value}")
+        setattr(cfg, key, value)
 
-    # every float setting is finite before any default is derived from them
-    for name in _FLOAT_KEYS:
-        value = getattr(cfg, name, None)  # alpha_deg is already folded into alpha
-        if value is not None and not math.isfinite(value):
-            raise UsageError(f"{name.replace('_', '-')} must be finite, got {value}")
-    period = 2.0 * math.pi / cfg.params().rabi(1)
-    if cfg.t_max is None:
+    cfg.params = JCParams(omega0=cfg.omega0, omega=cfg.omega, g=cfg.g)
+    period = 2.0 * math.pi / cfg.params.rabi(1)
+    if cfg.t_max is None:  # two Rabi periods, where verify's grid ends too
         cfg.t_max = 2.0 * period
+        if math.isinf(cfg.t_max):
+            raise UsageError(f"two Rabi periods, 2 pi / g, overflow for g={cfg.g}; raise g")
     if cfg.steps is None:
         steps = 512 * cfg.t_max / period
         if steps > sys.maxsize:  # also inf, which round() cannot convert
@@ -269,27 +179,25 @@ def _merged(args, command):
 
 
 def _validate(cfg):
-    if cfg.command != "verify":
-        if cfg.steps < 1:
-            raise UsageError(f"steps must be >= 1, got {cfg.steps}")
-        if cfg.command == "esd" and cfg.steps < 2:
-            raise UsageError("steps must be >= 2 for esd")
-        if not cfg.t_max > 0:
-            raise UsageError(f"t-max must be positive, got {cfg.t_max}")
-        if cfg.n_max < 1:
-            raise UsageError(f"n-max must be >= 1, got {cfg.n_max}")
-        # twice a site's largest energy bounds every phase rate a route takes
-        params = cfg.params()
-        rate = 2.0 * (0.5 * params.omega0 + cfg.n_max * params.omega + math.sqrt(cfg.n_max) * params.g)
-        if not math.isfinite(rate * cfg.t_max):
-            raise UsageError(f"t-max {cfg.t_max} times the largest phase rate, 2 (omega0/2 + "
-                             f"n_max omega + sqrt(n_max) g) = {rate}, overflows; lower t-max, "
-                             "omega0, omega or g")
-    if cfg.command == "sweep":
-        if cfg.alpha_points < 1:
-            raise UsageError(f"alpha-points must be >= 1, got {cfg.alpha_points}")
-        if cfg.alpha_points > 1 and not cfg.alpha_max > cfg.alpha_min:
-            raise UsageError("alpha-max must exceed alpha-min")
+    if cfg.steps < 1:
+        raise UsageError(f"steps must be >= 1, got {cfg.steps}")
+    if cfg.command == "esd" and cfg.steps < 2:
+        raise UsageError("steps must be >= 2 for esd")
+    if not cfg.t_max > 0:
+        raise UsageError(f"t-max must be positive, got {cfg.t_max}")
+    if cfg.n_max < 1:
+        raise UsageError(f"n-max must be >= 1, got {cfg.n_max}")
+    # twice a site's largest energy bounds every phase rate a route takes
+    rate = 2.0 * (0.5 * cfg.omega0 + cfg.n_max * cfg.omega + math.sqrt(cfg.n_max) * cfg.g)
+    if not math.isfinite(rate * cfg.t_max):
+        span, advice = (("verify's largest t, 4 pi/G =", "lower omega0 or omega, or raise g")
+                        if cfg.command == "verify" else ("t-max", "lower t-max, omega0, omega or g"))
+        raise UsageError(f"{span} {cfg.t_max} times the largest phase rate, 2 (omega0/2 + "
+                         f"n_max omega + sqrt(n_max) g) = {rate}, overflows; {advice}")
+    if cfg.alpha_points < 1:
+        raise UsageError(f"alpha-points must be >= 1, got {cfg.alpha_points}")
+    if cfg.alpha_points > 1 and not cfg.alpha_max > cfg.alpha_min:
+        raise UsageError("alpha-max must exceed alpha-min")
     if not cfg.tol > 0:
         raise UsageError(f"tol must be positive, got {cfg.tol}")
     if cfg.zero_tol < 0:
@@ -402,8 +310,9 @@ def _disagreement_exit(results, alpha_grid, t_grid, pairs, cfg):
 
 
 def _cmd_evolve(args):
+    """concurrence time series"""
     cfg = _merged(args, "evolve")
-    params = cfg.params()
+    params = cfg.params
     rabi = params.rabi(1)
     ts = np.array([cfg.t_max * i / cfg.steps for i in range(cfg.steps + 1)])
 
@@ -412,47 +321,46 @@ def _cmd_evolve(args):
     q = results[0].q[0]
 
     columns = list(_EVOLVE_COLUMNS)
-    data = [ts, rabi * ts, (_number_cells(cfg.fmt, [cfg.alpha]), 0)]
+    data = [ts, rabi * ts, (_number_cells(cfg.format, [cfg.alpha]), 0)]
     data += [conc[:, i] for i in range(len(PAIR_LABELS))]
     data += [q[:, PAIR_LABELS.index(pair)] for pair in _Q_PAIRS]
     if cfg.engine == "both":
         columns.append("max_engine_disagreement")
         data.append(np.max(np.abs(conc - results[1].concurrence[0]), axis=1))
 
-    _write_output(cfg.output, _table_chunks(cfg.fmt, columns, (1, ts.size), data))
+    _write_output(cfg.output, _table_chunks(cfg.format, columns, (1, ts.size), data))
     return _disagreement_exit(results, [cfg.alpha], ts, PAIR_LABELS, cfg)
 
 
 def _cmd_sweep(args):
+    """(alpha, t) concurrence table"""
     cfg = _merged(args, "sweep")
-    params = cfg.params()
+    params = cfg.params
     rabi = params.rabi(1)
     alpha_grid = np.linspace(cfg.alpha_min, cfg.alpha_max, cfg.alpha_points)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
     pairs = [cfg.pair] if cfg.pair else list(PAIR_LABELS)
 
-    try:
-        results = [engine.values(alpha_grid, t_grid, pairs) for engine in _engines(cfg, params)]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    results = [engine.values(alpha_grid, t_grid, pairs) for engine in _engines(cfg, params)]
     conc = results[0].concurrence
     # rows run over (alpha, t, pair); the per-axis cells are formatted once
     data = [
-        (_number_cells(cfg.fmt, alpha_grid), 0),
-        (_number_cells(cfg.fmt, t_grid), 1),
-        (_number_cells(cfg.fmt, rabi * t_grid), 1),
-        (_label_cells(cfg.fmt, pairs), 2),
+        (_number_cells(cfg.format, alpha_grid), 0),
+        (_number_cells(cfg.format, t_grid), 1),
+        (_number_cells(cfg.format, rabi * t_grid), 1),
+        (_label_cells(cfg.format, pairs), 2),
         conc,
         results[0].q,
-        (_label_cells(cfg.fmt, ["false", "true"]), (conc <= cfg.zero_tol).view(np.uint8)),
+        (_label_cells(cfg.format, ["false", "true"]), (conc <= cfg.zero_tol).view(np.uint8)),
     ]
-    _write_output(cfg.output, _table_chunks(cfg.fmt, _SWEEP_COLUMNS, conc.shape, data))
+    _write_output(cfg.output, _table_chunks(cfg.format, _SWEEP_COLUMNS, conc.shape, data))
     return _disagreement_exit(results, alpha_grid, t_grid, pairs, cfg)
 
 
 def _cmd_esd(args):
+    """zero-interval report (JSON)"""
     cfg = _merged(args, "esd")
-    params = cfg.params()
+    params = cfg.params
     rabi = params.rabi(1)
     min_width = cfg.min_width if cfg.min_width is not None else 1e-6 * (2.0 * math.pi / rabi)
 
@@ -501,9 +409,10 @@ def _cmd_esd(args):
 
 
 def _cmd_verify(args):
+    """run the invariant self-checks"""
     cfg = _merged(args, "verify")
-    checks = run_checks(cfg.params(), cfg.tol, cfg.inject_fault)
-    if cfg.as_json:
+    checks = run_checks(cfg.params, cfg.tol, cfg.inject_fault)
+    if cfg.json:
         payload = [{"name": name, "passed": bool(ok), "detail": detail} for name, ok, detail in checks]
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -530,12 +439,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            raise UsageError("missing subcommand (evolve, sweep, esd, verify)")
+            raise UsageError(f"missing subcommand ({', '.join(_HANDLERS)})")
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # config-induced library rejections
+    except ValueError as exc:  # a UsageError, or a library's rejection of a setting
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -9,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import jcpairs.checks as checks
 import jcpairs.cli as cli
 from jcpairs import PAIR_LABELS, GridEngine, JCParams
 from jcpairs.cli import main
+from jcpairs.closedform import closed_grid
 
 EVOLVE_HEADER = "t,Gt,alpha,C_AB,C_ab,C_Aa,C_Bb,C_Ab,C_Ba,Q_AB,Q_ab,Q_Aa,Q_Ab"
 
@@ -223,6 +226,32 @@ def test_verify_injected_fault_fails(capsys):
     assert "FAIL engine_agreement" in out
 
 
+class _NumericWithNaN(GridEngine):
+    def values(self, alphas, ts, pairs=PAIR_LABELS):
+        values = super().values(alphas, ts, pairs)
+        if self.name == "numeric":
+            values.concurrence[0, 1, 0] = math.nan
+        return values
+
+
+def _closed_grid_with_nan(*args):
+    conc, q = closed_grid(*args)
+    q[0, 1, 0] = math.nan
+    return conc, q
+
+
+@pytest.mark.parametrize("name, stand_in, failing", [
+    ("GridEngine", _NumericWithNaN, {"engine_agreement", "closed_form_agreement", "x_form"}),
+    ("closed_grid", _closed_grid_with_nan, {"q_identity"}),
+], ids=["numeric-C", "closed-Q"])
+def test_a_nan_gap_fails_its_check(monkeypatch, name, stand_in, failing):
+    # one NaN cell: folding the gaps with Python's max would drop it and pass
+    monkeypatch.setattr(checks, name, stand_in)
+    results = checks.run_checks(PARAMS, 1e-9)
+    assert {check for check, ok, _ in results if not ok} == failing
+    assert all("nan" in detail for check, ok, detail in results if check in failing)
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert run("evolve", "--steps", "0") == 1
     assert run("evolve", "--engine", "warp") == 1
@@ -353,7 +382,21 @@ def test_default_steps_of_a_huge_t_max_is_a_usage_error(command, capsys):
     (["sweep", "--t-max", "1e307", "--steps", "3", "--n-max", "2"],
      "error: t-max 1e+307 times the largest phase rate, 2 (omega0/2 + n_max omega + "
      "sqrt(n_max) g) = 27.82842712474619, overflows; lower t-max, omega0, omega or g\n"),
-], ids=["evolve-g", "sweep-omega", "esd-omega", "sweep-t-max"])
+    # verify's own grid ends at 4 pi/G: its phases overflow, or were NaN and passed every check
+    (["verify", "--omega0", "1e308", "--omega", "1e308"],
+     "error: verify's largest t, 4 pi/G = 6.283185307179586 times the largest phase rate, "
+     "2 (omega0/2 + n_max omega + sqrt(n_max) g) = inf, overflows; lower omega0 or omega, "
+     "or raise g\n"),
+    (["verify", "--g", "1e-300", "--omega0", "1e10", "--omega", "1e10"],
+     "error: verify's largest t, 4 pi/G = 6.283185307179586e+300 times the largest phase rate, "
+     "2 (omega0/2 + n_max omega + sqrt(n_max) g) = 30000000000.0, overflows; lower omega0 or "
+     "omega, or raise g\n"),
+    # the default t-max, two Rabi periods, would be inf
+    (["evolve", "--g", "1e-308"], "error: two Rabi periods, 2 pi / g, overflow for g=1e-308; raise g\n"),
+    (["sweep", "--g", "1e-308"], "error: two Rabi periods, 2 pi / g, overflow for g=1e-308; raise g\n"),
+    (["esd", "--g", "1e-308"], "error: two Rabi periods, 2 pi / g, overflow for g=1e-308; raise g\n"),
+], ids=["evolve-g", "sweep-omega", "esd-omega", "sweep-t-max", "verify-omega", "verify-tiny-g",
+        "evolve-tiny-g", "sweep-tiny-g", "esd-tiny-g"])
 def test_overflowing_rates_or_phases_are_usage_errors(argv, message):
     # a fresh process, so that a numpy warning or a traceback would show on stderr
     assert _fresh_process(argv) == (1, "", message)
@@ -579,3 +622,80 @@ def test_detuned_closed_sweep_agrees_with_the_analytic_sweep(tmp_path):
             [theirs[key] for key in ("alpha", "t", "Gt", "pair")]
         assert abs(float(ours["C"]) - float(theirs["C"])) <= 1e-12
         assert abs(float(ours["Q"]) - float(theirs["Q"])) <= 1e-12
+
+
+def _command_flags(command):
+    """The settings flags of one command's parser (not --help or --config)."""
+    (commands,) = [action.choices for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    flags = {flag for action in commands[command]._actions for flag in action.option_strings}
+    return flags - {"-h", "--help", "--config"}
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep", "esd", "verify"])
+def test_flags_and_config_keys_are_the_same_set(tmp_path, capsys, command):
+    every_key = {flag[2:].replace("-", "_") for other in ("evolve", "sweep", "esd", "verify")
+                 for flag in _command_flags(other)}
+    accepted = set()
+    for key in every_key | set(cli._SETTINGS) | {"alfa"}:
+        conf = tmp_path / f"{key}.conf"
+        conf.write_text(f"{key} = ?\n")
+        try:
+            cli._read_config_file(conf, command)
+        except cli.UsageError as exc:
+            if "unknown key" in str(exc):
+                continue
+        accepted.add(key)
+    flags = _command_flags(command)
+    assert {"--" + key.replace("_", "-") for key in accepted} == flags
+    # argparse formats the help strings only here
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    assert all(flag in text for flag in flags)
+
+
+# Every setting of each command at a value other than its default; the
+# other unit of the angle is left out, since a run takes one of the two.
+_EVERY_SETTING = {
+    "evolve": {"family": "psi", "alpha_deg": "20", "omega0": "4.5", "omega": "4.75", "g": "0.75",
+               "n_max": "2", "t_max": "3.0", "steps": "6", "engine": "both", "tol": "1e-08",
+               "format": "json"},
+    "sweep": {"family": "psi", "omega0": "4.5", "omega": "4.75", "g": "0.75", "n_max": "2",
+              "alpha_min": "0.25", "alpha_max": "1.0", "alpha_points": "3", "t_max": "2.0",
+              "steps": "4", "engine": "numeric", "pair": "Ab", "tol": "1e-08",
+              "zero_tol": "1e-10", "format": "json"},
+    "esd": {"family": "psi", "alpha": "0.4", "omega0": "4.5", "omega": "4.75", "g": "0.75",
+            "n_max": "2", "t_max": "3.0", "steps": "64", "engine": "numeric", "zero_tol": "1e-10",
+            "min_width": "1e-05"},
+    "verify": {"omega0": "4.0", "omega": "4.0", "g": "0.8", "tol": "1e-08", "json": "true",
+               "inject_fault": "true"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_SETTING))
+def test_config_file_and_flags_give_the_same_run(tmp_path, capsys, command):
+    settings = _EVERY_SETTING[command]
+    keys = {flag[2:].replace("-", "_") for flag in _command_flags(command)}
+    assert keys - settings.keys() - {"output"} == \
+        {"evolve": {"alpha"}, "esd": {"alpha_deg"}}.get(command, set())
+    for key, value in settings.items():
+        kind, default = cli._SETTINGS[key][:2]
+        assert (value == "true" if kind is bool else kind(value)) != default, key
+    runs = []
+    for via in ("config", "flags"):
+        out = tmp_path / f"{via}.out"
+        if via == "config":
+            conf = tmp_path / "run.conf"
+            conf.write_text("".join(f"{key} = {value}\n" for key, value in settings.items())
+                            + f"output = {out}\n")
+            argv = ["--config", str(conf)]
+        else:
+            argv = [token for key, value in settings.items()
+                    for token in ["--" + key.replace("_", "-")] + ([] if value == "true" else [value])]
+            argv += ["--output", str(out)]
+        code = main([command, *argv])
+        runs.append((code, *capsys.readouterr(), out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (3 if command == "verify" else 0)  # verify's injected fault fails it
