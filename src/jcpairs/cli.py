@@ -63,8 +63,6 @@ _SETTINGS = {
     "tol": (float, 1e-9, ("evolve", "sweep", "verify"), None,
             "largest engine gap that passes (exit 3 above it)"),
     "zero_tol": (float, 1e-12, ("sweep", "esd"), None, "largest C that counts as zero"),
-    "min_width": (float, None, ("esd",), None,
-                  "width below which a zero run without Q is a touch (default: 1e-6 Rabi periods)"),
     "format": (str, "csv", ("evolve", "sweep"), ("csv", "json"), "table format"),
     "json": (bool, False, ("verify",), None, "write the checks as JSON"),
     "inject_fault": (bool, False, ("verify",), None,
@@ -168,6 +166,8 @@ def _merged(args, command):
         if math.isinf(cfg.t_max):
             raise UsageError(f"two Rabi periods, 2 pi / g, overflow for g={cfg.g}; raise g")
     if cfg.steps is None:
+        if math.isinf(period):  # with t-max given: 512 steps per period would be none
+            raise UsageError(f"the Rabi period, pi / g, overflows for g={cfg.g}; give --steps")
         steps = 512 * cfg.t_max / period
         if steps > sys.maxsize:  # also inf, which round() cannot convert
             raise UsageError(f"t-max {cfg.t_max} is too long for the default of 512 steps "
@@ -362,17 +362,13 @@ def _cmd_esd(args):
     cfg = _merged(args, "esd")
     params = cfg.params
     rabi = params.rabi(1)
-    min_width = cfg.min_width if cfg.min_width is not None else 1e-6 * (2.0 * math.pi / rabi)
-
     (engine,) = _engines(cfg, params)
 
     def sample(ts):
         values = engine.values([cfg.alpha], ts, PAIR_LABELS)
         return values.concurrence[0], values.q[0]
 
-    per_pair = zero_intervals(
-        sample, 0.0, cfg.t_max, tol=cfg.zero_tol, min_width=min_width, samples=cfg.steps + 1,
-    )
+    per_pair = zero_intervals(sample, 0.0, cfg.t_max, tol=cfg.zero_tol, samples=cfg.steps + 1)
     pairs_report = {}
     for pair, intervals in zip(PAIR_LABELS, per_pair):
         pairs_report[pair] = [
@@ -400,7 +396,6 @@ def _cmd_esd(args):
         "rabi": rabi,
         "t_max": cfg.t_max,
         "zero_tol": cfg.zero_tol,
-        "min_width": min_width,
         "pairs": pairs_report,
         "boundary_AB": boundary,
     }

@@ -85,8 +85,13 @@ class GridEngine:
                 hamiltonian = total_hamiltonian(params, params, n_max=n_max)
             self._propagator = HamiltonianPropagator(hamiltonian)
 
-    def values(self, alphas, ts, pairs=PAIR_LABELS):
-        """C and Q of ``pairs`` at every (alpha, t) of the two 1-D grids."""
+    def values(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
+        """C and Q of ``pairs`` at every (alpha, t) of the two 1-D grids.
+
+        ``x_tol`` is the reader's X-shape tolerance (``concurrence_from_entries``):
+        a negative one sends every cell of the evolution routes through the
+        general Wootters route.  The closed route reads no entries.
+        """
         alphas = np.asarray(alphas, dtype=float).reshape(-1)
         ts = np.asarray(ts, dtype=float).reshape(-1)
         pairs = tuple(pairs)
@@ -112,6 +117,6 @@ class GridEngine:
                     psi0 = initial_amplitudes(self.kind, alphas[block[0]], self.n_max)
                     amps = self._propagator.evolve_grid(psi0, ts[block[1]], work=work)
                 entries = pair_entries(amps, pairs, work=work)  # (pair, 10, alpha, t)
-                concurrence_from_entries(np.moveaxis(entries, (1, 0), (0, -1)),
+                concurrence_from_entries(np.moveaxis(entries, (1, 0), (0, -1)), x_tol=x_tol,
                                          out=(conc[block], q[block]))
         return GridValues(pairs=pairs, concurrence=conc, q=q)

@@ -12,27 +12,20 @@ Only cells off the X pattern are built as 4x4 matrices, for the general
 route.  It computes the spin-flip spectrum through a Hermitized product:
 the sqrt-eigenvalues of zeta = rho rho~ (rho~ the spin-flipped matrix)
 equal the singular values of sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)),
-which keeps round-off out of the square roots.  ``concurrence_stack`` is the
-reader's view for (..., 4, 4) stacks of matrices.
+which keeps round-off out of the square roots.  A negative ``x_tol`` sends
+every cell through the general route; ``GridEngine.values`` passes it on,
+which is how ``jcpairs verify`` holds the two routes together.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SIGMA_Y, dagger, entry_matrices, sqrt_psd, upper_entries
+from .linalg import SIGMA_Y, entry_matrices, sqrt_psd
 
 PAIR_LABELS = ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
 
 _SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
-_X_MASK = np.zeros((4, 4), dtype=bool)
-_X_MASK[np.arange(4), np.arange(4)] = True
-_X_MASK[np.arange(4), np.arange(4)[::-1]] = True
-_OFF_X_ROWS, _OFF_X_COLS = np.nonzero(~_X_MASK)
-# flat positions of the 10 entries on and above the diagonal, and of their mirrors
-_UPPER_ROWS, _UPPER_COLS = np.triu_indices(4)
-_UPPER = 4 * _UPPER_ROWS + _UPPER_COLS
-_MIRROR = 4 * _UPPER_COLS + _UPPER_ROWS
 
 
 def _reject_first(bad, values, what):
@@ -44,40 +37,6 @@ def _reject_first(bad, values, what):
     if np.ndim(bad):
         where = f" at cell {tuple(int(i) for i in np.unravel_index(first, np.shape(bad)))}"
     raise ValueError(f"invalid density matrix: {what} {np.ravel(values)[first]:.3e}{where}")
-
-
-def _check_trace(trace, trace_tol=1e-8):
-    trace_err = np.abs(trace - 1.0)
-    _reject_first(trace_err > trace_tol, trace_err, "trace deviates from 1 by")
-
-
-def _hermitian_part(rho, *, trace_tol=1e-8, herm_tol=1e-8):
-    """Check the trace and Hermiticity of a 4x4 matrix or a (..., 4, 4) stack.
-
-    Returns the Hermitian part 0.5 (rho + rho^dag), or ``rho`` itself when
-    every entry already equals the conjugate of its mirror entry.  The
-    defect max |rho - rho^dag| is taken over the 10 entries on and above
-    the diagonal: |rho - rho^dag| is symmetric, so that is the same maximum.
-    """
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    _check_trace(rho.trace(axis1=-2, axis2=-1), trace_tol)
-    flat = rho.reshape(rho.shape[:-2] + (16,))
-    diff, mirror = np.take(flat, _UPPER, axis=-1), np.take(flat, _MIRROR, axis=-1)
-    diff -= np.conjugate(mirror, out=mirror)  # rho - rho^dag on and above the diagonal
-    defect = np.hypot(diff.real, diff.imag).max(axis=-1)
-    _reject_first(defect > herm_tol, defect, "Hermiticity defect")
-    if not defect.any():
-        return rho
-    herm = dagger(rho)
-    herm += rho
-    herm *= 0.5
-    return herm
-
-
-def off_x_defect(rho):
-    """Largest entry outside the diagonal + anti-diagonal pattern, per 4x4 cell."""
-    return np.abs(rho[..., _OFF_X_ROWS, _OFF_X_COLS]).max(axis=-1)
 
 
 def _x_entries(entries):
@@ -111,18 +70,6 @@ def _flip_singular_values(rho):
     return np.linalg.svd(root @ flipped_root, compute_uv=False)
 
 
-def concurrence_stack(rho, *, x_tol=1e-10):
-    """Concurrence and signed Q of every cell of a (..., 4, 4) stack of densities.
-
-    The trace and Hermiticity of the stack are checked once (the first
-    invalid cell is named in the error); ``concurrence_from_entries`` then
-    reads C and Q from the entries of its Hermitian part.  Returns arrays
-    (C, Q) of the stack's leading shape.
-    """
-    rho = _hermitian_part(np.asarray(rho, dtype=complex))
-    return concurrence_from_entries(upper_entries(rho), x_tol=x_tol)
-
-
 def concurrence_from_entries(entries, *, x_tol=1e-10, out=None):
     """Concurrence and signed Q of Hermitian densities given as their 10 upper entries (10, ...).
 
@@ -141,7 +88,8 @@ def concurrence_from_entries(entries, *, x_tol=1e-10, out=None):
     shape = entries.shape[1:]
     conc, q = (np.empty(shape), np.empty(shape)) if out is None else out
     diag = entries[:4].real
-    _check_trace(diag[0] + diag[1] + diag[2] + diag[3])
+    trace_err = np.abs(diag[0] + diag[1] + diag[2] + diag[3] - 1.0)
+    _reject_first(trace_err > 1e-8, trace_err, "trace deviates from 1 by")
     general = np.array(np.abs(entries[6:]).max(axis=0) > x_tol)  # arrays also for a single matrix
     x = _x_entries(entries)
     lowest = np.array(_x_lowest(x))

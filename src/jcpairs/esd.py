@@ -2,10 +2,11 @@
 
 A concurrence curve can vanish three ways: over a finite window (sudden
 death), at isolated roots (touch), or identically (degenerate, e.g. product
-initial states).  When the signed Q behind the curve is available the
-classifier uses its sign -- a touch has Q >= 0 throughout, sudden death means
-Q dips genuinely negative -- because interval width alone cannot separate a
-flat (quartic) touch from a short death window.
+initial states).  The classifier takes the kind from the sign of the signed
+Q behind the curve, which every sampler returns with C -- a touch has
+Q >= 0 throughout, sudden death means Q dips genuinely negative -- because
+interval width alone cannot separate a flat (quartic) touch from a short
+death window.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ class ZeroInterval:
 
 
 def _columns(sample, ts):
-    """(C, Q) of ``sample(ts)`` as (len(ts), n_curves) arrays; Q may be None."""
+    """(C, Q) of ``sample(ts)`` as (len(ts), n_curves) arrays."""
     c, q = sample(ts)
     c = np.asarray(c, dtype=float).reshape(ts.size, -1)
-    if q is not None:
-        q = np.asarray(q, dtype=float).reshape(c.shape)
-    return c, q
+    return c, np.asarray(q, dtype=float).reshape(c.shape)
 
 
 def _signed(c, q, rows, curve, on_q, tol):
@@ -43,13 +42,8 @@ def _signed(c, q, rows, curve, on_q, tol):
     the zero region.  A Q edge counts a point as inside unless Q > 0 (NaN is
     inside); a C edge when C <= tol.
     """
-    c = c[rows, curve]
-    g, inside = c - tol, c <= tol
-    if q is not None:
-        q = q[rows, curve]
-        g = np.where(on_q, q, g)
-        inside = np.where(on_q, ~(q > 0.0), inside)
-    return g, inside
+    c, q = c[rows, curve], q[rows, curve]
+    return np.where(on_q, q, c - tol), np.where(on_q, ~(q > 0.0), c <= tol)
 
 
 def _itp(sample, curve, on_q, t_out, t_in, g_out, g_in, tol, resolution):
@@ -108,7 +102,6 @@ def zero_intervals(
     t_max,
     *,
     tol=1e-12,
-    min_width=None,
     samples=2049,
     q_tol=1e-9,
 ):
@@ -116,18 +109,18 @@ def zero_intervals(
 
     ``sample(ts)`` takes a 1-D array of times and returns ``(C, Q)``, arrays
     of shape (len(ts), n_curves) with one column per curve (a 1-D array is
-    one curve); Q is the signed Q behind C, or None when there is none.
-    Returns one list of ``ZeroInterval`` per column.
+    one curve); Q is the signed Q behind C, NaN where there is none (a cell
+    whose reduction is not X-shaped).  Returns one list of ``ZeroInterval``
+    per column.
 
     The curves are sampled once on ``samples`` equally spaced times.  A zero
     run whose Q drops below ``-q_tol`` is sudden death and its edges are the
     Q sign changes; any other run is a touch with edges where C crosses
-    ``tol``.  Without Q the kind falls back to interval width against
-    ``min_width`` (default: 1e-6 of the window).  All edges of all curves are
-    then refined together by ITP steps, one ``sample`` call per step, each
-    edge to a bracket no wider than 4 ulp of the window's larger end: at most
-    ceil(log2(bracket / resolution)) + 1 steps, 42 for one-spacing brackets
-    at 1025 samples over [0, 2 pi].
+    ``tol``.  All edges of all curves are then refined together by ITP
+    steps, one ``sample`` call per step, each edge to a bracket no wider than
+    4 ulp of the window's larger end: at most ceil(log2(bracket /
+    resolution)) + 1 steps, 42 for one-spacing brackets at 1025 samples over
+    [0, 2 pi].
 
     Detection is sample-limited: an isolated touch whose C <= tol plateau is
     narrower than the grid spacing goes unseen unless a sample lands on it.
@@ -136,8 +129,6 @@ def zero_intervals(
         raise ValueError(f"need t_max > t_min, got [{t_min}, {t_max}]")
     if samples < 3:
         raise ValueError(f"need at least 3 samples, got {samples}")
-    if min_width is None:
-        min_width = 1e-6 * (t_max - t_min)
     ts = np.linspace(t_min, t_max, samples)
     cs, qs = _columns(sample, ts)
     finite = np.isfinite(cs).all(axis=1)
@@ -155,12 +146,10 @@ def zero_intervals(
             continue
         flips = np.flatnonzero(np.diff(np.concatenate(([False], zero, [False]))))
         for i, j in zip(flips[::2].tolist(), (flips[1::2] - 1).tolist()):
-            kind, on_q, in_lo, in_hi = None, False, i, j
-            if qs is not None:
-                negatives = np.flatnonzero(qs[i : j + 1, k] < -q_tol)
-                kind = "sudden_death" if negatives.size else "touch"
-                if negatives.size:
-                    on_q, in_lo, in_hi = True, i + negatives[0], i + negatives[-1]
+            kind, on_q, in_lo, in_hi = "touch", False, i, j
+            negatives = np.flatnonzero(qs[i : j + 1, k] < -q_tol)
+            if negatives.size:
+                kind, on_q, in_lo, in_hi = "sudden_death", True, i + negatives[0], i + negatives[-1]
             lo_edge = hi_edge = None
             if i > 0:
                 lo_edge = len(edges)
@@ -182,8 +171,6 @@ def zero_intervals(
     for k, lo_edge, hi_edge, kind in runs:
         lo = float(t_min) if lo_edge is None else refined[lo_edge]
         hi = float(t_max) if hi_edge is None else refined[hi_edge]
-        if kind is None:
-            kind = "sudden_death" if (hi - lo) > min_width else "touch"
         intervals[k].append(ZeroInterval(t_lo=lo, t_hi=hi, kind=kind))
     return intervals
 

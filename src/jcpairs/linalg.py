@@ -9,9 +9,10 @@ Stacks of states put the cells last: amplitudes of shape (d_A, d_a, d_B,
 d_b, *cells), so each amplitude is one row as long as the stack.
 ``pair_entries``, the one reducer, turns them into the 10 entries on and
 above the diagonal of each pair's 4x4 density, (pairs, 10, *cells), with
-elementwise products on those rows; ``entry_matrices`` and
-``pair_densities`` give the same densities as (..., 4, 4) matrices, and
-``sqrt_psd`` takes the square roots of the general Wootters route.
+elementwise products on those rows.  ``entry_matrices`` builds (..., 4, 4)
+matrices from such entries, only for the cells that take the general
+Wootters route, whose square roots ``sqrt_psd`` takes; ``upper_entries``
+reads the entries of given matrices.
 """
 
 from __future__ import annotations
@@ -106,11 +107,6 @@ def entry_matrices(entries):
     rho[..., ENTRY_ROWS, ENTRY_COLS] = np.moveaxis(entries, 0, -1)
     rho[..., ENTRY_COLS[4:], ENTRY_ROWS[4:]] = np.moveaxis(entries[4:], 0, -1).conj()
     return rho
-
-
-def pair_densities(psi, pairs, *, leak_tol=1e-10):
-    """``pair_entries`` as 4x4 matrices: shape (*cells, len(pairs), 4, 4) for amplitudes (d_A, d_a, d_B, d_b, *cells)."""
-    return entry_matrices(np.moveaxis(pair_entries(psi, pairs, leak_tol=leak_tol), 0, -1))
 
 
 def pair_entries(amps, pairs, *, leak_tol=1e-10, work=None):

@@ -4,6 +4,8 @@ from hypothesis import HealthCheck, settings
 
 from jcpairs import JCParams
 from jcpairs.checks import random_x_state  # noqa: F401  (test modules import it from here)
+from jcpairs.entanglement import concurrence_from_entries
+from jcpairs.linalg import entry_matrices, pair_entries, upper_entries
 from reference import resonance_values
 
 # Property tests draw the same examples on every run, so the suite stays
@@ -50,3 +52,17 @@ def closed_sampler(kind, alpha, rabi, pairs=("AB",)):
         )
 
     return sample
+
+
+def pair_matrices(amps, pairs, **kwargs):
+    """The ``pair_entries`` of amplitudes (d_A, d_a, d_B, d_b, *cells) as matrices (*cells, len(pairs), 4, 4)."""
+    return entry_matrices(np.moveaxis(pair_entries(amps, pairs, **kwargs), 0, -1))
+
+
+def concurrence(rho, x_tol=1e-10):
+    """(C, Q) of a 4x4 density or a (..., 4, 4) stack, read from its 10 upper entries.
+
+    The lower triangle is not read: the reader takes it as the conjugate
+    mirror, as the reducer writes it.
+    """
+    return concurrence_from_entries(upper_entries(rho), x_tol=x_tol)

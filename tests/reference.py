@@ -5,7 +5,8 @@
   ``closedform.closed_grid`` broadcasts, so the grid has their bits;
 * the textbook Wootters concurrence from the eigenvalues of
   rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y) (PRL 80, 2245 (1998)),
-  and the signed Q of an X-shaped density from its entries;
+  the largest entry off the X pattern, and the signed Q of an X-shaped
+  density from its entries;
 * V exp(-i w t) V^dag psi0 from ``eigh`` of the Hamiltonian, and the pair
   density of one amplitude tensor by ``einsum``.
 """
@@ -93,6 +94,11 @@ def wootters(rho):
     eigenvalues = np.linalg.eigvals(rho @ _SIGMA_YY @ rho.conj() @ _SIGMA_YY)
     roots = np.sort(np.sqrt(np.clip(eigenvalues.real, 0.0, None)))[::-1]
     return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+def off_x(rho):
+    """Largest modulus among the 8 entries of a 4x4 matrix off its diagonal and anti-diagonal."""
+    return max(abs(rho[i, j]) for i in range(4) for j in range(4) if j not in (i, 3 - i))
 
 
 def x_state_q(rho):

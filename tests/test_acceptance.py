@@ -10,20 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import closed_sampler, random_x_state
+from conftest import closed_sampler, concurrence, random_x_state
 from jcpairs import (
     PAIR_LABELS,
     GridEngine,
     JCParams,
     esd_boundary_phi_AB,
-    total_hamiltonian,
     zero_intervals,
 )
 from jcpairs.checks import run_checks
-from jcpairs.dynamics import HamiltonianPropagator, initial_amplitudes
 from jcpairs.jcmodel import dressed_data
-from jcpairs.entanglement import concurrence_stack, off_x_defect
-from jcpairs.linalg import pair_densities
 
 PARAMS = JCParams(omega0=5.0, omega=5.0, g=1.0)
 RABI = PARAMS.rabi(1)
@@ -121,23 +117,22 @@ def test_criterion_08_x_form_universality(checks):
     x_ok, x_detail = checks["x_form"]
     # the suite compares both routes' entry-read C with the general Wootters
     # route on the same reductions; this adds a finer grid and more X states
-    propagator = HamiltonianPropagator(total_hamiltonian(PARAMS, PARAMS, n_max=1))
-    x_defect = 0.0
+    off_x_cells = 0
     fast_gap = 0.0
     for kind in ("phi", "psi"):
-        psi = propagator.evolve_grid(initial_amplitudes(kind, ALPHA_GRID), GT_GRID / RABI)
-        rho = pair_densities(psi, PAIR_LABELS)
-        x_defect = max(x_defect, float(off_x_defect(rho).max()))
+        engine = GridEngine("numeric", kind, PARAMS)
+        values = engine.values(ALPHA_GRID, GT_GRID / RABI)
+        off_x_cells += int(np.isnan(values.q).sum())  # Q is NaN only off the X pattern
         # x_tol < 0 sends every cell through the general Wootters route
-        general = concurrence_stack(rho, x_tol=-1.0)[0]
-        fast_gap = max(fast_gap, float(np.max(np.abs(concurrence_stack(rho)[0] - general))))
+        general = engine.values(ALPHA_GRID, GT_GRID / RABI, x_tol=-1.0).concurrence
+        fast_gap = max(fast_gap, float(np.max(np.abs(values.concurrence - general))))
     rng = np.random.default_rng(42)
     states = np.array([random_x_state(rng) for _ in range(1000)])
-    fast_gap = max(fast_gap, float(np.max(np.abs(concurrence_stack(states)[0]
-                                                  - concurrence_stack(states, x_tol=-1.0)[0]))))
-    report(8, x_ok and x_defect <= 1e-10 and fast_gap <= 1e-10,
-           f"{x_detail}; numeric reductions and 1000 random X states: max off-X entry = "
-           f"{x_defect:.3e}, max |C_fast - C_general| = {fast_gap:.3e} (tol 1e-10)")
+    fast_gap = max(fast_gap, float(np.max(np.abs(concurrence(states)[0]
+                                                  - concurrence(states, x_tol=-1.0)[0]))))
+    report(8, x_ok and off_x_cells == 0 and fast_gap <= 1e-10,
+           f"{x_detail}; numeric grid and 1000 random X states: off-X cells = "
+           f"{off_x_cells}, max |C_fast - C_general| = {fast_gap:.3e} (tol 1e-10)")
 
 
 def test_criterion_09_q_identity(checks):
@@ -146,19 +141,17 @@ def test_criterion_09_q_identity(checks):
 
 def test_criterion_10_detuned_ingredients():
     # the closed form off resonance, whose ingredients are |f|^2 and |h|^2 per
-    # site, against C and Q read from the numeric route's reduced densities
+    # site, against C and Q of the numeric route
     alphas = np.array([np.pi / 5, 1.1])
     worst = 0.0
     for ratio in (0.5, 1.0, 2.0):
         params = JCParams(omega0=10.0, omega=10.0 + ratio * 2.0, g=1.0)
         ts = np.linspace(0.0, 2 * (2 * np.pi / dressed_data(params, 1).splitting), 50)
-        propagator = HamiltonianPropagator(total_hamiltonian(params, params, n_max=1))
         for kind in ("phi", "psi"):
             closed = GridEngine("closed", kind, params).values(alphas, ts)
-            psi = propagator.evolve_grid(initial_amplitudes(kind, alphas), ts)
-            conc, q = concurrence_stack(pair_densities(psi, PAIR_LABELS))
-            worst = max(worst, float(np.max(np.abs(closed.concurrence - conc))),
-                        float(np.max(np.abs(closed.q - q))))
+            numeric = GridEngine("numeric", kind, params).values(alphas, ts)
+            worst = max(worst, float(np.max(np.abs(closed.concurrence - numeric.concurrence))),
+                        float(np.max(np.abs(closed.q - numeric.q))))
     report(10, worst <= 1e-9,
-           f"detuned closed form vs numeric reductions: max |C, Q gap| of all six pairs over "
+           f"detuned closed form vs numeric route: max |C, Q gap| of all six pairs over "
            f"Delta/G in {{0.5, 1, 2}} = {worst:.3e} (tol 1e-09)")

@@ -227,8 +227,8 @@ def test_verify_injected_fault_fails(capsys):
 
 
 class _NumericWithNaN(GridEngine):
-    def values(self, alphas, ts, pairs=PAIR_LABELS):
-        values = super().values(alphas, ts, pairs)
+    def values(self, alphas, ts, pairs=PAIR_LABELS, **kwargs):
+        values = super().values(alphas, ts, pairs, **kwargs)
         if self.name == "numeric":
             values.concurrence[0, 1, 0] = math.nan
         return values
@@ -250,6 +250,25 @@ def test_a_nan_gap_fails_its_check(monkeypatch, name, stand_in, failing):
     results = checks.run_checks(PARAMS, 1e-9)
     assert {check for check, ok, _ in results if not ok} == failing
     assert all("nan" in detail for check, ok, detail in results if check in failing)
+
+
+class _NumericOffX(GridEngine):
+    """The numeric route with Q = NaN, the mark of a cell off the X pattern, at one cell."""
+
+    def values(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
+        values = super().values(alphas, ts, pairs, x_tol=x_tol)
+        if self.name == "numeric" and x_tol >= 0:
+            values.q[0, 1, 0] = math.nan
+        return values
+
+
+def test_an_off_x_cell_fails_x_form(monkeypatch):
+    # one cell per family, and no other check reads the evolution routes' Q
+    monkeypatch.setattr(checks, "GridEngine", _NumericOffX)
+    results = checks.run_checks(PARAMS, 1e-9)
+    assert [check for check, ok, _ in results if not ok] == ["x_form"]
+    (detail,) = [detail for check, _, detail in results if check == "x_form"]
+    assert detail.startswith("off-X cells (entry above 1e-10) = 2; ")
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
@@ -350,7 +369,6 @@ _SMALL = {"evolve": ["--steps", "2"], "sweep": ["--steps", "2", "--alpha-points"
     ("sweep", "--alpha-max", "inf"),
     ("sweep", "--alpha-min", "nan"),
     ("sweep", "--zero-tol", "nan"),
-    ("esd", "--min-width", "inf"),
     ("esd", "--zero-tol", "nan"),
     ("verify", "--tol", "inf"),
 ])
@@ -395,11 +413,42 @@ def test_default_steps_of_a_huge_t_max_is_a_usage_error(command, capsys):
     (["evolve", "--g", "1e-308"], "error: two Rabi periods, 2 pi / g, overflow for g=1e-308; raise g\n"),
     (["sweep", "--g", "1e-308"], "error: two Rabi periods, 2 pi / g, overflow for g=1e-308; raise g\n"),
     (["esd", "--g", "1e-308"], "error: two Rabi periods, 2 pi / g, overflow for g=1e-308; raise g\n"),
+    # with t-max given, 512 steps per overflowing Rabi period would be none
+    (["evolve", "--g", "1e-308", "--t-max", "1e300"],
+     "error: the Rabi period, pi / g, overflows for g=1e-308; give --steps\n"),
+    (["sweep", "--g", "1e-308", "--t-max", "1"],
+     "error: the Rabi period, pi / g, overflows for g=1e-308; give --steps\n"),
+    (["esd", "--g", "1e-308", "--t-max", "1"],
+     "error: the Rabi period, pi / g, overflows for g=1e-308; give --steps\n"),
 ], ids=["evolve-g", "sweep-omega", "esd-omega", "sweep-t-max", "verify-omega", "verify-tiny-g",
-        "evolve-tiny-g", "sweep-tiny-g", "esd-tiny-g"])
+        "evolve-tiny-g", "sweep-tiny-g", "esd-tiny-g", "evolve-tiny-g-t-max", "sweep-tiny-g-t-max",
+        "esd-tiny-g-t-max"])
 def test_overflowing_rates_or_phases_are_usage_errors(argv, message):
     # a fresh process, so that a numpy warning or a traceback would show on stderr
     assert _fresh_process(argv) == (1, "", message)
+
+
+def test_min_width_is_no_setting(tmp_path, capsys):
+    # every zero run is classified by the sign of Q, so no width threshold is taken
+    assert run("esd", "--min-width", "1e-05", "--steps", "2") == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --min-width 1e-05\n"
+    conf = tmp_path / "esd.conf"
+    conf.write_text("min_width = 1e-05\n")
+    assert run("esd", "--config", str(conf), "--steps", "2") == 1
+    assert capsys.readouterr().err == f"error: {conf}:1: unknown key 'min_width' for command 'esd'\n"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("argv", [["esd"], ["esd", "--g", "1e-308", "--t-max", "1", "--steps", "8"]],
+                         ids=["defaults", "tiny-g"])
+def test_esd_report_is_strict_json(capsys, argv):
+    # json.dumps writes inf and NaN as Infinity and NaN, which JSON has not
+    assert run(*argv) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert "min_width" not in report
 
 
 def test_esd_needs_two_steps(capsys):
@@ -667,8 +716,7 @@ _EVERY_SETTING = {
               "steps": "4", "engine": "numeric", "pair": "Ab", "tol": "1e-08",
               "zero_tol": "1e-10", "format": "json"},
     "esd": {"family": "psi", "alpha": "0.4", "omega0": "4.5", "omega": "4.75", "g": "0.75",
-            "n_max": "2", "t_max": "3.0", "steps": "64", "engine": "numeric", "zero_tol": "1e-10",
-            "min_width": "1e-05"},
+            "n_max": "2", "t_max": "3.0", "steps": "64", "engine": "numeric", "zero_tol": "1e-10"},
     "verify": {"omega0": "4.0", "omega": "4.0", "g": "0.8", "tol": "1e-08", "json": "true",
                "inject_fault": "true"},
 }

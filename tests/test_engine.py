@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import jcpairs.engine as engine_module
 import reference
-from conftest import random_x_state
+from conftest import concurrence, pair_matrices, random_x_state
 from jcpairs import PAIR_LABELS, GridEngine, JCParams, total_hamiltonian
 from jcpairs.cli import main
 from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
-from jcpairs.entanglement import _hermitian_part, _x_entries, _x_lowest, concurrence_stack, off_x_defect
-from jcpairs.linalg import pair_densities, upper_entries
+from jcpairs.entanglement import _x_entries, _x_lowest
+from jcpairs.linalg import entry_matrices, upper_entries
 from reference import resonance_values
 
 EPS = np.finfo(float).eps
@@ -61,16 +61,23 @@ def scalar_results(engine, kind, alpha, params, ts, n_max):
     for it in range(len(ts)):
         cell = psi[..., 0, it]
         rhos = [reference.pair_density(cell, pair) for pair in PAIR_LABELS]
-        out.append([(reference.x_state_q(rho) if off_x_defect(rho) <= 1e-10 else None,
+        out.append([(reference.x_state_q(rho) if reference.off_x(rho) <= 1e-10 else None,
                      reference.wootters(rho)) for rho in rhos])
     return out
 
 
-@given(kind=kinds, alpha=alphas, params=sites(), fraction=st.floats(0.0, 1.0),
-       n_max=st.integers(1, 4), engine=st.sampled_from(("analytic", "numeric")))
+@given(kind=kinds, alpha=alphas, params=st.one_of(sites(resonant=True), sites()),
+       fraction=st.floats(0.0, 1.0), n_max=st.integers(1, 4),
+       engine=st.sampled_from(("analytic", "numeric")))
 def test_grid_matches_scalar_path(kind, alpha, params, fraction, n_max, engine):
     ts = time_grid(params, fraction)
-    values = GridEngine(engine, kind, params, n_max=n_max).values([alpha], ts)
+    grid = GridEngine(engine, kind, params, n_max=n_max)
+    values = grid.values([alpha], ts)
+    # x_tol < 0 sends every cell through the general Wootters route, which
+    # gives no Q: a NaN on every cell shows that values passed it on
+    general = grid.values([alpha], ts, x_tol=-1.0)
+    assert np.isnan(general.q).all()
+    assert np.max(np.abs(general.concurrence - values.concurrence)) <= 1e-10
     for it, results in enumerate(scalar_results(engine, kind, alpha, params, ts, n_max)):
         for ip, (ref_q, ref_c) in enumerate(results):
             q, conc = values.q[0, it, ip], values.concurrence[0, it, ip]
@@ -82,6 +89,7 @@ def test_grid_matches_scalar_path(kind, alpha, params, fraction, n_max, engine):
                 assert abs(q - ref_q) <= 1e-14
                 assert abs(conc - 2.0 * max(0.0, ref_q)) <= 1e-11
             assert abs(conc - ref_c) <= WOOTTERS_BUDGET
+            assert abs(general.concurrence[0, it, ip] - ref_c) <= WOOTTERS_BUDGET
 
 
 def test_grid_c_is_exact_at_a_rank_deficient_reduction():
@@ -94,9 +102,9 @@ def test_grid_c_is_exact_at_a_rank_deficient_reduction():
     reference_c = 0.00083408526349841758
     values = GridEngine("analytic", "phi", params).values([alpha], [t], ("Ab",))
     assert abs(values.concurrence[0, 0, 0] - reference_c) <= 1e-15
-    rho = pair_densities(analytic_amplitudes("phi", [alpha], [t], params), ("Ab",))
-    general = concurrence_stack(rho, x_tol=-1.0)[0]  # every cell through the general route
-    assert abs(general.item() - reference_c) <= 1e-11
+    # x_tol < 0 sends every cell through the general route
+    general = GridEngine("analytic", "phi", params).values([alpha], [t], ("Ab",), x_tol=-1.0)
+    assert abs(general.concurrence.item() - reference_c) <= 1e-11
 
 
 @given(kind=kinds, alpha=alphas, params=sites(resonant=True), fraction=st.floats(0.0, 1.0))
@@ -149,7 +157,7 @@ def test_stack_names_the_non_psd_cell(rows, cols, pairs, data):
                       for _ in range(rows)])
     stack[bad] = np.diag([0.6, 0.6, 0.0, -0.2])
     with pytest.raises(ValueError, match=rf"not PSD.* at cell \({bad[0]}, {bad[1]}, {bad[2]}\)"):
-        concurrence_stack(stack)
+        concurrence(stack)
 
 
 def test_x_block_lowest_eigenvalue_matches_eigvalsh():
@@ -173,43 +181,7 @@ def test_stack_rejects_a_non_psd_cell_on_either_route(x_shaped):
         bad[0, 1] = bad[1, 0] = 1e-3  # an off-X entry sends the cell to eigvalsh
     stack[4] = bad
     with pytest.raises(ValueError, match=r"not PSD, lowest eigenvalue -1\.000e-01 at cell \(4,\)"):
-        concurrence_stack(stack)
-
-
-def test_stack_names_the_non_hermitian_cell():
-    rng = np.random.default_rng(3)
-    stack = np.array([[random_x_state(rng) for _ in range(6)] for _ in range(2)])
-    stack[1, 2, 0, 1] += 0.1 - 0.2j
-    with pytest.raises(ValueError, match=r"Hermiticity defect 2\.236e-01 at cell \(1, 2\)"):
-        concurrence_stack(stack)
-
-
-def _full_defect(rho):
-    """max |rho - rho^dag| over all 16 entries of each cell, by the hypot of the real and imaginary parts."""
-    re, im = rho.real, rho.imag
-    return np.hypot(re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)).max(axis=(-2, -1))
-
-
-@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0])
-def test_hermiticity_defect_of_the_upper_triangle_is_the_full_defect(scale):
-    rng = np.random.default_rng(int(-math.log10(scale)))
-    stack = np.array([[random_x_state(rng) for _ in range(6)] for _ in range(5)])
-    stack += scale * (rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape))
-    stack /= stack.trace(axis1=-2, axis2=-1)[..., None, None]
-    defect = _full_defect(stack)
-    assert np.allclose(defect, np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1)),
-                       rtol=1e-15, atol=0)
-    # every cell alone reports its own defect, with the text of the full 4x4 maximum
-    for cell in np.ndindex(defect.shape):
-        with pytest.raises(ValueError) as err:
-            _hermitian_part(stack[cell], herm_tol=0.0)
-        assert str(err.value) == f"invalid density matrix: Hermiticity defect {defect[cell]:.3e}"
-    # a stack names its first cell above the tolerance
-    tol = float(np.median(defect))
-    first = tuple(int(i) for i in np.argwhere(defect > tol)[0])
-    with pytest.raises(ValueError) as err:
-        _hermitian_part(stack, herm_tol=tol)
-    assert str(err.value) == f"invalid density matrix: Hermiticity defect {defect[first]:.3e} at cell {first}"
+        concurrence(stack)
 
 
 @pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 3)])
@@ -220,22 +192,22 @@ def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, de
     else:
         propagator = HamiltonianPropagator(total_hamiltonian(det_params, det_params, n_max))
         psi = propagator.evolve_grid(initial_amplitudes("psi", alpha_grid, n_max), t_grid)
-    stack = pair_densities(psi, PAIR_LABELS)
-    assert _full_defect(stack).max() == 0.0
-    herm = _hermitian_part(stack)
-    assert np.array_equal(herm.view(np.uint64), stack.view(np.uint64))
-    # symmetrizing again gives the same values (only the sign of a zero
-    # imaginary part can differ) and the same C and Q bits: skipping it
-    # changes no output
+    stack = pair_matrices(psi, PAIR_LABELS)
+    assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))  # Hermitian by construction
+    # the 10 upper entries give back the whole matrix, bit for bit
+    assert np.array_equal(entry_matrices(upper_entries(stack)).view(np.uint64), stack.view(np.uint64))
+    # symmetrizing gives the same values (only the sign of a zero imaginary
+    # part can differ) and the same C and Q bits: the reducer's Hermitian
+    # matrices need no symmetrizing
     again = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     assert np.array_equal(again, stack)
-    for ours, theirs in zip(concurrence_stack(stack), concurrence_stack(again)):
+    for ours, theirs in zip(concurrence(stack), concurrence(again)):
         assert np.array_equal(_bits(ours), _bits(theirs))
-    # a stack that is not exactly Hermitian is symmetrized
+    # only the upper triangle is read: the lower one is its conjugate mirror
     stack[0, 0, 0, 0, 1] += 1e-12
-    herm = _hermitian_part(stack)
-    assert herm[0, 0, 0, 0, 1] == herm[0, 0, 0, 1, 0].conjugate()
-    assert herm[0, 0, 0, 0, 1] == pytest.approx(stack[0, 0, 0, 0, 1] - 0.5e-12, abs=1e-16)
+    mirrored = entry_matrices(upper_entries(stack))
+    assert mirrored[0, 0, 0, 0, 1] == stack[0, 0, 0, 0, 1]
+    assert mirrored[0, 0, 0, 1, 0] == stack[0, 0, 0, 0, 1].conjugate()
 
 
 @given(size=st.integers(1, 12), data=st.data())
@@ -246,14 +218,14 @@ def test_off_x_cell_takes_the_general_route(size, data):
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
     stack[general] = 0.9 * np.outer(psi, psi.conj()) + 0.025 * np.eye(4)
-    conc, q = concurrence_stack(stack)
-    single_c, single_q = concurrence_stack(stack[general])
+    conc, q = concurrence(stack)
+    single_c, single_q = concurrence(stack[general])
     assert single_c.shape == single_q.shape == ()
     assert single_c == conc[general] and math.isnan(single_q)
     for i, rho in enumerate(stack):
         assert conc[i] == pytest.approx(reference.wootters(rho), abs=1e-10)
         if i == general:
-            assert off_x_defect(rho) > 1e-10 and math.isnan(q[i])
+            assert reference.off_x(rho) > 1e-10 and math.isnan(q[i])
         else:
             assert q[i] == pytest.approx(reference.x_state_q(rho), abs=1e-15)
             assert conc[i] == 2.0 * max(0.0, q[i])

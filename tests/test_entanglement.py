@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import random_x_state
+from conftest import concurrence, pair_matrices, random_x_state
 from jcpairs import PAIR_LABELS, GridEngine
 from jcpairs.dynamics import analytic_amplitudes, initial_amplitudes
-from jcpairs.entanglement import concurrence_stack, off_x_defect
-from jcpairs.linalg import pair_densities
+from jcpairs.entanglement import concurrence_from_entries
+from jcpairs.linalg import pair_entries
 
 
 def bell_phi_plus():
@@ -19,7 +19,7 @@ def bell_phi_plus():
 
 def both_routes(rho):
     """C of every cell by the X entries and by the general Wootters route (x_tol < 0)."""
-    return concurrence_stack(rho)[0], concurrence_stack(rho, x_tol=-1.0)[0]
+    return concurrence(rho)[0], concurrence(rho, x_tol=-1.0)[0]
 
 
 def test_bell_state_concurrence_is_one():
@@ -36,7 +36,7 @@ def test_product_states_have_zero_concurrence():
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi = np.kron(u / np.linalg.norm(u), v / np.linalg.norm(v))
         states.append(np.outer(psi, psi.conj()))
-    conc, q = concurrence_stack(np.array(states))
+    conc, q = concurrence(np.array(states))
     assert np.all(np.isnan(q))  # random product states are not X-shaped
     assert np.max(conc) <= 1e-12
 
@@ -48,13 +48,13 @@ def test_x_matrix_example_value():
     fast, general = both_routes(rho)
     assert general == pytest.approx(expected, abs=1e-12)
     assert fast == pytest.approx(expected, abs=1e-14)
-    assert concurrence_stack(rho)[1] == pytest.approx(expected / 2, abs=1e-14)
+    assert concurrence(rho)[1] == pytest.approx(expected / 2, abs=1e-14)
 
 
 def test_xstate_pure_corner_coherence():
     rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     rho[0, 3] = rho[3, 0] = 0.3
-    conc, q = concurrence_stack(rho)
+    conc, q = concurrence(rho)
     assert conc == pytest.approx(0.6, abs=1e-14)
     assert q == pytest.approx(0.3, abs=1e-14)
 
@@ -78,18 +78,15 @@ def test_random_x_states_fast_path_matches_general():
 def test_invalid_density_matrices_are_named():
     good = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
     with pytest.raises(ValueError, match="trace"):
-        concurrence_stack(2 * good)
-    bad_h = good.copy()
-    bad_h[0, 1] = 0.1
-    with pytest.raises(ValueError, match="Hermiticity"):
-        concurrence_stack(bad_h)
+        concurrence(2 * good)
     with pytest.raises(ValueError, match="PSD"):
-        concurrence_stack(np.diag([0.6, 0.6, 0.0, -0.2]).astype(complex))
+        concurrence(np.diag([0.6, 0.6, 0.0, -0.2]).astype(complex))
 
 
 def test_all_pairwise_initial_phi():
     alphas = np.array([0.0, 0.3, np.pi / 4, 1.2])
-    conc, _ = concurrence_stack(pair_densities(initial_amplitudes("phi", alphas), PAIR_LABELS))
+    conc, _ = concurrence_from_entries(np.moveaxis(pair_entries(initial_amplitudes("phi", alphas),
+                                                                PAIR_LABELS), 0, -1))
     assert np.max(np.abs(conc[:, 0] - np.abs(np.sin(2 * alphas)))) <= 1e-12
     assert np.max(conc[:, 1:]) <= 1e-12
 
@@ -124,14 +121,15 @@ def test_reductions_stay_x_form(res_params, det_params):
     for params in (res_params, det_params):
         for kind in ("phi", "psi"):
             psi = analytic_amplitudes(kind, [0.7], np.linspace(0.0, 4.0, 9), params)
-            assert np.max(off_x_defect(pair_densities(psi, PAIR_LABELS))) <= 1e-10
+            # the last four of the 10 upper entries are the ones off the X pattern
+            assert np.max(np.abs(pair_entries(psi, PAIR_LABELS)[:, 6:])) <= 1e-10
 
 
 def test_results_are_consistent(res_params):
     # the entry-read C is the textbook Wootters C of the same reduction; range respected
     psi = analytic_amplitudes("phi", [0.45], np.linspace(0.0, 3.0, 7), res_params)
-    rho = pair_densities(psi, PAIR_LABELS)
-    conc, q = concurrence_stack(rho)
+    rho = pair_matrices(psi, PAIR_LABELS)
+    conc, q = concurrence(rho)
     assert not np.isnan(q).any()  # every reduction here is X-form
     assert np.all((-1e-12 <= conc) & (conc <= 1 + 1e-12))
     # the textbook route takes square roots of eigenvalues that round-off

@@ -160,17 +160,6 @@ def test_zero_intervals_degenerate_curve():
     assert intervals == [ZeroInterval(t_lo=0.0, t_hi=3.0, kind="degenerate")]
 
 
-def test_zero_intervals_width_fallback_without_q():
-    (plateau,) = zero_intervals(
-        lambda ts: (np.maximum(0.0, np.abs(ts - 1.0) - 0.2), None), 0.0, 2.0, samples=801
-    )
-    assert [iv.kind for iv in plateau] == ["sudden_death"]
-    assert plateau[0].t_lo == pytest.approx(0.8, abs=1e-6)
-    assert plateau[0].t_hi == pytest.approx(1.2, abs=1e-6)
-    (pin,) = zero_intervals(lambda ts: (np.abs(ts - 1.0), None), 0.0, 2.0, samples=801)
-    assert [iv.kind for iv in pin] == ["touch"]
-
-
 def test_zero_intervals_window_edges():
     # phi cavity pair starts its death window at t = 0
     (intervals,) = zero_intervals(
@@ -185,13 +174,13 @@ def test_zero_intervals_window_edges():
 
 def test_zero_intervals_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
-        zero_intervals(lambda ts: (np.full(ts.shape, np.nan), None), 0.0, 1.0, samples=11)
+        zero_intervals(lambda ts: (np.full(ts.shape, np.nan), np.zeros(ts.shape)), 0.0, 1.0, samples=11)
 
 
 def test_nonfinite_error_names_the_time_as_a_plain_float():
     def sample(ts):
         c = np.where(ts > 2.0, np.nan, 0.5)
-        return c, None
+        return c, 0.5 * c
 
     with pytest.raises(ValueError) as err:
         zero_intervals(sample, 0.0, np.pi, samples=5)
@@ -200,7 +189,7 @@ def test_nonfinite_error_names_the_time_as_a_plain_float():
 
 def test_zero_intervals_rejects_bad_window():
     with pytest.raises(ValueError, match="t_max"):
-        zero_intervals(lambda ts: (np.ones(ts.shape), None), 1.0, 1.0)
+        zero_intervals(lambda ts: (np.ones(ts.shape), np.ones(ts.shape)), 1.0, 1.0)
 
 
 def scalar_scan(engine, alpha, t_max, samples, tol=1e-12, q_tol=1e-9):
@@ -293,19 +282,21 @@ def test_itp_edges_match_scalar_bisection_property(alpha, detuning, family, samp
 def test_itp_takes_at_most_one_step_more_than_bisection_on_a_stalling_curve():
     # C = (t - root)^(1/8) past the root and 0 before it: regula falsi lands
     # on the flat inside end at every step, so only the projection bounds the
-    # step count, at the n_1/2 + 1 of ITP's guarantee.
+    # step count, at the n_1/2 + 1 of ITP's guarantee.  Q = C/2 never goes
+    # negative, so the run is a touch and its edge is where C crosses tol.
     root = 0.5 + 1e-3 / 3
     calls = []
 
     def sample(ts):
         calls.append(ts.size)
-        return np.maximum(0.0, ts - root) ** 0.125, None
+        c = np.maximum(0.0, ts - root) ** 0.125
+        return c, 0.5 * c
 
     (intervals,) = zero_intervals(sample, 0.0, 1.0, tol=0.0, samples=101)
     resolution = 4 * math.ulp(1.0)
     n_half = math.ceil(math.log2(0.01 / resolution))
     assert len(calls) - 1 <= n_half + 1
-    assert [(iv.t_lo, iv.kind) for iv in intervals] == [(0.0, "sudden_death")]
+    assert [(iv.t_lo, iv.kind) for iv in intervals] == [(0.0, "touch")]
     assert abs(intervals[0].t_hi - root) <= resolution
 
 

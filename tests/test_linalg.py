@@ -6,11 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
+from conftest import concurrence, pair_matrices
 from jcpairs import JCParams, total_hamiltonian
 from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
-from jcpairs.entanglement import _SIGMA_YY, concurrence_stack
+from jcpairs.entanglement import _SIGMA_YY
 from jcpairs.jcmodel import site_hamiltonian
-from jcpairs.linalg import SIGMA_Y, SUBSYSTEMS, pair_densities, sqrt_psd
+from jcpairs.linalg import SIGMA_Y, SUBSYSTEMS, entry_matrices, pair_entries, sqrt_psd
 
 # every ordered pair of distinct subsystems
 KEEPS = [(x, y) for x in SUBSYSTEMS for y in SUBSYSTEMS if x != y]
@@ -18,7 +19,7 @@ KEEPS = [(x, y) for x in SUBSYSTEMS for y in SUBSYSTEMS if x != y]
 
 def reduce_one(psi, keep, **kwargs):
     """The 4x4 density of one pair of one amplitude tensor (d_A, d_a, d_B, d_b)."""
-    return pair_densities(psi[..., None], [keep], **kwargs)[0, 0]
+    return pair_matrices(psi[..., None], [keep], **kwargs)[0, 0]
 
 
 def test_kron_matches_index_formula(res_params, det_params):
@@ -92,7 +93,7 @@ def test_partial_trace_initial_local_pair():
     rho = reduce_one(psi, ("A", "a"))
     # atom maximally mixed, cavity in vacuum: diag over (e0, g0)
     assert np.allclose(rho, np.diag([0.0, 0.5, 0.0, 0.5]), atol=1e-14)
-    assert concurrence_stack(rho)[0] == pytest.approx(0.0, abs=1e-12)
+    assert concurrence(rho)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_partial_trace_matches_projection_sum(res_params):
@@ -112,8 +113,8 @@ def test_partial_trace_matches_projection_sum(res_params):
 
 def test_partial_trace_reductions_are_density_matrices(res_params):
     for kind in ("phi", "psi"):
-        rho = pair_densities(analytic_amplitudes(kind, [0.5], [0.0, 0.9, 2.3], res_params),
-                             ("AB", "ab", "Aa", "Bb", "Ab", "Ba"))
+        rho = pair_matrices(analytic_amplitudes(kind, [0.5], [0.0, 0.9, 2.3], res_params),
+                            ("AB", "ab", "Aa", "Bb", "Ab", "Ba"))
         assert np.max(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0)) <= 1e-12
         assert np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) <= 1e-12
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
@@ -181,14 +182,14 @@ def _bits(a):
 )
 def test_all_pair_reduction_matches_one_pair_reductions(route, kind, n_max, keeps, alphas, ts):
     psi = _amplitude_stack(route, kind, n_max, alphas, ts)
-    rho = pair_densities(psi, keeps)
-    assert rho.shape == (len(alphas), len(ts), len(keeps), 4, 4)
+    entries = pair_entries(psi, keeps)
+    assert entries.shape == (len(keeps), 10, len(alphas), len(ts))
     for slot, keep in enumerate(keeps):
         # the same bits as reducing the pair alone, whatever else is reduced with it
-        assert np.array_equal(_bits(rho[..., slot, :, :]), _bits(pair_densities(psi, [keep])[..., 0, :, :]))
-        assert np.max(np.abs(rho[..., slot, :, :] - reference.pair_density(psi, keep))) <= 1e-15
+        assert np.array_equal(_bits(entries[slot]), _bits(pair_entries(psi, [keep])[0]))
+        assert np.max(np.abs(entry_matrices(entries[slot]) - reference.pair_density(psi, keep))) <= 1e-15
     # labels may also be given as two-letter strings
-    assert np.array_equal(_bits(pair_densities(psi, ["".join(k) for k in keeps])), _bits(rho))
+    assert np.array_equal(_bits(pair_entries(psi, ["".join(k) for k in keeps])), _bits(entries))
 
 
 def test_leakage_error_names_the_first_leaking_cavity_and_its_largest_population():
@@ -209,12 +210,12 @@ def test_leakage_error_names_the_first_leaking_cavity_and_its_largest_population
         (["bB", "Aa"], "b", leak_b),
     ):
         with pytest.raises(ValueError) as err:
-            pair_densities(cells_last, keeps)
+            pair_entries(cells_last, keeps)
         assert str(err.value) == message.format(label, leak)
     for keep, label, leak in ((("A", "a"), "a", leak_a), (("b", "B"), "b", leak_b)):
         with pytest.raises(ValueError) as err:
-            pair_densities(cells_last, [keep])
+            pair_entries(cells_last, [keep])
         assert str(err.value) == message.format(label, leak)
     assert message.format("a", leak_a).startswith("cavity a holds probability 4.500e-01")
     # tracing both cavities out needs no projection
-    assert pair_densities(cells_last, ["AB"]).shape == (2, 1, 4, 4)
+    assert pair_entries(cells_last, ["AB"]).shape == (1, 10, 2)
