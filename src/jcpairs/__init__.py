@@ -3,14 +3,15 @@
 Two atom-cavity sites (A, a) and (B, b) evolve independently while the atoms
 start entangled; the package follows all six pairwise Wootters concurrences
 over (alpha, t) grids through three mutually cross-validating routes (closed
-form, dressed-state analytics, full diagonalization) behind one interface,
-``GridEngine``, and locates entanglement-sudden-death windows.
+form, dressed-state analytics, exact diagonalization of each truncated site
+Hamiltonian) behind one interface, ``GridEngine``, and locates
+entanglement-sudden-death windows.
 """
 
 from .engine import GridEngine, GridValues
 from .entanglement import PAIR_LABELS
 from .esd import ZeroInterval, esd_boundary_phi_AB, zero_intervals
-from .jcmodel import JCParams, total_hamiltonian
+from .jcmodel import JCParams, site_hamiltonian
 
 __version__ = "0.1.0"
 
@@ -21,6 +22,6 @@ __all__ = [
     "PAIR_LABELS",
     "ZeroInterval",
     "esd_boundary_phi_AB",
-    "total_hamiltonian",
+    "site_hamiltonian",
     "zero_intervals",
 ]

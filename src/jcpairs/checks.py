@@ -29,7 +29,7 @@ from .closedform import closed_grid
 from .dynamics import FAMILY_KINDS
 from .engine import GridEngine
 from .entanglement import PAIR_LABELS, concurrence_from_entries
-from .jcmodel import total_hamiltonian
+from .jcmodel import site_hamiltonian
 from .linalg import upper_entries
 
 
@@ -49,8 +49,8 @@ def run_checks(params, tol, inject_fault=False):
 
     ``tol`` bounds the engine and closed-form gaps; the other checks have
     fixed tolerances.  A NaN gap fails its check.  ``inject_fault`` adds
-    1e-3 to one diagonal entry of the numeric route's Hamiltonian, a
-    negative control that must fail ``engine_agreement``.
+    1e-3 to one diagonal entry of site A's Hamiltonian on the numeric
+    route, a negative control that must fail ``engine_agreement``.
     """
     if abs(params.detuning) > 1e-12:
         raise ValueError("verify runs at resonance; set omega = omega0")
@@ -58,9 +58,9 @@ def run_checks(params, tol, inject_fault=False):
     alphas = np.linspace(0.0, 0.5 * math.pi, 9)
     ts = np.linspace(0.0, 4.0 * math.pi / rabi, 17)  # step pi/(4G): t + pi/G is 4 cells over
 
-    h = total_hamiltonian(params, params, n_max=1)
+    sites = (site_hamiltonian(params, n_max=1), site_hamiltonian(params, n_max=1))  # Aa, Bb
     if inject_fault:
-        h[0, 0] += 1e-3
+        sites[0][0, 0] += 1e-3  # the |e,0> energy of site A
 
     max_engine = 0.0
     max_closed = 0.0
@@ -79,7 +79,7 @@ def run_checks(params, tol, inject_fault=False):
 
     for kind in FAMILY_KINDS:
         engines = (GridEngine("analytic", kind, params),
-                   GridEngine("numeric", kind, params, hamiltonian=h))
+                   GridEngine("numeric", kind, params, hamiltonian=sites))
         results = [engine.values(alphas, ts) for engine in engines]
         analytic, numeric = (values.concurrence for values in results)
         closed = GridEngine("closed", kind, params).values(alphas, ts).concurrence

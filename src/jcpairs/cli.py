@@ -54,7 +54,8 @@ _SETTINGS = {
     "alpha_max": (float, 0.5 * math.pi, ("sweep",), None, "last angle of the grid (radians)"),
     "alpha_points": (int, 9, ("sweep",), None, "number of angles in the grid"),
     "t_max": (float, None, _RUNS, None, "last time (default: two Rabi periods)"),
-    "steps": (int, None, _RUNS, None, "time steps (default: 512 per Rabi period)"),
+    "steps": (int, None, _RUNS, None,
+              "time steps (default: 512 per Rabi period, at least 1, or 2 for esd)"),
     "engine": (str, "analytic", _RUNS, {"evolve": ("analytic", "numeric", "both"),
                                         "sweep": ("closed", "analytic", "numeric", "both"),
                                         "esd": ("closed", "analytic", "numeric")},
@@ -172,16 +173,21 @@ def _merged(args, command):
         if steps > sys.maxsize:  # also inf, which round() cannot convert
             raise UsageError(f"t-max {cfg.t_max} is too long for the default of 512 steps "
                              "per Rabi period; give --steps")
-        cfg.steps = max(1, round(steps))
+        cfg.steps = max(_least_steps(command), round(steps))
 
     _validate(cfg)
     return cfg
 
 
+def _least_steps(command):
+    """The fewest time steps ``command`` takes: esd brackets a zero between two samples."""
+    return 2 if command == "esd" else 1
+
+
 def _validate(cfg):
     if cfg.steps < 1:
         raise UsageError(f"steps must be >= 1, got {cfg.steps}")
-    if cfg.command == "esd" and cfg.steps < 2:
+    if cfg.steps < _least_steps(cfg.command):
         raise UsageError("steps must be >= 2 for esd")
     if not cfg.t_max > 0:
         raise UsageError(f"t-max must be positive, got {cfg.t_max}")

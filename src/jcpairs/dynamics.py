@@ -3,10 +3,11 @@
 Two independent engines produce the evolving pure states: an analytic
 propagator that phases the dressed states of each site (restricted to the
 single-excitation ladder the initial families live in,
-``analytic_amplitudes``), and brute-force spectral decomposition of the full
-Hamiltonian matrix (``HamiltonianPropagator.evolve_grid``).  Both use the
-literal Hamiltonian's energy zero point, so they agree at the amplitude
-level, not just in derived quantities.
+``analytic_amplitudes``), and exact diagonalization of each literal
+truncated site Hamiltonian, whose propagators multiply to the lattice's
+(``HamiltonianPropagator.evolve_grid``).  Both use the literal
+Hamiltonian's energy zero point, so they agree at the amplitude level, not
+just in derived quantities.
 
 Both evolve a whole (alpha, t) block at once and return amplitude stacks
 with the cells last, shape (2, d, 2, d, n_alpha, n_t): each amplitude is one
@@ -93,59 +94,89 @@ def analytic_amplitudes(kind, alphas, ts, params, *, work=None):
     return psi
 
 
-class HamiltonianPropagator:
-    """Exact propagator exp(-i H t) from one spectral decomposition of H."""
+# Every product of ``evolve_grid`` takes a multiple of this many cell columns.
+_COLUMN_QUANTUM = 8
 
-    def __init__(self, h, *, herm_tol=1e-12):
-        h = np.asarray(h, dtype=complex)
-        defect = hermiticity_defect(h)
-        if defect > herm_tol:
-            raise ValueError(f"Hamiltonian is not Hermitian: asymmetry {defect:.3e}")
-        self._dim = h.shape[0]
-        self._w, self._v = np.linalg.eigh(h)
-        self._v_conj = self._v.conj()
+
+class HamiltonianPropagator:
+    """Exact propagator exp(-i H t) of the two isolated sites, one spectral decomposition per site.
+
+    The lattice Hamiltonian is H_Aa (x) I + I (x) H_Bb, so exp(-i H t) is
+    exp(-i H_Aa t) (x) exp(-i H_Bb t) exactly: each site Hamiltonian is
+    diagonalized on its own (once when the two are equal), never the
+    4 (n_max + 1)^2-dimensional lattice matrix.
+    """
+
+    def __init__(self, h_aa, h_bb, *, herm_tol=1e-12):
+        sites = [np.asarray(h, dtype=complex) for h in (h_aa, h_bb)]
+        for label, h in zip(("Aa", "Bb"), sites):
+            defect = hermiticity_defect(h)
+            if defect > herm_tol:
+                raise ValueError(f"site {label} Hamiltonian is not Hermitian: asymmetry {defect:.3e}")
+        spectrum = np.linalg.eigh(sites[0])
+        self._spectra = (spectrum, spectrum if np.array_equal(*sites) else np.linalg.eigh(sites[1]))
+        self._dims = tuple(h.shape[0] for h in sites)
+        # C0 = V_A^dag P0 conj(V_B): the two factors that take amplitudes to eigen-coefficients
+        self._to_eigen = (np.ascontiguousarray(self._spectra[0][1].conj().T), self._spectra[1][1].conj())
 
     def evolve_grid(self, psi0, ts, *, work=None):
-        """Evolve initial tensors (..., n_states) to every time in ``ts``, shape (..., n_states, n_t).
+        """Evolve initial tensors (d_A, d_a, d_B, d_b, n_states) to every time in ``ts``, (..., n_states, n_t).
 
-        The amplitudes are V (exp(-i Lambda t) (V^dag psi0)): the phased
-        eigen-coefficients of all cells form one (cells, dim) matrix X, and
-        one product X V^T gives every cell's amplitudes, which are then
-        laid out with the cells last.  Both products take at least two
-        rows (a lone row gets a zero row below it): OpenBLAS computes a
-        one-row product by its vector kernel, whose rounding differs, and
-        with two or more rows each row's bits do not depend on the others.  So a cell's
-        amplitudes do not depend on how the grid is split into calls.  The
-        result and the temporaries live in ``work`` (a ``Workspace``) when
-        one is given.
+        With site spectra (w_A, V_A) and (w_B, V_B), a state whose amplitude
+        matrix (site Aa by site Bb) is P0 has eigen-coefficients
+        C0 = V_A^dag P0 conj(V_B), and at time t the amplitudes
+        V_A X V_B^T with X = C0 o (p_A p_B^T), p = exp(-i w t) per site.
+        X of all cells is laid out with the cells last, (d_Aa, d_Bb, cells),
+        so the two products V_A X and V_B (V_A X) leave the amplitudes in
+        that layout.  OpenBLAS computes the columns of a product in groups
+        of its kernel width (4 for complex products on x86-64) and a last
+        group of fewer columns on another kernel, whose rounding differs;
+        so the cells are padded with zero columns to a multiple of
+        ``_COLUMN_QUANTUM``, and each cell's bits do not depend on the
+        others: a cell's amplitudes do not depend on how the grid is split
+        into calls.  The result is a view of the padded ``"amplitudes"``
+        buffer of ``work`` (a ``Workspace``; a new one when None), where the
+        temporaries live too.
         """
         psi0 = np.asarray(psi0, dtype=complex)
         n_states = psi0.shape[-1]
-        flat = psi0.reshape(-1, n_states)
-        if flat.shape[0] != self._dim:
+        d_a, d_b = self._dims
+        if psi0.size != d_a * d_b * n_states:
             raise ValueError(
-                f"dimension mismatch: states have {flat.shape[0]} amplitudes, "
-                f"Hamiltonian is {self._dim}x{self._dim}"
+                f"dimension mismatch: states have {psi0.size // n_states} amplitudes, "
+                f"the site Hamiltonians are {d_a}x{d_a} and {d_b}x{d_b}"
             )
         if work is None:
             work = Workspace()
         ts = np.asarray(ts, dtype=float).reshape(-1)
         n_t, cells = ts.size, n_states * ts.size
-        coeffs = _at_least_two_rows(flat.T) @ self._v_conj
-        # the exponent -i w t written in place as (+0, t (-w)): the bits of -1j * outer(ts, w)
-        phases = work.get("evolve.phases", (n_t, self._dim))
-        phases.real = 0.0
-        np.multiply.outer(ts, -self._w, out=phases.imag)
-        np.exp(phases, out=phases)
-        x = work.get("evolve.x", (max(cells, 2), self._dim))
-        np.multiply(coeffs[:n_states, None, :], phases, out=x[:cells].reshape(n_states, n_t, self._dim))
-        x[cells:] = 0.0
-        y = np.matmul(x, self._v.T, out=work.get("evolve.y", x.shape))
-        out = work.get("amplitudes", psi0.shape + (n_t,))
-        np.copyto(out.reshape(self._dim, cells), y[:cells].T)
-        return out
+        cols = -(-cells // _COLUMN_QUANTUM) * _COLUMN_QUANTUM
+        (w_a, v_a), (w_b, v_b) = self._spectra
+        left, right = self._to_eigen
+        p0 = np.ascontiguousarray(np.moveaxis(psi0.reshape(d_a, d_b, n_states), -1, 0))
+        c0 = np.moveaxis(left @ p0 @ right, 0, -1)  # one product pair per state
+        site_phases = work.get("evolve.site_phases", (d_a + d_b, n_t))
+        p_a = _site_phases(w_a, ts, site_phases[:d_a])
+        p_b = p_a if w_b is w_a else _site_phases(w_b, ts, site_phases[d_a:])
+        # two cell-sized buffers serve in turn: "evolve.products" holds
+        # p_A p_B^T and then V_A X, "amplitudes" holds X and then V_B (V_A X)
+        products = work.get("evolve.products", (d_a * d_b * cols,))
+        phases = products[:d_a * d_b * n_t].reshape(d_a, d_b, n_t)
+        np.multiply(p_a[:, None, :], p_b[None, :, :], out=phases)
+        x = work.get("amplitudes", (d_a, d_b, cols))
+        np.multiply(c0[..., None], phases[:, :, None, :], out=x[..., :cells].reshape(d_a, d_b, n_states, n_t))
+        x[..., cells:] = 0.0
+        vx = np.matmul(v_a, x.reshape(d_a, d_b * cols), out=products.reshape(d_a, d_b * cols))
+        out = np.matmul(v_b, vx.reshape(d_a, d_b, cols), out=x)
+        return out[..., :cells].reshape(psi0.shape + (n_t,))
 
 
-def _at_least_two_rows(rows):
-    """``rows`` (n, k), with a zero row below it when n = 1."""
-    return np.concatenate([rows, np.zeros_like(rows)]) if rows.shape[0] == 1 else rows
+def _site_phases(w, ts, out):
+    """exp(-i w t), shape (len(w), len(ts)), written into ``out``.
+
+    The exponent -i w t is written in place as (+0, (-w) t): the bits of
+    -1j * outer(w, ts).
+    """
+    out.real = 0.0
+    np.multiply.outer(-w, ts, out=out.imag)
+    return np.exp(out, out=out)

@@ -6,9 +6,11 @@
   (``closed_grid``: the trigonometry once per alpha and once per t, then
   broadcasting), at resonance bit for bit the paper's scalar formulas;
 * ``analytic``: dressed-state amplitude stacks (``analytic_amplitudes``);
-* ``numeric``: one diagonalization of the lattice Hamiltonian at the
-  requested Fock truncation, then every (alpha, t) cell by one matrix
-  product (``HamiltonianPropagator.evolve_grid``).
+* ``numeric``: exact diagonalization of each literal site Hamiltonian at
+  the requested Fock truncation (one ``eigh``: the two sites are equal),
+  then every (alpha, t) cell from exp(-i H_Aa t) (x) exp(-i H_Bb t) by two
+  matrix products (``HamiltonianPropagator.evolve_grid``); its phases drift
+  by about eps (||H_Aa|| + ||H_Bb||) t.
 
 The two evolution routes evolve each block of cells once, with the cells
 last (amplitudes (2, d, 2, d, n_alpha, n_t)), and reduce it to every
@@ -41,7 +43,7 @@ import numpy as np
 from .closedform import closed_grid
 from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from .entanglement import PAIR_LABELS, concurrence_from_entries
-from .jcmodel import total_hamiltonian
+from .jcmodel import site_hamiltonian
 from .linalg import Workspace, pair_entries
 
 ENGINES = ("closed", "analytic", "numeric")
@@ -66,9 +68,10 @@ class GridValues:
 class GridEngine:
     """One route for one initial family and one site, evaluated on (alpha, t) grids.
 
-    ``n_max`` is the Fock truncation of the numeric route; ``hamiltonian``
-    replaces the numeric route's lattice Hamiltonian (its dimension must
-    match ``n_max``).
+    ``n_max`` is the Fock truncation of the numeric route; ``hamiltonian``,
+    a pair (H_Aa, H_Bb) of site Hamiltonians, replaces the numeric route's
+    two ``site_hamiltonian(params, n_max)`` (their dimension must match
+    ``n_max``).
     """
 
     def __init__(self, name, kind, params, *, n_max=1, hamiltonian=None):
@@ -82,8 +85,9 @@ class GridEngine:
         self.n_max = n_max
         if name == "numeric":
             if hamiltonian is None:
-                hamiltonian = total_hamiltonian(params, params, n_max=n_max)
-            self._propagator = HamiltonianPropagator(hamiltonian)
+                site = site_hamiltonian(params, n_max)
+                hamiltonian = (site, site)
+            self._propagator = HamiltonianPropagator(*hamiltonian)
 
     def values(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
         """C and Q of ``pairs`` at every (alpha, t) of the two 1-D grids.

@@ -1,4 +1,4 @@
-"""Single-site Jaynes-Cummings data and the two-site lattice Hamiltonian.
+"""Single-site Jaynes-Cummings data and Hamiltonian.
 
 One site couples a two-level atom to one cavity mode by excitation exchange
 (units with hbar = 1):
@@ -6,7 +6,8 @@ One site couples a two-level atom to one cavity mode by excitation exchange
     H_site = (omega0/2) sigma_z + g (a^dag sigma_- + sigma_+ a) + omega a^dag a
 
 The lattice is two such sites, (A, a) and (B, b), with no coupling between
-them, so the total Hamiltonian is H_Aa (x) I + I (x) H_Bb.
+them: the total Hamiltonian is H_Aa (x) I + I (x) H_Bb, so its propagator
+is the Kronecker product of the site propagators, and no route builds it.
 
 Within the n-excitation manifold (n >= 1) the site Hamiltonian mixes
 |e, n-1> and |g, n> with Rabi coupling G_n = 2 g sqrt(n) and detuning
@@ -113,10 +114,3 @@ def site_hamiltonian(params, n_max=1):
         h[k, n_ph + k + 1] = amp
     return h
 
-
-def total_hamiltonian(params_aa, params_bb, n_max=1):
-    """Two-site Hamiltonian H_Aa (x) I + I (x) H_Bb on factors (A, a, B, b)."""
-    h_aa = site_hamiltonian(params_aa, n_max)
-    h_bb = site_hamiltonian(params_bb, n_max)
-    eye = np.eye(h_aa.shape[0], dtype=complex)
-    return np.kron(h_aa, eye) + np.kron(eye, h_bb)

@@ -7,8 +7,11 @@
   rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y) (PRL 80, 2245 (1998)),
   the largest entry off the X pattern, and the signed Q of an X-shaped
   density from its entries;
-* V exp(-i w t) V^dag psi0 from ``eigh`` of the Hamiltonian, and the pair
-  density of one amplitude tensor by ``einsum``.
+* the lattice Hamiltonian H_Aa (x) I + I (x) H_Bb of two Jaynes-Cummings
+  sites, built entry by entry, and V exp(-i w t) V^dag psi0 from ``eigh``
+  of a Hamiltonian: on the lattice, the full-lattice oracle of the numeric
+  route, whose eigenvalues carry round-off of about eps ||H||;
+* the pair density of one amplitude tensor by ``einsum``.
 """
 
 import math
@@ -105,6 +108,25 @@ def x_state_q(rho):
     """Signed Q = max{|rho_03| - sqrt(rho_11 rho_22), |rho_12| - sqrt(rho_00 rho_33)} of an X-shaped density."""
     a, b, c, d = np.clip(np.diagonal(rho).real, 0.0, None)
     return max(abs(rho[0, 3]) - math.sqrt(b * c), abs(rho[1, 2]) - math.sqrt(a * d))
+
+
+def site_hamiltonian(params, n_max):
+    """(omega0/2) sigma_z + g (a^dag sigma_- + sigma_+ a) + omega a^dag a on {e, g} (x) {0..n_max}, atom-major."""
+    n_ph = n_max + 1
+    h = np.zeros((2 * n_ph, 2 * n_ph), dtype=complex)
+    for k in range(n_ph):
+        h[k, k] = 0.5 * params.omega0 + k * params.omega  # |e, k>
+        h[n_ph + k, n_ph + k] = -0.5 * params.omega0 + k * params.omega  # |g, k>
+        if k:  # |e, k-1> <-> |g, k>
+            h[k - 1, n_ph + k] = h[n_ph + k, k - 1] = params.g * math.sqrt(k)
+    return h
+
+
+def total_hamiltonian(params_aa, params_bb, n_max=1):
+    """The two-site lattice Hamiltonian H_Aa (x) I + I (x) H_Bb on factors (A, a, B, b)."""
+    h_aa, h_bb = site_hamiltonian(params_aa, n_max), site_hamiltonian(params_bb, n_max)
+    eye = np.eye(h_aa.shape[0], dtype=complex)
+    return np.kron(h_aa, eye) + np.kron(eye, h_bb)
 
 
 def evolve(h, psi0, t):

