@@ -28,20 +28,24 @@ import numpy as np
 from .closedform import closed_grid
 from .dynamics import FAMILY_KINDS
 from .engine import GridEngine
-from .entanglement import PAIR_LABELS, concurrence_from_entries
+from .entanglement import PAIR_LABELS, pair_values
 from .jcmodel import site_hamiltonian
-from .linalg import upper_entries
 
 
-def random_x_state(rng):
-    """Random valid X-shaped density matrix (coherences inside the PSD bound)."""
-    diag = rng.dirichlet(np.ones(4))
-    z = rng.uniform(0.0, 0.98) * np.sqrt(diag[0] * diag[3]) * np.exp(2j * np.pi * rng.uniform())
-    w = rng.uniform(0.0, 0.98) * np.sqrt(diag[1] * diag[2]) * np.exp(2j * np.pi * rng.uniform())
-    rho = np.diag(diag).astype(complex)
-    rho[0, 3], rho[3, 0] = z, np.conj(z)
-    rho[1, 2], rho[2, 1] = w, np.conj(w)
-    return rho
+def random_x_states(rng, count):
+    """Amplitudes (2, 2, 2, 2, count) of random pure states whose AB reduction is X-shaped.
+
+    Each cell is drawn as a normalized Gaussian 4 x 4 factor M of its AB
+    density M M^dag, with rows 0 and 3 on columns 0-1 and rows 1 and 2 on
+    columns 2-3: the corner and inner blocks share no column, so every
+    entry off the X pattern is exactly zero.  M's rows index the kept
+    (A, B) and its columns the traced (a, b).
+    """
+    factor = np.zeros((4, 4, count), dtype=complex)
+    for rows, cols in (((0, 3), slice(0, 2)), ((1, 2), slice(2, 4))):
+        factor[rows, cols] = rng.standard_normal((2, 2, count, 2)) @ np.array([1.0, 1.0j])
+    factor /= np.sqrt(np.sum(np.abs(factor) ** 2, axis=(0, 1)))
+    return factor.reshape(2, 2, 2, 2, count).transpose(0, 2, 1, 3, 4)
 
 
 def run_checks(params, tol, inject_fault=False):
@@ -122,10 +126,9 @@ def run_checks(params, tol, inject_fault=False):
         target = 0.5 * np.abs(np.sin(2.0 * q_alphas))
         max_q_gap = worst(max_q_gap, float(np.abs(lhs.mean(axis=1) - target).max()))
 
-    rng = np.random.default_rng(7)
-    entries = upper_entries(np.array([random_x_state(rng) for _ in range(200)]))
-    max_fastpath = worst(max_fastpath, gap(concurrence_from_entries(entries)[0],
-                                           concurrence_from_entries(entries, x_tol=-1.0)[0]))
+    x_states = random_x_states(np.random.default_rng(7), 200)
+    max_fastpath = worst(max_fastpath, gap(pair_values(x_states, ["AB"])[0],
+                                           pair_values(x_states, ["AB"], x_tol=-1.0)[0]))
 
     return [
         ("engine_agreement", max_engine <= tol,

@@ -13,22 +13,22 @@
   by about eps (||H_Aa|| + ||H_Bb||) t.
 
 The two evolution routes evolve each block of cells once, with the cells
-last (amplitudes (2, d, 2, d, n_alpha, n_t)), and reduce it to every
-requested pair with one ``pair_entries`` call: for each traced index, one
-gather of the entries' amplitude rows and of their partners' conjugate rows
-and one elementwise product, on rows as long as the block, per traced
-dimension (one at ``n_max = 1``, three above it).  That gives the 10 entries
-on and above the diagonal of every pair density, Hermitian by construction.
-One ``concurrence_from_entries`` call then checks every cell (trace, and PSD
-from the two 2x2 blocks of X cells) and reads C and Q straight from those
-entries into the output; only cells off the X pattern are built as 4x4
-matrices.  They process the grid in blocks of at most ``BLOCK_CELLS`` cells,
-so memory stays bounded for any grid size, and every block writes into one
-``Workspace`` that ``values`` allocates per call, sized by its first block:
-no block allocates a large temporary of its own.  A cell's values do not
-depend on how the grid is split into blocks or calls.  The closed route
-keeps nothing per cell beyond its output and evaluates the whole grid in one
-call.
+last (amplitudes (2, d, 2, d, n_alpha, n_t)), and read every requested pair
+of it with one ``pair_values`` call.  Its reducer, ``pair_entries``, does
+for each traced index one gather of the entries' amplitude rows and of their
+partners' conjugate rows and one elementwise product, on rows as long as the
+block, per traced dimension (one at ``n_max = 1``, three above it).  That
+gives the 10 entries on and above the diagonal of every pair density,
+Hermitian by construction.  ``pair_values`` then checks every cell (trace,
+and PSD from the two 2x2 blocks of X cells) and reads C and Q straight from
+those entries into the output; only cells off the X pattern gather their
+amplitude factor for the general Wootters route.  They process the grid in
+blocks of at most ``BLOCK_CELLS`` cells, so memory stays bounded for any
+grid size, and every block writes into one ``Workspace`` that ``values``
+allocates per call, sized by its first block: no block allocates a large
+temporary of its own.  A cell's values do not depend on how the grid is
+split into blocks or calls.  The closed route keeps nothing per cell beyond
+its output and evaluates the whole grid in one call.
 
 A one-cell grid is how to get the values at one (alpha, t): every cell of a
 larger call has the same bits.
@@ -42,9 +42,9 @@ import numpy as np
 
 from .closedform import closed_grid
 from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
-from .entanglement import PAIR_LABELS, concurrence_from_entries
+from .entanglement import PAIR_LABELS, pair_values
 from .jcmodel import site_hamiltonian
-from .linalg import Workspace, pair_entries
+from .linalg import Workspace
 
 ENGINES = ("closed", "analytic", "numeric")
 # A cell holds 4 (n_max + 1)^2 amplitudes on the numeric route, so one block
@@ -92,7 +92,7 @@ class GridEngine:
     def values(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
         """C and Q of ``pairs`` at every (alpha, t) of the two 1-D grids.
 
-        ``x_tol`` is the reader's X-shape tolerance (``concurrence_from_entries``):
+        ``x_tol`` is the reader's X-shape tolerance (``pair_values``):
         a negative one sends every cell of the evolution routes through the
         general Wootters route.  The closed route reads no entries.
         """
@@ -120,7 +120,5 @@ class GridEngine:
                 else:
                     psi0 = initial_amplitudes(self.kind, alphas[block[0]], self.n_max)
                     amps = self._propagator.evolve_grid(psi0, ts[block[1]], work=work)
-                entries = pair_entries(amps, pairs, work=work)  # (pair, 10, alpha, t)
-                concurrence_from_entries(np.moveaxis(entries, (1, 0), (0, -1)), x_tol=x_tol,
-                                         out=(conc[block], q[block]))
+                pair_values(amps, pairs, x_tol=x_tol, work=work, out=(conc[block], q[block]))
         return GridValues(pairs=pairs, concurrence=conc, q=q)

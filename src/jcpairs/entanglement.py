@@ -1,31 +1,38 @@
 """Wootters concurrence for the six subsystem pairs of the lattice, on whole stacks.
 
-``concurrence_from_entries`` is the one reader: it takes the 10 entries on
-and above the diagonal that ``linalg.pair_entries`` writes (cells last) and
-checks and reads every cell from them.  X-shaped cells take the fast path,
-which reads the concurrence from the entries: the corner coherence competes
-with the inner populations and vice versa,
+``pair_values`` is the one road from amplitudes to C and Q: it reduces a
+stack of amplitudes with ``linalg.pair_entries`` (the 10 entries on and
+above the diagonal of every pair density, cells last) and checks and reads
+every cell.  X-shaped cells take the fast path, which reads the concurrence
+from the entries: the corner coherence competes with the inner populations
+and vice versa,
 
     C = 2 max{0, |z| - sqrt(b c), |w| - sqrt(a d)}.
 
-Only cells off the X pattern are built as 4x4 matrices, for the general
-route.  It computes the spin-flip spectrum through a Hermitized product:
-the sqrt-eigenvalues of zeta = rho rho~ (rho~ the spin-flipped matrix)
-equal the singular values of sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)),
-which keeps round-off out of the square roots.  A negative ``x_tol`` sends
-every cell through the general route; ``GridEngine.values`` passes it on,
-which is how ``jcpairs verify`` holds the two routes together.
+Cells off the X pattern take the general Wootters route from the amplitude
+factor of their density.  Every pair density is rho = M M^dag, with M the
+4 x k matrix of the amplitudes that the reducer multiplies (k the traced
+dimension), so rho rho~ = M M^dag (sigma_y x sigma_y) M* M^T (sigma_y x
+sigma_y) has the nonzero eigenvalues of S^dag S with S = M^T (sigma_y x
+sigma_y) M: the square roots lambda_i of Wootters' formula are the singular
+values of S.  No eigenvalue of rho is rooted and no 4x4 density is formed.
+A negative ``x_tol`` sends every cell through the general route;
+``GridEngine.values`` passes it on, which is how ``jcpairs verify`` holds
+the two routes together.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .linalg import SIGMA_Y, entry_matrices, sqrt_psd
+from .linalg import _reduction_plan, pair_entries
 
 PAIR_LABELS = ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
 
-_SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
+# sigma_y x sigma_y, the spin flip of the general route
+_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
 
 
 def _reject_first(bad, values, what):
@@ -40,7 +47,7 @@ def _reject_first(bad, values, what):
 
 
 def _x_entries(entries):
-    """Real diagonal (a, b, c, d) and coherence moduli |rho[0,3]|, |rho[1,2]| from the 10 ``upper_entries``."""
+    """Real diagonal (a, b, c, d) and coherence moduli |rho[0,3]|, |rho[1,2]| from the 10 upper entries."""
     return (*entries[:4].real, np.abs(entries[4]), np.abs(entries[5]))
 
 
@@ -63,45 +70,61 @@ def _x_lowest(entries):
     return np.minimum(corner, inner)
 
 
-def _flip_singular_values(rho):
-    """Singular values of sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)), decreasing."""
-    root = sqrt_psd(rho, tol=1e-12)
-    flipped_root = _SIGMA_YY @ root.conj() @ _SIGMA_YY
-    return np.linalg.svd(root @ flipped_root, compute_uv=False)
-
-
-def concurrence_from_entries(entries, *, x_tol=1e-10, out=None):
-    """Concurrence and signed Q of Hermitian densities given as their 10 upper entries (10, ...).
+def _x_values(entries, x_tol, conc, q):
+    """Check densities given as their 10 upper entries (10, ...) and write C and Q of the X cells.
 
     ``entries`` holds the ``linalg.ENTRY_ROWS``/``ENTRY_COLS`` entries of
-    each cell, as ``linalg.pair_entries`` writes them; the results have its
-    trailing shape and go to ``out`` = (C, Q) when given.  Every cell's trace
-    is checked, and its PSD-ness: an X cell's lowest eigenvalue is read from
-    the two 2x2 blocks, which ignoring off-X entries up to ``x_tol`` moves
-    by at most sqrt(12) x_tol (Weyl), far below the 1e-8 PSD tolerance.
-    Cells that are X-shaped to within ``x_tol`` take their values from the
-    entries, C = 2 max{0, q_corner, q_inner} and Q = max(q_corner,
-    q_inner); any other cell is built as a 4x4 matrix, goes through the
-    general Wootters route and gets Q = NaN.  The first invalid cell is
-    named in the error.
+    each cell; ``conc`` and ``q`` have its trailing shape.  Every cell's
+    trace is checked.  Cells that are X-shaped to within ``x_tol`` are
+    checked for PSD-ness, their lowest eigenvalue read from the two 2x2
+    blocks (ignoring off-X entries up to ``x_tol`` moves it by at most
+    sqrt(12) x_tol, Weyl, far below the 1e-8 PSD tolerance), and get
+    C = 2 max{0, q_corner, q_inner} and Q = max(q_corner, q_inner).  The
+    first invalid cell is named in the error.  Returns the mask of the
+    other cells, whose C and Q are left for the general route.
     """
-    shape = entries.shape[1:]
-    conc, q = (np.empty(shape), np.empty(shape)) if out is None else out
     diag = entries[:4].real
     trace_err = np.abs(diag[0] + diag[1] + diag[2] + diag[3] - 1.0)
     _reject_first(trace_err > 1e-8, trace_err, "trace deviates from 1 by")
     general = np.array(np.abs(entries[6:]).max(axis=0) > x_tol)  # arrays also for a single matrix
     x = _x_entries(entries)
-    lowest = np.array(_x_lowest(x))
-    if general.any():
-        off_x = entry_matrices(entries[:, general])
-        lowest[general] = np.linalg.eigvalsh(off_x)[..., 0]
-    _reject_first(lowest < -1e-8, lowest, "not PSD, lowest eigenvalue")
+    lowest = _x_lowest(x)
+    _reject_first((lowest < -1e-8) & ~general, lowest, "not PSD, lowest eigenvalue")
     np.maximum(*_x_qs(x), out=q)
     np.maximum(q, 0.0, out=conc)
     conc *= 2.0
+    return general
+
+
+def pair_values(amps, pairs, *, x_tol=1e-10, work=None, out=None):
+    """Concurrence and signed Q of ``pairs`` of a stack of four-factor pure states.
+
+    ``amps`` has shape (d_A, d_a, d_B, d_b, *cells); the results have shape
+    (*cells, len(pairs)) and go to ``out`` = (C, Q) when given.  The pairs
+    are reduced by ``linalg.pair_entries`` (with its leakage check, buffers
+    from ``work``), and every cell is checked and its X cells read by
+    ``_x_values``.  A cell off the X pattern (an off-X entry above
+    ``x_tol``) gets C = max{0, s1 - s2 - s3 - s4} from the decreasing
+    singular values of M^T (sigma_y x sigma_y) M, M its 4 x k amplitude
+    factor, and Q = NaN.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    pairs = tuple(tuple(keep) for keep in pairs)
+    dims, cells = amps.shape[:4], amps.shape[4:]
+    shape = cells + (len(pairs),)
+    conc, q = (np.empty(shape), np.empty(shape)) if out is None else out
+    entries = pair_entries(amps, pairs, work=work)  # (pair, 10, *cells)
+    general = _x_values(np.moveaxis(entries, (1, 0), (0, -1)), x_tol, conc, q)
     if general.any():
-        sigma = _flip_singular_values(off_x)
-        conc[general] = np.maximum(0.0, sigma[..., 0] - sigma[..., 1] - sigma[..., 2] - sigma[..., 3])
+        flat = amps.reshape(math.prod(dims), -1)
+        cell_index, pair_index = np.nonzero(general.reshape(-1, len(pairs)))
+        general_c = np.empty(cell_index.size)
+        for slot, table in enumerate(_reduction_plan(dims, pairs).tables):
+            mine = pair_index == slot
+            if mine.any():
+                factors = np.moveaxis(flat[:, cell_index[mine]][table], -1, 0)  # (cells, 4, k)
+                s = np.linalg.svd(factors.swapaxes(-1, -2) @ _SIGMA_YY @ factors, compute_uv=False)
+                general_c[mine] = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
+        conc[general] = general_c
         q[general] = np.nan
     return conc, q

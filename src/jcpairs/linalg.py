@@ -9,10 +9,9 @@ Stacks of states put the cells last: amplitudes of shape (d_A, d_a, d_B,
 d_b, *cells), so each amplitude is one row as long as the stack.
 ``pair_entries``, the one reducer, turns them into the 10 entries on and
 above the diagonal of each pair's 4x4 density, (pairs, 10, *cells), with
-elementwise products on those rows.  ``entry_matrices`` builds (..., 4, 4)
-matrices from such entries, only for the cells that take the general
-Wootters route, whose square roots ``sqrt_psd`` takes; ``upper_entries``
-reads the entries of given matrices.
+elementwise products on those rows.  Each density is M M^dag, M the 4 x k
+matrix of amplitudes that the reducer multiplies; the general Wootters
+route reads M itself through the same index tables.
 """
 
 from __future__ import annotations
@@ -32,47 +31,6 @@ _AXIS = {label: i for i, label in enumerate(SUBSYSTEMS)}
 # rho[0, 3] and rho[1, 2], then the four entries off the X pattern.
 ENTRY_ROWS = np.array([0, 1, 2, 3, 0, 1, 0, 0, 1, 2])
 ENTRY_COLS = np.array([0, 1, 2, 3, 3, 2, 1, 2, 3, 3])
-
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
-
-def dagger(m):
-    """Conjugate transpose of a matrix or of every matrix in a (..., n, n) stack."""
-    return m.conj().swapaxes(-1, -2)
-
-
-def hermiticity_defect(m):
-    """max |M - M^dag|, elementwise (over the whole stack for a stack)."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - dagger(m))))
-
-
-def sqrt_psd(m, tol=1e-12):
-    """Hermitian PSD square root via eigendecomposition, of one matrix or a stack.
-
-    Rejects input whose Hermiticity defect exceeds max(tol, 1e-12), and
-    eigenvalues below ``-tol``, reporting the measured value.  Eigenvalues
-    at or below n^2 eps times the largest one (16 eps for 4x4), which the
-    eigensolver cannot tell from zero, are set to zero, so the root does not
-    turn their round-off into O(1e-8) entries; every larger eigenvalue is
-    kept.
-    """
-    m = np.asarray(m, dtype=complex)
-    herm_tol = max(tol, 1e-12)
-    defect = hermiticity_defect(m)
-    if defect > herm_tol:
-        raise ValueError(
-            f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds tolerance {herm_tol:.3e}"
-        )
-    w, v = np.linalg.eigh(m)
-    w, v = w[..., ::-1], v[..., ::-1]  # decreasing order, which fixes the root's round-off
-    lowest = float(np.min(w[..., -1]))
-    if lowest < -tol:
-        raise ValueError(f"matrix is not PSD: eigenvalue {lowest:.3e} below -{tol:.3e}")
-    cut = w.shape[-1] ** 2 * np.finfo(float).eps * w[..., :1]
-    w = np.where(w <= cut, 0.0, w)
-    root = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
-    return 0.5 * (root + dagger(root))
 
 
 class Workspace:
@@ -96,19 +54,6 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
-def upper_entries(rho):
-    """The 10 entries of a 4x4 matrix or stack (..., 4, 4), in ``ENTRY_ROWS``/``ENTRY_COLS`` order, as (10, ...)."""
-    return np.moveaxis(np.asarray(rho)[..., ENTRY_ROWS, ENTRY_COLS], -1, 0)
-
-
-def entry_matrices(entries):
-    """Hermitian 4x4 matrices (..., 4, 4) from their 10 entries (10, ...): the lower triangle is the conjugate mirror."""
-    rho = np.empty(entries.shape[1:] + (4, 4), dtype=complex)
-    rho[..., ENTRY_ROWS, ENTRY_COLS] = np.moveaxis(entries, 0, -1)
-    rho[..., ENTRY_COLS[4:], ENTRY_ROWS[4:]] = np.moveaxis(entries[4:], 0, -1).conj()
-    return rho
-
-
 def pair_entries(amps, pairs, *, leak_tol=1e-10, work=None):
     """Reduce a stack of four-factor pure states to the upper entries of several pair densities.
 
@@ -116,10 +61,10 @@ def pair_entries(amps, pairs, *, leak_tol=1e-10, work=None):
     per cell of the trailing axes; the result has shape (len(pairs), 10,
     *cells) and holds the 10 entries on and above the diagonal of each
     pair's 4x4 density in ``ENTRY_ROWS``/``ENTRY_COLS`` order.  The lower
-    triangle is their conjugate mirror (``entry_matrices``), so the density
-    is Hermitian by construction.  Each pair is an ordered pair of labels
-    from ("A", "a", "B", "b") (such as ``("A", "b")`` or ``"Ab"``) and fixes
-    the ordering of its output factors.
+    triangle is their conjugate mirror, so the density is Hermitian by
+    construction.  Each pair is an ordered pair of labels from ("A", "a",
+    "B", "b") (such as ``("A", "b")`` or ``"Ab"``) and fixes the ordering of
+    its output factors.
 
     Kept cavity factors are projected onto the zero/one photon subspace and
     reported in (one photon, vacuum) order, so every output basis lists the
@@ -184,6 +129,7 @@ class _Plan:
     groups: tuple
     order: np.ndarray | None
     max_rows: int
+    tables: tuple
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,10 +145,14 @@ def _reduction_plan(dims, pairs):
     traced index, give those entries (``rows`` conjugated on the right by
     ``cols``).  Groups hold consecutive output slots; ``order`` maps each
     requested pair to its slot, None when that is the request order.
+    ``tables`` holds each requested pair's (4, traced) table of the flat
+    indices of its amplitude factor M, whose rows are the pair's basis
+    states: the density is M M^dag.
     """
     positions = np.arange(math.prod(dims)).reshape(dims)
     cavities = {}
-    members = {}  # traced dimension -> [(requested slot, (4, traced) index table)]
+    tables = []  # per requested pair, its (4, traced) index table
+    members = {}  # traced dimension -> [requested slots]
     for slot, keep in enumerate(pairs):
         if len(keep) != 2 or keep[0] == keep[1]:
             raise ValueError(f"keep must name two distinct subsystems, got {keep!r}")
@@ -217,19 +167,21 @@ def _reduction_plan(dims, pairs):
         # kept cavities are read at photon numbers (1, 0); atoms already index (e, g)
         select = tuple(slice(1, None, -1) if label in CAVITY_SUBSYSTEMS else slice(None) for label in keep)
         table = positions.transpose(kept_axes + traced_axes)[select].reshape(4, -1)
-        members.setdefault(table.shape[1], []).append((slot, table))
+        tables.append(table)
+        members.setdefault(table.shape[1], []).append(slot)
     groups = []
     order = np.empty(len(pairs), dtype=np.intp)
     next_slot = 0
-    for tables in members.values():
+    for group in members.values():
         start = 10 * next_slot
-        for slot, _ in tables:
+        for slot in group:
             order[slot] = next_slot
             next_slot += 1
-        rows = np.concatenate([table[ENTRY_ROWS] for _, table in tables]).T.copy()
-        cols = np.concatenate([table[ENTRY_COLS] for _, table in tables]).T.copy()
+        rows = np.concatenate([tables[slot][ENTRY_ROWS] for slot in group]).T.copy()
+        cols = np.concatenate([tables[slot][ENTRY_COLS] for slot in group]).T.copy()
         groups.append((start, 10 * next_slot, rows, cols))
     in_order = np.array_equal(order, np.arange(len(pairs)))
     return _Plan(cavities=tuple(cavities.items()), groups=tuple(groups),
                  order=None if in_order else order,
-                 max_rows=max((stop - start for start, stop, _, _ in groups), default=0))
+                 max_rows=max((stop - start for start, stop, _, _ in groups), default=0),
+                 tables=tuple(tables))

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import reference
 from jcpairs import JCParams
-from jcpairs.checks import random_x_state  # noqa: F401  (test modules import it from here)
-from jcpairs.entanglement import concurrence_from_entries
-from jcpairs.linalg import entry_matrices, pair_entries, upper_entries
+from jcpairs.checks import random_x_states
+from jcpairs.entanglement import _x_values, pair_values
+from jcpairs.linalg import ENTRY_COLS, ENTRY_ROWS, pair_entries
 from reference import resonance_values
 
 # Property tests draw the same examples on every run, so the suite stays
@@ -54,15 +55,56 @@ def closed_sampler(kind, alpha, rabi, pairs=("AB",)):
     return sample
 
 
+def upper_entries(rho):
+    """The 10 upper entries (10, ...) of a 4x4 matrix or stack (..., 4, 4), in ``ENTRY_ROWS``/``ENTRY_COLS`` order."""
+    return np.moveaxis(np.asarray(rho)[..., ENTRY_ROWS, ENTRY_COLS], -1, 0)
+
+
+def entry_matrices(entries):
+    """Hermitian 4x4 matrices (..., 4, 4) from their 10 upper entries (10, ...), the lower triangle mirrored."""
+    rho = np.empty(entries.shape[1:] + (4, 4), dtype=complex)
+    rho[..., ENTRY_ROWS, ENTRY_COLS] = np.moveaxis(entries, 0, -1)
+    rho[..., ENTRY_COLS[4:], ENTRY_ROWS[4:]] = np.moveaxis(entries[4:], 0, -1).conj()
+    return rho
+
+
 def pair_matrices(amps, pairs, **kwargs):
     """The ``pair_entries`` of amplitudes (d_A, d_a, d_B, d_b, *cells) as matrices (*cells, len(pairs), 4, 4)."""
     return entry_matrices(np.moveaxis(pair_entries(amps, pairs, **kwargs), 0, -1))
 
 
-def concurrence(rho, x_tol=1e-10):
-    """(C, Q) of a 4x4 density or a (..., 4, 4) stack, read from its 10 upper entries.
+def x_densities(rng, count):
+    """The AB densities (count, 4, 4) of ``random_x_states``: X-shaped, off-X entries exactly zero."""
+    return reference.pair_density(random_x_states(rng, count), "AB")
 
-    The lower triangle is not read: the reader takes it as the conjugate
-    mirror, as the reducer writes it.
+
+def factor_amplitudes(rho):
+    """Amplitudes (2, 2, 2, 2, *cells) whose AB reduction is the density or stack ``rho`` (*cells, 4, 4).
+
+    The factor is V sqrt(w) from ``eigh``, its rows the kept (A, B) and its
+    columns the traced (a, b).
     """
-    return concurrence_from_entries(upper_entries(rho), x_tol=x_tol)
+    w, v = np.linalg.eigh(rho)
+    factor = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    n = factor.ndim - 2
+    return np.moveaxis(factor.reshape(factor.shape[:-2] + (2, 2, 2, 2)), (n, n + 2, n + 1, n + 3),
+                       (0, 1, 2, 3))
+
+
+def concurrence(rho, x_tol=1e-10):
+    """(C, Q) of a PSD 4x4 density or a (..., 4, 4) stack, through ``pair_values`` on a factor of it."""
+    conc, q = pair_values(factor_amplitudes(rho), ["AB"], x_tol=x_tol)
+    return conc[..., 0], q[..., 0]
+
+
+def entry_values(rho, x_tol=1e-10):
+    """(C, Q) of a 4x4 matrix or (..., 4, 4) stack, its X cells checked and read from its 10 upper entries.
+
+    Cells off the X pattern keep the X formula's values.  The lower
+    triangle is not read: the reader takes it as the conjugate mirror, as
+    the reducer writes it.
+    """
+    entries = upper_entries(rho)
+    conc, q = np.empty(entries.shape[1:]), np.empty(entries.shape[1:])
+    _x_values(entries, x_tol, conc, q)
+    return conc, q

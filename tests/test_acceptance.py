@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import closed_sampler, concurrence, random_x_state
+from conftest import closed_sampler
 from jcpairs import (
     PAIR_LABELS,
     GridEngine,
@@ -18,7 +18,8 @@ from jcpairs import (
     esd_boundary_phi_AB,
     zero_intervals,
 )
-from jcpairs.checks import run_checks
+from jcpairs.checks import random_x_states, run_checks
+from jcpairs.entanglement import pair_values
 from jcpairs.jcmodel import dressed_data
 
 PARAMS = JCParams(omega0=5.0, omega=5.0, g=1.0)
@@ -126,10 +127,9 @@ def test_criterion_08_x_form_universality(checks):
         # x_tol < 0 sends every cell through the general Wootters route
         general = engine.values(ALPHA_GRID, GT_GRID / RABI, x_tol=-1.0).concurrence
         fast_gap = max(fast_gap, float(np.max(np.abs(values.concurrence - general))))
-    rng = np.random.default_rng(42)
-    states = np.array([random_x_state(rng) for _ in range(1000)])
-    fast_gap = max(fast_gap, float(np.max(np.abs(concurrence(states)[0]
-                                                  - concurrence(states, x_tol=-1.0)[0]))))
+    states = random_x_states(np.random.default_rng(42), 1000)
+    fast_gap = max(fast_gap, float(np.max(np.abs(pair_values(states, ["AB"])[0]
+                                                  - pair_values(states, ["AB"], x_tol=-1.0)[0]))))
     report(8, x_ok and off_x_cells == 0 and fast_gap <= 1e-10,
            f"{x_detail}; numeric grid and 1000 random X states: off-X cells = "
            f"{off_x_cells}, max |C_fast - C_general| = {fast_gap:.3e} (tol 1e-10)")

@@ -22,13 +22,18 @@ DELETED = {
     "dynamics": ["FourPartiteState", "InitialFamily", "evolve_analytic", "prepare_initial"],
     "entanglement": ["ConcurrenceResult", "all_pairwise", "wootters_concurrence",
                      "xstate_concurrence", "_validate_density", "concurrence_stack",
-                     "_hermitian_part", "off_x_defect"],
-    "linalg": ["kron", "pair_density", "partial_trace", "pair_densities"],
+                     "_hermitian_part", "off_x_defect", "concurrence_from_entries",
+                     "_flip_singular_values"],
+    # the general Wootters route reads the amplitude factor; the matrix
+    # helpers that only tests use live in tests/conftest.py
+    "linalg": ["kron", "pair_density", "partial_trace", "pair_densities", "sqrt_psd", "SIGMA_Y",
+               "entry_matrices", "upper_entries", "dagger", "hermiticity_defect"],
     # the numeric route diagonalizes each site; the lattice matrix is the tests' oracle
     "jcmodel": ["total_hamiltonian"],
     # the invariant suite reads every route through GridEngine
     "checks": ["HamiltonianPropagator", "analytic_amplitudes", "initial_amplitudes",
-               "pair_densities", "concurrence_stack", "off_x_defect"],
+               "pair_densities", "concurrence_stack", "off_x_defect", "random_x_state",
+               "upper_entries"],
 }
 
 

@@ -9,8 +9,7 @@ import reference
 from conftest import excitation_numbers
 from jcpairs import GridEngine, JCParams, site_hamiltonian
 from jcpairs.dynamics import HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
-from jcpairs.entanglement import concurrence_from_entries
-from jcpairs.linalg import pair_entries
+from jcpairs.entanglement import pair_values
 
 
 EPS = np.finfo(float).eps
@@ -38,8 +37,8 @@ def test_prepare_phi_alpha_zero():
 def test_prepare_phi_bell():
     psi = initial_amplitudes("phi", [np.pi / 4])
     assert norms(psi)[0] == pytest.approx(1.0, abs=1e-15)
-    conc, _ = concurrence_from_entries(pair_entries(psi, ["AB"])[0])
-    assert conc[0] == pytest.approx(1.0, abs=1e-12)
+    conc, _ = pair_values(psi, ["AB"])
+    assert conc[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prepare_psi_amplitudes():

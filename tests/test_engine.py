@@ -3,31 +3,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import jcpairs.engine as engine_module
 import reference
-from conftest import concurrence, pair_matrices, random_x_state
+from conftest import (concurrence, entry_matrices, entry_values, pair_matrices, upper_entries,
+                      x_densities)
 from jcpairs import PAIR_LABELS, GridEngine, JCParams, site_hamiltonian
 from jcpairs.cli import main
 from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from jcpairs.entanglement import _x_entries, _x_lowest
-from jcpairs.linalg import entry_matrices, upper_entries
 from reference import resonance_values, total_hamiltonian
 
 EPS = np.finfo(float).eps
-# Both Wootters routes take square roots of eigenvalues that round-off can
-# leave near zero.  The general route zeroes reduced eigenvalues at or below
-# 16 eps lambda_max <= 16 eps (eigh cannot tell them from zero) and keeps
-# larger ones with round-off of that size: sqrt(rho) moves by up to
-# sqrt(16 eps) in norm, each singular value of
-# sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)) by up to twice that, and C,
-# a signed sum of four of them, by up to eight times that.  The textbook
-# reference (``reference.wootters``) takes the roots of the eigenvalues of
-# rho rho~, resolved to about 16 eps, so its C moves by up to four times
-# sqrt(16 eps); the X-entry C it is compared with is exact to rounding.
-WOOTTERS_BUDGET = 1e-11 + 8.0 * math.sqrt(16.0 * EPS)
+# Neither of the grid's Wootters routes takes a square root of an
+# eigenvalue: the X route reads C from the entries and the general route
+# from the singular values of the amplitude factor's M^T (sigma_y x sigma_y) M,
+# both exact to rounding.  The textbook reference (``reference.wootters``)
+# takes the roots of the eigenvalues of rho rho~, resolved to about 16 eps,
+# which round-off can leave near zero, so its C moves by up to four times
+# sqrt(16 eps).
+WOOTTERS_BUDGET = 1e-11 + 4.0 * math.sqrt(16.0 * EPS)
 
 kinds = st.sampled_from(FAMILY_KINDS)
 alphas = st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
@@ -69,6 +66,10 @@ def scalar_results(engine, kind, alpha, params, ts, n_max):
 @given(kind=kinds, alpha=alphas, params=st.one_of(sites(resonant=True), sites()),
        fraction=st.floats(0.0, 1.0), n_max=st.integers(1, 4),
        engine=st.sampled_from(("analytic", "numeric")))
+# the C_Ab reduction here has eigenvalues 4.4e-16 and 1.1e-15, which a
+# square root of rho through eigh would zero, moving C by 3.65e-8
+@example(kind="phi", alpha=1.0, params=JCParams(7.0, 7.0, 1.0), fraction=1e-5, n_max=1,
+         engine="analytic")
 def test_grid_matches_scalar_path(kind, alpha, params, fraction, n_max, engine):
     ts = time_grid(params, fraction)
     grid = GridEngine(engine, kind, params, n_max=n_max)
@@ -77,7 +78,7 @@ def test_grid_matches_scalar_path(kind, alpha, params, fraction, n_max, engine):
     # gives no Q: a NaN on every cell shows that values passed it on
     general = grid.values([alpha], ts, x_tol=-1.0)
     assert np.isnan(general.q).all()
-    assert np.max(np.abs(general.concurrence - values.concurrence)) <= 1e-10
+    assert np.max(np.abs(general.concurrence - values.concurrence)) <= 1e-14
     for it, results in enumerate(scalar_results(engine, kind, alpha, params, ts, n_max)):
         for ip, (ref_q, ref_c) in enumerate(results):
             q, conc = values.q[0, it, ip], values.concurrence[0, it, ip]
@@ -93,18 +94,23 @@ def test_grid_matches_scalar_path(kind, alpha, params, fraction, n_max, engine):
 
 
 def test_grid_c_is_exact_at_a_rank_deficient_reduction():
-    # A detuned phi point whose (A, b) reduction has two eigenvalues near
-    # 3e-13, far above the round-off that sqrt_psd zeroes: both routes keep
-    # them.  The reference is the Wootters formula on the same reduced
-    # matrix in 50-digit arithmetic (mpmath).
-    params = JCParams(omega0=6.050820918763499, omega=7.457674732047595, g=1.2264766325065353)
-    alpha, t = 0.7273963381550884, 2.2212815206411056
-    reference_c = 0.00083408526349841758
-    values = GridEngine("analytic", "phi", params).values([alpha], [t], ("Ab",))
-    assert abs(values.concurrence[0, 0, 0] - reference_c) <= 1e-15
-    # x_tol < 0 sends every cell through the general route
-    general = GridEngine("analytic", "phi", params).values([alpha], [t], ("Ab",), x_tol=-1.0)
-    assert abs(general.concurrence.item() - reference_c) <= 1e-11
+    # Two phi cells whose C_Ab reductions are rank-deficient: a detuned one
+    # with two eigenvalues near 3e-13, and a resonant one with eigenvalues
+    # 4.4e-16 and 1.1e-15, which a square root of rho through eigh would
+    # zero, moving C by 3.65e-8.  The X route reads C from the entries and
+    # the general route from the amplitude factor; neither takes their
+    # square roots.  The reference is the Wootters formula on the same
+    # reduced matrix in 50-digit arithmetic (mpmath).
+    for params, alpha, t, reference_c in (
+        (JCParams(omega0=6.050820918763499, omega=7.457674732047595, g=1.2264766325065353),
+         0.7273963381550884, 2.2212815206411056, 0.00083408526349841758),
+        (JCParams(omega0=7.0, omega=7.0, g=1.0), 1.0, 2.5e-4, 2.27287856414897548e-4),
+    ):
+        values = GridEngine("analytic", "phi", params).values([alpha], [t], ("Ab",))
+        assert abs(values.concurrence[0, 0, 0] - reference_c) <= 1e-15
+        # x_tol < 0 sends every cell through the general route
+        general = GridEngine("analytic", "phi", params).values([alpha], [t], ("Ab",), x_tol=-1.0)
+        assert abs(general.concurrence.item() - reference_c) <= 1e-15
 
 
 @given(kind=kinds, alpha=alphas, params=sites(resonant=True), fraction=st.floats(0.0, 1.0))
@@ -153,16 +159,15 @@ def test_stack_names_the_non_psd_cell(rows, cols, pairs, data):
     # the engine passes (alpha, t, pair) stacks; the rejected cell is named (ia, it, ip)
     bad = tuple(data.draw(st.integers(0, n - 1)) for n in (rows, cols, pairs))
     rng = np.random.default_rng(rows * 100 + cols * 10 + pairs)
-    stack = np.array([[[random_x_state(rng) for _ in range(pairs)] for _ in range(cols)]
-                      for _ in range(rows)])
+    stack = x_densities(rng, rows * cols * pairs).reshape(rows, cols, pairs, 4, 4)
     stack[bad] = np.diag([0.6, 0.6, 0.0, -0.2])
     with pytest.raises(ValueError, match=rf"not PSD.* at cell \({bad[0]}, {bad[1]}, {bad[2]}\)"):
-        concurrence(stack)
+        entry_values(stack)
 
 
 def test_x_block_lowest_eigenvalue_matches_eigvalsh():
     rng = np.random.default_rng(11)
-    stack = np.array([random_x_state(rng) for _ in range(300)])
+    stack = x_densities(rng, 300)
     # coherences past sqrt(ad) give the stack non-PSD cells as well
     stack[::3, 0, 3] *= 3.0
     stack[::3, 3, 0] *= 3.0
@@ -171,17 +176,15 @@ def test_x_block_lowest_eigenvalue_matches_eigvalsh():
     assert np.max(np.abs(lowest - np.linalg.eigvalsh(stack)[:, 0])) <= 1e-15
 
 
-@pytest.mark.parametrize("x_shaped", [True, False])
-def test_stack_rejects_a_non_psd_cell_on_either_route(x_shaped):
-    rng = np.random.default_rng(5)
-    stack = np.array([random_x_state(rng) for _ in range(6)])
+def test_stack_rejects_a_non_psd_x_cell():
+    # a density from amplitudes is M M^dag, PSD by construction; entries
+    # given directly are checked
+    stack = x_densities(np.random.default_rng(5), 6)
     bad = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     bad[0, 3] = bad[3, 0] = 0.6  # |z| > sqrt(ad): lowest eigenvalue 0.5 - 0.6
-    if not x_shaped:
-        bad[0, 1] = bad[1, 0] = 1e-3  # an off-X entry sends the cell to eigvalsh
     stack[4] = bad
     with pytest.raises(ValueError, match=r"not PSD, lowest eigenvalue -1\.000e-01 at cell \(4,\)"):
-        concurrence(stack)
+        entry_values(stack)
 
 
 @pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 3)])
@@ -197,24 +200,16 @@ def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, de
     # the 10 upper entries give back the whole matrix, bit for bit
     assert np.array_equal(entry_matrices(upper_entries(stack)).view(np.uint64), stack.view(np.uint64))
     # symmetrizing gives the same values (only the sign of a zero imaginary
-    # part can differ) and the same C and Q bits: the reducer's Hermitian
-    # matrices need no symmetrizing
+    # part can differ): the reducer's Hermitian matrices need no symmetrizing
     again = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     assert np.array_equal(again, stack)
-    for ours, theirs in zip(concurrence(stack), concurrence(again)):
-        assert np.array_equal(_bits(ours), _bits(theirs))
-    # only the upper triangle is read: the lower one is its conjugate mirror
-    stack[0, 0, 0, 0, 1] += 1e-12
-    mirrored = entry_matrices(upper_entries(stack))
-    assert mirrored[0, 0, 0, 0, 1] == stack[0, 0, 0, 0, 1]
-    assert mirrored[0, 0, 0, 1, 0] == stack[0, 0, 0, 0, 1].conjugate()
 
 
 @given(size=st.integers(1, 12), data=st.data())
 def test_off_x_cell_takes_the_general_route(size, data):
     general = data.draw(st.integers(0, size - 1))
     rng = np.random.default_rng(size)
-    stack = np.array([random_x_state(rng) for _ in range(size)])
+    stack = x_densities(rng, size)
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
     stack[general] = 0.9 * np.outer(psi, psi.conj()) + 0.025 * np.eye(4)
@@ -327,19 +322,19 @@ def test_any_split_of_the_times_gives_the_bits_of_one_call(engine, kind, n_max, 
 @pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 3)])
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_block_reduces_every_pair_in_one_stack(engine, n_max, kind, det_params, monkeypatch):
-    # one reader call per block, on the entries of every requested pair
+    # one reader call per block, on the amplitudes of the block and every requested pair
     shapes = []
-    real = engine_module.concurrence_from_entries
+    real = engine_module.pair_values
 
-    def recording(entries, **kwargs):
-        shapes.append(entries.shape)
-        return real(entries, **kwargs)
+    def recording(amps, pairs, **kwargs):
+        shapes.append((amps.shape[4:], len(pairs)))
+        return real(amps, pairs, **kwargs)
 
     alpha_grid, t_grid = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 6.0, 7)
     grid = GridEngine(engine, kind, det_params, n_max=n_max)
     alone = {pair: grid.values(alpha_grid, t_grid, (pair,)) for pair in PAIR_LABELS}
-    monkeypatch.setattr(engine_module, "concurrence_from_entries", recording)
-    for block, expected in ((256, [(10, 3, 7, 6)]), (7, [(10, 1, 7, 6)] * 3)):
+    monkeypatch.setattr(engine_module, "pair_values", recording)
+    for block, expected in ((256, [((3, 7), 6)]), (7, [((1, 7), 6)] * 3)):
         monkeypatch.setattr(engine_module, "BLOCK_CELLS", block)
         shapes.clear()
         stacked = grid.values(alpha_grid, t_grid)

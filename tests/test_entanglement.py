@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import concurrence, pair_matrices, random_x_state
+from conftest import concurrence, entry_values, pair_matrices
 from jcpairs import PAIR_LABELS, GridEngine
+from jcpairs.checks import random_x_states
 from jcpairs.dynamics import analytic_amplitudes, initial_amplitudes
-from jcpairs.entanglement import concurrence_from_entries
+from jcpairs.entanglement import pair_values
 from jcpairs.linalg import pair_entries
 
 
@@ -68,25 +69,26 @@ def test_phi_bell_quarter_rabi_q_value(res_params):
 
 
 def test_random_x_states_fast_path_matches_general():
-    rng = np.random.default_rng(42)
-    states = np.array([random_x_state(rng) for _ in range(1000)])
-    fast, general = both_routes(states)
+    states = random_x_states(np.random.default_rng(42), 1000)
+    fast, q = pair_values(states, ["AB"])
+    general, general_q = pair_values(states, ["AB"], x_tol=-1.0)
+    assert not np.isnan(q).any() and np.isnan(general_q).all()
     assert np.max(np.abs(fast - general)) <= 1e-10
-    assert np.max(np.abs(fast - [reference.wootters(rho) for rho in states])) <= 1e-10
+    rhos = reference.pair_density(states, "AB")
+    assert np.max(np.abs(fast[:, 0] - [reference.wootters(rho) for rho in rhos])) <= 1e-10
 
 
 def test_invalid_density_matrices_are_named():
     good = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
     with pytest.raises(ValueError, match="trace"):
-        concurrence(2 * good)
+        entry_values(2 * good)
     with pytest.raises(ValueError, match="PSD"):
-        concurrence(np.diag([0.6, 0.6, 0.0, -0.2]).astype(complex))
+        entry_values(np.diag([0.6, 0.6, 0.0, -0.2]).astype(complex))
 
 
 def test_all_pairwise_initial_phi():
     alphas = np.array([0.0, 0.3, np.pi / 4, 1.2])
-    conc, _ = concurrence_from_entries(np.moveaxis(pair_entries(initial_amplitudes("phi", alphas),
-                                                                PAIR_LABELS), 0, -1))
+    conc, _ = pair_values(initial_amplitudes("phi", alphas), PAIR_LABELS)
     assert np.max(np.abs(conc[:, 0] - np.abs(np.sin(2 * alphas)))) <= 1e-12
     assert np.max(conc[:, 1:]) <= 1e-12
 
@@ -129,7 +131,7 @@ def test_results_are_consistent(res_params):
     # the entry-read C is the textbook Wootters C of the same reduction; range respected
     psi = analytic_amplitudes("phi", [0.45], np.linspace(0.0, 3.0, 7), res_params)
     rho = pair_matrices(psi, PAIR_LABELS)
-    conc, q = concurrence(rho)
+    conc, q = pair_values(psi, PAIR_LABELS)
     assert not np.isnan(q).any()  # every reduction here is X-form
     assert np.all((-1e-12 <= conc) & (conc <= 1 + 1e-12))
     # the textbook route takes square roots of eigenvalues that round-off

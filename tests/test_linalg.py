@@ -6,12 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from conftest import concurrence, pair_matrices
+from conftest import concurrence, entry_matrices, pair_matrices
 from jcpairs import JCParams
 from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from jcpairs.entanglement import _SIGMA_YY
 from jcpairs.jcmodel import site_hamiltonian
-from jcpairs.linalg import SIGMA_Y, SUBSYSTEMS, entry_matrices, pair_entries, sqrt_psd
+from jcpairs.linalg import SUBSYSTEMS, pair_entries
 from reference import total_hamiltonian
 
 # every ordered pair of distinct subsystems
@@ -37,47 +37,8 @@ def test_kron_sigma_y_pair():
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3], expected[1, 2], expected[2, 1], expected[3, 0] = -1, 1, 1, -1
     assert np.array_equal(_SIGMA_YY, expected)
-    assert np.array_equal(np.kron(SIGMA_Y, SIGMA_Y), expected)
-
-
-def test_sqrt_psd_reconstruction_and_trace():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = x @ x.conj().T
-        r = sqrt_psd(m)
-        assert np.max(np.abs(r - r.conj().T)) <= 1e-12
-        assert np.allclose(r @ r, m, atol=1e-10)
-        assert (r @ r).trace().real == pytest.approx(m.trace().real, abs=1e-10)
-        # the root's eigenvalues are the roots of the matrix's, in the same order
-        assert np.allclose(np.linalg.eigvalsh(r) ** 2, np.linalg.eigvalsh(m), atol=1e-10)
-
-
-def test_sqrt_psd_rejects_asymmetry():
-    m = np.array([[1.0, 0.2], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(ValueError, match="asymmetry"):
-        sqrt_psd(m)
-
-
-def test_sqrt_psd_identity_and_diagonal():
-    assert np.allclose(sqrt_psd(np.eye(3)), np.eye(3), atol=1e-14)
-    assert np.allclose(sqrt_psd(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]), atol=1e-14)
-
-
-def test_sqrt_psd_multiply_back():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = x.conj().T @ x
-        r = sqrt_psd(m)
-        assert np.max(np.abs(r - r.conj().T)) <= 1e-12
-        assert np.min(np.linalg.eigvalsh(r)) >= -1e-12
-        assert np.max(np.abs(r @ r - m)) <= 1e-9
-
-
-def test_sqrt_psd_rejects_negative_eigenvalue():
-    with pytest.raises(ValueError, match="PSD"):
-        sqrt_psd(np.diag([1.0, -1e-6]))
+    sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    assert np.array_equal(np.kron(sigma_y, sigma_y), expected)
 
 
 def test_partial_trace_product_state():
