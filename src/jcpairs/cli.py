@@ -26,8 +26,8 @@ from .dynamics import FAMILY_KINDS
 from .engine import GridEngine
 from .entanglement import PAIR_LABELS
 from .esd import boundary_AB, zero_intervals
-from .floatfmt import g17_bytes
 from .jcmodel import JCParams
+from .tablefmt import label_cells, number_cells, table_chunks
 
 _C_COLUMNS = ["C_AB", "C_ab", "C_Aa", "C_Bb", "C_Ab", "C_Ba"]
 _Q_PAIRS = ("AB", "ab", "Aa", "Ab")
@@ -55,7 +55,8 @@ _SETTINGS = {
     "alpha_points": (int, 9, ("sweep",), None, "number of angles in the grid"),
     "t_max": (float, None, _RUNS, None, "last time (default: two Rabi periods)"),
     "steps": (int, None, _RUNS, None,
-              "time steps (default: 512 per Rabi period, at least 1, or 2 for esd)"),
+              "time steps (default: 512 per Rabi period, at least 1, or 2 for esd, "
+              "at most 2**24)"),
     "engine": (str, "analytic", _RUNS, {"evolve": ("analytic", "numeric", "both"),
                                         "sweep": ("closed", "analytic", "numeric", "both"),
                                         "esd": ("closed", "analytic", "numeric")},
@@ -70,6 +71,9 @@ _SETTINGS = {
                      "perturb one Hamiltonian entry (negative control)"),
     "output": (str, "-", _ALL, None, "output file (default: stdout)"),
 }
+# The most time steps a derived default may ask for: a larger grid is asked
+# for with --steps, never by a long --t-max alone.
+_MAX_DEFAULT_STEPS = 2**24
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -170,9 +174,10 @@ def _merged(args, command):
         if math.isinf(period):  # with t-max given: 512 steps per period would be none
             raise UsageError(f"the Rabi period, pi / g, overflows for g={cfg.g}; give --steps")
         steps = 512 * cfg.t_max / period
-        if steps > sys.maxsize:  # also inf, which round() cannot convert
+        if steps > _MAX_DEFAULT_STEPS:  # also inf, which round() cannot convert
             raise UsageError(f"t-max {cfg.t_max} is too long for the default of 512 steps "
-                             "per Rabi period; give --steps")
+                             f"per Rabi period: {steps:.3g} steps, more than {_MAX_DEFAULT_STEPS} "
+                             "(2**24); give --steps")
         cfg.steps = max(_least_steps(command), round(steps))
 
     _validate(cfg)
@@ -210,78 +215,6 @@ def _validate(cfg):
         raise UsageError(f"zero-tol must be >= 0, got {cfg.zero_tol}")
 
 
-# Rows per block: each block is formatted as one byte matrix and written
-# before the next is built, so the whole table never exists as text at once.
-_ROW_BLOCK = 2048
-
-
-def _text_matrix(texts):
-    """ASCII texts as a NUL-padded uint8 matrix, one row per text."""
-    return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
-
-
-def _label_cells(fmt, labels):
-    """Cells of text labels: the labels in CSV, JSON strings in JSON."""
-    return _text_matrix(labels if fmt == "csv" else [json.dumps(label) for label in labels])
-
-
-def _number_cells(fmt, values):
-    """Cells of float values: '%.17g' text in CSV, ``json.dumps`` numbers (NaN as null) in JSON."""
-    values = np.asarray(values, dtype=float)
-    if fmt == "csv":
-        return g17_bytes(values)
-    texts = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[i] = json.dumps(None if math.isnan(values[i]) else float(values[i]))
-    return _text_matrix(texts)
-
-
-def _table_chunks(fmt, columns, shape, data):
-    """Text of a table as chunks for ``_write_output``, one per block of ``_ROW_BLOCK`` rows.
-
-    Row r is the cell ``np.unravel_index(r, shape)`` of the table.  ``data``
-    has one entry per column: a float array that reshapes to ``shape``,
-    formatted a block at a time, or a pair ``(cells, key)`` of ready cells
-    (``_label_cells``, ``_number_cells``) and the row of ``cells`` at each
-    table cell: its index along the axis ``key``, or ``key[cell]`` for an
-    integer array of ``shape``.  Each block is one byte matrix of cells and
-    separators, written without its NUL padding; JSON has the bytes of
-    ``json.dumps(..., indent=2)``.
-    """
-    n = math.prod(shape)
-    if fmt == "json":
-        head = json.dumps(list(columns), indent=2).replace("\n", "\n  ")
-        yield '{\n  "columns": ' + head + ',\n  "rows": ['
-        # every row opens with ",\n"; the first row's comma is dropped
-        opening, separator, closing = ",\n    [\n      ", ",\n      ", "\n    ]"
-    else:
-        yield ",".join(columns) + "\n"
-        opening, separator, closing = "", ",", "\n"
-    opening, separator, closing = (np.tile(np.frombuffer(text.encode(), np.uint8), (_ROW_BLOCK, 1))
-                                   for text in (opening, separator, closing))
-    floats = [col.reshape(shape) for col in data if not isinstance(col, tuple)]
-    for start in range(0, n, _ROW_BLOCK):
-        axes = np.unravel_index(np.arange(start, min(n, start + _ROW_BLOCK)), shape)
-        # one formatter call for all float columns of the block
-        numbers = _number_cells(fmt, np.concatenate([col[axes] for col in floats]))
-        numbers = iter(np.split(numbers, len(floats)))
-        parts = [opening]
-        for col in data:
-            if isinstance(col, tuple):
-                table, key = col
-                index = axes[key] if isinstance(key, int) else key[axes]
-                parts.append(np.take(table, index, axis=0))
-            else:
-                parts.append(next(numbers))
-            parts.append(separator)
-        parts[-1] = closing
-        block = np.concatenate([part[:axes[0].size] for part in parts], axis=1)
-        text = block[block != 0].tobytes().decode("ascii")
-        yield text[1:] if fmt == "json" and not start else text
-    if fmt == "json":
-        yield ("\n  ]" if n else "]") + "\n}\n"
-
-
 def _write_output(path, chunks):
     """Write text chunks to ``path`` ('-' or None for stdout) as they come."""
     if path in (None, "-"):
@@ -292,9 +225,13 @@ def _write_output(path, chunks):
 
 
 def _engines(cfg, params):
-    """The requested engines, primary first ("both" runs analytic, then numeric)."""
-    names = ("analytic", "numeric") if cfg.engine == "both" else (cfg.engine,)
-    return [GridEngine(name, cfg.family, params, n_max=cfg.n_max) for name in names]
+    """The requested engines, primary first ("both" runs analytic, then numeric).
+
+    Each is built when the caller asks for it, so an engine that is done
+    (and its workspace) is gone before the next one runs.
+    """
+    for name in ("analytic", "numeric") if cfg.engine == "both" else (cfg.engine,):
+        yield GridEngine(name, cfg.family, params, n_max=cfg.n_max)
 
 
 def _disagreement_exit(results, alpha_grid, t_grid, pairs, cfg):
@@ -320,21 +257,22 @@ def _cmd_evolve(args):
     cfg = _merged(args, "evolve")
     params = cfg.params
     rabi = params.rabi(1)
-    ts = np.array([cfg.t_max * i / cfg.steps for i in range(cfg.steps + 1)])
+    ts = cfg.t_max * np.arange(cfg.steps + 1) / cfg.steps
 
     results = [engine.values([cfg.alpha], ts) for engine in _engines(cfg, params)]
     conc = results[0].concurrence[0]
     q = results[0].q[0]
 
     columns = list(_EVOLVE_COLUMNS)
-    data = [ts, rabi * ts, (_number_cells(cfg.format, [cfg.alpha]), 0)]
+    data = [ts, rabi * ts, (number_cells(cfg.format, [cfg.alpha]), 0)]
     data += [conc[:, i] for i in range(len(PAIR_LABELS))]
     data += [q[:, PAIR_LABELS.index(pair)] for pair in _Q_PAIRS]
     if cfg.engine == "both":
         columns.append("max_engine_disagreement")
         data.append(np.max(np.abs(conc - results[1].concurrence[0]), axis=1))
 
-    _write_output(cfg.output, _table_chunks(cfg.format, columns, (1, ts.size), data))
+    # one slot per row: the rows of a series share no values
+    _write_output(cfg.output, table_chunks(cfg.format, columns, (1, ts.size, 1), data))
     return _disagreement_exit(results, [cfg.alpha], ts, PAIR_LABELS, cfg)
 
 
@@ -351,15 +289,15 @@ def _cmd_sweep(args):
     conc = results[0].concurrence
     # rows run over (alpha, t, pair); the per-axis cells are formatted once
     data = [
-        (_number_cells(cfg.format, alpha_grid), 0),
-        (_number_cells(cfg.format, t_grid), 1),
-        (_number_cells(cfg.format, rabi * t_grid), 1),
-        (_label_cells(cfg.format, pairs), 2),
+        (number_cells(cfg.format, alpha_grid), 0),
+        (number_cells(cfg.format, t_grid), 1),
+        (number_cells(cfg.format, rabi * t_grid), 1),
+        (label_cells(cfg.format, pairs), 2),
         conc,
         results[0].q,
-        (_label_cells(cfg.format, ["false", "true"]), (conc <= cfg.zero_tol).view(np.uint8)),
+        (label_cells(cfg.format, ["false", "true"]), (conc <= cfg.zero_tol).view(np.uint8)),
     ]
-    _write_output(cfg.output, _table_chunks(cfg.format, _SWEEP_COLUMNS, conc.shape, data))
+    _write_output(cfg.output, table_chunks(cfg.format, _SWEEP_COLUMNS, conc.shape, data))
     return _disagreement_exit(results, alpha_grid, t_grid, pairs, cfg)
 
 

@@ -24,10 +24,12 @@ and PSD from the two 2x2 blocks of X cells) and reads C and Q straight from
 those entries into the output; only cells off the X pattern gather their
 amplitude factor for the general Wootters route.  They process the grid in
 blocks of at most ``BLOCK_CELLS`` cells, so memory stays bounded for any
-grid size, and every block writes into one ``Workspace`` that ``values``
-allocates per call, sized by its first block: no block allocates a large
-temporary of its own.  A cell's values do not depend on how the grid is
-split into blocks or calls.  The closed route keeps nothing per cell beyond
+grid size, and every block writes into the one ``Workspace`` the engine
+owns, sized by the largest block it has run: no block allocates a large
+temporary of its own, and a repeated call writes into memory that is
+already mapped (so one engine runs one ``values`` call at a time).  A
+cell's values do not depend on how the grid is split into blocks or
+calls.  The closed route keeps nothing per cell beyond
 its output and evaluates the whole grid in one call.
 
 A one-cell grid is how to get the values at one (alpha, t): every cell of a
@@ -83,6 +85,7 @@ class GridEngine:
         self.kind = kind
         self.params = params
         self.n_max = n_max
+        self._work = Workspace()
         if name == "numeric":
             if hamiltonian is None:
                 site = site_hamiltonian(params, n_max)
@@ -110,7 +113,7 @@ class GridEngine:
         q = np.empty_like(conc)
         t_step = max(1, min(ts.size, BLOCK_CELLS))
         a_step = max(1, BLOCK_CELLS // t_step)
-        work = Workspace()
+        work = self._work
         for a0 in range(0, alphas.size, a_step):
             for t0 in range(0, ts.size, t_step):
                 block = (slice(a0, a0 + a_step), slice(t0, t0 + t_step))

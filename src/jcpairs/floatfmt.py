@@ -17,10 +17,20 @@ bytes with integer array arithmetic:
    (Rounding to 17 digits never carries a double to the next power of
    ten: neighbouring doubles are at least 1.1e-16 apart relative to their
    size, half a unit of the 17th digit is at most 5e-17.)
-4. The ``%g`` layout depends only on the sign, X and the number of digits
+4. The 17 digits go into three little-endian 64-bit words as ASCII, digit
+   j in byte j of the text: D = top 10^16 + high 10^8 + low, and each
+   eight-digit part becomes one word by splitting it 4|4 in 32-bit lanes,
+   2|2 in 16-bit lanes and 1|1 in bytes, every lane at once (SIMD within
+   a register; the quotients x // 100 = x * 10486 >> 20 below 10^4 and
+   x // 10 = x * 103 >> 10 below 10^2 are exact).
+5. The ``%g`` layout depends only on the sign, X and the number of digits
    left once trailing zeros are dropped.  One table indexed by those three
-   holds each layout as byte positions, applied to all values by one gather
-   into the rows of a NUL-padded byte matrix.
+   holds each layout as words: the fixed bytes (sign, "0.000", the point,
+   the exponent), which digits come before the point, where they start
+   and how long the text is.  The text is then a few word operations per
+   value: the head digits shifted to their start, the rest one byte
+   further for the point, cut to the length and merged with the fixed
+   bytes, written into the rows of a NUL-padded byte matrix.
 
 Zero takes the same path as D = 0 at X = 0.  Non-finite values, other
 values outside the window and range check failures go through
@@ -38,42 +48,53 @@ _X_MIN, _X_MAX = -11, 15  # decimal exponents inside the window
 _DIGITS = 17
 # longest text: "-1.7976931348623157e+308" and "-2.2250738585072014e-308" (fallbacks);
 # inside the window "-1.2345678901234567e-11" or "-0.00012345678901234567", 23
-_WIDTH = 24
-_LITERALS = "\0-.e+0123456789"  # NUL pads short texts to the row width
-_ROWS = 1 + _DIGITS + len(_LITERALS)  # source rows: a leading "0", the digits, the literals
+WIDTH = 24
 _CHUNK = 4096  # values per pass through the arithmetic, which bounds its arrays
-_GATHER = 1024  # values per gather, which bounds its (values, _WIDTH) index array
+_WORDS = np.dtype("<u8")  # byte j of a text is byte j % 8 of word j // 8 on every host
+
+
+def _text_words(text):
+    """Up to 24 bytes as three little-endian words."""
+    return np.frombuffer(bytes(text).ljust(WIDTH, b"\0"), dtype=_WORDS)
 
 
 @functools.cache
 def _tables():
-    """5^k in 32-bit limbs, 10^-6 ... 10^0 in float32, and the source rows of every layout.
+    """5^k in 32-bit limbs, and the layout of every (sign, X, number of digits kept).
 
-    Layouts are indexed by (sign, X, number of digits kept).
+    A layout is ten words (rows of the (10, layouts) table): the text's
+    fixed bytes (3), the mask of the digits before the point (3), the mask
+    of the text's length (3) and the bit offset of the first digit.
     """
     pow5 = np.array([5**k for k in range(16 - _X_MAX, 17 - _X_MIN)], dtype=np.uint64)
-    tenths = (10.0 ** -np.arange(6.0, -1.0, -1.0)).astype(np.float32)[:, None]
-    literal = {c: 1 + _DIGITS + i for i, c in enumerate(_LITERALS)}
-    layouts = np.full((2, _X_MAX - _X_MIN + 1, _DIGITS, _WIDTH), literal["\0"], dtype=np.intp)
+    layouts = []
     for neg in (0, 1):
         for x in range(_X_MIN, _X_MAX + 1):
             for kept in range(1, _DIGITS + 1):
-                digits = list(range(1, kept + 1))  # source rows of the kept digits
                 if x >= 0:  # %f style with 16 - X decimals, trailing zeros dropped
-                    whole = list(range(1, x + 2))
-                    text = whole + (["."] + digits[x + 1:] if kept > x + 1 else [])
+                    prefix, head = b"", x + 1
                 elif x >= -4:
-                    text = ["0", "."] + ["0"] * (-x - 1) + digits
+                    prefix, head = b"0." + b"0" * (-x - 1), _DIGITS
                 else:  # %e style
-                    text = digits[:1] + (["."] + digits[1:] if kept > 1 else []) + list("e%+03d" % x)
-                text = ["-"] * neg + text
-                layouts[neg, x - _X_MIN, kept - 1, :len(text)] = [literal.get(c, c) for c in text]
-    return pow5 & 0xFFFFFFFF, pow5 >> 32, tenths, layouts.reshape(-1, _WIDTH)
+                    prefix, head = b"", 1
+                prefix = b"-" * neg + prefix
+                start = len(prefix)
+                fixed = bytearray(prefix.ljust(WIDTH, b"\0"))
+                length = start + (head if x >= 0 else min(kept, head))
+                if kept > head:  # the point, then the kept digits after the head
+                    fixed[length] = ord(".")
+                    length += 1 + kept - head
+                if x < -4:
+                    fixed[length:length + 4] = b"e%+03d" % x
+                layouts.append(np.concatenate([_text_words(fixed), _text_words(b"\xff" * head),
+                                               _text_words(b"\xff" * length),
+                                               np.array([8 * start], dtype=_WORDS)]))
+    return pow5 & 0xFFFFFFFF, pow5 >> 32, np.array(layouts, dtype=_WORDS).T.copy()
 
 
 def _decimal(values):
     """(D, X, ok): 17 correctly rounded digits and the exponent, where ``ok``."""
-    pow5_lo, pow5_hi, _, _ = _tables()
+    pow5_lo, pow5_hi, _ = _tables()
     bits = values.view(np.uint64)
     e = (bits >> 52 & 0x7FF).astype(np.intp) - 1075
     ok = (e >= _E_MIN) & (e <= _E_MAX)
@@ -106,44 +127,56 @@ def _decimal(values):
     return d, x, ok | zero
 
 
-def _digit_rows(d):
-    """The source rows of each value, one column per value, and the digits kept.
+def _digit_words(d):
+    """The 17 ASCII digits of each D, first digit in the lowest byte, as (3, n) words.
 
-    D is cut into three parts below 10^6, and each part h into its six
-    digits floor(h / 10^j) - 10 floor(h / 10^(j+1)) at once; the quotients
-    come from floor((h + 0.5) 10^-j) in float32, exact for every h < 10^6.
-    The highest part is below 10^5, so row 0 holds a leading "0".
+    Also returns the number of digits kept once trailing zeros are dropped
+    (one for D = 0, which is written as "0").
     """
-    _, _, tenths, _ = _tables()
     n = d.size
-    high = d // 10**12
-    low = d - high * 10**12
-    parts = np.empty((3, 1, n), dtype=np.float32)
-    parts[0, 0] = high
-    parts[1, 0] = middle = low // 10**6
-    parts[2, 0] = low - middle * 10**6
-    parts += 0.5
-    quotients = parts * tenths
-    np.floor(quotients, out=quotients)
-    quotients[:, 1:] -= 10.0 * quotients[:, :-1]
-    src = np.empty((_ROWS, n), dtype=np.uint8)
-    src[:1 + _DIGITS].reshape(3, 6, n)[...] = quotients[:, 1:]
-    src[:1 + _DIGITS] += ord("0")
-    src[1 + _DIGITS:] = np.frombuffer(_LITERALS.encode(), dtype=np.uint8)[:, None]
+    top = d // 10**16
+    d = d - top * 10**16
+    parts = np.empty((2, n), dtype=_WORDS)
+    parts[0] = d // 10**8
+    parts[1] = d - parts[0] * 10**8
+    high = parts // 10**4  # 4|4 in 32-bit lanes
+    parts -= high * 10**4
+    parts <<= 32
+    parts |= high
+    high = (parts * 10486 >> 20) & 0x0000007F0000007F  # 2|2 in 16-bit lanes
+    parts -= high * 100
+    parts <<= 16
+    parts |= high
+    high = (parts * 103 >> 10) & 0x000F000F000F000F  # 1|1 in bytes
+    parts -= high * 10
+    parts <<= 8
+    parts |= high
+    digits = np.empty((3, n), dtype=_WORDS)
+    np.left_shift(parts, 8, out=digits[:2])
+    digits[0] |= top
+    digits[1] |= parts[0] >> 56
+    np.right_shift(parts[1], 56, out=digits[2])
+
     kept = np.full(n, _DIGITS)
-    ends_in_zero = np.flatnonzero(src[_DIGITS] == ord("0"))
-    zeros = np.argmax(src[_DIGITS:0:-1, ends_in_zero] != ord("0"), axis=0)
-    kept[ends_in_zero] -= np.where(zeros == 0, _DIGITS - 1, zeros)  # D = 0 keeps one "0"
-    return src, kept
+    ends_in_zero = np.flatnonzero(digits[2] == 0)
+    if ends_in_zero.size:
+        nonzero = np.ascontiguousarray(digits[:, ends_in_zero].T).view(np.uint8)[:, _DIGITS - 1::-1] != 0
+        kept[ends_in_zero] = np.where(nonzero.any(axis=1), _DIGITS - np.argmax(nonzero, axis=1), 1)
+    digits[:2] += 0x3030303030303030
+    digits[2] += 0x30
+    return digits, kept
 
 
-def g17_bytes(values):
+def g17_bytes(values, out=None):
     """``'%.17g' % v`` of each value of a 1-D float64 array, as an (n, 24) uint8 matrix.
 
-    Row i holds the ASCII text of ``values[i]`` padded with NUL bytes.
+    Row i holds the ASCII text of ``values[i]`` padded with NUL bytes.  The
+    rows are written into ``out``, an (n, 24) uint8 array with contiguous
+    rows, when it is given.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    out = np.empty((values.size, _WIDTH), dtype=np.uint8)
+    if out is None:
+        out = np.empty((values.size, WIDTH), dtype=np.uint8)
     for start in range(0, values.size, _CHUNK):
         _write_chunk(values[start:start + _CHUNK], out[start:start + _CHUNK])
     return out
@@ -151,14 +184,22 @@ def g17_bytes(values):
 
 def _write_chunk(values, out):
     """The rows of one chunk of ``g17_bytes``, written into ``out``."""
-    n = values.size
     d, x, ok = _decimal(values)
-    src, kept = _digit_rows(d)
+    digits, kept = _digit_words(d)
     code = (np.signbit(values) * (_X_MAX - _X_MIN + 1) + x - _X_MIN) * _DIGITS + kept - 1
-    layouts = _tables()[3] * n
-    for start in range(0, n, _GATHER):
-        index = layouts[code[start:start + _GATHER]]
-        index += np.arange(start, min(n, start + _GATHER))[:, None]
-        out[start:start + _GATHER] = src.ravel()[index]
+    # the indices are in range by construction
+    fixed, head_mask, length_mask, shift = np.split(np.take(_tables()[2], code, axis=1, mode="clip"),
+                                                    [3, 6, 9])
+    head = digits & head_mask
+    digits ^= head  # the digits after the point
+    words = head << shift
+    words |= digits << (shift + 8)
+    # bytes carried into the next word: head >> (64 - shift) without a 64-bit shift
+    head[:2] >>= 8
+    head[:2] |= digits[:2]
+    words[1:] |= head[:2] >> (56 - shift)
+    words &= length_mask
+    words |= fixed
+    out.view(_WORDS)[...] = words.T
     texts = ["%.17g" % v for v in values[~ok].tolist()]  # the fallback cells
-    out[~ok] = np.array(texts, dtype=(bytes, _WIDTH)).view(np.uint8).reshape(-1, _WIDTH)
+    out[~ok] = np.array(texts, dtype=(bytes, WIDTH)).view(np.uint8).reshape(-1, WIDTH)

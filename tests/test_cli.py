@@ -12,6 +12,7 @@ import pytest
 
 import jcpairs.checks as checks
 import jcpairs.cli as cli
+import jcpairs.tablefmt as tablefmt
 from jcpairs import PAIR_LABELS, GridEngine, JCParams
 from jcpairs.cli import main
 from jcpairs.closedform import closed_grid
@@ -380,12 +381,39 @@ def test_non_finite_setting_is_a_usage_error(command, flag, value, capsys):
     assert capsys.readouterr().err == f"error: {name} must be finite, got {float(value)}\n"
 
 
+@pytest.mark.parametrize("command, t_max, steps", [
+    ("evolve", "1e308", "inf"), ("sweep", "1e308", "inf"), ("esd", "1e308", "inf"),
+    # 512 t-max / pi = 1.6e11 steps: the process would grow until killed
+    ("evolve", "1e9", "1.63e+11"), ("sweep", "1e9", "1.63e+11"), ("esd", "1e9", "1.63e+11"),
+], ids=["evolve", "sweep", "esd", "evolve-1e9", "sweep-1e9", "esd-1e9"])
+def test_default_steps_of_a_huge_t_max_is_a_usage_error(command, t_max, steps, monkeypatch, capsys):
+    message = (f"t-max {float(t_max)} is too long for the default of 512 steps per Rabi period: "
+               f"{steps} steps, more than 16777216 (2**24); give --steps")
+    argv = [command, "--t-max", t_max] + (["--engine", "both", "--n-max", "4"] if command == "evolve" else [])
+    # refused with the settings, before any grid or engine exists
+    with pytest.raises(cli.UsageError) as refused:
+        cli._merged(cli._build_parser().parse_args(argv), command)
+    assert str(refused.value) == message
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid or an engine was built")
+
+    for name in ("arange", "linspace"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(cli, "GridEngine", refuse)
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["evolve", "sweep", "esd"])
-def test_default_steps_of_a_huge_t_max_is_a_usage_error(command, capsys):
-    # 512 steps per Rabi period would be more than any array can hold (inf at 1e308)
-    assert run(command, "--t-max", "1e308") == 1
-    assert capsys.readouterr().err == ("error: t-max 1e+308 is too long for the default of 512 "
-                                       "steps per Rabi period; give --steps\n")
+def test_default_steps_may_reach_the_ceiling(command):
+    # at g = 1 the period is pi, so t-max = 2**15 pi asks for exactly 2**24 steps
+    def merged(t_max):
+        return cli._merged(cli._build_parser().parse_args([command, "--t-max", repr(t_max)]), command)
+
+    assert merged(2**15 * math.pi).steps == 2**24
+    with pytest.raises(cli.UsageError, match=r"more than 16777216 \(2\*\*24\); give --steps"):
+        merged(math.nextafter(2**15 * math.pi, math.inf))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -528,10 +556,10 @@ def assert_same_lines(actual, expected):
 PARAMS = JCParams(omega0=5.0, omega=5.0, g=1.0)
 
 
-def reference_sweep(fmt, engine, pair, alpha_grid, t_grid, params=PARAMS, n_max=1):
+def reference_sweep(fmt, engine, pair, alpha_grid, t_grid, params=PARAMS, n_max=1, family="phi"):
     name = "analytic" if engine == "both" else engine
     pairs = [pair] if pair else list(PAIR_LABELS)
-    values = GridEngine(name, "phi", params, n_max=n_max).values(alpha_grid, t_grid, pairs)
+    values = GridEngine(name, family, params, n_max=n_max).values(alpha_grid, t_grid, pairs)
     rabi = params.rabi(1)
     rows = []
     for ia, alpha in enumerate(alpha_grid.tolist()):
@@ -545,18 +573,23 @@ def reference_sweep(fmt, engine, pair, alpha_grid, t_grid, params=PARAMS, n_max=
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("pair", [None, "Ab"])
-@pytest.mark.parametrize("engine", ["closed", "analytic", "both"])
-def test_sweep_bytes_match_row_formatter(tmp_path, monkeypatch, engine, pair, fmt):
-    monkeypatch.setattr(cli, "_ROW_BLOCK", 5)  # 216 or 36 rows: many blocks, a short last one
+# the closed form repeats pair columns bit for bit: phi's in two slots of
+# six (C and Q), psi's in one
+@pytest.mark.parametrize("engine, family", [(engine, family) for family in ("phi", "psi")
+                                            for engine in ("closed", "analytic", "both")],
+                         ids=["closed", "analytic", "both", "closed-psi", "analytic-psi", "both-psi"])
+def test_sweep_bytes_match_row_formatter(tmp_path, monkeypatch, engine, family, pair, fmt):
+    # 5 rows per block is less than the 6 slots of a group: one group per block
+    monkeypatch.setattr(tablefmt, "ROW_BLOCK", 5)
     out = tmp_path / "sweep.out"
-    argv = ["sweep", "--family", "phi", "--engine", engine, "--alpha-min", "-0.4",
+    argv = ["sweep", "--family", family, "--engine", engine, "--alpha-min", "-0.4",
             "--alpha-max", str(math.pi - 0.3), "--alpha-points", "4", "--steps", "8",
             "--t-max", str(math.pi), "--format", fmt, "--output", str(out)]
     if pair:
         argv += ["--pair", pair]
     assert run(*argv) == 0
     expected = reference_sweep(fmt, engine, pair, np.linspace(-0.4, math.pi - 0.3, 4),
-                               np.linspace(0.0, math.pi, 9))
+                               np.linspace(0.0, math.pi, 9), family=family)
     assert_same_lines(out.read_bytes(), expected)
 
 
@@ -564,8 +597,9 @@ def test_sweep_bytes_match_row_formatter(tmp_path, monkeypatch, engine, pair, fm
 @pytest.mark.parametrize("alpha_points, steps, pair", [(1, 8, None), (4, 1, None), (3, 6, "Ab")])
 def test_sweep_grid_edges_match_row_formatter(tmp_path, monkeypatch, fmt, alpha_points, steps,
                                               pair):
-    # 5 rows per block divides none of n_pairs * n_t = 54, 12, 7
-    monkeypatch.setattr(cli, "_ROW_BLOCK", 5)
+    # 5 rows per block: one 6-pair group per block, or five one-pair groups
+    # with a short last block (21 rows)
+    monkeypatch.setattr(tablefmt, "ROW_BLOCK", 5)
     out = tmp_path / "sweep.out"
     argv = ["sweep", "--family", "phi", "--engine", "closed", "--alpha-min", "0.3",
             "--alpha-max", "1.2", "--alpha-points", str(alpha_points), "--steps", str(steps),
@@ -613,22 +647,62 @@ def test_evolve_both_bytes_match_row_formatter(tmp_path, fmt):
 
 EDGE_VALUES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1.0 / 3.0, 0.1 + 0.2, -1.5e300,
                1e-5, -3.2e-9, 1e-17, 9.999999999999999e15, 1e16, -2.0**53]
+OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]  # another payload
+
+
+def edge_table(case, fmt):
+    """(columns, shape, data, rows): a table for ``table_chunks`` and its rows for the reference.
+
+    An int tiles the edge values that many times (one slot per value).  The
+    3-D tables have pair-like slots: "repeated-slots" repeats slots bit for
+    bit, as the closed form does; in "near-repeats" two slots differ only
+    by the sign of a zero and two only by a NaN payload.
+    """
+    columns = ["key", "v", "label", "w"]
+    if isinstance(case, int):
+        values = np.tile(np.array(EDGE_VALUES), case)
+        assert case == 1 or values.size > 2 * tablefmt.ROW_BLOCK
+        shape = (case, len(EDGE_VALUES))
+        data = [(tablefmt.number_cells(fmt, EDGE_VALUES), 1), values,
+                (tablefmt.label_cells(fmt, ["x", "y", "z"]), np.arange(values.size).reshape(shape) % 3),
+                values[::-1]]
+        rows = [[a, a, "xyz"[i % 3], d] for i, (a, d) in enumerate(zip(values.tolist(),
+                                                                        values[::-1].tolist()))]
+        return columns, shape, data, rows
+    rng = np.random.default_rng(17)
+    shape = (3, 2, 6)
+    v = rng.choice(np.array(EDGE_VALUES), shape) * rng.uniform(0.5, 2.0, shape)
+    w = rng.uniform(-1.0, 1.0, shape)
+    if case == "repeated-slots":  # slots 2, 3 and 4, 5 are one value twice in both columns
+        v[..., 3], v[..., 5] = v[..., 2], v[..., 4]
+        w[..., 3], w[..., 5] = w[..., 2], w[..., 4]
+        assert tablefmt.distinct_slots([v.reshape(-1, 6), w.reshape(-1, 6)]) == ([0, 1, 2, 4],
+                                                                              [0, 1, 2, 2, 3, 3])
+    else:
+        v[..., 1] = v[..., 0] = np.abs(v[..., 0])
+        v[1, 0, 1] = 0.0
+        v[1, 0, 0] = -0.0
+        v[..., 2], v[..., 3] = math.nan, OTHER_NAN
+        w[..., 1], w[..., 3] = w[..., 0], w[..., 2]
+        assert tablefmt.distinct_slots([v.reshape(-1, 6), w.reshape(-1, 6)])[0] == list(range(6))
+    labels = np.arange(v.size).reshape(shape) % 3
+    data = [(tablefmt.number_cells(fmt, [0.5, 1.5, 2.5]), 0), v,
+            (tablefmt.label_cells(fmt, ["x", "y", "z"]), labels), w]
+    rows = [[[0.5, 1.5, 2.5][i[0]], v[i], "xyz"[labels[i]], w[i]] for i in np.ndindex(shape)]
+    return columns, shape, data, rows
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("repeat", [1, 456])
-def test_table_writer_matches_row_formatter_on_edge_values(fmt, repeat):
-    # repeat > 1 makes the table longer than two row blocks
-    values = np.tile(np.array(EDGE_VALUES), repeat)
-    assert repeat == 1 or values.size > 2 * cli._ROW_BLOCK
-    shape = (repeat, len(EDGE_VALUES))
-    data = [(cli._number_cells(fmt, EDGE_VALUES), 1), values,
-            (cli._label_cells(fmt, ["x", "y", "z"]), np.arange(values.size).reshape(shape) % 3),
-            values[::-1]]
-    rows = [[a, a, "xyz"[i % 3], d] for i, (a, d) in enumerate(zip(values.tolist(),
-                                                                    values[::-1].tolist()))]
-    text = "".join(cli._table_chunks(fmt, ["key", "v", "label", "w"], shape, data))
-    assert_same_lines(text, REFERENCE[fmt](["key", "v", "label", "w"], rows))
+@pytest.mark.parametrize("case", [1, 456, "repeated-slots", "near-repeats"])
+def test_table_writer_matches_row_formatter_on_edge_values(monkeypatch, fmt, case):
+    # 456 copies make the table longer than two default blocks; every table
+    # is also written in blocks of fewer rows than a group has slots, of one
+    # group, and of a row count that is no multiple of the slot count
+    columns, shape, data, rows = edge_table(case, fmt)
+    expected = REFERENCE[fmt](columns, rows)
+    for row_block in (tablefmt.ROW_BLOCK, shape[-1] - 1, shape[-1], 2 * shape[-1] + 1):
+        monkeypatch.setattr(tablefmt, "ROW_BLOCK", row_block)
+        assert_same_lines("".join(tablefmt.table_chunks(fmt, columns, shape, data)), expected)
 
 
 @pytest.mark.parametrize("argv", [

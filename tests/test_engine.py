@@ -313,10 +313,15 @@ def test_any_split_of_the_times_gives_the_bits_of_one_call(engine, kind, n_max, 
     parts = [grid.values(alpha_list, part) for part in np.split(ts, sorted({c for c in cuts if c < n_t}))]
     ia, it = data.draw(st.integers(0, len(alpha_list) - 1)), data.draw(st.integers(0, n_t - 1))
     cell = grid.values(alpha_list[ia:ia + 1], ts[it:it + 1])
+    # the engine reuses one workspace: after the calls above, a second and a
+    # third call of the whole grid give the bits of the first
+    again = [grid.values(alpha_list, ts) for _ in range(2)]
     for field in ("concurrence", "q"):
         joined = np.concatenate([getattr(part, field) for part in parts], axis=1)
         assert np.array_equal(_bits(joined), _bits(getattr(whole, field)))
         assert np.array_equal(_bits(getattr(cell, field)[0, 0]), _bits(getattr(whole, field)[ia, it]))
+        for repeat in again:
+            assert np.array_equal(_bits(getattr(repeat, field)), _bits(getattr(whole, field)))
 
 
 @pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 3)])
