@@ -25,7 +25,7 @@ from .checks import run_checks
 from .dynamics import FAMILY_KINDS
 from .engine import GridEngine
 from .entanglement import PAIR_LABELS
-from .esd import boundary_AB, zero_intervals
+from .esd import report_json, scan_report
 from .jcmodel import JCParams
 from .tablefmt import label_cells, number_cells, table_chunks
 
@@ -304,46 +304,9 @@ def _cmd_sweep(args):
 def _cmd_esd(args):
     """zero-interval report (JSON)"""
     cfg = _merged(args, "esd")
-    params = cfg.params
-    rabi = params.rabi(1)
-    (engine,) = _engines(cfg, params)
-
-    def sample(ts):
-        values = engine.values([cfg.alpha], ts, PAIR_LABELS)
-        return values.concurrence[0], values.q[0]
-
-    per_pair = zero_intervals(sample, 0.0, cfg.t_max, tol=cfg.zero_tol, samples=cfg.steps + 1)
-    pairs_report = {}
-    for pair, intervals in zip(PAIR_LABELS, per_pair):
-        pairs_report[pair] = [
-            {
-                "t_lo": iv.t_lo,
-                "t_hi": iv.t_hi,
-                "gt_lo": rabi * iv.t_lo,
-                "gt_hi": rabi * iv.t_hi,
-                "kind": iv.kind,
-            }
-            for iv in intervals
-        ]
-
-    boundary = None
-    window = boundary_AB(cfg.family, cfg.alpha, params)
-    if window is not None:
-        boundary = {"gt_lo": window[0], "gt_hi": window[1]}
-
-    report = {
-        "family": cfg.family,
-        "alpha": cfg.alpha,
-        "omega0": cfg.omega0,
-        "omega": cfg.omega,
-        "g": cfg.g,
-        "rabi": rabi,
-        "t_max": cfg.t_max,
-        "zero_tol": cfg.zero_tol,
-        "pairs": pairs_report,
-        "boundary_AB": boundary,
-    }
-    _write_output(cfg.output, [json.dumps(report, indent=2) + "\n"])
+    (engine,) = _engines(cfg, cfg.params)
+    report = scan_report(engine, cfg.alpha, cfg.t_max, zero_tol=cfg.zero_tol, samples=cfg.steps + 1)
+    _write_output(cfg.output, [report_json(report)])
     return 0
 
 

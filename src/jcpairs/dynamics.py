@@ -18,6 +18,8 @@ write their result and their temporaries into its buffers.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .jcmodel import dressed_data
@@ -45,52 +47,84 @@ def initial_amplitudes(kind, alphas, n_max=1):
     return psi
 
 
-def _site_factors(params, t):
-    """Amplitude pair (f, h) for |e,0> -> f|e,0> + h|g,1>, plus the |g,0> phase.
+@functools.lru_cache(maxsize=256)
+def _site_rates(params):
+    """The three phase rates and the three dressed weights of ``_site_factors``, once per site."""
+    d = dressed_data(params, 1)
+    center = 0.5 * params.omega
+    rates = (-1j * (center + 0.5 * d.splitting), -1j * (center - 0.5 * d.splitting), 0.5j * params.omega0)
+    return rates, (d.sin_half**2, d.cos_half**2, d.sin_half * d.cos_half)
+
+
+def _site_factors(params, t, out, scratch):
+    """Amplitude pair (f, h) for |e,0> -> f|e,0> + h|g,1>, plus the |g,0> phase, into the rows of ``out``.
 
     Uses the literal site spectrum: n=1 manifold energies omega/2 +- delta/2
     (whose eigenvectors pair the upper level with (sin, cos) of the half
-    mixing angle) and ground energy -omega0/2, at every time of the array ``t``.
+    mixing angle) and ground energy -omega0/2, at every time of the 1-D
+    array ``t``; ``out`` is (3, len(t)) and ``scratch`` (4, len(t)).
     """
-    d = dressed_data(params, 1)
-    center = 0.5 * params.omega
-    e_up = np.exp(-1j * (center + 0.5 * d.splitting) * t)
-    e_dn = np.exp(-1j * (center - 0.5 * d.splitting) * t)
-    f = d.sin_half**2 * e_up + d.cos_half**2 * e_dn
-    h = d.sin_half * d.cos_half * (e_up - e_dn)
-    ground = np.exp(0.5j * params.omega0 * t)
-    return f, h, ground
+    (up, down, ground), (sin2, cos2, sin_cos) = _site_rates(params)
+    phases, terms = scratch[:2], scratch[2:]
+    np.multiply(up, t, out=phases[0])
+    np.multiply(down, t, out=phases[1])
+    np.multiply(ground, t, out=out[2])
+    np.exp(phases, out=phases)
+    np.exp(out[2], out=out[2])
+    np.multiply(sin2, phases[0], out=terms[0])
+    np.multiply(cos2, phases[1], out=terms[1])
+    np.add(terms[0], terms[1], out=out[0])
+    np.subtract(phases[0], phases[1], out=terms[0])
+    np.multiply(sin_cos, terms[0], out=out[1])
 
 
 def analytic_amplitudes(kind, alphas, ts, params, *, work=None):
     """The family evolved to every (alpha, t) by dressed-state phases, shape (2, 2, 2, 2, n_alpha, n_t).
 
     Both sites share ``params``; the state stays in the single-excitation
-    ladder of each site, so the stack has n_max = 1.  The products run on
-    flat vectors of the n_alpha n_t cells, so each cell takes the same numpy
-    loop whatever the block's shape (a one-cell block broadcast from an
-    (n_alpha, 1) and an (n_t,) operand takes a loop that rounds complex
-    products differently).  The stack is the ``"amplitudes"`` buffer of
-    ``work`` when one is given.
+    ladder of each site, so the stack has n_max = 1.  The factors cos
+    alpha, sin alpha, f, h and the ground phase are written as flat rows of
+    the n_alpha n_t cells (the site factors once per time, then copied to
+    every alpha), and every amplitude is a product of three rows, each
+    product written to a row that is not one of its operands: each cell
+    takes the same numpy loop whatever the block's shape.  (A one-cell
+    block broadcast from an (n_alpha, 1) and an (n_t,) operand, or a
+    one-cell product written over its own operand, takes a loop that rounds
+    complex products differently.)  The stack is the ``"amplitudes"``
+    buffer of ``work`` when one is given, and the factors live there too.
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    f, h, ground = (np.tile(x, alphas.size) for x in _site_factors(params, ts))
-    ca, sa = (np.repeat(trig(alphas), ts.size).astype(complex) for trig in (np.cos, np.sin))
-    psi = (Workspace() if work is None else work).get("amplitudes", (2, 2, 2, 2, alphas.size, ts.size))
+    n_a, n_t = alphas.size, ts.size
+    if work is None:
+        work = Workspace()
+    # rows: cos alpha, sin alpha, f, h, ground phase, and the partial product
+    rows = work.get("analytic.factors", (6, n_a * n_t))
+    by_alpha = rows.reshape(6, n_a, n_t)
+    by_alpha[0] = np.cos(alphas)[:, None]
+    by_alpha[1] = np.sin(alphas)[:, None]
+    _site_factors(params, ts, by_alpha[2:5, 0], work.get("analytic.scratch", (4, n_t)))
+    if n_a > 1:
+        by_alpha[2:5, 1:] = by_alpha[2:5, :1]
+    ca, sa, f, h, ground, partial = rows
+    psi = work.get("amplitudes", (2, 2, 2, 2, n_a, n_t))
     psi.fill(0.0)
     cells = psi.reshape(2, 2, 2, 2, -1)
+
+    def product(x, y, *z_cells):
+        """cells[cell] = (x y) z for each (z, cell)."""
+        np.multiply(x, y, out=partial)
+        for z, cell in z_cells:
+            np.multiply(partial, z, out=cells[cell])
+
     if kind == "phi":
-        cells[0, 0, 0, 0] = ca * f * f
-        cells[0, 0, 1, 1] = ca * f * h
-        cells[1, 1, 0, 0] = ca * h * f
-        cells[1, 1, 1, 1] = ca * h * h
-        cells[1, 0, 1, 0] = sa * ground * ground
+        product(ca, f, (f, (0, 0, 0, 0)), (h, (0, 0, 1, 1)))
+        product(ca, h, (f, (1, 1, 0, 0)), (h, (1, 1, 1, 1)))
+        product(sa, ground, (ground, (1, 0, 1, 0)))
     else:
-        cells[0, 0, 1, 0] = ca * f * ground
-        cells[1, 1, 1, 0] = ca * h * ground
-        cells[1, 0, 0, 0] = sa * ground * f
-        cells[1, 0, 1, 1] = sa * ground * h
+        product(ca, f, (ground, (0, 0, 1, 0)))
+        product(ca, h, (ground, (1, 1, 1, 0)))
+        product(sa, ground, (f, (1, 0, 0, 0)), (h, (1, 0, 1, 1)))
     return psi
 
 

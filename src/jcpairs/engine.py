@@ -101,10 +101,11 @@ class GridEngine:
         """
         alphas = np.asarray(alphas, dtype=float).reshape(-1)
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        pairs = tuple(pairs)
-        unknown = [pair for pair in pairs if pair not in PAIR_LABELS]
-        if unknown:
-            raise ValueError(f"unknown pairs {unknown}; expected labels from {PAIR_LABELS}")
+        if pairs is not PAIR_LABELS:
+            pairs = tuple(pairs)
+            unknown = [pair for pair in pairs if pair not in PAIR_LABELS]
+            if unknown:
+                raise ValueError(f"unknown pairs {unknown}; expected labels from {PAIR_LABELS}")
         if self.name == "closed":
             conc, q = closed_grid(self.kind, alphas, self.params, ts)
             cols = [PAIR_LABELS.index(pair) for pair in pairs]

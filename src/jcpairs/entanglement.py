@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .linalg import _reduction_plan, pair_entries
+from .linalg import Workspace, _plan, pair_entries
 
 PAIR_LABELS = ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
 
@@ -51,13 +51,6 @@ def _x_entries(entries):
     return (*entries[:4].real, np.abs(entries[4]), np.abs(entries[5]))
 
 
-def _x_qs(entries):
-    """Signed (q_corner, q_inner) of X-shaped matrices from their ``_x_entries``."""
-    a, b, c, d, z, w = entries
-    a, b, c, d = (np.maximum(x, 0.0) for x in (a, b, c, d))
-    return z - np.sqrt(b * c), w - np.sqrt(a * d)
-
-
 def _x_lowest(entries):
     """Lowest eigenvalue of Hermitian X-shaped matrices from their ``_x_entries``, via the two 2x2 blocks.
 
@@ -70,27 +63,49 @@ def _x_lowest(entries):
     return np.minimum(corner, inner)
 
 
+# A cell whose diagonal is at least -_DIAG_SLACK and whose coherences exceed
+# the geometric mean of their block's (clamped) diagonal by at most
+# _BLOCK_SLACK has both 2x2 blocks plus (_DIAG_SLACK + _BLOCK_SLACK) I PSD:
+# its lowest eigenvalue is at least -5e-9, inside the 1e-8 tolerance by far
+# more than the rounding of either test.
+_DIAG_SLACK = 1e-9
+_BLOCK_SLACK = 4e-9
+
+
 def _x_values(entries, x_tol, conc, q):
     """Check densities given as their 10 upper entries (10, ...) and write C and Q of the X cells.
 
     ``entries`` holds the ``linalg.ENTRY_ROWS``/``ENTRY_COLS`` entries of
     each cell; ``conc`` and ``q`` have its trailing shape.  Every cell's
     trace is checked.  Cells that are X-shaped to within ``x_tol`` are
-    checked for PSD-ness, their lowest eigenvalue read from the two 2x2
-    blocks (ignoring off-X entries up to ``x_tol`` moves it by at most
-    sqrt(12) x_tol, Weyl, far below the 1e-8 PSD tolerance), and get
-    C = 2 max{0, q_corner, q_inner} and Q = max(q_corner, q_inner).  The
-    first invalid cell is named in the error.  Returns the mask of the
-    other cells, whose C and Q are left for the general route.
+    checked for PSD-ness (ignoring off-X entries up to ``x_tol`` moves the
+    lowest eigenvalue by at most sqrt(12) x_tol, Weyl, far below the 1e-8
+    PSD tolerance), and get C = 2 max{0, q_corner, q_inner} and
+    Q = max(q_corner, q_inner).  The two blocks are read together, as
+    (2, ...) stacks: with the clamped diagonal a, b, c, d, the roots
+    [sqrt(b c), sqrt(a d)] and the moduli [|z|, |w|] give both the q's and,
+    against the reversed roots, the PSD check in its shifted form: a
+    diagonal of at least -1e-9 and |z| <= sqrt(a d) + 4e-9,
+    |w| <= sqrt(b c) + 4e-9 hold both blocks plus 5e-9 I PSD.  Only when
+    some cell fails that (an engine's densities are PSD to rounding) is the
+    lowest eigenvalue read from the blocks (``_x_lowest``), which decides
+    and words the rejection of the first cell below -1e-8.  Returns the
+    mask of the cells off X, whose C and Q are left for the general route.
     """
     diag = entries[:4].real
     trace_err = np.abs(diag[0] + diag[1] + diag[2] + diag[3] - 1.0)
     _reject_first(trace_err > 1e-8, trace_err, "trace deviates from 1 by")
     general = np.array(np.abs(entries[6:]).max(axis=0) > x_tol)  # arrays also for a single matrix
-    x = _x_entries(entries)
-    lowest = _x_lowest(x)
-    _reject_first((lowest < -1e-8) & ~general, lowest, "not PSD, lowest eigenvalue")
-    np.maximum(*_x_qs(x), out=q)
+    roots = np.maximum(diag, 0.0)
+    roots = roots[1::-1] * roots[2:]
+    np.sqrt(roots, out=roots)  # [sqrt(b c), sqrt(a d)]
+    moduli = np.abs(entries[4:6])  # [|z|, |w|]
+    if not (diag.min(initial=np.inf) >= -_DIAG_SLACK
+            and (moduli - roots[::-1]).max(initial=-np.inf) <= _BLOCK_SLACK):
+        lowest = _x_lowest(_x_entries(entries))
+        _reject_first((lowest < -1e-8) & ~general, lowest, "not PSD, lowest eigenvalue")
+    np.subtract(moduli, roots, out=moduli)  # [q_corner, q_inner]
+    np.maximum(moduli[0], moduli[1], out=q)
     np.maximum(q, 0.0, out=conc)
     conc *= 2.0
     return general
@@ -103,23 +118,29 @@ def pair_values(amps, pairs, *, x_tol=1e-10, work=None, out=None):
     (*cells, len(pairs)) and go to ``out`` = (C, Q) when given.  The pairs
     are reduced by ``linalg.pair_entries`` (with its leakage check, buffers
     from ``work``), and every cell is checked and its X cells read by
-    ``_x_values``.  A cell off the X pattern (an off-X entry above
+    ``_x_values`` from one contiguous copy of the entries with the pairs
+    last.  A cell off the X pattern (an off-X entry above
     ``x_tol``) gets C = max{0, s1 - s2 - s3 - s4} from the decreasing
     singular values of M^T (sigma_y x sigma_y) M, M its 4 x k amplitude
     factor, and Q = NaN.
     """
     amps = np.asarray(amps, dtype=complex)
-    pairs = tuple(tuple(keep) for keep in pairs)
+    pairs = tuple(pairs)
     dims, cells = amps.shape[:4], amps.shape[4:]
     shape = cells + (len(pairs),)
     conc, q = (np.empty(shape), np.empty(shape)) if out is None else out
+    if work is None:
+        work = Workspace()
     entries = pair_entries(amps, pairs, work=work)  # (pair, 10, *cells)
-    general = _x_values(np.moveaxis(entries, (1, 0), (0, -1)), x_tol, conc, q)
+    # the reader's operands are whole rows of (10, *cells, pair): one contiguous copy
+    by_entry = work.get("read.entries", (10,) + shape)
+    np.copyto(by_entry, entries.transpose(1, *range(2, entries.ndim), 0))
+    general = _x_values(by_entry, x_tol, conc, q)
     if general.any():
         flat = amps.reshape(math.prod(dims), -1)
         cell_index, pair_index = np.nonzero(general.reshape(-1, len(pairs)))
         general_c = np.empty(cell_index.size)
-        for slot, table in enumerate(_reduction_plan(dims, pairs).tables):
+        for slot, table in enumerate(_plan(dims, pairs).tables):
             mine = pair_index == slot
             if mine.any():
                 factors = np.moveaxis(flat[:, cell_index[mine]][table], -1, 0)  # (cells, 4, k)

@@ -7,15 +7,26 @@ Q behind the curve, which every sampler returns with C -- a touch has
 Q >= 0 throughout, sudden death means Q dips genuinely negative -- because
 interval width alone cannot separate a flat (quartic) touch from a short
 death window.
+
+``scan_report`` is ``jcpairs esd``: one engine's scan of all six pairs at
+one alpha, as the report dict, which ``report_json`` writes with the bytes
+of ``json.dumps(report, indent=2)``.  A scan is one sampling call and then
+one call per ITP step, each on one alpha and the few times of the pending
+edges, so its cost is the fixed cost of a small engine call (about 65 us
+for 1 x 8 cells on the analytic route, 2-core Xeon) plus the step's own
+array operations: each step does its work in a fixed set of whole-array
+operations on the packed state of the pending edges.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import PAIR_LABELS
 from .jcmodel import dressed_data
 
 
@@ -35,65 +46,77 @@ def _columns(sample, ts):
     return c, np.asarray(q, dtype=float).reshape(c.shape)
 
 
-def _signed(c, q, rows, curve, on_q, tol):
-    """g of column ``curve[e]`` at row ``rows[e]``, and whether that point is inside.
+def _signed(c, q, cells, on_q, tol):
+    """g of edge e at the flat index ``cells[e]`` of ``c`` and ``q``, and whether that point is inside.
 
     g is Q on a Q edge (``on_q``) and C - tol on a C edge, positive outside
     the zero region.  A Q edge counts a point as inside unless Q > 0 (NaN is
     inside); a C edge when C <= tol.
     """
-    c, q = c[rows, curve], q[rows, curve]
+    c, q = c.take(cells), q.take(cells)
     return np.where(on_q, q, c - tol), np.where(on_q, ~(q > 0.0), c <= tol)
 
 
-def _itp(sample, curve, on_q, t_out, t_in, g_out, g_in, tol, resolution):
+def _itp(sample, columns, curve, on_q, t_out, t_in, g_out, g_in, tol, resolution):
     """Refine every edge in lockstep by ITP steps, one ``sample`` call per step.
 
-    Edge e brackets the boundary of column ``curve[e]`` between ``t_out[e]``
-    (outside the zero region) and ``t_in[e]`` (inside), where its ``_signed``
-    g is ``g_out[e]`` and ``g_in[e]``.  Each step interpolates (regula
-    falsi), truncates toward the midpoint and projects into the range that
-    keeps bisection's pace (Oliveira & Takahashi, ACM TOMS 47(1), 2020;
-    kappa1 = 0.2 / initial width, kappa2 = 2, n0 = 1), so an edge takes at
-    most ceil(log2(width / resolution)) + 1 steps, one more than bisection.
+    Edge e brackets the boundary of column ``curve[e]`` (of the ``columns``
+    that ``sample`` returns) between ``t_out[e]`` (outside the zero region)
+    and ``t_in[e]`` (inside), where its ``_signed`` g is ``g_out[e]`` and
+    ``g_in[e]``.  Each step interpolates (regula falsi), truncates toward
+    the midpoint and projects into the range that keeps bisection's pace
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2020; kappa1 = 0.2 / initial
+    width, kappa2 = 2, n0 = 1), so an edge takes at most
+    ceil(log2(width / resolution)) + 1 steps, one more than bisection.
     The truncation moves at least resolution / 2, so a root that rounding
     noise puts next to an endpoint ends its edge in one more step.  Where g
     is not finite or the ITP point is not strictly inside, the step takes
     the midpoint.  An edge stops once its bracket is no wider than
     ``resolution``, or its midpoint rounds onto an endpoint.
+
+    The state of the pending edges is kept packed, one array per quantity,
+    and is compacted only on a step where some edge stops; a step is then
+    a fixed set of whole-array operations on the pending edges, with the
+    operation order (and so the bits of every sampled time) of one edge
+    refined alone.
     """
     t_out, t_in = np.array(t_out, dtype=float), np.array(t_in, dtype=float)
     g_out, g_in = np.array(g_out, dtype=float), np.array(g_in, dtype=float)
     width0 = np.abs(t_in - t_out)
     eps = 0.5 * resolution
-    n_max = np.ceil(np.log2(np.maximum(width0 / resolution, 1.0))) + 1.0
-    pending = np.arange(t_out.size)
-    step = 0
-    while True:
-        out, inn = t_out[pending], t_in[pending]
-        mid = 0.5 * (out + inn)
-        width = np.abs(inn - out)
-        moving = (width > resolution) & (mid != out) & (mid != inn)
-        pending = pending[moving]
-        if not pending.size:
-            break
-        out, inn, mid, width = out[moving], inn[moving], mid[moving], width[moving]
+    # 2^(n_1/2 - step) of the projection, halved after every step (exactly: it stays normal)
+    reach = 2.0 ** (np.ceil(np.log2(np.maximum(width0 / resolution, 1.0))) + 1.0)
+    edges = np.arange(t_out.size)  # the input index of each pending edge
+    cells = edges * columns + curve  # the flat index of each pending edge's (row, curve) in a sample
+    refined = np.empty(t_out.size)
+    while edges.size:
+        span = t_in - t_out
+        mid = 0.5 * (t_out + t_in)
+        width = np.abs(span)
+        moving = (width > resolution) & (mid != t_out) & (mid != t_in)
+        if not moving.all():
+            refined[edges[~moving]] = mid[~moving]
+            edges = edges[moving]
+            if not edges.size:
+                break
+            t_out, t_in, g_out, g_in, width0, reach, curve, on_q, span, mid, width = (
+                a[moving] for a in (t_out, t_in, g_out, g_in, width0, reach, curve, on_q, span, mid, width))
+            cells = np.arange(edges.size) * columns + curve
         with np.errstate(all="ignore"):
-            ga, gb = g_out[pending], g_in[pending]
-            x = out + (inn - out) * (ga / (ga - gb))  # interpolate: regula falsi
-            sigma = np.sign(mid - x)
-            delta = np.maximum(0.2 * width**2 / width0[pending], eps)
-            x = np.where(delta <= np.abs(mid - x), x + sigma * delta, mid)  # truncate
-            r = np.maximum(eps * 2.0 ** (n_max[pending] - step) - 0.5 * width, 0.0)
+            x = t_out + span * (g_out / (g_out - g_in))  # interpolate: regula falsi
+            shift = mid - x
+            sigma = np.sign(shift)
+            delta = np.maximum(0.2 * width**2 / width0, eps)
+            x = np.where(delta <= np.abs(shift), x + sigma * delta, mid)  # truncate
+            r = np.maximum(eps * reach - 0.5 * width, 0.0)
             x = np.where(np.abs(x - mid) <= r, x, mid - sigma * r)  # project
-            strictly_inside = (np.minimum(out, inn) < x) & (x < np.maximum(out, inn))
+            strictly_inside = (np.minimum(t_out, t_in) < x) & (x < np.maximum(t_out, t_in))
         x = np.where(strictly_inside, x, mid)  # NaN compares False: midpoint
-        c, q = _columns(sample, x)
-        g, inside = _signed(c, q, np.arange(pending.size), curve[pending], on_q[pending], tol)
-        t_in[pending[inside]], g_in[pending[inside]] = x[inside], g[inside]
-        t_out[pending[~inside]], g_out[pending[~inside]] = x[~inside], g[~inside]
-        step += 1
-    return 0.5 * (t_out + t_in)
+        g, inside = _signed(*_columns(sample, x), cells, on_q, tol)
+        t_in, g_in = np.where(inside, x, t_in), np.where(inside, g, g_in)
+        t_out, g_out = np.where(inside, t_out, x), np.where(inside, g_out, g)
+        reach *= 0.5
+    return refined
 
 
 def zero_intervals(
@@ -136,36 +159,47 @@ def zero_intervals(
         bad = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"curve returned a non-finite value at t = {float(ts[bad])!r}")
 
+    # every zero run of every curve, curve by curve: it starts where C <= tol
+    # turns on and ends just before it turns off
+    zero = np.zeros((cs.shape[1], samples + 2), dtype=bool)
+    zero[:, 1:-1] = (cs <= tol).T
+    run_curve, flips = np.nonzero(zero[:, 1:] != zero[:, :-1])
+    run_curve, lo, hi = run_curve[::2], flips[::2], flips[1::2] - 1
+    # the first negative Q at or after each sample and the last at or before it
+    negative = (qs < -q_tol).T
+    index = np.arange(samples)
+    first_negative = np.minimum.accumulate(np.where(negative, index, samples)[:, ::-1], axis=1)[:, ::-1]
+    last_negative = np.maximum.accumulate(np.where(negative, index, -1), axis=1)
+    first_negative, last_negative = first_negative[run_curve, lo], last_negative[run_curve, hi]
+
     # runs: (curve, lo edge, hi edge, kind); an edge is an index into ``edges``,
     # or None where the run reaches t_min or t_max; edges hold sample indices
     runs, edges = [], []
-    for k in range(cs.shape[1]):
-        zero = cs[:, k] <= tol
-        if zero.all():
+    for k, i, j, first, last in zip(run_curve.tolist(), lo.tolist(), hi.tolist(),
+                                    first_negative.tolist(), last_negative.tolist()):
+        if i == 0 and j == samples - 1:
             runs.append((k, None, None, "degenerate"))
             continue
-        flips = np.flatnonzero(np.diff(np.concatenate(([False], zero, [False]))))
-        for i, j in zip(flips[::2].tolist(), (flips[1::2] - 1).tolist()):
-            kind, on_q, in_lo, in_hi = "touch", False, i, j
-            negatives = np.flatnonzero(qs[i : j + 1, k] < -q_tol)
-            if negatives.size:
-                kind, on_q, in_lo, in_hi = "sudden_death", True, i + negatives[0], i + negatives[-1]
-            lo_edge = hi_edge = None
-            if i > 0:
-                lo_edge = len(edges)
-                edges.append((k, on_q, i - 1, in_lo))
-            if j < samples - 1:
-                hi_edge = len(edges)
-                edges.append((k, on_q, j + 1, in_hi))
-            runs.append((k, lo_edge, hi_edge, kind))
+        kind, on_q, in_lo, in_hi = "touch", False, i, j
+        if first <= j:
+            kind, on_q, in_lo, in_hi = "sudden_death", True, first, last
+        lo_edge = hi_edge = None
+        if i > 0:
+            lo_edge = len(edges)
+            edges.append((k, on_q, i - 1, in_lo))
+        if j < samples - 1:
+            hi_edge = len(edges)
+            edges.append((k, on_q, j + 1, in_hi))
+        runs.append((k, lo_edge, hi_edge, kind))
 
     refined = []
     if edges:
         curve, on_q, out, inn = (np.array(column) for column in zip(*edges))
-        g_out, _ = _signed(cs, qs, out, curve, on_q, tol)
-        g_in, _ = _signed(cs, qs, inn, curve, on_q, tol)
+        g_out, _ = _signed(cs, qs, out * cs.shape[1] + curve, on_q, tol)
+        g_in, _ = _signed(cs, qs, inn * cs.shape[1] + curve, on_q, tol)
         resolution = 4.0 * float(np.spacing(max(abs(t_min), abs(t_max))))
-        refined = _itp(sample, curve, on_q, ts[out], ts[inn], g_out, g_in, tol, resolution).tolist()
+        refined = _itp(sample, cs.shape[1], curve, on_q, ts[out], ts[inn], g_out, g_in, tol,
+                       resolution).tolist()
 
     intervals = [[] for _ in range(cs.shape[1])]
     for k, lo_edge, hi_edge, kind in runs:
@@ -212,3 +246,74 @@ def boundary_AB(kind, alpha, params):
             return None
     dressed = dressed_data(params, 1)
     return esd_boundary_phi_AB(alpha, dressed.splitting / dressed.rabi)
+
+
+def scan_report(engine, alpha, t_max, *, zero_tol=1e-12, samples=2049):
+    """The ``jcpairs esd`` report of ``engine`` (a ``GridEngine``) at one ``alpha``, as a dict.
+
+    Every pair's zero intervals over [0, t_max] (``zero_intervals`` on
+    ``samples`` times, then one engine call per ITP step), with their ends
+    in t and in Gt, and the phi family's analytic AB window
+    (``boundary_AB``) in Gt, None where there is none.  The keys are in
+    the order of the JSON report (``report_json``).
+    """
+    params = engine.params
+    rabi = params.rabi(1)
+
+    def sample(ts):
+        values = engine.values([alpha], ts)
+        return values.concurrence[0], values.q[0]
+
+    per_pair = zero_intervals(sample, 0.0, t_max, tol=zero_tol, samples=samples)
+    window = boundary_AB(engine.kind, alpha, params)
+    return {
+        "family": engine.kind,
+        "alpha": alpha,
+        "omega0": params.omega0,
+        "omega": params.omega,
+        "g": params.g,
+        "rabi": rabi,
+        "t_max": t_max,
+        "zero_tol": zero_tol,
+        "pairs": {
+            pair: [{"t_lo": iv.t_lo, "t_hi": iv.t_hi, "gt_lo": rabi * iv.t_lo, "gt_hi": rabi * iv.t_hi,
+                    "kind": iv.kind} for iv in intervals]
+            for pair, intervals in zip(PAIR_LABELS, per_pair)
+        },
+        "boundary_AB": None if window is None else {"gt_lo": window[0], "gt_hi": window[1]},
+    }
+
+
+def _json(value):
+    """``json.dumps`` of one report value; a finite float is its repr."""
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value)
+
+
+_HEAD_KEYS = ("family", "alpha", "omega0", "omega", "g", "rabi", "t_max", "zero_tol")
+_INTERVAL_KEYS = ("t_lo", "t_hi", "gt_lo", "gt_hi", "kind")
+# one interval object: a str.format template of its values' texts in _INTERVAL_KEYS order
+_INTERVAL = "      {{\n" + ",\n".join(f'        "{key}": {{}}' for key in _INTERVAL_KEYS) + "\n      }}"
+
+
+def report_json(report):
+    """The text of ``json.dumps(report, indent=2) + "\\n"`` for a ``scan_report`` dict.
+
+    The report's shape is fixed: the values of ``_HEAD_KEYS``, then
+    ``pairs`` (each label's list of interval objects with the keys of
+    ``_INTERVAL_KEYS``), then ``boundary_AB`` (null or an object with
+    ``gt_lo`` and ``gt_hi``).  So it is written from templates, without
+    the pure-Python indenting encoder; each value's text is json's (the
+    repr of a finite float; NaN, Infinity and -Infinity otherwise).
+    """
+    head = "".join(f'  "{key}": {_json(report[key])},\n' for key in _HEAD_KEYS)
+    blocks = []
+    for label, intervals in report["pairs"].items():
+        rows = [_INTERVAL.format(*[_json(iv[key]) for key in _INTERVAL_KEYS]) for iv in intervals]
+        blocks.append(f'    "{label}": ' + ("[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"))
+    window = report["boundary_AB"]
+    boundary = "null"
+    if window is not None:
+        boundary = f'{{\n    "gt_lo": {_json(window["gt_lo"])},\n    "gt_hi": {_json(window["gt_hi"])}\n  }}'
+    return f'{{\n{head}  "pairs": {{\n' + ",\n".join(blocks) + f'\n  }},\n  "boundary_AB": {boundary}\n}}\n'

@@ -40,18 +40,28 @@ class Workspace:
     prod(shape) elements of the buffer called ``name``, allocating it only
     when it is missing or too small.  The first block of a grid is its
     largest, so each buffer is allocated once per grid and later blocks
-    write into memory that is already mapped.
+    write into memory that is already mapped.  The view of each (name,
+    shape) is kept (up to 64, then they start over), so a repeated request
+    costs one dictionary lookup.
     """
 
     def __init__(self):
         self._buffers = {}
+        self._views = {}  # (name, shape) -> view of the current buffer
 
     def get(self, name, shape, dtype=complex):
+        view = self._views.get((name, shape))
+        if view is not None:
+            return view
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
+            self._views = {key: v for key, v in self._views.items() if key[0] != name}
+        if len(self._views) >= 64:  # a caller of many shapes: keep the dictionary small
+            self._views.clear()
+        view = self._views[(name, shape)] = buf[:size].reshape(shape)
+        return view
 
 
 def pair_entries(amps, pairs, *, leak_tol=1e-10, work=None):
@@ -83,7 +93,7 @@ def pair_entries(amps, pairs, *, leak_tol=1e-10, work=None):
     amps = np.asarray(amps, dtype=complex)
     dims, cells = amps.shape[:4], amps.shape[4:]
     n = math.prod(cells)
-    plan = _reduction_plan(dims, tuple(tuple(keep) for keep in pairs))
+    plan = _plan(dims, pairs)
     tensor = amps.reshape(dims + (n,))
     for label, above in plan.cavities:
         high = tensor[above]
@@ -105,19 +115,19 @@ def pair_entries(amps, pairs, *, leak_tol=1e-10, work=None):
     for start, stop, row_index, col_index in plan.groups:
         acc, rows, cols = acc_all[start:stop], rows_buf[:stop - start], cols_buf[:stop - start]
         for k, (row_k, col_k) in enumerate(zip(row_index, col_index)):
-            np.take(conj, col_k, axis=0, out=cols, mode="clip")
+            conj.take(col_k, axis=0, out=cols, mode="clip")
             if k == 0:
-                np.take(flat, row_k, axis=0, out=acc, mode="clip")
+                flat.take(row_k, axis=0, out=acc, mode="clip")
                 np.multiply(acc, cols, out=acc)
             else:
-                np.take(flat, row_k, axis=0, out=rows, mode="clip")
+                flat.take(row_k, axis=0, out=rows, mode="clip")
                 np.multiply(rows, cols, out=rows)
                 np.add(acc, rows, out=acc)
     # the diagonal is real: only the round-off of fused products lands in its imaginary part
     entries[:, :4].imag = 0.0
     if plan.order is not None:
-        entries = np.take(entries, plan.order, axis=0, out=work.get("reduce.ordered", entries.shape),
-                          mode="clip")
+        entries = entries.take(plan.order, axis=0, out=work.get("reduce.ordered", entries.shape),
+                               mode="clip")
     return entries.reshape((len(pairs), 10) + cells)
 
 
@@ -130,6 +140,14 @@ class _Plan:
     order: np.ndarray | None
     max_rows: int
     tables: tuple
+
+
+def _plan(dims, pairs):
+    """``_reduction_plan`` of ``pairs`` given as any sequence of two-label sequences."""
+    try:
+        return _reduction_plan(dims, pairs)
+    except TypeError:  # a list among them: not hashable
+        return _reduction_plan(dims, tuple(tuple(keep) for keep in pairs))
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,7 +173,7 @@ def _reduction_plan(dims, pairs):
     members = {}  # traced dimension -> [requested slots]
     for slot, keep in enumerate(pairs):
         if len(keep) != 2 or keep[0] == keep[1]:
-            raise ValueError(f"keep must name two distinct subsystems, got {keep!r}")
+            raise ValueError(f"keep must name two distinct subsystems, got {tuple(keep)!r}")
         for label in keep:
             if label not in _AXIS:
                 raise ValueError(f"unknown subsystem label {label!r}; expected one of {SUBSYSTEMS}")

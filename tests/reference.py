@@ -11,7 +11,11 @@
   sites, built entry by entry, and V exp(-i w t) V^dag psi0 from ``eigh``
   of a Hamiltonian: on the lattice, the full-lattice oracle of the numeric
   route, whose eigenvalues carry round-off of about eps ||H||;
-* the pair density of one amplitude tensor by ``einsum``.
+* the pair density of one amplitude tensor by ``einsum``;
+* the X reader's trace and PSD rejection of one density, from its entries;
+* ``zero_intervals`` as a per-curve run scan and an ITP loop that gathers
+  and scatters the pending edges' state by index every step: the sampled
+  times and edges that ``jcpairs.esd`` must reproduce bit for bit.
 """
 
 import math
@@ -149,3 +153,131 @@ def pair_density(psi, keep):
     ket = "".join({axes[0]: "y", axes[1]: "z"}.get(c, c) for c in "ABCD")
     rho = np.einsum(f"{bra}...,{ket}...->...wxyz", psi, psi.conj())
     return rho.reshape(rho.shape[:-4] + (4, 4))
+
+
+def _columns(sample, ts):
+    """(C, Q) of ``sample(ts)`` as (len(ts), n_curves) arrays."""
+    c, q = sample(ts)
+    c = np.asarray(c, dtype=float).reshape(ts.size, -1)
+    return c, np.asarray(q, dtype=float).reshape(c.shape)
+
+
+def _signed(c, q, rows, curve, on_q, tol):
+    """g of column ``curve[e]`` at row ``rows[e]`` (Q on a Q edge, C - tol otherwise), and whether it is inside."""
+    c, q = c[rows, curve], q[rows, curve]
+    return np.where(on_q, q, c - tol), np.where(on_q, ~(q > 0.0), c <= tol)
+
+
+def itp(sample, curve, on_q, t_out, t_in, g_out, g_in, tol, resolution):
+    """Lockstep ITP refinement of zero-region edges, one ``sample`` call per step, written edge by index.
+
+    Every step gathers the pending edges' state from whole-length arrays by
+    fancy indexing and scatters it back.  Interpolate (regula falsi),
+    truncate toward the midpoint, project into bisection's range (Oliveira &
+    Takahashi, ACM TOMS 47(1), 2020; kappa1 = 0.2 / initial width,
+    kappa2 = 2, n0 = 1); the midpoint where g is not finite or the point is
+    not strictly inside.  An edge stops once its bracket is no wider than
+    ``resolution`` or its midpoint rounds onto an endpoint.  The oracle of
+    the sampled times and edges of ``jcpairs.esd``.
+    """
+    t_out, t_in = np.array(t_out, dtype=float), np.array(t_in, dtype=float)
+    g_out, g_in = np.array(g_out, dtype=float), np.array(g_in, dtype=float)
+    width0 = np.abs(t_in - t_out)
+    eps = 0.5 * resolution
+    n_max = np.ceil(np.log2(np.maximum(width0 / resolution, 1.0))) + 1.0
+    pending = np.arange(t_out.size)
+    step = 0
+    while True:
+        out, inn = t_out[pending], t_in[pending]
+        mid = 0.5 * (out + inn)
+        width = np.abs(inn - out)
+        moving = (width > resolution) & (mid != out) & (mid != inn)
+        pending = pending[moving]
+        if not pending.size:
+            break
+        out, inn, mid, width = out[moving], inn[moving], mid[moving], width[moving]
+        with np.errstate(all="ignore"):
+            ga, gb = g_out[pending], g_in[pending]
+            x = out + (inn - out) * (ga / (ga - gb))  # interpolate: regula falsi
+            sigma = np.sign(mid - x)
+            delta = np.maximum(0.2 * width**2 / width0[pending], eps)
+            x = np.where(delta <= np.abs(mid - x), x + sigma * delta, mid)  # truncate
+            r = np.maximum(eps * 2.0 ** (n_max[pending] - step) - 0.5 * width, 0.0)
+            x = np.where(np.abs(x - mid) <= r, x, mid - sigma * r)  # project
+            strictly_inside = (np.minimum(out, inn) < x) & (x < np.maximum(out, inn))
+        x = np.where(strictly_inside, x, mid)  # NaN compares False: midpoint
+        c, q = _columns(sample, x)
+        g, inside = _signed(c, q, np.arange(pending.size), curve[pending], on_q[pending], tol)
+        t_in[pending[inside]], g_in[pending[inside]] = x[inside], g[inside]
+        t_out[pending[~inside]], g_out[pending[~inside]] = x[~inside], g[~inside]
+        step += 1
+    return 0.5 * (t_out + t_in)
+
+
+def zero_intervals(sample, t_min, t_max, *, tol=1e-12, samples=2049, q_tol=1e-9):
+    """(t_lo, t_hi, kind) zero runs per sampled curve: one sampling call, a per-curve run scan, then ``itp``.
+
+    A run of samples with C <= tol is sudden death when Q drops below
+    -q_tol in it (edges on Q's sign), a touch otherwise (edges on
+    C <= tol), and degenerate when it covers every sample.
+    """
+    ts = np.linspace(t_min, t_max, samples)
+    cs, qs = _columns(sample, ts)
+    runs, edges = [], []
+    for k in range(cs.shape[1]):
+        zero = cs[:, k] <= tol
+        if zero.all():
+            runs.append((k, None, None, "degenerate"))
+            continue
+        flips = np.flatnonzero(np.diff(np.concatenate(([False], zero, [False]))))
+        for i, j in zip(flips[::2].tolist(), (flips[1::2] - 1).tolist()):
+            kind, on_q, in_lo, in_hi = "touch", False, i, j
+            negatives = np.flatnonzero(qs[i : j + 1, k] < -q_tol)
+            if negatives.size:
+                kind, on_q, in_lo, in_hi = "sudden_death", True, i + negatives[0], i + negatives[-1]
+            lo_edge = hi_edge = None
+            if i > 0:
+                lo_edge = len(edges)
+                edges.append((k, on_q, i - 1, in_lo))
+            if j < samples - 1:
+                hi_edge = len(edges)
+                edges.append((k, on_q, j + 1, in_hi))
+            runs.append((k, lo_edge, hi_edge, kind))
+    refined = []
+    if edges:
+        curve, on_q, out, inn = (np.array(column) for column in zip(*edges))
+        g_out, _ = _signed(cs, qs, out, curve, on_q, tol)
+        g_in, _ = _signed(cs, qs, inn, curve, on_q, tol)
+        resolution = 4.0 * float(np.spacing(max(abs(t_min), abs(t_max))))
+        refined = itp(sample, curve, on_q, ts[out], ts[inn], g_out, g_in, tol, resolution).tolist()
+    intervals = [[] for _ in range(cs.shape[1])]
+    for k, lo_edge, hi_edge, kind in runs:
+        lo = float(t_min) if lo_edge is None else refined[lo_edge]
+        hi = float(t_max) if hi_edge is None else refined[hi_edge]
+        intervals[k].append((lo, hi, kind))
+    return intervals
+
+
+def x_rejection(entries):
+    """The error of the X reader's checks of one density given as its 10 upper entries, None when it passes.
+
+    The trace check (|a + b + c + d - 1| > 1e-8), then, on an X-shaped cell
+    (every off-X entry at most 1e-10), the PSD check from the lower
+    eigenvalue of each 2x2 block, 0.5 (a + d) - sqrt((0.5 (a - d))^2 + |z|^2)
+    and its inner twin, below -1e-8: the reader's tests, in its operation
+    order, one cell at a time.
+    """
+    entries = np.asarray(entries, dtype=complex)
+    a, b, c, d = entries[:4].real
+    trace_err = abs(a + b + c + d - 1.0)
+    if trace_err > 1e-8:
+        return f"invalid density matrix: trace deviates from 1 by {trace_err:.3e}"
+    if np.abs(entries[6:]).max() > 1e-10:
+        return None
+    z, w = np.abs(entries[4]), np.abs(entries[5])
+    corner = 0.5 * (a + d) - np.sqrt(np.square(0.5 * (a - d)) + np.square(z))
+    inner = 0.5 * (b + c) - np.sqrt(np.square(0.5 * (b - c)) + np.square(w))
+    lowest = np.minimum(corner, inner)
+    if lowest < -1e-8:
+        return f"invalid density matrix: not PSD, lowest eigenvalue {lowest:.3e}"
+    return None

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import reference
-from conftest import concurrence, entry_values, pair_matrices
+from conftest import concurrence, entry_values, pair_matrices, upper_entries
 from jcpairs import PAIR_LABELS, GridEngine
 from jcpairs.checks import random_x_states
 from jcpairs.dynamics import analytic_amplitudes, initial_amplitudes
@@ -138,3 +140,49 @@ def test_results_are_consistent(res_params):
     # leaves near zero, so it sits up to about 1e-8 off at rank-deficient cells
     for cell in np.ndindex(conc.shape):
         assert conc[cell] == pytest.approx(reference.wootters(rho[cell]), abs=1e-7)
+
+
+def _nudge(x, ulps):
+    """x moved by ``ulps`` units in the last place (toward +inf when positive)."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, math.copysign(math.inf, ulps))
+    return float(x)
+
+
+diagonals = st.sampled_from((-1.5e-8, -1e-8, -2e-9, -1e-9, -5e-10, 0.0)) | st.floats(-3e-9, 0.5)
+
+
+@given(
+    block=st.sampled_from((0, 1)),
+    a=diagonals,
+    d=diagonals,
+    lowest=st.sampled_from((-1e-8, -5e-9, -4e-9, 0.0)) | st.floats(-2e-8, 1e-9),
+    ulps=st.integers(-6, 6),
+    trace=st.sampled_from((0.0, 1e-8, -1e-8, 5e-9)),
+    trace_ulps=st.integers(-6, 6),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+@example(block=0, a=0.3, d=0.2, lowest=-1e-8, ulps=0, trace=0.0, trace_ulps=0, phase=0.0)
+@example(block=1, a=0.25, d=0.25, lowest=-4e-9, ulps=0, trace=1e-8, trace_ulps=1, phase=1.0)
+@example(block=0, a=-1e-8, d=0.5, lowest=-1e-8, ulps=-1, trace=0.0, trace_ulps=0, phase=0.0)
+def test_x_reader_rejects_at_the_tolerances_as_the_oracle(block, a, d, lowest, ulps, trace, trace_ulps, phase):
+    # One X block has diagonal (a, d) and a coherence that puts its lower
+    # eigenvalue at `lowest`, moved by a few ulp; the other block takes the
+    # rest of a trace of 1 + `trace`, moved by a few ulp.  The reader must
+    # accept or reject the cell as the oracle does, with its error text.
+    modulus = math.sqrt(max(0.0, (0.5 * (a + d) - lowest) ** 2 - (0.5 * (a - d)) ** 2))
+    coherence = _nudge(modulus, ulps) * complex(math.cos(phase), math.sin(phase))
+    rest = _nudge(1.0 + trace - a - d, trace_ulps)
+    rows = ((0, 3), (1, 2))[block]
+    others = ((0, 3), (1, 2))[1 - block]
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[rows, rows] = a, d
+    rho[others, others] = 0.5 * rest
+    rho[rows[0], rows[1]], rho[rows[1], rows[0]] = coherence, coherence.conjugate()
+    expected = reference.x_rejection(upper_entries(rho))
+    if expected is None:
+        entry_values(rho)
+    else:
+        with pytest.raises(ValueError) as error:
+            entry_values(rho)
+        assert str(error.value) == expected

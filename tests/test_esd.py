@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jcpairs.engine as engine_module
+import reference
 from conftest import closed_sampler
 from jcpairs import (
     PAIR_LABELS,
@@ -17,7 +18,7 @@ from jcpairs import (
     zero_intervals,
 )
 from jcpairs.cli import main
-from jcpairs.esd import boundary_AB
+from jcpairs.esd import boundary_AB, report_json, scan_report
 
 G = 2.0
 
@@ -470,3 +471,139 @@ def test_esd_closed_route_at_a_detuned_site(tmp_path, alpha):
     for k, iv in enumerate(whole):
         assert abs(iv["gt_lo"] - (window[0] + k * period)) <= 1e-12
         assert abs(iv["gt_hi"] - (window[1] + k * period)) <= 1e-12
+
+
+def _scan_record(scan, sample, t_min, t_max, **kwargs):
+    """The ``sample`` calls of one scan (copies of the time arrays) and its runs as (t_lo, t_hi, kind)."""
+    calls = []
+
+    def recording(ts):
+        calls.append(np.array(ts, dtype=float))
+        return sample(ts)
+
+    runs = [[(iv.t_lo, iv.t_hi, iv.kind) if isinstance(iv, ZeroInterval) else iv for iv in curve]
+            for curve in scan(recording, t_min, t_max, **kwargs)]
+    return calls, runs
+
+
+def assert_scan_matches_the_oracle(sample, t_min, t_max, **kwargs):
+    """``zero_intervals`` makes the oracle's sample calls, time arrays bit for bit, and finds its edges' bits."""
+    calls, runs = _scan_record(zero_intervals, sample, t_min, t_max, **kwargs)
+    want_calls, want_runs = _scan_record(reference.zero_intervals, sample, t_min, t_max, **kwargs)
+    assert len(calls) == len(want_calls)
+    for ts, want in zip(calls, want_calls):
+        assert ts.shape == want.shape and np.array_equal(ts.view(np.uint64), want.view(np.uint64))
+    hexed = [[(lo.hex(), hi.hex(), kind) for lo, hi, kind in curve] for curve in runs]
+    assert hexed == [[(lo.hex(), hi.hex(), kind) for lo, hi, kind in curve] for curve in want_runs]
+    return calls
+
+
+@st.composite
+def synthetic_curves(draw):
+    """A sampler of 1-4 curves on [0, 1] whose scans exercise every ITP branch.
+
+    * ``window``: Q = (t - root)(t - root - width), negative on a death
+      window, C = 2 max(0, Q);
+    * ``nan_window``: the same with Q NaN on the first 60% of the window (a
+      cell off the X pattern): edges that land there take midpoint steps;
+    * ``stall``: C = max(0, t - root)^power past the root and 0 before it,
+      Q = C / 2: regula falsi lands on the flat inside end at every step;
+    * ``double``: C = power (t - root)^2, Q = C / 2, a touch at a double zero.
+    """
+    specs = draw(st.lists(st.tuples(st.sampled_from(("window", "nan_window", "stall", "double")),
+                                    st.floats(0.02, 0.9), st.floats(0.01, 0.3),
+                                    st.sampled_from((0.125, 0.5, 1.0, 3.0))), min_size=1, max_size=4))
+
+    def sample(ts):
+        cs, qs = [], []
+        for kind, root, width, power in specs:
+            if kind in ("window", "nan_window"):
+                q = (ts - root) * (ts - root - width)
+                c = 2.0 * np.maximum(0.0, q)
+                if kind == "nan_window":
+                    q = np.where((ts > root) & (ts < root + 0.6 * width), np.nan, q)
+            elif kind == "stall":
+                c = np.maximum(0.0, ts - root) ** power
+                q = 0.5 * c
+            else:
+                c = power * (ts - root) ** 2
+                q = 0.5 * c
+            cs.append(c)
+            qs.append(q)
+        return np.stack(cs, axis=-1), np.stack(qs, axis=-1)
+
+    return sample
+
+
+@given(sample=synthetic_curves(), samples=st.sampled_from((3, 4, 11, 65, 101)),
+       tol=st.sampled_from((0.0, 1e-12, 1e-6, 1e-3)))
+def test_itp_samples_the_oracles_times_on_synthetic_curves(sample, samples, tol):
+    assert_scan_matches_the_oracle(sample, 0.0, 1.0, samples=samples, tol=tol)
+
+
+@given(
+    alpha=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+    detuning=st.floats(-2.0 * G, 2.0 * G),
+    family=st.sampled_from(("phi", "psi")),
+    samples=st.sampled_from((33, 65, 129)),
+)
+@settings(max_examples=25)
+def test_itp_samples_the_oracles_times_on_the_engine(alpha, detuning, family, samples):
+    params = JCParams(omega0=5.0, omega=5.0 + detuning, g=1.0)
+    engine = GridEngine("analytic", family, params)
+    t_max = 2 * np.pi / math.hypot(params.detuning, params.rabi(1))
+    assert_scan_matches_the_oracle(engine_sampler(engine, alpha), 0.0, t_max, samples=samples)
+
+
+def test_psi_touch_request_samples_the_oracles_times(monkeypatch, tmp_path):
+    # the psi touch edges sit next to double zeros of C: the request with the most steps
+    calls = []
+    values = engine_module.GridEngine.values
+
+    def recording(self, alphas, ts, *args, **kwargs):
+        calls.append(np.array(ts, dtype=float))
+        return values(self, alphas, ts, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module.GridEngine, "values", recording)
+    out = tmp_path / "esd.json"
+    assert main(["esd", "--family", "psi", "--alpha", "0.3927", "--output", str(out)]) == 0
+    monkeypatch.undo()
+    report = json.loads(out.read_text())
+    engine = GridEngine("analytic", "psi", JCParams(omega0=5.0, omega=5.0, g=1.0))
+    want = assert_scan_matches_the_oracle(engine_sampler(engine, 0.3927), 0.0, report["t_max"], samples=1025)
+    assert len(calls) == len(want) == 23
+    for ts, oracle in zip(calls, want):
+        assert np.array_equal(ts.view(np.uint64), oracle.view(np.uint64))
+    _, runs = _scan_record(reference.zero_intervals, engine_sampler(engine, 0.3927), 0.0, report["t_max"],
+                           samples=1025)
+    for pair, curve in zip(PAIR_LABELS, runs):
+        assert [(iv["t_lo"], iv["t_hi"], iv["kind"]) for iv in report["pairs"][pair]] == curve
+
+
+_AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, math.nan, math.inf, -math.inf, 1e16, 1e-7, 0.1, 2.0)
+numbers = st.one_of(st.floats(), st.sampled_from(_AWKWARD))
+intervals = st.lists(st.tuples(numbers, numbers, numbers, numbers,
+                               st.sampled_from(("sudden_death", "touch", "degenerate"))), max_size=3)
+
+
+@given(family=st.sampled_from(("phi", "psi")), head=st.tuples(*[numbers] * 7),
+       pairs=st.tuples(*[intervals] * 6), window=st.none() | st.tuples(numbers, numbers))
+def test_report_writer_is_json_dumps_indent_2(family, head, pairs, window):
+    report = {"family": family}
+    report.update(zip(("alpha", "omega0", "omega", "g", "rabi", "t_max", "zero_tol"), head))
+    report["pairs"] = {label: [dict(zip(("t_lo", "t_hi", "gt_lo", "gt_hi", "kind"), iv)) for iv in runs]
+                       for label, runs in zip(PAIR_LABELS, pairs)}
+    report["boundary_AB"] = None if window is None else {"gt_lo": window[0], "gt_hi": window[1]}
+    assert report_json(report) == json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("family, alpha, omega", [("phi", 0.3, 6.0), ("psi", 0.3927, 5.0), ("phi", 1.2, 5.0)])
+def test_scan_report_is_the_esd_command_output(tmp_path, family, alpha, omega):
+    out = tmp_path / "esd.json"
+    assert main(["esd", "--family", family, "--alpha", str(alpha), "--omega", str(omega), "--steps", "256",
+                 "--output", str(out)]) == 0
+    text = out.read_text()
+    engine = GridEngine("analytic", family, JCParams(omega0=5.0, omega=omega, g=1.0))
+    report = scan_report(engine, alpha, json.loads(text)["t_max"], samples=257)
+    assert text == report_json(report) == json.dumps(report, indent=2) + "\n"
