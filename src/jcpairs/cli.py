@@ -21,7 +21,6 @@ import sys
 
 import numpy as np
 
-from .checks import run_checks
 from .dynamics import FAMILY_KINDS
 from .engine import GridEngine
 from .entanglement import PAIR_LABELS
@@ -68,7 +67,7 @@ _SETTINGS = {
     "format": (str, "csv", ("evolve", "sweep"), ("csv", "json"), "table format"),
     "json": (bool, False, ("verify",), None, "write the checks as JSON"),
     "inject_fault": (bool, False, ("verify",), None,
-                     "perturb one Hamiltonian entry (negative control)"),
+                     "run the numeric route at omega0 + 2e-3 (negative control)"),
     "output": (str, "-", _ALL, None, "output file (default: stdout)"),
 }
 # The most time steps a derived default may ask for: a larger grid is asked
@@ -312,6 +311,8 @@ def _cmd_esd(args):
 
 def _cmd_verify(args):
     """run the invariant self-checks"""
+    from .checks import run_checks  # only verify runs the invariant suite
+
     cfg = _merged(args, "verify")
     checks = run_checks(cfg.params, cfg.tol, cfg.inject_fault)
     if cfg.json:

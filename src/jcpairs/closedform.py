@@ -51,8 +51,7 @@ def closed_grid(kind, alphas, params, ts):
     if kind not in ("phi", "psi"):
         raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
     alphas = np.asarray(alphas, dtype=float).reshape(-1).tolist()
-    rabi = params.rabi(1)
-    delta = math.hypot(params.detuning, rabi)
+    rabi, delta = params.rabi(1), params.splitting
     coupled, detuned = rabi / delta, params.detuning / delta
     f_abs, h_abs = [], []
     for t in np.asarray(ts, dtype=float).reshape(-1).tolist():

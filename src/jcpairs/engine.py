@@ -6,11 +6,11 @@
   (``closed_grid``: the trigonometry once per alpha and once per t, then
   broadcasting), at resonance bit for bit the paper's scalar formulas;
 * ``analytic``: dressed-state amplitude stacks (``analytic_amplitudes``);
-* ``numeric``: exact diagonalization of each literal site Hamiltonian at
-  the requested Fock truncation (one ``eigh``: the two sites are equal),
-  then every (alpha, t) cell from exp(-i H_Aa t) (x) exp(-i H_Bb t) by two
-  matrix products (``HamiltonianPropagator.evolve_grid``); its phases drift
-  by about eps (||H_Aa|| + ||H_Bb||) t.
+* ``numeric``: exact diagonalization of the literal site Hamiltonian at
+  the requested Fock truncation (one ``eigh``: both sites are ``params``),
+  then every (alpha, t) cell from exp(-i H_site t) (x) exp(-i H_site t) by
+  two matrix products (``HamiltonianPropagator.evolve_grid``); its phases
+  drift by about 2 eps ||H_site|| t.
 
 The two evolution routes evolve each block of cells once, with the cells
 last (amplitudes (2, d, 2, d, n_alpha, n_t)), and read every requested pair
@@ -70,13 +70,12 @@ class GridValues:
 class GridEngine:
     """One route for one initial family and one site, evaluated on (alpha, t) grids.
 
-    ``n_max`` is the Fock truncation of the numeric route; ``hamiltonian``,
-    a pair (H_Aa, H_Bb) of site Hamiltonians, replaces the numeric route's
-    two ``site_hamiltonian(params, n_max)`` (their dimension must match
-    ``n_max``).
+    Both sites of the lattice are ``params``.  ``n_max`` is the Fock
+    truncation of the numeric route, which diagonalizes
+    ``site_hamiltonian(params, n_max)``.
     """
 
-    def __init__(self, name, kind, params, *, n_max=1, hamiltonian=None):
+    def __init__(self, name, kind, params, *, n_max=1):
         if name not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {name!r}")
         if kind not in FAMILY_KINDS:
@@ -87,10 +86,7 @@ class GridEngine:
         self.n_max = n_max
         self._work = Workspace()
         if name == "numeric":
-            if hamiltonian is None:
-                site = site_hamiltonian(params, n_max)
-                hamiltonian = (site, site)
-            self._propagator = HamiltonianPropagator(*hamiltonian)
+            self._propagator = HamiltonianPropagator(site_hamiltonian(params, n_max))
 
     def values(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
         """C and Q of ``pairs`` at every (alpha, t) of the two 1-D grids.

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import PAIR_LABELS
-from .jcmodel import dressed_data
 
 
 @dataclass(frozen=True)
@@ -244,8 +243,7 @@ def boundary_AB(kind, alpha, params):
         alpha = math.atan(abs(math.tan(alpha)))
         if not 0.0 < alpha < 0.5 * math.pi:
             return None
-    dressed = dressed_data(params, 1)
-    return esd_boundary_phi_AB(alpha, dressed.splitting / dressed.rabi)
+    return esd_boundary_phi_AB(alpha, params.splitting / params.rabi(1))
 
 
 def scan_report(engine, alpha, t_max, *, zero_tol=1e-12, samples=2049):

@@ -5,14 +5,15 @@ One site couples a two-level atom to one cavity mode by excitation exchange
 
     H_site = (omega0/2) sigma_z + g (a^dag sigma_- + sigma_+ a) + omega a^dag a
 
-The lattice is two such sites, (A, a) and (B, b), with no coupling between
-them: the total Hamiltonian is H_Aa (x) I + I (x) H_Bb, so its propagator
-is the Kronecker product of the site propagators, and no route builds it.
+The lattice is two uncoupled copies of one site, (A, a) and (B, b): the
+total Hamiltonian is H_site (x) I + I (x) H_site, so its propagator is the
+Kronecker square of the site propagator, and no route builds it.
 
 Within the n-excitation manifold (n >= 1) the site Hamiltonian mixes
 |e, n-1> and |g, n> with Rabi coupling G_n = 2 g sqrt(n) and detuning
 Delta = omega - omega0; the dressed pair is split by sqrt(Delta^2 + G_n^2)
-and characterized by the mixing angle theta_n with cos(theta_n) = Delta/split.
+and characterized by the mixing angle theta_n with cos(theta_n) = Delta/split
+(``JCParams.splitting`` at n = 1, where the initial families live).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class JCParams:
                 f"omega={self.omega}, g={self.g}"
             )
         # every route takes the manifold splitting hypot(Delta, 2g) and the Rabi coupling 2g
-        if not math.isfinite(math.hypot(self.detuning, self.rabi(1))):
+        if not math.isfinite(self.splitting):
             raise ValueError(
                 f"the manifold splitting hypot(omega - omega0, 2g) overflows for "
                 f"omega0={self.omega0}, omega={self.omega}, g={self.g}"
@@ -57,39 +58,10 @@ class JCParams:
         """Manifold coupling strength 2 g sqrt(n)."""
         return 2.0 * self.g * math.sqrt(n)
 
-
-@dataclass(frozen=True)
-class DressedData:
-    """Dressed-pair record for the n-excitation manifold of one site.
-
-    ``cos_half``/``sin_half`` are cos and sin of half the mixing angle theta_n.
-    """
-
-    n: int
-    rabi: float
-    cos_half: float
-    sin_half: float
-    splitting: float
-
-
-def dressed_data(params, n=1):
-    """Dressed-state data for the n-excitation manifold (n >= 1)."""
-    if n < 1:
-        raise ValueError(
-            "n must be >= 1: the zero-excitation manifold is the bare ground state |g;0> "
-            "and has no dressed pair"
-        )
-    delta = params.detuning
-    rabi = params.rabi(n)
-    splitting = math.hypot(delta, rabi)
-    theta = math.atan2(rabi, delta)
-    return DressedData(
-        n=n,
-        rabi=rabi,
-        cos_half=math.cos(0.5 * theta),
-        sin_half=math.sin(0.5 * theta),
-        splitting=splitting,
-    )
+    @property
+    def splitting(self):
+        """Splitting delta = hypot(Delta, 2g) of the one-excitation dressed pair."""
+        return math.hypot(self.detuning, self.rabi(1))
 
 
 def site_hamiltonian(params, n_max=1):

@@ -31,6 +31,8 @@ _AXIS = {label: i for i, label in enumerate(SUBSYSTEMS)}
 # rho[0, 3] and rho[1, 2], then the four entries off the X pattern.
 ENTRY_ROWS = np.array([0, 1, 2, 3, 0, 1, 0, 0, 1, 2])
 ENTRY_COLS = np.array([0, 1, 2, 3, 3, 2, 1, 2, 3, 3])
+# The most probability a kept cavity may hold above one photon in any cell.
+_LEAK_TOL = 1e-10
 
 
 class Workspace:
@@ -64,7 +66,7 @@ class Workspace:
         return view
 
 
-def pair_entries(amps, pairs, *, leak_tol=1e-10, work=None):
+def pair_entries(amps, pairs, *, work=None):
     """Reduce a stack of four-factor pure states to the upper entries of several pair densities.
 
     ``amps`` has shape (d_A, d_a, d_B, d_b, *cells), one amplitude tensor
@@ -79,7 +81,7 @@ def pair_entries(amps, pairs, *, leak_tol=1e-10, work=None):
     Kept cavity factors are projected onto the zero/one photon subspace and
     reported in (one photon, vacuum) order, so every output basis lists the
     excited level first: (x1 x2) = (ee, eg, ge, gg)-like.  The projection is
-    refused when a kept cavity holds more than ``leak_tol`` probability
+    refused when a kept cavity holds more than ``_LEAK_TOL`` probability
     above one photon in any cell.
 
     Pairs that trace out the same dimension are reduced together (one group
@@ -99,10 +101,10 @@ def pair_entries(amps, pairs, *, leak_tol=1e-10, work=None):
         high = tensor[above]
         leak = float(np.max(np.einsum("ijkln,ijkln->n", high.real, high.real)
                             + np.einsum("ijkln,ijkln->n", high.imag, high.imag), initial=0.0))
-        if leak > leak_tol:
+        if leak > _LEAK_TOL:
             raise ValueError(
                 f"cavity {label} holds probability {leak:.3e} above one photon "
-                f"(tolerance {leak_tol:.3e}); cannot reduce to a qubit"
+                f"(tolerance {_LEAK_TOL:.3e}); cannot reduce to a qubit"
             )
     if work is None:
         work = Workspace()

@@ -20,7 +20,6 @@ from jcpairs import (
 )
 from jcpairs.checks import random_x_states, run_checks
 from jcpairs.entanglement import pair_values
-from jcpairs.jcmodel import dressed_data
 
 PARAMS = JCParams(omega0=5.0, omega=5.0, g=1.0)
 RABI = PARAMS.rabi(1)
@@ -146,7 +145,7 @@ def test_criterion_10_detuned_ingredients():
     worst = 0.0
     for ratio in (0.5, 1.0, 2.0):
         params = JCParams(omega0=10.0, omega=10.0 + ratio * 2.0, g=1.0)
-        ts = np.linspace(0.0, 2 * (2 * np.pi / dressed_data(params, 1).splitting), 50)
+        ts = np.linspace(0.0, 2 * (2 * np.pi / params.splitting), 50)
         for kind in ("phi", "psi"):
             closed = GridEngine("closed", kind, params).values(alphas, ts)
             numeric = GridEngine("numeric", kind, params).values(alphas, ts)

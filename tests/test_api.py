@@ -1,6 +1,7 @@
 """The public surface: what a grid user needs, and none of the per-point layer."""
 
 import importlib
+import inspect
 
 import jcpairs
 
@@ -28,8 +29,9 @@ DELETED = {
     # helpers that only tests use live in tests/conftest.py
     "linalg": ["kron", "pair_density", "partial_trace", "pair_densities", "sqrt_psd", "SIGMA_Y",
                "entry_matrices", "upper_entries", "dagger", "hermiticity_defect"],
-    # the numeric route diagonalizes each site; the lattice matrix is the tests' oracle
-    "jcmodel": ["total_hamiltonian"],
+    # the numeric route diagonalizes the one site; the lattice matrix is the
+    # tests' oracle; the n = 1 splitting is JCParams.splitting
+    "jcmodel": ["total_hamiltonian", "dressed_data", "DressedData"],
     # the invariant suite reads every route through GridEngine
     "checks": ["HamiltonianPropagator", "analytic_amplitudes", "initial_amplitudes",
                "pair_densities", "concurrence_stack", "off_x_defect", "random_x_state",
@@ -49,3 +51,8 @@ def test_deleted_names_are_gone():
         assert [name for name in names if hasattr(mod, name)] == []
         assert [name for name in names if hasattr(jcpairs, name)] == []
     assert not hasattr(importlib.import_module("jcpairs.dynamics").HamiltonianPropagator, "evolve")
+
+
+def test_grid_engine_builds_its_own_site():
+    # both sites are the engine's JCParams: no Hamiltonian comes from outside
+    assert "hamiltonian" not in inspect.signature(jcpairs.GridEngine).parameters

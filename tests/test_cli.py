@@ -224,9 +224,21 @@ def test_verify_json(capsys):
 
 
 def test_verify_injected_fault_fails(capsys):
+    # the numeric route runs off its site: only the two agreement checks see it
     assert run("verify", "--inject-fault") == 3
-    out = capsys.readouterr().out
-    assert "FAIL engine_agreement" in out
+    verdicts = [line.split(":")[0].split(" ") for line in capsys.readouterr().out.splitlines()]
+    assert sorted(name for verdict, name in verdicts if verdict == "FAIL") == [
+        "closed_form_agreement", "engine_agreement"]
+    assert [verdict for verdict, _ in verdicts].count("PASS") == 5 and len(verdicts) == 7
+
+
+def test_cli_import_leaves_the_invariant_suite_out():
+    # only verify runs the checks, so no other command loads them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, jcpairs.cli; print('jcpairs.checks' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "False\n"
 
 
 class _NumericWithNaN(GridEngine):

@@ -51,7 +51,7 @@ def scalar_results(engine, kind, alpha, params, ts, n_max):
     """
     if engine == "numeric":
         site = site_hamiltonian(params, n_max)
-        psi = HamiltonianPropagator(site, site).evolve_grid(initial_amplitudes(kind, [alpha], n_max), ts)
+        psi = HamiltonianPropagator(site).evolve_grid(initial_amplitudes(kind, [alpha], n_max), ts)
     else:
         psi = analytic_amplitudes(kind, [alpha], ts, params)
     out = []
@@ -194,7 +194,7 @@ def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, de
         psi = analytic_amplitudes("psi", alpha_grid, t_grid, det_params)
     else:
         site = site_hamiltonian(det_params, n_max)
-        psi = HamiltonianPropagator(site, site).evolve_grid(initial_amplitudes("psi", alpha_grid, n_max), t_grid)
+        psi = HamiltonianPropagator(site).evolve_grid(initial_amplitudes("psi", alpha_grid, n_max), t_grid)
     stack = pair_matrices(psi, PAIR_LABELS)
     assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))  # Hermitian by construction
     # the 10 upper entries give back the whole matrix, bit for bit

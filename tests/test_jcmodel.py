@@ -6,7 +6,8 @@ import pytest
 import reference
 from conftest import excitation_numbers
 from jcpairs import JCParams
-from jcpairs.jcmodel import dressed_data, site_hamiltonian
+from jcpairs.dynamics import _site_rates
+from jcpairs.jcmodel import site_hamiltonian
 from reference import total_hamiltonian
 
 
@@ -34,52 +35,61 @@ def test_params_reject_non_finite(field, value):
         JCParams(**values)
 
 
+def assert_site_rates_match_eigh(params):
+    # the three phase rates and the dressed weights of the analytic route
+    # against eigh of the (|e,0>, |g,1>) block: the upper level pairs with
+    # (sin, cos) of the half mixing angle for this detuning-sign convention
+    (up, down, ground), (sin2, cos2, sin_cos) = _site_rates(params)
+    h = site_hamiltonian(params, n_max=1)
+    w, v = np.linalg.eigh(h[np.ix_([0, 3], [0, 3])])
+    upper, lower = np.abs(v[:, 1]), np.abs(v[:, 0])
+    assert np.allclose([sin2, cos2, sin_cos], [upper[0] ** 2, upper[1] ** 2, upper[0] * upper[1]],
+                       rtol=0, atol=1e-12)
+    assert np.allclose(lower, upper[::-1], rtol=0, atol=1e-12)
+    assert np.allclose([1j * up, 1j * down, 1j * ground], [w[1], w[0], h[2, 2]], rtol=0, atol=1e-12)
+
+
 def test_dressed_resonance():
-    d = dressed_data(JCParams(omega0=5.0, omega=5.0, g=1.0), 1)
-    assert d.rabi == pytest.approx(2.0)
-    assert d.cos_half == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-    assert d.sin_half == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-    assert d.splitting == pytest.approx(2.0)
+    p = JCParams(omega0=5.0, omega=5.0, g=1.0)
+    assert p.splitting == math.hypot(0.0, 2.0) == 2.0
+    assert np.allclose(_site_rates(p)[1], 0.5, rtol=0, atol=1e-15)
+    assert_site_rates_match_eigh(p)
 
 
 def test_dressed_detuned(det_params):
-    d = dressed_data(det_params, 1)
     assert det_params.detuning == pytest.approx(1.0)
-    assert d.rabi == pytest.approx(1.0)
-    assert d.splitting == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert det_params.rabi(1) == pytest.approx(1.0)
+    assert det_params.splitting == math.hypot(det_params.detuning, det_params.rabi(1))
+    assert det_params.splitting == pytest.approx(np.sqrt(2.0), abs=1e-12)
     # cos(theta) = Delta / splitting
-    assert d.cos_half**2 - d.sin_half**2 == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-    assert d.cos_half == pytest.approx(0.923880, abs=1e-6)
-    assert d.sin_half == pytest.approx(0.382683, abs=1e-6)
+    sin2, cos2, _ = _site_rates(det_params)[1]
+    assert cos2 - sin2 == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+    assert math.sqrt(cos2) == pytest.approx(0.923880, abs=1e-6)
+    assert math.sqrt(sin2) == pytest.approx(0.382683, abs=1e-6)
+    assert_site_rates_match_eigh(det_params)
 
 
 def test_dressed_rabi_scaling():
-    d = dressed_data(JCParams(omega0=3.0, omega=4.0, g=0.7), 4)
-    assert d.rabi == pytest.approx(4 * 0.7)
-
-
-def test_dressed_rejects_ground_manifold():
-    with pytest.raises(ValueError, match="ground"):
-        dressed_data(JCParams(omega0=5.0, omega=5.0, g=1.0), 0)
+    assert JCParams(omega0=3.0, omega=4.0, g=0.7).rabi(4) == pytest.approx(4 * 0.7)
 
 
 def test_dressed_invariants():
     rng = np.random.default_rng(8)
     for _ in range(20):
         p = JCParams(omega0=rng.uniform(1, 10), omega=rng.uniform(1, 10), g=rng.uniform(0.1, 2))
-        n = int(rng.integers(1, 5))
-        d = dressed_data(p, n)
-        assert d.cos_half**2 + d.sin_half**2 == pytest.approx(1.0, abs=1e-14)
-        assert d.splitting == pytest.approx(np.hypot(p.detuning, d.rabi), abs=1e-12)
-        assert d.splitting > 0  # g > 0 forces a gap
+        # positive finite floats are equal only with the same bits
+        assert p.splitting == math.hypot(p.detuning, p.rabi(1))
+        assert p.splitting > 0  # g > 0 forces a gap
+        sin2, cos2, _ = _site_rates(p)[1]
+        assert sin2 + cos2 == pytest.approx(1.0, abs=1e-14)
+        assert_site_rates_match_eigh(p)
 
 
 def test_dressed_vs_block_diagonalization(det_params):
-    d = dressed_data(det_params, 1)
     p = det_params
     block = np.array([[p.omega0 / 2, p.g], [p.g, p.omega - p.omega0 / 2]])
     w = np.linalg.eigvalsh(block)
-    assert w[1] - w[0] == pytest.approx(d.splitting, abs=1e-12)
+    assert w[1] - w[0] == pytest.approx(p.splitting, abs=1e-12)
 
 
 def test_site_hamiltonian_resonance_splitting():
@@ -100,15 +110,10 @@ def test_site_hamiltonian_ground_state():
 
 
 def test_site_hamiltonian_eigenvectors_match_mixing(det_params):
-    # the n=1 eigenvectors carry components {cos_half, sin_half}; the upper
-    # level pairs with (sin_half, cos_half) for this detuning-sign convention
-    d = dressed_data(det_params, 1)
-    h = site_hamiltonian(det_params, n_max=1)
-    block = h[np.ix_([0, 3], [0, 3])]
-    w, v = np.linalg.eigh(block)
-    upper, lower = np.abs(v[:, 1]), np.abs(v[:, 0])
-    assert np.allclose(upper, [d.sin_half, d.cos_half], atol=1e-12)
-    assert np.allclose(lower, [d.cos_half, d.sin_half], atol=1e-12)
+    # the n=1 eigenvectors carry the half-angle components of the analytic
+    # route at either sign of the detuning
+    for params in (det_params, JCParams(omega0=6.0, omega=5.0, g=0.5)):
+        assert_site_rates_match_eigh(params)
 
 
 def test_site_hamiltonian_conserves_excitation():

@@ -113,7 +113,7 @@ def test_partial_trace_rejects_bad_labels():
 @functools.lru_cache(maxsize=None)
 def _propagator(n_max):
     site = site_hamiltonian(JCParams(omega0=5.0, omega=5.6, g=0.8), n_max)
-    return HamiltonianPropagator(site, site)
+    return HamiltonianPropagator(site)
 
 
 def _amplitude_stack(route, kind, n_max, alphas, ts):
