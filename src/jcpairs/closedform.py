@@ -47,14 +47,21 @@ def closed_grid(kind, alphas, params, ts):
     resonance formulas (``tests/reference.py``).  At resonance delta = G,
     G/delta = 1.0 and Delta/delta = 0.0 exactly, and hypot(x, 0) = |x|, so
     every value there has the same bits as those formulas at that cell.
+    A non-finite alpha or t is refused, naming the first one.
     """
     if kind not in ("phi", "psi"):
         raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
-    alphas = np.asarray(alphas, dtype=float).reshape(-1).tolist()
+    alphas = np.asarray(alphas, dtype=float).reshape(-1)
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    for name, values in (("alpha", alphas), ("t", ts)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"{name} must be finite, got {float(values[~finite][0])!r}")
+    alphas = alphas.tolist()
     rabi, delta = params.rabi(1), params.splitting
     coupled, detuned = rabi / delta, params.detuning / delta
     f_abs, h_abs = [], []
-    for t in np.asarray(ts, dtype=float).reshape(-1).tolist():
+    for t in ts.tolist():
         half = 0.5 * delta * t
         sin_h, cos_h = math.sin(half), math.cos(half)
         f_abs.append(math.hypot(cos_h, detuned * sin_h))

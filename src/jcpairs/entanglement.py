@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .linalg import Workspace, _plan, pair_entries
+from .linalg import Workspace, _reduction_plan, pair_entries
 
 PAIR_LABELS = ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
 
@@ -77,15 +77,15 @@ def _x_values(entries, x_tol, conc, q):
 
     ``entries`` holds the ``linalg.ENTRY_ROWS``/``ENTRY_COLS`` entries of
     each cell; ``conc`` and ``q`` have its trailing shape.  Every cell's
-    trace is checked.  Cells that are X-shaped to within ``x_tol`` are
-    checked for PSD-ness (ignoring off-X entries up to ``x_tol`` moves the
-    lowest eigenvalue by at most sqrt(12) x_tol, Weyl, far below the 1e-8
-    PSD tolerance), and get C = 2 max{0, q_corner, q_inner} and
-    Q = max(q_corner, q_inner).  The two blocks are read together, as
-    (2, ...) stacks: with the clamped diagonal a, b, c, d, the roots
-    [sqrt(b c), sqrt(a d)] and the moduli [|z|, |w|] give both the q's and,
-    against the reversed roots, the PSD check in its shifted form: a
-    diagonal of at least -1e-9 and |z| <= sqrt(a d) + 4e-9,
+    trace is checked (a NaN trace fails).  Cells that are X-shaped to within
+    ``x_tol`` are checked for PSD-ness (ignoring off-X entries up to
+    ``x_tol`` moves the lowest eigenvalue by at most sqrt(12) x_tol, Weyl,
+    far below the 1e-8 PSD tolerance), and get
+    C = 2 max{0, q_corner, q_inner} and Q = max(q_corner, q_inner).  The two
+    blocks are read together, as (2, ...) stacks: with the clamped diagonal
+    a, b, c, d, the roots [sqrt(b c), sqrt(a d)] and the moduli [|z|, |w|]
+    give both the q's and, against the reversed roots, the PSD check in its
+    shifted form: a diagonal of at least -1e-9 and |z| <= sqrt(a d) + 4e-9,
     |w| <= sqrt(b c) + 4e-9 hold both blocks plus 5e-9 I PSD.  Only when
     some cell fails that (an engine's densities are PSD to rounding) is the
     lowest eigenvalue read from the blocks (``_x_lowest``), which decides
@@ -94,7 +94,9 @@ def _x_values(entries, x_tol, conc, q):
     """
     diag = entries[:4].real
     trace_err = np.abs(diag[0] + diag[1] + diag[2] + diag[3] - 1.0)
-    _reject_first(trace_err > 1e-8, trace_err, "trace deviates from 1 by")
+    trace_ok = trace_err <= 1e-8  # NaN fails it
+    if not trace_ok.all():
+        _reject_first(~trace_ok, trace_err, "trace deviates from 1 by")
     general = np.array(np.abs(entries[6:]).max(axis=0) > x_tol)  # arrays also for a single matrix
     roots = np.maximum(diag, 0.0)
     roots = roots[1::-1] * roots[2:]
@@ -140,7 +142,8 @@ def pair_values(amps, pairs, *, x_tol=1e-10, work=None, out=None):
         flat = amps.reshape(math.prod(dims), -1)
         cell_index, pair_index = np.nonzero(general.reshape(-1, len(pairs)))
         general_c = np.empty(cell_index.size)
-        for slot, table in enumerate(_plan(dims, pairs).tables):
+        _, _, tables, _ = _reduction_plan(dims, pairs)
+        for slot, table in enumerate(tables):
             mine = pair_index == slot
             if mine.any():
                 factors = np.moveaxis(flat[:, cell_index[mine]][table], -1, 0)  # (cells, 4, k)

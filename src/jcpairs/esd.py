@@ -29,6 +29,10 @@ import numpy as np
 from .entanglement import PAIR_LABELS
 
 
+# How far below zero Q must dip for a zero run to count as sudden death.
+_Q_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ZeroInterval:
     """Maximal window on which a concurrence curve vanishes."""
@@ -118,15 +122,7 @@ def _itp(sample, columns, curve, on_q, t_out, t_in, g_out, g_in, tol, resolution
     return refined
 
 
-def zero_intervals(
-    sample,
-    t_min,
-    t_max,
-    *,
-    tol=1e-12,
-    samples=2049,
-    q_tol=1e-9,
-):
+def zero_intervals(sample, t_min, t_max, *, tol=1e-12, samples=2049):
     """Maximal sub-windows of [t_min, t_max] where each sampled curve is <= tol.
 
     ``sample(ts)`` takes a 1-D array of times and returns ``(C, Q)``, arrays
@@ -136,7 +132,7 @@ def zero_intervals(
     per column.
 
     The curves are sampled once on ``samples`` equally spaced times.  A zero
-    run whose Q drops below ``-q_tol`` is sudden death and its edges are the
+    run whose Q drops below ``-_Q_TOL`` is sudden death and its edges are the
     Q sign changes; any other run is a touch with edges where C crosses
     ``tol``.  All edges of all curves are then refined together by ITP
     steps, one ``sample`` call per step, each edge to a bracket no wider than
@@ -165,7 +161,7 @@ def zero_intervals(
     run_curve, flips = np.nonzero(zero[:, 1:] != zero[:, :-1])
     run_curve, lo, hi = run_curve[::2], flips[::2], flips[1::2] - 1
     # the first negative Q at or after each sample and the last at or before it
-    negative = (qs < -q_tol).T
+    negative = (qs < -_Q_TOL).T
     index = np.arange(samples)
     first_negative = np.minimum.accumulate(np.where(negative, index, samples)[:, ::-1], axis=1)[:, ::-1]
     last_negative = np.maximum.accumulate(np.where(negative, index, -1), axis=1)

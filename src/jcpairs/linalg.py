@@ -9,16 +9,17 @@ Stacks of states put the cells last: amplitudes of shape (d_A, d_a, d_B,
 d_b, *cells), so each amplitude is one row as long as the stack.
 ``pair_entries``, the one reducer, turns them into the 10 entries on and
 above the diagonal of each pair's 4x4 density, (pairs, 10, *cells), with
-elementwise products on those rows.  Each density is M M^dag, M the 4 x k
-matrix of amplitudes that the reducer multiplies; the general Wootters
-route reads M itself through the same index tables.
+elementwise products on those rows, one group for each run of requested
+pairs that trace the same dimension, in request order.  Each density is
+M M^dag, M the 4 x k matrix of amplitudes that the reducer multiplies; the
+general Wootters route reads M itself through the same index tables.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +39,7 @@ _LEAK_TOL = 1e-10
 class Workspace:
     """Named flat buffers that every block of one grid evaluation reuses.
 
-    ``get(name, shape, dtype)`` returns a C-contiguous view of the first
+    ``get(name, shape)`` returns a C-contiguous complex view of the first
     prod(shape) elements of the buffer called ``name``, allocating it only
     when it is missing or too small.  The first block of a grid is its
     largest, so each buffer is allocated once per grid and later blocks
@@ -51,14 +52,14 @@ class Workspace:
         self._buffers = {}
         self._views = {}  # (name, shape) -> view of the current buffer
 
-    def get(self, name, shape, dtype=complex):
+    def get(self, name, shape):
         view = self._views.get((name, shape))
         if view is not None:
             return view
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, dtype)
+            buf = self._buffers[name] = np.empty(size, complex)
             self._views = {key: v for key, v in self._views.items() if key[0] != name}
         if len(self._views) >= 64:  # a caller of many shapes: keep the dictionary small
             self._views.clear()
@@ -84,20 +85,22 @@ def pair_entries(amps, pairs, *, work=None):
     refused when a kept cavity holds more than ``_LEAK_TOL`` probability
     above one photon in any cell.
 
-    Pairs that trace out the same dimension are reduced together (one group
-    at ``n_max = 1``, three above it: AB, ab and the four mixed pairs).  For
-    each traced index k the group gathers, through the cached index tables
-    of ``_reduction_plan``, the amplitude rows of its entries and the
-    conjugate rows of their partners, and adds their product, all on rows as
-    long as the block.  The buffers come from ``work`` (a ``Workspace``;
-    a new one when None), and the result is a view into it.
+    Each run of consecutive pairs that trace out the same dimension is
+    reduced together, in request order (``PAIR_LABELS`` is one group at
+    ``n_max = 1``; above it AB, ab and the four mixed pairs).  For each
+    traced index k the group gathers, through the cached index tables of
+    ``_reduction_plan``, the amplitude rows of its entries and the conjugate
+    rows of their partners, and adds their product, all on rows as long as
+    the block.  The buffers come from ``work`` (a ``Workspace``; a new one
+    when None), and the result is a view into it.
     """
     amps = np.asarray(amps, dtype=complex)
     dims, cells = amps.shape[:4], amps.shape[4:]
     n = math.prod(cells)
-    plan = _plan(dims, pairs)
+    pairs = tuple(pairs)
+    cavities, groups, _, max_rows = _reduction_plan(dims, pairs)
     tensor = amps.reshape(dims + (n,))
-    for label, above in plan.cavities:
+    for label, above in cavities:
         high = tensor[above]
         leak = float(np.max(np.einsum("ijkln,ijkln->n", high.real, high.real)
                             + np.einsum("ijkln,ijkln->n", high.imag, high.imag), initial=0.0))
@@ -110,11 +113,11 @@ def pair_entries(amps, pairs, *, work=None):
         work = Workspace()
     flat = tensor.reshape(-1, n)
     conj = np.conjugate(flat, out=work.get("reduce.conj", flat.shape))
-    rows_buf = work.get("reduce.rows", (plan.max_rows, n))
-    cols_buf = work.get("reduce.cols", (plan.max_rows, n))
+    rows_buf = work.get("reduce.rows", (max_rows, n))
+    cols_buf = work.get("reduce.cols", (max_rows, n))
     entries = work.get("reduce.entries", (len(pairs), 10, n))
     acc_all = entries.reshape(-1, n)
-    for start, stop, row_index, col_index in plan.groups:
+    for start, stop, row_index, col_index in groups:
         acc, rows, cols = acc_all[start:stop], rows_buf[:stop - start], cols_buf[:stop - start]
         for k, (row_k, col_k) in enumerate(zip(row_index, col_index)):
             conj.take(col_k, axis=0, out=cols, mode="clip")
@@ -127,53 +130,30 @@ def pair_entries(amps, pairs, *, work=None):
                 np.add(acc, rows, out=acc)
     # the diagonal is real: only the round-off of fused products lands in its imaginary part
     entries[:, :4].imag = 0.0
-    if plan.order is not None:
-        entries = entries.take(plan.order, axis=0, out=work.get("reduce.ordered", entries.shape),
-                               mode="clip")
     return entries.reshape((len(pairs), 10) + cells)
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """How ``pair_entries`` reduces a tuple of pairs; see ``_reduction_plan``."""
-
-    cavities: tuple
-    groups: tuple
-    order: np.ndarray | None
-    max_rows: int
-    tables: tuple
-
-
-def _plan(dims, pairs):
-    """``_reduction_plan`` of ``pairs`` given as any sequence of two-label sequences."""
-    try:
-        return _reduction_plan(dims, pairs)
-    except TypeError:  # a list among them: not hashable
-        return _reduction_plan(dims, tuple(tuple(keep) for keep in pairs))
 
 
 @functools.lru_cache(maxsize=None)
 def _reduction_plan(dims, pairs):
-    """How ``pair_entries`` reduces ``pairs`` of states with factor dimensions ``dims``.
+    """How ``pair_entries`` reduces the tuple ``pairs`` of states with factor dimensions ``dims``.
 
-    ``cavities`` lists the kept cavities that can hold more than one photon,
-    as (label, index of their levels above one photon in the amplitude
-    tensor), in order of first appearance.  ``groups`` has one ``(start,
-    stop, rows, cols)`` per traced dimension: the group's output rows in
-    the flattened (pair, entry) axis, and two (traced, 10 x group pairs)
-    tables of the flat amplitude indices whose products, summed over the
-    traced index, give those entries (``rows`` conjugated on the right by
-    ``cols``).  Groups hold consecutive output slots; ``order`` maps each
-    requested pair to its slot, None when that is the request order.
-    ``tables`` holds each requested pair's (4, traced) table of the flat
-    indices of its amplitude factor M, whose rows are the pair's basis
-    states: the density is M M^dag.
+    Returns (cavities, groups, tables, max_rows).  ``cavities`` lists the
+    kept cavities that can hold more than one photon, as (label, index of
+    their levels above one photon in the amplitude tensor), in order of
+    first appearance.  ``tables`` holds each pair's (4, traced) table of the
+    flat indices of its amplitude factor M, whose rows are the pair's basis
+    states: the density is M M^dag.  ``groups`` has one ``(start, stop,
+    rows, cols)`` per run of consecutive pairs with the same traced
+    dimension: the run's output rows in the flattened (pair, entry) axis,
+    and two (traced, 10 x run pairs) tables of the flat amplitude indices
+    whose products, summed over the traced index, give those entries
+    (``rows`` conjugated on the right by ``cols``).  ``max_rows`` is the
+    largest group's row count.
     """
     positions = np.arange(math.prod(dims)).reshape(dims)
     cavities = {}
-    tables = []  # per requested pair, its (4, traced) index table
-    members = {}  # traced dimension -> [requested slots]
-    for slot, keep in enumerate(pairs):
+    tables = []
+    for keep in pairs:
         if len(keep) != 2 or keep[0] == keep[1]:
             raise ValueError(f"keep must name two distinct subsystems, got {tuple(keep)!r}")
         for label in keep:
@@ -186,22 +166,13 @@ def _reduction_plan(dims, pairs):
         traced_axes = tuple(ax for ax in range(4) if ax not in kept_axes)
         # kept cavities are read at photon numbers (1, 0); atoms already index (e, g)
         select = tuple(slice(1, None, -1) if label in CAVITY_SUBSYSTEMS else slice(None) for label in keep)
-        table = positions.transpose(kept_axes + traced_axes)[select].reshape(4, -1)
-        tables.append(table)
-        members.setdefault(table.shape[1], []).append(slot)
-    groups = []
-    order = np.empty(len(pairs), dtype=np.intp)
-    next_slot = 0
-    for group in members.values():
-        start = 10 * next_slot
-        for slot in group:
-            order[slot] = next_slot
-            next_slot += 1
-        rows = np.concatenate([tables[slot][ENTRY_ROWS] for slot in group]).T.copy()
-        cols = np.concatenate([tables[slot][ENTRY_COLS] for slot in group]).T.copy()
-        groups.append((start, 10 * next_slot, rows, cols))
-    in_order = np.array_equal(order, np.arange(len(pairs)))
-    return _Plan(cavities=tuple(cavities.items()), groups=tuple(groups),
-                 order=None if in_order else order,
-                 max_rows=max((stop - start for start, stop, _, _ in groups), default=0),
-                 tables=tuple(tables))
+        tables.append(positions.transpose(kept_axes + traced_axes)[select].reshape(4, -1))
+    groups, start, max_rows = [], 0, 0
+    for _, run in itertools.groupby(tables, key=lambda table: table.shape[1]):
+        run = list(run)
+        rows = np.concatenate([table[ENTRY_ROWS] for table in run]).T.copy()
+        cols = np.concatenate([table[ENTRY_COLS] for table in run]).T.copy()
+        groups.append((start, start + 10 * len(run), rows, cols))
+        start += 10 * len(run)
+        max_rows = max(max_rows, 10 * len(run))
+    return tuple(cavities.items()), tuple(groups), tuple(tables), max_rows

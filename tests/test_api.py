@@ -28,7 +28,7 @@ DELETED = {
     # the general Wootters route reads the amplitude factor; the matrix
     # helpers that only tests use live in tests/conftest.py
     "linalg": ["kron", "pair_density", "partial_trace", "pair_densities", "sqrt_psd", "SIGMA_Y",
-               "entry_matrices", "upper_entries", "dagger", "hermiticity_defect"],
+               "entry_matrices", "upper_entries", "dagger", "hermiticity_defect", "_Plan", "_plan"],
     # the numeric route diagonalizes the one site; the lattice matrix is the
     # tests' oracle; the n = 1 splitting is JCParams.splitting
     "jcmodel": ["total_hamiltonian", "dressed_data", "DressedData"],
@@ -56,3 +56,10 @@ def test_deleted_names_are_gone():
 def test_grid_engine_builds_its_own_site():
     # both sites are the engine's JCParams: no Hamiltonian comes from outside
     assert "hamiltonian" not in inspect.signature(jcpairs.GridEngine).parameters
+
+
+def test_knobs_no_caller_sets_are_gone():
+    # one buffer type and one sudden-death threshold: constants, not keywords
+    workspace = importlib.import_module("jcpairs.linalg").Workspace
+    assert "dtype" not in inspect.signature(workspace.get).parameters
+    assert "q_tol" not in inspect.signature(jcpairs.zero_intervals).parameters

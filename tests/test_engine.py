@@ -375,3 +375,52 @@ def test_engine_validations(res_params):
         GridEngine("analytic", "chi", res_params)
     with pytest.raises(ValueError, match="unknown pairs"):
         GridEngine("analytic", "phi", res_params).values([0.1], [0.0], ("AB", "BA"))
+
+
+@given(engine=st.sampled_from(("analytic", "numeric")), kind=kinds, n_max=st.integers(1, 4),
+       params=sites(), x_tol=st.sampled_from((1e-10, -1.0)), order=st.permutations(PAIR_LABELS),
+       size=st.integers(1, len(PAIR_LABELS)), alpha_list=st.lists(alphas, min_size=1, max_size=3),
+       fraction=st.floats(0.0, 1.0))
+@example(engine="numeric", kind="phi", n_max=2, params=JCParams(omega0=7.0, omega=7.3, g=0.6),
+         x_tol=-1.0, order=["Aa", "AB", "Bb", "ab", "Ba", "Ab"], size=3, alpha_list=[0.4],
+         fraction=0.3)
+def test_any_pair_order_gives_the_bits_of_the_default_order(engine, kind, n_max, params, x_tol, order,
+                                                            size, alpha_list, fraction):
+    # an ordered subset of the pairs, traced dimensions interleaved or not:
+    # each column has the bits of its pair's column in the default-order
+    # call, on the X reader and on the general route's slot-to-table mapping
+    pairs = tuple(order[:size])
+    ts = np.linspace(0.0, fraction * 50.0 / params.rabi(1), 5)
+    grid = GridEngine(engine, kind, params, n_max=n_max)
+    every = grid.values(alpha_list, ts, x_tol=x_tol)
+    some = grid.values(alpha_list, ts, pairs, x_tol=x_tol)
+    cols = [PAIR_LABELS.index(pair) for pair in pairs]
+    assert some.pairs == pairs
+    for field in ("concurrence", "q"):
+        assert np.array_equal(_bits(getattr(some, field)), _bits(getattr(every, field)[..., cols]))
+
+
+@pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 2)])
+@pytest.mark.parametrize("alpha, t", [(0.3, math.nan), (0.3, math.inf), (0.3, -math.inf), (0.3, 1e308),
+                                      (math.inf, 1.0), (math.nan, 1.0)])
+def test_evolution_routes_refuse_non_finite_cells(engine, n_max, alpha, t):
+    # a NaN trace fails the trace check instead of passing as a NaN value
+    grid = GridEngine(engine, "phi", JCParams(omega0=5.0, omega=5.0, g=1.0), n_max=n_max)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="trace deviates from 1 by nan"):
+        grid.values([0.1, alpha], [0.5, t])
+
+
+@pytest.mark.parametrize("alpha, t, message", [
+    (0.3, math.nan, "t must be finite, got nan"),
+    (0.3, math.inf, "t must be finite, got inf"),
+    (0.3, -math.inf, "t must be finite, got -inf"),
+    (math.inf, 1.0, "alpha must be finite, got inf"),
+    (math.nan, 1.0, "alpha must be finite, got nan"),
+])
+def test_closed_route_refuses_non_finite_alphas_and_times(alpha, t, message):
+    grid = GridEngine("closed", "phi", JCParams(omega0=5.0, omega=5.0, g=1.0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        grid.values([0.1, alpha, 0.2], [0.5, t, 0.7])
+    # a huge finite time is still a time: 0.5 delta t = 1e308 stays finite
+    values = grid.values([0.3], [1e308])
+    assert np.isfinite(values.concurrence).all() and np.isfinite(values.q).all()
