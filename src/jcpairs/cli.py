@@ -263,7 +263,8 @@ def _cmd_evolve(args):
     q = results[0].q[0]
 
     columns = list(_EVOLVE_COLUMNS)
-    data = [ts, rabi * ts, (number_cells(cfg.format, [cfg.alpha]), 0)]
+    # alpha is a float column of the one run, so a block takes one formatter call
+    data = [ts, rabi * ts, np.full(ts.size, cfg.alpha)]
     data += [conc[:, i] for i in range(len(PAIR_LABELS))]
     data += [q[:, PAIR_LABELS.index(pair)] for pair in _Q_PAIRS]
     if cfg.engine == "both":
@@ -286,11 +287,13 @@ def _cmd_sweep(args):
 
     results = [engine.values(alpha_grid, t_grid, pairs) for engine in _engines(cfg, params)]
     conc = results[0].concurrence
-    # rows run over (alpha, t, pair); the per-axis cells are formatted once
+    # rows run over (alpha, t, pair); the per-axis cells are formatted once, in one call
+    axes = number_cells(cfg.format, np.concatenate([alpha_grid, t_grid, rabi * t_grid]))
+    alpha_cells, t_cells, gt_cells = np.split(axes, [alpha_grid.size, alpha_grid.size + t_grid.size])
     data = [
-        (number_cells(cfg.format, alpha_grid), 0),
-        (number_cells(cfg.format, t_grid), 1),
-        (number_cells(cfg.format, rabi * t_grid), 1),
+        (alpha_cells, 0),
+        (t_cells, 1),
+        (gt_cells, 1),
         (label_cells(cfg.format, pairs), 2),
         conc,
         results[0].q,

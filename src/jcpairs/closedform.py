@@ -47,7 +47,8 @@ def closed_grid(kind, alphas, params, ts):
     resonance formulas (``tests/reference.py``).  At resonance delta = G,
     G/delta = 1.0 and Delta/delta = 0.0 exactly, and hypot(x, 0) = |x|, so
     every value there has the same bits as those formulas at that cell.
-    A non-finite alpha or t is refused, naming the first one.
+    A non-finite alpha or t is refused, naming the first one, and so is a
+    finite t whose half phase delta t / 2 overflows.
     """
     if kind not in ("phi", "psi"):
         raise ValueError(f"kind must be 'phi' or 'psi', got {kind!r}")
@@ -63,6 +64,8 @@ def closed_grid(kind, alphas, params, ts):
     f_abs, h_abs = [], []
     for t in ts.tolist():
         half = 0.5 * delta * t
+        if math.isinf(half):
+            raise ValueError(f"t = {t!r} overflows the half phase delta t / 2 (delta = {delta!r})")
         sin_h, cos_h = math.sin(half), math.cos(half)
         f_abs.append(math.hypot(cos_h, detuned * sin_h))
         h_abs.append(abs(coupled * sin_h))

@@ -730,6 +730,26 @@ def test_stdout_and_output_file_get_the_same_bytes(tmp_path, capsys, argv):
     assert_same_lines(out.read_bytes(), capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("argv, rows, calls", [
+    # one block: alpha is a float column of the run, not a call of its own
+    (["evolve", "--engine", "both"], 1025, 1),
+    # two blocks, plus one call for the alpha, t and Gt cells together
+    (["sweep", "--engine", "both", "--alpha-points", "3", "--steps", "200"], 3618, 3),
+])
+def test_each_table_block_takes_one_formatter_call(tmp_path, monkeypatch, argv, rows, calls):
+    made, g17_bytes = [], tablefmt.g17_bytes
+
+    def counting(values, out=None):
+        made.append(len(values))
+        return g17_bytes(values, out=out)
+
+    monkeypatch.setattr(tablefmt, "g17_bytes", counting)
+    out = tmp_path / "table.csv"
+    assert run(*argv, "--output", str(out)) == 0
+    assert len(read_csv(out)) == rows
+    assert len(made) == calls
+
+
 def _fresh_process(argv):
     """(exit code, stdout, stderr) of ``python -m jcpairs argv`` in a new interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -424,3 +424,13 @@ def test_closed_route_refuses_non_finite_alphas_and_times(alpha, t, message):
     # a huge finite time is still a time: 0.5 delta t = 1e308 stays finite
     values = grid.values([0.3], [1e308])
     assert np.isfinite(values.concurrence).all() and np.isfinite(values.q).all()
+
+
+def test_closed_route_refuses_an_overflowing_half_phase():
+    # delta = 4 at this site, so 0.5 delta t is inf at t = 1e308 where math.sin would fail
+    grid = GridEngine("closed", "phi", JCParams(omega0=5.0, omega=5.0, g=2.0))
+    message = r"^t = 1e\+308 overflows the half phase delta t / 2 \(delta = 4.0\)$"
+    with pytest.raises(ValueError, match=message):
+        grid.values([0.3], [1e308])
+    with pytest.raises(ValueError, match=message):
+        grid.values([0.3], [0.5, -1e307, 1e308])  # -1e307 still gives a finite phase
