@@ -35,9 +35,7 @@ _INITIAL_CELLS = {
 
 
 def initial_amplitudes(kind, alphas, n_max=1):
-    """Initial tensors (2, n_max+1, 2, n_max+1, *alphas.shape) of the family, one per alpha."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    """Initial tensors (2, n_max+1, 2, n_max+1, *alphas.shape) of the family, one per alpha, n_max >= 1."""
     alphas = np.asarray(alphas, dtype=float)
     n_ph = n_max + 1
     psi = np.zeros((2, n_ph, 2, n_ph) + alphas.shape, dtype=complex)

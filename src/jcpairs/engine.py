@@ -12,32 +12,26 @@
   two matrix products (``HamiltonianPropagator.evolve_grid``); its phases
   drift by about 2 eps ||H_site|| t.
 
+It alone decides what a route can compute: it refuses ``n_max < 1`` and
+an overflowing largest phase rate (before any ``eigh``), and each
+``values`` call a NaN or infinite alpha or t, or a t whose largest phase,
+rate x t, overflows, naming it.  The rate is delta/2 on the closed route
+and 2 (omega0/2 + n_max omega + sqrt(n_max) g) on the evolution routes.
+
 The two evolution routes evolve each block of cells once, with the cells
 last (amplitudes (2, d, 2, d, n_alpha, n_t)), and read every requested pair
-of it with one ``pair_values`` call.  Its reducer, ``pair_entries``, does
-for each traced index one gather of the entries' amplitude rows and of their
-partners' conjugate rows and one elementwise product, on rows as long as the
-block, per traced dimension (one at ``n_max = 1``, three above it).  That
-gives the 10 entries on and above the diagonal of every pair density,
-Hermitian by construction.  ``pair_values`` then checks every cell (trace,
-and PSD from the two 2x2 blocks of X cells) and reads C and Q straight from
-those entries into the output; only cells off the X pattern gather their
-amplitude factor for the general Wootters route.  They process the grid in
-blocks of at most ``BLOCK_CELLS`` cells, so memory stays bounded for any
-grid size, and every block writes into the one ``Workspace`` the engine
-owns, sized by the largest block it has run: no block allocates a large
-temporary of its own, and a repeated call writes into memory that is
-already mapped (so one engine runs one ``values`` call at a time).  A
-cell's values do not depend on how the grid is split into blocks or
-calls.  The closed route keeps nothing per cell beyond
-its output and evaluates the whole grid in one call.
-
-A one-cell grid is how to get the values at one (alpha, t): every cell of a
-larger call has the same bits.
+of it with one ``pair_values`` call.  Blocks hold at most ``BLOCK_CELLS``
+cells and write into the one ``Workspace`` the engine owns, so memory stays
+bounded for any grid size and a repeated call writes into memory that is
+already mapped (so one engine runs one ``values`` call at a time).  The
+closed route evaluates the whole grid in one call.  On every route a cell's
+values do not depend on how the grid is split into blocks or calls, so a
+one-cell grid gives the values at one (alpha, t).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +74,22 @@ class GridEngine:
             raise ValueError(f"engine must be one of {ENGINES}, got {name!r}")
         if kind not in FAMILY_KINDS:
             raise ValueError(f"kind must be one of {FAMILY_KINDS}, got {kind!r}")
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.name = name
         self.kind = kind
         self.params = params
         self.n_max = n_max
+        if name == "closed":  # the closed form's one phase
+            self._rate = 0.5 * params.splitting
+            self._overflow = f"overflows the half phase delta t / 2 (delta = {params.splitting!r})"
+        else:  # twice a site's largest energy bounds every phase rate of the evolution routes
+            self._rate = 2.0 * (0.5 * params.omega0 + n_max * params.omega + math.sqrt(n_max) * params.g)
+            rate_text = (f"the largest phase rate of the {name} route, 2 (omega0/2 + n_max omega + "
+                         f"sqrt(n_max) g) = {self._rate!r} at n_max = {n_max} and {params!r},")
+            if math.isinf(self._rate):
+                raise ValueError(f"{rate_text} overflows")
+            self._overflow = f"times {rate_text} overflows"
         self._work = Workspace()
         if name == "numeric":
             self._propagator = HamiltonianPropagator(site_hamiltonian(params, n_max))
@@ -97,6 +103,16 @@ class GridEngine:
         """
         alphas = np.asarray(alphas, dtype=float).reshape(-1)
         ts = np.asarray(ts, dtype=float).reshape(-1)
+        # few values (an esd step): a finite sum |alpha| + rate sum |t| in Python floats clears all
+        if alphas.size + ts.size > 32 or not math.isfinite(
+                sum(map(abs, alphas.tolist())) + self._rate * sum(map(abs, ts.tolist()))):
+            for axis, grid in (("alpha", alphas), ("t", ts)):
+                largest = float(np.maximum.reduce(np.abs(grid), initial=0.0))
+                if not math.isfinite(largest):  # NaN or inf
+                    raise ValueError(f"{axis} must be finite, got {float(grid[~np.isfinite(grid)][0])!r}")
+            if math.isinf(self._rate * largest):  # the largest |t|
+                t = next(t for t in ts.tolist() if math.isinf(self._rate * t))
+                raise ValueError(f"t = {t!r} {self._overflow}")
         if pairs is not PAIR_LABELS:
             pairs = tuple(pairs)
             unknown = [pair for pair in pairs if pair not in PAIR_LABELS]

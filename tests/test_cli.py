@@ -433,24 +433,31 @@ def test_default_steps_may_reach_the_ceiling(command):
     (["evolve", "--g", "1e308"],
      "error: the manifold splitting hypot(omega - omega0, 2g) overflows for "
      "omega0=5.0, omega=5.0, g=1e+308\n"),
+    # the engine refuses what no route can compute, naming the route's largest phase rate
     (["sweep", "--engine", "closed", "--omega", "1e308", "--alpha-points", "1", "--steps", "2"],
-     "error: t-max 6.283185307179586 times the largest phase rate, 2 (omega0/2 + n_max omega + "
-     "sqrt(n_max) g) = inf, overflows; lower t-max, omega0, omega or g\n"),
+     "error: t = 6.283185307179586 overflows the half phase delta t / 2 (delta = 1e+308)\n"),
     (["esd", "--omega", "1e308", "--steps", "8"],
-     "error: t-max 6.283185307179586 times the largest phase rate, 2 (omega0/2 + n_max omega + "
-     "sqrt(n_max) g) = inf, overflows; lower t-max, omega0, omega or g\n"),
+     "error: the largest phase rate of the analytic route, 2 (omega0/2 + n_max omega + "
+     "sqrt(n_max) g) = inf at n_max = 1 and JCParams(omega0=5.0, omega=1e+308, g=1.0), overflows\n"),
     (["sweep", "--t-max", "1e307", "--steps", "3", "--n-max", "2"],
-     "error: t-max 1e+307 times the largest phase rate, 2 (omega0/2 + n_max omega + "
-     "sqrt(n_max) g) = 27.82842712474619, overflows; lower t-max, omega0, omega or g\n"),
+     "error: t = 6.666666666666666e+306 times the largest phase rate of the analytic route, "
+     "2 (omega0/2 + n_max omega + sqrt(n_max) g) = 27.82842712474619 at n_max = 2 and "
+     "JCParams(omega0=5.0, omega=5.0, g=1.0), overflows\n"),
     # verify's own grid ends at 4 pi/G: its phases overflow, or were NaN and passed every check
     (["verify", "--omega0", "1e308", "--omega", "1e308"],
-     "error: verify's largest t, 4 pi/G = 6.283185307179586 times the largest phase rate, "
-     "2 (omega0/2 + n_max omega + sqrt(n_max) g) = inf, overflows; lower omega0 or omega, "
-     "or raise g\n"),
+     "error: the largest phase rate of the analytic route, 2 (omega0/2 + n_max omega + "
+     "sqrt(n_max) g) = inf at n_max = 1 and JCParams(omega0=1e+308, omega=1e+308, g=1.0), "
+     "overflows\n"),
     (["verify", "--g", "1e-300", "--omega0", "1e10", "--omega", "1e10"],
-     "error: verify's largest t, 4 pi/G = 6.283185307179586e+300 times the largest phase rate, "
-     "2 (omega0/2 + n_max omega + sqrt(n_max) g) = 30000000000.0, overflows; lower omega0 or "
-     "omega, or raise g\n"),
+     "error: t = 3.9269908169872414e+299 times the largest phase rate of the analytic route, "
+     "2 (omega0/2 + n_max omega + sqrt(n_max) g) = 30000000000.0 at n_max = 1 and "
+     "JCParams(omega0=10000000000.0, omega=10000000000.0, g=1e-300), overflows\n"),
+    # the closed route's half phase, 1e308, is finite; the Gt column, 2e308, is not
+    (["sweep", "--engine", "closed", "--t-max", "1e308", "--steps", "3"],
+     "error: Gt = 2g t overflows at t-max 1e+308, g=1.0; lower t-max or g\n"),
+    (["esd", "--engine", "closed", "--t-max", "1e308", "--steps", "3"],
+     "error: Gt = 2g t overflows at t-max 1e+308, g=1.0; lower t-max or g\n"),
+    (["evolve", "--n-max", "0"], "error: n_max must be >= 1, got 0\n"),
     # the default t-max, two Rabi periods, would be inf
     (["evolve", "--g", "1e-308"], "error: two Rabi periods, 2 pi / g, overflow for g=1e-308; raise g\n"),
     (["sweep", "--g", "1e-308"], "error: two Rabi periods, 2 pi / g, overflow for g=1e-308; raise g\n"),
@@ -463,11 +470,38 @@ def test_default_steps_may_reach_the_ceiling(command):
     (["esd", "--g", "1e-308", "--t-max", "1"],
      "error: the Rabi period, pi / g, overflows for g=1e-308; give --steps\n"),
 ], ids=["evolve-g", "sweep-omega", "esd-omega", "sweep-t-max", "verify-omega", "verify-tiny-g",
-        "evolve-tiny-g", "sweep-tiny-g", "esd-tiny-g", "evolve-tiny-g-t-max", "sweep-tiny-g-t-max",
-        "esd-tiny-g-t-max"])
+        "sweep-closed-gt", "esd-closed-gt", "evolve-n-max", "evolve-tiny-g", "sweep-tiny-g",
+        "esd-tiny-g", "evolve-tiny-g-t-max", "sweep-tiny-g-t-max", "esd-tiny-g-t-max"])
 def test_overflowing_rates_or_phases_are_usage_errors(argv, message):
     # a fresh process, so that a numpy warning or a traceback would show on stderr
     assert _fresh_process(argv) == (1, "", message)
+
+
+def test_closed_route_takes_every_time_whose_half_phase_and_gt_are_finite(tmp_path):
+    # the evolution routes' bound, 2 (5/2 + 10 + sqrt(2)) t = 2.8e308, does not apply to the closed form
+    out = tmp_path / "closed.csv"
+    assert run("sweep", "--engine", "closed", "--t-max", "1e307", "--n-max", "2", "--alpha-points", "1",
+               "--steps", "3", "--output", str(out)) == 0
+    rows = read_csv(out)
+    ts = np.linspace(0.0, 1e307, 4)
+    values = GridEngine("closed", "phi", PARAMS).values([0.0], ts)
+    assert [float(row["t"]) for row in rows] == np.repeat(ts, 6).tolist()
+    assert [float(row["C"]) for row in rows] == values.concurrence.reshape(-1).tolist()
+
+
+def test_evolve_time_grid_does_not_overflow_where_no_time_does(tmp_path):
+    # t-max * steps = 1e309 overflows, though every time is finite: the grid is
+    # that of t-max / 1024, scaled by the exact 1024; where t-max * steps is
+    # finite, each time is t-max * i / steps as before
+    def times(t_max, steps):
+        out = tmp_path / "evolve.csv"
+        assert run("evolve", "--t-max", repr(t_max), "--steps", str(steps), "--output", str(out)) == 0
+        return [float(row["t"]) for row in read_csv(out)]
+
+    huge = times(1e306, 1000)
+    assert huge == [1024.0 * t for t in times(1e306 / 1024.0, 1000)]
+    assert huge[-1] == 1e306 and all(math.isfinite(t) for t in huge)
+    assert times(3.7, 1000) == (3.7 * np.arange(1001) / 1000).tolist()
 
 
 def test_min_width_is_no_setting(tmp_path, capsys):

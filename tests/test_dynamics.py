@@ -23,8 +23,9 @@ def norms(psi):
 def test_family_validation(res_params):
     with pytest.raises(ValueError, match="kind"):
         GridEngine("analytic", "chi", res_params)
-    with pytest.raises(ValueError, match="n_max"):
-        initial_amplitudes("phi", 0.3, n_max=0)
+    for engine in ("closed", "analytic", "numeric"):
+        with pytest.raises(ValueError, match=r"^n_max must be >= 1, got 0$"):
+            GridEngine(engine, "phi", res_params, n_max=0)
 
 
 def test_prepare_phi_alpha_zero():

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from conftest import (concurrence, entry_matrices, entry_values, pair_matrices, 
 from jcpairs import PAIR_LABELS, GridEngine, JCParams, site_hamiltonian
 from jcpairs.cli import main
 from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
+from jcpairs.engine import ENGINES
 from jcpairs.entanglement import _x_entries, _x_lowest
 from reference import resonance_values, total_hamiltonian
 
@@ -404,9 +407,18 @@ def test_any_pair_order_gives_the_bits_of_the_default_order(engine, kind, n_max,
 @pytest.mark.parametrize("alpha, t", [(0.3, math.nan), (0.3, math.inf), (0.3, -math.inf), (0.3, 1e308),
                                       (math.inf, 1.0), (math.nan, 1.0)])
 def test_evolution_routes_refuse_non_finite_cells(engine, n_max, alpha, t):
-    # a NaN trace fails the trace check instead of passing as a NaN value
+    # refused before any phase is formed, naming the bad alpha or t (no NaN trace, no warning)
     grid = GridEngine(engine, "phi", JCParams(omega0=5.0, omega=5.0, g=1.0), n_max=n_max)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="trace deviates from 1 by nan"):
+    if not math.isfinite(alpha):
+        message = f"alpha must be finite, got {alpha!r}"
+    elif not math.isfinite(t):
+        message = f"t must be finite, got {t!r}"
+    else:  # 2 (omega0/2 + n_max omega + sqrt(n_max) g) = 17 at n_max = 1
+        rate = {1: "17.0", 2: "27.82842712474619"}[n_max]
+        message = (f"t = 1e+308 times the largest phase rate of the {engine} route, 2 (omega0/2 + "
+                   f"n_max omega + sqrt(n_max) g) = {rate} at n_max = {n_max} and "
+                   "JCParams(omega0=5.0, omega=5.0, g=1.0), overflows")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         grid.values([0.1, alpha], [0.5, t])
 
 
@@ -434,3 +446,87 @@ def test_closed_route_refuses_an_overflowing_half_phase():
         grid.values([0.3], [1e308])
     with pytest.raises(ValueError, match=message):
         grid.values([0.3], [0.5, -1e307, 1e308])  # -1e307 still gives a finite phase
+
+
+def test_an_overflowing_rate_is_refused_before_the_eigh(monkeypatch):
+    # 2 (5/2 + 2e308 + sqrt(2)) is inf: no eigh and no Hermitian check may see the inf Hamiltonian
+    def refuse(*args, **kwargs):
+        raise AssertionError("a site Hamiltonian was diagonalized")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    site = JCParams(omega0=5.0, omega=1e308, g=1.0)
+    for engine in ("analytic", "numeric"):
+        message = (f"the largest phase rate of the {engine} route, 2 (omega0/2 + n_max omega + "
+                   f"sqrt(n_max) g) = inf at n_max = 2 and {site!r}, overflows")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GridEngine(engine, "phi", site, n_max=2)
+    # the closed form's one phase rate, delta / 2 = 5e307, is finite
+    values = GridEngine("closed", "phi", site, n_max=2).values([0.3], [1.0])
+    assert np.isfinite(values.concurrence).all()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_empty_grids_give_empty_arrays(engine):
+    grid = GridEngine(engine, "psi", JCParams(omega0=5.0, omega=5.7, g=1.0), n_max=2)
+    for alpha_grid, t_grid in (([], [0.5, 1.0]), ([0.3], []), ([], [])):
+        values = grid.values(alpha_grid, t_grid, ("AB", "Ab"))
+        shape = (len(alpha_grid), len(t_grid), 2)
+        assert values.concurrence.shape == values.q.shape == shape
+
+
+_ORDINARY_TIMES = st.floats(-50.0, 50.0)
+_EXTREME_TIMES = st.sampled_from([1e300, -1e300, 1e308, -1e308, math.nan, math.inf, -math.inf])
+_BAD_ALPHAS = st.sampled_from([math.nan, math.inf, -math.inf])
+_FIELDS = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)  # log-uniform
+
+
+def _largest_phase_rate(engine, params, n_max):
+    """The contract's rate: delta/2 on the closed route, twice the largest site energy otherwise."""
+    if engine == "closed":
+        return 0.5 * params.splitting
+    return 2.0 * (0.5 * params.omega0 + n_max * params.omega + math.sqrt(n_max) * params.g)
+
+
+@given(engine=st.sampled_from(ENGINES), kind=kinds, n_max=st.integers(1, 4),
+       fields=st.tuples(_FIELDS, _FIELDS, _FIELDS),
+       alpha_list=st.lists(st.one_of(alphas, _BAD_ALPHAS), min_size=1, max_size=3),
+       t_list=st.lists(st.one_of(_ORDINARY_TIMES, _EXTREME_TIMES), min_size=1, max_size=3))
+@example(engine="numeric", kind="phi", n_max=2, fields=(5.0, 5.0, 2.0), alpha_list=[0.3],
+         t_list=[0.5, 1e308])
+@example(engine="analytic", kind="psi", n_max=4, fields=(1e300, 1e-300, 1e300), alpha_list=[0.3],
+         t_list=[1.0, -1e300])
+# grids longer than the engine's Python fast check
+@example(engine="analytic", kind="phi", n_max=1, fields=(5.0, 5.0, 2.0), alpha_list=[0.3],
+         t_list=[0.5] * 40 + [1e308])
+@example(engine="closed", kind="psi", n_max=1, fields=(5.0, 5.7, 1.0), alpha_list=[0.1] * 40 + [math.nan],
+         t_list=[0.5])
+@example(engine="numeric", kind="phi", n_max=3, fields=(5.0, 5.7, 1.0), alpha_list=[0.2, 0.4],
+         t_list=np.linspace(-50.0, 50.0, 40).tolist())
+def test_every_route_computes_or_names_what_it_refuses(engine, kind, n_max, fields, alpha_list, t_list):
+    # the input contract: valid values, or a ValueError naming the first bad
+    # alpha, the first bad t, or the first t whose largest phase overflows;
+    # never a RuntimeWarning, a NaN trace or a bare math error
+    params = JCParams(*fields)
+    rate = _largest_phase_rate(engine, params, n_max)
+    bad_alphas = [alpha for alpha in alpha_list if not math.isfinite(alpha)]
+    bad_ts = [t for t in t_list if not math.isfinite(t)]
+    overflowing = [t for t in t_list if math.isinf(rate * t)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        grid = GridEngine(engine, kind, params, n_max=n_max)
+        if bad_alphas or bad_ts or overflowing:
+            if bad_alphas:
+                message = re.escape(f"alpha must be finite, got {bad_alphas[0]!r}") + "$"
+            elif bad_ts:
+                message = re.escape(f"t must be finite, got {bad_ts[0]!r}") + "$"
+            else:
+                message = re.escape(f"t = {overflowing[0]!r} ") + ".*overflows"
+            with pytest.raises(ValueError, match=f"^{message}"):
+                grid.values(alpha_list, t_list)
+            return
+        values = grid.values(alpha_list, t_list)
+    conc, q = values.concurrence, values.q
+    assert np.all((conc >= 0.0) & (conc <= 1.0))
+    off_x = np.isnan(q)
+    assert np.isfinite(q[~off_x]).all()
+    assert engine != "closed" or not off_x.any()
