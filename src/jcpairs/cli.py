@@ -209,11 +209,12 @@ def _validate(cfg):
 
 
 def _write_output(path, chunks):
-    """Write text chunks to ``path`` ('-' or None for stdout) as they come."""
+    """Write byte chunks (bytes or uint8 arrays) to ``path`` ('-' or None for stdout) as they come."""
     if path in (None, "-"):
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # what the text layer holds goes first
+        sys.stdout.buffer.writelines(chunks)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(chunks)
 
 
@@ -304,7 +305,7 @@ def _cmd_esd(args):
     cfg = _merged(args, "esd")
     (engine,) = _engines(cfg, cfg.params)
     report = scan_report(engine, cfg.alpha, cfg.t_max, zero_tol=cfg.zero_tol, samples=cfg.steps + 1)
-    _write_output(cfg.output, [report_json(report)])
+    _write_output(cfg.output, [report_json(report).encode()])
     return 0
 
 
@@ -320,7 +321,7 @@ def _cmd_verify(args):
     else:
         lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks]
         text = "\n".join(lines) + "\n"
-    _write_output(cfg.output, [text])
+    _write_output(cfg.output, [text.encode()])
     if all(ok for _, ok, _ in checks):
         return 0
     failed = ", ".join(name for name, ok, _ in checks if not ok)

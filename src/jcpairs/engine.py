@@ -12,11 +12,12 @@
   two matrix products (``HamiltonianPropagator.evolve_grid``); its phases
   drift by about 2 eps ||H_site|| t.
 
-It alone decides what a route can compute: it refuses ``n_max < 1`` and
-an overflowing largest phase rate (before any ``eigh``), and each
-``values`` call a NaN or infinite alpha or t, or a t whose largest phase,
-rate x t, overflows, naming it.  The rate is delta/2 on the closed route
-and 2 (omega0/2 + n_max omega + sqrt(n_max) g) on the evolution routes.
+It alone decides what a route can compute: it refuses ``n_max < 1``, an
+overflowing largest phase rate (before any ``eigh``) and a site whose
+``eigh`` fails (naming ``n_max`` and the site), and each ``values`` call
+a NaN or infinite alpha or t, or a t whose largest phase, rate x t,
+overflows, naming it.  The rate is delta/2 on the closed route and
+2 (omega0/2 + n_max omega + sqrt(n_max) g) on the evolution routes.
 
 The two evolution routes evolve each block of cells once, with the cells
 last (amplitudes (2, d, 2, d, n_alpha, n_t)), and read every requested pair
@@ -92,7 +93,11 @@ class GridEngine:
             self._overflow = f"times {rate_text} overflows"
         self._work = Workspace()
         if name == "numeric":
-            self._propagator = HamiltonianPropagator(site_hamiltonian(params, n_max))
+            try:
+                self._propagator = HamiltonianPropagator(site_hamiltonian(params, n_max))
+            except np.linalg.LinAlgError as exc:  # eigh did not converge
+                raise ValueError(f"the numeric route cannot diagonalize the site Hamiltonian at "
+                                 f"n_max = {n_max} and {params!r}: {exc}") from None
 
     def values(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
         """C and Q of ``pairs`` at every (alpha, t) of the two 1-D grids.

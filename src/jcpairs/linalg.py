@@ -83,7 +83,7 @@ def pair_entries(amps, pairs, *, work=None):
     reported in (one photon, vacuum) order, so every output basis lists the
     excited level first: (x1 x2) = (ee, eg, ge, gg)-like.  The projection is
     refused when a kept cavity holds more than ``_LEAK_TOL`` probability
-    above one photon in any cell.
+    above one photon in any cell; the refusal names the worst cell.
 
     Each run of consecutive pairs that trace out the same dimension is
     reduced together, in request order (``PAIR_LABELS`` is one group at
@@ -102,11 +102,13 @@ def pair_entries(amps, pairs, *, work=None):
     tensor = amps.reshape(dims + (n,))
     for label, above in cavities:
         high = tensor[above]
-        leak = float(np.max(np.einsum("ijkln,ijkln->n", high.real, high.real)
-                            + np.einsum("ijkln,ijkln->n", high.imag, high.imag), initial=0.0))
-        if leak > _LEAK_TOL:
+        leak = np.einsum("ijkln,ijkln->n", high.real, high.real)
+        leak += np.einsum("ijkln,ijkln->n", high.imag, high.imag)
+        worst = int(np.argmax(leak)) if n else 0
+        if n and leak[worst] > _LEAK_TOL:
+            cell = tuple(int(i) for i in np.unravel_index(worst, cells))
             raise ValueError(
-                f"cavity {label} holds probability {leak:.3e} above one photon "
+                f"cavity {label} holds probability {leak[worst]:.3e} above one photon at cell {cell} "
                 f"(tolerance {_LEAK_TOL:.3e}); cannot reduce to a qubit"
             )
     if work is None:

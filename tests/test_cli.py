@@ -748,7 +748,7 @@ def test_table_writer_matches_row_formatter_on_edge_values(monkeypatch, fmt, cas
     expected = REFERENCE[fmt](columns, rows)
     for row_block in (tablefmt.ROW_BLOCK, shape[-1] - 1, shape[-1], 2 * shape[-1] + 1):
         monkeypatch.setattr(tablefmt, "ROW_BLOCK", row_block)
-        assert_same_lines("".join(tablefmt.table_chunks(fmt, columns, shape, data)), expected)
+        assert_same_lines(b"".join(tablefmt.table_chunks(fmt, columns, shape, data)), expected)
 
 
 @pytest.mark.parametrize("argv", [
@@ -762,6 +762,39 @@ def test_stdout_and_output_file_get_the_same_bytes(tmp_path, capsys, argv):
     capsys.readouterr()
     assert run(*argv) == 0
     assert_same_lines(out.read_bytes(), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_table_of_several_blocks_has_the_same_bytes_on_the_stdout_descriptor(tmp_path, capfd, fmt):
+    # the writer puts bytes on sys.stdout.buffer after flushing the text layer;
+    # capfd reads what reached file descriptor 1
+    argv = ["sweep", "--engine", "closed", "--alpha-points", "3", "--steps", "200", "--format", fmt]
+    out = tmp_path / "table.out"
+    assert run(*argv, "--output", str(out)) == 0
+    assert 3 * 201 * len(PAIR_LABELS) > tablefmt.ROW_BLOCK  # rows: more than one block
+    print("before", end="|")
+    assert run(*argv) == 0
+    print("|after")
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == b"before|" + out.read_bytes() + b"|after\n"
+
+
+@pytest.mark.parametrize("fmt, first", [("csv", b"alpha,t,Gt,pair,C,Q,is_zero\n"), ("json", b"{\n")])
+def test_a_reader_that_stops_after_one_line_leaves_one_io_error_line(fmt, first):
+    # stdout is a pipe whose reader closes after the first line: exit 2 and
+    # one stderr line, with no "Exception ignored" report at interpreter exit
+    proc = subprocess.Popen([sys.executable, "-m", "jcpairs", "sweep", "--engine", "closed",
+                             "--alpha-points", "101", "--steps", "1024", "--format", fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_source_env())
+    try:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)  # one stderr line cannot fill its pipe
+    finally:
+        proc.kill()
+    with proc.stderr:
+        assert (code, line, proc.stderr.read()) == (2, first, b"I/O error: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("argv, rows, calls", [
@@ -784,12 +817,16 @@ def test_each_table_block_takes_one_formatter_call(tmp_path, monkeypatch, argv, 
     assert len(made) == calls
 
 
+def _source_env():
+    """The environment with this source tree first on ``PYTHONPATH``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_process(argv):
     """(exit code, stdout, stderr) of ``python -m jcpairs argv`` in a new interpreter."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "jcpairs", *argv], capture_output=True, text=True,
-                          env=env, check=False)
+                          env=_source_env(), check=False)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -465,6 +465,47 @@ def test_an_overflowing_rate_is_refused_before_the_eigh(monkeypatch):
     assert np.isfinite(values.concurrence).all()
 
 
+# Sites where the numeric route's one eigh mixes nearly degenerate excitation
+# manifolds (population leaks above one photon at a large phase) or fails.
+_LEAKING_SITES = [
+    (JCParams(1.0, 1e-13, 4.856243432510091e-50), 1e300, "1.883e-08"),
+    (JCParams(1.1671009717970596e+277, 1.3660129889829182e-219, 2.4406572640694918e+246),
+     33.56047578428661, "8.903e-03"),
+]
+_UNDIAGONALIZABLE_SITE = JCParams(2.2090347762034448e+44, 1.7583199221099784e+53, 1.5464825831913855e+285)
+
+
+@pytest.mark.parametrize("params, t, leak", _LEAKING_SITES)
+def test_numeric_leak_refusal_names_its_cell(params, t, leak):
+    grid = GridEngine("numeric", "psi", params, n_max=2)
+    for t_grid, cell in (([t], "(0, 0)"), ([0.0, t], "(0, 1)")):
+        with pytest.raises(ValueError) as err:
+            grid.values([0.3], t_grid)
+        assert str(err.value) == (f"cavity a holds probability {leak} above one photon at cell {cell} "
+                                  "(tolerance 1.000e-10); cannot reduce to a qubit")
+
+
+def test_a_site_eigh_cannot_diagonalize_is_refused_naming_n_max_and_the_site():
+    message = ("the numeric route cannot diagonalize the site Hamiltonian at n_max = 3 and "
+               f"{_UNDIAGONALIZABLE_SITE!r}: Eigenvalues did not converge")
+    with pytest.raises(ValueError) as err:
+        GridEngine("numeric", "psi", _UNDIAGONALIZABLE_SITE, n_max=3)
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+def test_numeric_refusals_reach_stderr_with_their_place(capsys):
+    site = ["--omega0", "1", "--omega", "1e-13", "--g", "4.856243432510091e-50"]
+    assert main(["evolve", "--engine", "numeric", "--family", "psi", "--alpha", "0.3", "--n-max", "2",
+                 *site, "--t-max", "1e300", "--steps", "1"]) == 1
+    assert capsys.readouterr().err == ("error: cavity a holds probability 1.883e-08 above one photon at "
+                                       "cell (0, 1) (tolerance 1.000e-10); cannot reduce to a qubit\n")
+    p = _UNDIAGONALIZABLE_SITE
+    assert main(["evolve", "--engine", "numeric", "--n-max", "3", "--omega0", repr(p.omega0),
+                 "--omega", repr(p.omega), "--g", repr(p.g), "--t-max", "1e-300", "--steps", "1"]) == 1
+    assert capsys.readouterr().err == ("error: the numeric route cannot diagonalize the site Hamiltonian "
+                                       f"at n_max = 3 and {p!r}: Eigenvalues did not converge\n")
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_empty_grids_give_empty_arrays(engine):
     grid = GridEngine(engine, "psi", JCParams(omega0=5.0, omega=5.7, g=1.0), n_max=2)

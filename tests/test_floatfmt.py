@@ -1,4 +1,10 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,12 +91,69 @@ def test_pinned_values_match_percent_g(batch):
 
 @pytest.mark.parametrize("bias", [-1e-12, 1e-12])
 def test_wrong_exponent_guesses_fall_back(monkeypatch, bias):
-    # a shifted log10 makes the guess X one too low (or too high) for values
-    # within about 2e-12 of a power of ten; the range checks must catch them
-    log10 = np.log10
-    monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
+    # thresholds moved off the powers of ten make X one too high (or too
+    # low) for values within about 1e-12 of a power of ten; the range checks
+    # must catch them
+    limbs, guess, tens, layouts = floatfmt._tables()
+    inside = tens != np.uint64(2**64 - 1)
+    moved = tens.copy()
+    moved[inside] = (tens[inside].view(np.float64) * (1.0 + bias)).view(np.uint64)
+    monkeypatch.setattr(floatfmt, "_tables", lambda: (limbs, guess, moved, layouts))
     values = neighbours(POWERS_OF_TEN, steps=50)
+    assert not floatfmt._decimal(values)[2].all()  # some guesses are wrong
     assert g17_texts(values) == percent_g(values)
+
+
+def reference_layouts():
+    """The layout table built one layout at a time from its text, as (10, layouts) words."""
+    columns = []
+    for neg, x, kept in itertools.product((0, 1), range(-39, 16), range(1, 18)):
+        if x >= 0:  # %f style with 16 - X decimals, trailing zeros dropped
+            prefix, head = b"", x + 1
+        elif x >= -4:
+            prefix, head = b"0." + b"0" * (-x - 1), 17
+        else:  # %e style
+            prefix, head = b"", 1
+        prefix = b"-" * neg + prefix
+        fixed = bytearray(prefix.ljust(24, b"\0"))
+        length = len(prefix) + (head if x >= 0 else min(kept, head))
+        if kept > head:  # the point, then the kept digits after the head
+            fixed[length] = ord(".")
+            length += 1 + kept - head
+        if x < -4:
+            fixed[length:length + 4] = b"e%+03d" % x
+        # digit j of the digit words is in byte 7 + j; the head moves down to the prefix's end
+        head_mask = (b"\0" * 7 + b"\xff" * head).ljust(24, b"\0")
+        length_mask = (b"\xff" * length).ljust(24, b"\0")
+        shift = (8 * (7 - len(prefix))).to_bytes(8, "little")
+        columns.append(np.frombuffer(bytes(fixed) + head_mask + length_mask + shift, dtype="<u8"))
+    return np.array(columns).T
+
+
+def test_layout_table_matches_a_loop_reference():
+    assert np.array_equal(floatfmt._tables()[3], reference_layouts())
+
+
+def test_exponent_tables_give_floor_log10_exactly():
+    # inside the window X is g = floor(log10 2^E) on [2^E, 2^(E+1)), or g + 1
+    # from the double nearest 10^(g+1); outside it, X is 0
+    _, guess, tens, _ = floatfmt._tables()
+    for b in range(2048):
+        e = b - 1023
+        if not 895 <= b <= 1075:
+            assert (guess[b], tens[b]) == (39, 2**64 - 1)
+            continue
+        g = int(guess[b]) - 39
+        assert Fraction(10) ** g <= Fraction(2) ** e < Fraction(10) ** (g + 1)
+        assert tens[b] == np.float64(float(f"1e{g + 1}")).view(np.uint64)
+
+
+def test_importing_the_cli_builds_no_table():
+    src = str(Path(floatfmt.__file__).resolve().parents[1])
+    code = "import jcpairs.cli, jcpairs.floatfmt as f; print(f._tables.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "0\n"
 
 
 def test_window_values_take_no_fallback():

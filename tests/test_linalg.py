@@ -163,7 +163,8 @@ def test_leakage_error_names_the_first_leaking_cavity_and_its_largest_population
     cells_last = np.moveaxis(psi, 0, -1)
     leak_a = float(np.max(np.sum(np.abs(psi[:, :, 2:]) ** 2, axis=(1, 2, 3, 4))))
     leak_b = float(np.max(np.sum(np.abs(psi[..., 2:]) ** 2, axis=(1, 2, 3, 4))))
-    message = "cavity {} holds probability {:.3e} above one photon (tolerance 1.000e-10); cannot reduce to a qubit"
+    message = ("cavity {} holds probability {:.3e} above one photon at cell (1,) (tolerance 1.000e-10); "
+               "cannot reduce to a qubit")
     # the cavities are checked in the order their labels first appear in the pairs
     for keeps, label, leak in (
         (["ab"], "a", leak_a),
@@ -178,6 +179,12 @@ def test_leakage_error_names_the_first_leaking_cavity_and_its_largest_population
         with pytest.raises(ValueError) as err:
             pair_entries(cells_last, [keep])
         assert str(err.value) == message.format(label, leak)
-    assert message.format("a", leak_a).startswith("cavity a holds probability 4.500e-01")
+    # the worst cell is named: cavity a leaks in both cells, most in the second
+    assert message.format("a", leak_a).startswith("cavity a holds probability 4.500e-01 above one photon at cell (1,)")
+    # cells on two axes: the worst is named by its index along each
+    grid = np.zeros(cells_last.shape[:4] + (2, 3), dtype=complex)
+    grid[..., 1, 2] = cells_last[..., 1]
+    with pytest.raises(ValueError, match=r"above one photon at cell \(1, 2\) "):
+        pair_entries(grid, ["ab"])
     # tracing both cavities out needs no projection
     assert pair_entries(cells_last, ["AB"]).shape == (1, 10, 2)
