@@ -10,7 +10,7 @@ entanglement-sudden-death windows.
 
 from .engine import GridEngine, GridValues
 from .entanglement import PAIR_LABELS
-from .esd import ZeroInterval, esd_boundary_phi_AB, zero_intervals
+from .esd import ZeroInterval, boundary_AB, zero_intervals
 from .jcmodel import JCParams, site_hamiltonian
 
 __version__ = "0.1.0"
@@ -21,7 +21,7 @@ __all__ = [
     "JCParams",
     "PAIR_LABELS",
     "ZeroInterval",
-    "esd_boundary_phi_AB",
+    "boundary_AB",
     "site_hamiltonian",
     "zero_intervals",
 ]

@@ -8,15 +8,15 @@ at one resonant site:
 * psi-family conservation C_AB + C_ab = |sin 2 alpha|;
 * the psi cross-pair bound max C_Ab = 1/2;
 * the time-independent Q combination, equal to |sin 2 alpha| / 2, on the
-  closed form's Q columns;
+  closed route's Q columns;
 * the shift symmetry C_ab(t + pi/G) = C_AB(t) and the pair symmetries;
 * X-form universality (Yu & Eberly, QIC 7, 459 (2007)): every reduction of
   the analytic and numeric routes is X-shaped (no cell has Q = NaN) and its
   entry-read C is the general Wootters C, which ``GridEngine.values`` gives
   at ``x_tol < 0``.
 
-Every value comes from ``GridEngine`` (or ``closed_grid``'s Q columns), so
-the suite checks the code the CLI runs; it picks no route itself.
+Every value comes from ``GridEngine``, so the suite checks the code the CLI
+runs; it picks no route itself.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 
 import numpy as np
 
-from .closedform import closed_grid
 from .dynamics import FAMILY_KINDS
 from .engine import GridEngine
 from .entanglement import PAIR_LABELS, pair_values
@@ -119,7 +118,8 @@ def run_checks(params, tol, inject_fault=False):
     max_q_std = 0.0
     max_q_gap = 0.0
     for kind in FAMILY_KINDS:
-        q = dict(zip(PAIR_LABELS, np.moveaxis(closed_grid(kind, q_alphas, params, q_ts)[1], -1, 0)))
+        values = GridEngine("closed", kind, params).values(q_alphas, q_ts, ("AB", "ab", "Aa", "Ab"))
+        q = dict(zip(values.pairs, np.moveaxis(values.q, -1, 0)))
         lhs = q["AB"] + q["ab"] + 2.0 * np.abs(np.tan(q_alphas))[:, None] * q["Aa"] - 2.0 * q["Ab"]
         max_q_std = worst(max_q_std, float(lhs.std(axis=1).max()))
         target = 0.5 * np.abs(np.sin(2.0 * q_alphas))

@@ -28,12 +28,12 @@ import math
 import numpy as np
 
 
-def closed_grid(kind, alphas, params, ts):
-    """The closed form over 1-D grids of alpha and t at the site ``params``, any detuning.
+def closed_grid(kind, alphas, params, ts, pairs):
+    """The closed form of ``pairs`` over 1-D grids of alpha and t at the site ``params``, any detuning.
 
-    Returns (C, Q), each of shape (n_alpha, n_t, 6) with the pairs in
-    ``PAIR_LABELS`` order (AB, ab, Aa, Bb, Ab, Ba).  Ba's Q mirrors Ab's and
-    Bb's is C_Bb / 2, the branch that never goes negative.  The family
+    Returns (C, Q), each of shape (n_alpha, n_t, len(pairs)), one column per
+    label of ``pairs`` in request order.  Ba's Q mirrors Ab's and Bb's is
+    C_Bb / 2, the branch that never goes negative.  The family
     formulas take each site through |f| and |h| only, so cos^2(Gt/2),
     sin^2(Gt/2) and |sin(Gt)|/2 of the resonance formulas become |f|^2,
     |h|^2 and |f||h| with
@@ -49,7 +49,7 @@ def closed_grid(kind, alphas, params, ts):
     every value there has the same bits as those formulas at that cell.
     ``kind`` is "phi" or "psi", the grids are 1-D float arrays, and every
     alpha, t and half phase delta t / 2 is finite: ``GridEngine`` refuses
-    any other input.
+    any other input and any other pair label.
     """
     alphas = alphas.tolist()
     rabi, delta = params.rabi(1), params.splitting
@@ -81,6 +81,9 @@ def closed_grid(kind, alphas, params, ts):
         c_aa = 2.0 * q_local
         sin_sq = np.array([math.sin(alpha) ** 2 for alpha in alphas])[:, None]
         c_bb = 2.0 * sin_sq * root
-    conc = np.stack([c_atoms, c_cavities, c_aa, c_bb, c_cross, c_cross], axis=-1)
-    q = np.stack([q_atoms, q_cavities, q_local, 0.5 * c_bb, q_cross, q_cross], axis=-1)
+    columns = {"AB": (c_atoms, q_atoms), "ab": (c_cavities, q_cavities), "Aa": (c_aa, q_local),
+               "Bb": (c_bb, 0.5 * c_bb), "Ab": (c_cross, q_cross), "Ba": (c_cross, q_cross)}
+    conc, q = np.empty((2, len(alphas), ts.size, len(pairs)))
+    for i, pair in enumerate(pairs):
+        conc[..., i], q[..., i] = columns[pair]
     return conc, q

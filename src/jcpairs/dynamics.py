@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from .jcmodel import site_hamiltonian
 from .linalg import Workspace
 
 FAMILY_KINDS = ("phi", "psi")
@@ -122,24 +123,23 @@ def analytic_amplitudes(kind, alphas, ts, params, *, work=None):
 
 # Every product of ``evolve_grid`` takes a multiple of this many cell columns.
 _COLUMN_QUANTUM = 8
-_HERMITIAN_TOL = 1e-12  # the largest |H - H^dag| entry a site Hamiltonian may have
 
 
 class HamiltonianPropagator:
-    """Exact propagator exp(-i H t) of two isolated copies of one site, from one spectral decomposition.
+    """Exact propagator exp(-i H t) of two copies of the site ``params``, from one ``eigh``.
 
     The lattice Hamiltonian is H_site (x) I + I (x) H_site, so exp(-i H t)
-    is exp(-i H_site t) (x) exp(-i H_site t) exactly: the site Hamiltonian
-    is diagonalized once, never the 4 (n_max + 1)^2-dimensional lattice
-    matrix.
+    is exp(-i H_site t) (x) exp(-i H_site t) exactly: the site's
+    ``site_hamiltonian(params, n_max)`` is diagonalized once (a failed
+    ``eigh`` is refused, naming ``n_max`` and the site), never the lattice.
     """
 
-    def __init__(self, h_site):
-        h_site = np.asarray(h_site, dtype=complex)
-        defect = float(np.max(np.abs(h_site - h_site.conj().T)))
-        if defect > _HERMITIAN_TOL:
-            raise ValueError(f"site Hamiltonian is not Hermitian: asymmetry {defect:.3e}")
-        self._w, self._v = np.linalg.eigh(h_site)
+    def __init__(self, params, n_max):
+        try:
+            self._w, self._v = np.linalg.eigh(site_hamiltonian(params, n_max))
+        except np.linalg.LinAlgError as exc:  # eigh did not converge
+            raise ValueError(f"the numeric route cannot diagonalize the site Hamiltonian at "
+                             f"n_max = {n_max} and {params!r}: {exc}") from None
         # C0 = V^dag P0 conj(V): the two factors that take amplitudes to eigen-coefficients
         self._to_eigen = (np.ascontiguousarray(self._v.conj().T), self._v.conj())
 
@@ -164,11 +164,6 @@ class HamiltonianPropagator:
         psi0 = np.asarray(psi0, dtype=complex)
         n_states = psi0.shape[-1]
         d = self._w.size
-        if psi0.size != d * d * n_states:
-            raise ValueError(
-                f"dimension mismatch: states have {psi0.size // n_states} amplitudes, "
-                f"the site Hamiltonian is {d}x{d}"
-            )
         if work is None:
             work = Workspace()
         ts = np.asarray(ts, dtype=float).reshape(-1)

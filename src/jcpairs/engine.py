@@ -15,8 +15,8 @@
 It alone decides what a route can compute: it refuses ``n_max < 1``, an
 overflowing largest phase rate (before any ``eigh``) and a site whose
 ``eigh`` fails (naming ``n_max`` and the site), and each ``values`` call
-a NaN or infinite alpha or t, or a t whose largest phase, rate x t,
-overflows, naming it.  The rate is delta/2 on the closed route and
+an unknown pair, a NaN or infinite alpha or t, or a t whose largest phase,
+rate x t, overflows, naming it.  The rate is delta/2 on the closed route and
 2 (omega0/2 + n_max omega + sqrt(n_max) g) on the evolution routes.
 
 The two evolution routes evolve each block of cells once, with the cells
@@ -24,10 +24,11 @@ last (amplitudes (2, d, 2, d, n_alpha, n_t)), and read every requested pair
 of it with one ``pair_values`` call.  Blocks hold at most ``BLOCK_CELLS``
 cells and write into the one ``Workspace`` the engine owns, so memory stays
 bounded for any grid size and a repeated call writes into memory that is
-already mapped (so one engine runs one ``values`` call at a time).  The
-closed route evaluates the whole grid in one call.  On every route a cell's
-values do not depend on how the grid is split into blocks or calls, so a
-one-cell grid gives the values at one (alpha, t).
+already mapped (so one engine runs one ``values`` call at a time); a
+refusal names its cell by its index in the whole grid.  The closed route
+evaluates the whole grid in one call.  On every route a cell's values do
+not depend on how the grid is split into blocks or calls, so a one-cell
+grid gives the values at one (alpha, t).
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ import numpy as np
 from .closedform import closed_grid
 from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from .entanglement import PAIR_LABELS, pair_values
-from .jcmodel import site_hamiltonian
-from .linalg import Workspace
+from .linalg import Workspace, _CellRefusal
 
 ENGINES = ("closed", "analytic", "numeric")
 # A cell holds 4 (n_max + 1)^2 amplitudes on the numeric route, so one block
@@ -66,8 +66,8 @@ class GridEngine:
     """One route for one initial family and one site, evaluated on (alpha, t) grids.
 
     Both sites of the lattice are ``params``.  ``n_max`` is the Fock
-    truncation of the numeric route, which diagonalizes
-    ``site_hamiltonian(params, n_max)``.
+    truncation of the numeric route, whose ``HamiltonianPropagator``
+    diagonalizes ``site_hamiltonian(params, n_max)``.
     """
 
     def __init__(self, name, kind, params, *, n_max=1):
@@ -93,11 +93,7 @@ class GridEngine:
             self._overflow = f"times {rate_text} overflows"
         self._work = Workspace()
         if name == "numeric":
-            try:
-                self._propagator = HamiltonianPropagator(site_hamiltonian(params, n_max))
-            except np.linalg.LinAlgError as exc:  # eigh did not converge
-                raise ValueError(f"the numeric route cannot diagonalize the site Hamiltonian at "
-                                 f"n_max = {n_max} and {params!r}: {exc}") from None
+            self._propagator = HamiltonianPropagator(params, n_max)
 
     def values(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
         """C and Q of ``pairs`` at every (alpha, t) of the two 1-D grids.
@@ -124,9 +120,7 @@ class GridEngine:
             if unknown:
                 raise ValueError(f"unknown pairs {unknown}; expected labels from {PAIR_LABELS}")
         if self.name == "closed":
-            conc, q = closed_grid(self.kind, alphas, self.params, ts)
-            cols = [PAIR_LABELS.index(pair) for pair in pairs]
-            return GridValues(pairs=pairs, concurrence=conc[..., cols], q=q[..., cols])
+            return GridValues(pairs, *closed_grid(self.kind, alphas, self.params, ts, pairs))
         conc = np.empty((alphas.size, ts.size, len(pairs)))
         q = np.empty_like(conc)
         t_step = max(1, min(ts.size, BLOCK_CELLS))
@@ -141,5 +135,9 @@ class GridEngine:
                 else:
                     psi0 = initial_amplitudes(self.kind, alphas[block[0]], self.n_max)
                     amps = self._propagator.evolve_grid(psi0, ts[block[1]], work=work)
-                pair_values(amps, pairs, x_tol=x_tol, work=work, out=(conc[block], q[block]))
+                try:
+                    pair_values(amps, pairs, x_tol=x_tol, work=work, out=(conc[block], q[block]))
+                except _CellRefusal as exc:  # name the cell in the grid, not in the block
+                    head, (ia, it, *rest), tail = exc.parts
+                    raise ValueError(f"{head} at cell {(a0 + ia, t0 + it, *rest)}{tail}") from None
         return GridValues(pairs=pairs, concurrence=conc, q=q)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .linalg import Workspace, _reduction_plan, pair_entries
+from .linalg import Workspace, _CellRefusal, _reduction_plan, pair_entries
 
 PAIR_LABELS = ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
 
@@ -40,10 +40,10 @@ def _reject_first(bad, values, what):
     if not bad.any():
         return
     first = int(np.flatnonzero(bad)[0])
-    where = ""
+    message = f"invalid density matrix: {what} {np.ravel(values)[first]:.3e}"
     if np.ndim(bad):
-        where = f" at cell {tuple(int(i) for i in np.unravel_index(first, np.shape(bad)))}"
-    raise ValueError(f"invalid density matrix: {what} {np.ravel(values)[first]:.3e}{where}")
+        raise _CellRefusal(message, np.unravel_index(first, np.shape(bad)))
+    raise ValueError(message)
 
 
 def _x_entries(entries):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import FAMILY_KINDS
 from .entanglement import PAIR_LABELS
 
 
@@ -204,42 +205,32 @@ def zero_intervals(sample, t_min, t_max, *, tol=1e-12, samples=2049):
     return intervals
 
 
-def esd_boundary_phi_AB(alpha, ratio=1.0):
-    """Death-window endpoints (in Gt) of the phi family's atom-atom pair.
-
-    ``ratio`` is delta/G, the manifold splitting delta = hypot(Delta, G) over
-    the resonant Rabi splitting G (1 at resonance).  With
-    Q_AB = |f|^2 (u - k |h|^2) and |h|^2 = sin^2(theta) sin^2(delta t/2), the
-    window exists iff tan(alpha) < G^2/delta^2, with edges at
-    delta t = 2 arcsin(sqrt(tan alpha) delta/G) and its mirror about
-    delta t = pi; they are returned in units of Gt.  For larger alpha (up to
-    pi/2) the curve only touches zero or stays positive, and None is
-    returned.  Outside (0, pi/2) the caller should map back by symmetry
-    first: the window depends on alpha only through |tan alpha|.
-    """
-    if not 0.0 < alpha < 0.5 * math.pi:
-        raise ValueError(f"alpha must lie in (0, pi/2), got {alpha!r}")
-    if not (math.isfinite(ratio) and ratio >= 1.0):
-        raise ValueError(f"ratio delta/G must be finite and >= 1, got {ratio!r}")
-    if alpha >= math.atan(1.0 / ratio**2):
-        return None
-    edge = 2.0 * math.asin(min(1.0, math.sqrt(math.tan(alpha)) * ratio))
-    return edge / ratio, (2.0 * math.pi - edge) / ratio
-
-
 def boundary_AB(kind, alpha, params):
-    """The phi family's AB death window (Gt_lo, Gt_hi) at any alpha and detuning.
+    """The phi family's AB death window (Gt_lo, Gt_hi) at the site ``params``; None where there is none.
 
-    Folds alpha into (0, pi/2) by |tan alpha| first; None for the psi family
-    and wherever no window exists.
+    With Q_AB = |f|^2 (u - k |h|^2) and |h|^2 = (G/delta)^2 sin^2(delta t/2),
+    the window depends on alpha only through |tan alpha|: it exists iff
+    0 < |tan alpha| < (G/delta)^2, with edges at delta t =
+    2 arcsin(sqrt|tan alpha| delta/G) and their mirror about delta t = pi.
+    The psi family has none.  Refuses a non-finite alpha and an unknown ``kind``.
     """
+    if kind not in FAMILY_KINDS:
+        raise ValueError(f"kind must be one of {FAMILY_KINDS}, got {kind!r}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if kind != "phi":
         return None
     if not 0.0 < alpha < 0.5 * math.pi:
         alpha = math.atan(abs(math.tan(alpha)))
-        if not 0.0 < alpha < 0.5 * math.pi:
-            return None
-    return esd_boundary_phi_AB(alpha, params.splitting / params.rabi(1))
+    coupled = params.rabi(1) / params.splitting  # G/delta <= 1, so its square cannot overflow
+    if not 0.0 < alpha < math.atan(coupled * coupled):
+        return None
+    ratio = params.splitting / params.rabi(1)  # finite, as (G/delta)^2 > 0
+    sin_half = math.sqrt(math.tan(alpha)) * ratio  # sin(delta t / 2) at the first edge
+    if not sin_half < 1.0:  # alpha within rounding of the critical angle: the window has no width
+        return None
+    edge = 2.0 * math.asin(sin_half)
+    return edge / ratio, (2.0 * math.pi - edge) / ratio
 
 
 def scan_report(engine, alpha, t_max, *, zero_tol=1e-12, samples=2049):

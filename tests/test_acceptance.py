@@ -15,7 +15,7 @@ from jcpairs import (
     PAIR_LABELS,
     GridEngine,
     JCParams,
-    esd_boundary_phi_AB,
+    boundary_AB,
     zero_intervals,
 )
 from jcpairs.checks import random_x_states, run_checks
@@ -73,7 +73,7 @@ def test_criterion_05_phi_esd_geometry():
         (intervals,) = zero_intervals(sample, 0.0, period, samples=2049)
         deaths = [iv for iv in intervals if iv.kind == "sudden_death"]
         assert len(deaths) == 1, f"alpha={alpha}: expected one death window, got {intervals}"
-        lo, hi = esd_boundary_phi_AB(alpha)
+        lo, hi = boundary_AB("phi", alpha, PARAMS)
         worst_gap = max(worst_gap, abs(deaths[0].t_lo * RABI - lo), abs(deaths[0].t_hi * RABI - hi))
     touch_ok = True
     for alpha in (np.pi / 4, np.pi / 3):

@@ -11,7 +11,7 @@ PUBLIC = [
     "JCParams",
     "PAIR_LABELS",
     "ZeroInterval",
-    "esd_boundary_phi_AB",
+    "boundary_AB",
     "site_hamiltonian",
     "zero_intervals",
 ]
@@ -20,7 +20,11 @@ PUBLIC = [
 DELETED = {
     "closedform": ["ClosedFormValues", "phi_resonance", "psi_resonance", "q_identity_lhs",
                    "resonance_values", "_resonance_pieces"],
-    "dynamics": ["FourPartiteState", "InitialFamily", "evolve_analytic", "prepare_initial"],
+    # the site matrix is Hermitian by construction; the propagator builds it
+    "dynamics": ["FourPartiteState", "InitialFamily", "evolve_analytic", "prepare_initial",
+                 "_HERMITIAN_TOL"],
+    # one AB window function, at any alpha and site
+    "esd": ["esd_boundary_phi_AB"],
     "entanglement": ["ConcurrenceResult", "all_pairwise", "wootters_concurrence",
                      "xstate_concurrence", "_validate_density", "concurrence_stack",
                      "_hermitian_part", "off_x_defect", "concurrence_from_entries",
@@ -63,3 +67,7 @@ def test_knobs_no_caller_sets_are_gone():
     workspace = importlib.import_module("jcpairs.linalg").Workspace
     assert "dtype" not in inspect.signature(workspace.get).parameters
     assert "q_tol" not in inspect.signature(jcpairs.zero_intervals).parameters
+    # the window takes the site, not a ratio; the propagator builds its own site matrix
+    assert list(inspect.signature(jcpairs.boundary_AB).parameters) == ["kind", "alpha", "params"]
+    propagator = importlib.import_module("jcpairs.dynamics").HamiltonianPropagator
+    assert list(inspect.signature(propagator).parameters) == ["params", "n_max"]

@@ -15,7 +15,6 @@ import jcpairs.cli as cli
 import jcpairs.tablefmt as tablefmt
 from jcpairs import PAIR_LABELS, GridEngine, JCParams
 from jcpairs.cli import main
-from jcpairs.closedform import closed_grid
 
 EVOLVE_HEADER = "t,Gt,alpha,C_AB,C_ab,C_Aa,C_Bb,C_Ab,C_Ba,Q_AB,Q_ab,Q_Aa,Q_Ab"
 
@@ -187,6 +186,18 @@ def test_esd_report_boundary_matches_detected_window(tmp_path, alpha, omega):
     assert report["boundary_AB"]["gt_hi"] == pytest.approx(deaths[0]["gt_hi"], abs=1e-6)
 
 
+@pytest.mark.parametrize("engine", ["closed", "analytic", "numeric"])
+def test_esd_runs_where_delta_over_g_overflows(engine, capsys):
+    # delta/G = 1e10 / 2e-300 is inf, yet every route computes the scan: the
+    # report has no AB window (G/delta squares to 0) and exits 0
+    assert run("esd", "--engine", engine, "--omega0", "1", "--omega", "1e10", "--g", "1e-300",
+               "--alpha", "0.3", "--t-max", "1e-5", "--steps", "8") == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and report["boundary_AB"] is None
+    assert set(report["pairs"]) == set(PAIR_LABELS)
+
+
 def test_esd_report_touch_only_for_bell(tmp_path):
     out = tmp_path / "bell.json"
     assert run("esd", "--family", "phi", "--alpha", str(math.pi / 4), "--steps", "1024",
@@ -249,19 +260,21 @@ class _NumericWithNaN(GridEngine):
         return values
 
 
-def _closed_grid_with_nan(*args):
-    conc, q = closed_grid(*args)
-    q[0, 1, 0] = math.nan
-    return conc, q
+class _ClosedQWithNaN(GridEngine):
+    def values(self, alphas, ts, pairs=PAIR_LABELS, **kwargs):
+        values = super().values(alphas, ts, pairs, **kwargs)
+        if self.name == "closed":
+            values.q[0, 1, 0] = math.nan
+        return values
 
 
-@pytest.mark.parametrize("name, stand_in, failing", [
-    ("GridEngine", _NumericWithNaN, {"engine_agreement", "closed_form_agreement", "x_form"}),
-    ("closed_grid", _closed_grid_with_nan, {"q_identity"}),
+@pytest.mark.parametrize("stand_in, failing", [
+    (_NumericWithNaN, {"engine_agreement", "closed_form_agreement", "x_form"}),
+    (_ClosedQWithNaN, {"q_identity"}),
 ], ids=["numeric-C", "closed-Q"])
-def test_a_nan_gap_fails_its_check(monkeypatch, name, stand_in, failing):
+def test_a_nan_gap_fails_its_check(monkeypatch, stand_in, failing):
     # one NaN cell: folding the gaps with Python's max would drop it and pass
-    monkeypatch.setattr(checks, name, stand_in)
+    monkeypatch.setattr(checks, "GridEngine", stand_in)
     results = checks.run_checks(PARAMS, 1e-9)
     assert {check for check, ok, _ in results if not ok} == failing
     assert all("nan" in detail for check, ok, detail in results if check in failing)

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import jcpairs.dynamics as dynamics_module
 import jcpairs.engine as engine_module
 import reference
 from conftest import (concurrence, entry_matrices, entry_values, pair_matrices, upper_entries,
                       x_densities)
-from jcpairs import PAIR_LABELS, GridEngine, JCParams, site_hamiltonian
+from jcpairs import PAIR_LABELS, GridEngine, JCParams
 from jcpairs.cli import main
 from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from jcpairs.engine import ENGINES
@@ -53,8 +54,7 @@ def scalar_results(engine, kind, alpha, params, ts, n_max):
     Q is None where the reduction is not X-shaped.
     """
     if engine == "numeric":
-        site = site_hamiltonian(params, n_max)
-        psi = HamiltonianPropagator(site).evolve_grid(initial_amplitudes(kind, [alpha], n_max), ts)
+        psi = HamiltonianPropagator(params, n_max).evolve_grid(initial_amplitudes(kind, [alpha], n_max), ts)
     else:
         psi = analytic_amplitudes(kind, [alpha], ts, params)
     out = []
@@ -196,8 +196,8 @@ def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, de
     if engine == "analytic":
         psi = analytic_amplitudes("psi", alpha_grid, t_grid, det_params)
     else:
-        site = site_hamiltonian(det_params, n_max)
-        psi = HamiltonianPropagator(site).evolve_grid(initial_amplitudes("psi", alpha_grid, n_max), t_grid)
+        propagator = HamiltonianPropagator(det_params, n_max)
+        psi = propagator.evolve_grid(initial_amplitudes("psi", alpha_grid, n_max), t_grid)
     stack = pair_matrices(psi, PAIR_LABELS)
     assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))  # Hermitian by construction
     # the 10 upper entries give back the whole matrix, bit for bit
@@ -247,13 +247,13 @@ def test_numeric_grid_matches_across_n_max(kind, n_max, res_params, det_params):
 
 def test_sweep_passes_n_max_to_the_numeric_engine(tmp_path, monkeypatch):
     seen = []
-    real = engine_module.site_hamiltonian
+    real = dynamics_module.site_hamiltonian
 
     def recording(params, n_max=1):
         seen.append(n_max)
         return real(params, n_max)
 
-    monkeypatch.setattr(engine_module, "site_hamiltonian", recording)
+    monkeypatch.setattr(dynamics_module, "site_hamiltonian", recording)
     assert main(["sweep", "--engine", "numeric", "--n-max", "3", "--alpha-points", "2",
                  "--steps", "3", "--t-max", "1.0", "--output", str(tmp_path / "s.csv")]) == 0
     assert seen == [3]
@@ -449,7 +449,7 @@ def test_closed_route_refuses_an_overflowing_half_phase():
 
 
 def test_an_overflowing_rate_is_refused_before_the_eigh(monkeypatch):
-    # 2 (5/2 + 2e308 + sqrt(2)) is inf: no eigh and no Hermitian check may see the inf Hamiltonian
+    # 2 (5/2 + 2e308 + sqrt(2)) is inf: no eigh may see the inf Hamiltonian
     def refuse(*args, **kwargs):
         raise AssertionError("a site Hamiltonian was diagonalized")
 
@@ -475,14 +475,49 @@ _LEAKING_SITES = [
 _UNDIAGONALIZABLE_SITE = JCParams(2.2090347762034448e+44, 1.7583199221099784e+53, 1.5464825831913855e+285)
 
 
+def _one_time_among(n_t, index, t):
+    times = np.zeros(n_t)
+    times[index] = t
+    return times
+
+
 @pytest.mark.parametrize("params, t, leak", _LEAKING_SITES)
 def test_numeric_leak_refusal_names_its_cell(params, t, leak):
+    # 600 times are three blocks of at most BLOCK_CELLS = 256: the cell is
+    # named in the grid, not as index 44 of the second block
     grid = GridEngine("numeric", "psi", params, n_max=2)
-    for t_grid, cell in (([t], "(0, 0)"), ([0.0, t], "(0, 1)")):
+    for t_grid, cell in (([t], "(0, 0)"), ([0.0, t], "(0, 1)"),
+                         (_one_time_among(600, 0, t), "(0, 0)"), (_one_time_among(600, 300, t), "(0, 300)")):
         with pytest.raises(ValueError) as err:
             grid.values([0.3], t_grid)
         assert str(err.value) == (f"cavity a holds probability {leak} above one photon at cell {cell} "
                                   "(tolerance 1.000e-10); cannot reduce to a qubit")
+
+
+@pytest.mark.parametrize("index", [0, 300])
+def test_a_reader_refusal_names_its_cell_in_the_grid(index, res_params, monkeypatch):
+    # doubled amplitudes at the one time 1.0 give a trace of 4; of 600 times,
+    # index 300 is index 44 of the engine's second block
+    real = engine_module.analytic_amplitudes
+
+    def doubled(kind, alphas, block_ts, params, *, work):
+        amps = real(kind, alphas, block_ts, params, work=work)
+        amps[..., block_ts == 1.0] *= 2.0
+        return amps
+
+    monkeypatch.setattr(engine_module, "analytic_amplitudes", doubled)
+    with pytest.raises(ValueError) as err:
+        GridEngine("analytic", "psi", res_params).values([0.3], _one_time_among(600, index, 1.0))
+    assert str(err.value) == f"invalid density matrix: trace deviates from 1 by 3.000e+00 at cell (0, {index}, 0)"
+
+
+def test_the_engine_refuses_pairs_the_reducer_cannot_trace(res_params):
+    # the reducer trusts these labels: a repeated subsystem or an unknown one stops here
+    for engine in ENGINES:
+        grid = GridEngine(engine, "phi", res_params)
+        for pair in (("A", "A"), ("A", "x"), "AA", "Ax"):
+            with pytest.raises(ValueError, match="^unknown pairs"):
+                grid.values([0.3], [1.0], ("AB", pair))
 
 
 def test_a_site_eigh_cannot_diagonalize_is_refused_naming_n_max_and_the_site():

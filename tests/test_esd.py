@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jcpairs.engine as engine_module
@@ -14,13 +15,14 @@ from jcpairs import (
     GridEngine,
     JCParams,
     ZeroInterval,
-    esd_boundary_phi_AB,
+    boundary_AB,
     zero_intervals,
 )
 from jcpairs.cli import main
-from jcpairs.esd import boundary_AB, report_json, scan_report
+from jcpairs.esd import report_json, scan_report
 
 G = 2.0
+RESONANT = JCParams(5.0, 5.0, 1.0)  # G = delta = 2
 
 
 def engine_sampler(engine, alpha, pairs=PAIR_LABELS):
@@ -33,7 +35,7 @@ def engine_sampler(engine, alpha, pairs=PAIR_LABELS):
 
 
 def test_boundary_known_value():
-    lo, hi = esd_boundary_phi_AB(np.pi / 8)
+    lo, hi = boundary_AB("phi", np.pi / 8, RESONANT)
     # root of tan(alpha) = sin^2(Gt/2), checked against independent bisection
     target = math.tan(np.pi / 8)
     a, b = 1.0, 2.0
@@ -49,17 +51,39 @@ def test_boundary_known_value():
 
 
 def test_boundary_degenerates_at_quarter_pi():
-    lo, hi = esd_boundary_phi_AB(np.pi / 4 - 1e-9)
+    lo, hi = boundary_AB("phi", np.pi / 4 - 1e-9, RESONANT)
     assert lo == pytest.approx(np.pi, abs=1e-3)
     assert hi == pytest.approx(np.pi, abs=1e-3)
-    assert esd_boundary_phi_AB(np.pi / 4) is None
-    assert esd_boundary_phi_AB(0.3 * np.pi) is None
+    assert boundary_AB("phi", np.pi / 4, RESONANT) is None
+    assert boundary_AB("phi", 0.3 * np.pi, RESONANT) is None
 
 
 def test_boundary_rejects_out_of_range():
-    for alpha in (-0.1, 0.0, np.pi / 2, 2.0):
-        with pytest.raises(ValueError, match="alpha"):
-            esd_boundary_phi_AB(alpha)
+    # every finite alpha folds by |tan alpha|; only a non-finite one or an unknown family is refused
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^alpha must be finite, got {alpha!r}$"):
+            boundary_AB("phi", alpha, RESONANT)
+    with pytest.raises(ValueError, match=r"^kind must be one of \('phi', 'psi'\), got 'chi'$"):
+        boundary_AB("chi", 0.3, RESONANT)
+
+
+_FIELDS = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)  # log-uniform
+
+
+@given(kind=st.sampled_from(("phi", "psi")), alpha=st.floats(allow_nan=False, allow_infinity=False),
+       fields=st.tuples(_FIELDS, _FIELDS, _FIELDS))
+# delta/G = 1e10 / 2e-300 overflows, and G/delta squares to 0: no window, no refusal
+@example(kind="phi", alpha=0.3, fields=(1.0, 1e10, 1e-300))
+# one ulp below the critical angle, where sqrt(tan alpha) delta/G rounds to 1: no zero-width window
+@example(kind="phi", alpha=0.00047636719313451175,
+         fields=(1480.104393450613, 1480.1043945747385, 1.2270413226800663e-08))
+def test_boundary_is_none_or_an_ordered_window_at_any_site(kind, alpha, fields):
+    # G/delta may underflow and delta/G overflow: neither is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        window = boundary_AB(kind, alpha, JCParams(*fields))
+    assert window is None or 0.0 <= window[0] < window[1] < math.inf
+    assert kind == "phi" or window is None
 
 
 def detected_deaths(engine, alpha, params, samples=1025):
@@ -82,7 +106,7 @@ def test_detuned_boundary_matches_detected_window(engine, omega, alpha):
         assert window is None
         assert detected_deaths(engine, alpha, params) == []
         return
-    assert window == esd_boundary_phi_AB(math.atan(abs(math.tan(alpha))), ratio)
+    assert window == boundary_AB("phi", math.atan(abs(math.tan(alpha))), params)
     (detected,) = detected_deaths(engine, alpha, params)
     assert detected == pytest.approx(window, abs=1e-6)
 
@@ -91,26 +115,20 @@ def test_detuned_critical_angle():
     # Delta = G: the window closes at arctan(G^2/delta^2) = arctan(1/2), below pi/4
     params = JCParams(omega0=5.0, omega=6.0, g=0.5)
     critical = math.atan(0.5)
-    assert esd_boundary_phi_AB(critical - 1e-3, math.sqrt(2.0)) is not None
-    assert esd_boundary_phi_AB(critical + 1e-3, math.sqrt(2.0)) is None
+    assert boundary_AB("phi", critical - 1e-3, params) is not None
+    assert boundary_AB("phi", critical + 1e-3, params) is None
     assert detected_deaths("analytic", critical + 1e-3, params) == []
     assert detected_deaths("analytic", critical - 1e-2, params)
 
 
 def test_boundary_folds_alpha_by_tan(res_params):
-    base = esd_boundary_phi_AB(0.3927)
+    base = boundary_AB("phi", 0.3927, res_params)
+    assert base is not None
     for alpha in (np.pi - 0.3927, -0.3927, 0.3927 - np.pi):
         assert boundary_AB("phi", alpha, res_params) == pytest.approx(base, abs=1e-12)
-    assert boundary_AB("phi", 0.3927, res_params) == base
     assert boundary_AB("psi", 0.3927, res_params) is None
     for alpha in (0.0, np.pi / 2, 3 * np.pi / 4, -np.pi / 2):
         assert boundary_AB("phi", alpha, res_params) is None
-
-
-def test_boundary_rejects_bad_ratio():
-    for ratio in (0.5, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="ratio"):
-            esd_boundary_phi_AB(0.3, ratio)
 
 
 def test_zero_intervals_phi_death_window():
@@ -119,7 +137,7 @@ def test_zero_intervals_phi_death_window():
     assert len(intervals) == 1
     (iv,) = intervals
     assert iv.kind == "sudden_death"
-    lo, hi = esd_boundary_phi_AB(alpha)
+    lo, hi = boundary_AB("phi", alpha, RESONANT)
     assert iv.t_lo * G == pytest.approx(lo, abs=1e-6)
     assert iv.t_hi * G == pytest.approx(hi, abs=1e-6)
 
@@ -129,7 +147,7 @@ def test_zero_intervals_match_boundary(alpha):
     (intervals,) = zero_intervals(closed_sampler("phi", alpha, G), 0.0, 2 * np.pi / G, samples=2049)
     deaths = [iv for iv in intervals if iv.kind == "sudden_death"]
     assert len(deaths) == 1
-    lo, hi = esd_boundary_phi_AB(alpha)
+    lo, hi = boundary_AB("phi", alpha, RESONANT)
     assert deaths[0].t_lo * G == pytest.approx(lo, abs=1e-6)
     assert deaths[0].t_hi * G == pytest.approx(hi, abs=1e-6)
 
@@ -168,7 +186,7 @@ def test_zero_intervals_window_edges():
     )
     deaths = [iv for iv in intervals if iv.kind == "sudden_death"]
     assert deaths[0].t_lo == 0.0
-    lo, _ = esd_boundary_phi_AB(np.pi / 8)
+    lo, _ = boundary_AB("phi", np.pi / 8, RESONANT)
     # the ab window is the AB window shifted left by pi: it ends at pi - lo... mirrored
     assert deaths[0].t_hi * G == pytest.approx(2 * np.pi - (lo + np.pi), abs=1e-6)
 
