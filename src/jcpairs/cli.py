@@ -219,11 +219,7 @@ def _write_output(path, chunks):
 
 
 def _engines(cfg, params):
-    """The requested engines, primary first ("both" runs analytic, then numeric).
-
-    Each is built when the caller asks for it, so an engine that is done
-    (and its workspace) is gone before the next one runs.
-    """
+    """The requested engines, primary first ("both" runs analytic, then numeric)."""
     for name in ("analytic", "numeric") if cfg.engine == "both" else (cfg.engine,):
         yield GridEngine(name, cfg.family, params, n_max=cfg.n_max)
 
@@ -235,7 +231,8 @@ def _disagreement_exit(results, alpha_grid, t_grid, pairs, cfg):
     """
     if len(results) < 2:
         return 0
-    gap = np.abs(results[0].concurrence - results[1].concurrence)
+    gap = np.subtract(results[0].concurrence, results[1].concurrence)
+    np.abs(gap, out=gap)
     ia, it, ip = np.unravel_index(np.argmax(gap), gap.shape)
     worst = float(gap[ia, it, ip])
     if worst > cfg.tol:

@@ -65,25 +65,30 @@ def closed_grid(kind, alphas, params, ts, pairs):
     root = f_abs * h_abs
     u = np.array([abs(math.sin(alpha) * math.cos(alpha)) for alpha in alphas])[:, None]
     k = np.array([math.cos(alpha) ** 2 for alpha in alphas])[:, None]
-    q_local = k * root
-    if kind == "phi":
-        q_atoms = c2 * (u - k * s2)
-        q_cavities = s2 * (u - k * c2)
-        q_cross = root * (u - k * root)
-        # 2 max(0, q): the comparison sends -0.0 and NaN to +0.0, as max() does
-        c_atoms, c_cavities, c_cross = (
-            2.0 * np.where(q > 0.0, q, 0.0) for q in (q_atoms, q_cavities, q_cross)
-        )
-        c_aa = c_bb = 2.0 * k * root
-    else:
-        q_atoms, q_cavities, q_cross = u * c2, u * s2, u * root
-        c_atoms, c_cavities, c_cross = 2.0 * q_atoms, 2.0 * q_cavities, 2.0 * q_cross
-        c_aa = 2.0 * q_local
-        sin_sq = np.array([math.sin(alpha) ** 2 for alpha in alphas])[:, None]
-        c_bb = 2.0 * sin_sq * root
-    columns = {"AB": (c_atoms, q_atoms), "ab": (c_cavities, q_cavities), "Aa": (c_aa, q_local),
-               "Bb": (c_bb, 0.5 * c_bb), "Ab": (c_cross, q_cross), "Ba": (c_cross, q_cross)}
+    # Bb's weight, B's excited population at t = 0: cos^2 alpha in phi, sin^2 alpha in psi
+    w_bb = k if kind == "phi" else np.array([math.sin(alpha) ** 2 for alpha in alphas])[:, None]
+    rows = {"AB": (c2, s2), "ab": (s2, c2), "Ab": (root, root), "Ba": (root, root)}
     conc, q = np.empty((2, len(alphas), ts.size, len(pairs)))
-    for i, pair in enumerate(pairs):
-        conc[..., i], q[..., i] = columns[pair]
+    for i, pair in enumerate(pairs):  # each formula straight into its two columns
+        c_out, q_out = conc[..., i], q[..., i]
+        if pair == "Bb":  # Q = C / 2, the branch that never goes negative
+            np.multiply(2.0 * w_bb, root, out=c_out)
+            np.multiply(0.5, c_out, out=q_out)
+        elif pair == "Aa":
+            np.multiply(k, root, out=q_out)
+            if kind == "phi":
+                np.multiply(2.0 * k, root, out=c_out)
+            else:
+                np.multiply(2.0, q_out, out=c_out)
+        elif kind == "phi":  # Q = row (u - k other)
+            row, other = rows[pair]
+            np.multiply(k, other, out=c_out)
+            np.subtract(u, c_out, out=c_out)
+            np.multiply(row, c_out, out=q_out)
+            # 2 max(0, q): the comparison sends -0.0 and NaN to +0.0, as max() does
+            c_out.fill(0.0)
+            np.multiply(2.0, q_out, out=c_out, where=q_out > 0.0)
+        else:  # Q = u row
+            np.multiply(u, rows[pair][0], out=q_out)
+            np.multiply(2.0, q_out, out=c_out)
     return conc, q

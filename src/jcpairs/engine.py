@@ -22,10 +22,13 @@ rate x t, overflows, naming it.  The rate is delta/2 on the closed route and
 The two evolution routes evolve each block of cells once, with the cells
 last (amplitudes (2, d, 2, d, n_alpha, n_t)), and read every requested pair
 of it with one ``pair_values`` call.  Blocks hold at most ``BLOCK_CELLS``
-cells and write into the one ``Workspace`` the engine owns, so memory stays
-bounded for any grid size and a repeated call writes into memory that is
-already mapped (so one engine runs one ``values`` call at a time); a
-refusal names its cell by its index in the whole grid.  The closed route
+cells and write into the calling thread's ``Workspace``
+(``linalg.thread_workspace``), which every engine and the table writer of
+that thread share: memory stays bounded for any grid size, and every later
+block, call and engine writes into memory that is already mapped.  So a
+thread runs one ``values`` call at a time, while threads may share an
+engine; the returned ``GridValues`` are arrays of their own.  A refusal
+names its cell by its index in the whole grid.  The closed route
 evaluates the whole grid in one call.  On every route a cell's values do
 not depend on how the grid is split into blocks or calls, so a one-cell
 grid gives the values at one (alpha, t).
@@ -41,7 +44,7 @@ import numpy as np
 from .closedform import closed_grid
 from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
 from .entanglement import PAIR_LABELS, pair_values
-from .linalg import Workspace, _CellRefusal
+from .linalg import _CellRefusal, thread_workspace
 
 ENGINES = ("closed", "analytic", "numeric")
 # A cell holds 4 (n_max + 1)^2 amplitudes on the numeric route, so one block
@@ -91,7 +94,6 @@ class GridEngine:
             if math.isinf(self._rate):
                 raise ValueError(f"{rate_text} overflows")
             self._overflow = f"times {rate_text} overflows"
-        self._work = Workspace()
         if name == "numeric":
             self._propagator = HamiltonianPropagator(params, n_max)
 
@@ -125,7 +127,7 @@ class GridEngine:
         q = np.empty_like(conc)
         t_step = max(1, min(ts.size, BLOCK_CELLS))
         a_step = max(1, BLOCK_CELLS // t_step)
-        work = self._work
+        work = thread_workspace()
         for a0 in range(0, alphas.size, a_step):
             for t0 in range(0, ts.size, t_step):
                 block = (slice(a0, a0 + a_step), slice(t0, t0 + t_step))

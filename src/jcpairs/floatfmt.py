@@ -44,6 +44,12 @@ Zero takes the same path as D = 0 at X = 0.  Only non-finite values,
 |v| < 2^-128 (zero excepted), |v| >= 2^53 and at most one double next to
 each power of ten go through ``'%.17g' % v``, one at a time; a chunk with
 none of them skips that branch.
+
+Every step writes its temporaries with ``out=`` into 14 word rows and 3
+flag rows as long as the chunk (``_chunk_rows``, 470 KB at 4096 values), kept
+in the calling thread's ``linalg.Workspace``: each chunk reuses the rows
+of the last one, and only the cells of the three-word product and of the
+fallback take arrays of their own.
 """
 
 from __future__ import annotations
@@ -53,6 +59,8 @@ import math
 
 import numpy as np
 
+from .linalg import thread_workspace
+
 # biased exponents of m 2^e, m in [2^52, 2^53), inside the window; from
 # _B_NARROW up, 5^k is below 2^63 and the product takes two words
 _B_MIN, _B_NARROW, _B_MAX = 895, 987, 1075
@@ -61,7 +69,7 @@ _DIGITS = 17
 # longest text: "-1.7976931348623157e+308" and "-2.2250738585072014e-308" (fallbacks);
 # inside the window "-1.2345678901234567e-39" or "-0.00012345678901234567", 23
 WIDTH = 24
-_CHUNK = 4096  # values per pass through the arithmetic, which bounds its arrays
+_CHUNK = 4096  # values per pass through the arithmetic, which bounds its working rows
 _WORDS = np.dtype("<u8")  # byte j of a text is byte j % 8 of word j // 8 on every host
 
 
@@ -108,47 +116,77 @@ def _tables():
     return limbs, guess, tens, layouts.reshape(10, -1)
 
 
+def _chunk_rows(n):
+    """This thread's working rows for n values: (14, n) words and (3, n) flags.
+
+    The three steps of a chunk share them.  ``_decimal`` leaves D in word
+    row 0, X - X_MIN in row 1 and ``ok`` in flag row 0, and works in rows
+    2-10; ``_digit_words`` turns row 0 into the number of digits kept and
+    writes the digit words to rows 2-4, working in rows 5-6; ``_write_chunk``
+    turns row 1 into the layout's column and works in rows 0 and 5-13.
+    """
+    work = thread_workspace()
+    return work.get("format.words", (14, n), _WORDS), work.get("format.flags", (3, n), bool)
+
+
 def _decimal(values):
-    """(D, X - X_MIN, ok): 17 correctly rounded digits and the exponent, where ``ok``."""
+    """(D, X - X_MIN, ok): 17 correctly rounded digits and the exponent, where ``ok``.
+
+    The three are views of this thread's working rows (``_chunk_rows``).
+    """
     limbs, guess, tens = _tables()[:3]
-    mag = values.view(np.uint64) & 0x7FFFFFFFFFFFFFFF
-    b = mag >> 52
-    x = np.take(guess, b.view(np.intp))  # indices below 2^11 read as signed
-    x += mag >= np.take(tens, b.view(np.intp))
-    low = b - _B_MIN  # wraps below the window
-    ok = low <= _B_MAX - _B_MIN
+    words, (ok, flag, zero) = _chunk_rows(values.size)
+    d, x, b, m_lo, m_hi, lo, hi, r, t, mid, tmp = words[:11]
+    np.bitwise_and(values.view(np.uint64), 0x7FFFFFFFFFFFFFFF, out=m_lo)  # the magnitude's bits
+    np.right_shift(m_lo, 52, out=b)
+    np.take(guess, b.view(np.intp), out=x, mode="clip")  # indices below 2^11 read as signed
+    np.take(tens, b.view(np.intp), out=tmp, mode="clip")
+    x += np.greater_equal(m_lo, tmp, out=flag)
+    np.subtract(b, _B_MIN, out=tmp)  # wraps below the window
+    np.less_equal(tmp, _B_MAX - _B_MIN, out=ok)
+    wide = np.flatnonzero(np.less(tmp, _B_NARROW - _B_MIN, out=flag))
+    np.equal(m_lo, 0, out=zero)  # written as the one digit "0" (X is 0 already)
 
     # 8m 5^k = hi 2^64 + lo from the limbs of 8m (below 2^56) and 5^k (below
     # 2^63 in the narrow window; the wide cells are redone below)
-    m_lo = ((mag & ((1 << 52) - 1)) | (1 << 52)) << 3
-    m_hi = m_lo >> 32
+    m_lo &= (1 << 52) - 1
+    m_lo |= 1 << 52
+    m_lo <<= 3
+    np.right_shift(m_lo, 32, out=m_hi)
     m_lo &= 0xFFFFFFFF
-    p_lo, p_hi = np.take(limbs[0], x.view(np.intp)), np.take(limbs[1], x.view(np.intp))
-    lo = m_lo * p_lo
-    mid = m_lo * p_hi
-    mid += m_hi * p_lo
-    mid += lo >> 32
-    hi = m_hi * p_hi
-    hi += mid >> 32
+    p_lo, p_hi = tmp, hi
+    np.take(limbs[0], x.view(np.intp), out=p_lo, mode="clip")
+    np.take(limbs[1], x.view(np.intp), out=p_hi, mode="clip")
+    np.multiply(m_lo, p_lo, out=lo)
+    np.multiply(m_lo, p_hi, out=mid)
+    mid += np.multiply(m_hi, p_lo, out=tmp)
+    mid += np.right_shift(lo, 32, out=tmp)
+    hi *= m_hi  # p_hi's row
+    hi += np.right_shift(mid, 32, out=tmp)
     lo &= 0xFFFFFFFF
-    lo |= mid << 32
-    del p_lo, p_hi, mid
+    lo |= np.left_shift(mid, 32, out=mid)
     # t = floor(2 v 10^k): the shift 3 - e - k less one, in [1, 63] inside the
     # narrow window; other cells take any shift below 64
-    r = (x + (1075 + _X_MIN - 14) - b) & 63
-    t = lo >> r
-    sticky = t << r != lo
-    t |= hi << 1 << (63 - r)
-    wide = np.flatnonzero(low < _B_NARROW - _B_MIN)
+    np.add(x, 1075 + _X_MIN - 14, out=r)
+    r -= b
+    r &= 63
+    np.right_shift(lo, r, out=t)
+    sticky = np.not_equal(np.left_shift(t, r, out=tmp), lo, out=flag)
+    hi <<= 1
+    t |= np.left_shift(hi, np.subtract(63, r, out=tmp), out=hi)
     if wide.size:
         t[wide] = _wide_product(m_lo[wide], m_hi[wide], x[wide], b[wide])
         sticky[wide] = True
-    d = t >> 1
-    d += t & (sticky | d) & 1  # round half to even
-    ok &= (t >= 2 * 10**16) & (d < 10**17)
-    zero = mag == 0  # written as the one digit "0" (X is 0 already)
+    np.right_shift(t, 1, out=d)
+    np.bitwise_or(sticky, d, out=tmp)
+    tmp &= t
+    tmp &= 1
+    d += tmp  # round half to even
+    ok &= np.greater_equal(t, 2 * 10**16, out=flag)
+    ok &= np.less(d, 10**17, out=flag)
     d[zero] = 0
-    return d, x, ok | zero
+    ok |= zero
+    return d, x, ok
 
 
 def _wide_product(m_lo, m_hi, x, b):
@@ -181,18 +219,20 @@ def _digit_words(d):
     """The 17 digits of each D as (3, n) words, digit j in byte 7 + j (not yet ASCII).
 
     Also returns the number of digits kept once trailing zeros are dropped,
-    less one (none for D = 0, which is written as "0").  ``d`` is overwritten.
+    less one (none for D = 0, which is written as "0"), in the row of ``d``,
+    which is overwritten.  ``d`` is a row of ``_chunk_rows``.
     """
-    digits = np.empty((3, d.size), dtype=_WORDS)
-    top = d // 10**16
-    d -= top * 10**16
-    np.left_shift(top, 56, out=digits[0])
+    words = _chunk_rows(d.size)[0]
+    digits, high = words[2:5], words[5:7]
+    np.floor_divide(d, 10**16, out=digits[0])
+    d -= np.multiply(digits[0], 10**16, out=high[0])
+    digits[0] <<= 56
     parts = digits[1:]  # the eight-digit parts, each split into its bytes in place
     np.floor_divide(d, 10**8, out=parts[0])
     np.multiply(parts[0], 10**8, out=parts[1])
     np.subtract(d, parts[1], out=parts[1])
     # (p - q c) << s | q, the quotient q in the lower lane, as (p << s) - q (c << s - 1)
-    high = parts // 10**4  # 4|4 in 32-bit lanes
+    np.floor_divide(parts, 10**4, out=high)  # 4|4 in 32-bit lanes
     parts <<= 32
     high *= (10**4 << 32) - 1
     parts -= high
@@ -211,7 +251,13 @@ def _digit_words(d):
 
     # digits kept less one: the parts' bytes up to the last nonzero digit, from the bit length of
     # the 128-bit number they make plus a half (exact in a double: no byte exceeds 9)
-    kept = ((parts[1] * 2.0**64 + parts[0] + 0.5).view(np.uint64) >> 52) - (1022 - 7) >> 3
+    kept, bits = d, d.view(np.float64)
+    np.multiply(parts[1], 2.0**64, out=bits)
+    bits += parts[0]
+    bits += 0.5
+    kept >>= 52
+    kept -= 1022 - 7
+    kept >>= 3
     parts += 0x3030303030303030
     digits[0] += 0x30 << 56
     return digits, kept
@@ -234,23 +280,33 @@ def g17_bytes(values, out=None):
 
 def _write_chunk(values, out):
     """The rows of one chunk of ``g17_bytes``, written into ``out``."""
-    d, x, ok = _decimal(values)
+    d, code, ok = _decimal(values)
     digits, kept = _digit_words(d)
-    code = ((values.view(np.uint64) >> 63) * (_X_MAX - _X_MIN + 1) + x) * _DIGITS + kept
-    del d, x, kept  # a chunk's arrays are large: hold only those still read
+    words = _chunk_rows(values.size)[0]
+    shift, head, text, rest = words[0], words[5:8], words[8:11], words[11:14]
+    # the layout's column: code = (sign (X_MAX - X_MIN + 1) + X - X_MIN) DIGITS + kept, in X's row
+    sign = np.right_shift(values.view(np.uint64), 63, out=head[0])
+    sign *= _X_MAX - _X_MIN + 1
+    code += sign
+    code *= _DIGITS
+    code += kept
     # the indices are in range by construction
-    layout = np.take(_tables()[3], code.view(np.intp), axis=1, mode="clip")
-    shift = layout[9]
-    head = digits & layout[3:6]
+    layouts = _tables()[3]
+    np.take(layouts[9], code.view(np.intp), out=shift, mode="clip")
+    np.take(layouts[3:6], code.view(np.intp), axis=1, out=head, mode="clip")
+    head &= digits
     digits ^= head  # the digits after the point
-    words = head >> shift
-    words |= digits >> (shift - 8)
+    np.right_shift(head, shift, out=text)
+    shift -= 8
+    text |= np.right_shift(digits, shift, out=rest)
     # what each word takes from the next: the next head and rest, the rest one byte up
     digits[1:] <<= 8
     digits[1:] |= head[1:]
-    words[:2] |= digits[1:] << (64 - shift)
-    words &= layout[6:9]
-    np.bitwise_or(words, layout[:3], out=out.view(_WORDS).T)
+    np.subtract(56, shift, out=shift)  # 64 less the first shift
+    text[:2] |= np.left_shift(digits[1:], shift, out=rest[:2])
+    text &= np.take(layouts[6:9], code.view(np.intp), axis=1, out=rest, mode="clip")
+    np.take(layouts[:3], code.view(np.intp), axis=1, out=rest, mode="clip")
+    np.bitwise_or(text, rest, out=out.view(_WORDS).T)
     fallback = np.flatnonzero(~ok)
     if fallback.size:
         texts = ["%.17g" % v for v in values[fallback].tolist()]

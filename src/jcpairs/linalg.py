@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -45,34 +46,53 @@ class _CellRefusal(ValueError):
 
 
 class Workspace:
-    """Named flat buffers that every block of one grid evaluation reuses.
+    """Named flat buffers that every block of a grid evaluation, and every table, reuses.
 
-    ``get(name, shape)`` returns a C-contiguous complex view of the first
-    prod(shape) elements of the buffer called ``name``, allocating it only
-    when it is missing or too small.  The first block of a grid is its
-    largest, so each buffer is allocated once per grid and later blocks
-    write into memory that is already mapped.  The view of each (name,
-    shape) is kept (up to 64, then they start over), so a repeated request
-    costs one dictionary lookup.
+    ``get(name, shape, dtype=complex)`` returns a C-contiguous view of the
+    first prod(shape) elements of type ``dtype`` of the buffer called
+    ``name``, allocating it only when it is missing or too small, so a
+    buffer is as large as the largest block it served and later blocks and
+    requests write into memory that is already mapped.  The view of each
+    (name, shape, dtype) is kept (up to 64, then they start over), so a
+    repeated request costs one dictionary lookup.
+
+    ``thread_workspace()`` gives each thread one, made on first use; the
+    engine, the table writer and the formatter draw on it, so a thread runs
+    one ``GridEngine.values`` call and writes one table at a time.
     """
 
     def __init__(self):
         self._buffers = {}
-        self._views = {}  # (name, shape) -> view of the current buffer
+        self._views = {}  # (name, shape, dtype) -> view of the current buffer
 
-    def get(self, name, shape):
-        view = self._views.get((name, shape))
+    def get(self, name, shape, dtype=complex):
+        key = (name, shape, dtype)
+        view = self._views.get(key)
         if view is not None:
             return view
-        size = math.prod(shape)
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, complex)
-            self._views = {key: v for key, v in self._views.items() if key[0] != name}
+            buf = self._buffers[name] = np.empty(size, np.uint8)
+            self._views = {k: v for k, v in self._views.items() if k[0] != name}
         if len(self._views) >= 64:  # a caller of many shapes: keep the dictionary small
             self._views.clear()
-        view = self._views[(name, shape)] = buf[:size].reshape(shape)
+        view = self._views[key] = buf[:size].view(dtype).reshape(shape)
         return view
+
+
+class _PerThread(threading.local):
+    def __init__(self):
+        self.work = Workspace()
+
+
+_PER_THREAD = _PerThread()
+
+
+def thread_workspace():
+    """The calling thread's ``Workspace``, made on its first call."""
+    return _PER_THREAD.work
 
 
 def pair_entries(amps, pairs, *, work=None):

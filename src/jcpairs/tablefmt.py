@@ -3,12 +3,16 @@
 ``table_chunks`` writes the CSV and JSON tables of ``jcpairs evolve`` and
 ``jcpairs sweep`` as a few large uint8 chunks instead of one string per row:
 cells are NUL-padded byte rows (``floatfmt.g17_bytes`` for CSV floats),
-assembled block by block into one preallocated byte matrix whose NUL bytes
-are dropped on the way out.  The bytes are those of formatting every CSV
-cell with ``'%.17g'``, and for JSON those of ``json.dumps(..., indent=2)``
-of the rows (NaN as null).  On a 2-core Xeon a closed 100 x 200 sweep of six
-pairs costs about 0.45 us a row before the file write: under half formatting
-(1.3 distinct C or Q values a row), a third dropping NULs, the rest gathering.
+assembled block by block into one byte matrix whose NUL bytes are dropped
+on the way out.  The matrix, its NUL mask and the block's float values and
+their cells are buffers of the calling thread's ``linalg.Workspace``, kept
+from table to table, so a thread writes one table at a time; the chunks
+written out are arrays of their own.  The bytes are those of formatting
+every CSV cell with ``'%.17g'``, and for JSON those of
+``json.dumps(..., indent=2)`` of the rows (NaN as null).  On a 2-core Xeon
+a closed 100 x 200 sweep of six pairs costs about 0.45 us a row before the
+file write: under half formatting (1.3 distinct C or Q values a row), a
+third dropping NULs, the rest gathering.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ import math
 import numpy as np
 
 from .floatfmt import WIDTH, g17_bytes
+from .linalg import thread_workspace
 
 # Rows per block, rounded down to whole groups of a table's last axis (at
-# least one group): every block is assembled in one byte matrix, allocated
-# once per table, and written before the next is built, so the whole table
+# least one group): every block is assembled in one byte matrix, the same for
+# every block, and written before the next is built, so the whole table
 # never exists as text at once.
 ROW_BLOCK = 2048
 
@@ -80,7 +85,7 @@ def table_chunks(fmt, columns, shape, data):
     and the row of ``cells`` at each table cell: its index along the axis
     ``key``, or ``key[cell]`` for an integer array of ``shape``.
 
-    Each block is one byte matrix, allocated once per table: a row holds
+    Each block is one byte matrix of the thread's workspace: a row holds
     the row's cells, each NUL-padded to its column's width (ready cells
     trimmed to their longest text), and the separators, and is written
     without its NUL bytes.  What every block shares goes in once: the
@@ -135,14 +140,15 @@ def table_chunks(fmt, columns, shape, data):
     row = np.zeros((slots, offset + max(len(closing), len(separator))), dtype=np.uint8)
     for at, cells in fixed:
         row[:, at:at + cells.shape[-1]] = cells
-    block = np.empty((max(1, min(n // slots, ROW_BLOCK // slots)),) + row.shape, dtype=np.uint8)
+    work = thread_workspace()
+    block = work.get("table.block", (max(1, min(n // slots, ROW_BLOCK // slots)),) + row.shape, np.uint8)
     block[...] = row
-    nonzero = np.empty((block.shape[0] * slots, row.shape[1]), dtype=bool)
+    nonzero = work.get("table.nonzero", (block.shape[0] * slots, row.shape[1]), bool)
     runs = [(at, arrays, *distinct_slots(arrays)) for at, arrays in runs]
     # the distinct float values of a block, for one formatter call
-    values = np.empty(sum(len(arrays) * len(distinct) for _, arrays, distinct, _ in runs)
-                      * block.shape[0])
-    numbers = np.empty((values.size, WIDTH), dtype=np.uint8)
+    size = sum(len(arrays) * len(distinct) for _, arrays, distinct, _ in runs) * block.shape[0]
+    values = work.get("table.values", (size,), float)
+    numbers = work.get("table.numbers", (size, WIDTH), np.uint8)
 
     for start in range(0, n // slots, block.shape[0]):
         groups = np.arange(start, min(n // slots, start + block.shape[0]))

@@ -63,9 +63,7 @@ def test_grid_engine_builds_its_own_site():
 
 
 def test_knobs_no_caller_sets_are_gone():
-    # one buffer type and one sudden-death threshold: constants, not keywords
-    workspace = importlib.import_module("jcpairs.linalg").Workspace
-    assert "dtype" not in inspect.signature(workspace.get).parameters
+    # one sudden-death threshold: a constant, not a keyword
     assert "q_tol" not in inspect.signature(jcpairs.zero_intervals).parameters
     # the window takes the site, not a ratio; the propagator builds its own site matrix
     assert list(inspect.signature(jcpairs.boundary_AB).parameters) == ["kind", "alpha", "params"]

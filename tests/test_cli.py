@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,11 @@ def test_verify_injected_fault_fails(capsys):
     assert sorted(name for verdict, name in verdicts if verdict == "FAIL") == [
         "closed_form_agreement", "engine_agreement"]
     assert [verdict for verdict, _ in verdicts].count("PASS") == 5 and len(verdicts) == 7
+
+
+def test_verify_refuses_a_detuned_site():
+    with pytest.raises(ValueError, match="^verify runs at resonance; set omega = omega0$"):
+        checks.run_checks(JCParams(5, 6, 1), 1e-9)
 
 
 def test_cli_import_leaves_the_invariant_suite_out():
@@ -488,6 +494,22 @@ def test_default_steps_may_reach_the_ceiling(command):
 def test_overflowing_rates_or_phases_are_usage_errors(argv, message):
     # a fresh process, so that a numpy warning or a traceback would show on stderr
     assert _fresh_process(argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--t-max", "-1"], "t-max must be positive, got -1.0"),
+    (["evolve", "--tol", "0"], "tol must be positive, got 0.0"),
+    (["esd", "--zero-tol", "-1"], "zero-tol must be >= 0, got -1.0"),
+    (["evolve", "--g", "1e-308"], "two Rabi periods, 2 pi / g, overflow for g=1e-308; raise g"),
+    (["sweep", "--g", "1e-308", "--t-max", "1"],
+     "the Rabi period, pi / g, overflows for g=1e-308; give --steps"),
+    (["evolve", "--config", "{conf}"], "{conf}:1: expected 'key = value', got 'alpha 0.3'"),
+], ids=["t-max", "tol", "zero-tol", "two-periods", "period", "config-line"])
+def test_settings_refusals_in_process(tmp_path, capsys, argv, message):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("alpha 0.3\n")
+    assert run(*[arg.format(conf=conf) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(conf=conf)}\n")
 
 
 def test_closed_route_takes_every_time_whose_half_phase_and_gt_are_finite(tmp_path):
@@ -860,6 +882,42 @@ def test_requests_in_one_process_match_fresh_processes(tmp_path, capsys, sequenc
         out, err = capsys.readouterr()
         assert (code, out, err) == _fresh_process(argv)
     assert cli._build_parser.cache_info().misses == built
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["evolve", "--engine", "both", "--n-max", "4"], 1_000_000),
+    (["sweep", "--engine", "both", "--alpha-points", "3", "--steps", "200"], 1_200_000),
+])
+def test_a_warm_repeat_allocates_no_working_memory(tmp_path, argv, bound):
+    # block, table and formatter buffers stay in the thread's workspace: a
+    # repeat allocates the results, the written chunks and small arrays
+    # (tracemalloc sees numpy's data).  With a workspace per engine and new
+    # table and formatter arrays per request these took 2.5 and 1.7 MB.
+    argv = [*argv, "--output", str(tmp_path / "table.csv")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def test_requests_after_larger_ones_write_the_bytes_of_a_fresh_process(tmp_path):
+    # each table's buffers are reused from longer and wider tables before it
+    sequence = [
+        ["sweep", "--engine", "closed", "--alpha-points", "101", "--steps", "1024"],
+        ["evolve", "--engine", "both", "--n-max", "4", "--format", "json"],
+        ["sweep", "--pair", "Ab"],
+        ["evolve", "--steps", "1"],
+        ["sweep", "--engine", "closed", "--family", "psi", "--alpha-points", "21", "--steps", "200"],
+    ]
+    for i, argv in enumerate(sequence):
+        assert main([*argv, "--output", str(tmp_path / f"{i}.one")]) == 0
+    for i, argv in enumerate(sequence):
+        assert _fresh_process([*argv, "--output", str(tmp_path / f"{i}.fresh")]) == (0, "", "")
+        assert (tmp_path / f"{i}.one").read_bytes() == (tmp_path / f"{i}.fresh").read_bytes(), argv
 
 
 def test_detuned_closed_sweep_agrees_with_the_analytic_sweep(tmp_path):

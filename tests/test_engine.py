@@ -1,7 +1,10 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -190,6 +193,43 @@ def test_stack_rejects_a_non_psd_x_cell():
         entry_values(stack)
 
 
+def test_threads_sharing_an_engine_get_the_bits_of_a_serial_run(det_params):
+    # each thread writes its blocks into its own workspace; a shared one mixes
+    # the threads' blocks
+    grid = GridEngine("numeric", "phi", det_params, n_max=2)
+    alpha_grid, t_grid = np.linspace(0.1, 1.4, 4), np.linspace(0.0, 20.0, 1000)  # 16 blocks
+    serial = grid.values(alpha_grid, t_grid)
+    threads = 4
+    together = threading.Barrier(threads, timeout=60)
+
+    def repeat(_):
+        together.wait()
+        return [grid.values(alpha_grid, t_grid) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            runs = [values for values_of_thread in pool.map(repeat, range(threads), timeout=60)
+                    for values in values_of_thread]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == 3 * threads
+    for values in runs:
+        for field in ("concurrence", "q"):
+            assert np.array_equal(_bits(getattr(values, field)), _bits(getattr(serial, field)))
+
+
+@pytest.mark.parametrize("engine", ["analytic", "numeric"])
+def test_grid_values_outlive_another_engines_call(engine, res_params, det_params):
+    alpha_grid, t_grid = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 8.0, 300)
+    first = GridEngine(engine, "phi", res_params).values(alpha_grid, t_grid)
+    kept = [_bits(first.concurrence).copy(), _bits(first.q).copy()]
+    GridEngine(engine, "psi", det_params, n_max=3).values(alpha_grid[::-1], t_grid[::-1] * 2.0)
+    assert np.array_equal(_bits(first.concurrence), kept[0])
+    assert np.array_equal(_bits(first.q), kept[1])
+
+
 @pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 3)])
 def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, det_params):
     alpha_grid, t_grid = np.linspace(0.1, 3.0, 4), np.linspace(0.0, 9.0, 11)
@@ -316,7 +356,7 @@ def test_any_split_of_the_times_gives_the_bits_of_one_call(engine, kind, n_max, 
     parts = [grid.values(alpha_list, part) for part in np.split(ts, sorted({c for c in cuts if c < n_t}))]
     ia, it = data.draw(st.integers(0, len(alpha_list) - 1)), data.draw(st.integers(0, n_t - 1))
     cell = grid.values(alpha_list[ia:ia + 1], ts[it:it + 1])
-    # the engine reuses one workspace: after the calls above, a second and a
+    # the thread's workspace is reused: after the calls above, a second and a
     # third call of the whole grid give the bits of the first
     again = [grid.values(alpha_list, ts) for _ in range(2)]
     for field in ("concurrence", "q"):

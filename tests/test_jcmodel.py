@@ -100,6 +100,11 @@ def test_site_hamiltonian_resonance_splitting():
     assert w[1] - w[0] == pytest.approx(2 * p.g, abs=1e-12)
 
 
+def test_site_hamiltonian_refuses_no_photon_level():
+    with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
+        site_hamiltonian(JCParams(5, 5, 1), 0)
+
+
 def test_site_hamiltonian_ground_state():
     p = JCParams(omega0=5.0, omega=6.0, g=0.5)
     h = site_hamiltonian(p, n_max=1)
