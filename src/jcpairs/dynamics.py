@@ -1,19 +1,19 @@
-"""Initial states of the two-site lattice and their time evolution on (alpha, t) grids.
+"""The two-site lattice's initial families and their time evolution on (alpha, t) grids.
 
-Two independent engines produce the evolving pure states: an analytic
-propagator that phases the dressed states of each site (restricted to the
-single-excitation ladder the initial families live in,
-``analytic_amplitudes``), and exact diagonalization of the one literal
-truncated site Hamiltonian, whose propagator's Kronecker square is the
-lattice's (``HamiltonianPropagator.evolve_grid``).  Both use the literal
-Hamiltonian's energy zero point, so they agree at the amplitude level, not
-just in derived quantities.
-
-Both evolve a whole (alpha, t) block at once and return amplitude stacks
-with the cells last, shape (2, d, 2, d, n_alpha, n_t): each amplitude is one
-row of n_alpha n_t values, which is what the reducer
-(``linalg.pair_entries``) works on.  Given a ``linalg.Workspace``, they
-write their result and their temporaries into its buffers.
+Two independent site propagators evolve the families: the dressed states of
+each site in closed form (``analytic_amplitudes``), and exact
+diagonalization of the literal truncated site Hamiltonian, one ``eigh`` per
+excitation manifold the families populate
+(``HamiltonianPropagator.evolve_grid``).  The lattice propagator is the
+site's Kronecker square, so every amplitude is an initial weight times one
+site factor per site.  Both use the literal Hamiltonian's energy zero
+point, so they agree at the amplitude level, not just in derived
+quantities.  The families put at most one excitation on each site, which
+the coupling conserves: both routes evolve a whole (alpha, t) block at once
+into the one-photon amplitude stack (2, 2, 2, 2, n_alpha, n_t), cells last,
+whose rows the reducer (``linalg.pair_entries``) works on, nonzero only on
+``live_rows``.  Given a ``linalg.Workspace``, they write their result and
+their temporaries into its buffers.
 """
 
 from __future__ import annotations
@@ -34,16 +34,19 @@ _INITIAL_CELLS = {
     "psi": ((0, 0, 1, 0), (1, 0, 0, 0)),  # |e,0,g,0>, |g,0,e,0>
 }
 
+# The site levels (atom, photon) each initial site level reaches, in the
+# order of the site factor rows: |e,0> -> f|e,0> + h|g,1>, |g,0> -> ground|g,0>
+_SITE_REACH = {(0, 0): ((0, 0), (1, 1)), (1, 0): ((1, 0),)}
 
-def initial_amplitudes(kind, alphas, n_max=1):
-    """Initial tensors (2, n_max+1, 2, n_max+1, *alphas.shape) of the family, one per alpha, n_max >= 1."""
-    alphas = np.asarray(alphas, dtype=float)
-    n_ph = n_max + 1
-    psi = np.zeros((2, n_ph, 2, n_ph) + alphas.shape, dtype=complex)
-    first, second = _INITIAL_CELLS[kind]
-    psi[first] = np.cos(alphas)
-    psi[second] = np.sin(alphas)
-    return psi
+
+def live_rows(kind):
+    """Flat indices, ascending, of the rows of the family's (2, 2, 2, 2) stack that a route can fill.
+
+    A lattice row is live when one initial cell reaches it on both sites
+    (``_SITE_REACH``); every other row stays exactly zero.
+    """
+    return tuple(sorted({8 * a[0] + 4 * a[1] + 2 * b[0] + b[1] for cell in _INITIAL_CELLS[kind]
+                         for a in _SITE_REACH[cell[:2]] for b in _SITE_REACH[cell[2:]]}))
 
 
 @functools.lru_cache(maxsize=256)
@@ -81,18 +84,27 @@ def _site_factors(params, t, out, scratch):
 def analytic_amplitudes(kind, alphas, ts, params, *, work=None):
     """The family evolved to every (alpha, t) by dressed-state phases, shape (2, 2, 2, 2, n_alpha, n_t).
 
-    Both sites share ``params``; the state stays in the single-excitation
-    ladder of each site, so the stack has n_max = 1.  The factors cos
-    alpha, sin alpha, f, h and the ground phase are written as flat rows of
-    the n_alpha n_t cells (the site factors once per time, then copied to
-    every alpha), and every amplitude is (weight x) y, its initial cell's
-    weight times one factor of each site, each product written to a row
-    that is not one of its operands: each cell takes the same numpy loop
-    whatever the block's shape.  (A one-cell block broadcast from an
-    (n_alpha, 1) and an (n_t,) operand, or a one-cell product written over
-    its own operand, takes a loop that rounds complex products
-    differently.)  The stack is the ``"amplitudes"``
-    buffer of ``work`` when one is given, and the factors live there too.
+    Both sites share ``params``; ``_amplitudes`` writes the stack from the
+    site factors of ``_site_factors``.
+    """
+    return _amplitudes(kind, alphas, ts, functools.partial(_site_factors, params), work)
+
+
+def _amplitudes(kind, alphas, ts, site_factors, work):
+    """The family evolved to every (alpha, t) by one site propagator, shape (2, 2, 2, 2, n_alpha, n_t).
+
+    ``site_factors(t, out, scratch)`` writes the site factors f, h and
+    ground (``_SITE_REACH``) at every time of the 1-D ``t`` into the rows of
+    ``out`` (3, len(t)), with ``scratch`` (4, len(t)).  The factors cos
+    alpha, sin alpha, f, h and ground are flat rows of the n_alpha n_t cells
+    (the site factors once per time, then copied to every alpha), and every
+    amplitude is (weight x) y, its initial cell's weight times one factor
+    of each site, each product written to a row that is not one of its
+    operands: each cell takes the same numpy loop whatever the block's
+    shape.  (A one-cell block broadcast from an (n_alpha, 1) and an (n_t,)
+    operand, or a one-cell product written over its own operand, takes a
+    loop that rounds complex products differently.)  The stack and the
+    factors are buffers of ``work`` (a ``Workspace``; a new one when None).
     """
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -100,92 +112,75 @@ def analytic_amplitudes(kind, alphas, ts, params, *, work=None):
     if work is None:
         work = Workspace()
     # rows: cos alpha, sin alpha, f, h, ground phase, and the partial product
-    rows = work.get("analytic.factors", (6, n_a * n_t))
+    rows = work.get("evolve.factors", (6, n_a * n_t))
     by_alpha = rows.reshape(6, n_a, n_t)
     by_alpha[0] = np.cos(alphas)[:, None]
     by_alpha[1] = np.sin(alphas)[:, None]
-    _site_factors(params, ts, by_alpha[2:5, 0], work.get("analytic.scratch", (4, n_t)))
+    site_factors(ts, by_alpha[2:5, 0], work.get("evolve.scratch", (4, n_t)))
     if n_a > 1:
         by_alpha[2:5, 1:] = by_alpha[2:5, :1]
     ca, sa, f, h, ground, partial = rows
     psi = work.get("amplitudes", (2, 2, 2, 2, n_a, n_t))
     psi.fill(0.0)
     cells = psi.reshape(2, 2, 2, 2, -1)
-    # each site evolves on its own: |e,0> -> f|e,0> + h|g,1>, |g,0> -> ground|g,0>
-    site = {(0, 0): ((f, (0, 0)), (h, (1, 1))), (1, 0): ((ground, (1, 0)),)}
+    # each site evolves on its own, by the factors of _SITE_REACH
+    site = {(0, 0): (f, h), (1, 0): (ground,)}
     for weight, cell in zip((ca, sa), _INITIAL_CELLS[kind]):
-        for x, level_a in site[cell[:2]]:
+        for x, level_a in zip(site[cell[:2]], _SITE_REACH[cell[:2]]):
             np.multiply(weight, x, out=partial)
-            for y, level_b in site[cell[2:]]:
+            for y, level_b in zip(site[cell[2:]], _SITE_REACH[cell[2:]]):
                 np.multiply(partial, y, out=cells[level_a + level_b])
     return psi
 
 
-# Every product of ``evolve_grid`` takes a multiple of this many cell columns.
-_COLUMN_QUANTUM = 8
-
-
 class HamiltonianPropagator:
-    """Exact propagator exp(-i H t) of two copies of the site ``params``, from one ``eigh``.
+    """Exact propagator exp(-i H_site t) of the site ``params``, from one ``eigh`` per populated manifold.
 
-    The lattice Hamiltonian is H_site (x) I + I (x) H_site, so exp(-i H t)
-    is exp(-i H_site t) (x) exp(-i H_site t) exactly: the site's
-    ``site_hamiltonian(params, n_max)`` is diagonalized once (a failed
-    ``eigh`` is refused, naming ``n_max`` and the site), never the lattice.
+    The coupling conserves each site's excitation number, so
+    ``site_hamiltonian(params, n_max)`` is block-diagonal by manifold, and
+    the initial cells populate two blocks: |g,0> alone and {|e,0>, |g,1>}.
+    Each is diagonalized on its own (a failed ``eigh`` is refused, naming
+    ``n_max`` and the site), and the spectrum (w, V) is assembled on the
+    one-photon levels (e,0), (e,1), (g,0), (g,1) with exact zeros outside
+    the blocks; (e,1), in no populated manifold, has a zero row and
+    column.  The blocks have the same entries at every ``n_max``, so it
+    changes no bit.  The site factors are <i|U(t)|j> = sum_k V[i,k]
+    conj(V[j,k]) exp(-i w_k t) over the block of j, for each j -> i of
+    ``_SITE_REACH``; the lattice propagator is their Kronecker square.
     """
 
     def __init__(self, params, n_max):
-        try:
-            self._w, self._v = np.linalg.eigh(site_hamiltonian(params, n_max))
-        except np.linalg.LinAlgError as exc:  # eigh did not converge
-            raise ValueError(f"the numeric route cannot diagonalize the site Hamiltonian at "
-                             f"n_max = {n_max} and {params!r}: {exc}") from None
-        # C0 = V^dag P0 conj(V): the two factors that take amplitudes to eigen-coefficients
-        self._to_eigen = (np.ascontiguousarray(self._v.conj().T), self._v.conj())
+        h_site = site_hamiltonian(params, n_max)
+        self._w, self._v = np.zeros(4), np.zeros((4, 4), dtype=complex)
+        # one eigh per manifold of an initial site level; a one-photon level
+        # (atom, photon) is 2 atom + photon here and atom (n_max + 1) + photon in h_site
+        for manifold in sorted({1 - atom + photon for atom, photon in _SITE_REACH}):
+            block = [2 * atom + photon for atom in (0, 1) for photon in (0, 1) if 1 - atom + photon == manifold]
+            rows = [level // 2 * (n_max + 1) + level % 2 for level in block]
+            try:
+                self._w[block], self._v[np.ix_(block, block)] = np.linalg.eigh(h_site[np.ix_(rows, rows)])
+            except np.linalg.LinAlgError as exc:  # eigh did not converge
+                raise ValueError(f"the numeric route cannot diagonalize the site Hamiltonian at "
+                                 f"n_max = {n_max} and {params!r}: {exc}") from None
+        eigen = np.flatnonzero(self._v.any(axis=0))  # the populated eigenstates
+        self._rates = -1j * self._w[eigen]
+        # (V[i,k] conj(V[j,k]), slot of k in eigen) over the block of j, for each factor row j -> i
+        v = {(atom, photon): self._v[2 * atom + photon, eigen] for atom in (0, 1) for photon in (0, 1)}
+        self._terms = [[(v[i][slot] * v[j][slot].conjugate(), slot) for slot in np.flatnonzero(v[j])]
+                       for j, reached in _SITE_REACH.items() for i in reached]
 
-    def evolve_grid(self, psi0, ts, *, work=None):
-        """Evolve initial tensors (d_A, d_a, d_B, d_b, n_states) to every time in ``ts``, (..., n_states, n_t).
+    def _site_factors(self, t, out, scratch):
+        """The site factors f, h and ground at every time of ``t`` into ``out``, as ``_amplitudes`` asks."""
+        phases, term = scratch[:len(self._rates)], scratch[-1]
+        for rate, phase in zip(self._rates, phases):
+            np.multiply(rate, t, out=phase)
+        np.exp(phases, out=phases)
+        for row, terms in zip(out, self._terms):
+            for m, (weight, slot) in enumerate(terms):
+                np.multiply(weight, phases[slot], out=term if m else row)
+                if m:
+                    np.add(row, term, out=row)
 
-        With the site spectrum (w, V), a state whose amplitude matrix (site
-        Aa by site Bb) is P0 has eigen-coefficients C0 = V^dag P0 conj(V),
-        and at time t the amplitudes V X V^T with X = C0 o (p p^T),
-        p = exp(-i w t).  X of all cells is laid out with the cells last,
-        (d, d, cells), so the two products V X and V (V X) leave the
-        amplitudes in that layout.  OpenBLAS computes the columns of a
-        product in groups of its kernel width (4 for complex products on
-        x86-64) and a last group of fewer columns on another kernel, whose
-        rounding differs; so the cells are padded with zero columns to a
-        multiple of ``_COLUMN_QUANTUM``, and each cell's bits do not depend
-        on the others: a cell's amplitudes do not depend on how the grid is
-        split into calls.  The result is a view of the padded
-        ``"amplitudes"`` buffer of ``work`` (a ``Workspace``; a new one
-        when None), where the temporaries live too.
-        """
-        psi0 = np.asarray(psi0, dtype=complex)
-        n_states = psi0.shape[-1]
-        d = self._w.size
-        if work is None:
-            work = Workspace()
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        n_t, cells = ts.size, n_states * ts.size
-        cols = -(-cells // _COLUMN_QUANTUM) * _COLUMN_QUANTUM
-        left, right = self._to_eigen
-        p0 = np.ascontiguousarray(np.moveaxis(psi0.reshape(d, d, n_states), -1, 0))
-        c0 = np.moveaxis(left @ p0 @ right, 0, -1)  # one product pair per state
-        # the site phases p = exp(-i w t), their exponent written in place as
-        # (+0, (-w) t): the bits of -1j * outer(w, ts)
-        p = work.get("evolve.site_phases", (d, n_t))
-        p.real = 0.0
-        np.multiply.outer(-self._w, ts, out=p.imag)
-        np.exp(p, out=p)
-        # two cell-sized buffers serve in turn: "evolve.products" holds
-        # p p^T and then V X, "amplitudes" holds X and then V (V X)
-        products = work.get("evolve.products", (d * d * cols,))
-        phases = products[:d * d * n_t].reshape(d, d, n_t)
-        np.multiply(p[:, None, :], p[None, :, :], out=phases)
-        x = work.get("amplitudes", (d, d, cols))
-        np.multiply(c0[..., None], phases[:, :, None, :], out=x[..., :cells].reshape(d, d, n_states, n_t))
-        x[..., cells:] = 0.0
-        vx = np.matmul(self._v, x.reshape(d, d * cols), out=products.reshape(d, d * cols))
-        out = np.matmul(self._v, vx.reshape(d, d, cols), out=x)
-        return out[..., :cells].reshape(psi0.shape + (n_t,))
+    def evolve_grid(self, kind, alphas, ts, *, work=None):
+        """The family ``kind`` evolved to every (alpha, t) by this propagator, shape (2, 2, 2, 2, n_alpha, n_t)."""
+        return _amplitudes(kind, alphas, ts, self._site_factors, work)

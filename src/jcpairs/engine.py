@@ -7,10 +7,10 @@
   broadcasting), at resonance bit for bit the paper's scalar formulas;
 * ``analytic``: dressed-state amplitude stacks (``analytic_amplitudes``);
 * ``numeric``: exact diagonalization of the literal site Hamiltonian at
-  the requested Fock truncation (one ``eigh``: both sites are ``params``),
-  then every (alpha, t) cell from exp(-i H_site t) (x) exp(-i H_site t) by
-  two matrix products (``HamiltonianPropagator.evolve_grid``); its phases
-  drift by about 2 eps ||H_site|| t.
+  the requested Fock truncation, one ``eigh`` per excitation manifold the
+  families populate, then every (alpha, t) cell from exp(-i H_site t) (x)
+  exp(-i H_site t) (``HamiltonianPropagator.evolve_grid``); its phases
+  drift by about 2 eps ||H_site|| t, and ``n_max`` changes no bit.
 
 It alone decides what a route can compute: it refuses ``n_max < 1``, an
 overflowing largest phase rate (before any ``eigh``) and a site whose
@@ -20,12 +20,15 @@ rate x t, overflows, naming it.  The rate is delta/2 on the closed route and
 2 (omega0/2 + n_max omega + sqrt(n_max) g) on the evolution routes.
 
 The two evolution routes evolve each block of cells once, with the cells
-last (amplitudes (2, d, 2, d, n_alpha, n_t)), and read every requested pair
-of it with one ``pair_values`` call.  Blocks hold at most ``BLOCK_CELLS``
-cells and write into the calling thread's ``Workspace``
-(``linalg.thread_workspace``), which every engine and the table writer of
-that thread share: memory stays bounded for any grid size, and every later
-block, call and engine writes into memory that is already mapped.  So a
+last (amplitudes (2, 2, 2, 2, n_alpha, n_t)), and read every requested
+pair of it with one ``pair_values`` call, which multiplies only the rows
+of the family's support (``live_rows``); each engine checks once, on a
+probe cell, that its route writes exact zeros off that support.  Blocks
+hold at most ``BLOCK_CELLS`` cells and write into the calling thread's
+``Workspace`` (``linalg.thread_workspace``), which every engine and the
+table writer of that thread share: memory stays bounded for any grid
+size, and every later block, call and engine writes into memory that is
+already mapped.  So a
 thread runs one ``values`` call at a time, while threads may share an
 engine; the returned ``GridValues`` are arrays of their own.  A refusal
 names its cell by its index in the whole grid.  The closed route
@@ -42,14 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import closed_grid
-from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
-from .entanglement import PAIR_LABELS, pair_values
-from .linalg import _CellRefusal, thread_workspace
+from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, live_rows
+from .entanglement import PAIR_LABELS, _CellRefusal, pair_values
+from .linalg import thread_workspace
 
 ENGINES = ("closed", "analytic", "numeric")
-# A cell holds 4 (n_max + 1)^2 amplitudes on the numeric route, so one block
-# of amplitudes is 400 KB at n_max = 4; larger blocks raise the peak memory
-# of n_max = 4 series without being faster.
+# A cell holds 16 amplitudes on both evolution routes at any n_max, so one
+# block of amplitudes is 64 KB.
 BLOCK_CELLS = 256
 
 
@@ -70,7 +72,8 @@ class GridEngine:
 
     Both sites of the lattice are ``params``.  ``n_max`` is the Fock
     truncation of the numeric route, whose ``HamiltonianPropagator``
-    diagonalizes ``site_hamiltonian(params, n_max)``.
+    diagonalizes the populated blocks of ``site_hamiltonian(params,
+    n_max)``; it enters the phase rate of both evolution routes.
     """
 
     def __init__(self, name, kind, params, *, n_max=1):
@@ -83,7 +86,6 @@ class GridEngine:
         self.name = name
         self.kind = kind
         self.params = params
-        self.n_max = n_max
         if name == "closed":  # the closed form's one phase
             self._rate = 0.5 * params.splitting
             self._overflow = f"overflows the half phase delta t / 2 (delta = {params.splitting!r})"
@@ -94,8 +96,23 @@ class GridEngine:
             if math.isinf(self._rate):
                 raise ValueError(f"{rate_text} overflows")
             self._overflow = f"times {rate_text} overflows"
+        if name == "closed":
+            return
         if name == "numeric":
             self._propagator = HamiltonianPropagator(params, n_max)
+        self._live = live_rows(kind)
+        # a row off the support must be exactly zero: the reducer never reads it
+        probe = self._evolve(np.array([0.5]), np.array([1.0]), thread_workspace()).reshape(16)
+        dead = [row for row in np.flatnonzero(probe).tolist() if row not in self._live]
+        if dead:
+            raise ValueError(f"the {name} route writes {abs(probe[dead[0]]):.3e} on row {dead[0]} of its "
+                             f"stack at alpha = 0.5, t = 1.0, outside its support {self._live}")
+
+    def _evolve(self, alphas, ts, work):
+        """The route's amplitude stack (2, 2, 2, 2, n_alpha, n_t) of one block, in ``work``."""
+        if self.name == "analytic":
+            return analytic_amplitudes(self.kind, alphas, ts, self.params, work=work)
+        return self._propagator.evolve_grid(self.kind, alphas, ts, work=work)
 
     def values(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
         """C and Q of ``pairs`` at every (alpha, t) of the two 1-D grids.
@@ -131,15 +148,11 @@ class GridEngine:
         for a0 in range(0, alphas.size, a_step):
             for t0 in range(0, ts.size, t_step):
                 block = (slice(a0, a0 + a_step), slice(t0, t0 + t_step))
-                if self.name == "analytic":
-                    amps = analytic_amplitudes(self.kind, alphas[block[0]], ts[block[1]], self.params,
-                                               work=work)
-                else:
-                    psi0 = initial_amplitudes(self.kind, alphas[block[0]], self.n_max)
-                    amps = self._propagator.evolve_grid(psi0, ts[block[1]], work=work)
+                amps = self._evolve(alphas[block[0]], ts[block[1]], work)
                 try:
-                    pair_values(amps, pairs, x_tol=x_tol, work=work, out=(conc[block], q[block]))
+                    pair_values(amps, pairs, live=self._live, x_tol=x_tol, work=work,
+                                out=(conc[block], q[block]))
                 except _CellRefusal as exc:  # name the cell in the grid, not in the block
-                    head, (ia, it, *rest), tail = exc.parts
-                    raise ValueError(f"{head} at cell {(a0 + ia, t0 + it, *rest)}{tail}") from None
+                    head, (ia, it, *rest) = exc.parts
+                    raise ValueError(f"{head} at cell {(a0 + ia, t0 + it, *rest)}") from None
         return GridValues(pairs=pairs, concurrence=conc, q=q)

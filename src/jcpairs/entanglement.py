@@ -11,11 +11,11 @@ and vice versa,
 
 Cells off the X pattern take the general Wootters route from the amplitude
 factor of their density.  Every pair density is rho = M M^dag, with M the
-4 x k matrix of the amplitudes that the reducer multiplies (k the traced
-dimension), so rho rho~ = M M^dag (sigma_y x sigma_y) M* M^T (sigma_y x
-sigma_y) has the nonzero eigenvalues of S^dag S with S = M^T (sigma_y x
-sigma_y) M: the square roots lambda_i of Wootters' formula are the singular
-values of S.  No eigenvalue of rho is rooted and no 4x4 density is formed.
+4 x 4 matrix of the amplitudes that the reducer multiplies (rows kept,
+columns traced), so rho rho~ = M M^dag (sigma_y x sigma_y) M* M^T (sigma_y
+x sigma_y) has the eigenvalues of S^dag S with S = M^T (sigma_y x sigma_y)
+M: the square roots lambda_i of Wootters' formula are the singular values
+of S.  No eigenvalue of rho is rooted and no 4x4 density is formed.
 A negative ``x_tol`` sends every cell through the general route;
 ``GridEngine.values`` passes it on, which is how ``jcpairs verify`` holds
 the two routes together.
@@ -23,16 +23,22 @@ the two routes together.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .linalg import Workspace, _CellRefusal, _reduction_plan, pair_entries
+from .linalg import ALL_ROWS, Workspace, _reduction_plan, pair_entries
 
 PAIR_LABELS = ("AB", "ab", "Aa", "Bb", "Ab", "Ba")
 
 # sigma_y x sigma_y, the spin flip of the general route
 _SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+
+
+class _CellRefusal(ValueError):
+    """A refusal naming a cell of a stack; ``GridEngine`` re-raises it with the cell's grid index."""
+
+    def __init__(self, head, cell):
+        self.parts = head, tuple(int(i) for i in cell)
+        super().__init__(f"{head} at cell {self.parts[1]}")
 
 
 def _reject_first(bad, values, what):
@@ -78,7 +84,8 @@ def _x_values(entries, x_tol, conc, q):
     ``entries`` holds the ``linalg.ENTRY_ROWS``/``ENTRY_COLS`` entries of
     each cell; ``conc`` and ``q`` have its trailing shape.  Every cell's
     trace is checked (a NaN trace fails).  Cells that are X-shaped to within
-    ``x_tol`` are checked for PSD-ness (ignoring off-X entries up to
+    ``x_tol`` (every cell when ``x_tol`` is None: no entry off the X pattern
+    can be nonzero) are checked for PSD-ness (ignoring off-X entries up to
     ``x_tol`` moves the lowest eigenvalue by at most sqrt(12) x_tol, Weyl,
     far below the 1e-8 PSD tolerance), and get
     C = 2 max{0, q_corner, q_inner} and Q = max(q_corner, q_inner).  The two
@@ -90,14 +97,15 @@ def _x_values(entries, x_tol, conc, q):
     some cell fails that (an engine's densities are PSD to rounding) is the
     lowest eigenvalue read from the blocks (``_x_lowest``), which decides
     and words the rejection of the first cell below -1e-8.  Returns the
-    mask of the cells off X, whose C and Q are left for the general route.
+    mask of the cells off X, whose C and Q are left for the general route
+    (``np.False_`` when ``x_tol`` is None).
     """
     diag = entries[:4].real
     trace_err = np.abs(diag[0] + diag[1] + diag[2] + diag[3] - 1.0)
     trace_ok = trace_err <= 1e-8  # NaN fails it
     if not trace_ok.all():
         _reject_first(~trace_ok, trace_err, "trace deviates from 1 by")
-    general = np.array(np.abs(entries[6:]).max(axis=0) > x_tol)  # arrays also for a single matrix
+    general = np.False_ if x_tol is None else np.array(np.abs(entries[6:]).max(axis=0) > x_tol)
     roots = np.maximum(diag, 0.0)
     roots = roots[1::-1] * roots[2:]
     np.sqrt(roots, out=roots)  # [sqrt(b c), sqrt(a d)]
@@ -113,40 +121,42 @@ def _x_values(entries, x_tol, conc, q):
     return general
 
 
-def pair_values(amps, pairs, *, x_tol=1e-10, work=None, out=None):
-    """Concurrence and signed Q of ``pairs`` of a stack of four-factor pure states.
+def pair_values(amps, pairs, *, live=ALL_ROWS, x_tol=1e-10, work=None, out=None):
+    """Concurrence and signed Q of ``pairs`` of a stack of four-qubit pure states.
 
-    ``amps`` has shape (d_A, d_a, d_B, d_b, *cells); the results have shape
-    (*cells, len(pairs)) and go to ``out`` = (C, Q) when given.  The pairs
-    are reduced by ``linalg.pair_entries`` (with its leakage check, buffers
-    from ``work``), and every cell is checked and its X cells read by
-    ``_x_values`` from one contiguous copy of the entries with the pairs
-    last.  A cell off the X pattern (an off-X entry above
-    ``x_tol``) gets C = max{0, s1 - s2 - s3 - s4} from the decreasing
-    singular values of M^T (sigma_y x sigma_y) M, M its 4 x k amplitude
-    factor, and Q = NaN.
+    ``amps`` has shape (2, 2, 2, 2, *cells), nonzero only on the flat rows
+    ``live``; the results have shape (*cells, len(pairs)) and go to ``out``
+    = (C, Q) when given.  The pairs are reduced by ``linalg.pair_entries``
+    (buffers from ``work``), and every cell is checked and its X cells read
+    by ``_x_values`` from one contiguous copy of the entries with the pairs
+    last.  A cell off the X pattern (an off-X entry above ``x_tol``) gets
+    C = max{0, s1 - s2 - s3 - s4} from the decreasing singular values of
+    M^T (sigma_y x sigma_y) M, M its 4 x 4 amplitude factor, and Q = NaN.
+    When no requested entry off the X pattern has a live product, every
+    cell is X and the test is skipped, unless a negative ``x_tol`` sends
+    every cell to the general route.
     """
     amps = np.asarray(amps, dtype=complex)
-    pairs = tuple(pairs)
-    dims, cells = amps.shape[:4], amps.shape[4:]
+    pairs, live = tuple(pairs), tuple(live)
+    cells = amps.shape[4:]
     shape = cells + (len(pairs),)
     conc, q = (np.empty(shape), np.empty(shape)) if out is None else out
     if work is None:
         work = Workspace()
-    entries = pair_entries(amps, pairs, work=work)  # (pair, 10, *cells)
+    tables, *_, off_x = _reduction_plan(pairs, live)
+    entries = pair_entries(amps, pairs, live=live, work=work)  # (pair, 10, *cells)
     # the reader's operands are whole rows of (10, *cells, pair): one contiguous copy
     by_entry = work.get("read.entries", (10,) + shape)
     np.copyto(by_entry, entries.transpose(1, *range(2, entries.ndim), 0))
-    general = _x_values(by_entry, x_tol, conc, q)
+    general = _x_values(by_entry, x_tol if off_x or x_tol < 0 else None, conc, q)
     if general.any():
-        flat = amps.reshape(math.prod(dims), -1)
+        flat = amps.reshape(16, -1)
         cell_index, pair_index = np.nonzero(general.reshape(-1, len(pairs)))
         general_c = np.empty(cell_index.size)
-        _, _, tables, _ = _reduction_plan(dims, pairs)
         for slot, table in enumerate(tables):
             mine = pair_index == slot
             if mine.any():
-                factors = np.moveaxis(flat[:, cell_index[mine]][table], -1, 0)  # (cells, 4, k)
+                factors = np.moveaxis(flat[:, cell_index[mine]][table], -1, 0)  # (cells, 4, 4)
                 s = np.linalg.svd(factors.swapaxes(-1, -2) @ _SIGMA_YY @ factors, compute_uv=False)
                 general_c[mine] = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
         conc[general] = general_c

@@ -3,22 +3,21 @@
 Conventions used throughout the package: matrices are numpy complex arrays;
 the lattice tensor factors are ordered (A, a, B, b) = (atom, cavity, atom,
 cavity); every two-level basis lists the excited level first (atoms: e then
-g; cavities reduced to qubits: one photon then vacuum).
+g; cavities, which hold at most one photon: one photon then vacuum).
 
-Stacks of states put the cells last: amplitudes of shape (d_A, d_a, d_B,
-d_b, *cells), so each amplitude is one row as long as the stack.
+Stacks of states put the cells last: amplitudes of shape (2, 2, 2, 2,
+*cells), so each amplitude is one row as long as the stack.
 ``pair_entries``, the one reducer, turns them into the 10 entries on and
 above the diagonal of each pair's 4x4 density, (pairs, 10, *cells), with
-elementwise products on those rows, one group for each run of requested
-pairs that trace the same dimension, in request order.  Each density is
-M M^dag, M the 4 x k matrix of amplitudes that the reducer multiplies; the
-general Wootters route reads M itself through the same index tables.
+elementwise products on those rows, and only on the rows that its caller
+says may be nonzero.  Each density is M M^dag, M the 4 x 4 matrix of
+amplitudes that the reducer multiplies; the general Wootters route reads M
+itself through the same index tables.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 
@@ -33,16 +32,8 @@ _AXIS = {label: i for i, label in enumerate(SUBSYSTEMS)}
 # rho[0, 3] and rho[1, 2], then the four entries off the X pattern.
 ENTRY_ROWS = np.array([0, 1, 2, 3, 0, 1, 0, 0, 1, 2])
 ENTRY_COLS = np.array([0, 1, 2, 3, 3, 2, 1, 2, 3, 3])
-# The most probability a kept cavity may hold above one photon in any cell.
-_LEAK_TOL = 1e-10
-
-
-class _CellRefusal(ValueError):
-    """A refusal naming a cell of a stack; ``GridEngine`` re-raises it with the cell's grid index."""
-
-    def __init__(self, head, cell, tail=""):
-        self.parts = head, tuple(int(i) for i in cell), tail
-        super().__init__(f"{head} at cell {self.parts[1]}{tail}")
+# Every row of a (2, 2, 2, 2) stack, the support of a stack of unknown origin.
+ALL_ROWS = tuple(range(16))
 
 
 class Workspace:
@@ -95,108 +86,98 @@ def thread_workspace():
     return _PER_THREAD.work
 
 
-def pair_entries(amps, pairs, *, work=None):
-    """Reduce a stack of four-factor pure states to the upper entries of several pair densities.
+def pair_entries(amps, pairs, *, live=ALL_ROWS, work=None):
+    """Reduce a stack of four-qubit pure states to the upper entries of several pair densities.
 
-    ``amps`` has shape (d_A, d_a, d_B, d_b, *cells), one amplitude tensor
-    per cell of the trailing axes; the result has shape (len(pairs), 10,
-    *cells) and holds the 10 entries on and above the diagonal of each
-    pair's 4x4 density in ``ENTRY_ROWS``/``ENTRY_COLS`` order.  The lower
-    triangle is their conjugate mirror, so the density is Hermitian by
-    construction.  Each pair is an ordered pair of labels from ("A", "a",
-    "B", "b") (such as ``("A", "b")`` or ``"Ab"``) and fixes the ordering of
-    its output factors.
+    ``amps`` has shape (2, 2, 2, 2, *cells), one amplitude tensor per cell
+    of the trailing axes, whose cavities hold at most one photon; the
+    result has shape (len(pairs), 10, *cells) and holds the 10 entries on
+    and above the diagonal of each pair's 4x4 density in
+    ``ENTRY_ROWS``/``ENTRY_COLS`` order.  The lower triangle is their
+    conjugate mirror, so the density is Hermitian by construction.  Each
+    pair is an ordered pair of labels from ("A", "a", "B", "b") (such as
+    ``("A", "b")`` or ``"Ab"``) and fixes the ordering of its output
+    factors.  Kept cavities are reported in (one photon, vacuum) order, so
+    every output basis lists the excited level first: (x1 x2) = (ee, eg,
+    ge, gg)-like.
 
-    Kept cavity factors are projected onto the zero/one photon subspace and
-    reported in (one photon, vacuum) order, so every output basis lists the
-    excited level first: (x1 x2) = (ee, eg, ge, gg)-like.  The projection is
-    refused when a kept cavity holds more than ``_LEAK_TOL`` probability
-    above one photon in any cell; the refusal names the worst cell.
-
-    Each run of consecutive pairs that trace out the same dimension is
-    reduced together, in request order (``PAIR_LABELS`` is one group at
-    ``n_max = 1``; above it AB, ab and the four mixed pairs).  For each
-    traced index k the group gathers, through the cached index tables of
-    ``_reduction_plan``, the amplitude rows of its entries and the conjugate
-    rows of their partners, and adds their product, all on rows as long as
-    the block.  The buffers come from ``work`` (a ``Workspace``; a new one
-    when None), and the result is a view into it.
+    ``live`` lists the flat amplitude rows that may be nonzero (all 16 by
+    default); the others must be exactly zero.  An entry sums, over the
+    traced index in ascending order, a row times a conjugate row; only the
+    products of two live rows are formed, and adding an exact zero leaves
+    a sum unchanged, so every entry has the bits of the full sum (one with
+    no live product is 0).  Through the cached tables of
+    ``_reduction_plan``, two gathers fetch every live product's operands,
+    one multiplication forms them, one addition per later traced term sums
+    them, and one gather puts the sums in entry order, all on rows as long
+    as the block, in buffers of ``work`` (a ``Workspace``; a new one when
+    None); the result is a view into it.
     """
     amps = np.asarray(amps, dtype=complex)
-    dims, cells = amps.shape[:4], amps.shape[4:]
+    cells = amps.shape[4:]
     n = math.prod(cells)
     pairs = tuple(pairs)
-    cavities, groups, _, max_rows = _reduction_plan(dims, pairs)
-    tensor = amps.reshape(dims + (n,))
-    for label, above in cavities:
-        high = tensor[above]
-        leak = np.einsum("ijkln,ijkln->n", high.real, high.real)
-        leak += np.einsum("ijkln,ijkln->n", high.imag, high.imag)
-        worst = int(np.argmax(leak)) if n else 0
-        if n and leak[worst] > _LEAK_TOL:
-            raise _CellRefusal(f"cavity {label} holds probability {leak[worst]:.3e} above one photon",
-                               np.unravel_index(worst, cells),
-                               f" (tolerance {_LEAK_TOL:.3e}); cannot reduce to a qubit")
+    _, left, right, stages, place, _ = _reduction_plan(pairs, tuple(live))
     if work is None:
         work = Workspace()
-    flat = tensor.reshape(-1, n)
-    conj = np.conjugate(flat, out=work.get("reduce.conj", flat.shape))
-    rows_buf = work.get("reduce.rows", (max_rows, n))
-    cols_buf = work.get("reduce.cols", (max_rows, n))
+    flat = amps.reshape(16, n)
+    # row 0 of "reduce.products" is the zero of the dead entries
+    products = work.get("reduce.products", (left.size + 1, n))
+    conj = work.get("reduce.conj", (right.size, n))
+    flat.take(left, axis=0, out=products[1:], mode="clip")
+    flat.take(right, axis=0, out=conj, mode="clip")
+    np.conjugate(conj, out=conj)
+    np.multiply(products[1:], conj, out=products[1:])
+    products[0] = 0.0
+    for start, count in stages:
+        np.add(products[1:1 + count], products[start:start + count], out=products[1:1 + count])
     entries = work.get("reduce.entries", (len(pairs), 10, n))
-    acc_all = entries.reshape(-1, n)
-    for start, stop, row_index, col_index in groups:
-        acc, rows, cols = acc_all[start:stop], rows_buf[:stop - start], cols_buf[:stop - start]
-        for k, (row_k, col_k) in enumerate(zip(row_index, col_index)):
-            conj.take(col_k, axis=0, out=cols, mode="clip")
-            if k == 0:
-                flat.take(row_k, axis=0, out=acc, mode="clip")
-                np.multiply(acc, cols, out=acc)
-            else:
-                flat.take(row_k, axis=0, out=rows, mode="clip")
-                np.multiply(rows, cols, out=rows)
-                np.add(acc, rows, out=acc)
+    products.take(place, axis=0, out=entries.reshape(-1, n), mode="clip")
     # the diagonal is real: only the round-off of fused products lands in its imaginary part
     entries[:, :4].imag = 0.0
     return entries.reshape((len(pairs), 10) + cells)
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction_plan(dims, pairs):
-    """How ``pair_entries`` reduces the tuple ``pairs`` of states with factor dimensions ``dims``.
+def _reduction_plan(pairs, live):
+    """How ``pair_entries`` reduces the tuple ``pairs`` of stacks whose nonzero rows are among ``live``.
 
-    Returns (cavities, groups, tables, max_rows).  ``cavities`` lists the
-    kept cavities that can hold more than one photon, as (label, index of
-    their levels above one photon in the amplitude tensor), in order of
-    first appearance.  ``tables`` holds each pair's (4, traced) table of the
-    flat indices of its amplitude factor M, whose rows are the pair's basis
-    states: the density is M M^dag.  ``groups`` has one ``(start, stop,
-    rows, cols)`` per run of consecutive pairs with the same traced
-    dimension: the run's output rows in the flattened (pair, entry) axis,
-    and two (traced, 10 x run pairs) tables of the flat amplitude indices
-    whose products, summed over the traced index, give those entries
-    (``rows`` conjugated on the right by ``cols``).  ``max_rows`` is the
-    largest group's row count.
+    Returns (tables, left, right, stages, place, off_x).  ``tables`` holds
+    each pair's (4, 4) table of the flat indices of its amplitude factor M
+    (rows the pair's basis states, columns the traced index): the density
+    is M M^dag.  Each (pair, entry) sum has the terms M[r, k] conj(M[c, k])
+    with both rows live, in ascending k.  Sorted by their number of terms,
+    most first, the sums with a k-th term are a prefix: ``left`` and
+    ``right`` list the rows of every term, first terms first, and
+    ``stages`` the (start, count) of each later term in the product rows,
+    which start at 1.  ``place`` gives each (pair, entry) its sum's product
+    row, or row 0 for a sum with no term; ``off_x`` says whether an entry
+    off the X pattern has a term.
     """
-    positions = np.arange(math.prod(dims)).reshape(dims)
-    cavities = {}
-    tables = []
+    positions = np.arange(16).reshape(2, 2, 2, 2)
+    alive = np.isin(np.arange(16), live)
+    tables, sums = [], []
     for keep in pairs:
-        for label in keep:
-            axis = _AXIS[label]
-            if label in CAVITY_SUBSYSTEMS and dims[axis] > 2:
-                cavities.setdefault(label, (slice(None),) * axis + (slice(2, None),))
         kept_axes = tuple(_AXIS[label] for label in keep)
         traced_axes = tuple(ax for ax in range(4) if ax not in kept_axes)
         # kept cavities are read at photon numbers (1, 0); atoms already index (e, g)
-        select = tuple(slice(1, None, -1) if label in CAVITY_SUBSYSTEMS else slice(None) for label in keep)
-        tables.append(positions.transpose(kept_axes + traced_axes)[select].reshape(4, -1))
-    groups, start, max_rows = [], 0, 0
-    for _, run in itertools.groupby(tables, key=lambda table: table.shape[1]):
-        run = list(run)
-        rows = np.concatenate([table[ENTRY_ROWS] for table in run]).T.copy()
-        cols = np.concatenate([table[ENTRY_COLS] for table in run]).T.copy()
-        groups.append((start, start + 10 * len(run), rows, cols))
-        start += 10 * len(run)
-        max_rows = max(max_rows, 10 * len(run))
-    return tuple(cavities.items()), tuple(groups), tuple(tables), max_rows
+        select = tuple(slice(None, None, -1) if label in CAVITY_SUBSYSTEMS else slice(None) for label in keep)
+        table = positions.transpose(kept_axes + traced_axes)[select].reshape(4, 4)
+        tables.append(table)
+        sums += [[(r, c) for r, c in zip(table[row], table[col]) if alive[r] and alive[c]]
+                 for row, col in zip(ENTRY_ROWS, ENTRY_COLS)]
+    counts = [len(terms) for terms in sums]
+    order = sorted(range(len(sums)), key=lambda i: -counts[i])
+    place = np.zeros(len(sums), dtype=np.intp)
+    for row, i in enumerate(order, 1):
+        place[i] = row if counts[i] else 0
+    left, right, stages = [], [], []
+    for k in range(max(counts, default=0)):
+        summing = order[:sum(count > k for count in counts)]
+        if k:
+            stages.append((1 + len(left), len(summing)))
+        left += [sums[i][k][0] for i in summing]
+        right += [sums[i][k][1] for i in summing]
+    off_x = any(sums[10 * slot + entry] for slot in range(len(pairs)) for entry in range(6, 10))
+    return (tuple(tables), np.array(left, dtype=np.intp), np.array(right, dtype=np.intp), tuple(stages),
+            place, off_x)

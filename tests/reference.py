@@ -7,6 +7,8 @@
   rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y) (PRL 80, 2245 (1998)),
   the largest entry off the X pattern, and the signed Q of an X-shaped
   density from its entries;
+* the initial tensors of both families, cos(alpha) |e,0,e,0> + sin(alpha)
+  |g,0,g,0> (phi) and cos(alpha) |e,0,g,0> + sin(alpha) |g,0,e,0> (psi);
 * the lattice Hamiltonian H_Aa (x) I + I (x) H_Bb of two Jaynes-Cummings
   sites, built entry by entry, and V exp(-i w t) V^dag psi0 from ``eigh``
   of a Hamiltonian: on the lattice, the full-lattice oracle of the numeric
@@ -112,6 +114,16 @@ def x_state_q(rho):
     """Signed Q = max{|rho_03| - sqrt(rho_11 rho_22), |rho_12| - sqrt(rho_00 rho_33)} of an X-shaped density."""
     a, b, c, d = np.clip(np.diagonal(rho).real, 0.0, None)
     return max(abs(rho[0, 3]) - math.sqrt(b * c), abs(rho[1, 2]) - math.sqrt(a * d))
+
+
+def initial_amplitudes(kind, alphas):
+    """Initial tensors (2, 2, 2, 2, *alphas.shape) of the family, one per alpha."""
+    alphas = np.asarray(alphas, dtype=float)
+    psi = np.zeros((2, 2, 2, 2) + alphas.shape, dtype=complex)
+    first, second = {"phi": ((0, 0, 0, 0), (1, 0, 1, 0)), "psi": ((0, 0, 1, 0), (1, 0, 0, 0))}[kind]
+    psi[first] = np.cos(alphas)
+    psi[second] = np.sin(alphas)
+    return psi
 
 
 def site_hamiltonian(params, n_max):

@@ -21,8 +21,10 @@ DELETED = {
     "closedform": ["ClosedFormValues", "phi_resonance", "psi_resonance", "q_identity_lhs",
                    "resonance_values", "_resonance_pieces"],
     # the site matrix is Hermitian by construction; the propagator builds it
+    # the routes build their own initial cells; the numeric route evolves
+    # site factors, not matrix products over a column quantum
     "dynamics": ["FourPartiteState", "InitialFamily", "evolve_analytic", "prepare_initial",
-                 "_HERMITIAN_TOL"],
+                 "_HERMITIAN_TOL", "initial_amplitudes", "_COLUMN_QUANTUM"],
     # one AB window function, at any alpha and site
     "esd": ["esd_boundary_phi_AB"],
     "entanglement": ["ConcurrenceResult", "all_pairwise", "wootters_concurrence",
@@ -32,7 +34,8 @@ DELETED = {
     # the general Wootters route reads the amplitude factor; the matrix
     # helpers that only tests use live in tests/conftest.py
     "linalg": ["kron", "pair_density", "partial_trace", "pair_densities", "sqrt_psd", "SIGMA_Y",
-               "entry_matrices", "upper_entries", "dagger", "hermiticity_defect", "_Plan", "_plan"],
+               "entry_matrices", "upper_entries", "dagger", "hermiticity_defect", "_Plan", "_plan",
+               "_LEAK_TOL"],
     # the numeric route diagonalizes the one site; the lattice matrix is the
     # tests' oracle; the n = 1 splitting is JCParams.splitting
     "jcmodel": ["total_hamiltonian", "dressed_data", "DressedData"],

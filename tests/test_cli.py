@@ -80,12 +80,12 @@ def test_evolve_engine_both_agreement(tmp_path):
 
 
 def test_engine_disagreement_names_the_worst_cell(tmp_path, capsys):
-    # a long-time psi request where the engines drift apart (exit 3); at the
-    # default site every site energy is exact in binary, so they agree there
+    # a long-time detuned psi request where the engines drift apart (exit 3);
+    # at resonance both round their phases alike and agree
     out = tmp_path / "long.csv"
-    site = JCParams(omega0=5.3, omega=5.3, g=0.9)
+    site = JCParams(omega0=5.3, omega=5.6, g=0.9)
     assert run("evolve", "--engine", "both", "--family", "psi", "--t-max", "1e9", "--omega0", "5.3",
-               "--omega", "5.3", "--g", "0.9", "--steps", "8", "--output", str(out)) == 3
+               "--omega", "5.6", "--g", "0.9", "--steps", "8", "--output", str(out)) == 3
     ts = [1e9 * i / 8 for i in range(9)]
     analytic, numeric = (GridEngine(name, "psi", site).values([math.pi / 4], ts)
                          for name in ("analytic", "numeric"))

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import reference
 from conftest import excitation_numbers
 from jcpairs import GridEngine, JCParams, site_hamiltonian
-from jcpairs.dynamics import HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
+from jcpairs.dynamics import HamiltonianPropagator, analytic_amplitudes
 from jcpairs.entanglement import pair_values
+from reference import initial_amplitudes
 
 
 EPS = np.finfo(float).eps
@@ -74,7 +75,7 @@ def test_engines_agree_on_amplitudes(det_params):
     alphas, ts = [0.0, 0.4, 1.2], [0.3, 1.7, 6.1]
     for kind in ("phi", "psi"):
         ana = analytic_amplitudes(kind, alphas, ts, det_params).reshape(16, -1)
-        num = propagator.evolve_grid(initial_amplitudes(kind, alphas), ts).reshape(16, -1)
+        num = propagator.evolve_grid(kind, alphas, ts).reshape(16, -1)
         for a, n in zip(ana.T, num.T):
             assert 1.0 - abs(np.vdot(a, n)) <= 1e-12
             # align the global phase on the largest amplitude, then compare
@@ -82,6 +83,13 @@ def test_engines_agree_on_amplitudes(det_params):
             phase = n[i] / a[i]
             phase /= abs(phase)
             assert np.max(np.abs(a * phase - n)) <= 1e-10
+
+
+def in_fock_space(psi, n_max):
+    """One-photon amplitude tensors (2, 2, 2, 2, ...) embedded in the site Fock space of ``n_max``."""
+    out = np.zeros((2, n_max + 1, 2, n_max + 1) + psi.shape[4:], dtype=complex)
+    out[:, :2, :, :2] = psi
+    return out
 
 
 def test_evolve_grid_matches_the_reference_propagator(det_params):
@@ -94,12 +102,12 @@ def test_evolve_grid_matches_the_reference_propagator(det_params):
         eye = np.eye(h_site.shape[0])
         ts = np.linspace(0.0, 20.0, 9)
         for kind in ("phi", "psi"):
-            psi0 = initial_amplitudes(kind, [0.3, 2.1], n_max)
-            grid = site_propagator(det_params, n_max).evolve_grid(psi0, ts)
+            psi0 = initial_amplitudes(kind, [0.3, 2.1])
+            grid = in_fock_space(site_propagator(det_params, n_max).evolve_grid(kind, [0.3, 2.1], ts), n_max)
             for it, t in enumerate(ts):
                 u = np.array([reference.evolve(h_site, column, t) for column in eye]).T
                 for ia in range(2):
-                    expected = np.kron(u, u) @ psi0[..., ia].reshape(-1)
+                    expected = np.kron(u, u) @ in_fock_space(psi0[..., ia], n_max).reshape(-1)
                     assert np.max(np.abs(grid[..., ia, it].reshape(-1) - expected)) <= 1e-13
 
 
@@ -127,8 +135,8 @@ def test_detuned_sites_match_the_lattice_oracle(kind, site, n_max, alpha_list, n
     h_site = site_hamiltonian(site, n_max)
     propagator = HamiltonianPropagator(site, n_max)
     ts = np.linspace(0.0, fraction * 50.0 / site.rabi(1), n_t)
-    psi0 = initial_amplitudes(kind, alpha_list, n_max)
-    whole = propagator.evolve_grid(psi0, ts).copy()
+    psi0 = initial_amplitudes(kind, alpha_list)
+    whole = propagator.evolve_grid(kind, alpha_list, ts).copy()
     h = reference.total_hamiltonian(site, site, n_max)
     norms = 2.0 * np.linalg.norm(h_site, 2)
     ia, it = data.draw(st.integers(0, len(alpha_list) - 1)), data.draw(st.integers(0, n_t - 1))
@@ -136,21 +144,25 @@ def test_detuned_sites_match_the_lattice_oracle(kind, site, n_max, alpha_list, n
         t = ts[t_index]
         budget = 1e-13 + 4.0 * EPS * norms * t
         for a_index in range(len(alpha_list)):
-            expected = reference.evolve(h, psi0[..., a_index].reshape(-1), t)
-            assert np.max(np.abs(whole[..., a_index, t_index].reshape(-1) - expected)) <= budget
-    parts = [propagator.evolve_grid(psi0, part).copy()
+            expected = reference.evolve(h, in_fock_space(psi0[..., a_index], n_max).reshape(-1), t)
+            got = in_fock_space(whole[..., a_index, t_index], n_max).reshape(-1)
+            assert np.max(np.abs(got - expected)) <= budget
+    parts = [propagator.evolve_grid(kind, alpha_list, part).copy()
              for part in np.split(ts, sorted({c for c in cuts if c < n_t}))]
     assert np.array_equal(_bits(np.concatenate(parts, axis=-1)), _bits(whole))
-    cell = propagator.evolve_grid(psi0[..., ia:ia + 1], ts[it:it + 1])
+    cell = propagator.evolve_grid(kind, alpha_list[ia:ia + 1], ts[it:it + 1])
     assert np.array_equal(_bits(cell[..., 0, 0]), _bits(whole[..., ia, it]))
 
 
 def test_evolve_numeric_identity_and_composition(res_params):
+    # the state at t = 0 is the initial one; at 1.3 + 0.9 it is the lattice
+    # oracle's evolution by 0.9 of the state at 1.3
     propagator = site_propagator(res_params)
-    psi0 = initial_amplitudes("phi", [0.7])
-    assert np.allclose(propagator.evolve_grid(psi0, [0.0])[..., 0], psi0, atol=1e-14)
-    one_shot = propagator.evolve_grid(psi0, [1.3 + 0.9])
-    two_step = propagator.evolve_grid(propagator.evolve_grid(psi0, [1.3])[..., 0], [0.9])
+    assert np.allclose(propagator.evolve_grid("phi", [0.7], [0.0])[..., 0], initial_amplitudes("phi", [0.7]),
+                       atol=1e-14)
+    one_shot = propagator.evolve_grid("phi", [0.7], [1.3 + 0.9]).reshape(-1)
+    at_first = propagator.evolve_grid("phi", [0.7], [1.3]).reshape(-1)
+    two_step = reference.evolve(reference.total_hamiltonian(res_params, res_params), at_first, 0.9)
     assert np.max(np.abs(one_shot - two_step)) <= 1e-11
 
 
@@ -158,23 +170,37 @@ def test_norm_preserved_both_engines(det_params):
     prop = site_propagator(det_params)
     ts = np.linspace(0.0, 12.0, 25)
     assert np.max(np.abs(norms(analytic_amplitudes("psi", [0.5], ts, det_params)) - 1.0)) <= 1e-12
-    assert np.max(np.abs(norms(prop.evolve_grid(initial_amplitudes("psi", [0.5]), ts)) - 1.0)) <= 1e-12
-
-
-def test_evolve_numeric_rejects_dimension_mismatch(res_params):
-    # n_max = 1 states (16 amplitudes) for an n_max = 2 site (6 x 6): the reshape refuses them
-    with pytest.raises(ValueError, match="cannot reshape"):
-        site_propagator(res_params, 2).evolve_grid(initial_amplitudes("phi", [0.5], n_max=1), [1.0])
+    assert np.max(np.abs(norms(prop.evolve_grid("psi", [0.5], ts)) - 1.0)) <= 1e-12
 
 
 def test_excitation_sectors_preserved(det_params):
-    # phi lives in total-excitation sectors {0, 2}; psi in sector {1}
-    exc = excitation_numbers(2)
+    # phi lives in total-excitation sectors {0, 2}; psi in sector {1}: exactly,
+    # since the propagator never mixes manifolds
+    exc = excitation_numbers(1)
     allowed = {"phi": (0, 2), "psi": (1,)}
     for kind in ("phi", "psi"):
-        psi = site_propagator(det_params, 2).evolve_grid(initial_amplitudes(kind, [0.9], n_max=2), [3.7])
+        psi = site_propagator(det_params, 2).evolve_grid(kind, [0.9], [3.7])
         outside = ~np.isin(exc, allowed[kind])
-        assert float(np.sum(np.abs(psi.reshape(-1)[outside]) ** 2)) <= 1e-12
+        assert not psi.reshape(16, -1)[outside].any()
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_the_spectrum_is_exactly_block_diagonal_by_manifold(n_max, res_params, det_params):
+    # V on the one-photon levels (e,0), (e,1), (g,0), (g,1): the blocks
+    # {(g,0)} and {(e,0), (g,1)}, exact zeros elsewhere, the same bits at
+    # every n_max; V V^dag is the identity on the populated levels, and so
+    # the numeric stacks of every n_max have the same bits
+    blocks = np.zeros((4, 4), dtype=bool)
+    blocks[2, 2] = True
+    blocks[np.ix_([0, 3], [0, 3])] = True
+    for params in (res_params, det_params):
+        propagator, first = site_propagator(params, n_max), site_propagator(params, 1)
+        assert not propagator._v[~blocks].any() and propagator._w[1] == 0.0
+        assert np.array_equal(propagator._v, first._v) and np.array_equal(propagator._w, first._w)
+        assert np.allclose(propagator._v @ propagator._v.conj().T, np.diag([1.0, 0.0, 1.0, 1.0]), atol=1e-15)
+        for kind in ("phi", "psi"):
+            stack, base = (p.evolve_grid(kind, [0.4, 1.1], [0.0, 2.5, 1e8]).copy() for p in (propagator, first))
+            assert np.array_equal(stack.view(np.uint64), base.view(np.uint64))
 
 
 def test_cross_engine_concurrences(res_params):

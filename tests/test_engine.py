@@ -18,7 +18,7 @@ from conftest import (concurrence, entry_matrices, entry_values, pair_matrices, 
                       x_densities)
 from jcpairs import PAIR_LABELS, GridEngine, JCParams
 from jcpairs.cli import main
-from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
+from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes
 from jcpairs.engine import ENGINES
 from jcpairs.entanglement import _x_entries, _x_lowest
 from reference import resonance_values, total_hamiltonian
@@ -57,7 +57,7 @@ def scalar_results(engine, kind, alpha, params, ts, n_max):
     Q is None where the reduction is not X-shaped.
     """
     if engine == "numeric":
-        psi = HamiltonianPropagator(params, n_max).evolve_grid(initial_amplitudes(kind, [alpha], n_max), ts)
+        psi = HamiltonianPropagator(params, n_max).evolve_grid(kind, [alpha], ts)
     else:
         psi = analytic_amplitudes(kind, [alpha], ts, params)
     out = []
@@ -237,7 +237,7 @@ def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, de
         psi = analytic_amplitudes("psi", alpha_grid, t_grid, det_params)
     else:
         propagator = HamiltonianPropagator(det_params, n_max)
-        psi = propagator.evolve_grid(initial_amplitudes("psi", alpha_grid, n_max), t_grid)
+        psi = propagator.evolve_grid("psi", alpha_grid, t_grid)
     stack = pair_matrices(psi, PAIR_LABELS)
     assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))  # Hermitian by construction
     # the 10 upper entries give back the whole matrix, bit for bit
@@ -272,17 +272,15 @@ def test_off_x_cell_takes_the_general_route(size, data):
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 @pytest.mark.parametrize("n_max", [2, 3, 4])
 def test_numeric_grid_matches_across_n_max(kind, n_max, res_params, det_params):
-    # Two Rabi periods.  The gap is the eigh phase drift of both runs,
-    # eps (||H_n|| + ||H_1||) per unit time in Q, twice that in C.
+    # the populated manifolds have the same blocks at every n_max, so a
+    # truncation changes no bit of C or Q (two Rabi periods, long times too)
     alpha_grid = np.linspace(-3.0, 3.0, 13)
     for params in (res_params, det_params):
-        t_grid = np.linspace(0.0, 4.0 * np.pi / params.rabi(1), 65)
-        norms = sum(np.linalg.norm(total_hamiltonian(params, params, n), 2) for n in (1, n_max))
-        budget = 1e-14 + EPS * norms * t_grid
+        t_grid = np.concatenate([np.linspace(0.0, 4.0 * np.pi / params.rabi(1), 65), [1e8, 3.3e8, 1e9]])
         base = GridEngine("numeric", kind, params, n_max=1).values(alpha_grid, t_grid)
         other = GridEngine("numeric", kind, params, n_max=n_max).values(alpha_grid, t_grid)
-        assert np.all(np.abs(other.q - base.q) <= budget[:, None])
-        assert np.all(np.abs(other.concurrence - base.concurrence) <= 2.0 * budget[:, None])
+        assert np.array_equal(_bits(other.q), _bits(base.q))
+        assert np.array_equal(_bits(other.concurrence), _bits(base.concurrence))
 
 
 def test_sweep_passes_n_max_to_the_numeric_engine(tmp_path, monkeypatch):
@@ -396,7 +394,7 @@ def test_block_reduces_every_pair_in_one_stack(engine, n_max, kind, det_params, 
 def test_grid_memory_does_not_grow_with_the_grid(engine, n_max, det_params):
     # the peak of a 3 x 8193 evaluation (99 blocks, the last of each row one
     # cell) above its two output arrays, against a fixed budget; the
-    # workspace of n_max = 4 holds about 2.6 MB
+    # workspace holds about 1 MB at any n_max
     grid = GridEngine(engine, "psi", det_params, n_max=n_max)
     alpha_grid, t_grid = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 20.0, 8193)
     grid.values(alpha_grid, t_grid[:3])  # caches and one-time allocations
@@ -505,14 +503,15 @@ def test_an_overflowing_rate_is_refused_before_the_eigh(monkeypatch):
     assert np.isfinite(values.concurrence).all()
 
 
-# Sites where the numeric route's one eigh mixes nearly degenerate excitation
-# manifolds (population leaks above one photon at a large phase) or fails.
-_LEAKING_SITES = [
-    (JCParams(1.0, 1e-13, 4.856243432510091e-50), 1e300, "1.883e-08"),
-    (JCParams(1.1671009717970596e+277, 1.3660129889829182e-219, 2.4406572640694918e+246),
-     33.56047578428661, "8.903e-03"),
+# Sites where one eigh of the whole site mixed nearly degenerate excitation
+# manifolds (population leaked above one photon at a large phase) or did not
+# converge: (site, n_max, t).  Manifold by manifold they diagonalize.
+_EXTREME_SITES = [
+    (JCParams(1.0, 1e-13, 4.856243432510091e-50), 2, 1e300),
+    (JCParams(1.1671009717970596e+277, 1.3660129889829182e-219, 2.4406572640694918e+246), 2,
+     33.56047578428661),
+    (JCParams(2.2090347762034448e+44, 1.7583199221099784e+53, 1.5464825831913855e+285), 3, 1e-300),
 ]
-_UNDIAGONALIZABLE_SITE = JCParams(2.2090347762034448e+44, 1.7583199221099784e+53, 1.5464825831913855e+285)
 
 
 def _one_time_among(n_t, index, t):
@@ -521,17 +520,16 @@ def _one_time_among(n_t, index, t):
     return times
 
 
-@pytest.mark.parametrize("params, t, leak", _LEAKING_SITES)
-def test_numeric_leak_refusal_names_its_cell(params, t, leak):
-    # 600 times are three blocks of at most BLOCK_CELLS = 256: the cell is
-    # named in the grid, not as index 44 of the second block
-    grid = GridEngine("numeric", "psi", params, n_max=2)
-    for t_grid, cell in (([t], "(0, 0)"), ([0.0, t], "(0, 1)"),
-                         (_one_time_among(600, 0, t), "(0, 0)"), (_one_time_among(600, 300, t), "(0, 300)")):
-        with pytest.raises(ValueError) as err:
-            grid.values([0.3], t_grid)
-        assert str(err.value) == (f"cavity a holds probability {leak} above one photon at cell {cell} "
-                                  "(tolerance 1.000e-10); cannot reduce to a qubit")
+@pytest.mark.parametrize("params, n_max, t", _EXTREME_SITES)
+def test_numeric_route_agrees_at_sites_one_eigh_could_not_reduce(params, n_max, t):
+    # the coupling is negligible against the detuning or the phase: C_AB
+    # stays sin(2 alpha) on both routes, and every value agrees within 1e-14
+    values = [GridEngine(name, "psi", params, n_max=n_max).values([0.3], _one_time_among(600, 300, t))
+              for name in ("analytic", "numeric")]
+    for field in ("concurrence", "q"):
+        analytic, numeric = (getattr(value, field) for value in values)
+        assert np.max(np.abs(numeric - analytic)) <= 1e-14
+    assert values[1].concurrence[0, 300, 0] == pytest.approx(math.sin(0.6), abs=1e-14)
 
 
 @pytest.mark.parametrize("index", [0, 300])
@@ -560,25 +558,55 @@ def test_the_engine_refuses_pairs_the_reducer_cannot_trace(res_params):
                 grid.values([0.3], [1.0], ("AB", pair))
 
 
-def test_a_site_eigh_cannot_diagonalize_is_refused_naming_n_max_and_the_site():
+def _unconverged(matrix):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_a_site_eigh_cannot_diagonalize_is_refused_naming_n_max_and_the_site(monkeypatch):
+    site = _EXTREME_SITES[2][0]
     message = ("the numeric route cannot diagonalize the site Hamiltonian at n_max = 3 and "
-               f"{_UNDIAGONALIZABLE_SITE!r}: Eigenvalues did not converge")
+               f"{site!r}: Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", _unconverged)
     with pytest.raises(ValueError) as err:
-        GridEngine("numeric", "psi", _UNDIAGONALIZABLE_SITE, n_max=3)
+        GridEngine("numeric", "psi", site, n_max=3)
     assert type(err.value) is ValueError and str(err.value) == message
 
 
-def test_numeric_refusals_reach_stderr_with_their_place(capsys):
+def test_numeric_refusals_reach_stderr_with_their_place(capsys, monkeypatch):
     site = ["--omega0", "1", "--omega", "1e-13", "--g", "4.856243432510091e-50"]
     assert main(["evolve", "--engine", "numeric", "--family", "psi", "--alpha", "0.3", "--n-max", "2",
-                 *site, "--t-max", "1e300", "--steps", "1"]) == 1
-    assert capsys.readouterr().err == ("error: cavity a holds probability 1.883e-08 above one photon at "
-                                       "cell (0, 1) (tolerance 1.000e-10); cannot reduce to a qubit\n")
-    p = _UNDIAGONALIZABLE_SITE
+                 *site, "--t-max", "1e300", "--steps", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    p = _EXTREME_SITES[2][0]
+    monkeypatch.setattr(np.linalg, "eigh", _unconverged)
     assert main(["evolve", "--engine", "numeric", "--n-max", "3", "--omega0", repr(p.omega0),
                  "--omega", repr(p.omega), "--g", repr(p.g), "--t-max", "1e-300", "--steps", "1"]) == 1
     assert capsys.readouterr().err == ("error: the numeric route cannot diagonalize the site Hamiltonian "
                                        f"at n_max = 3 and {p!r}: Eigenvalues did not converge\n")
+
+
+@pytest.mark.parametrize("engine", ("analytic", "numeric"))
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_a_route_that_writes_off_its_support_is_refused_where_the_support_is_built(engine, kind, res_params,
+                                                                                   monkeypatch):
+    # a mutated route puts 1e-3 on a row its support calls dead: the reducer
+    # never reads that row, so the engine must refuse before any values call
+    support = GridEngine(engine, kind, res_params)._live
+    dead = next(row for row in range(16) if row not in support)
+    route = (engine_module, "analytic_amplitudes") if engine == "analytic" else (HamiltonianPropagator,
+                                                                                  "evolve_grid")
+    real = getattr(*route)
+
+    def leaking(*args, **kwargs):
+        amps = real(*args, **kwargs)
+        amps.reshape(16, -1)[dead] += 1e-3
+        return amps
+
+    monkeypatch.setattr(*route, leaking)
+    message = (f"the {engine} route writes 1.000e-03 on row {dead} of its stack at alpha = 0.5, t = 1.0, "
+               f"outside its support {support}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GridEngine(engine, kind, res_params)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -618,6 +646,15 @@ def _largest_phase_rate(engine, params, n_max):
          t_list=[0.5])
 @example(engine="numeric", kind="phi", n_max=3, fields=(5.0, 5.7, 1.0), alpha_list=[0.2, 0.4],
          t_list=np.linspace(-50.0, 50.0, 40).tolist())
+# sites where one eigh of the whole site leaked or did not converge
+@example(engine="numeric", kind="psi", n_max=2, fields=(1.0, 1e-13, 4.856243432510091e-50), alpha_list=[0.3],
+         t_list=[1e300])
+@example(engine="numeric", kind="psi", n_max=2,
+         fields=(1.1671009717970596e+277, 1.3660129889829182e-219, 2.4406572640694918e+246), alpha_list=[0.3],
+         t_list=[33.56047578428661])
+@example(engine="numeric", kind="psi", n_max=3,
+         fields=(2.2090347762034448e+44, 1.7583199221099784e+53, 1.5464825831913855e+285), alpha_list=[0.3],
+         t_list=[1e-300])
 def test_every_route_computes_or_names_what_it_refuses(engine, kind, n_max, fields, alpha_list, t_list):
     # the input contract: valid values, or a ValueError naming the first bad
     # alpha, the first bad t, or the first t whose largest phase overflows;

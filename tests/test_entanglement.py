@@ -9,7 +9,7 @@ import reference
 from conftest import concurrence, entry_values, pair_matrices, upper_entries
 from jcpairs import PAIR_LABELS, GridEngine
 from jcpairs.checks import random_x_states
-from jcpairs.dynamics import analytic_amplitudes, initial_amplitudes
+from jcpairs.dynamics import analytic_amplitudes
 from jcpairs.entanglement import pair_values
 from jcpairs.linalg import pair_entries
 
@@ -90,7 +90,7 @@ def test_invalid_density_matrices_are_named():
 
 def test_all_pairwise_initial_phi():
     alphas = np.array([0.0, 0.3, np.pi / 4, 1.2])
-    conc, _ = pair_values(initial_amplitudes("phi", alphas), PAIR_LABELS)
+    conc, _ = pair_values(reference.initial_amplitudes("phi", alphas), PAIR_LABELS)
     assert np.max(np.abs(conc[:, 0] - np.abs(np.sin(2 * alphas)))) <= 1e-12
     assert np.max(conc[:, 1:]) <= 1e-12
 

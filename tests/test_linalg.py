@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 import reference
 from conftest import concurrence, entry_matrices, pair_matrices
 from jcpairs import JCParams
-from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, initial_amplitudes
-from jcpairs.entanglement import _SIGMA_YY
+from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, live_rows
+from jcpairs.entanglement import _SIGMA_YY, PAIR_LABELS
 from jcpairs.jcmodel import site_hamiltonian
-from jcpairs.linalg import SUBSYSTEMS, pair_entries
-from reference import total_hamiltonian
+from jcpairs.linalg import SUBSYSTEMS, _reduction_plan, pair_entries
+from reference import initial_amplitudes, total_hamiltonian
 
 # every ordered pair of distinct subsystems
 KEEPS = [(x, y) for x in SUBSYSTEMS for y in SUBSYSTEMS if x != y]
@@ -92,33 +92,16 @@ def test_partial_trace_keep_order():
     assert np.allclose(rho_ba, swapped, atol=1e-14)
 
 
-def test_partial_trace_cavity_leakage_rejected():
-    psi = np.zeros((2, 3, 2, 3), dtype=complex)
-    psi[1, 2, 1, 0] = 1.0  # two photons in cavity a
-    with pytest.raises(ValueError, match="above one photon"):
-        reduce_one(psi, ("A", "a"))
-    # tracing the leaking cavity out is fine
-    rho = reduce_one(psi, ("A", "B"))
-    assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
-
-
 @functools.lru_cache(maxsize=None)
 def _propagator(n_max):
     return HamiltonianPropagator(JCParams(omega0=5.0, omega=5.6, g=0.8), n_max)
 
 
 def _amplitude_stack(route, kind, n_max, alphas, ts):
-    """(2, n_max+1, 2, n_max+1, n_alpha, n_t) amplitudes of one evolution route.
-
-    The analytic route's n_max = 1 tensors are embedded in the larger Fock
-    space with empty higher levels.
-    """
+    """(2, 2, 2, 2, n_alpha, n_t) amplitudes of one evolution route and the rows it can fill."""
     if route == "numeric":
-        return _propagator(n_max).evolve_grid(initial_amplitudes(kind, alphas, n_max), ts)
-    params = JCParams(omega0=5.0, omega=5.6, g=0.8)
-    psi = np.zeros((2, n_max + 1, 2, n_max + 1, len(alphas), len(ts)), dtype=complex)
-    psi[:, :2, :, :2] = analytic_amplitudes(kind, alphas, ts, params)
-    return psi
+        return _propagator(n_max).evolve_grid(kind, alphas, ts), live_rows(kind)
+    return analytic_amplitudes(kind, alphas, ts, JCParams(omega0=5.0, omega=5.6, g=0.8)), live_rows(kind)
 
 
 def _bits(a):
@@ -134,48 +117,31 @@ def _bits(a):
     ts=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
 )
 def test_all_pair_reduction_matches_one_pair_reductions(route, kind, n_max, keeps, alphas, ts):
-    psi = _amplitude_stack(route, kind, n_max, alphas, ts)
-    entries = pair_entries(psi, keeps)
+    psi, live = _amplitude_stack(route, kind, n_max, alphas, ts)
+    entries = pair_entries(psi, keeps, live=live).copy()
     assert entries.shape == (len(keeps), 10, len(alphas), len(ts))
     for slot, keep in enumerate(keeps):
         # the same bits as reducing the pair alone, whatever else is reduced with it
-        assert np.array_equal(_bits(entries[slot]), _bits(pair_entries(psi, [keep])[0]))
+        assert np.array_equal(_bits(entries[slot]), _bits(pair_entries(psi, [keep], live=live)[0]))
         assert np.max(np.abs(entry_matrices(entries[slot]) - reference.pair_density(psi, keep))) <= 1e-15
+    # the products of the support alone give the values of every product:
+    # a skipped product is an exact zero (only the sign of a zero may differ)
+    full = pair_entries(psi, keeps)
+    for ours, theirs in ((entries.real, full.real), (entries.imag, full.imag)):
+        assert np.array_equal(ours, theirs)
+        assert np.array_equal(_bits(ours[ours != 0]), _bits(theirs[theirs != 0]))
     # labels may also be given as two-letter strings
-    assert np.array_equal(_bits(pair_entries(psi, ["".join(k) for k in keeps])), _bits(entries))
+    assert np.array_equal(_bits(pair_entries(psi, ["".join(k) for k in keeps], live=live)), _bits(entries))
 
 
-def test_leakage_error_names_the_first_leaking_cavity_and_its_largest_population():
-    # two cells at n_max = 2: cavity a holds 0.3 and then 0.45 above one photon, cavity b 0.2
-    psi = np.zeros((2, 2, 3, 2, 3), dtype=complex)
-    psi[0, 0, 0, 1, 0], psi[0, 1, 2, 0, 0] = np.sqrt(0.7), np.sqrt(0.3)
-    psi[1, 0, 0, 1, 0], psi[1, 1, 2, 0, 0] = np.sqrt(0.35), np.sqrt(0.45)
-    psi[1, 1, 1, 0, 2] = np.sqrt(0.2)
-    cells_last = np.moveaxis(psi, 0, -1)
-    leak_a = float(np.max(np.sum(np.abs(psi[:, :, 2:]) ** 2, axis=(1, 2, 3, 4))))
-    leak_b = float(np.max(np.sum(np.abs(psi[..., 2:]) ** 2, axis=(1, 2, 3, 4))))
-    message = ("cavity {} holds probability {:.3e} above one photon at cell (1,) (tolerance 1.000e-10); "
-               "cannot reduce to a qubit")
-    # the cavities are checked in the order their labels first appear in the pairs
-    for keeps, label, leak in (
-        (["ab"], "a", leak_a),
-        (["Ab", "ab"], "b", leak_b),
-        (["AB", "Ba", "Bb"], "a", leak_a),
-        (["bB", "Aa"], "b", leak_b),
-    ):
-        with pytest.raises(ValueError) as err:
-            pair_entries(cells_last, keeps)
-        assert str(err.value) == message.format(label, leak)
-    for keep, label, leak in ((("A", "a"), "a", leak_a), (("b", "B"), "b", leak_b)):
-        with pytest.raises(ValueError) as err:
-            pair_entries(cells_last, [keep])
-        assert str(err.value) == message.format(label, leak)
-    # the worst cell is named: cavity a leaks in both cells, most in the second
-    assert message.format("a", leak_a).startswith("cavity a holds probability 4.500e-01 above one photon at cell (1,)")
-    # cells on two axes: the worst is named by its index along each
-    grid = np.zeros(cells_last.shape[:4] + (2, 3), dtype=complex)
-    grid[..., 1, 2] = cells_last[..., 1]
-    with pytest.raises(ValueError, match=r"above one photon at cell \(1, 2\) "):
-        pair_entries(grid, ["ab"])
-    # tracing both cavities out needs no projection
-    assert pair_entries(cells_last, ["AB"]).shape == (1, 10, 2)
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_the_reduction_multiplies_only_rows_of_the_support(kind):
+    # a row off the support is never read: 38 (phi) or 30 (psi) products of
+    # the 240 of a full reduction, and no entry off the X pattern has one
+    live = live_rows(kind)
+    tables, left, right, _, place, off_x = _reduction_plan(PAIR_LABELS, live)
+    assert left.size == right.size == {"phi": 38, "psi": 30}[kind]
+    assert set(left) | set(right) <= set(live) and not off_x
+    psi = np.zeros((2, 2, 2, 2, 1), dtype=complex)
+    psi.reshape(16, 1)[[row for row in range(16) if row not in live]] = 1.0
+    assert not pair_entries(psi, PAIR_LABELS, live=live).any()
