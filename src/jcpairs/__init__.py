@@ -3,7 +3,7 @@
 Two atom-cavity sites (A, a) and (B, b) evolve independently while the atoms
 start entangled; the package follows all six pairwise Wootters concurrences
 over (alpha, t) grids through three mutually cross-validating routes (closed
-form, dressed-state analytics, exact diagonalization of each truncated site
+form, dressed-state analytics, exact diagonalization of the one-photon site
 Hamiltonian) behind one interface, ``GridEngine``, and locates
 entanglement-sudden-death windows.
 """

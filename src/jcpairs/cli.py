@@ -48,7 +48,8 @@ _SETTINGS = {
     "omega0": (float, 5.0, _ALL, None, "atomic frequency"),
     "omega": (float, 5.0, _ALL, None, "cavity frequency"),
     "g": (float, 1.0, _ALL, None, "atom-cavity coupling"),
-    "n_max": (int, 1, _RUNS, None, "Fock-space truncation (numeric engine)"),
+    "n_max": (int, 1, _RUNS, None,
+              "photon cutoff, at least 1; changes no output (no site ever holds two photons)"),
     "alpha_min": (float, 0.0, ("sweep",), None, "first angle of the grid (radians)"),
     "alpha_max": (float, 0.5 * math.pi, ("sweep",), None, "last angle of the grid (radians)"),
     "alpha_points": (int, 9, ("sweep",), None, "number of angles in the grid"),
@@ -206,6 +207,8 @@ def _validate(cfg):
         raise UsageError(f"tol must be positive, got {cfg.tol}")
     if cfg.zero_tol < 0:
         raise UsageError(f"zero-tol must be >= 0, got {cfg.zero_tol}")
+    if cfg.n_max < 1:  # checked, though no route reads it
+        raise UsageError(f"n_max must be >= 1, got {cfg.n_max}")
 
 
 def _write_output(path, chunks):
@@ -221,7 +224,7 @@ def _write_output(path, chunks):
 def _engines(cfg, params):
     """The requested engines, primary first ("both" runs analytic, then numeric)."""
     for name in ("analytic", "numeric") if cfg.engine == "both" else (cfg.engine,):
-        yield GridEngine(name, cfg.family, params, n_max=cfg.n_max)
+        yield GridEngine(name, cfg.family, params)
 
 
 def _disagreement_exit(results, alpha_grid, t_grid, pairs, cfg):

@@ -2,8 +2,8 @@
 
 Two independent site propagators evolve the families: the dressed states of
 each site in closed form (``analytic_amplitudes``), and exact
-diagonalization of the literal truncated site Hamiltonian, one ``eigh`` per
-excitation manifold the families populate
+diagonalization of the literal one-photon site Hamiltonian, one ``eigh``
+per excitation manifold the families populate
 (``HamiltonianPropagator.evolve_grid``).  The lattice propagator is the
 site's Kronecker square, so every amplitude is an initial weight times one
 site factor per site.  Both use the literal Hamiltonian's energy zero
@@ -136,32 +136,29 @@ def _amplitudes(kind, alphas, ts, site_factors, work):
 class HamiltonianPropagator:
     """Exact propagator exp(-i H_site t) of the site ``params``, from one ``eigh`` per populated manifold.
 
-    The coupling conserves each site's excitation number, so
-    ``site_hamiltonian(params, n_max)`` is block-diagonal by manifold, and
-    the initial cells populate two blocks: |g,0> alone and {|e,0>, |g,1>}.
+    The coupling conserves each site's excitation number, so the one-photon
+    ``site_hamiltonian(params)`` is block-diagonal by manifold, and the
+    initial cells populate two blocks: |g,0> alone and {|e,0>, |g,1>}.
     Each is diagonalized on its own (a failed ``eigh`` is refused, naming
-    ``n_max`` and the site), and the spectrum (w, V) is assembled on the
-    one-photon levels (e,0), (e,1), (g,0), (g,1) with exact zeros outside
-    the blocks; (e,1), in no populated manifold, has a zero row and
-    column.  The blocks have the same entries at every ``n_max``, so it
-    changes no bit.  The site factors are <i|U(t)|j> = sum_k V[i,k]
-    conj(V[j,k]) exp(-i w_k t) over the block of j, for each j -> i of
-    ``_SITE_REACH``; the lattice propagator is their Kronecker square.
+    the site), and the spectrum (w, V) is assembled on the levels (e,0),
+    (e,1), (g,0), (g,1) with exact zeros outside the blocks; (e,1), in no
+    populated manifold, has a zero row and column.  The site factors are
+    <i|U(t)|j> = sum_k V[i,k] conj(V[j,k]) exp(-i w_k t) over the block of
+    j, for each j -> i of ``_SITE_REACH``; the lattice propagator is their
+    Kronecker square.
     """
 
-    def __init__(self, params, n_max):
-        h_site = site_hamiltonian(params, n_max)
+    def __init__(self, params):
+        h_site = site_hamiltonian(params)
         self._w, self._v = np.zeros(4), np.zeros((4, 4), dtype=complex)
-        # one eigh per manifold of an initial site level; a one-photon level
-        # (atom, photon) is 2 atom + photon here and atom (n_max + 1) + photon in h_site
+        # one eigh per manifold of an initial site level; level (atom, photon) is row 2 atom + photon
         for manifold in sorted({1 - atom + photon for atom, photon in _SITE_REACH}):
             block = [2 * atom + photon for atom in (0, 1) for photon in (0, 1) if 1 - atom + photon == manifold]
-            rows = [level // 2 * (n_max + 1) + level % 2 for level in block]
             try:
-                self._w[block], self._v[np.ix_(block, block)] = np.linalg.eigh(h_site[np.ix_(rows, rows)])
+                self._w[block], self._v[np.ix_(block, block)] = np.linalg.eigh(h_site[np.ix_(block, block)])
             except np.linalg.LinAlgError as exc:  # eigh did not converge
                 raise ValueError(f"the numeric route cannot diagonalize the site Hamiltonian at "
-                                 f"n_max = {n_max} and {params!r}: {exc}") from None
+                                 f"{params!r}: {exc}") from None
         eigen = np.flatnonzero(self._v.any(axis=0))  # the populated eigenstates
         self._rates = -1j * self._w[eigen]
         # (V[i,k] conj(V[j,k]), slot of k in eigen) over the block of j, for each factor row j -> i

@@ -6,18 +6,19 @@
   (``closed_grid``: the trigonometry once per alpha and once per t, then
   broadcasting), at resonance bit for bit the paper's scalar formulas;
 * ``analytic``: dressed-state amplitude stacks (``analytic_amplitudes``);
-* ``numeric``: exact diagonalization of the literal site Hamiltonian at
-  the requested Fock truncation, one ``eigh`` per excitation manifold the
-  families populate, then every (alpha, t) cell from exp(-i H_site t) (x)
+* ``numeric``: exact diagonalization of the literal one-photon site
+  Hamiltonian, one ``eigh`` per excitation manifold the families
+  populate, then every (alpha, t) cell from exp(-i H_site t) (x)
   exp(-i H_site t) (``HamiltonianPropagator.evolve_grid``); its phases
-  drift by about 2 eps ||H_site|| t, and ``n_max`` changes no bit.
+  drift by about 2 eps ||H_site|| t.
 
-It alone decides what a route can compute: it refuses ``n_max < 1``, an
-overflowing largest phase rate (before any ``eigh``) and a site whose
-``eigh`` fails (naming ``n_max`` and the site), and each ``values`` call
-an unknown pair, a NaN or infinite alpha or t, or a t whose largest phase,
-rate x t, overflows, naming it.  The rate is delta/2 on the closed route and
-2 (omega0/2 + n_max omega + sqrt(n_max) g) on the evolution routes.
+It alone decides what a route can compute: it refuses an overflowing
+largest phase rate (before any ``eigh``) and a site whose ``eigh`` fails
+(naming the site), and each ``values`` call an unknown pair, a NaN or
+infinite alpha or t, or a t whose largest phase, rate x t, overflows,
+naming it.  The rate is delta/2 on the closed route and
+2 (omega0/2 + omega + g), twice the site's largest energy, on the
+evolution routes.
 
 The two evolution routes evolve each block of cells once, with the cells
 last (amplitudes (2, 2, 2, 2, n_alpha, n_t)), and read every requested
@@ -50,8 +51,8 @@ from .entanglement import PAIR_LABELS, _CellRefusal, pair_values
 from .linalg import thread_workspace
 
 ENGINES = ("closed", "analytic", "numeric")
-# A cell holds 16 amplitudes on both evolution routes at any n_max, so one
-# block of amplitudes is 64 KB.
+# A cell holds 16 amplitudes on both evolution routes, so one block of
+# amplitudes is 64 KB.
 BLOCK_CELLS = 256
 
 
@@ -70,36 +71,33 @@ class GridValues:
 class GridEngine:
     """One route for one initial family and one site, evaluated on (alpha, t) grids.
 
-    Both sites of the lattice are ``params``.  ``n_max`` is the Fock
-    truncation of the numeric route, whose ``HamiltonianPropagator``
-    diagonalizes the populated blocks of ``site_hamiltonian(params,
-    n_max)``; it enters the phase rate of both evolution routes.
+    Both sites of the lattice are ``params``.  The numeric route's
+    ``HamiltonianPropagator`` diagonalizes the populated blocks of
+    ``site_hamiltonian(params)``.
     """
 
-    def __init__(self, name, kind, params, *, n_max=1):
+    def __init__(self, name, kind, params):
         if name not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {name!r}")
         if kind not in FAMILY_KINDS:
             raise ValueError(f"kind must be one of {FAMILY_KINDS}, got {kind!r}")
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.name = name
         self.kind = kind
         self.params = params
         if name == "closed":  # the closed form's one phase
             self._rate = 0.5 * params.splitting
             self._overflow = f"overflows the half phase delta t / 2 (delta = {params.splitting!r})"
-        else:  # twice a site's largest energy bounds every phase rate of the evolution routes
-            self._rate = 2.0 * (0.5 * params.omega0 + n_max * params.omega + math.sqrt(n_max) * params.g)
-            rate_text = (f"the largest phase rate of the {name} route, 2 (omega0/2 + n_max omega + "
-                         f"sqrt(n_max) g) = {self._rate!r} at n_max = {n_max} and {params!r},")
+        else:  # twice the site's largest energy bounds every phase rate of the evolution routes
+            self._rate = 2.0 * (0.5 * params.omega0 + params.omega + params.g)
+            rate_text = (f"the largest phase rate of the {name} route, 2 (omega0/2 + omega + g) = "
+                         f"{self._rate!r} at {params!r},")
             if math.isinf(self._rate):
                 raise ValueError(f"{rate_text} overflows")
             self._overflow = f"times {rate_text} overflows"
         if name == "closed":
             return
         if name == "numeric":
-            self._propagator = HamiltonianPropagator(params, n_max)
+            self._propagator = HamiltonianPropagator(params)
         self._live = live_rows(kind)
         # a row off the support must be exactly zero: the reducer never reads it
         probe = self._evolve(np.array([0.5]), np.array([1.0]), thread_workspace()).reshape(16)

@@ -64,25 +64,14 @@ class JCParams:
         return math.hypot(self.detuning, self.rabi(1))
 
 
-def site_hamiltonian(params, n_max=1):
-    """Site Hamiltonian on {e, g} (x) {0..n_max}, Fock ladder truncated at n_max.
+def site_hamiltonian(params):
+    """The one-photon site Hamiltonian, a 4x4 matrix on the levels (e,0), (e,1), (g,0), (g,1).
 
-    Basis order is atom-major with the excited atom first: index(atom, k) =
-    atom*(n_max+1) + k, atom 0 = e, 1 = g.  The exchange coupling conserves
-    total excitation, so states with at most n_max excitations never connect
-    out of the truncated space.
+    The index of level (atom, photon) is 2 atom + photon, atom 0 = e,
+    1 = g.  The exchange coupling conserves each site's excitation number,
+    and the initial families put at most one excitation on a site, so their
+    levels |g,0>, |e,0> and |g,1> never connect out of this space; (e,1),
+    whose partner |g,2> lies beyond it, stands alone.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    n_ph = n_max + 1
-    dim = 2 * n_ph
-    h = np.zeros((dim, dim), dtype=complex)
-    for k in range(n_ph):
-        h[k, k] = 0.5 * params.omega0 + k * params.omega
-        h[n_ph + k, n_ph + k] = -0.5 * params.omega0 + k * params.omega
-    for k in range(n_max):
-        amp = params.g * math.sqrt(k + 1)
-        h[n_ph + k + 1, k] = amp  # |e,k> -> |g,k+1>
-        h[k, n_ph + k + 1] = amp
-    return h
-
+    half, w, g = 0.5 * params.omega0, params.omega, params.g
+    return np.array([[half, 0, 0, g], [0, half + w, 0, 0], [0, 0, -half, 0], [g, 0, 0, w - half]], dtype=complex)

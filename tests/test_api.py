@@ -61,8 +61,10 @@ def test_deleted_names_are_gone():
 
 
 def test_grid_engine_builds_its_own_site():
-    # both sites are the engine's JCParams: no Hamiltonian comes from outside
-    assert "hamiltonian" not in inspect.signature(jcpairs.GridEngine).parameters
+    # both sites are the engine's JCParams: no Hamiltonian and no photon
+    # cutoff comes from outside, and the site is the one-photon site
+    assert list(inspect.signature(jcpairs.GridEngine).parameters) == ["name", "kind", "params"]
+    assert list(inspect.signature(jcpairs.site_hamiltonian).parameters) == ["params"]
 
 
 def test_knobs_no_caller_sets_are_gone():
@@ -71,4 +73,4 @@ def test_knobs_no_caller_sets_are_gone():
     # the window takes the site, not a ratio; the propagator builds its own site matrix
     assert list(inspect.signature(jcpairs.boundary_AB).parameters) == ["kind", "alpha", "params"]
     propagator = importlib.import_module("jcpairs.dynamics").HamiltonianPropagator
-    assert list(inspect.signature(propagator).parameters) == ["params", "n_max"]
+    assert list(inspect.signature(propagator).parameters) == ["params"]

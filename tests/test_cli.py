@@ -456,20 +456,18 @@ def test_default_steps_may_reach_the_ceiling(command):
     (["sweep", "--engine", "closed", "--omega", "1e308", "--alpha-points", "1", "--steps", "2"],
      "error: t = 6.283185307179586 overflows the half phase delta t / 2 (delta = 1e+308)\n"),
     (["esd", "--omega", "1e308", "--steps", "8"],
-     "error: the largest phase rate of the analytic route, 2 (omega0/2 + n_max omega + "
-     "sqrt(n_max) g) = inf at n_max = 1 and JCParams(omega0=5.0, omega=1e+308, g=1.0), overflows\n"),
-    (["sweep", "--t-max", "1e307", "--steps", "3", "--n-max", "2"],
-     "error: t = 6.666666666666666e+306 times the largest phase rate of the analytic route, "
-     "2 (omega0/2 + n_max omega + sqrt(n_max) g) = 27.82842712474619 at n_max = 2 and "
-     "JCParams(omega0=5.0, omega=5.0, g=1.0), overflows\n"),
+     "error: the largest phase rate of the analytic route, 2 (omega0/2 + omega + g) = inf at "
+     "JCParams(omega0=5.0, omega=1e+308, g=1.0), overflows\n"),
+    (["sweep", "--t-max", "1.5e307", "--steps", "3", "--n-max", "2"],
+     "error: t = 1.5e+307 times the largest phase rate of the analytic route, "
+     "2 (omega0/2 + omega + g) = 17.0 at JCParams(omega0=5.0, omega=5.0, g=1.0), overflows\n"),
     # verify's own grid ends at 4 pi/G: its phases overflow, or were NaN and passed every check
     (["verify", "--omega0", "1e308", "--omega", "1e308"],
-     "error: the largest phase rate of the analytic route, 2 (omega0/2 + n_max omega + "
-     "sqrt(n_max) g) = inf at n_max = 1 and JCParams(omega0=1e+308, omega=1e+308, g=1.0), "
-     "overflows\n"),
+     "error: the largest phase rate of the analytic route, 2 (omega0/2 + omega + g) = inf at "
+     "JCParams(omega0=1e+308, omega=1e+308, g=1.0), overflows\n"),
     (["verify", "--g", "1e-300", "--omega0", "1e10", "--omega", "1e10"],
      "error: t = 3.9269908169872414e+299 times the largest phase rate of the analytic route, "
-     "2 (omega0/2 + n_max omega + sqrt(n_max) g) = 30000000000.0 at n_max = 1 and "
+     "2 (omega0/2 + omega + g) = 30000000000.0 at "
      "JCParams(omega0=10000000000.0, omega=10000000000.0, g=1e-300), overflows\n"),
     # the closed route's half phase, 1e308, is finite; the Gt column, 2e308, is not
     (["sweep", "--engine", "closed", "--t-max", "1e308", "--steps", "3"],
@@ -513,15 +511,42 @@ def test_settings_refusals_in_process(tmp_path, capsys, argv, message):
 
 
 def test_closed_route_takes_every_time_whose_half_phase_and_gt_are_finite(tmp_path):
-    # the evolution routes' bound, 2 (5/2 + 10 + sqrt(2)) t = 2.8e308, does not apply to the closed form
+    # the evolution routes' bound, 2 (5/2 + 5 + 1) t = 2.55e308, does not apply to the closed form
     out = tmp_path / "closed.csv"
-    assert run("sweep", "--engine", "closed", "--t-max", "1e307", "--n-max", "2", "--alpha-points", "1",
+    assert run("sweep", "--engine", "closed", "--t-max", "1.5e307", "--alpha-points", "1",
                "--steps", "3", "--output", str(out)) == 0
     rows = read_csv(out)
-    ts = np.linspace(0.0, 1e307, 4)
+    ts = np.linspace(0.0, 1.5e307, 4)
     values = GridEngine("closed", "phi", PARAMS).values([0.0], ts)
     assert [float(row["t"]) for row in rows] == np.repeat(ts, 6).tolist()
     assert [float(row["C"]) for row in rows] == values.concurrence.reshape(-1).tolist()
+
+
+def test_n_max_is_checked_and_changes_no_byte(tmp_path):
+    # --n-max reaches no route: at --n-max 2 the evolution routes' rate is
+    # still 17, so t = 1e307 computes (a cutoff of 2 in the rate, 27.8, would
+    # overflow), with the bytes of --n-max 1
+    tables = []
+    for n_max in ("1", "2"):
+        out = tmp_path / f"sweep{n_max}.csv"
+        assert run("sweep", "--t-max", "1e307", "--steps", "3", "--n-max", n_max, "--output", str(out)) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_a_huge_n_max_takes_the_memory_and_the_bytes_of_n_max_1(tmp_path):
+    # a cutoff that reached the site matrix would ask for (2e9 + 2)^2 entries;
+    # the request after a warm-up peaks at 27 KB (tracemalloc sees numpy's data)
+    argv = ["evolve", "--engine", "numeric", "--steps", "8"]
+    assert run(*argv, "--n-max", "1", "--output", str(tmp_path / "one.csv")) == 0
+    tracemalloc.start()
+    try:
+        assert run(*argv, "--n-max", "1000000000", "--output", str(tmp_path / "huge.csv")) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    assert (tmp_path / "huge.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 def test_evolve_time_grid_does_not_overflow_where_no_time_does(tmp_path):
@@ -637,10 +662,10 @@ def assert_same_lines(actual, expected):
 PARAMS = JCParams(omega0=5.0, omega=5.0, g=1.0)
 
 
-def reference_sweep(fmt, engine, pair, alpha_grid, t_grid, params=PARAMS, n_max=1, family="phi"):
+def reference_sweep(fmt, engine, pair, alpha_grid, t_grid, params=PARAMS, family="phi"):
     name = "analytic" if engine == "both" else engine
     pairs = [pair] if pair else list(PAIR_LABELS)
-    values = GridEngine(name, family, params, n_max=n_max).values(alpha_grid, t_grid, pairs)
+    values = GridEngine(name, family, params).values(alpha_grid, t_grid, pairs)
     rabi = params.rabi(1)
     rows = []
     for ia, alpha in enumerate(alpha_grid.tolist()):
@@ -703,7 +728,7 @@ def test_detuned_sweep_bytes_match_row_formatter(tmp_path, fmt):
                "--format", fmt, "--output", str(out)) == 0
     expected = reference_sweep(fmt, "both", None, np.linspace(0.0, math.pi / 2, 5),
                                np.linspace(0.0, 2 * math.pi, 17),
-                               JCParams(omega0=5.0, omega=5.6, g=1.0), n_max=2)
+                               JCParams(omega0=5.0, omega=5.6, g=1.0))
     assert_same_lines(out.read_bytes(), expected)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import excitation_numbers
-from jcpairs import GridEngine, JCParams, site_hamiltonian
+from jcpairs import GridEngine, JCParams
 from jcpairs.dynamics import HamiltonianPropagator, analytic_amplitudes
 from jcpairs.entanglement import pair_values
 from reference import initial_amplitudes
@@ -22,11 +22,9 @@ def norms(psi):
 
 
 def test_family_validation(res_params):
-    with pytest.raises(ValueError, match="kind"):
-        GridEngine("analytic", "chi", res_params)
     for engine in ("closed", "analytic", "numeric"):
-        with pytest.raises(ValueError, match=r"^n_max must be >= 1, got 0$"):
-            GridEngine(engine, "phi", res_params, n_max=0)
+        with pytest.raises(ValueError, match="kind"):
+            GridEngine(engine, "chi", res_params)
 
 
 def test_prepare_phi_alpha_zero():
@@ -65,13 +63,8 @@ def test_evolve_analytic_half_rabi_swap(res_params):
     assert abs(psi[1, 0, 1, 0]) == pytest.approx(math.sin(alpha), abs=1e-12)
 
 
-def site_propagator(params, n_max=1):
-    """The numeric route's propagator of the lattice of two ``params`` sites."""
-    return HamiltonianPropagator(params, n_max)
-
-
 def test_engines_agree_on_amplitudes(det_params):
-    propagator = site_propagator(det_params)
+    propagator = HamiltonianPropagator(det_params)
     alphas, ts = [0.0, 0.4, 1.2], [0.3, 1.7, 6.1]
     for kind in ("phi", "psi"):
         ana = analytic_amplitudes(kind, alphas, ts, det_params).reshape(16, -1)
@@ -86,7 +79,7 @@ def test_engines_agree_on_amplitudes(det_params):
 
 
 def in_fock_space(psi, n_max):
-    """One-photon amplitude tensors (2, 2, 2, 2, ...) embedded in the site Fock space of ``n_max``."""
+    """One-photon amplitude tensors (2, 2, 2, 2, ...) embedded in the site Fock ladder of ``n_max`` photons."""
     out = np.zeros((2, n_max + 1, 2, n_max + 1) + psi.shape[4:], dtype=complex)
     out[:, :2, :, :2] = psi
     return out
@@ -94,16 +87,16 @@ def in_fock_space(psi, n_max):
 
 def test_evolve_grid_matches_the_reference_propagator(det_params):
     # against exp(-i H_site t) (x) exp(-i H_site t) by reference.evolve on each
-    # site's basis states: the full-lattice oracle's own phase drift,
-    # eps ||H|| per unit time, reaches 1.4e-13 by t = 20 (see
+    # basis state of the site's Fock ladder: the full-lattice oracle's own
+    # phase drift, eps ||H|| per unit time, reaches 1.4e-13 by t = 20 (see
     # test_detuned_sites_match_the_lattice_oracle for that oracle)
     for n_max in (1, 3):
-        h_site = site_hamiltonian(det_params, n_max)
+        h_site = reference.site_hamiltonian(det_params, n_max)
         eye = np.eye(h_site.shape[0])
         ts = np.linspace(0.0, 20.0, 9)
         for kind in ("phi", "psi"):
             psi0 = initial_amplitudes(kind, [0.3, 2.1])
-            grid = in_fock_space(site_propagator(det_params, n_max).evolve_grid(kind, [0.3, 2.1], ts), n_max)
+            grid = in_fock_space(HamiltonianPropagator(det_params).evolve_grid(kind, [0.3, 2.1], ts), n_max)
             for it, t in enumerate(ts):
                 u = np.array([reference.evolve(h_site, column, t) for column in eye]).T
                 for ia in range(2):
@@ -128,12 +121,13 @@ def _bits(a):
        n_t=st.integers(1, 40), cuts=st.lists(st.integers(1, 39), max_size=6),
        fraction=st.floats(0.0, 1.0), data=st.data())
 def test_detuned_sites_match_the_lattice_oracle(kind, site, n_max, alpha_list, n_t, cuts, fraction, data):
-    # two copies of a detuned site against the full-lattice eigh oracle at
-    # the first, a drawn and the last time (its phases drift by about
-    # eps ||H|| per unit time, so the budget grows with t); any split of the
-    # times, one-cell calls included, gives the bits of one call
-    h_site = site_hamiltonian(site, n_max)
-    propagator = HamiltonianPropagator(site, n_max)
+    # two copies of a detuned site against the full-lattice eigh oracle on
+    # the Fock ladder of n_max photons per site at the first, a drawn and the
+    # last time (its phases drift by about eps ||H|| per unit time, so the
+    # budget grows with t); any split of the times, one-cell calls included,
+    # gives the bits of one call
+    h_site = reference.site_hamiltonian(site, n_max)
+    propagator = HamiltonianPropagator(site)
     ts = np.linspace(0.0, fraction * 50.0 / site.rabi(1), n_t)
     psi0 = initial_amplitudes(kind, alpha_list)
     whole = propagator.evolve_grid(kind, alpha_list, ts).copy()
@@ -157,7 +151,7 @@ def test_detuned_sites_match_the_lattice_oracle(kind, site, n_max, alpha_list, n
 def test_evolve_numeric_identity_and_composition(res_params):
     # the state at t = 0 is the initial one; at 1.3 + 0.9 it is the lattice
     # oracle's evolution by 0.9 of the state at 1.3
-    propagator = site_propagator(res_params)
+    propagator = HamiltonianPropagator(res_params)
     assert np.allclose(propagator.evolve_grid("phi", [0.7], [0.0])[..., 0], initial_amplitudes("phi", [0.7]),
                        atol=1e-14)
     one_shot = propagator.evolve_grid("phi", [0.7], [1.3 + 0.9]).reshape(-1)
@@ -167,7 +161,7 @@ def test_evolve_numeric_identity_and_composition(res_params):
 
 
 def test_norm_preserved_both_engines(det_params):
-    prop = site_propagator(det_params)
+    prop = HamiltonianPropagator(det_params)
     ts = np.linspace(0.0, 12.0, 25)
     assert np.max(np.abs(norms(analytic_amplitudes("psi", [0.5], ts, det_params)) - 1.0)) <= 1e-12
     assert np.max(np.abs(norms(prop.evolve_grid("psi", [0.5], ts)) - 1.0)) <= 1e-12
@@ -179,7 +173,7 @@ def test_excitation_sectors_preserved(det_params):
     exc = excitation_numbers(1)
     allowed = {"phi": (0, 2), "psi": (1,)}
     for kind in ("phi", "psi"):
-        psi = site_propagator(det_params, 2).evolve_grid(kind, [0.9], [3.7])
+        psi = HamiltonianPropagator(det_params).evolve_grid(kind, [0.9], [3.7])
         outside = ~np.isin(exc, allowed[kind])
         assert not psi.reshape(16, -1)[outside].any()
 
@@ -187,20 +181,22 @@ def test_excitation_sectors_preserved(det_params):
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
 def test_the_spectrum_is_exactly_block_diagonal_by_manifold(n_max, res_params, det_params):
     # V on the one-photon levels (e,0), (e,1), (g,0), (g,1): the blocks
-    # {(g,0)} and {(e,0), (g,1)}, exact zeros elsewhere, the same bits at
-    # every n_max; V V^dag is the identity on the populated levels, and so
-    # the numeric stacks of every n_max have the same bits
+    # {(g,0)} and {(e,0), (g,1)}, exact zeros elsewhere, and V V^dag the
+    # identity on the populated levels.  Those blocks of the Fock ladder of
+    # n_max photons have the same entries, so eigh gives their (w, V) the
+    # propagator's bits at every n_max.
     blocks = np.zeros((4, 4), dtype=bool)
     blocks[2, 2] = True
     blocks[np.ix_([0, 3], [0, 3])] = True
     for params in (res_params, det_params):
-        propagator, first = site_propagator(params, n_max), site_propagator(params, 1)
+        propagator = HamiltonianPropagator(params)
         assert not propagator._v[~blocks].any() and propagator._w[1] == 0.0
-        assert np.array_equal(propagator._v, first._v) and np.array_equal(propagator._w, first._w)
         assert np.allclose(propagator._v @ propagator._v.conj().T, np.diag([1.0, 0.0, 1.0, 1.0]), atol=1e-15)
-        for kind in ("phi", "psi"):
-            stack, base = (p.evolve_grid(kind, [0.4, 1.1], [0.0, 2.5, 1e8]).copy() for p in (propagator, first))
-            assert np.array_equal(stack.view(np.uint64), base.view(np.uint64))
+        ladder = reference.site_hamiltonian(params, n_max)
+        for levels, rows in (([2], [n_max + 1]), ([0, 3], [0, n_max + 2])):  # (g,0); (e,0), (g,1)
+            w, v = np.linalg.eigh(ladder[np.ix_(rows, rows)])
+            assert np.array_equal(w, propagator._w[levels])
+            assert np.array_equal(v, propagator._v[np.ix_(levels, levels)])
 
 
 def test_cross_engine_concurrences(res_params):

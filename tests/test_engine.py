@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import jcpairs.dynamics as dynamics_module
+import jcpairs.cli as cli
 import jcpairs.engine as engine_module
 import reference
 from conftest import (concurrence, entry_matrices, entry_values, pair_matrices, upper_entries,
@@ -21,6 +21,7 @@ from jcpairs.cli import main
 from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes
 from jcpairs.engine import ENGINES
 from jcpairs.entanglement import _x_entries, _x_lowest
+from jcpairs.linalg import Workspace
 from reference import resonance_values, total_hamiltonian
 
 EPS = np.finfo(float).eps
@@ -45,19 +46,28 @@ def sites(draw, resonant=False):
     return JCParams(omega0=7.0, omega=7.0 + detuning, g=g)
 
 
+def cli_engine(engine, kind, params, n_max):
+    """The engine that ``jcpairs sweep`` builds at ``--n-max n_max``, a setting it checks and no route reads."""
+    argv = ["sweep", "--engine", engine, "--family", kind, "--n-max", str(n_max), "--omega0", repr(params.omega0),
+            "--omega", repr(params.omega), "--g", repr(params.g)]
+    cfg = cli._merged(cli._build_parser().parse_args(argv), "sweep")
+    (grid,) = cli._engines(cfg, cfg.params)
+    return grid
+
+
 def time_grid(params, fraction):
     """Three times in [0, 50/G]: zero, half of the drawn time, the drawn time."""
     t = fraction * 50.0 / params.rabi(1)
     return np.array([0.0, 0.5 * t, t])
 
 
-def scalar_results(engine, kind, alpha, params, ts, n_max):
+def scalar_results(engine, kind, alpha, params, ts):
     """Per-cell reference on the route's own amplitudes: (Q, C) of each pair, by einsum and textbook formulas.
 
     Q is None where the reduction is not X-shaped.
     """
     if engine == "numeric":
-        psi = HamiltonianPropagator(params, n_max).evolve_grid(kind, [alpha], ts)
+        psi = HamiltonianPropagator(params).evolve_grid(kind, [alpha], ts)
     else:
         psi = analytic_amplitudes(kind, [alpha], ts, params)
     out = []
@@ -70,22 +80,20 @@ def scalar_results(engine, kind, alpha, params, ts, n_max):
 
 
 @given(kind=kinds, alpha=alphas, params=st.one_of(sites(resonant=True), sites()),
-       fraction=st.floats(0.0, 1.0), n_max=st.integers(1, 4),
-       engine=st.sampled_from(("analytic", "numeric")))
+       fraction=st.floats(0.0, 1.0), engine=st.sampled_from(("analytic", "numeric")))
 # the C_Ab reduction here has eigenvalues 4.4e-16 and 1.1e-15, which a
 # square root of rho through eigh would zero, moving C by 3.65e-8
-@example(kind="phi", alpha=1.0, params=JCParams(7.0, 7.0, 1.0), fraction=1e-5, n_max=1,
-         engine="analytic")
-def test_grid_matches_scalar_path(kind, alpha, params, fraction, n_max, engine):
+@example(kind="phi", alpha=1.0, params=JCParams(7.0, 7.0, 1.0), fraction=1e-5, engine="analytic")
+def test_grid_matches_scalar_path(kind, alpha, params, fraction, engine):
     ts = time_grid(params, fraction)
-    grid = GridEngine(engine, kind, params, n_max=n_max)
+    grid = GridEngine(engine, kind, params)
     values = grid.values([alpha], ts)
     # x_tol < 0 sends every cell through the general Wootters route, which
     # gives no Q: a NaN on every cell shows that values passed it on
     general = grid.values([alpha], ts, x_tol=-1.0)
     assert np.isnan(general.q).all()
     assert np.max(np.abs(general.concurrence - values.concurrence)) <= 1e-14
-    for it, results in enumerate(scalar_results(engine, kind, alpha, params, ts, n_max)):
+    for it, results in enumerate(scalar_results(engine, kind, alpha, params, ts)):
         for ip, (ref_q, ref_c) in enumerate(results):
             q, conc = values.q[0, it, ip], values.concurrence[0, it, ip]
             if ref_q is None:
@@ -129,15 +137,14 @@ def test_analytic_grid_matches_closed_form(kind, alpha, params, fraction):
             assert abs(values.concurrence[0, it, ip] - closed.concurrence[pair]) <= 1e-14
 
 
-@given(kind=kinds, alpha=alphas, params=sites(resonant=True), fraction=st.floats(0.0, 1.0),
-       n_max=st.integers(1, 4))
-def test_numeric_grid_matches_closed_form_within_phase_budget(kind, alpha, params, fraction, n_max):
+@given(kind=kinds, alpha=alphas, params=sites(resonant=True), fraction=st.floats(0.0, 1.0))
+def test_numeric_grid_matches_closed_form_within_phase_budget(kind, alpha, params, fraction):
     # eigh resolves each eigenvalue to about eps ||H||, so the evolved phases,
     # and C = 2 max(0, Q) with Q quadratic in the amplitudes, drift by that
     # much per unit time
-    h = total_hamiltonian(params, params, n_max)
+    h = total_hamiltonian(params, params)
     ts = time_grid(params, fraction)
-    values = GridEngine("numeric", kind, params, n_max=n_max).values([alpha], ts)
+    values = GridEngine("numeric", kind, params).values([alpha], ts)
     for it, t in enumerate(ts):
         budget = 1e-14 + 4.0 * EPS * np.linalg.norm(h, 2) * t
         closed = resonance_values(kind, alpha, params.rabi(1), t)
@@ -149,7 +156,7 @@ def test_numeric_grid_matches_closed_form_within_phase_budget(kind, alpha, param
 def test_closed_grid_matches_both_evolution_routes_at_any_detuning(kind, alpha, params, fraction):
     # Q and C of all six pairs; the numeric route also drifts by its eigh
     # phase error, as in the resonant property above
-    h = total_hamiltonian(params, params, 1)
+    h = total_hamiltonian(params, params)
     ts = time_grid(params, fraction)
     closed = GridEngine("closed", kind, params).values([alpha], ts)
     analytic = GridEngine("analytic", kind, params).values([alpha], ts)
@@ -196,7 +203,7 @@ def test_stack_rejects_a_non_psd_x_cell():
 def test_threads_sharing_an_engine_get_the_bits_of_a_serial_run(det_params):
     # each thread writes its blocks into its own workspace; a shared one mixes
     # the threads' blocks
-    grid = GridEngine("numeric", "phi", det_params, n_max=2)
+    grid = GridEngine("numeric", "phi", det_params)
     alpha_grid, t_grid = np.linspace(0.1, 1.4, 4), np.linspace(0.0, 20.0, 1000)  # 16 blocks
     serial = grid.values(alpha_grid, t_grid)
     threads = 4
@@ -225,7 +232,7 @@ def test_grid_values_outlive_another_engines_call(engine, res_params, det_params
     alpha_grid, t_grid = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 8.0, 300)
     first = GridEngine(engine, "phi", res_params).values(alpha_grid, t_grid)
     kept = [_bits(first.concurrence).copy(), _bits(first.q).copy()]
-    GridEngine(engine, "psi", det_params, n_max=3).values(alpha_grid[::-1], t_grid[::-1] * 2.0)
+    GridEngine(engine, "psi", det_params).values(alpha_grid[::-1], t_grid[::-1] * 2.0)
     assert np.array_equal(_bits(first.concurrence), kept[0])
     assert np.array_equal(_bits(first.q), kept[1])
 
@@ -233,11 +240,7 @@ def test_grid_values_outlive_another_engines_call(engine, res_params, det_params
 @pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 3)])
 def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, det_params):
     alpha_grid, t_grid = np.linspace(0.1, 3.0, 4), np.linspace(0.0, 9.0, 11)
-    if engine == "analytic":
-        psi = analytic_amplitudes("psi", alpha_grid, t_grid, det_params)
-    else:
-        propagator = HamiltonianPropagator(det_params, n_max)
-        psi = propagator.evolve_grid("psi", alpha_grid, t_grid)
+    psi = cli_engine(engine, "psi", det_params, n_max)._evolve(alpha_grid, t_grid, Workspace())
     stack = pair_matrices(psi, PAIR_LABELS)
     assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))  # Hermitian by construction
     # the 10 upper entries give back the whole matrix, bit for bit
@@ -271,30 +274,19 @@ def test_off_x_cell_takes_the_general_route(size, data):
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 @pytest.mark.parametrize("n_max", [2, 3, 4])
-def test_numeric_grid_matches_across_n_max(kind, n_max, res_params, det_params):
-    # the populated manifolds have the same blocks at every n_max, so a
-    # truncation changes no bit of C or Q (two Rabi periods, long times too)
-    alpha_grid = np.linspace(-3.0, 3.0, 13)
-    for params in (res_params, det_params):
-        t_grid = np.concatenate([np.linspace(0.0, 4.0 * np.pi / params.rabi(1), 65), [1e8, 3.3e8, 1e9]])
-        base = GridEngine("numeric", kind, params, n_max=1).values(alpha_grid, t_grid)
-        other = GridEngine("numeric", kind, params, n_max=n_max).values(alpha_grid, t_grid)
-        assert np.array_equal(_bits(other.q), _bits(base.q))
-        assert np.array_equal(_bits(other.concurrence), _bits(base.concurrence))
-
-
-def test_sweep_passes_n_max_to_the_numeric_engine(tmp_path, monkeypatch):
-    seen = []
-    real = dynamics_module.site_hamiltonian
-
-    def recording(params, n_max=1):
-        seen.append(n_max)
-        return real(params, n_max)
-
-    monkeypatch.setattr(dynamics_module, "site_hamiltonian", recording)
-    assert main(["sweep", "--engine", "numeric", "--n-max", "3", "--alpha-points", "2",
-                 "--steps", "3", "--t-max", "1.0", "--output", str(tmp_path / "s.csv")]) == 0
-    assert seen == [3]
+def test_numeric_grid_matches_across_n_max(kind, n_max, tmp_path):
+    # --n-max changes no byte of the numeric route's tables: two Rabi
+    # periods, and long times, at a resonant and a detuned site
+    for site in ([], ["--omega", "6.0", "--g", "0.5"]):
+        for request in (["evolve", "--alpha", "0.7"], ["sweep", "--alpha-min", "-3", "--alpha-max", "3",
+                                                       "--alpha-points", "13", "--t-max", "1e9", "--steps", "3"]):
+            tables = []
+            for setting in ("1", str(n_max)):
+                out = tmp_path / f"{request[0]}{setting}.csv"
+                assert main([*request, "--engine", "numeric", "--family", kind, *site, "--n-max", setting,
+                             "--output", str(out)]) == 0
+                tables.append(out.read_bytes())
+            assert tables[0] == tables[1]
 
 
 def _bits(values):
@@ -340,16 +332,16 @@ def test_blocks_do_not_change_values(engine, res_params, monkeypatch):
         assert np.array_equal(_bits(blocked.q), _bits(whole.q))
 
 
-@given(engine=st.sampled_from(("analytic", "numeric")), kind=kinds, n_max=st.integers(1, 4),
+@given(engine=st.sampled_from(("analytic", "numeric")), kind=kinds,
        params=sites(), alpha_list=st.lists(alphas, min_size=1, max_size=3),
        n_t=st.integers(1, 40), cuts=st.lists(st.integers(1, 39), max_size=6),
        fraction=st.floats(0.0, 1.0), data=st.data())
-def test_any_split_of_the_times_gives_the_bits_of_one_call(engine, kind, n_max, params, alpha_list,
+def test_any_split_of_the_times_gives_the_bits_of_one_call(engine, kind, params, alpha_list,
                                                            n_t, cuts, fraction, data):
     # one-cell calls (a single alpha and a single time) included: the numeric
     # route's products must not change kernels with the number of cells
     ts = np.linspace(0.0, fraction * 50.0 / params.rabi(1), n_t)
-    grid = GridEngine(engine, kind, params, n_max=n_max)
+    grid = GridEngine(engine, kind, params)
     whole = grid.values(alpha_list, ts)
     parts = [grid.values(alpha_list, part) for part in np.split(ts, sorted({c for c in cuts if c < n_t}))]
     ia, it = data.draw(st.integers(0, len(alpha_list) - 1)), data.draw(st.integers(0, n_t - 1))
@@ -377,7 +369,7 @@ def test_block_reduces_every_pair_in_one_stack(engine, n_max, kind, det_params, 
         return real(amps, pairs, **kwargs)
 
     alpha_grid, t_grid = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 6.0, 7)
-    grid = GridEngine(engine, kind, det_params, n_max=n_max)
+    grid = cli_engine(engine, kind, det_params, n_max)
     alone = {pair: grid.values(alpha_grid, t_grid, (pair,)) for pair in PAIR_LABELS}
     monkeypatch.setattr(engine_module, "pair_values", recording)
     for block, expected in ((256, [((3, 7), 6)]), (7, [((1, 7), 6)] * 3)):
@@ -393,11 +385,12 @@ def test_block_reduces_every_pair_in_one_stack(engine, n_max, kind, det_params, 
 @pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 4)])
 def test_grid_memory_does_not_grow_with_the_grid(engine, n_max, det_params):
     # the peak of a 3 x 8193 evaluation (99 blocks, the last of each row one
-    # cell) above its two output arrays, against a fixed budget; the
-    # workspace holds about 1 MB at any n_max
-    grid = GridEngine(engine, "psi", det_params, n_max=n_max)
+    # cell) above its two output arrays, once the thread's workspace holds
+    # blocks of both shapes: measured 0.12 MB at every --n-max, the bound is
+    # about twice that (a workspace filled again per call adds 0.85 MB)
+    grid = cli_engine(engine, "psi", det_params, n_max)
     alpha_grid, t_grid = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 20.0, 8193)
-    grid.values(alpha_grid, t_grid[:3])  # caches and one-time allocations
+    grid.values(alpha_grid, t_grid[:257])  # full blocks and a one-cell block: the workspace at its size
     tracemalloc.start()
     try:
         values = grid.values(alpha_grid, t_grid)
@@ -406,7 +399,7 @@ def test_grid_memory_does_not_grow_with_the_grid(engine, n_max, det_params):
         tracemalloc.stop()
     outputs = values.concurrence.nbytes + values.q.nbytes
     assert outputs == 2 * 3 * 8193 * 6 * 8
-    assert peak - outputs <= 3_500_000
+    assert peak - outputs <= 250_000
 
 
 def test_engine_validations(res_params):
@@ -418,21 +411,21 @@ def test_engine_validations(res_params):
         GridEngine("analytic", "phi", res_params).values([0.1], [0.0], ("AB", "BA"))
 
 
-@given(engine=st.sampled_from(("analytic", "numeric")), kind=kinds, n_max=st.integers(1, 4),
+@given(engine=st.sampled_from(("analytic", "numeric")), kind=kinds,
        params=sites(), x_tol=st.sampled_from((1e-10, -1.0)), order=st.permutations(PAIR_LABELS),
        size=st.integers(1, len(PAIR_LABELS)), alpha_list=st.lists(alphas, min_size=1, max_size=3),
        fraction=st.floats(0.0, 1.0))
-@example(engine="numeric", kind="phi", n_max=2, params=JCParams(omega0=7.0, omega=7.3, g=0.6),
+@example(engine="numeric", kind="phi", params=JCParams(omega0=7.0, omega=7.3, g=0.6),
          x_tol=-1.0, order=["Aa", "AB", "Bb", "ab", "Ba", "Ab"], size=3, alpha_list=[0.4],
          fraction=0.3)
-def test_any_pair_order_gives_the_bits_of_the_default_order(engine, kind, n_max, params, x_tol, order,
+def test_any_pair_order_gives_the_bits_of_the_default_order(engine, kind, params, x_tol, order,
                                                             size, alpha_list, fraction):
     # an ordered subset of the pairs, traced dimensions interleaved or not:
     # each column has the bits of its pair's column in the default-order
     # call, on the X reader and on the general route's slot-to-table mapping
     pairs = tuple(order[:size])
     ts = np.linspace(0.0, fraction * 50.0 / params.rabi(1), 5)
-    grid = GridEngine(engine, kind, params, n_max=n_max)
+    grid = GridEngine(engine, kind, params)
     every = grid.values(alpha_list, ts, x_tol=x_tol)
     some = grid.values(alpha_list, ts, pairs, x_tol=x_tol)
     cols = [PAIR_LABELS.index(pair) for pair in pairs]
@@ -446,16 +439,14 @@ def test_any_pair_order_gives_the_bits_of_the_default_order(engine, kind, n_max,
                                       (math.inf, 1.0), (math.nan, 1.0)])
 def test_evolution_routes_refuse_non_finite_cells(engine, n_max, alpha, t):
     # refused before any phase is formed, naming the bad alpha or t (no NaN trace, no warning)
-    grid = GridEngine(engine, "phi", JCParams(omega0=5.0, omega=5.0, g=1.0), n_max=n_max)
+    grid = cli_engine(engine, "phi", JCParams(omega0=5.0, omega=5.0, g=1.0), n_max)
     if not math.isfinite(alpha):
         message = f"alpha must be finite, got {alpha!r}"
     elif not math.isfinite(t):
         message = f"t must be finite, got {t!r}"
-    else:  # 2 (omega0/2 + n_max omega + sqrt(n_max) g) = 17 at n_max = 1
-        rate = {1: "17.0", 2: "27.82842712474619"}[n_max]
+    else:  # 2 (omega0/2 + omega + g) = 17 at every --n-max
         message = (f"t = 1e+308 times the largest phase rate of the {engine} route, 2 (omega0/2 + "
-                   f"n_max omega + sqrt(n_max) g) = {rate} at n_max = {n_max} and "
-                   "JCParams(omega0=5.0, omega=5.0, g=1.0), overflows")
+                   "omega + g) = 17.0 at JCParams(omega0=5.0, omega=5.0, g=1.0), overflows")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         grid.values([0.1, alpha], [0.5, t])
 
@@ -487,25 +478,26 @@ def test_closed_route_refuses_an_overflowing_half_phase():
 
 
 def test_an_overflowing_rate_is_refused_before_the_eigh(monkeypatch):
-    # 2 (5/2 + 2e308 + sqrt(2)) is inf: no eigh may see the inf Hamiltonian
+    # 2 (5/2 + 1e308 + 1) is inf: no eigh may see the site
     def refuse(*args, **kwargs):
         raise AssertionError("a site Hamiltonian was diagonalized")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     site = JCParams(omega0=5.0, omega=1e308, g=1.0)
     for engine in ("analytic", "numeric"):
-        message = (f"the largest phase rate of the {engine} route, 2 (omega0/2 + n_max omega + "
-                   f"sqrt(n_max) g) = inf at n_max = 2 and {site!r}, overflows")
+        message = (f"the largest phase rate of the {engine} route, 2 (omega0/2 + omega + g) = inf "
+                   f"at {site!r}, overflows")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            GridEngine(engine, "phi", site, n_max=2)
+            GridEngine(engine, "phi", site)
     # the closed form's one phase rate, delta / 2 = 5e307, is finite
-    values = GridEngine("closed", "phi", site, n_max=2).values([0.3], [1.0])
+    values = GridEngine("closed", "phi", site).values([0.3], [1.0])
     assert np.isfinite(values.concurrence).all()
 
 
-# Sites where one eigh of the whole site mixed nearly degenerate excitation
-# manifolds (population leaked above one photon at a large phase) or did not
-# converge: (site, n_max, t).  Manifold by manifold they diagonalize.
+# Sites where one eigh of the whole truncated site, at the n_max of the
+# ids, mixed nearly degenerate excitation manifolds (population leaked above
+# one photon at a large phase) or did not converge: (site, n_max, t).
+# Manifold by manifold they diagonalize.
 _EXTREME_SITES = [
     (JCParams(1.0, 1e-13, 4.856243432510091e-50), 2, 1e300),
     (JCParams(1.1671009717970596e+277, 1.3660129889829182e-219, 2.4406572640694918e+246), 2,
@@ -524,7 +516,7 @@ def _one_time_among(n_t, index, t):
 def test_numeric_route_agrees_at_sites_one_eigh_could_not_reduce(params, n_max, t):
     # the coupling is negligible against the detuning or the phase: C_AB
     # stays sin(2 alpha) on both routes, and every value agrees within 1e-14
-    values = [GridEngine(name, "psi", params, n_max=n_max).values([0.3], _one_time_among(600, 300, t))
+    values = [cli_engine(name, "psi", params, n_max).values([0.3], _one_time_among(600, 300, t))
               for name in ("analytic", "numeric")]
     for field in ("concurrence", "q"):
         analytic, numeric = (getattr(value, field) for value in values)
@@ -562,13 +554,12 @@ def _unconverged(matrix):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-def test_a_site_eigh_cannot_diagonalize_is_refused_naming_n_max_and_the_site(monkeypatch):
+def test_a_site_eigh_cannot_diagonalize_is_refused_naming_the_site(monkeypatch):
     site = _EXTREME_SITES[2][0]
-    message = ("the numeric route cannot diagonalize the site Hamiltonian at n_max = 3 and "
-               f"{site!r}: Eigenvalues did not converge")
+    message = f"the numeric route cannot diagonalize the site Hamiltonian at {site!r}: Eigenvalues did not converge"
     monkeypatch.setattr(np.linalg, "eigh", _unconverged)
     with pytest.raises(ValueError) as err:
-        GridEngine("numeric", "psi", site, n_max=3)
+        GridEngine("numeric", "psi", site)
     assert type(err.value) is ValueError and str(err.value) == message
 
 
@@ -582,7 +573,7 @@ def test_numeric_refusals_reach_stderr_with_their_place(capsys, monkeypatch):
     assert main(["evolve", "--engine", "numeric", "--n-max", "3", "--omega0", repr(p.omega0),
                  "--omega", repr(p.omega), "--g", repr(p.g), "--t-max", "1e-300", "--steps", "1"]) == 1
     assert capsys.readouterr().err == ("error: the numeric route cannot diagonalize the site Hamiltonian "
-                                       f"at n_max = 3 and {p!r}: Eigenvalues did not converge\n")
+                                       f"at {p!r}: Eigenvalues did not converge\n")
 
 
 @pytest.mark.parametrize("engine", ("analytic", "numeric"))
@@ -611,7 +602,7 @@ def test_a_route_that_writes_off_its_support_is_refused_where_the_support_is_bui
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_empty_grids_give_empty_arrays(engine):
-    grid = GridEngine(engine, "psi", JCParams(omega0=5.0, omega=5.7, g=1.0), n_max=2)
+    grid = GridEngine(engine, "psi", JCParams(omega0=5.0, omega=5.7, g=1.0))
     for alpha_grid, t_grid in (([], [0.5, 1.0]), ([0.3], []), ([], [])):
         values = grid.values(alpha_grid, t_grid, ("AB", "Ab"))
         shape = (len(alpha_grid), len(t_grid), 2)
@@ -624,49 +615,49 @@ _BAD_ALPHAS = st.sampled_from([math.nan, math.inf, -math.inf])
 _FIELDS = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)  # log-uniform
 
 
-def _largest_phase_rate(engine, params, n_max):
+def _largest_phase_rate(engine, params):
     """The contract's rate: delta/2 on the closed route, twice the largest site energy otherwise."""
     if engine == "closed":
         return 0.5 * params.splitting
-    return 2.0 * (0.5 * params.omega0 + n_max * params.omega + math.sqrt(n_max) * params.g)
+    return 2.0 * (0.5 * params.omega0 + params.omega + params.g)
 
 
-@given(engine=st.sampled_from(ENGINES), kind=kinds, n_max=st.integers(1, 4),
+@given(engine=st.sampled_from(ENGINES), kind=kinds,
        fields=st.tuples(_FIELDS, _FIELDS, _FIELDS),
        alpha_list=st.lists(st.one_of(alphas, _BAD_ALPHAS), min_size=1, max_size=3),
        t_list=st.lists(st.one_of(_ORDINARY_TIMES, _EXTREME_TIMES), min_size=1, max_size=3))
-@example(engine="numeric", kind="phi", n_max=2, fields=(5.0, 5.0, 2.0), alpha_list=[0.3],
+@example(engine="numeric", kind="phi", fields=(5.0, 5.0, 2.0), alpha_list=[0.3],
          t_list=[0.5, 1e308])
-@example(engine="analytic", kind="psi", n_max=4, fields=(1e300, 1e-300, 1e300), alpha_list=[0.3],
+@example(engine="analytic", kind="psi", fields=(1e300, 1e-300, 1e300), alpha_list=[0.3],
          t_list=[1.0, -1e300])
 # grids longer than the engine's Python fast check
-@example(engine="analytic", kind="phi", n_max=1, fields=(5.0, 5.0, 2.0), alpha_list=[0.3],
+@example(engine="analytic", kind="phi", fields=(5.0, 5.0, 2.0), alpha_list=[0.3],
          t_list=[0.5] * 40 + [1e308])
-@example(engine="closed", kind="psi", n_max=1, fields=(5.0, 5.7, 1.0), alpha_list=[0.1] * 40 + [math.nan],
+@example(engine="closed", kind="psi", fields=(5.0, 5.7, 1.0), alpha_list=[0.1] * 40 + [math.nan],
          t_list=[0.5])
-@example(engine="numeric", kind="phi", n_max=3, fields=(5.0, 5.7, 1.0), alpha_list=[0.2, 0.4],
+@example(engine="numeric", kind="phi", fields=(5.0, 5.7, 1.0), alpha_list=[0.2, 0.4],
          t_list=np.linspace(-50.0, 50.0, 40).tolist())
 # sites where one eigh of the whole site leaked or did not converge
-@example(engine="numeric", kind="psi", n_max=2, fields=(1.0, 1e-13, 4.856243432510091e-50), alpha_list=[0.3],
+@example(engine="numeric", kind="psi", fields=(1.0, 1e-13, 4.856243432510091e-50), alpha_list=[0.3],
          t_list=[1e300])
-@example(engine="numeric", kind="psi", n_max=2,
+@example(engine="numeric", kind="psi",
          fields=(1.1671009717970596e+277, 1.3660129889829182e-219, 2.4406572640694918e+246), alpha_list=[0.3],
          t_list=[33.56047578428661])
-@example(engine="numeric", kind="psi", n_max=3,
+@example(engine="numeric", kind="psi",
          fields=(2.2090347762034448e+44, 1.7583199221099784e+53, 1.5464825831913855e+285), alpha_list=[0.3],
          t_list=[1e-300])
-def test_every_route_computes_or_names_what_it_refuses(engine, kind, n_max, fields, alpha_list, t_list):
+def test_every_route_computes_or_names_what_it_refuses(engine, kind, fields, alpha_list, t_list):
     # the input contract: valid values, or a ValueError naming the first bad
     # alpha, the first bad t, or the first t whose largest phase overflows;
     # never a RuntimeWarning, a NaN trace or a bare math error
     params = JCParams(*fields)
-    rate = _largest_phase_rate(engine, params, n_max)
+    rate = _largest_phase_rate(engine, params)
     bad_alphas = [alpha for alpha in alpha_list if not math.isfinite(alpha)]
     bad_ts = [t for t in t_list if not math.isfinite(t)]
     overflowing = [t for t in t_list if math.isinf(rate * t)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        grid = GridEngine(engine, kind, params, n_max=n_max)
+        grid = GridEngine(engine, kind, params)
         if bad_alphas or bad_ts or overflowing:
             if bad_alphas:
                 message = re.escape(f"alpha must be finite, got {bad_alphas[0]!r}") + "$"

@@ -40,7 +40,7 @@ def assert_site_rates_match_eigh(params):
     # against eigh of the (|e,0>, |g,1>) block: the upper level pairs with
     # (sin, cos) of the half mixing angle for this detuning-sign convention
     (up, down, ground), (sin2, cos2, sin_cos) = _site_rates(params)
-    h = site_hamiltonian(params, n_max=1)
+    h = site_hamiltonian(params)
     w, v = np.linalg.eigh(h[np.ix_([0, 3], [0, 3])])
     upper, lower = np.abs(v[:, 1]), np.abs(v[:, 0])
     assert np.allclose([sin2, cos2, sin_cos], [upper[0] ** 2, upper[1] ** 2, upper[0] * upper[1]],
@@ -94,20 +94,15 @@ def test_dressed_vs_block_diagonalization(det_params):
 
 def test_site_hamiltonian_resonance_splitting():
     p = JCParams(omega0=5.0, omega=5.0, g=1.0)
-    h = site_hamiltonian(p, n_max=1)
+    h = site_hamiltonian(p)
     block = h[np.ix_([0, 3], [0, 3])]  # (|e,0>, |g,1>)
     w = np.linalg.eigvalsh(block)
     assert w[1] - w[0] == pytest.approx(2 * p.g, abs=1e-12)
 
 
-def test_site_hamiltonian_refuses_no_photon_level():
-    with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
-        site_hamiltonian(JCParams(5, 5, 1), 0)
-
-
 def test_site_hamiltonian_ground_state():
     p = JCParams(omega0=5.0, omega=6.0, g=0.5)
-    h = site_hamiltonian(p, n_max=1)
+    h = site_hamiltonian(p)
     g0 = np.zeros(4)
     g0[2] = 1.0  # |g,0>
     assert h[2, 2] == pytest.approx(-p.omega0 / 2)
@@ -122,23 +117,26 @@ def test_site_hamiltonian_eigenvectors_match_mixing(det_params):
 
 
 def test_site_hamiltonian_conserves_excitation():
+    # on the Fock ladder of the lattice oracle, and on the one-photon levels
     p = JCParams(omega0=5.0, omega=6.0, g=0.5)
-    h = site_hamiltonian(p, n_max=3)
-    n_ph = 4
-    exc = np.array([(1 - atom) + k for atom in range(2) for k in range(n_ph)])
-    n_op = np.diag(exc.astype(float))
-    assert np.max(np.abs(h @ n_op - n_op @ h)) <= 1e-12
+    for h, n_ph in ((reference.site_hamiltonian(p, 3), 4), (site_hamiltonian(p), 2)):
+        exc = np.array([(1 - atom) + k for atom in range(2) for k in range(n_ph)])
+        n_op = np.diag(exc.astype(float))
+        assert np.max(np.abs(h @ n_op - n_op @ h)) <= 1e-12
 
 
 def test_total_hamiltonian_structure(res_params, det_params):
-    # the lattice oracle builds its sites on its own, with the same bits
+    # the lattice oracle builds its sites on its own: the one-photon site is
+    # its Fock ladder's levels (e,0), (e,1), (g,0), (g,1), with the same bits
     for n_max in (1, 2, 4):
+        levels = [0, 1, n_max + 1, n_max + 2]
         for params in (res_params, det_params):
-            assert np.array_equal(reference.site_hamiltonian(params, n_max), site_hamiltonian(params, n_max))
+            ladder = reference.site_hamiltonian(params, n_max)
+            assert np.array_equal(ladder[np.ix_(levels, levels)], site_hamiltonian(params))
     h = total_hamiltonian(res_params, det_params, n_max=1)
     assert h.shape == (16, 16)
-    h_a = site_hamiltonian(res_params, 1)
-    h_b = site_hamiltonian(det_params, 1)
+    h_a = site_hamiltonian(res_params)
+    h_b = site_hamiltonian(det_params)
     left = np.kron(h_a, np.eye(4))
     right = np.kron(np.eye(4), h_b)
     assert np.max(np.abs(left @ right - right @ left)) <= 1e-12

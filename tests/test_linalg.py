@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,7 +23,7 @@ def reduce_one(psi, keep, **kwargs):
 
 def test_kron_matches_index_formula(res_params, det_params):
     # the lattice Hamiltonian on factors (Aa, Bb): H[(i1,i2),(j1,j2)] = H_Aa[i1,j1] d(i2,j2) + d(i1,j1) H_Bb[i2,j2]
-    h_aa, h_bb = site_hamiltonian(res_params, 1), site_hamiltonian(det_params, 1)
+    h_aa, h_bb = site_hamiltonian(res_params), site_hamiltonian(det_params)
     h = total_hamiltonian(res_params, det_params, n_max=1)
     for i1, i2, j1, j2 in np.ndindex(4, 4, 4, 4):
         expected = h_aa[i1, j1] * (i2 == j2) + (i1 == j1) * h_bb[i2, j2]
@@ -92,16 +90,15 @@ def test_partial_trace_keep_order():
     assert np.allclose(rho_ba, swapped, atol=1e-14)
 
 
-@functools.lru_cache(maxsize=None)
-def _propagator(n_max):
-    return HamiltonianPropagator(JCParams(omega0=5.0, omega=5.6, g=0.8), n_max)
+_SITE = JCParams(omega0=5.0, omega=5.6, g=0.8)
+_PROPAGATOR = HamiltonianPropagator(_SITE)
 
 
-def _amplitude_stack(route, kind, n_max, alphas, ts):
+def _amplitude_stack(route, kind, alphas, ts):
     """(2, 2, 2, 2, n_alpha, n_t) amplitudes of one evolution route and the rows it can fill."""
     if route == "numeric":
-        return _propagator(n_max).evolve_grid(kind, alphas, ts), live_rows(kind)
-    return analytic_amplitudes(kind, alphas, ts, JCParams(omega0=5.0, omega=5.6, g=0.8)), live_rows(kind)
+        return _PROPAGATOR.evolve_grid(kind, alphas, ts), live_rows(kind)
+    return analytic_amplitudes(kind, alphas, ts, _SITE), live_rows(kind)
 
 
 def _bits(a):
@@ -111,13 +108,12 @@ def _bits(a):
 @given(
     route=st.sampled_from(["analytic", "numeric"]),
     kind=st.sampled_from(FAMILY_KINDS),
-    n_max=st.integers(1, 4),
     keeps=st.lists(st.sampled_from(KEEPS), min_size=1, max_size=len(KEEPS), unique=True),
     alphas=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
     ts=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
 )
-def test_all_pair_reduction_matches_one_pair_reductions(route, kind, n_max, keeps, alphas, ts):
-    psi, live = _amplitude_stack(route, kind, n_max, alphas, ts)
+def test_all_pair_reduction_matches_one_pair_reductions(route, kind, keeps, alphas, ts):
+    psi, live = _amplitude_stack(route, kind, alphas, ts)
     entries = pair_entries(psi, keeps, live=live).copy()
     assert entries.shape == (len(keeps), 10, len(alphas), len(ts))
     for slot, keep in enumerate(keeps):
