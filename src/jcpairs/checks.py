@@ -32,7 +32,7 @@ from .jcmodel import JCParams
 
 
 def random_x_states(rng, count):
-    """Amplitudes (2, 2, 2, 2, count) of random pure states whose AB reduction is X-shaped.
+    """Full amplitude stack (16, count) of random pure states whose AB reduction is X-shaped.
 
     Each cell is drawn as a normalized Gaussian 4 x 4 factor M of its AB
     density M M^dag, with rows 0 and 3 on columns 0-1 and rows 1 and 2 on
@@ -44,7 +44,7 @@ def random_x_states(rng, count):
     for rows, cols in (((0, 3), slice(0, 2)), ((1, 2), slice(2, 4))):
         factor[rows, cols] = rng.standard_normal((2, 2, count, 2)) @ np.array([1.0, 1.0j])
     factor /= np.sqrt(np.sum(np.abs(factor) ** 2, axis=(0, 1)))
-    return factor.reshape(2, 2, 2, 2, count).transpose(0, 2, 1, 3, 4)
+    return factor.reshape(2, 2, 2, 2, count).transpose(0, 2, 1, 3, 4).reshape(16, count)
 
 
 def run_checks(params, tol, inject_fault=False):

@@ -1,19 +1,17 @@
 """The two-site lattice's initial families and their time evolution on (alpha, t) grids.
 
-Two independent site propagators evolve the families: the dressed states of
-each site in closed form (``analytic_amplitudes``), and exact
-diagonalization of the literal one-photon site Hamiltonian, one ``eigh``
-per excitation manifold the families populate
-(``HamiltonianPropagator.evolve_grid``).  The lattice propagator is the
-site's Kronecker square, so every amplitude is an initial weight times one
-site factor per site.  Both use the literal Hamiltonian's energy zero
+``amplitudes`` evolves a family over a whole (alpha, t) block from the site
+factors of one of two independent site propagators: the dressed states in
+closed form (``dressed_factors``), and exact diagonalization of the literal
+one-photon site Hamiltonian, one ``eigh`` per excitation manifold the
+families populate (``HamiltonianPropagator``).  The lattice propagator is
+the site's Kronecker square, so every amplitude is an initial weight times
+one site factor per site.  Both use the literal Hamiltonian's energy zero
 point, so they agree at the amplitude level, not just in derived
 quantities.  The families put at most one excitation on each site, which
-the coupling conserves: both routes evolve a whole (alpha, t) block at once
-into the one-photon amplitude stack (2, 2, 2, 2, n_alpha, n_t), cells last,
-whose rows the reducer (``linalg.pair_entries``) works on, nonzero only on
-``live_rows``.  Given a ``linalg.Workspace``, they write their result and
-their temporaries into its buffers.
+the coupling conserves, so only 5 (phi) or 4 (psi) of the 16 lattice
+amplitudes can be nonzero: the stack, cells last, holds just those, the
+family's ``live_rows``, which the reducer (``linalg.pair_entries``) reads.
 """
 
 from __future__ import annotations
@@ -34,24 +32,35 @@ _INITIAL_CELLS = {
     "psi": ((0, 0, 1, 0), (1, 0, 0, 0)),  # |e,0,g,0>, |g,0,e,0>
 }
 
-# The site levels (atom, photon) each initial site level reaches, in the
-# order of the site factor rows: |e,0> -> f|e,0> + h|g,1>, |g,0> -> ground|g,0>
+# The site levels (atom, photon) each initial site level reaches, and each
+# step of a site in the order of the site factor rows:
+# |e,0> -> f|e,0> + h|g,1>, |g,0> -> ground|g,0>
 _SITE_REACH = {(0, 0): ((0, 0), (1, 1)), (1, 0): ((1, 0),)}
+_SITE_STEPS = tuple((j, i) for j, reached in _SITE_REACH.items() for i in reached)
+
+
+@functools.lru_cache(maxsize=None)
+def _stack_rows(kind):
+    """Each amplitude the family can fill, one per stack row: (flat row, weight, A step, B step).
+
+    One initial cell reaches it on both sites; every other amplitude stays
+    exactly zero.  The flat rows 8 A + 4 a + 2 B + b ascend; the weight is
+    the slot of cos alpha or sin alpha and a step its slot in ``_SITE_STEPS``.
+    """
+    return tuple(sorted((8 * a[0] + 4 * a[1] + 2 * b[0] + b[1], weight,
+                         _SITE_STEPS.index((cell[:2], a)), _SITE_STEPS.index((cell[2:], b)))
+                        for weight, cell in enumerate(_INITIAL_CELLS[kind])
+                        for a in _SITE_REACH[cell[:2]] for b in _SITE_REACH[cell[2:]]))
 
 
 def live_rows(kind):
-    """Flat indices, ascending, of the rows of the family's (2, 2, 2, 2) stack that a route can fill.
-
-    A lattice row is live when one initial cell reaches it on both sites
-    (``_SITE_REACH``); every other row stays exactly zero.
-    """
-    return tuple(sorted({8 * a[0] + 4 * a[1] + 2 * b[0] + b[1] for cell in _INITIAL_CELLS[kind]
-                         for a in _SITE_REACH[cell[:2]] for b in _SITE_REACH[cell[2:]]}))
+    """Flat indices, ascending, of the (2, 2, 2, 2) lattice rows the family can fill: the rows of its stack."""
+    return tuple(row for row, *_ in _stack_rows(kind))
 
 
 @functools.lru_cache(maxsize=256)
 def _site_rates(params):
-    """The three phase rates and the three dressed weights of ``_site_factors``, once per site."""
+    """The three phase rates and the three dressed weights of ``dressed_factors``, once per site."""
     half = 0.5 * math.atan2(params.rabi(1), params.detuning)  # half the n = 1 mixing angle
     sin_half, cos_half = math.sin(half), math.cos(half)
     center, split = 0.5 * params.omega, 0.5 * params.splitting
@@ -59,7 +68,7 @@ def _site_rates(params):
     return rates, (sin_half**2, cos_half**2, sin_half * cos_half)
 
 
-def _site_factors(params, t, out, scratch):
+def dressed_factors(params, t, out, scratch):
     """Amplitude pair (f, h) for |e,0> -> f|e,0> + h|g,1>, plus the |g,0> phase, into the rows of ``out``.
 
     Uses the literal site spectrum: n=1 manifold energies omega/2 +- delta/2
@@ -81,26 +90,19 @@ def _site_factors(params, t, out, scratch):
     np.multiply(sin_cos, terms[0], out=out[1])
 
 
-def analytic_amplitudes(kind, alphas, ts, params, *, work=None):
-    """The family evolved to every (alpha, t) by dressed-state phases, shape (2, 2, 2, 2, n_alpha, n_t).
+def amplitudes(kind, alphas, ts, site_factors, *, work=None):
+    """The family's live rows at every (alpha, t) by one site propagator, shape (rows, n_alpha, n_t).
 
-    Both sites share ``params``; ``_amplitudes`` writes the stack from the
-    site factors of ``_site_factors``.
-    """
-    return _amplitudes(kind, alphas, ts, functools.partial(_site_factors, params), work)
-
-
-def _amplitudes(kind, alphas, ts, site_factors, work):
-    """The family evolved to every (alpha, t) by one site propagator, shape (2, 2, 2, 2, n_alpha, n_t).
-
-    ``site_factors(t, out, scratch)`` writes the site factors f, h and
-    ground (``_SITE_REACH``) at every time of the 1-D ``t`` into the rows of
-    ``out`` (3, len(t)), with ``scratch`` (4, len(t)).  The factors cos
-    alpha, sin alpha, f, h and ground are flat rows of the n_alpha n_t cells
-    (the site factors once per time, then copied to every alpha), and every
-    amplitude is (weight x) y, its initial cell's weight times one factor
-    of each site, each product written to a row that is not one of its
-    operands: each cell takes the same numpy loop whatever the block's
+    Row r is the lattice amplitude ``live_rows(kind)[r]``.
+    ``site_factors(t, out, scratch)`` (``dressed_factors`` with its site
+    bound, or ``HamiltonianPropagator.site_factors``) writes the factors f,
+    h and ground (``_SITE_STEPS``) at every time of the 1-D ``t`` into the
+    rows of ``out`` (3, len(t)), with ``scratch`` (4, len(t)).  The factors
+    cos alpha, sin alpha, f, h and ground are flat rows of the n_alpha n_t
+    cells (the site factors once per time, then copied to every alpha), and
+    every amplitude is (weight x) y, its initial cell's weight times one
+    factor of each site, each product written to a row that is not one of
+    its operands: each cell takes the same numpy loop whatever the block's
     shape.  (A one-cell block broadcast from an (n_alpha, 1) and an (n_t,)
     operand, or a one-cell product written over its own operand, takes a
     loop that rounds complex products differently.)  The stack and the
@@ -119,18 +121,16 @@ def _amplitudes(kind, alphas, ts, site_factors, work):
     site_factors(ts, by_alpha[2:5, 0], work.get("evolve.scratch", (4, n_t)))
     if n_a > 1:
         by_alpha[2:5, 1:] = by_alpha[2:5, :1]
-    ca, sa, f, h, ground, partial = rows
-    psi = work.get("amplitudes", (2, 2, 2, 2, n_a, n_t))
-    psi.fill(0.0)
-    cells = psi.reshape(2, 2, 2, 2, -1)
-    # each site evolves on its own, by the factors of _SITE_REACH
-    site = {(0, 0): (f, h), (1, 0): (ground,)}
-    for weight, cell in zip((ca, sa), _INITIAL_CELLS[kind]):
-        for x, level_a in zip(site[cell[:2]], _SITE_REACH[cell[:2]]):
-            np.multiply(weight, x, out=partial)
-            for y, level_b in zip(site[cell[2:]], _SITE_REACH[cell[2:]]):
-                np.multiply(partial, y, out=cells[level_a + level_b])
-    return psi
+    weights, steps, partial = rows[:2], rows[2:5], rows[5]
+    plan = _stack_rows(kind)
+    stack = work.get("amplitudes", (len(plan), n_a, n_t))
+    done = None
+    for out, (_, weight, a, b) in zip(stack.reshape(len(plan), -1), plan):
+        if (weight, a) != done:  # the A-site product, once for the rows that share it
+            done = weight, a
+            np.multiply(weights[weight], steps[a], out=partial)
+        np.multiply(partial, steps[b], out=out)
+    return stack
 
 
 class HamiltonianPropagator:
@@ -144,8 +144,8 @@ class HamiltonianPropagator:
     (e,1), (g,0), (g,1) with exact zeros outside the blocks; (e,1), in no
     populated manifold, has a zero row and column.  The site factors are
     <i|U(t)|j> = sum_k V[i,k] conj(V[j,k]) exp(-i w_k t) over the block of
-    j, for each j -> i of ``_SITE_REACH``; the lattice propagator is their
-    Kronecker square.
+    j, for each step j -> i of ``_SITE_STEPS``; the lattice propagator is
+    their Kronecker square.
     """
 
     def __init__(self, params):
@@ -164,10 +164,10 @@ class HamiltonianPropagator:
         # (V[i,k] conj(V[j,k]), slot of k in eigen) over the block of j, for each factor row j -> i
         v = {(atom, photon): self._v[2 * atom + photon, eigen] for atom in (0, 1) for photon in (0, 1)}
         self._terms = [[(v[i][slot] * v[j][slot].conjugate(), slot) for slot in np.flatnonzero(v[j])]
-                       for j, reached in _SITE_REACH.items() for i in reached]
+                       for j, i in _SITE_STEPS]
 
-    def _site_factors(self, t, out, scratch):
-        """The site factors f, h and ground at every time of ``t`` into ``out``, as ``_amplitudes`` asks."""
+    def site_factors(self, t, out, scratch):
+        """The site factors f, h and ground at every time of ``t`` into ``out``, as ``amplitudes`` asks."""
         phases, term = scratch[:len(self._rates)], scratch[-1]
         for rate, phase in zip(self._rates, phases):
             np.multiply(rate, t, out=phase)
@@ -177,7 +177,3 @@ class HamiltonianPropagator:
                 np.multiply(weight, phases[slot], out=term if m else row)
                 if m:
                     np.add(row, term, out=row)
-
-    def evolve_grid(self, kind, alphas, ts, *, work=None):
-        """The family ``kind`` evolved to every (alpha, t) by this propagator, shape (2, 2, 2, 2, n_alpha, n_t)."""
-        return _amplitudes(kind, alphas, ts, self._site_factors, work)

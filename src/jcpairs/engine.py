@@ -5,12 +5,12 @@
 * ``closed``: the closed form on whole arrays at any detuning
   (``closed_grid``: the trigonometry once per alpha and once per t, then
   broadcasting), at resonance bit for bit the paper's scalar formulas;
-* ``analytic``: dressed-state amplitude stacks (``analytic_amplitudes``);
+* ``analytic``: the dressed states' site factors (``dressed_factors``);
 * ``numeric``: exact diagonalization of the literal one-photon site
   Hamiltonian, one ``eigh`` per excitation manifold the families
-  populate, then every (alpha, t) cell from exp(-i H_site t) (x)
-  exp(-i H_site t) (``HamiltonianPropagator.evolve_grid``); its phases
-  drift by about 2 eps ||H_site|| t.
+  populate, then the site factors of exp(-i H_site t) at every time
+  (``HamiltonianPropagator.site_factors``); its phases drift by about
+  2 eps ||H_site|| t.
 
 It alone decides what a route can compute: it refuses an overflowing
 largest phase rate (before any ``eigh``) and a site whose ``eigh`` fails
@@ -20,11 +20,10 @@ naming it.  The rate is delta/2 on the closed route and
 2 (omega0/2 + omega + g), twice the site's largest energy, on the
 evolution routes.
 
-The two evolution routes evolve each block of cells once, with the cells
-last (amplitudes (2, 2, 2, 2, n_alpha, n_t)), and read every requested
-pair of it with one ``pair_values`` call, which multiplies only the rows
-of the family's support (``live_rows``); each engine checks once, on a
-probe cell, that its route writes exact zeros off that support.  Blocks
+The two evolution routes are their site factors: each block of cells is
+evolved once, by ``dynamics.amplitudes``, into the family's live rows with
+the cells last (amplitudes (len(live_rows(kind)), n_alpha, n_t)), and every
+requested pair is read from it with one ``pair_values`` call.  Blocks
 hold at most ``BLOCK_CELLS`` cells and write into the calling thread's
 ``Workspace`` (``linalg.thread_workspace``), which every engine and the
 table writer of that thread share: memory stays bounded for any grid
@@ -40,19 +39,19 @@ grid gives the values at one (alpha, t).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closedform import closed_grid
-from .dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, live_rows
+from .dynamics import FAMILY_KINDS, HamiltonianPropagator, amplitudes, dressed_factors, live_rows
 from .entanglement import PAIR_LABELS, _CellRefusal, pair_values
 from .linalg import thread_workspace
 
 ENGINES = ("closed", "analytic", "numeric")
-# A cell holds 16 amplitudes on both evolution routes, so one block of
-# amplitudes is 64 KB.
+# A cell holds at most 5 live amplitudes (phi), so a block of them is at most 20 KB.
 BLOCK_CELLS = 256
 
 
@@ -87,30 +86,18 @@ class GridEngine:
         if name == "closed":  # the closed form's one phase
             self._rate = 0.5 * params.splitting
             self._overflow = f"overflows the half phase delta t / 2 (delta = {params.splitting!r})"
-        else:  # twice the site's largest energy bounds every phase rate of the evolution routes
-            self._rate = 2.0 * (0.5 * params.omega0 + params.omega + params.g)
-            rate_text = (f"the largest phase rate of the {name} route, 2 (omega0/2 + omega + g) = "
-                         f"{self._rate!r} at {params!r},")
-            if math.isinf(self._rate):
-                raise ValueError(f"{rate_text} overflows")
-            self._overflow = f"times {rate_text} overflows"
-        if name == "closed":
             return
-        if name == "numeric":
-            self._propagator = HamiltonianPropagator(params)
+        # twice the site's largest energy bounds every phase rate of the evolution routes
+        self._rate = 2.0 * (0.5 * params.omega0 + params.omega + params.g)
+        rate_text = (f"the largest phase rate of the {name} route, 2 (omega0/2 + omega + g) = "
+                     f"{self._rate!r} at {params!r},")
+        if math.isinf(self._rate):
+            raise ValueError(f"{rate_text} overflows")
+        self._overflow = f"times {rate_text} overflows"
+        # the route is its site factors: the dressed states' or the diagonalized site's
+        self._site_factors = (HamiltonianPropagator(params).site_factors if name == "numeric"
+                              else functools.partial(dressed_factors, params))
         self._live = live_rows(kind)
-        # a row off the support must be exactly zero: the reducer never reads it
-        probe = self._evolve(np.array([0.5]), np.array([1.0]), thread_workspace()).reshape(16)
-        dead = [row for row in np.flatnonzero(probe).tolist() if row not in self._live]
-        if dead:
-            raise ValueError(f"the {name} route writes {abs(probe[dead[0]]):.3e} on row {dead[0]} of its "
-                             f"stack at alpha = 0.5, t = 1.0, outside its support {self._live}")
-
-    def _evolve(self, alphas, ts, work):
-        """The route's amplitude stack (2, 2, 2, 2, n_alpha, n_t) of one block, in ``work``."""
-        if self.name == "analytic":
-            return analytic_amplitudes(self.kind, alphas, ts, self.params, work=work)
-        return self._propagator.evolve_grid(self.kind, alphas, ts, work=work)
 
     def values(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
         """C and Q of ``pairs`` at every (alpha, t) of the two 1-D grids.
@@ -146,7 +133,7 @@ class GridEngine:
         for a0 in range(0, alphas.size, a_step):
             for t0 in range(0, ts.size, t_step):
                 block = (slice(a0, a0 + a_step), slice(t0, t0 + t_step))
-                amps = self._evolve(alphas[block[0]], ts[block[1]], work)
+                amps = amplitudes(self.kind, alphas[block[0]], ts[block[1]], self._site_factors, work=work)
                 try:
                     pair_values(amps, pairs, live=self._live, x_tol=x_tol, work=work,
                                 out=(conc[block], q[block]))

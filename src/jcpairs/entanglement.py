@@ -1,16 +1,17 @@
 """Wootters concurrence for the six subsystem pairs of the lattice, on whole stacks.
 
 ``pair_values`` is the one road from amplitudes to C and Q: it reduces a
-stack of amplitudes with ``linalg.pair_entries`` (the 10 entries on and
-above the diagonal of every pair density, cells last) and checks and reads
-every cell.  X-shaped cells take the fast path, which reads the concurrence
-from the entries: the corner coherence competes with the inner populations
-and vice versa,
+stack of the lattice rows its caller names with ``linalg.pair_entries``
+(the 10 entries on and above the diagonal of every pair density, cells
+last) and checks and reads every cell.  X-shaped cells take the fast
+path, which reads the concurrence from the entries: the corner coherence
+competes with the inner populations and vice versa,
 
     C = 2 max{0, |z| - sqrt(b c), |w| - sqrt(a d)}.
 
-Cells off the X pattern take the general Wootters route from the amplitude
-factor of their density.  Every pair density is rho = M M^dag, with M the
+Cells off the X pattern, scattered into all 16 lattice rows, take the
+general Wootters route from the amplitude factor of their density.  Every
+pair density is rho = M M^dag, with M the
 4 x 4 matrix of the amplitudes that the reducer multiplies (rows kept,
 columns traced), so rho rho~ = M M^dag (sigma_y x sigma_y) M* M^T (sigma_y
 x sigma_y) has the eigenvalues of S^dag S with S = M^T (sigma_y x sigma_y)
@@ -124,21 +125,22 @@ def _x_values(entries, x_tol, conc, q):
 def pair_values(amps, pairs, *, live=ALL_ROWS, x_tol=1e-10, work=None, out=None):
     """Concurrence and signed Q of ``pairs`` of a stack of four-qubit pure states.
 
-    ``amps`` has shape (2, 2, 2, 2, *cells), nonzero only on the flat rows
-    ``live``; the results have shape (*cells, len(pairs)) and go to ``out``
-    = (C, Q) when given.  The pairs are reduced by ``linalg.pair_entries``
-    (buffers from ``work``), and every cell is checked and its X cells read
-    by ``_x_values`` from one contiguous copy of the entries with the pairs
-    last.  A cell off the X pattern (an off-X entry above ``x_tol``) gets
-    C = max{0, s1 - s2 - s3 - s4} from the decreasing singular values of
-    M^T (sigma_y x sigma_y) M, M its 4 x 4 amplitude factor, and Q = NaN.
+    ``amps`` (len(live), *cells) holds the flat lattice rows ``live``
+    (``linalg.pair_entries``); the results have shape (*cells, len(pairs))
+    and go to ``out`` = (C, Q) when given.  The pairs are reduced by
+    ``pair_entries`` (buffers from ``work``), and every cell is checked and
+    its X cells read by ``_x_values`` from one contiguous copy of the
+    entries with the pairs last.  A cell off the X pattern (an off-X entry
+    above ``x_tol``) gets C = max{0, s1 - s2 - s3 - s4} from the decreasing
+    singular values of M^T (sigma_y x sigma_y) M, M its 4 x 4 amplitude
+    factor (its rows scattered into all 16 lattice rows), and Q = NaN.
     When no requested entry off the X pattern has a live product, every
     cell is X and the test is skipped, unless a negative ``x_tol`` sends
     every cell to the general route.
     """
     amps = np.asarray(amps, dtype=complex)
     pairs, live = tuple(pairs), tuple(live)
-    cells = amps.shape[4:]
+    cells = amps.shape[1:]
     shape = cells + (len(pairs),)
     conc, q = (np.empty(shape), np.empty(shape)) if out is None else out
     if work is None:
@@ -150,13 +152,14 @@ def pair_values(amps, pairs, *, live=ALL_ROWS, x_tol=1e-10, work=None, out=None)
     np.copyto(by_entry, entries.transpose(1, *range(2, entries.ndim), 0))
     general = _x_values(by_entry, x_tol if off_x or x_tol < 0 else None, conc, q)
     if general.any():
-        flat = amps.reshape(16, -1)
         cell_index, pair_index = np.nonzero(general.reshape(-1, len(pairs)))
+        flat = np.zeros((16, cell_index.size), dtype=complex)
+        flat[list(live)] = amps.reshape(len(live), -1)[:, cell_index]
         general_c = np.empty(cell_index.size)
         for slot, table in enumerate(tables):
             mine = pair_index == slot
             if mine.any():
-                factors = np.moveaxis(flat[:, cell_index[mine]][table], -1, 0)  # (cells, 4, 4)
+                factors = np.moveaxis(flat[:, mine][table], -1, 0)  # (cells, 4, 4)
                 s = np.linalg.svd(factors.swapaxes(-1, -2) @ _SIGMA_YY @ factors, compute_uv=False)
                 general_c[mine] = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
         conc[general] = general_c

@@ -12,7 +12,7 @@ death window.
 one alpha, as the report dict, which ``report_json`` writes with the bytes
 of ``json.dumps(report, indent=2)``.  A scan is one sampling call and then
 one call per ITP step, each on one alpha and the few times of the pending
-edges, so its cost is the fixed cost of a small engine call (80-110 us
+edges, so its cost is the fixed cost of a small engine call (60-70 us
 for 1 x 8 cells on the analytic route in a tight loop, 2-core Xeon) plus the step's own
 array operations: each step does its work in a fixed set of whole-array
 operations on the packed state of the pending edges.

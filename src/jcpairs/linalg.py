@@ -5,14 +5,14 @@ the lattice tensor factors are ordered (A, a, B, b) = (atom, cavity, atom,
 cavity); every two-level basis lists the excited level first (atoms: e then
 g; cavities, which hold at most one photon: one photon then vacuum).
 
-Stacks of states put the cells last: amplitudes of shape (2, 2, 2, 2,
-*cells), so each amplitude is one row as long as the stack.
+Stacks of states put the cells last: amplitudes (rows, *cells), each row
+one flat (2, 2, 2, 2) lattice amplitude named beside the stack (all 16 in
+a full stack, the family's live rows in an evolution route's).
 ``pair_entries``, the one reducer, turns them into the 10 entries on and
 above the diagonal of each pair's 4x4 density, (pairs, 10, *cells), with
-elementwise products on those rows, and only on the rows that its caller
-says may be nonzero.  Each density is M M^dag, M the 4 x 4 matrix of
-amplitudes that the reducer multiplies; the general Wootters route reads M
-itself through the same index tables.
+elementwise products on those rows.  Each density is M M^dag, M the 4 x 4
+matrix of amplitudes that the reducer multiplies; the general Wootters
+route reads M itself through the same index tables.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ _AXIS = {label: i for i, label in enumerate(SUBSYSTEMS)}
 # rho[0, 3] and rho[1, 2], then the four entries off the X pattern.
 ENTRY_ROWS = np.array([0, 1, 2, 3, 0, 1, 0, 0, 1, 2])
 ENTRY_COLS = np.array([0, 1, 2, 3, 3, 2, 1, 2, 3, 3])
-# Every row of a (2, 2, 2, 2) stack, the support of a stack of unknown origin.
+# Every row of a (2, 2, 2, 2) lattice state, the rows of a full stack.
 ALL_ROWS = tuple(range(16))
 
 
@@ -89,38 +89,37 @@ def thread_workspace():
 def pair_entries(amps, pairs, *, live=ALL_ROWS, work=None):
     """Reduce a stack of four-qubit pure states to the upper entries of several pair densities.
 
-    ``amps`` has shape (2, 2, 2, 2, *cells), one amplitude tensor per cell
-    of the trailing axes, whose cavities hold at most one photon; the
-    result has shape (len(pairs), 10, *cells) and holds the 10 entries on
-    and above the diagonal of each pair's 4x4 density in
-    ``ENTRY_ROWS``/``ENTRY_COLS`` order.  The lower triangle is their
-    conjugate mirror, so the density is Hermitian by construction.  Each
-    pair is an ordered pair of labels from ("A", "a", "B", "b") (such as
-    ``("A", "b")`` or ``"Ab"``) and fixes the ordering of its output
+    ``amps`` has shape (len(live), *cells): row s is the flat lattice row
+    ``live[s]`` (all 16 by default) of the states of the trailing axes,
+    whose cavities hold at most one photon, and every other lattice
+    amplitude is zero.  The result has shape (len(pairs), 10, *cells) and
+    holds the 10 entries on and above the diagonal of each pair's 4x4
+    density in ``ENTRY_ROWS``/``ENTRY_COLS`` order.  The lower triangle is
+    their conjugate mirror, so the density is Hermitian by construction.
+    Each pair is an ordered pair of labels from ("A", "a", "B", "b") (such
+    as ``("A", "b")`` or ``"Ab"``) and fixes the ordering of its output
     factors.  Kept cavities are reported in (one photon, vacuum) order, so
     every output basis lists the excited level first: (x1 x2) = (ee, eg,
     ge, gg)-like.
 
-    ``live`` lists the flat amplitude rows that may be nonzero (all 16 by
-    default); the others must be exactly zero.  An entry sums, over the
-    traced index in ascending order, a row times a conjugate row; only the
-    products of two live rows are formed, and adding an exact zero leaves
-    a sum unchanged, so every entry has the bits of the full sum (one with
-    no live product is 0).  Through the cached tables of
-    ``_reduction_plan``, two gathers fetch every live product's operands,
-    one multiplication forms them, one addition per later traced term sums
-    them, and one gather puts the sums in entry order, all on rows as long
-    as the block, in buffers of ``work`` (a ``Workspace``; a new one when
-    None); the result is a view into it.
+    An entry sums, over the traced index in ascending order, a row times a
+    conjugate row; only the products of two rows of the stack are formed,
+    and adding an exact zero leaves a sum unchanged, so every entry has the
+    bits of the sum over all 16 (one with no product is 0).  Through the
+    cached tables of ``_reduction_plan``, two gathers fetch every product's
+    operands, one multiplication forms them, one addition per later traced
+    term sums them, and one gather puts the sums in entry order, all on
+    rows as long as the block, in buffers of ``work`` (a ``Workspace``; a
+    new one when None); the result is a view into it.
     """
     amps = np.asarray(amps, dtype=complex)
-    cells = amps.shape[4:]
+    cells = amps.shape[1:]
     n = math.prod(cells)
-    pairs = tuple(pairs)
-    _, left, right, stages, place, _ = _reduction_plan(pairs, tuple(live))
+    pairs, live = tuple(pairs), tuple(live)
+    _, left, right, stages, place, _ = _reduction_plan(pairs, live)
     if work is None:
         work = Workspace()
-    flat = amps.reshape(16, n)
+    flat = amps.reshape(len(live), n)
     # row 0 of "reduce.products" is the zero of the dead entries
     products = work.get("reduce.products", (left.size + 1, n))
     conj = work.get("reduce.conj", (right.size, n))
@@ -140,22 +139,22 @@ def pair_entries(amps, pairs, *, live=ALL_ROWS, work=None):
 
 @functools.lru_cache(maxsize=None)
 def _reduction_plan(pairs, live):
-    """How ``pair_entries`` reduces the tuple ``pairs`` of stacks whose nonzero rows are among ``live``.
+    """How ``pair_entries`` reduces the tuple ``pairs`` of stacks that hold the flat lattice rows ``live``.
 
     Returns (tables, left, right, stages, place, off_x).  ``tables`` holds
-    each pair's (4, 4) table of the flat indices of its amplitude factor M
-    (rows the pair's basis states, columns the traced index): the density
-    is M M^dag.  Each (pair, entry) sum has the terms M[r, k] conj(M[c, k])
-    with both rows live, in ascending k.  Sorted by their number of terms,
-    most first, the sums with a k-th term are a prefix: ``left`` and
-    ``right`` list the rows of every term, first terms first, and
-    ``stages`` the (start, count) of each later term in the product rows,
-    which start at 1.  ``place`` gives each (pair, entry) its sum's product
-    row, or row 0 for a sum with no term; ``off_x`` says whether an entry
-    off the X pattern has a term.
+    each pair's (4, 4) table of the flat lattice rows of its amplitude
+    factor M (rows the pair's basis states, columns the traced index): the
+    density is M M^dag.  Each (pair, entry) sum has the terms
+    M[r, k] conj(M[c, k]) with both rows in the stack, in ascending k.
+    Sorted by their number of terms, most first, the sums with a k-th term
+    are a prefix: ``left`` and ``right`` list the stack rows of every term,
+    first terms first, and ``stages`` the (start, count) of each later term
+    in the product rows, which start at 1.  ``place`` gives each
+    (pair, entry) its sum's product row, or row 0 for a sum with no term;
+    ``off_x`` says whether an entry off the X pattern has a term.
     """
     positions = np.arange(16).reshape(2, 2, 2, 2)
-    alive = np.isin(np.arange(16), live)
+    stack_row = {row: s for s, row in enumerate(live)}
     tables, sums = [], []
     for keep in pairs:
         kept_axes = tuple(_AXIS[label] for label in keep)
@@ -164,8 +163,8 @@ def _reduction_plan(pairs, live):
         select = tuple(slice(None, None, -1) if label in CAVITY_SUBSYSTEMS else slice(None) for label in keep)
         table = positions.transpose(kept_axes + traced_axes)[select].reshape(4, 4)
         tables.append(table)
-        sums += [[(r, c) for r, c in zip(table[row], table[col]) if alive[r] and alive[c]]
-                 for row, col in zip(ENTRY_ROWS, ENTRY_COLS)]
+        sums += [[(stack_row[r], stack_row[c]) for r, c in zip(table[row], table[col])
+                  if r in stack_row and c in stack_row] for row, col in zip(ENTRY_ROWS, ENTRY_COLS)]
     counts = [len(terms) for terms in sums]
     order = sorted(range(len(sums)), key=lambda i: -counts[i])
     place = np.zeros(len(sums), dtype=np.intp)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import reference
-from jcpairs import JCParams
+from jcpairs import GridEngine, JCParams
 from jcpairs.checks import random_x_states
+from jcpairs.dynamics import amplitudes, live_rows
 from jcpairs.entanglement import _x_values, pair_values
 from jcpairs.linalg import ENTRY_COLS, ENTRY_ROWS, pair_entries
 from reference import resonance_values
@@ -43,6 +44,18 @@ def excitation_numbers(n_max):
     return ((1 - i_a) + k_a + (1 - i_b) + k_b).reshape(-1)
 
 
+def route_stack(route, kind, alphas, ts, params):
+    """The live-row stack (rows, n_alpha, n_t) that ``GridEngine(route, kind, params)`` evolves, in a new workspace."""
+    return amplitudes(kind, alphas, ts, GridEngine(route, kind, params)._site_factors)
+
+
+def lattice_states(kind, stack):
+    """The whole lattice states (2, 2, 2, 2, *cells) of the family's live-row stack, every other row zero."""
+    full = np.zeros((16,) + stack.shape[1:], dtype=complex)
+    full[list(live_rows(kind))] = stack
+    return full.reshape((2, 2, 2, 2) + stack.shape[1:])
+
+
 def closed_sampler(kind, alpha, rabi, pairs=("AB",)):
     """Array sampler of the scalar resonance formulas for ``zero_intervals``: (C, Q) per pair."""
     def sample(ts):
@@ -69,17 +82,17 @@ def entry_matrices(entries):
 
 
 def pair_matrices(amps, pairs, **kwargs):
-    """The ``pair_entries`` of amplitudes (d_A, d_a, d_B, d_b, *cells) as matrices (*cells, len(pairs), 4, 4)."""
+    """The ``pair_entries`` of an amplitude stack (rows, *cells) as matrices (*cells, len(pairs), 4, 4)."""
     return entry_matrices(np.moveaxis(pair_entries(amps, pairs, **kwargs), 0, -1))
 
 
 def x_densities(rng, count):
     """The AB densities (count, 4, 4) of ``random_x_states``: X-shaped, off-X entries exactly zero."""
-    return reference.pair_density(random_x_states(rng, count), "AB")
+    return reference.pair_density(random_x_states(rng, count).reshape(2, 2, 2, 2, count), "AB")
 
 
 def factor_amplitudes(rho):
-    """Amplitudes (2, 2, 2, 2, *cells) whose AB reduction is the density or stack ``rho`` (*cells, 4, 4).
+    """A full amplitude stack (16, *cells) whose AB reduction is the density or stack ``rho`` (*cells, 4, 4).
 
     The factor is V sqrt(w) from ``eigh``, its rows the kept (A, B) and its
     columns the traced (a, b).
@@ -87,8 +100,8 @@ def factor_amplitudes(rho):
     w, v = np.linalg.eigh(rho)
     factor = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     n = factor.ndim - 2
-    return np.moveaxis(factor.reshape(factor.shape[:-2] + (2, 2, 2, 2)), (n, n + 2, n + 1, n + 3),
-                       (0, 1, 2, 3))
+    amps = np.moveaxis(factor.reshape(factor.shape[:-2] + (2, 2, 2, 2)), (n, n + 2, n + 1, n + 3), (0, 1, 2, 3))
+    return amps.reshape((16,) + amps.shape[4:])
 
 
 def concurrence(rho, x_tol=1e-10):

@@ -22,9 +22,11 @@ DELETED = {
                    "resonance_values", "_resonance_pieces"],
     # the site matrix is Hermitian by construction; the propagator builds it
     # the routes build their own initial cells; the numeric route evolves
-    # site factors, not matrix products over a column quantum
+    # site factors, not matrix products over a column quantum; a route is
+    # its site factors, which the one assembly ``amplitudes`` evolves
     "dynamics": ["FourPartiteState", "InitialFamily", "evolve_analytic", "prepare_initial",
-                 "_HERMITIAN_TOL", "initial_amplitudes", "_COLUMN_QUANTUM"],
+                 "_HERMITIAN_TOL", "initial_amplitudes", "_COLUMN_QUANTUM", "analytic_amplitudes",
+                 "_amplitudes", "_site_factors"],
     # one AB window function, at any alpha and site
     "esd": ["esd_boundary_phi_AB"],
     "entanglement": ["ConcurrenceResult", "all_pairwise", "wootters_concurrence",
@@ -57,7 +59,9 @@ def test_deleted_names_are_gone():
         mod = importlib.import_module(f"jcpairs.{module}")
         assert [name for name in names if hasattr(mod, name)] == []
         assert [name for name in names if hasattr(jcpairs, name)] == []
-    assert not hasattr(importlib.import_module("jcpairs.dynamics").HamiltonianPropagator, "evolve")
+    propagator = importlib.import_module("jcpairs.dynamics").HamiltonianPropagator
+    assert [name for name in ("evolve", "evolve_grid") if hasattr(propagator, name)] == []
+    assert not hasattr(jcpairs.GridEngine, "_evolve")
 
 
 def test_grid_engine_builds_its_own_site():
@@ -74,3 +78,6 @@ def test_knobs_no_caller_sets_are_gone():
     assert list(inspect.signature(jcpairs.boundary_AB).parameters) == ["kind", "alpha", "params"]
     propagator = importlib.import_module("jcpairs.dynamics").HamiltonianPropagator
     assert list(inspect.signature(propagator).parameters) == ["params"]
+    # one assembly for both evolution routes, which differ only in their site factors
+    assembly = importlib.import_module("jcpairs.dynamics").amplitudes
+    assert list(inspect.signature(assembly).parameters) == ["kind", "alphas", "ts", "site_factors", "work"]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from conftest import excitation_numbers
+from conftest import excitation_numbers, lattice_states, route_stack
 from jcpairs import GridEngine, JCParams
-from jcpairs.dynamics import HamiltonianPropagator, analytic_amplitudes
+from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, amplitudes, live_rows
 from jcpairs.entanglement import pair_values
 from reference import initial_amplitudes
 
@@ -16,9 +17,12 @@ from reference import initial_amplitudes
 EPS = np.finfo(float).eps
 
 
-def norms(psi):
-    """Norm of every cell of a cells-last amplitude stack."""
-    return np.sqrt(np.sum(np.abs(psi) ** 2, axis=(0, 1, 2, 3)))
+ROUTES = ("analytic", "numeric")
+
+
+def norms(stack):
+    """Norm of every cell of a cells-last amplitude stack (rows, *cells)."""
+    return np.sqrt(np.sum(np.abs(stack) ** 2, axis=0))
 
 
 def test_family_validation(res_params):
@@ -35,7 +39,7 @@ def test_prepare_phi_alpha_zero():
 
 
 def test_prepare_phi_bell():
-    psi = initial_amplitudes("phi", [np.pi / 4])
+    psi = initial_amplitudes("phi", [np.pi / 4]).reshape(16, 1)
     assert norms(psi)[0] == pytest.approx(1.0, abs=1e-15)
     conc, _ = pair_values(psi, ["AB"])
     assert conc[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -49,7 +53,7 @@ def test_prepare_psi_amplitudes():
 
 
 def test_evolve_analytic_t0_equals_initial(res_params):
-    assert np.allclose(analytic_amplitudes("psi", [0.8], [0.0], res_params)[..., 0],
+    assert np.allclose(lattice_states("psi", route_stack("analytic", "psi", [0.8], [0.0], res_params))[..., 0],
                        initial_amplitudes("psi", [0.8]), atol=1e-15)
 
 
@@ -57,7 +61,7 @@ def test_evolve_analytic_half_rabi_swap(res_params):
     # at t = pi/G the site excitation moves from the atom to its cavity
     alpha = 0.6
     t = np.pi / res_params.rabi(1)
-    psi = analytic_amplitudes("phi", [alpha], [t], res_params)[..., 0, 0]
+    psi = lattice_states("phi", route_stack("analytic", "phi", [alpha], [t], res_params))[..., 0, 0]
     assert abs(psi[1, 1, 1, 1]) == pytest.approx(math.cos(alpha), abs=1e-12)
     assert abs(psi[0, 0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
     assert abs(psi[1, 0, 1, 0]) == pytest.approx(math.sin(alpha), abs=1e-12)
@@ -67,8 +71,8 @@ def test_engines_agree_on_amplitudes(det_params):
     propagator = HamiltonianPropagator(det_params)
     alphas, ts = [0.0, 0.4, 1.2], [0.3, 1.7, 6.1]
     for kind in ("phi", "psi"):
-        ana = analytic_amplitudes(kind, alphas, ts, det_params).reshape(16, -1)
-        num = propagator.evolve_grid(kind, alphas, ts).reshape(16, -1)
+        ana = route_stack("analytic", kind, alphas, ts, det_params).reshape(len(live_rows(kind)), -1)
+        num = amplitudes(kind, alphas, ts, propagator.site_factors).reshape(len(live_rows(kind)), -1)
         for a, n in zip(ana.T, num.T):
             assert 1.0 - abs(np.vdot(a, n)) <= 1e-12
             # align the global phase on the largest amplitude, then compare
@@ -85,23 +89,23 @@ def in_fock_space(psi, n_max):
     return out
 
 
-def test_evolve_grid_matches_the_reference_propagator(det_params):
-    # against exp(-i H_site t) (x) exp(-i H_site t) by reference.evolve on each
-    # basis state of the site's Fock ladder: the full-lattice oracle's own
-    # phase drift, eps ||H|| per unit time, reaches 1.4e-13 by t = 20 (see
+def test_evolve_grid_matches_the_reference_propagator(res_params, det_params):
+    # each route's stack, scattered into all 16 lattice rows, against
+    # exp(-i H_site t) (x) exp(-i H_site t) by reference.evolve on each basis
+    # state of the site's Fock ladder: an amplitude on a row the stack does
+    # not hold would show here.  The full-lattice oracle's own phase drift,
+    # eps ||H|| per unit time, reaches 1.4e-13 by t = 20 (see
     # test_detuned_sites_match_the_lattice_oracle for that oracle)
-    for n_max in (1, 3):
-        h_site = reference.site_hamiltonian(det_params, n_max)
-        eye = np.eye(h_site.shape[0])
-        ts = np.linspace(0.0, 20.0, 9)
-        for kind in ("phi", "psi"):
+    ts = np.linspace(0.0, 20.0, 9)
+    for params, n_max in itertools.product((res_params, det_params), (1, 3)):
+        h_site = reference.site_hamiltonian(params, n_max)
+        u = [np.array([reference.evolve(h_site, column, t) for column in np.eye(h_site.shape[0])]).T for t in ts]
+        for route, kind in itertools.product(ROUTES, FAMILY_KINDS):
             psi0 = initial_amplitudes(kind, [0.3, 2.1])
-            grid = in_fock_space(HamiltonianPropagator(det_params).evolve_grid(kind, [0.3, 2.1], ts), n_max)
-            for it, t in enumerate(ts):
-                u = np.array([reference.evolve(h_site, column, t) for column in eye]).T
-                for ia in range(2):
-                    expected = np.kron(u, u) @ in_fock_space(psi0[..., ia], n_max).reshape(-1)
-                    assert np.max(np.abs(grid[..., ia, it].reshape(-1) - expected)) <= 1e-13
+            grid = in_fock_space(lattice_states(kind, route_stack(route, kind, [0.3, 2.1], ts, params)), n_max)
+            for it, ia in itertools.product(range(len(ts)), range(2)):
+                expected = np.kron(u[it], u[it]) @ in_fock_space(psi0[..., ia], n_max).reshape(-1)
+                assert np.max(np.abs(grid[..., ia, it].reshape(-1) - expected)) <= 1e-13
 
 
 @st.composite
@@ -116,21 +120,22 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@given(kind=st.sampled_from(("phi", "psi")), site=detuned_sites(),
+@given(route=st.sampled_from(ROUTES), kind=st.sampled_from(FAMILY_KINDS), site=detuned_sites(),
        n_max=st.integers(1, 4), alpha_list=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
        n_t=st.integers(1, 40), cuts=st.lists(st.integers(1, 39), max_size=6),
        fraction=st.floats(0.0, 1.0), data=st.data())
-def test_detuned_sites_match_the_lattice_oracle(kind, site, n_max, alpha_list, n_t, cuts, fraction, data):
+def test_detuned_sites_match_the_lattice_oracle(route, kind, site, n_max, alpha_list, n_t, cuts, fraction, data):
     # two copies of a detuned site against the full-lattice eigh oracle on
     # the Fock ladder of n_max photons per site at the first, a drawn and the
-    # last time (its phases drift by about eps ||H|| per unit time, so the
-    # budget grows with t); any split of the times, one-cell calls included,
-    # gives the bits of one call
+    # last time, the route's stack scattered into all 16 lattice rows (the
+    # oracle's phases drift by about eps ||H|| per unit time, so the budget
+    # grows with t); any split of the times, one-cell calls included, gives
+    # the bits of one call
     h_site = reference.site_hamiltonian(site, n_max)
-    propagator = HamiltonianPropagator(site)
     ts = np.linspace(0.0, fraction * 50.0 / site.rabi(1), n_t)
     psi0 = initial_amplitudes(kind, alpha_list)
-    whole = propagator.evolve_grid(kind, alpha_list, ts).copy()
+    whole = route_stack(route, kind, alpha_list, ts, site).copy()
+    states = lattice_states(kind, whole)
     h = reference.total_hamiltonian(site, site, n_max)
     norms = 2.0 * np.linalg.norm(h_site, 2)
     ia, it = data.draw(st.integers(0, len(alpha_list) - 1)), data.draw(st.integers(0, n_t - 1))
@@ -139,43 +144,44 @@ def test_detuned_sites_match_the_lattice_oracle(kind, site, n_max, alpha_list, n
         budget = 1e-13 + 4.0 * EPS * norms * t
         for a_index in range(len(alpha_list)):
             expected = reference.evolve(h, in_fock_space(psi0[..., a_index], n_max).reshape(-1), t)
-            got = in_fock_space(whole[..., a_index, t_index], n_max).reshape(-1)
+            got = in_fock_space(states[..., a_index, t_index], n_max).reshape(-1)
             assert np.max(np.abs(got - expected)) <= budget
-    parts = [propagator.evolve_grid(kind, alpha_list, part).copy()
+    parts = [route_stack(route, kind, alpha_list, part, site).copy()
              for part in np.split(ts, sorted({c for c in cuts if c < n_t}))]
     assert np.array_equal(_bits(np.concatenate(parts, axis=-1)), _bits(whole))
-    cell = propagator.evolve_grid(kind, alpha_list[ia:ia + 1], ts[it:it + 1])
+    cell = route_stack(route, kind, alpha_list[ia:ia + 1], ts[it:it + 1], site)
     assert np.array_equal(_bits(cell[..., 0, 0]), _bits(whole[..., ia, it]))
 
 
 def test_evolve_numeric_identity_and_composition(res_params):
     # the state at t = 0 is the initial one; at 1.3 + 0.9 it is the lattice
     # oracle's evolution by 0.9 of the state at 1.3
-    propagator = HamiltonianPropagator(res_params)
-    assert np.allclose(propagator.evolve_grid("phi", [0.7], [0.0])[..., 0], initial_amplitudes("phi", [0.7]),
-                       atol=1e-14)
-    one_shot = propagator.evolve_grid("phi", [0.7], [1.3 + 0.9]).reshape(-1)
-    at_first = propagator.evolve_grid("phi", [0.7], [1.3]).reshape(-1)
-    two_step = reference.evolve(reference.total_hamiltonian(res_params, res_params), at_first, 0.9)
-    assert np.max(np.abs(one_shot - two_step)) <= 1e-11
+    def state(t):
+        return lattice_states("phi", route_stack("numeric", "phi", [0.7], [t], res_params))[..., 0, 0]
+
+    assert np.allclose(state(0.0), initial_amplitudes("phi", 0.7), atol=1e-14)
+    two_step = reference.evolve(reference.total_hamiltonian(res_params, res_params), state(1.3).reshape(-1), 0.9)
+    assert np.max(np.abs(state(1.3 + 0.9).reshape(-1) - two_step)) <= 1e-11
 
 
 def test_norm_preserved_both_engines(det_params):
-    prop = HamiltonianPropagator(det_params)
     ts = np.linspace(0.0, 12.0, 25)
-    assert np.max(np.abs(norms(analytic_amplitudes("psi", [0.5], ts, det_params)) - 1.0)) <= 1e-12
-    assert np.max(np.abs(norms(prop.evolve_grid("psi", [0.5], ts)) - 1.0)) <= 1e-12
+    for route in ROUTES:
+        assert np.max(np.abs(norms(route_stack(route, "psi", [0.5], ts, det_params)) - 1.0)) <= 1e-12
 
 
 def test_excitation_sectors_preserved(det_params):
-    # phi lives in total-excitation sectors {0, 2}; psi in sector {1}: exactly,
-    # since the propagator never mixes manifolds
+    # phi lives in total-excitation sectors {0, 2}; psi in sector {1}: the
+    # rows its stack holds lie there, and the lattice oracle's state puts
+    # nothing on a row the stack does not hold
     exc = excitation_numbers(1)
     allowed = {"phi": (0, 2), "psi": (1,)}
-    for kind in ("phi", "psi"):
-        psi = HamiltonianPropagator(det_params).evolve_grid(kind, [0.9], [3.7])
-        outside = ~np.isin(exc, allowed[kind])
-        assert not psi.reshape(16, -1)[outside].any()
+    h = reference.total_hamiltonian(det_params, det_params)
+    for kind in FAMILY_KINDS:
+        live = list(live_rows(kind))
+        assert np.isin(exc[live], allowed[kind]).all()
+        exact = reference.evolve(h, initial_amplitudes(kind, 0.9).reshape(-1), 3.7)
+        assert np.max(np.abs(np.delete(exact, live))) <= 1e-14
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 import jcpairs.cli as cli
 import jcpairs.engine as engine_module
 import reference
-from conftest import (concurrence, entry_matrices, entry_values, pair_matrices, upper_entries,
-                      x_densities)
+from conftest import (concurrence, entry_matrices, entry_values, lattice_states, pair_matrices, route_stack,
+                      upper_entries, x_densities)
 from jcpairs import PAIR_LABELS, GridEngine, JCParams
 from jcpairs.cli import main
-from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes
+from jcpairs.dynamics import FAMILY_KINDS, amplitudes
 from jcpairs.engine import ENGINES
 from jcpairs.entanglement import _x_entries, _x_lowest
 from jcpairs.linalg import Workspace
@@ -66,10 +66,7 @@ def scalar_results(engine, kind, alpha, params, ts):
 
     Q is None where the reduction is not X-shaped.
     """
-    if engine == "numeric":
-        psi = HamiltonianPropagator(params).evolve_grid(kind, [alpha], ts)
-    else:
-        psi = analytic_amplitudes(kind, [alpha], ts, params)
+    psi = lattice_states(kind, route_stack(engine, kind, [alpha], ts, params))
     out = []
     for it in range(len(ts)):
         cell = psi[..., 0, it]
@@ -240,8 +237,9 @@ def test_grid_values_outlive_another_engines_call(engine, res_params, det_params
 @pytest.mark.parametrize("engine, n_max", [("analytic", 1), ("numeric", 1), ("numeric", 3)])
 def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, det_params):
     alpha_grid, t_grid = np.linspace(0.1, 3.0, 4), np.linspace(0.0, 9.0, 11)
-    psi = cli_engine(engine, "psi", det_params, n_max)._evolve(alpha_grid, t_grid, Workspace())
-    stack = pair_matrices(psi, PAIR_LABELS)
+    grid = cli_engine(engine, "psi", det_params, n_max)
+    psi = amplitudes("psi", alpha_grid, t_grid, grid._site_factors, work=Workspace())
+    stack = pair_matrices(psi, PAIR_LABELS, live=grid._live)
     assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))  # Hermitian by construction
     # the 10 upper entries give back the whole matrix, bit for bit
     assert np.array_equal(entry_matrices(upper_entries(stack)).view(np.uint64), stack.view(np.uint64))
@@ -332,14 +330,15 @@ def test_blocks_do_not_change_values(engine, res_params, monkeypatch):
         assert np.array_equal(_bits(blocked.q), _bits(whole.q))
 
 
-@given(engine=st.sampled_from(("analytic", "numeric")), kind=kinds,
+@given(engine=st.sampled_from(ENGINES), kind=kinds,
        params=sites(), alpha_list=st.lists(alphas, min_size=1, max_size=3),
        n_t=st.integers(1, 40), cuts=st.lists(st.integers(1, 39), max_size=6),
        fraction=st.floats(0.0, 1.0), data=st.data())
 def test_any_split_of_the_times_gives_the_bits_of_one_call(engine, kind, params, alpha_list,
                                                            n_t, cuts, fraction, data):
     # one-cell calls (a single alpha and a single time) included: the numeric
-    # route's products must not change kernels with the number of cells
+    # route's products must not change kernels with the number of cells, nor
+    # the closed route's broadcasts with the shape of the grid
     ts = np.linspace(0.0, fraction * 50.0 / params.rabi(1), n_t)
     grid = GridEngine(engine, kind, params)
     whole = grid.values(alpha_list, ts)
@@ -365,7 +364,7 @@ def test_block_reduces_every_pair_in_one_stack(engine, n_max, kind, det_params, 
     real = engine_module.pair_values
 
     def recording(amps, pairs, **kwargs):
-        shapes.append((amps.shape[4:], len(pairs)))
+        shapes.append((amps.shape[1:], len(pairs)))
         return real(amps, pairs, **kwargs)
 
     alpha_grid, t_grid = np.linspace(0.1, 1.4, 3), np.linspace(0.0, 6.0, 7)
@@ -528,14 +527,14 @@ def test_numeric_route_agrees_at_sites_one_eigh_could_not_reduce(params, n_max, 
 def test_a_reader_refusal_names_its_cell_in_the_grid(index, res_params, monkeypatch):
     # doubled amplitudes at the one time 1.0 give a trace of 4; of 600 times,
     # index 300 is index 44 of the engine's second block
-    real = engine_module.analytic_amplitudes
+    real = engine_module.amplitudes
 
-    def doubled(kind, alphas, block_ts, params, *, work):
-        amps = real(kind, alphas, block_ts, params, work=work)
+    def doubled(kind, alphas, block_ts, site_factors, *, work):
+        amps = real(kind, alphas, block_ts, site_factors, work=work)
         amps[..., block_ts == 1.0] *= 2.0
         return amps
 
-    monkeypatch.setattr(engine_module, "analytic_amplitudes", doubled)
+    monkeypatch.setattr(engine_module, "amplitudes", doubled)
     with pytest.raises(ValueError) as err:
         GridEngine("analytic", "psi", res_params).values([0.3], _one_time_among(600, index, 1.0))
     assert str(err.value) == f"invalid density matrix: trace deviates from 1 by 3.000e+00 at cell (0, {index}, 0)"
@@ -578,26 +577,23 @@ def test_numeric_refusals_reach_stderr_with_their_place(capsys, monkeypatch):
 
 @pytest.mark.parametrize("engine", ("analytic", "numeric"))
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
-def test_a_route_that_writes_off_its_support_is_refused_where_the_support_is_built(engine, kind, res_params,
-                                                                                   monkeypatch):
-    # a mutated route puts 1e-3 on a row its support calls dead: the reducer
-    # never reads that row, so the engine must refuse before any values call
-    support = GridEngine(engine, kind, res_params)._live
-    dead = next(row for row in range(16) if row not in support)
-    route = (engine_module, "analytic_amplitudes") if engine == "analytic" else (HamiltonianPropagator,
-                                                                                  "evolve_grid")
-    real = getattr(*route)
+def test_a_route_evolves_only_its_live_rows_and_nothing_at_construction(engine, kind, res_params, monkeypatch):
+    # the stack holds the family's 5 (phi) or 4 (psi) live rows, so no row
+    # off the support exists to be written (the dynamics tests hold those
+    # rows to the lattice oracle), and building an engine evaluates no cell
+    shapes = []
+    real = engine_module.amplitudes
 
-    def leaking(*args, **kwargs):
-        amps = real(*args, **kwargs)
-        amps.reshape(16, -1)[dead] += 1e-3
-        return amps
+    def recording(*args, **kwargs):
+        stack = real(*args, **kwargs)
+        shapes.append(stack.shape)
+        return stack
 
-    monkeypatch.setattr(*route, leaking)
-    message = (f"the {engine} route writes 1.000e-03 on row {dead} of its stack at alpha = 0.5, t = 1.0, "
-               f"outside its support {support}")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        GridEngine(engine, kind, res_params)
+    monkeypatch.setattr(engine_module, "amplitudes", recording)
+    grid = GridEngine(engine, kind, res_params)
+    assert shapes == []
+    grid.values([0.3, 0.9], [0.0, 1.0, 2.0])
+    assert shapes == [({"phi": 5, "psi": 4}[kind], 2, 3)]
 
 
 @pytest.mark.parametrize("engine", ENGINES)

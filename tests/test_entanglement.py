@@ -6,10 +6,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference
-from conftest import concurrence, entry_values, pair_matrices, upper_entries
+from conftest import concurrence, entry_values, lattice_states, pair_matrices, route_stack, upper_entries
 from jcpairs import PAIR_LABELS, GridEngine
 from jcpairs.checks import random_x_states
-from jcpairs.dynamics import analytic_amplitudes
+from jcpairs.dynamics import live_rows
 from jcpairs.entanglement import pair_values
 from jcpairs.linalg import pair_entries
 
@@ -76,7 +76,7 @@ def test_random_x_states_fast_path_matches_general():
     general, general_q = pair_values(states, ["AB"], x_tol=-1.0)
     assert not np.isnan(q).any() and np.isnan(general_q).all()
     assert np.max(np.abs(fast - general)) <= 1e-10
-    rhos = reference.pair_density(states, "AB")
+    rhos = reference.pair_density(states.reshape(2, 2, 2, 2, -1), "AB")
     assert np.max(np.abs(fast[:, 0] - [reference.wootters(rho) for rho in rhos])) <= 1e-10
 
 
@@ -90,7 +90,7 @@ def test_invalid_density_matrices_are_named():
 
 def test_all_pairwise_initial_phi():
     alphas = np.array([0.0, 0.3, np.pi / 4, 1.2])
-    conc, _ = pair_values(reference.initial_amplitudes("phi", alphas), PAIR_LABELS)
+    conc, _ = pair_values(reference.initial_amplitudes("phi", alphas).reshape(16, -1), PAIR_LABELS)
     assert np.max(np.abs(conc[:, 0] - np.abs(np.sin(2 * alphas)))) <= 1e-12
     assert np.max(conc[:, 1:]) <= 1e-12
 
@@ -124,16 +124,16 @@ def test_pair_symmetries(res_params):
 def test_reductions_stay_x_form(res_params, det_params):
     for params in (res_params, det_params):
         for kind in ("phi", "psi"):
-            psi = analytic_amplitudes(kind, [0.7], np.linspace(0.0, 4.0, 9), params)
+            psi = lattice_states(kind, route_stack("analytic", kind, [0.7], np.linspace(0.0, 4.0, 9), params))
             # the last four of the 10 upper entries are the ones off the X pattern
-            assert np.max(np.abs(pair_entries(psi, PAIR_LABELS)[:, 6:])) <= 1e-10
+            assert np.max(np.abs(pair_entries(psi.reshape(16, 1, 9), PAIR_LABELS)[:, 6:])) <= 1e-10
 
 
 def test_results_are_consistent(res_params):
     # the entry-read C is the textbook Wootters C of the same reduction; range respected
-    psi = analytic_amplitudes("phi", [0.45], np.linspace(0.0, 3.0, 7), res_params)
-    rho = pair_matrices(psi, PAIR_LABELS)
-    conc, q = pair_values(psi, PAIR_LABELS)
+    psi, live = route_stack("analytic", "phi", [0.45], np.linspace(0.0, 3.0, 7), res_params), live_rows("phi")
+    rho = pair_matrices(psi, PAIR_LABELS, live=live)
+    conc, q = pair_values(psi, PAIR_LABELS, live=live)
     assert not np.isnan(q).any()  # every reduction here is X-form
     assert np.all((-1e-12 <= conc) & (conc <= 1 + 1e-12))
     # the textbook route takes square roots of eigenvalues that round-off

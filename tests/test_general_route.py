@@ -50,7 +50,7 @@ def test_factor_route_matches_50_digit_wootters(rank, seed, shrink):
     factor = (u @ v) * 10.0 ** -np.array(shrink[:k])
     factor /= np.linalg.norm(factor)
     # the AB pair keeps (A, B) and traces (a, b): M[(A, B), (a, b)] = amps[A, a, B, b]
-    amps = factor.reshape(2, 2, d, d).transpose(0, 2, 1, 3)
+    amps = factor.reshape(2, 2, d, d).transpose(0, 2, 1, 3).reshape(16)
     conc, q = pair_values(amps, ["AB"], x_tol=-1.0)
     assert math.isnan(q[0])
     assert abs(conc[0] - wootters_50_digits(factor)) <= 4 * (k + 4) * EPS

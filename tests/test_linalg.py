@@ -4,9 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from conftest import concurrence, entry_matrices, pair_matrices
+from conftest import concurrence, entry_matrices, lattice_states, pair_matrices, route_stack
 from jcpairs import JCParams
-from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, analytic_amplitudes, live_rows
+from jcpairs.dynamics import FAMILY_KINDS, live_rows
 from jcpairs.entanglement import _SIGMA_YY, PAIR_LABELS
 from jcpairs.jcmodel import site_hamiltonian
 from jcpairs.linalg import SUBSYSTEMS, _reduction_plan, pair_entries
@@ -18,7 +18,7 @@ KEEPS = [(x, y) for x in SUBSYSTEMS for y in SUBSYSTEMS if x != y]
 
 def reduce_one(psi, keep, **kwargs):
     """The 4x4 density of one pair of one amplitude tensor (d_A, d_a, d_B, d_b)."""
-    return pair_matrices(psi[..., None], [keep], **kwargs)[0, 0]
+    return pair_matrices(psi.reshape(16, 1), [keep], **kwargs)[0, 0]
 
 
 def test_kron_matches_index_formula(res_params, det_params):
@@ -58,7 +58,7 @@ def test_partial_trace_initial_local_pair():
 
 def test_partial_trace_matches_projection_sum(res_params):
     # independent oracle: sum the projected cavity slices by hand
-    psi = analytic_amplitudes("phi", [0.6], [0.7], res_params)[..., 0, 0]
+    psi = lattice_states("phi", route_stack("analytic", "phi", [0.6], [0.7], res_params))[..., 0, 0]
     oracle = np.zeros((4, 4), dtype=complex)
     for ka in range(2):
         for kb in range(2):
@@ -66,15 +66,15 @@ def test_partial_trace_matches_projection_sum(res_params):
             oracle += np.outer(v, v.conj())
     assert np.allclose(reduce_one(psi, ("A", "B")), oracle, atol=1e-13)
     # the doubly-excited cavity slice is empty only for the psi family
-    psi_family = analytic_amplitudes("psi", [0.6], [0.7], res_params)[..., 0, 0]
+    psi_family = lattice_states("psi", route_stack("analytic", "psi", [0.6], [0.7], res_params))[..., 0, 0]
     assert np.max(np.abs(psi_family[:, 1, :, 1])) <= 1e-14
     assert np.max(np.abs(psi[:, 1, :, 1])) > 1e-3
 
 
 def test_partial_trace_reductions_are_density_matrices(res_params):
     for kind in ("phi", "psi"):
-        rho = pair_matrices(analytic_amplitudes(kind, [0.5], [0.0, 0.9, 2.3], res_params),
-                            ("AB", "ab", "Aa", "Bb", "Ab", "Ba"))
+        rho = pair_matrices(route_stack("analytic", kind, [0.5], [0.0, 0.9, 2.3], res_params),
+                            ("AB", "ab", "Aa", "Bb", "Ab", "Ba"), live=live_rows(kind))
         assert np.max(np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0)) <= 1e-12
         assert np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) <= 1e-12
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
@@ -91,14 +91,6 @@ def test_partial_trace_keep_order():
 
 
 _SITE = JCParams(omega0=5.0, omega=5.6, g=0.8)
-_PROPAGATOR = HamiltonianPropagator(_SITE)
-
-
-def _amplitude_stack(route, kind, alphas, ts):
-    """(2, 2, 2, 2, n_alpha, n_t) amplitudes of one evolution route and the rows it can fill."""
-    if route == "numeric":
-        return _PROPAGATOR.evolve_grid(kind, alphas, ts), live_rows(kind)
-    return analytic_amplitudes(kind, alphas, ts, _SITE), live_rows(kind)
 
 
 def _bits(a):
@@ -113,16 +105,18 @@ def _bits(a):
     ts=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4),
 )
 def test_all_pair_reduction_matches_one_pair_reductions(route, kind, keeps, alphas, ts):
-    psi, live = _amplitude_stack(route, kind, alphas, ts)
+    psi, live = route_stack(route, kind, alphas, ts, _SITE), live_rows(kind)
+    states = lattice_states(kind, psi)
     entries = pair_entries(psi, keeps, live=live).copy()
     assert entries.shape == (len(keeps), 10, len(alphas), len(ts))
     for slot, keep in enumerate(keeps):
         # the same bits as reducing the pair alone, whatever else is reduced with it
         assert np.array_equal(_bits(entries[slot]), _bits(pair_entries(psi, [keep], live=live)[0]))
-        assert np.max(np.abs(entry_matrices(entries[slot]) - reference.pair_density(psi, keep))) <= 1e-15
-    # the products of the support alone give the values of every product:
-    # a skipped product is an exact zero (only the sign of a zero may differ)
-    full = pair_entries(psi, keeps)
+        assert np.max(np.abs(entry_matrices(entries[slot]) - reference.pair_density(states, keep))) <= 1e-15
+    # the products of the live rows alone give the values of every product
+    # of the whole lattice states: a skipped product is an exact zero (only
+    # the sign of a zero may differ)
+    full = pair_entries(states.reshape((16,) + states.shape[4:]), keeps)
     for ours, theirs in ((entries.real, full.real), (entries.imag, full.imag)):
         assert np.array_equal(ours, theirs)
         assert np.array_equal(_bits(ours[ours != 0]), _bits(theirs[theirs != 0]))
@@ -132,12 +126,15 @@ def test_all_pair_reduction_matches_one_pair_reductions(route, kind, keeps, alph
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_the_reduction_multiplies_only_rows_of_the_support(kind):
-    # a row off the support is never read: 38 (phi) or 30 (psi) products of
-    # the 240 of a full reduction, and no entry off the X pattern has one
+    # a stack holds only the family's live rows: 38 (phi) or 30 (psi)
+    # products of the 240 of a full reduction, no entry off the X pattern
+    # has one, and each reads the stack row of its lattice row
     live = live_rows(kind)
     tables, left, right, _, place, off_x = _reduction_plan(PAIR_LABELS, live)
     assert left.size == right.size == {"phi": 38, "psi": 30}[kind]
-    assert set(left) | set(right) <= set(live) and not off_x
-    psi = np.zeros((2, 2, 2, 2, 1), dtype=complex)
-    psi.reshape(16, 1)[[row for row in range(16) if row not in live]] = 1.0
-    assert not pair_entries(psi, PAIR_LABELS, live=live).any()
+    assert set(left) | set(right) == set(range(len(live))) and not off_x
+    rng = np.random.default_rng(len(live))
+    stack = rng.standard_normal((len(live), 3)) + 1j * rng.standard_normal((len(live), 3))
+    full = np.zeros((16, 3), dtype=complex)
+    full[list(live)] = stack
+    assert np.array_equal(pair_entries(stack, PAIR_LABELS, live=live), pair_entries(full, PAIR_LABELS))
