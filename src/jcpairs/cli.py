@@ -227,63 +227,93 @@ def _engines(cfg, params):
         yield GridEngine(name, cfg.family, params)
 
 
-def _disagreement_exit(results, alpha_grid, t_grid, pairs, cfg):
-    """Exit code 3 when two engines' concurrences differ by more than ``cfg.tol``.
+class _WorstGap:
+    """The largest |C| gap between two engines' blocks so far, and its cell.
 
-    The stderr message names the worst cell: its alpha, t and pair.
+    On ties the first cell in table order stays, and a NaN gap beats every
+    number, as ``np.argmax`` over the whole grid picks.
     """
-    if len(results) < 2:
-        return 0
-    gap = np.subtract(results[0].concurrence, results[1].concurrence)
-    np.abs(gap, out=gap)
-    ia, it, ip = np.unravel_index(np.argmax(gap), gap.shape)
-    worst = float(gap[ia, it, ip])
-    if worst > cfg.tol:
-        print(f"engine disagreement {worst:.3e} exceeds tolerance {cfg.tol:.3e} "
+
+    def __init__(self):
+        self.gap, self.cell = None, None
+
+    def add(self, a, t, gap):
+        """Take the gaps of the block at grid slices (``a``, ``t``), shape (n_a, n_t, pairs)."""
+        first = int(np.argmax(gap))
+        value = float(gap.flat[first])
+        if self.cell is None or value > self.gap or (math.isnan(value) and not math.isnan(self.gap)):
+            ia, it, ip = np.unravel_index(first, gap.shape)
+            self.gap, self.cell = value, (a.start + int(ia), t.start + int(it), int(ip))
+
+    def exit_code(self, alpha_grid, t_grid, pairs, tol):
+        """Exit code 3 when the worst gap exceeds ``tol``, with a stderr line naming its alpha, t and pair."""
+        if self.cell is None or not self.gap > tol:
+            return 0
+        ia, it, ip = self.cell
+        print(f"engine disagreement {self.gap:.3e} exceeds tolerance {tol:.3e} "
               f"at alpha = {float(alpha_grid[ia])!r}, t = {float(t_grid[it])!r}, "
               f"pair {pairs[ip]}", file=sys.stderr)
         return 3
-    return 0
+
+
+def _engine_blocks(cfg, alpha_grid, t_grid, pairs, worst):
+    """Each block of the requested engines as (a, t, C, Q) of the first, the gaps to the second in ``worst``.
+
+    Every engine refuses what it cannot compute here, before any block.
+    ``--engine both`` evaluates the analytic and the numeric route block by
+    block; the gap |C_analytic - C_numeric| is yielded as a fifth entry.
+    """
+    streams = [engine.blocks(alpha_grid, t_grid, pairs) for engine in _engines(cfg, cfg.params)]
+
+    def paired():
+        for (a, t, conc, q), *other in zip(*streams):
+            gap = None
+            if other:
+                gap = np.subtract(conc, other[0][2])
+                np.abs(gap, out=gap)
+                worst.add(a, t, gap)
+            yield a, t, conc, q, gap
+
+    return paired()
 
 
 def _cmd_evolve(args):
     """concurrence time series"""
     cfg = _merged(args, "evolve")
-    params = cfg.params
-    rabi = params.rabi(1)
+    rabi = cfg.params.rabi(1)
     # t-max * steps may overflow where no time does: then scale by an exact power of two
     scale = 1.0 if math.isfinite(cfg.t_max * cfg.steps) else 2.0 ** math.frexp(cfg.steps)[1]
     ts = cfg.t_max / scale * np.arange(cfg.steps + 1) / cfg.steps * scale
+    worst = _WorstGap()
+    engine_blocks = _engine_blocks(cfg, [cfg.alpha], ts, PAIR_LABELS, worst)
+    q_cols = [PAIR_LABELS.index(pair) for pair in _Q_PAIRS]
 
-    results = [engine.values([cfg.alpha], ts) for engine in _engines(cfg, params)]
-    conc = results[0].concurrence[0]
-    q = results[0].q[0]
+    def blocks():  # one alpha: each block is a run of times, each row one slot
+        for _, t, conc, q, gap in engine_blocks:
+            block_ts = ts[t]
+            # alpha is a float column of the run, so a block takes one formatter call
+            columns = [block_ts, rabi * block_ts, np.full(block_ts.size, cfg.alpha), *conc[0].T,
+                       *q[0][:, q_cols].T]
+            yield columns if gap is None else columns + [np.max(gap[0], axis=1)]
 
-    columns = list(_EVOLVE_COLUMNS)
-    # alpha is a float column of the one run, so a block takes one formatter call
-    data = [ts, rabi * ts, np.full(ts.size, cfg.alpha)]
-    data += [conc[:, i] for i in range(len(PAIR_LABELS))]
-    data += [q[:, PAIR_LABELS.index(pair)] for pair in _Q_PAIRS]
-    if cfg.engine == "both":
-        columns.append("max_engine_disagreement")
-        data.append(np.max(np.abs(conc - results[1].concurrence[0]), axis=1))
-
+    columns = _EVOLVE_COLUMNS + ["max_engine_disagreement"] * (cfg.engine == "both")
     # one slot per row: the rows of a series share no values
-    _write_output(cfg.output, table_chunks(cfg.format, columns, (1, ts.size, 1), data))
-    return _disagreement_exit(results, [cfg.alpha], ts, PAIR_LABELS, cfg)
+    data = [None] * len(columns)
+    _write_output(cfg.output, table_chunks(cfg.format, columns, (1, ts.size, 1), data, blocks()))
+    return worst.exit_code([cfg.alpha], ts, PAIR_LABELS, cfg.tol)
 
 
 def _cmd_sweep(args):
     """(alpha, t) concurrence table"""
     cfg = _merged(args, "sweep")
-    params = cfg.params
-    rabi = params.rabi(1)
+    rabi = cfg.params.rabi(1)
     alpha_grid = np.linspace(cfg.alpha_min, cfg.alpha_max, cfg.alpha_points)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
     pairs = [cfg.pair] if cfg.pair else list(PAIR_LABELS)
-
-    results = [engine.values(alpha_grid, t_grid, pairs) for engine in _engines(cfg, params)]
-    conc = results[0].concurrence
+    worst = _WorstGap()
+    engine_blocks = _engine_blocks(cfg, alpha_grid, t_grid, pairs, worst)
+    blocks = ((conc, q, np.less_equal(conc, cfg.zero_tol).view(np.uint8))
+              for _, _, conc, q, _ in engine_blocks)
     # rows run over (alpha, t, pair); the per-axis cells are formatted once, in one call
     axes = number_cells(cfg.format, np.concatenate([alpha_grid, t_grid, rabi * t_grid]))
     alpha_cells, t_cells, gt_cells = np.split(axes, [alpha_grid.size, alpha_grid.size + t_grid.size])
@@ -292,12 +322,13 @@ def _cmd_sweep(args):
         (t_cells, 1),
         (gt_cells, 1),
         (label_cells(cfg.format, pairs), 2),
-        conc,
-        results[0].q,
-        (label_cells(cfg.format, ["false", "true"]), (conc <= cfg.zero_tol).view(np.uint8)),
+        None,
+        None,
+        (label_cells(cfg.format, ["false", "true"]), None),
     ]
-    _write_output(cfg.output, table_chunks(cfg.format, _SWEEP_COLUMNS, conc.shape, data))
-    return _disagreement_exit(results, alpha_grid, t_grid, pairs, cfg)
+    shape = (alpha_grid.size, t_grid.size, len(pairs))
+    _write_output(cfg.output, table_chunks(cfg.format, _SWEEP_COLUMNS, shape, data, blocks))
+    return worst.exit_code(alpha_grid, t_grid, pairs, cfg.tol)
 
 
 def _cmd_esd(args):

@@ -46,10 +46,11 @@ each power of ten go through ``'%.17g' % v``, one at a time; a chunk with
 none of them skips that branch.
 
 Every step writes its temporaries with ``out=`` into 14 word rows and 3
-flag rows as long as the chunk (``_chunk_rows``, 470 KB at 4096 values), kept
+flag rows as long as the chunk (``_chunk_rows``, 470 KB at 4096 values),
+and the three-word product into 18 word rows as long as its cells, kept
 in the calling thread's ``linalg.Workspace``: each chunk reuses the rows
-of the last one, and only the cells of the three-word product and of the
-fallback take arrays of their own.
+of the last one, and only the cells of the fallback take arrays of their
+own.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def _decimal(values):
     hi <<= 1
     t |= np.left_shift(hi, np.subtract(63, r, out=tmp), out=hi)
     if wide.size:
-        t[wide] = _wide_product(m_lo[wide], m_hi[wide], x[wide], b[wide])
+        _wide_product(words[1:5], wide, t)  # the rows x, b, m_lo and m_hi
         sticky[wide] = True
     np.right_shift(t, 1, out=d)
     np.bitwise_or(sticky, d, out=tmp)
@@ -189,30 +190,66 @@ def _decimal(values):
     return d, x, ok
 
 
-def _wide_product(m_lo, m_hi, x, b):
-    """floor(2 v 10^k) below the narrow window, where 2^-128 <= |v| < 2^-36.
+def _wide_product(operands, wide, t):
+    """floor(2 v 10^k) below the narrow window, where 2^-128 <= |v| < 2^-36, into ``t[wide]``.
 
-    8m 5^k is summed from the 32-bit halves of the limb products into six
-    32-bit columns (each below 2^34 before the carries), which make three
-    words, and shifted right by r = 3 - e - k - 1, in [63, 127] here.  The
-    shift always drops nonzero bits: 2 v 10^k = m 5^k 2^(e + k + 1) with
-    e + k + 1 <= -60 here, and m has at most 52 trailing zero bits.
+    ``operands`` holds the chunk's rows x, b, m_lo and m_hi (``_decimal``)
+    and ``wide`` the indices of its cells below the narrow window.  8m 5^k
+    is summed from the 32-bit halves of the limb products into six 32-bit
+    columns (each below 2^34 before the carries), which make three words,
+    and shifted right by r = 3 - e - k - 1, in [63, 127] here.  The shift
+    always drops nonzero bits: 2 v 10^k = m 5^k 2^(e + k + 1) with
+    e + k + 1 <= -60 here, and m has at most 52 trailing zero bits.  The
+    cells' operands, limb products and columns are 18 word rows of the
+    thread's workspace, as long as ``wide`` (and 4 rows of its indices),
+    and every operation reads and writes whole rows or same-shaped
+    contiguous blocks of them: numpy buffers a broadcast or strided
+    operand, which would allocate.
     """
-    p = _tables()[0][:, x]
-    a, c = m_lo * p, m_hi * p  # (4, n) limb products, 8m = m_hi 2^32 + m_lo
-    cols = np.zeros((6, x.size), dtype=np.uint64)
-    cols[:4] += a & 0xFFFFFFFF
-    cols[1:5] += a >> 32
-    cols[1:5] += c & 0xFFFFFFFF
-    cols[2:] += c >> 32
-    for i in range(5):
-        cols[i + 1] += cols[i] >> 32
-    words = (cols[0::2] & 0xFFFFFFFF) | (cols[1::2] << 32)
-    r = x + (1075 + _X_MIN - 14) - b
-    above = r >= 64  # the lowest word is all below the shift
-    s = r & 63
-    low, high = np.where(above, words[1], words[0]), np.where(above, words[2], words[1])
-    return (low >> s) | (high << 1 << (63 - s))  # high << (64 - s) for s in [0, 63]
+    work = thread_workspace()
+    rows = work.get("format.wide", (18, wide.size), _WORDS)
+    index = work.get("format.wide_index", (4, wide.size), np.intp)
+    x, b = rows[:2]
+    m, p, a = rows[2:10], rows[10:14], rows[14:]  # m: m_lo, then m_hi, once per limb
+    np.take(operands[:2], wide, axis=1, out=rows[:2], mode="clip")
+    index[...] = wide
+    np.take(operands[2], index, out=m[:4], mode="clip")
+    np.take(operands[3], index, out=m[4:], mode="clip")
+    np.take(_tables()[0], x.view(np.intp), axis=1, out=p, mode="clip")  # 5^k as (4, n) limbs
+    np.multiply(p, m[:4], out=a)  # the limb products, 8m = m_hi 2^32 + m_lo
+    p *= m[4:]
+    cols, carry = m[:6], m[6]
+    np.bitwise_and(a, 0xFFFFFFFF, out=cols[:4])
+    cols[4:] = 0
+    a >>= 32
+    cols[1:5] += a
+    cols[1:5] += np.bitwise_and(p, 0xFFFFFFFF, out=a)
+    p >>= 32
+    cols[2:] += p
+    for i in range(1, 5):  # column 0 is a0's low half: it carries nothing
+        cols[i + 1] += np.right_shift(cols[i], 32, out=carry)
+    cols &= 0xFFFFFFFF  # the high column of each word is shifted up: its top bits drop anyway
+    w0, w1, w2 = cols[0::2]
+    for low_column, high_column in zip((w0, w1, w2), cols[1::2]):
+        high_column <<= 32
+        low_column |= high_column
+    # floor(w 2^-r) for w = w0 + w1 2^64 + w2 2^128 is the OR of w0 >> r, w1 >> (r - 64),
+    # w1 << (64 - r) and w2 << (128 - r): numpy shifts a uint64 by 64 or more (a
+    # negative count wraps there) to 0, so for r in [63, 127] only the right ones remain
+    shift = 1075 + _X_MIN - 14  # r = x - b + shift
+    x -= b
+    np.add(x, shift, out=carry)
+    w0 >>= carry
+    np.add(x, shift - 64, out=carry)
+    np.right_shift(w1, carry, out=a[0])
+    np.subtract(2**64 + 64 - shift, x, out=carry)
+    w1 <<= carry
+    w1 |= a[0]
+    np.subtract(2**64 + 128 - shift, x, out=carry)
+    w2 <<= carry
+    w0 |= w1
+    w0 |= w2
+    t[wide] = w0
 
 
 def _digit_words(d):

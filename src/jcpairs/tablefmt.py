@@ -1,22 +1,28 @@
-"""Byte tables from float arrays and ready cells, one byte matrix per block.
+"""Byte tables from streamed float blocks and ready cells, one byte matrix per block.
 
 ``table_chunks`` writes the CSV and JSON tables of ``jcpairs evolve`` and
 ``jcpairs sweep`` as a few large uint8 chunks instead of one string per row:
 cells are NUL-padded byte rows (``floatfmt.g17_bytes`` for CSV floats),
 assembled block by block into one byte matrix whose NUL bytes are dropped
-on the way out.  The matrix, its NUL mask and the block's float values and
-their cells are buffers of the calling thread's ``linalg.Workspace``, kept
-from table to table, so a thread writes one table at a time; the chunks
-written out are arrays of their own.  The bytes are those of formatting
-every CSV cell with ``'%.17g'``, and for JSON those of
-``json.dumps(..., indent=2)`` of the rows (NaN as null).  On a 2-core Xeon
-a closed 100 x 200 sweep of six pairs costs about 0.45 us a row before the
-file write: under half formatting (1.3 distinct C or Q values a row), a
-third dropping NULs, the rest gathering.
+on the way out.  The float columns arrive as a stream of blocks, which
+``sweep`` and ``evolve`` draw from ``GridEngine.blocks``; the writer copies
+each block's rows as its own blocks need them, so neither the engine's
+results nor the table exist whole at any time, and peak memory does not
+grow with the grid.  A table block holds ``VALUE_BLOCK`` float values.
+The matrix, its NUL mask and the block's float values and their cells are
+buffers of the calling thread's ``linalg.Workspace``, kept from table to
+table, so a thread writes one table at a time; the chunks written out are
+arrays of their own.  The bytes are those of formatting every CSV cell
+with ``'%.17g'``, and for JSON those of ``json.dumps(..., indent=2)`` of
+the rows (NaN as null).  On a 2-core Xeon a closed 100 x 200 sweep of six
+pairs costs about 0.45 us a row before the file write: under half
+formatting (1.3 distinct C or Q values a row), a third dropping NULs, the
+rest gathering.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -25,11 +31,14 @@ import numpy as np
 from .floatfmt import WIDTH, g17_bytes
 from .linalg import thread_workspace
 
-# Rows per block, rounded down to whole groups of a table's last axis (at
-# least one group): every block is assembled in one byte matrix, the same for
+# Float values per block: a block holds as many whole groups of a table's
+# last axis as this many values of its float columns fill (at least one
+# group), so the block's buffers have one size whatever the table's width:
+# 341 groups of six pairs (2,046 rows) in a sweep, 292 rows in an evolve of
+# both engines.  Every block is assembled in one byte matrix, the same for
 # every block, and written before the next is built, so the whole table
 # never exists as text at once.
-ROW_BLOCK = 2048
+VALUE_BLOCK = 4096
 
 
 def _text_matrix(texts):
@@ -63,27 +72,51 @@ def distinct_slots(columns):
     A slot repeats an earlier one when every array has the same bits in
     both, so 0.0 and -0.0, or NaNs of different payloads, stay apart.
     """
-    bits = [column.view(np.uint64) for column in columns]
-    distinct, where = [], []
-    for slot in range(columns[0].shape[1]):
-        same = (i for i, first in enumerate(distinct)
-                if all(np.array_equal(b[:, slot], b[:, first]) for b in bits))
-        where.append(next(same, len(distinct)))
-        if where[-1] == len(distinct):
-            distinct.append(slot)
-    return distinct, where
+    return _distinct(_first_slots(columns))
 
 
-def table_chunks(fmt, columns, shape, data):
+def _first_slots(columns):
+    """The first slot with each slot's bits in every one of ``columns``, float arrays (groups, slots).
+
+    Only slots with the same bits in some 16 groups spread over the arrays
+    can repeat, and only those are compared throughout: one comparison per
+    array for each slot that repeats, whatever the number of groups.
+    """
+    bits = [np.asarray(column, dtype=float).view(np.uint64) for column in columns]
+    if bits[0].shape[1] == 1:  # a series: nothing to repeat
+        return [0]
+    step = max(1, len(bits[0]) // 16)
+    heads = np.concatenate([b[::step] for b in bits]).T.tolist()  # each slot's sampled bits
+    return [next(i for i in range(j + 1) if i == j or heads[i] == heads[j]
+                 and all(np.array_equal(b[:, i], b[:, j]) for b in bits)) for j in range(len(heads))]
+
+
+def _distinct(first):
+    """The distinct slots of a ``_first_slots`` map, and each slot's index among them."""
+    distinct = [slot for slot, i in enumerate(first) if i == slot]
+    return distinct, [distinct.index(i) for i in first]
+
+
+def table_chunks(fmt, columns, shape, data, blocks):
     """The bytes of a table as uint8 chunks to write in turn, one per block of rows.
 
     Row r is the cell ``np.unravel_index(r, shape)`` of the table.  The
     last axis holds a group's slots (sweep's pairs), and a block holds
-    whole groups.  ``data`` has one entry per column: a float array that
-    reshapes to ``shape``, formatted a block at a time, or a pair
+    whole groups, ``VALUE_BLOCK`` float values or one group.  ``data`` has
+    one entry per column: None for a float column, or a pair
     ``(cells, key)`` of ready cells (``label_cells``, ``number_cells``)
     and the row of ``cells`` at each table cell: its index along the axis
-    ``key``, or ``key[cell]`` for an integer array of ``shape``.
+    ``key``, or for a key of None an index that ``blocks`` gives.
+
+    ``blocks`` yields the table's cells in order, in runs of whole groups:
+    tuples of one array per float column (values reshaping to (groups,
+    slots)) and per key of None (indices, groups x slots of them), in
+    column order.  They are drawn as the table's blocks need them, a run
+    carried across block boundaries, and each is copied before the next is
+    drawn, so they may be buffers the producer reuses.  The first is drawn
+    before the header is yielded: a producer that refuses its first run
+    leaves no byte, and one that refuses a later run leaves the blocks
+    written before it.
 
     Each block is one byte matrix of the thread's workspace: a row holds
     the row's cells, each NUL-padded to its column's width (ready cells
@@ -92,13 +125,19 @@ def table_chunks(fmt, columns, shape, data):
     separators and the ready cells of the slot axis.  Ready cells carry
     their separators and are gathered as byte rows: once per group for
     another axis, adjacent columns of one axis (sweep's t and Gt) as one
-    table, and once per row for an array key.  Adjacent float columns
-    form a run that formats only its distinct slots (``distinct_slots``),
-    all runs of a block in one formatter call; a repeated slot copies the
-    cells of its first copy.  JSON has the bytes of
+    table, and once per row for a key of None.  Adjacent float columns
+    form a run that formats only the block's distinct slots, all runs of a
+    block in one formatter call; a repeated slot copies the cells of its
+    first copy.  Which slots repeat is decided once per drawn run of
+    ``blocks`` (``distinct_slots``), and a block that takes rows of two
+    runs keeps only the repeats of both.  JSON has the bytes of
     ``json.dumps(..., indent=2)``.
     """
     n, slots = math.prod(shape), shape[-1]
+    blocks = iter(blocks)
+    drawn = next(blocks, None)  # before the first byte
+    blocks = itertools.chain([] if drawn is None else [drawn], blocks)
+    used = have = 0  # rows of the drawn run taken, and its rows
     if fmt == "json":
         head = json.dumps(list(columns), indent=2).replace("\n", "\n  ")
         yield ('{\n  "columns": ' + head + ',\n  "rows": [').encode()
@@ -109,74 +148,101 @@ def table_chunks(fmt, columns, shape, data):
         opening, separator, closing = b"", b",", b"\n"
 
     # the cells of each column start at its offset in the row; a run's
-    # cells are WIDTH + len(separator) apart
-    fixed, by_group, by_cell, runs, offset = [], [], [], [], 0
+    # cells are WIDTH + len(separator) apart.  ``floats`` and ``by_cell``
+    # name each streamed column's place in a run of ``blocks``.
+    fixed, by_group, by_cell, runs, floats, offset = [], [], [], [], [], 0
     for i, col in enumerate(data):
         text = np.frombuffer(separator if i else opening, dtype=np.uint8)
-        if isinstance(col, tuple):
-            table, key = col
-            width = int(np.max(np.count_nonzero(table, axis=1)))
-            table = np.hstack([np.broadcast_to(text, (len(table), text.size)), table[:, :width]])
-            if not isinstance(key, int):
-                by_cell.append((offset, table, key.reshape(-1)))
-            elif key == len(shape) - 1:
-                fixed.append((offset, table))
-            elif by_group and by_group[-1][0] + by_group[-1][1].shape[1] == offset and by_group[-1][2] == key:
-                by_group[-1][1] = np.hstack([by_group[-1][1], table])
-            else:  # a group's index along the axis is (group // stride) % size
-                by_group.append([offset, table, key, math.prod(shape[key + 1:-1])])
-            offset += table.shape[1]
-        else:
+        if col is None:
             fixed.append((offset, text))
             offset += text.size
-            column = np.asarray(col, dtype=float).reshape(-1, slots)
-            if i and not isinstance(data[i - 1], tuple):
-                runs[-1][1].append(column)
-            else:
-                runs.append((offset, [column]))
+            if i and data[i - 1] is None:
+                runs[-1][2] += 1
+            else:  # (offset, first float column, columns)
+                runs.append([offset, len(floats), 1])
+            floats.append(len(floats) + len(by_cell))
             offset += WIDTH
+            continue
+        table, key = col
+        width = int(np.max(np.count_nonzero(table, axis=1)))
+        table = np.hstack([np.broadcast_to(text, (len(table), text.size)), table[:, :width]])
+        if key is None:
+            by_cell.append((offset, table, len(floats) + len(by_cell)))
+        elif key == len(shape) - 1:
+            fixed.append((offset, table))
+        elif by_group and by_group[-1][0] + by_group[-1][1].shape[1] == offset and by_group[-1][2] == key:
+            by_group[-1][1] = np.hstack([by_group[-1][1], table])
+        else:  # a group's index along the axis is (group // stride) % size
+            by_group.append([offset, table, key, math.prod(shape[key + 1:-1])])
+        offset += table.shape[1]
     fixed.append((offset, np.frombuffer(closing, dtype=np.uint8)))
     # NUL room after the closing for the stride of a run that ends the row
     row = np.zeros((slots, offset + max(len(closing), len(separator))), dtype=np.uint8)
     for at, cells in fixed:
         row[:, at:at + cells.shape[-1]] = cells
     work = thread_workspace()
-    block = work.get("table.block", (max(1, min(n // slots, ROW_BLOCK // slots)),) + row.shape, np.uint8)
+    size = max(1, min(n // slots, VALUE_BLOCK // (max(1, len(floats)) * slots)))
+    block = work.get("table.block", (size,) + row.shape, np.uint8)
     block[...] = row
-    nonzero = work.get("table.nonzero", (block.shape[0] * slots, row.shape[1]), bool)
-    runs = [(at, arrays, *distinct_slots(arrays)) for at, arrays in runs]
-    # the distinct float values of a block, for one formatter call
-    size = sum(len(arrays) * len(distinct) for _, arrays, distinct, _ in runs) * block.shape[0]
-    values = work.get("table.values", (size,), float)
-    numbers = work.get("table.numbers", (size, WIDTH), np.uint8)
+    nonzero = work.get("table.nonzero", (size * slots, row.shape[1]), bool)
+    # a block's float values by column when it takes rows of two runs, and
+    # its distinct ones for the formatter
+    staged = work.get("table.staged", (len(floats) * size * slots,), float)
+    values = work.get("table.values", staged.shape, float)
+    numbers = work.get("table.numbers", staged.shape + (WIDTH,), np.uint8)
 
-    for start in range(0, n // slots, block.shape[0]):
-        groups = np.arange(start, min(n // slots, start + block.shape[0]))
+    for start in range(0, n // slots, size):
+        groups = np.arange(start, min(n // slots, start + size))
         grouped = block[:groups.size]
         for offset, table, _, stride in by_group:
             cells = table.take(groups // stride, axis=0, mode="wrap")
             grouped[:, :, offset:offset + cells.shape[1]] = cells[:, None]
         chunk = grouped.reshape(groups.size * slots, -1)
-        for offset, table, key in by_cell:
-            chunk[:, offset:offset + table.shape[1]] = table.take(key[start * slots:][:len(chunk)], axis=0)
-        # each run's values as (column, group, distinct slot)
-        parts, end = [], 0
-        for _, arrays, distinct, _ in runs:
-            part = values[end:end + len(arrays) * groups.size * len(distinct)]
-            part = part.reshape(len(arrays), groups.size, len(distinct))
-            for array, out in zip(arrays, part):
-                np.take(array[groups[0]:groups[-1] + 1], distinct, axis=1, out=out, mode="clip")
-            parts.append((end, part.shape))
+        filled, firsts = 0, None
+        while filled < groups.size:  # the next runs of ``blocks``, as far as the block reaches
+            if used == have:
+                pending, used = next(blocks), 0
+                floated = [np.reshape(pending[at], (-1, slots)) for at in floats]
+                have = len(floated[0])
+                # a slot that repeats in a whole run repeats in any rows of it
+                decided = [_first_slots(floated[first:first + count]) for _, first, count in runs]
+            take = min(groups.size - filled, have - used)
+            if take == groups.size:  # the whole block within one run: read in place
+                arrays = [column[used:used + take] for column in floated]
+            else:  # across runs: copied
+                arrays = staged[:len(floats) * chunk.shape[0]].reshape(len(floats), groups.size, slots)
+                for out, column in zip(arrays, floated):
+                    out[filled:filled + take] = column[used:used + take]
+            # slots repeat in the block where they repeat in every run it takes rows of
+            firsts = decided if firsts is None else [
+                [i if i == j else slot for slot, (i, j) in enumerate(zip(mine, theirs))]
+                for mine, theirs in zip(firsts, decided)]
+            rows = slice(filled * slots, (filled + take) * slots)
+            for offset, table, at in by_cell:
+                keys = np.reshape(pending[at], -1)[used * slots:(used + take) * slots]
+                chunk[rows, offset:offset + table.shape[1]] = table.take(keys, axis=0)
+            filled += take
+            used += take
+        # each run's distinct values as (column, group, distinct slot), for one formatter call
+        decided_block, parts, end = [_distinct(first) for first in firsts], [], 0
+        for (_, first, count), (distinct, _) in zip(runs, decided_block):
+            part = values[end:end + count * groups.size * len(distinct)]
+            part = part.reshape(count, groups.size, len(distinct))
+            for array, out in zip(arrays[first:first + count], part):
+                np.take(array, distinct, axis=1, out=out, mode="clip")
+            parts.append(part)
             end += part.size
         texts = number_cells(fmt, values[:end], out=numbers[:end])
         step = WIDTH + len(separator)
-        for (offset, arrays, distinct, where), (first, part) in zip(runs, parts):
-            formatted = texts[first:first + math.prod(part)].reshape(part + (WIDTH,))
+        done = 0
+        for (offset, _, count), (_, where), part in zip(runs, decided_block, parts):
+            formatted = texts[done:done + part.size].reshape(part.shape + (WIDTH,))
             formatted = formatted.transpose(1, 2, 0, 3)  # (group, distinct slot, column, text)
-            dest = grouped[:, :, offset:offset + len(arrays) * step]
-            dest = dest.reshape(groups.size, slots, len(arrays), step)[..., :WIDTH]
+            dest = grouped[:, :, offset:offset + count * step]
+            dest = dest.reshape(groups.size, slots, count, step)[..., :WIDTH]
             for slot, i in enumerate(where):
                 dest[:, slot] = formatted[:, i]
+            done += part.size
         chunk = chunk[np.not_equal(chunk, 0, out=nonzero[:len(chunk)])]
         yield chunk[1:] if fmt == "json" and not start else chunk
     if fmt == "json":

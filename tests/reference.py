@@ -2,7 +2,7 @@
 
 * the scalar resonance formulas of both families (Yonac, Yu & Eberly,
   J. Phys. B 40, S45 (2007)), in the operation order that
-  ``closedform.closed_grid`` broadcasts, so the grid has their bits;
+  ``closedform.ClosedGrid`` broadcasts, so the grid has their bits;
 * the textbook Wootters concurrence from the eigenvalues of
   rho (sigma_y x sigma_y) rho* (sigma_y x sigma_y) (PRL 80, 2245 (1998)),
   the largest entry off the X pattern, and the signed Q of an X-shaped

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,8 @@ import pytest
 
 import jcpairs.checks as checks
 import jcpairs.cli as cli
+import jcpairs.engine as engine_module
+import jcpairs.floatfmt as floatfmt
 import jcpairs.tablefmt as tablefmt
 from jcpairs import PAIR_LABELS, GridEngine, JCParams
 from jcpairs.cli import main
@@ -685,8 +688,8 @@ def reference_sweep(fmt, engine, pair, alpha_grid, t_grid, params=PARAMS, family
                                             for engine in ("closed", "analytic", "both")],
                          ids=["closed", "analytic", "both", "closed-psi", "analytic-psi", "both-psi"])
 def test_sweep_bytes_match_row_formatter(tmp_path, monkeypatch, engine, family, pair, fmt):
-    # 5 rows per block is less than the 6 slots of a group: one group per block
-    monkeypatch.setattr(tablefmt, "ROW_BLOCK", 5)
+    # 10 C and Q values per block are fewer than the 12 of a 6-slot group: one group per block
+    monkeypatch.setattr(tablefmt, "VALUE_BLOCK", 10)
     out = tmp_path / "sweep.out"
     argv = ["sweep", "--family", family, "--engine", engine, "--alpha-min", "-0.4",
             "--alpha-max", str(math.pi - 0.3), "--alpha-points", "4", "--steps", "8",
@@ -703,9 +706,9 @@ def test_sweep_bytes_match_row_formatter(tmp_path, monkeypatch, engine, family, 
 @pytest.mark.parametrize("alpha_points, steps, pair", [(1, 8, None), (4, 1, None), (3, 6, "Ab")])
 def test_sweep_grid_edges_match_row_formatter(tmp_path, monkeypatch, fmt, alpha_points, steps,
                                               pair):
-    # 5 rows per block: one 6-pair group per block, or five one-pair groups
-    # with a short last block (21 rows)
-    monkeypatch.setattr(tablefmt, "ROW_BLOCK", 5)
+    # 10 C and Q values per block: one 6-pair group per block, or five
+    # one-pair groups with a short last block (21 rows)
+    monkeypatch.setattr(tablefmt, "VALUE_BLOCK", 10)
     out = tmp_path / "sweep.out"
     argv = ["sweep", "--family", "phi", "--engine", "closed", "--alpha-min", "0.3",
             "--alpha-max", "1.2", "--alpha-points", str(alpha_points), "--steps", str(steps),
@@ -756,8 +759,15 @@ EDGE_VALUES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1.0 / 3.0, 0.1 
 OTHER_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]  # another payload
 
 
+def _runs(shape, *arrays):
+    """The streamed columns of a table as ``table_chunks`` draws them: runs of 1, 2, 3, 1, ... groups."""
+    groups = [np.reshape(array, (-1, shape[-1])) for array in arrays]
+    cuts = np.cumsum(np.resize([1, 2, 3], len(groups[0])))
+    return list(zip(*(np.split(column, cuts[cuts < len(column)]) for column in groups)))
+
+
 def edge_table(case, fmt):
-    """(columns, shape, data, rows): a table for ``table_chunks`` and its rows for the reference.
+    """(columns, shape, (data, blocks), rows): a table for ``table_chunks`` and its rows for the reference.
 
     An int tiles the edge values that many times (one slot per value).  The
     3-D tables have pair-like slots: "repeated-slots" repeats slots bit for
@@ -767,14 +777,14 @@ def edge_table(case, fmt):
     columns = ["key", "v", "label", "w"]
     if isinstance(case, int):
         values = np.tile(np.array(EDGE_VALUES), case)
-        assert case == 1 or values.size > 2 * tablefmt.ROW_BLOCK
+        assert case == 1 or values.size > 2 * (tablefmt.VALUE_BLOCK // 2)  # rows of two floats
         shape = (case, len(EDGE_VALUES))
-        data = [(tablefmt.number_cells(fmt, EDGE_VALUES), 1), values,
-                (tablefmt.label_cells(fmt, ["x", "y", "z"]), np.arange(values.size).reshape(shape) % 3),
-                values[::-1]]
+        data = [(tablefmt.number_cells(fmt, EDGE_VALUES), 1), None,
+                (tablefmt.label_cells(fmt, ["x", "y", "z"]), None), None]
+        blocks = _runs(shape, values, np.arange(values.size) % 3, values[::-1])
         rows = [[a, a, "xyz"[i % 3], d] for i, (a, d) in enumerate(zip(values.tolist(),
                                                                         values[::-1].tolist()))]
-        return columns, shape, data, rows
+        return columns, shape, (data, blocks), rows
     rng = np.random.default_rng(17)
     shape = (3, 2, 6)
     v = rng.choice(np.array(EDGE_VALUES), shape) * rng.uniform(0.5, 2.0, shape)
@@ -792,10 +802,10 @@ def edge_table(case, fmt):
         w[..., 1], w[..., 3] = w[..., 0], w[..., 2]
         assert tablefmt.distinct_slots([v.reshape(-1, 6), w.reshape(-1, 6)])[0] == list(range(6))
     labels = np.arange(v.size).reshape(shape) % 3
-    data = [(tablefmt.number_cells(fmt, [0.5, 1.5, 2.5]), 0), v,
-            (tablefmt.label_cells(fmt, ["x", "y", "z"]), labels), w]
+    data = [(tablefmt.number_cells(fmt, [0.5, 1.5, 2.5]), 0), None,
+            (tablefmt.label_cells(fmt, ["x", "y", "z"]), None), None]
     rows = [[[0.5, 1.5, 2.5][i[0]], v[i], "xyz"[labels[i]], w[i]] for i in np.ndindex(shape)]
-    return columns, shape, data, rows
+    return columns, shape, (data, _runs(shape, v, labels, w)), rows
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -803,12 +813,13 @@ def edge_table(case, fmt):
 def test_table_writer_matches_row_formatter_on_edge_values(monkeypatch, fmt, case):
     # 456 copies make the table longer than two default blocks; every table
     # is also written in blocks of fewer rows than a group has slots, of one
-    # group, and of a row count that is no multiple of the slot count
+    # group, and of a row count that is no multiple of the slot count (two
+    # float columns: two values a row)
     columns, shape, data, rows = edge_table(case, fmt)
     expected = REFERENCE[fmt](columns, rows)
-    for row_block in (tablefmt.ROW_BLOCK, shape[-1] - 1, shape[-1], 2 * shape[-1] + 1):
-        monkeypatch.setattr(tablefmt, "ROW_BLOCK", row_block)
-        assert_same_lines(b"".join(tablefmt.table_chunks(fmt, columns, shape, data)), expected)
+    for row_block in (tablefmt.VALUE_BLOCK // 2, shape[-1] - 1, shape[-1], 2 * shape[-1] + 1):
+        monkeypatch.setattr(tablefmt, "VALUE_BLOCK", 2 * row_block)
+        assert_same_lines(b"".join(tablefmt.table_chunks(fmt, columns, shape, *data)), expected)
 
 
 @pytest.mark.parametrize("argv", [
@@ -831,7 +842,7 @@ def test_a_table_of_several_blocks_has_the_same_bytes_on_the_stdout_descriptor(t
     argv = ["sweep", "--engine", "closed", "--alpha-points", "3", "--steps", "200", "--format", fmt]
     out = tmp_path / "table.out"
     assert run(*argv, "--output", str(out)) == 0
-    assert 3 * 201 * len(PAIR_LABELS) > tablefmt.ROW_BLOCK  # rows: more than one block
+    assert 3 * 201 * len(PAIR_LABELS) * 2 > tablefmt.VALUE_BLOCK  # C and Q: more than one block
     print("before", end="|")
     assert run(*argv) == 0
     print("|after")
@@ -858,8 +869,9 @@ def test_a_reader_that_stops_after_one_line_leaves_one_io_error_line(fmt, first)
 
 
 @pytest.mark.parametrize("argv, rows, calls", [
-    # one block: alpha is a float column of the run, not a call of its own
-    (["evolve", "--engine", "both"], 1025, 1),
+    # four blocks of up to 292 rows (14 float columns, 4,088 values): alpha
+    # is a float column of the run, not a call of its own
+    (["evolve", "--engine", "both"], 1025, 4),
     # two blocks, plus one call for the alpha, t and Gt cells together
     (["sweep", "--engine", "both", "--alpha-points", "3", "--steps", "200"], 3618, 3),
 ])
@@ -927,6 +939,134 @@ def test_a_warm_repeat_allocates_no_working_memory(tmp_path, argv, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+@pytest.mark.parametrize("engine", ["closed", "both"])
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path, engine):
+    # engine blocks stream into the table writer: a 101 x 1025 table (621,150
+    # rows) peaks 0.12-0.14 MB above an 11 x 201 one, for its grids, their
+    # formatted cells and the closed form's per-t factors.  Whole C and Q
+    # arrays would add 10 MB (closed) and 25 MB (both, with the gaps).
+    def request(points, steps):
+        return ["sweep", "--engine", engine, "--alpha-points", str(points), "--steps", str(steps),
+                "--output", str(tmp_path / "table.csv")]
+
+    for points, steps in ((11, 200), (101, 1024)):  # the thread's workspace at its size
+        assert main(request(points, steps)) == 0
+    peaks = []
+    for points, steps in ((11, 200), (101, 1024)):
+        tracemalloc.start()
+        try:
+            assert main(request(points, steps)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 300_000
+
+
+class _PlantedGaps(GridEngine):
+    """An engine whose C is 0.75 (analytic) or 0.25 (numeric) at ``CELLS``: a gap of 0.5 at each."""
+
+    CELLS = ()
+
+    def blocks(self, alphas, ts, pairs=PAIR_LABELS, **kwargs):
+        blocks = super().blocks(alphas, ts, pairs, **kwargs)
+        value = 0.75 if self.name == "analytic" else 0.25
+
+        def planted():
+            for a, t, conc, q in blocks:
+                for ia, it, ip in self.CELLS:
+                    if a.start <= ia < a.stop and t.start <= it < t.stop:
+                        conc[ia - a.start, it - t.start, ip] = value
+                yield a, t, conc, q
+
+        return planted()
+
+
+@pytest.mark.parametrize("cells", [(), ((1, 500, 2), (4, 20, 4)), ((4, 20, 4), (1, 500, 2), (1, 900, 1))],
+                         ids=["round-off", "tie-across-blocks", "three-way-tie-listed-out-of-order"])
+def test_engine_disagreement_names_the_whole_grid_argmax_cell(tmp_path, capsys, monkeypatch, cells):
+    # 5 x 1025 cells stream as alpha rows 0-2 and 3-4: the planted cells of
+    # a tie lie in both blocks, and the exit-3 message names the cell that
+    # np.argmax over the whole grid's gaps names, the first in table order
+    monkeypatch.setattr(_PlantedGaps, "CELLS", cells)
+    monkeypatch.setattr(cli, "GridEngine", _PlantedGaps)
+    argv = ["sweep", "--engine", "both", "--alpha-points", "5", "--steps", "1024", "--tol", "1e-300",
+            "--output", str(tmp_path / "table.csv")]
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    alpha_grid, t_grid = np.linspace(0.0, 0.5 * math.pi, 5), np.linspace(0.0, 2.0 * math.pi, 1025)
+    analytic, numeric = (np.empty((5, 1025, 6)) for _ in range(2))
+    for name, whole in (("analytic", analytic), ("numeric", numeric)):
+        for a, t, conc, _ in _PlantedGaps(name, "phi", PARAMS).blocks(alpha_grid, t_grid):
+            whole[a, t] = conc
+    gap = np.abs(analytic - numeric)
+    ia, it, ip = np.unravel_index(np.argmax(gap), gap.shape)
+    if cells:
+        assert (ia, it, ip) == (1, 500, 2)
+    assert err == (f"engine disagreement {gap[ia, it, ip]:.3e} exceeds tolerance 1.000e-300 at alpha = "
+                   f"{float(alpha_grid[ia])!r}, t = {float(t_grid[it])!r}, pair {PAIR_LABELS[ip]}\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("alpha_index, rows", [(0, 0), (3, 2048)], ids=["first-block", "second-block"])
+def test_a_late_reader_refusal_exits_1_naming_its_cell_after_the_rows_before_it(
+        tmp_path, capsys, monkeypatch, fmt, alpha_index, rows):
+    # a faulty route: doubled amplitudes at one cell give a trace of 4.  Of
+    # 5 x 1025 one-pair cells, alpha rows 0-2 are the first streamed block and
+    # 3-4 the second; the table writes blocks of 2,048 rows.  A refusal in
+    # the first block leaves no byte; one in the second leaves the one table
+    # block that the first block filled, and no closing of the table.
+    argv = ["sweep", "--engine", "analytic", "--pair", "AB", "--alpha-points", "5", "--steps", "1024",
+            "--format", fmt]
+    assert run(*argv, "--output", str(tmp_path / "good.out")) == 0
+    alpha_grid, t_grid = np.linspace(0.0, 0.5 * math.pi, 5), np.linspace(0.0, 2.0 * math.pi, 1025)
+    real = engine_module.amplitudes
+
+    def doubled(kind, alphas, block_ts, site_factors, *, work):
+        amps = real(kind, alphas, block_ts, site_factors, work=work)
+        amps[np.ix_(range(len(amps)), alphas == alpha_grid[alpha_index], block_ts == t_grid[7])] *= 2.0
+        return amps
+
+    monkeypatch.setattr(engine_module, "amplitudes", doubled)
+    out = tmp_path / "faulty.out"
+    assert run(*argv, "--output", str(out)) == 1
+    assert capsys.readouterr() == ("", "error: invalid density matrix: trace deviates from 1 by 3.000e+00 "
+                                       f"at cell ({alpha_index}, 7, 0)\n")
+    good = (tmp_path / "good.out").read_bytes()
+    if not rows:
+        expected = b""
+    elif fmt == "csv":  # the header and the rows before the refused block
+        expected = b"".join(good.splitlines(keepends=True)[:1 + rows])
+    else:  # the opening and those rows, through the last one's closing bracket
+        expected = good[:[m.end() for m in re.finditer(rb"\n    \]", good)][rows - 1]]
+    assert out.read_bytes() == expected
+
+
+def test_a_warm_repeat_allocates_nothing_in_the_wide_product(tmp_path, monkeypatch):
+    # numeric round-off below 2^-36 takes the three-word product; its rows
+    # are the thread's workspace, so a repeat allocates no array there (the
+    # largest call has 2,826 cells: fresh (6, n) columns alone would be 136 KB)
+    argv = ["sweep", "--engine", "numeric", "--n-max", "2", "--alpha-points", "21", "--steps", "400",
+            "--output", str(tmp_path / "table.csv")]
+    assert main(argv) == 0
+    cells, peaks, real = [], [], floatfmt._wide_product
+
+    def measured(operands, wide, t):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        real(operands, wide, t)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        cells.append(wide.size)
+
+    monkeypatch.setattr(floatfmt, "_wide_product", measured)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    assert max(cells) > 2000
+    assert max(peaks) < 16_000
 
 
 def test_requests_after_larger_ones_write_the_bytes_of_a_fresh_process(tmp_path):

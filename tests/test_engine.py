@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,27 +322,40 @@ def test_closed_grid_bits_match_per_point_on_random_grids(kind, alpha_list, t_li
 
 @pytest.mark.parametrize("engine", ["analytic", "numeric", "closed"])
 def test_blocks_do_not_change_values(engine, res_params, monkeypatch):
+    # evolution blocks inside streamed blocks of any size (the closed route streams only)
     alpha_grid, t_grid = np.linspace(0.0, 1.5, 5), np.linspace(0.0, 4.0, 9)
     whole = GridEngine(engine, "psi", res_params).values(alpha_grid, t_grid, ("AB", "Ab"))
     for block in (1, 7, 20):
         monkeypatch.setattr(engine_module, "BLOCK_CELLS", block)
-        blocked = GridEngine(engine, "psi", res_params).values(alpha_grid, t_grid, ("AB", "Ab"))
-        assert np.array_equal(_bits(blocked.concurrence), _bits(whole.concurrence))
-        assert np.array_equal(_bits(blocked.q), _bits(whole.q))
+        for stream in (1, 13, 4096):
+            monkeypatch.setattr(engine_module, "STREAM_CELLS", stream)
+            blocked = GridEngine(engine, "psi", res_params).values(alpha_grid, t_grid, ("AB", "Ab"))
+            assert np.array_equal(_bits(blocked.concurrence), _bits(whole.concurrence))
+            assert np.array_equal(_bits(blocked.q), _bits(whole.q))
 
 
 @given(engine=st.sampled_from(ENGINES), kind=kinds,
        params=sites(), alpha_list=st.lists(alphas, min_size=1, max_size=3),
        n_t=st.integers(1, 40), cuts=st.lists(st.integers(1, 39), max_size=6),
-       fraction=st.floats(0.0, 1.0), data=st.data())
+       fraction=st.floats(0.0, 1.0), stream=st.integers(1, 50), data=st.data())
 def test_any_split_of_the_times_gives_the_bits_of_one_call(engine, kind, params, alpha_list,
-                                                           n_t, cuts, fraction, data):
+                                                           n_t, cuts, fraction, stream, data):
     # one-cell calls (a single alpha and a single time) included: the numeric
     # route's products must not change kernels with the number of cells, nor
     # the closed route's broadcasts with the shape of the grid
     ts = np.linspace(0.0, fraction * 50.0 / params.rabi(1), n_t)
     grid = GridEngine(engine, kind, params)
     whole = grid.values(alpha_list, ts)
+    # streamed in blocks of at most ``stream`` cells: every cell once, in
+    # table order, with the bits of the whole call
+    with mock.patch.object(engine_module, "STREAM_CELLS", stream):
+        streamed = [(a, t, conc.copy(), q.copy()) for a, t, conc, q in grid.blocks(alpha_list, ts)]
+    order = [(ia, it) for a, t, *_ in streamed for ia in range(a.start, a.stop) for it in range(t.start, t.stop)]
+    assert order == list(np.ndindex(len(alpha_list), n_t))
+    assert max(conc.shape[0] * conc.shape[1] for _, _, conc, _ in streamed) <= stream
+    for a, t, conc, q in streamed:
+        assert np.array_equal(_bits(conc), _bits(whole.concurrence[a, t]))
+        assert np.array_equal(_bits(q), _bits(whole.q[a, t]))
     parts = [grid.values(alpha_list, part) for part in np.split(ts, sorted({c for c in cuts if c < n_t}))]
     ia, it = data.draw(st.integers(0, len(alpha_list) - 1)), data.draw(st.integers(0, n_t - 1))
     cell = grid.values(alpha_list[ia:ia + 1], ts[it:it + 1])
