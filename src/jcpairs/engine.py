@@ -27,8 +27,9 @@ C and Q of the block in buffers of the calling thread's ``Workspace``
 (``linalg.thread_workspace``), which every engine and the table writer of
 that thread share.  ``values`` writes the same blocks in place into
 arrays of its own; ``jcpairs sweep`` and ``evolve`` hand the stream to the
-table writer as it comes, so memory stays bounded for any grid size, from
-the engine to the written table, and every later block, call and engine
+table writer as it comes, which writes every row of a block before it
+draws the next, so memory stays bounded for any grid size, from the
+engine to the written table, and every later block, call and engine
 writes into memory that is already mapped.  A thread iterates one stream
 of a route at a time, while threads may share an engine.
 
@@ -125,10 +126,10 @@ class GridEngine:
         conc = np.empty((alphas.size, ts.size, len(pairs)))
         q = np.empty_like(conc)
         for a, t in _block_slices(alphas.size, ts.size, STREAM_CELLS):
-            self._write(checked, x_tol, a, t, conc[a, t], q[a, t])
+            self._write(checked, a, t, conc[a, t], q[a, t], x_tol)
         return GridValues(pairs=pairs, concurrence=conc, q=q)
 
-    def blocks(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
+    def blocks(self, alphas, ts, pairs=PAIR_LABELS):
         """C and Q of ``pairs`` over the two 1-D grids, block by block in table order.
 
         Refuses what the route cannot compute here, before any block, and
@@ -139,9 +140,9 @@ class GridEngine:
         thread's buffers for the route, overwritten by its next block: a
         thread iterates one ``blocks`` of a route at a time.  A reader
         refusal comes with the block that holds its cell, naming the cell
-        in the whole grid.  ``x_tol`` as in ``values``.
+        in the whole grid.  The reader takes its default X-shape tolerance.
         """
-        return self._stream(self._checked(alphas, ts, pairs), x_tol)
+        return self._stream(self._checked(alphas, ts, pairs))
 
     def _checked(self, alphas, ts, pairs):
         """The grids as 1-D float arrays, the pairs and the closed form's ``ClosedGrid``, or the refusal."""
@@ -165,15 +166,15 @@ class GridEngine:
         closed = ClosedGrid(self.kind, alphas, self.params, ts) if self.name == "closed" else None
         return alphas, ts, pairs, closed
 
-    def _stream(self, checked, x_tol):
+    def _stream(self, checked):
         work = thread_workspace()
         alphas, ts, pairs, _ = checked
         for a, t in _block_slices(alphas.size, ts.size, STREAM_CELLS):
             conc, q = work.get(self._buffer, (2, a.stop - a.start, t.stop - t.start, len(pairs)), float)
-            self._write(checked, x_tol, a, t, conc, q)
+            self._write(checked, a, t, conc, q)
             yield a, t, conc, q
 
-    def _write(self, checked, x_tol, a, t, conc, q):
+    def _write(self, checked, a, t, conc, q, x_tol=1e-10):
         """C and Q of the cells (``a``, ``t``) of the ``_checked`` grids into ``conc`` and ``q``."""
         alphas, ts, pairs, closed = checked
         if closed is not None:

@@ -5,19 +5,19 @@
 cells are NUL-padded byte rows (``floatfmt.g17_bytes`` for CSV floats),
 assembled block by block into one byte matrix whose NUL bytes are dropped
 on the way out.  The float columns arrive as a stream of blocks, which
-``sweep`` and ``evolve`` draw from ``GridEngine.blocks``; the writer copies
-each block's rows as its own blocks need them, so neither the engine's
+``sweep`` and ``evolve`` draw from ``GridEngine.blocks``; the writer cuts
+each block it draws into table blocks of at most ``VALUE_BLOCK`` float
+values and writes them before it draws the next, so neither the engine's
 results nor the table exist whole at any time, and peak memory does not
-grow with the grid.  A table block holds ``VALUE_BLOCK`` float values.
-The matrix, its NUL mask and the block's float values and their cells are
-buffers of the calling thread's ``linalg.Workspace``, kept from table to
-table, so a thread writes one table at a time; the chunks written out are
-arrays of their own.  The bytes are those of formatting every CSV cell
-with ``'%.17g'``, and for JSON those of ``json.dumps(..., indent=2)`` of
-the rows (NaN as null).  On a 2-core Xeon a closed 100 x 200 sweep of six
-pairs costs about 0.45 us a row before the file write: under half
-formatting (1.3 distinct C or Q values a row), a third dropping NULs, the
-rest gathering.
+grow with the grid.  The matrix, its NUL mask and the block's float values
+and their cells are buffers of the calling thread's ``linalg.Workspace``,
+kept from table to table, so a thread writes one table at a time; the
+chunks written out are arrays of their own.  The bytes are those of
+formatting every CSV cell with ``'%.17g'``, and for JSON those of
+``json.dumps(..., indent=2)`` of the rows (NaN as null).  On a 2-core Xeon
+a closed 100 x 200 sweep of six pairs costs about 0.45 us a row before the
+file write: under half formatting (1.3 distinct C or Q values a row), a
+third dropping NULs, the rest gathering.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ import numpy as np
 from .floatfmt import WIDTH, g17_bytes
 from .linalg import thread_workspace
 
-# Float values per block: a block holds as many whole groups of a table's
-# last axis as this many values of its float columns fill (at least one
-# group), so the block's buffers have one size whatever the table's width:
-# 341 groups of six pairs (2,046 rows) in a sweep, 292 rows in an evolve of
-# both engines.  Every block is assembled in one byte matrix, the same for
-# every block, and written before the next is built, so the whole table
-# never exists as text at once.
+# Float values per block: a block holds at most as many whole groups of a
+# table's last axis as this many values of its float columns fill (at least
+# one group), so the block's buffers have one size whatever the table's
+# width: 341 groups of six pairs (2,046 rows) in a sweep, 292 rows in an
+# evolve of both engines.  Every block is assembled in one byte matrix, the
+# same for every block, and written before the next is built, so the whole
+# table never exists as text at once.
 VALUE_BLOCK = 4096
 
 
@@ -70,29 +70,18 @@ def distinct_slots(columns):
     """The distinct slots of float arrays of shape (groups, slots), and each slot's index among them.
 
     A slot repeats an earlier one when every array has the same bits in
-    both, so 0.0 and -0.0, or NaNs of different payloads, stay apart.
-    """
-    return _distinct(_first_slots(columns))
-
-
-def _first_slots(columns):
-    """The first slot with each slot's bits in every one of ``columns``, float arrays (groups, slots).
-
-    Only slots with the same bits in some 16 groups spread over the arrays
-    can repeat, and only those are compared throughout: one comparison per
+    both, so 0.0 and -0.0, or NaNs of different payloads, stay apart.  Only
+    slots with the same bits in some 16 groups spread over the arrays can
+    repeat, and only those are compared throughout: one comparison per
     array for each slot that repeats, whatever the number of groups.
     """
     bits = [np.asarray(column, dtype=float).view(np.uint64) for column in columns]
     if bits[0].shape[1] == 1:  # a series: nothing to repeat
-        return [0]
+        return [0], [0]
     step = max(1, len(bits[0]) // 16)
     heads = np.concatenate([b[::step] for b in bits]).T.tolist()  # each slot's sampled bits
-    return [next(i for i in range(j + 1) if i == j or heads[i] == heads[j]
-                 and all(np.array_equal(b[:, i], b[:, j]) for b in bits)) for j in range(len(heads))]
-
-
-def _distinct(first):
-    """The distinct slots of a ``_first_slots`` map, and each slot's index among them."""
+    first = [next(i for i in range(j + 1) if i == j or heads[i] == heads[j]
+                  and all(np.array_equal(b[:, i], b[:, j]) for b in bits)) for j in range(len(heads))]
     distinct = [slot for slot, i in enumerate(first) if i == slot]
     return distinct, [distinct.index(i) for i in first]
 
@@ -111,12 +100,12 @@ def table_chunks(fmt, columns, shape, data, blocks):
     ``blocks`` yields the table's cells in order, in runs of whole groups:
     tuples of one array per float column (values reshaping to (groups,
     slots)) and per key of None (indices, groups x slots of them), in
-    column order.  They are drawn as the table's blocks need them, a run
-    carried across block boundaries, and each is copied before the next is
-    drawn, so they may be buffers the producer reuses.  The first is drawn
-    before the header is yielded: a producer that refuses its first run
-    leaves no byte, and one that refuses a later run leaves the blocks
-    written before it.
+    column order.  Each run is cut into blocks of its own, and they are
+    written before the next run is drawn, so a block never takes rows of
+    two runs and the runs may be buffers the producer reuses.  The first
+    is drawn before the header is yielded: a producer that refuses its
+    first run leaves no byte, and one that refuses a later run leaves
+    every row of the runs before it.
 
     Each block is one byte matrix of the thread's workspace: a row holds
     the row's cells, each NUL-padded to its column's width (ready cells
@@ -128,16 +117,14 @@ def table_chunks(fmt, columns, shape, data, blocks):
     table, and once per row for a key of None.  Adjacent float columns
     form a run that formats only the block's distinct slots, all runs of a
     block in one formatter call; a repeated slot copies the cells of its
-    first copy.  Which slots repeat is decided once per drawn run of
-    ``blocks`` (``distinct_slots``), and a block that takes rows of two
-    runs keeps only the repeats of both.  JSON has the bytes of
-    ``json.dumps(..., indent=2)``.
+    first copy.  Which slots repeat is decided once per run of ``blocks``
+    (``distinct_slots``).  JSON has the bytes of ``json.dumps(...,
+    indent=2)``.
     """
     n, slots = math.prod(shape), shape[-1]
     blocks = iter(blocks)
     drawn = next(blocks, None)  # before the first byte
     blocks = itertools.chain([] if drawn is None else [drawn], blocks)
-    used = have = 0  # rows of the drawn run taken, and its rows
     if fmt == "json":
         head = json.dumps(list(columns), indent=2).replace("\n", "\n  ")
         yield ('{\n  "columns": ' + head + ',\n  "rows": [').encode()
@@ -185,65 +172,49 @@ def table_chunks(fmt, columns, shape, data, blocks):
     block = work.get("table.block", (size,) + row.shape, np.uint8)
     block[...] = row
     nonzero = work.get("table.nonzero", (size * slots, row.shape[1]), bool)
-    # a block's float values by column when it takes rows of two runs, and
-    # its distinct ones for the formatter
-    staged = work.get("table.staged", (len(floats) * size * slots,), float)
-    values = work.get("table.values", staged.shape, float)
-    numbers = work.get("table.numbers", staged.shape + (WIDTH,), np.uint8)
+    # a block's distinct float values for the formatter, and their cells
+    values = work.get("table.values", (len(floats) * size * slots,), float)
+    numbers = work.get("table.numbers", values.shape + (WIDTH,), np.uint8)
 
-    for start in range(0, n // slots, size):
-        groups = np.arange(start, min(n // slots, start + size))
-        grouped = block[:groups.size]
-        for offset, table, _, stride in by_group:
-            cells = table.take(groups // stride, axis=0, mode="wrap")
-            grouped[:, :, offset:offset + cells.shape[1]] = cells[:, None]
-        chunk = grouped.reshape(groups.size * slots, -1)
-        filled, firsts = 0, None
-        while filled < groups.size:  # the next runs of ``blocks``, as far as the block reaches
-            if used == have:
-                pending, used = next(blocks), 0
-                floated = [np.reshape(pending[at], (-1, slots)) for at in floats]
-                have = len(floated[0])
-                # a slot that repeats in a whole run repeats in any rows of it
-                decided = [_first_slots(floated[first:first + count]) for _, first, count in runs]
-            take = min(groups.size - filled, have - used)
-            if take == groups.size:  # the whole block within one run: read in place
-                arrays = [column[used:used + take] for column in floated]
-            else:  # across runs: copied
-                arrays = staged[:len(floats) * chunk.shape[0]].reshape(len(floats), groups.size, slots)
-                for out, column in zip(arrays, floated):
-                    out[filled:filled + take] = column[used:used + take]
-            # slots repeat in the block where they repeat in every run it takes rows of
-            firsts = decided if firsts is None else [
-                [i if i == j else slot for slot, (i, j) in enumerate(zip(mine, theirs))]
-                for mine, theirs in zip(firsts, decided)]
-            rows = slice(filled * slots, (filled + take) * slots)
+    written = 0  # groups of the runs already written
+    for drawn in blocks:  # a run of ``blocks``, cut into table blocks of its own
+        floated = [np.reshape(drawn[at], (-1, slots)) for at in floats]
+        have = len(floated[0])
+        # a slot that repeats in the whole run repeats in any rows of it
+        decided = [distinct_slots(floated[first:first + count]) for _, first, count in runs]
+        for start in range(0, have, size):
+            groups = np.arange(written + start, written + min(have, start + size))
+            grouped = block[:groups.size]
+            for offset, table, _, stride in by_group:
+                cells = table.take(groups // stride, axis=0, mode="wrap")
+                grouped[:, :, offset:offset + cells.shape[1]] = cells[:, None]
+            chunk = grouped.reshape(groups.size * slots, -1)
             for offset, table, at in by_cell:
-                keys = np.reshape(pending[at], -1)[used * slots:(used + take) * slots]
-                chunk[rows, offset:offset + table.shape[1]] = table.take(keys, axis=0)
-            filled += take
-            used += take
-        # each run's distinct values as (column, group, distinct slot), for one formatter call
-        decided_block, parts, end = [_distinct(first) for first in firsts], [], 0
-        for (_, first, count), (distinct, _) in zip(runs, decided_block):
-            part = values[end:end + count * groups.size * len(distinct)]
-            part = part.reshape(count, groups.size, len(distinct))
-            for array, out in zip(arrays[first:first + count], part):
-                np.take(array, distinct, axis=1, out=out, mode="clip")
-            parts.append(part)
-            end += part.size
-        texts = number_cells(fmt, values[:end], out=numbers[:end])
-        step = WIDTH + len(separator)
-        done = 0
-        for (offset, _, count), (_, where), part in zip(runs, decided_block, parts):
-            formatted = texts[done:done + part.size].reshape(part.shape + (WIDTH,))
-            formatted = formatted.transpose(1, 2, 0, 3)  # (group, distinct slot, column, text)
-            dest = grouped[:, :, offset:offset + count * step]
-            dest = dest.reshape(groups.size, slots, count, step)[..., :WIDTH]
-            for slot, i in enumerate(where):
-                dest[:, slot] = formatted[:, i]
-            done += part.size
-        chunk = chunk[np.not_equal(chunk, 0, out=nonzero[:len(chunk)])]
-        yield chunk[1:] if fmt == "json" and not start else chunk
+                keys = np.reshape(drawn[at], -1)[start * slots:start * slots + len(chunk)]
+                chunk[:, offset:offset + table.shape[1]] = table.take(keys, axis=0)
+            arrays = [column[start:start + groups.size] for column in floated]  # read in place
+            # each run's distinct values as (column, group, distinct slot), for one formatter call
+            parts, end = [], 0
+            for (_, first, count), (distinct, _) in zip(runs, decided):
+                part = values[end:end + count * groups.size * len(distinct)]
+                part = part.reshape(count, groups.size, len(distinct))
+                for array, out in zip(arrays[first:first + count], part):
+                    np.take(array, distinct, axis=1, out=out, mode="clip")
+                parts.append(part)
+                end += part.size
+            texts = number_cells(fmt, values[:end], out=numbers[:end])
+            step = WIDTH + len(separator)
+            done = 0
+            for (offset, _, count), (_, where), part in zip(runs, decided, parts):
+                formatted = texts[done:done + part.size].reshape(part.shape + (WIDTH,))
+                formatted = formatted.transpose(1, 2, 0, 3)  # (group, distinct slot, column, text)
+                dest = grouped[:, :, offset:offset + count * step]
+                dest = dest.reshape(groups.size, slots, count, step)[..., :WIDTH]
+                for slot, i in enumerate(where):
+                    dest[:, slot] = formatted[:, i]
+                done += part.size
+            chunk = chunk[np.not_equal(chunk, 0, out=nonzero[:len(chunk)])]
+            yield chunk[1:] if fmt == "json" and not groups[0] else chunk
+        written += have
     if fmt == "json":
         yield (b"\n  ]" if n else b"]") + b"\n}\n"

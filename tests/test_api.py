@@ -81,3 +81,5 @@ def test_knobs_no_caller_sets_are_gone():
     # one assembly for both evolution routes, which differ only in their site factors
     assembly = importlib.import_module("jcpairs.dynamics").amplitudes
     assert list(inspect.signature(assembly).parameters) == ["kind", "alphas", "ts", "site_factors", "work"]
+    # the stream reads at the reader's default X tolerance: only ``values`` takes one
+    assert list(inspect.signature(jcpairs.GridEngine.blocks).parameters) == ["self", "alphas", "ts", "pairs"]

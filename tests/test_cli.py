@@ -874,6 +874,9 @@ def test_a_reader_that_stops_after_one_line_leaves_one_io_error_line(fmt, first)
     (["evolve", "--engine", "both"], 1025, 4),
     # two blocks, plus one call for the alpha, t and Gt cells together
     (["sweep", "--engine", "both", "--alpha-points", "3", "--steps", "200"], 3618, 3),
+    # engine blocks of 4,010, 4,010 and 401 cells, each cut into its own
+    # table blocks of at most 341 groups: 12 + 12 + 2, plus the axis call
+    (["sweep", "--engine", "closed", "--alpha-points", "21", "--steps", "400"], 50526, 27),
 ])
 def test_each_table_block_takes_one_formatter_call(tmp_path, monkeypatch, argv, rows, calls):
     made, g17_bytes = [], tablefmt.g17_bytes
@@ -1009,14 +1012,15 @@ def test_engine_disagreement_names_the_whole_grid_argmax_cell(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("alpha_index, rows", [(0, 0), (3, 2048)], ids=["first-block", "second-block"])
+@pytest.mark.parametrize("alpha_index, rows", [(0, 0), (3, 3075)], ids=["first-block", "second-block"])
 def test_a_late_reader_refusal_exits_1_naming_its_cell_after_the_rows_before_it(
         tmp_path, capsys, monkeypatch, fmt, alpha_index, rows):
     # a faulty route: doubled amplitudes at one cell give a trace of 4.  Of
     # 5 x 1025 one-pair cells, alpha rows 0-2 are the first streamed block and
-    # 3-4 the second; the table writes blocks of 2,048 rows.  A refusal in
-    # the first block leaves no byte; one in the second leaves the one table
-    # block that the first block filled, and no closing of the table.
+    # 3-4 the second; the table writes each streamed block, as blocks of at
+    # most 2,048 rows, before it draws the next.  A refusal in the first
+    # block leaves no byte; one in the second leaves every row of the first
+    # (3 x 1025), and no closing of the table.
     argv = ["sweep", "--engine", "analytic", "--pair", "AB", "--alpha-points", "5", "--steps", "1024",
             "--format", fmt]
     assert run(*argv, "--output", str(tmp_path / "good.out")) == 0
