@@ -4,7 +4,8 @@
 verify`` prints its result and the acceptance tests assert it.  It checks,
 at one resonant site:
 
-* engine and closed-form agreement of every C over an (alpha, t) grid;
+* engine and closed-form agreement of every C over an (alpha, t) grid,
+  each naming its worst family, route pair and cell (``_RouteGap``);
 * psi-family conservation C_AB + C_ab = |sin 2 alpha|;
 * the psi cross-pair bound max C_Ab = 1/2;
 * the time-independent Q combination, equal to |sin 2 alpha| / 2, on the
@@ -26,7 +27,7 @@ import math
 import numpy as np
 
 from .dynamics import FAMILY_KINDS
-from .engine import GridEngine
+from .engine import GridEngine, _RouteGap
 from .entanglement import PAIR_LABELS, pair_values
 from .jcmodel import JCParams
 
@@ -64,14 +65,10 @@ def run_checks(params, tol, inject_fault=False):
 
     numeric_site = JCParams(params.omega0 + 2e-3, params.omega, params.g) if inject_fault else params
 
-    max_engine = 0.0
-    max_closed = 0.0
-    max_psi_conservation = 0.0
-    max_pair_sym = 0.0
-    max_local_sym = 0.0
+    engine_gap, closed_gap = _RouteGap(alphas, ts, PAIR_LABELS), _RouteGap(alphas, ts, PAIR_LABELS)
+    grid = slice(0, alphas.size), slice(0, ts.size)  # the gaps of whole arrays, in check order
+    max_psi_conservation = max_pair_sym = max_local_sym = max_fastpath = shift_gap = 0.0
     off_x_cells = 0
-    max_fastpath = 0.0
-    shift_gap = 0.0
 
     def gap(x, y):
         return float(np.max(np.abs(x - y)))
@@ -79,14 +76,20 @@ def run_checks(params, tol, inject_fault=False):
     def worst(*gaps):  # NaN if any gap is NaN, which Python's max would drop
         return float(np.max(gaps))
 
+    def agreement(name, route_gap):  # a NaN gap fails
+        first, second = route_gap.engines
+        return (name, route_gap.gap <= tol, f"max |C_{first.name} - C_{second.name}| = {route_gap.gap:.3e} "
+                f"at {first.kind}, {route_gap.where()} (tol {tol:.1e})")
+
     for kind in FAMILY_KINDS:
-        engines = (GridEngine("analytic", kind, params),
-                   GridEngine("numeric", kind, numeric_site))
+        engines = GridEngine("analytic", kind, params), GridEngine("numeric", kind, numeric_site)
         results = [engine.values(alphas, ts) for engine in engines]
         analytic, numeric = (values.concurrence for values in results)
-        closed = GridEngine("closed", kind, params).values(alphas, ts).concurrence
-        max_engine = worst(max_engine, gap(analytic, numeric))
-        max_closed = worst(max_closed, gap(closed, analytic), gap(closed, numeric))
+        closed_engine = GridEngine("closed", kind, params)
+        closed = closed_engine.values(alphas, ts).concurrence
+        engine_gap.add(*grid, engines, analytic, numeric)
+        for engine, conc in zip(engines, (analytic, numeric)):
+            closed_gap.add(*grid, (closed_engine, engine), closed, conc)
         c = {label: analytic[..., i] for i, label in enumerate(PAIR_LABELS)}
         if kind == "psi":
             target = np.abs(np.sin(2.0 * alphas))[:, None]
@@ -130,10 +133,8 @@ def run_checks(params, tol, inject_fault=False):
                                            pair_values(x_states, ["AB"], x_tol=-1.0)[0]))
 
     return [
-        ("engine_agreement", max_engine <= tol,
-         f"max |C_analytic - C_numeric| = {max_engine:.3e} (tol {tol:.1e})"),
-        ("closed_form_agreement", max_closed <= tol,
-         f"max |C_closed - C_engine| = {max_closed:.3e} (tol {tol:.1e})"),
+        agreement("engine_agreement", engine_gap),
+        agreement("closed_form_agreement", closed_gap),
         ("psi_conservation", max_psi_conservation <= 1e-12,
          f"max |C_AB + C_ab - |sin 2a|| = {max_psi_conservation:.3e} (tol 1e-12)"),
         ("c_Ab_bound", abs(c_ab_max - 0.5) <= 1e-9,

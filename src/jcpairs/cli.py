@@ -4,7 +4,8 @@ Subcommands: ``evolve`` (concurrence time series), ``sweep`` ((alpha, t)
 tables), ``esd`` (zero-interval report), ``verify`` (self-check suite).
 Outputs are deterministic: CSV gets LF line endings and 17-significant-digit
 floats, JSON uses fixed key order.  Exit codes: 0 success, 1 usage error,
-2 I/O error, 3 verification failure.
+2 I/O error, 3 verification failure or an ``--engine both`` gap above
+``--tol``.
 
 Every setting is one entry of ``_SETTINGS``: a flag of the commands that
 take it and a key of the config file, ``key = value`` lines (# comments
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from .dynamics import FAMILY_KINDS
-from .engine import GridEngine
+from .engine import GridEngine, _RouteGap
 from .entanglement import PAIR_LABELS
 from .esd import report_json, scan_report
 from .jcmodel import JCParams
@@ -208,7 +209,7 @@ def _validate(cfg):
     if cfg.zero_tol < 0:
         raise UsageError(f"zero-tol must be >= 0, got {cfg.zero_tol}")
     if cfg.n_max < 1:  # checked, though no route reads it
-        raise UsageError(f"n_max must be >= 1, got {cfg.n_max}")
+        raise UsageError(f"n-max must be >= 1, got {cfg.n_max}")
 
 
 def _write_output(path, chunks):
@@ -221,60 +222,35 @@ def _write_output(path, chunks):
         fh.writelines(chunks)
 
 
-def _engines(cfg, params):
+def _engines(cfg):
     """The requested engines, primary first ("both" runs analytic, then numeric)."""
     for name in ("analytic", "numeric") if cfg.engine == "both" else (cfg.engine,):
-        yield GridEngine(name, cfg.family, params)
+        yield GridEngine(name, cfg.family, cfg.params)
 
 
-class _WorstGap:
-    """The largest |C| gap between two engines' blocks so far, and its cell.
+def _engine_blocks(cfg, alpha_grid, t_grid, pairs):
+    """The first engine's blocks as (a, t, C, Q, gap) and, under ``--engine both``, their ``_RouteGap``.
 
-    On ties the first cell in table order stays, and a NaN gap beats every
-    number, as ``np.argmax`` over the whole grid picks.
+    Every engine refuses what it cannot compute here, before any block.  gap
+    is the block's |C_analytic - C_numeric|, or None for one engine.
     """
-
-    def __init__(self):
-        self.gap, self.cell = None, None
-
-    def add(self, a, t, gap):
-        """Take the gaps of the block at grid slices (``a``, ``t``), shape (n_a, n_t, pairs)."""
-        first = int(np.argmax(gap))
-        value = float(gap.flat[first])
-        if self.cell is None or value > self.gap or (math.isnan(value) and not math.isnan(self.gap)):
-            ia, it, ip = np.unravel_index(first, gap.shape)
-            self.gap, self.cell = value, (a.start + int(ia), t.start + int(it), int(ip))
-
-    def exit_code(self, alpha_grid, t_grid, pairs, tol):
-        """Exit code 3 when the worst gap exceeds ``tol``, with a stderr line naming its alpha, t and pair."""
-        if self.cell is None or not self.gap > tol:
-            return 0
-        ia, it, ip = self.cell
-        print(f"engine disagreement {self.gap:.3e} exceeds tolerance {tol:.3e} "
-              f"at alpha = {float(alpha_grid[ia])!r}, t = {float(t_grid[it])!r}, "
-              f"pair {pairs[ip]}", file=sys.stderr)
-        return 3
+    engines = list(_engines(cfg))
+    streams = [engine.blocks(alpha_grid, t_grid, pairs) for engine in engines]
+    if len(streams) == 1:
+        return ((a, t, conc, q, None) for a, t, conc, q in streams[0]), None
+    worst = _RouteGap(alpha_grid, t_grid, pairs)
+    blocks = ((a, t, conc, q, worst.add(a, t, engines, conc, numeric[2]))
+              for (a, t, conc, q), numeric in zip(*streams))
+    return blocks, worst
 
 
-def _engine_blocks(cfg, alpha_grid, t_grid, pairs, worst):
-    """Each block of the requested engines as (a, t, C, Q) of the first, the gaps to the second in ``worst``.
-
-    Every engine refuses what it cannot compute here, before any block.
-    ``--engine both`` evaluates the analytic and the numeric route block by
-    block; the gap |C_analytic - C_numeric| is yielded as a fifth entry.
-    """
-    streams = [engine.blocks(alpha_grid, t_grid, pairs) for engine in _engines(cfg, cfg.params)]
-
-    def paired():
-        for (a, t, conc, q), *other in zip(*streams):
-            gap = None
-            if other:
-                gap = np.subtract(conc, other[0][2])
-                np.abs(gap, out=gap)
-                worst.add(a, t, gap)
-            yield a, t, conc, q, gap
-
-    return paired()
+def _exit_code(worst, tol):
+    """Exit code 3 when the worst engine gap exceeds ``tol`` or is NaN, with a stderr line naming its cell."""
+    if worst is None or worst.gap <= tol:
+        return 0
+    print(f"engine disagreement {worst.gap:.3e} exceeds tolerance {tol:.3e} at {worst.where()}",
+          file=sys.stderr)
+    return 3
 
 
 def _cmd_evolve(args):
@@ -284,8 +260,7 @@ def _cmd_evolve(args):
     # t-max * steps may overflow where no time does: then scale by an exact power of two
     scale = 1.0 if math.isfinite(cfg.t_max * cfg.steps) else 2.0 ** math.frexp(cfg.steps)[1]
     ts = cfg.t_max / scale * np.arange(cfg.steps + 1) / cfg.steps * scale
-    worst = _WorstGap()
-    engine_blocks = _engine_blocks(cfg, [cfg.alpha], ts, PAIR_LABELS, worst)
+    engine_blocks, worst = _engine_blocks(cfg, [cfg.alpha], ts, PAIR_LABELS)
     q_cols = [PAIR_LABELS.index(pair) for pair in _Q_PAIRS]
 
     def blocks():  # one alpha: each block is a run of times, each row one slot
@@ -300,7 +275,7 @@ def _cmd_evolve(args):
     # one slot per row: the rows of a series share no values
     data = [None] * len(columns)
     _write_output(cfg.output, table_chunks(cfg.format, columns, (1, ts.size, 1), data, blocks()))
-    return worst.exit_code([cfg.alpha], ts, PAIR_LABELS, cfg.tol)
+    return _exit_code(worst, cfg.tol)
 
 
 def _cmd_sweep(args):
@@ -310,31 +285,23 @@ def _cmd_sweep(args):
     alpha_grid = np.linspace(cfg.alpha_min, cfg.alpha_max, cfg.alpha_points)
     t_grid = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
     pairs = [cfg.pair] if cfg.pair else list(PAIR_LABELS)
-    worst = _WorstGap()
-    engine_blocks = _engine_blocks(cfg, alpha_grid, t_grid, pairs, worst)
+    engine_blocks, worst = _engine_blocks(cfg, alpha_grid, t_grid, pairs)
     blocks = ((conc, q, np.less_equal(conc, cfg.zero_tol).view(np.uint8))
               for _, _, conc, q, _ in engine_blocks)
     # rows run over (alpha, t, pair); the per-axis cells are formatted once, in one call
     axes = number_cells(cfg.format, np.concatenate([alpha_grid, t_grid, rabi * t_grid]))
     alpha_cells, t_cells, gt_cells = np.split(axes, [alpha_grid.size, alpha_grid.size + t_grid.size])
-    data = [
-        (alpha_cells, 0),
-        (t_cells, 1),
-        (gt_cells, 1),
-        (label_cells(cfg.format, pairs), 2),
-        None,
-        None,
-        (label_cells(cfg.format, ["false", "true"]), None),
-    ]
+    data = [(alpha_cells, 0), (t_cells, 1), (gt_cells, 1), (label_cells(cfg.format, pairs), 2), None, None,
+            (label_cells(cfg.format, ["false", "true"]), None)]
     shape = (alpha_grid.size, t_grid.size, len(pairs))
     _write_output(cfg.output, table_chunks(cfg.format, _SWEEP_COLUMNS, shape, data, blocks))
-    return worst.exit_code(alpha_grid, t_grid, pairs, cfg.tol)
+    return _exit_code(worst, cfg.tol)
 
 
 def _cmd_esd(args):
     """zero-interval report (JSON)"""
     cfg = _merged(args, "esd")
-    (engine,) = _engines(cfg, cfg.params)
+    (engine,) = _engines(cfg)
     report = scan_report(engine, cfg.alpha, cfg.t_max, zero_tol=cfg.zero_tol, samples=cfg.steps + 1)
     _write_output(cfg.output, [report_json(report).encode()])
     return 0
@@ -360,12 +327,7 @@ def _cmd_verify(args):
     return 3
 
 
-_HANDLERS = {
-    "evolve": _cmd_evolve,
-    "sweep": _cmd_sweep,
-    "esd": _cmd_esd,
-    "verify": _cmd_verify,
-}
+_HANDLERS = {"evolve": _cmd_evolve, "sweep": _cmd_sweep, "esd": _cmd_esd, "verify": _cmd_verify}
 
 
 def main(argv=None):

@@ -42,6 +42,10 @@ block that holds its cell and names the cell by its index in the whole
 grid.  On every route a cell's values do not depend on how the grid is
 split into blocks or calls, so a one-cell grid gives the values at one
 (alpha, t).
+
+``_RouteGap`` is the one comparison of routes: ``--engine both`` feeds it
+the analytic and numeric blocks, ``verify`` its whole arrays, and it names
+the worst cell.
 """
 
 from __future__ import annotations
@@ -190,6 +194,36 @@ class GridEngine:
                 head, (ia, it, *rest) = exc.parts
                 cell = (a.start + sub_a.start + ia, t.start + sub_t.start + it, *rest)
                 raise ValueError(f"{head} at cell {cell}") from None
+
+
+class _RouteGap:
+    """The largest |C_first - C_second| of two routes over one (alpha, t) grid so far, and its cell.
+
+    Fed blocks or whole ``values`` arrays at grid slices (``a``, ``t``), on a tie it keeps the earlier
+    call's cell, within a call the first in table order, and a NaN gap beats every number, as
+    ``np.argmax`` picks.  Two streams of one route share the thread's buffer, so the routes differ.
+    """
+
+    def __init__(self, alphas, ts, pairs):
+        self.gap, self.cell, self.engines, self._grid = -math.inf, None, None, (alphas, ts, pairs)
+
+    def add(self, a, t, engines, first, second):
+        """Take and return |``first`` - ``second``|, C of the two ``engines`` at the cells (``a``, ``t``)."""
+        if engines[0].name == engines[1].name:
+            raise ValueError(f"compare two routes, not the {engines[0].name} route with itself")
+        gap = np.subtract(first, second)
+        np.abs(gap, out=gap)
+        flat = int(np.argmax(gap))
+        value = float(gap.flat[flat])
+        if value > self.gap or (math.isnan(value) and not math.isnan(self.gap)):
+            ia, it, ip = np.unravel_index(flat, gap.shape)
+            self.gap, self.cell, self.engines = value, (a.start + int(ia), t.start + int(it), int(ip)), engines
+        return gap
+
+    def where(self):
+        """The worst cell as ``alpha = ..., t = ..., pair ...``."""
+        (ia, it, ip), (alphas, ts, pairs) = self.cell, self._grid
+        return f"alpha = {float(alphas[ia])!r}, t = {float(ts[it])!r}, pair {pairs[ip]}"
 
 
 def _block_slices(n_alpha, n_t, cells):

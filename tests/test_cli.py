@@ -247,6 +247,33 @@ def test_verify_injected_fault_fails(capsys):
     assert [verdict for verdict, _ in verdicts].count("PASS") == 5 and len(verdicts) == 7
 
 
+def test_verify_agreement_lines_name_the_worst_cell_in_check_order(capsys):
+    # each check folds its comparisons in check order, families phi then psi
+    # and closed-vs-analytic before closed-vs-numeric, so the named cell is
+    # the one np.argmax names over the comparisons' gaps stacked in that order
+    assert run("verify", "--inject-fault") == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert run("verify", "--inject-fault", "--json") == 3
+    details = {entry["name"]: entry["detail"] for entry in json.loads(capsys.readouterr().out)}
+    alphas, ts = np.linspace(0.0, 0.5 * math.pi, 9), np.linspace(0.0, 4.0 * math.pi / PARAMS.rabi(1), 17)
+    faulty = JCParams(PARAMS.omega0 + 2e-3, PARAMS.omega, PARAMS.g)
+    conc = {(kind, name): GridEngine(name, kind, faulty if name == "numeric" else PARAMS).values(alphas, ts)
+            .concurrence for kind in ("phi", "psi") for name in ("closed", "analytic", "numeric")}
+    expected = []
+    for check, comparisons in (
+            ("engine_agreement", [(kind, "analytic", "numeric") for kind in ("phi", "psi")]),
+            ("closed_form_agreement", [(kind, "closed", route) for kind in ("phi", "psi")
+                                       for route in ("analytic", "numeric")])):
+        gaps = np.stack([np.abs(conc[kind, first] - conc[kind, second]) for kind, first, second in comparisons])
+        ic, ia, it, ip = np.unravel_index(np.argmax(gaps), gaps.shape)
+        kind, first, second = comparisons[ic]
+        detail = (f"max |C_{first} - C_{second}| = {gaps[ic, ia, it, ip]:.3e} at {kind}, alpha = "
+                  f"{float(alphas[ia])!r}, t = {float(ts[it])!r}, pair {PAIR_LABELS[ip]} (tol 1.0e-09)")
+        assert details[check] == detail
+        expected.append(f"FAIL {check}: {detail}")
+    assert [line for line in lines if line.startswith("FAIL")] == expected
+
+
 def test_verify_refuses_a_detuned_site():
     with pytest.raises(ValueError, match="^verify runs at resonance; set omega = omega0$"):
         checks.run_checks(JCParams(5, 6, 1), 1e-9)
@@ -287,6 +314,14 @@ def test_a_nan_gap_fails_its_check(monkeypatch, stand_in, failing):
     results = checks.run_checks(PARAMS, 1e-9)
     assert {check for check, ok, _ in results if not ok} == failing
     assert all("nan" in detail for check, ok, detail in results if check in failing)
+    if stand_in is _NumericWithNaN:  # the NaN beats every number: its cell, phi's [0, 1, 0], is named
+        t = float(np.linspace(0.0, 4.0 * math.pi / PARAMS.rabi(1), 17)[1])
+        named = {check: detail for check, _, detail in results if check.endswith("_agreement")}
+        assert named == {
+            "engine_agreement": f"max |C_analytic - C_numeric| = nan at phi, alpha = 0.0, t = {t!r}, pair AB "
+                                "(tol 1.0e-09)",
+            "closed_form_agreement": f"max |C_closed - C_numeric| = nan at phi, alpha = 0.0, t = {t!r}, "
+                                     "pair AB (tol 1.0e-09)"}
 
 
 class _NumericOffX(GridEngine):
@@ -477,7 +512,7 @@ def test_default_steps_may_reach_the_ceiling(command):
      "error: Gt = 2g t overflows at t-max 1e+308, g=1.0; lower t-max or g\n"),
     (["esd", "--engine", "closed", "--t-max", "1e308", "--steps", "3"],
      "error: Gt = 2g t overflows at t-max 1e+308, g=1.0; lower t-max or g\n"),
-    (["evolve", "--n-max", "0"], "error: n_max must be >= 1, got 0\n"),
+    (["evolve", "--n-max", "0"], "error: n-max must be >= 1, got 0\n"),
     # the default t-max, two Rabi periods, would be inf
     (["evolve", "--g", "1e-308"], "error: two Rabi periods, 2 pi / g, overflow for g=1e-308; raise g\n"),
     (["sweep", "--g", "1e-308"], "error: two Rabi periods, 2 pi / g, overflow for g=1e-308; raise g\n"),
@@ -968,13 +1003,14 @@ def test_sweep_memory_does_not_grow_with_the_grid(tmp_path, engine):
 
 
 class _PlantedGaps(GridEngine):
-    """An engine whose C is 0.75 (analytic) or 0.25 (numeric) at ``CELLS``: a gap of 0.5 at each."""
+    """An engine whose C is 0.75 (analytic) or ``NUMERIC`` (numeric) at ``CELLS``: a gap of 0.5 at each."""
 
     CELLS = ()
+    NUMERIC = 0.25
 
     def blocks(self, alphas, ts, pairs=PAIR_LABELS, **kwargs):
         blocks = super().blocks(alphas, ts, pairs, **kwargs)
-        value = 0.75 if self.name == "analytic" else 0.25
+        value = 0.75 if self.name == "analytic" else self.NUMERIC
 
         def planted():
             for a, t, conc, q in blocks:
@@ -1009,6 +1045,18 @@ def test_engine_disagreement_names_the_whole_grid_argmax_cell(tmp_path, capsys, 
         assert (ia, it, ip) == (1, 500, 2)
     assert err == (f"engine disagreement {gap[ia, it, ip]:.3e} exceeds tolerance 1.000e-300 at alpha = "
                    f"{float(alpha_grid[ia])!r}, t = {float(t_grid[it])!r}, pair {PAIR_LABELS[ip]}\n")
+
+
+def test_a_nan_engine_gap_exits_3_naming_the_first_nan_cell(tmp_path, capsys, monkeypatch):
+    # a NaN beats every number and fails the tolerance, as it fails verify's checks
+    monkeypatch.setattr(_PlantedGaps, "CELLS", ((4, 20, 4), (1, 500, 2)))
+    monkeypatch.setattr(_PlantedGaps, "NUMERIC", math.nan)
+    monkeypatch.setattr(cli, "GridEngine", _PlantedGaps)
+    assert run("sweep", "--engine", "both", "--alpha-points", "5", "--steps", "1024",
+               "--output", str(tmp_path / "table.csv")) == 3
+    alpha, t = float(np.linspace(0.0, 0.5 * math.pi, 5)[1]), float(np.linspace(0.0, 2.0 * math.pi, 1025)[500])
+    assert capsys.readouterr().err == (f"engine disagreement nan exceeds tolerance 1.000e-09 at alpha = {alpha!r}, "
+                                       f"t = {t!r}, pair {PAIR_LABELS[2]}\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -52,7 +52,7 @@ def cli_engine(engine, kind, params, n_max):
     argv = ["sweep", "--engine", engine, "--family", kind, "--n-max", str(n_max), "--omega0", repr(params.omega0),
             "--omega", repr(params.omega), "--g", repr(params.g)]
     cfg = cli._merged(cli._build_parser().parse_args(argv), "sweep")
-    (grid,) = cli._engines(cfg, cfg.params)
+    (grid,) = cli._engines(cfg)
     return grid
 
 
@@ -684,3 +684,54 @@ def test_every_route_computes_or_names_what_it_refuses(engine, kind, fields, alp
     off_x = np.isnan(q)
     assert np.isfinite(q[~off_x]).all()
     assert engine != "closed" or not off_x.any()
+
+
+@st.composite
+def alpha_major_runs(draw, n_alpha, n_t):
+    """(a, t) slices that cover an n_alpha x n_t grid in table order: whole t rows, or a run of one row's times."""
+    runs, ia, it = [], 0, 0
+    while ia < n_alpha:
+        if it == 0 and draw(st.booleans()):
+            rows = draw(st.integers(1, n_alpha - ia))
+            runs.append((slice(ia, ia + rows), slice(0, n_t)))
+            ia += rows
+        else:
+            stop = draw(st.integers(it + 1, n_t))
+            runs.append((slice(ia, ia + 1), slice(it, stop)))
+            ia, it = (ia + 1, 0) if stop == n_t else (ia, stop)
+    return runs
+
+
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)), data=st.data())
+def test_route_gap_names_the_whole_grid_argmax_cell(shape, data):
+    # ties of the largest gap and NaNs, which beat every number, planted
+    # anywhere: the comparison fed any alpha-major split of the grid names
+    # np.argmax's cell, the first NaN in table order where there is one
+    size = math.prod(shape)
+    gap = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=size, max_size=size)))
+    for value, most in ((1.0, 3), (math.nan, 2)):
+        gap[data.draw(st.lists(st.integers(0, size - 1), max_size=most))] = value
+    gap = gap.reshape(shape)
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=gap.size,
+                                        max_size=gap.size))).reshape(shape)
+    second = np.full(shape, 0.25)
+    first = second + signs * gap  # exact: |first - second| is gap
+    alphas, ts, pairs = np.linspace(0.0, 1.0, shape[0]), 0.5 * np.arange(shape[1]), PAIR_LABELS[:shape[2]]
+    params = JCParams(omega0=5.0, omega=5.0, g=1.0)
+    engines = GridEngine("closed", "phi", params), GridEngine("analytic", "phi", params)
+    worst = engine_module._RouteGap(alphas, ts, pairs)
+    for a, t in data.draw(alpha_major_runs(*shape[:2])):
+        np.testing.assert_array_equal(worst.add(a, t, engines, first[a, t], second[a, t]), gap[a, t])
+    ia, it, ip = np.unravel_index(np.argmax(gap), shape)
+    assert worst.cell == (ia, it, ip) and worst.engines == engines
+    np.testing.assert_array_equal(worst.gap, gap[ia, it, ip])
+    assert worst.where() == f"alpha = {float(alphas[ia])!r}, t = {float(ts[it])!r}, pair {pairs[ip]}"
+
+
+def test_route_gap_refuses_a_route_against_itself(res_params):
+    # two streams of one route share the thread's buffer: the gap would read 0
+    analytic = GridEngine("analytic", "psi", res_params)
+    worst = engine_module._RouteGap([0.1], [0.0, 1.0], PAIR_LABELS)
+    c = np.zeros((1, 2, 6))
+    with pytest.raises(ValueError, match="^compare two routes, not the analytic route with itself$"):
+        worst.add(slice(0, 1), slice(0, 2), (analytic, GridEngine("analytic", "psi", res_params)), c, c)
