@@ -11,10 +11,11 @@ at one resonant site:
 * the time-independent Q combination, equal to |sin 2 alpha| / 2, on the
   closed route's Q columns;
 * the shift symmetry C_ab(t + pi/G) = C_AB(t) and the pair symmetries;
-* X-form universality (Yu & Eberly, QIC 7, 459 (2007)): every reduction of
-  the analytic and numeric routes is X-shaped (no cell has Q = NaN) and its
-  entry-read C is the general Wootters C, which ``GridEngine.values`` gives
-  at ``x_tol < 0``.
+* X-form universality (Yu & Eberly, QIC 7, 459 (2007)): the entry-read C
+  of every reduction of the analytic and numeric routes, and of random X
+  states, is the general Wootters C, which ``GridEngine.values`` and
+  ``pair_values`` give at ``general=True``.  The X shape itself is fixed by
+  structure: the X reader refuses a pair with a product off the X pattern.
 
 Every value comes from ``GridEngine``, so the suite checks the code the CLI
 runs; it picks no route itself.
@@ -33,19 +34,21 @@ from .jcmodel import JCParams
 
 
 def random_x_states(rng, count):
-    """Full amplitude stack (16, count) of random pure states whose AB reduction is X-shaped.
+    """Random pure states whose AB reduction is X-shaped, as (stack (8, count), rows).
 
     Each cell is drawn as a normalized Gaussian 4 x 4 factor M of its AB
     density M M^dag, with rows 0 and 3 on columns 0-1 and rows 1 and 2 on
-    columns 2-3: the corner and inner blocks share no column, so every
-    entry off the X pattern is exactly zero.  M's rows index the kept
-    (A, B) and its columns the traced (a, b).
+    columns 2-3: the corner and inner blocks share no column, so no entry
+    off the X pattern has a product.  M's rows index the kept (A, B) and its
+    columns the traced (a, b).  The stack holds the 8 flat lattice rows
+    ``rows`` that M fills (``linalg.pair_entries``); the others are zero.
     """
     factor = np.zeros((4, 4, count), dtype=complex)
     for rows, cols in (((0, 3), slice(0, 2)), ((1, 2), slice(2, 4))):
         factor[rows, cols] = rng.standard_normal((2, 2, count, 2)) @ np.array([1.0, 1.0j])
     factor /= np.sqrt(np.sum(np.abs(factor) ** 2, axis=(0, 1)))
-    return factor.reshape(2, 2, 2, 2, count).transpose(0, 2, 1, 3, 4).reshape(16, count)
+    rows = (0, 1, 6, 7, 10, 11, 12, 13)
+    return factor.reshape(2, 2, 2, 2, count).transpose(0, 2, 1, 3, 4).reshape(16, count)[list(rows)], rows
 
 
 def run_checks(params, tol, inject_fault=False):
@@ -68,7 +71,6 @@ def run_checks(params, tol, inject_fault=False):
     engine_gap, closed_gap = _RouteGap(alphas, ts, PAIR_LABELS), _RouteGap(alphas, ts, PAIR_LABELS)
     grid = slice(0, alphas.size), slice(0, ts.size)  # the gaps of whole arrays, in check order
     max_psi_conservation = max_pair_sym = max_local_sym = max_fastpath = shift_gap = 0.0
-    off_x_cells = 0
 
     def gap(x, y):
         return float(np.max(np.abs(x - y)))
@@ -100,13 +102,11 @@ def run_checks(params, tol, inject_fault=False):
         # C_ab shifted by half a Rabi period reproduces C_AB (grid step is pi/(4G))
         shift_gap = worst(shift_gap, gap(c["ab"][:, 4:], c["AB"][:, :-4]))
 
-        # every reduction of both evolution routes is X-shaped (Q is NaN on
-        # any other cell), and its entry-read C is the Wootters C (x_tol < 0
-        # sends every cell through the general route); the numeric route's
-        # zero entries carry round-off, which the general route must not amplify
+        # the entry-read C of both evolution routes is the Wootters C of the
+        # general route; the numeric route's zero entries carry round-off,
+        # which the general route must not amplify
         for engine, values in zip(engines, results):
-            off_x_cells += int(np.isnan(values.q).sum())
-            general = engine.values(alphas, ts, x_tol=-1.0).concurrence
+            general = engine.values(alphas, ts, general=True).concurrence
             max_fastpath = worst(max_fastpath, gap(values.concurrence, general))
 
     # C^Ab of the psi family peaks at exactly one half
@@ -128,9 +128,9 @@ def run_checks(params, tol, inject_fault=False):
         target = 0.5 * np.abs(np.sin(2.0 * q_alphas))
         max_q_gap = worst(max_q_gap, float(np.abs(lhs.mean(axis=1) - target).max()))
 
-    x_states = random_x_states(np.random.default_rng(7), 200)
-    max_fastpath = worst(max_fastpath, gap(pair_values(x_states, ["AB"])[0],
-                                           pair_values(x_states, ["AB"], x_tol=-1.0)[0]))
+    x_states, x_rows = random_x_states(np.random.default_rng(7), 200)
+    max_fastpath = worst(max_fastpath, gap(pair_values(x_states, ["AB"], live=x_rows)[0],
+                                           pair_values(x_states, ["AB"], live=x_rows, general=True)[0]))
 
     return [
         agreement("engine_agreement", engine_gap),
@@ -145,7 +145,5 @@ def run_checks(params, tol, inject_fault=False):
          shift_gap <= 1e-10 and max_pair_sym <= 1e-12 and max_local_sym <= 1e-12,
          f"max |C_ab(t+pi/G) - C_AB(t)| = {shift_gap:.3e} (tol 1e-10); "
          f"|C_Ba - C_Ab| = {max_pair_sym:.3e}, |C_Aa - C_Bb| = {max_local_sym:.3e} (tol 1e-12)"),
-        ("x_form", off_x_cells == 0 and max_fastpath <= 1e-10,
-         f"off-X cells (entry above 1e-10) = {off_x_cells}; "
-         f"max |C_x - C_general| = {max_fastpath:.3e} (tol 1e-10)"),
+        ("x_form", max_fastpath <= 1e-10, f"max |C_x - C_general| = {max_fastpath:.3e} (tol 1e-10)"),
     ]

@@ -139,8 +139,10 @@ class HamiltonianPropagator:
     The coupling conserves each site's excitation number, so the one-photon
     ``site_hamiltonian(params)`` is block-diagonal by manifold, and the
     initial cells populate two blocks: |g,0> alone and {|e,0>, |g,1>}.
-    Each is diagonalized on its own (a failed ``eigh`` is refused, naming
-    the site), and the spectrum (w, V) is assembled on the levels (e,0),
+    A site that couples a populated block to any other level (an entry
+    that is not exactly 0), which the route would not see, is refused, and
+    so is a failed ``eigh``, naming the site.  Each block is diagonalized
+    on its own, and the spectrum (w, V) is assembled on the levels (e,0),
     (e,1), (g,0), (g,1) with exact zeros outside the blocks; (e,1), in no
     populated manifold, has a zero row and column.  The site factors are
     <i|U(t)|j> = sum_k V[i,k] conj(V[j,k]) exp(-i w_k t) over the block of
@@ -154,6 +156,10 @@ class HamiltonianPropagator:
         # one eigh per manifold of an initial site level; level (atom, photon) is row 2 atom + photon
         for manifold in sorted({1 - atom + photon for atom, photon in _SITE_REACH}):
             block = [2 * atom + photon for atom in (0, 1) for photon in (0, 1) if 1 - atom + photon == manifold]
+            others = [level for level in range(4) if level not in block]
+            if h_site[np.ix_(block, others)].any() or h_site[np.ix_(others, block)].any():
+                raise ValueError(f"the numeric route cannot evolve the site Hamiltonian at {params!r}: it "
+                                 f"couples the populated levels {block} (2 atom + photon) to another level")
             try:
                 self._w[block], self._v[np.ix_(block, block)] = np.linalg.eigh(h_site[np.ix_(block, block)])
             except np.linalg.LinAlgError as exc:  # eigh did not converge

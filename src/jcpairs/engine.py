@@ -77,7 +77,8 @@ STREAM_CELLS = 4096
 class GridValues:
     """Concurrence and signed Q, shape (n_alpha, n_t, n_pairs), pairs in ``pairs`` order.
 
-    Q is NaN on cells whose reduced matrix is not X-shaped.
+    Q is NaN on every cell of an evolution route read by the general
+    Wootters route (``GridEngine.values(..., general=True)``).
     """
 
     pairs: tuple
@@ -118,19 +119,19 @@ class GridEngine:
                               else functools.partial(dressed_factors, params))
         self._live = live_rows(kind)
 
-    def values(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
+    def values(self, alphas, ts, pairs=PAIR_LABELS, *, general=False):
         """C and Q of ``pairs`` at every (alpha, t) of the two 1-D grids, as arrays of their own.
 
-        ``x_tol`` is the reader's X-shape tolerance (``pair_values``):
-        a negative one sends every cell of the evolution routes through the
-        general Wootters route.  The closed route reads no entries.  The
-        result holds the blocks of ``blocks``, each written in place.
+        ``general`` sends every cell of the evolution routes through the
+        general Wootters route, with Q = NaN (``pair_values``), instead of
+        the X reader.  The closed route reads no entries.  The result holds
+        the blocks of ``blocks``, each written in place.
         """
         checked = alphas, ts, pairs, _ = self._checked(alphas, ts, pairs)
         conc = np.empty((alphas.size, ts.size, len(pairs)))
         q = np.empty_like(conc)
         for a, t in _block_slices(alphas.size, ts.size, STREAM_CELLS):
-            self._write(checked, a, t, conc[a, t], q[a, t], x_tol)
+            self._write(checked, a, t, conc[a, t], q[a, t], general)
         return GridValues(pairs=pairs, concurrence=conc, q=q)
 
     def blocks(self, alphas, ts, pairs=PAIR_LABELS):
@@ -144,7 +145,7 @@ class GridEngine:
         thread's buffers for the route, overwritten by its next block: a
         thread iterates one ``blocks`` of a route at a time.  A reader
         refusal comes with the block that holds its cell, naming the cell
-        in the whole grid.  The reader takes its default X-shape tolerance.
+        in the whole grid.  Every cell is read by the X reader.
         """
         return self._stream(self._checked(alphas, ts, pairs))
 
@@ -178,7 +179,7 @@ class GridEngine:
             self._write(checked, a, t, conc, q)
             yield a, t, conc, q
 
-    def _write(self, checked, a, t, conc, q, x_tol=1e-10):
+    def _write(self, checked, a, t, conc, q, general=False):
         """C and Q of the cells (``a``, ``t``) of the ``_checked`` grids into ``conc`` and ``q``."""
         alphas, ts, pairs, closed = checked
         if closed is not None:
@@ -188,7 +189,7 @@ class GridEngine:
         for sub_a, sub_t in _block_slices(conc.shape[0], conc.shape[1], BLOCK_CELLS):  # evolve, reduce, read
             amps = amplitudes(self.kind, alphas[a][sub_a], ts[t][sub_t], self._site_factors, work=work)
             try:
-                pair_values(amps, pairs, live=self._live, x_tol=x_tol, work=work,
+                pair_values(amps, pairs, live=self._live, general=general, work=work,
                             out=(conc[sub_a, sub_t], q[sub_a, sub_t]))
             except _CellRefusal as exc:  # name the cell in the grid, not in the block
                 head, (ia, it, *rest) = exc.parts

@@ -2,24 +2,19 @@
 
 ``pair_values`` is the one road from amplitudes to C and Q: it reduces a
 stack of the lattice rows its caller names with ``linalg.pair_entries``
-(the 10 entries on and above the diagonal of every pair density, cells
-last) and checks and reads every cell.  X-shaped cells take the fast
-path, which reads the concurrence from the entries: the corner coherence
-competes with the inner populations and vice versa,
+(the 6 X-pattern entries of every pair density, cells last), checks every
+cell and reads all of them by one route.  The X route reads C from the
+entries, the corner coherence against the inner populations and vice
+versa, C = 2 max{0, |z| - sqrt(b c), |w| - sqrt(a d)} (Yu & Eberly, QIC 7,
+459 (2007)).  It refuses by name a pair that is not X-shaped by structure
+(an entry off the X pattern has a product); no pair of either family is.
 
-    C = 2 max{0, |z| - sqrt(b c), |w| - sqrt(a d)}.
-
-Cells off the X pattern, scattered into all 16 lattice rows, take the
-general Wootters route from the amplitude factor of their density.  Every
-pair density is rho = M M^dag, with M the
-4 x 4 matrix of the amplitudes that the reducer multiplies (rows kept,
-columns traced), so rho rho~ = M M^dag (sigma_y x sigma_y) M* M^T (sigma_y
-x sigma_y) has the eigenvalues of S^dag S with S = M^T (sigma_y x sigma_y)
-M: the square roots lambda_i of Wootters' formula are the singular values
-of S.  No eigenvalue of rho is rooted and no 4x4 density is formed.
-A negative ``x_tol`` sends every cell through the general route;
-``GridEngine.values`` passes it on, which is how ``jcpairs verify`` holds
-the two routes together.
+The general Wootters route (``general=True``: ``jcpairs verify`` and the
+tests) reads each cell's amplitude factor M, rho = M M^dag (rows kept,
+columns traced): rho rho~ has the eigenvalues of S^dag S with
+S = M^T (sigma_y x sigma_y) M, so the square roots lambda_i of Wootters'
+formula are the singular values of S.  No eigenvalue of rho is rooted and
+no 4x4 density is formed.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ def _reject_first(bad, values, what):
 
 
 def _x_entries(entries):
-    """Real diagonal (a, b, c, d) and coherence moduli |rho[0,3]|, |rho[1,2]| from the 10 upper entries."""
+    """Real diagonal (a, b, c, d) and coherence moduli |rho[0,3]|, |rho[1,2]| from the 6 X entries."""
     return (*entries[:4].real, np.abs(entries[4]), np.abs(entries[5]))
 
 
@@ -79,16 +74,19 @@ _DIAG_SLACK = 1e-9
 _BLOCK_SLACK = 4e-9
 
 
-def _x_values(entries, x_tol, conc, q):
-    """Check densities given as their 10 upper entries (10, ...) and write C and Q of the X cells.
+def _check_trace(entries):
+    """Refuse the first cell of the X entries (6, ...) whose trace is off 1 by more than 1e-8, or NaN."""
+    diag = entries[:4].real
+    trace_err = np.abs(diag[0] + diag[1] + diag[2] + diag[3] - 1.0)
+    _reject_first(~(trace_err <= 1e-8), trace_err, "trace deviates from 1 by")
+
+
+def _x_values(entries, conc, q):
+    """Check X densities given as their 6 X entries (6, ...) and write their C and Q.
 
     ``entries`` holds the ``linalg.ENTRY_ROWS``/``ENTRY_COLS`` entries of
     each cell; ``conc`` and ``q`` have its trailing shape.  Every cell's
-    trace is checked (a NaN trace fails).  Cells that are X-shaped to within
-    ``x_tol`` (every cell when ``x_tol`` is None: no entry off the X pattern
-    can be nonzero) are checked for PSD-ness (ignoring off-X entries up to
-    ``x_tol`` moves the lowest eigenvalue by at most sqrt(12) x_tol, Weyl,
-    far below the 1e-8 PSD tolerance), and get
+    trace (``_check_trace``) and PSD-ness are checked, and every cell gets
     C = 2 max{0, q_corner, q_inner} and Q = max(q_corner, q_inner).  The two
     blocks are read together, as (2, ...) stacks: with the clamped diagonal
     a, b, c, d, the roots [sqrt(b c), sqrt(a d)] and the moduli [|z|, |w|]
@@ -97,16 +95,10 @@ def _x_values(entries, x_tol, conc, q):
     |w| <= sqrt(b c) + 4e-9 hold both blocks plus 5e-9 I PSD.  Only when
     some cell fails that (an engine's densities are PSD to rounding) is the
     lowest eigenvalue read from the blocks (``_x_lowest``), which decides
-    and words the rejection of the first cell below -1e-8.  Returns the
-    mask of the cells off X, whose C and Q are left for the general route
-    (``np.False_`` when ``x_tol`` is None).
+    and words the rejection of the first cell below -1e-8.
     """
+    _check_trace(entries)
     diag = entries[:4].real
-    trace_err = np.abs(diag[0] + diag[1] + diag[2] + diag[3] - 1.0)
-    trace_ok = trace_err <= 1e-8  # NaN fails it
-    if not trace_ok.all():
-        _reject_first(~trace_ok, trace_err, "trace deviates from 1 by")
-    general = np.False_ if x_tol is None else np.array(np.abs(entries[6:]).max(axis=0) > x_tol)
     roots = np.maximum(diag, 0.0)
     roots = roots[1::-1] * roots[2:]
     np.sqrt(roots, out=roots)  # [sqrt(b c), sqrt(a d)]
@@ -114,29 +106,27 @@ def _x_values(entries, x_tol, conc, q):
     if not (diag.min(initial=np.inf) >= -_DIAG_SLACK
             and (moduli - roots[::-1]).max(initial=-np.inf) <= _BLOCK_SLACK):
         lowest = _x_lowest(_x_entries(entries))
-        _reject_first((lowest < -1e-8) & ~general, lowest, "not PSD, lowest eigenvalue")
+        _reject_first(lowest < -1e-8, lowest, "not PSD, lowest eigenvalue")
     np.subtract(moduli, roots, out=moduli)  # [q_corner, q_inner]
     np.maximum(moduli[0], moduli[1], out=q)
     np.maximum(q, 0.0, out=conc)
     conc *= 2.0
-    return general
 
 
-def pair_values(amps, pairs, *, live=ALL_ROWS, x_tol=1e-10, work=None, out=None):
+def pair_values(amps, pairs, *, live=ALL_ROWS, general=False, work=None, out=None):
     """Concurrence and signed Q of ``pairs`` of a stack of four-qubit pure states.
 
     ``amps`` (len(live), *cells) holds the flat lattice rows ``live``
     (``linalg.pair_entries``); the results have shape (*cells, len(pairs))
     and go to ``out`` = (C, Q) when given.  The pairs are reduced by
-    ``pair_entries`` (buffers from ``work``), and every cell is checked and
-    its X cells read by ``_x_values`` from one contiguous copy of the
-    entries with the pairs last.  A cell off the X pattern (an off-X entry
-    above ``x_tol``) gets C = max{0, s1 - s2 - s3 - s4} from the decreasing
-    singular values of M^T (sigma_y x sigma_y) M, M its 4 x 4 amplitude
-    factor (its rows scattered into all 16 lattice rows), and Q = NaN.
-    When no requested entry off the X pattern has a live product, every
-    cell is X and the test is skipped, unless a negative ``x_tol`` sends
-    every cell to the general route.
+    ``pair_entries`` (buffers from ``work``) and every cell's trace is
+    checked from one contiguous copy of the entries with the pairs last.
+    By default the X route (``_x_values``) reads every cell; a pair with a
+    product off the X pattern is refused, by name, before any cell is read.
+    With ``general`` every cell gets C = max{0, s1 - s2 - s3 - s4} from the
+    decreasing singular values of M^T (sigma_y x sigma_y) M, M its 4 x 4
+    amplitude factor (the stack scattered into all 16 lattice rows), and
+    Q = NaN.
     """
     amps = np.asarray(amps, dtype=complex)
     pairs, live = tuple(pairs), tuple(live)
@@ -146,22 +136,21 @@ def pair_values(amps, pairs, *, live=ALL_ROWS, x_tol=1e-10, work=None, out=None)
     if work is None:
         work = Workspace()
     tables, *_, off_x = _reduction_plan(pairs, live)
-    entries = pair_entries(amps, pairs, live=live, work=work)  # (pair, 10, *cells)
-    # the reader's operands are whole rows of (10, *cells, pair): one contiguous copy
-    by_entry = work.get("read.entries", (10,) + shape)
+    if off_x is not None and not general:
+        raise ValueError(f"the X reader refuses pair {off_x}: an entry off the X pattern has a product")
+    entries = pair_entries(amps, pairs, live=live, work=work)  # (pair, 6, *cells)
+    # the reader's operands are whole rows of (6, *cells, pair): one contiguous copy
+    by_entry = work.get("read.entries", (6,) + shape)
     np.copyto(by_entry, entries.transpose(1, *range(2, entries.ndim), 0))
-    general = _x_values(by_entry, x_tol if off_x or x_tol < 0 else None, conc, q)
-    if general.any():
-        cell_index, pair_index = np.nonzero(general.reshape(-1, len(pairs)))
-        flat = np.zeros((16, cell_index.size), dtype=complex)
-        flat[list(live)] = amps.reshape(len(live), -1)[:, cell_index]
-        general_c = np.empty(cell_index.size)
-        for slot, table in enumerate(tables):
-            mine = pair_index == slot
-            if mine.any():
-                factors = np.moveaxis(flat[:, mine][table], -1, 0)  # (cells, 4, 4)
-                s = np.linalg.svd(factors.swapaxes(-1, -2) @ _SIGMA_YY @ factors, compute_uv=False)
-                general_c[mine] = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
-        conc[general] = general_c
-        q[general] = np.nan
+    if not general:
+        _x_values(by_entry, conc, q)
+        return conc, q
+    _check_trace(by_entry)
+    flat = np.zeros((16,) + cells, dtype=complex)
+    flat[list(live)] = amps
+    for slot, table in enumerate(tables):
+        factors = np.moveaxis(flat[table].reshape(4, 4, -1), -1, 0)  # (cells, 4, 4)
+        s = np.linalg.svd(factors.swapaxes(-1, -2) @ _SIGMA_YY @ factors, compute_uv=False)
+        conc[..., slot] = np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3]).reshape(cells)
+    q[...] = np.nan
     return conc, q

@@ -128,9 +128,9 @@ def zero_intervals(sample, t_min, t_max, *, tol=1e-12, samples=2049):
 
     ``sample(ts)`` takes a 1-D array of times and returns ``(C, Q)``, arrays
     of shape (len(ts), n_curves) with one column per curve (a 1-D array is
-    one curve); Q is the signed Q behind C, NaN where there is none (a cell
-    whose reduction is not X-shaped).  Returns one list of ``ZeroInterval``
-    per column.
+    one curve); Q is the signed Q behind C, NaN where there is none (every
+    engine route gives it; a sampler of the general Wootters route does
+    not).  Returns one list of ``ZeroInterval`` per column.
 
     The curves are sampled once on ``samples`` equally spaced times.  A zero
     run whose Q drops below ``-_Q_TOL`` is sudden death and its edges are the

@@ -8,11 +8,11 @@ g; cavities, which hold at most one photon: one photon then vacuum).
 Stacks of states put the cells last: amplitudes (rows, *cells), each row
 one flat (2, 2, 2, 2) lattice amplitude named beside the stack (all 16 in
 a full stack, the family's live rows in an evolution route's).
-``pair_entries``, the one reducer, turns them into the 10 entries on and
-above the diagonal of each pair's 4x4 density, (pairs, 10, *cells), with
-elementwise products on those rows.  Each density is M M^dag, M the 4 x 4
-matrix of amplitudes that the reducer multiplies; the general Wootters
-route reads M itself through the same index tables.
+``pair_entries``, the one reducer, turns them into the 6 entries of the X
+pattern of each pair's 4x4 density, (pairs, 6, *cells), with elementwise
+products on those rows.  Each density is M M^dag, M the 4 x 4 matrix of
+amplitudes that the reducer multiplies; the general Wootters route reads M
+itself through the same index tables.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ SUBSYSTEMS = ("A", "a", "B", "b")
 CAVITY_SUBSYSTEMS = frozenset(("a", "b"))
 _AXIS = {label: i for i, label in enumerate(SUBSYSTEMS)}
 
-# The 10 entries on and above the diagonal of a 4x4 density, in the order
-# the reducer writes them: the diagonal (a, b, c, d), the X coherences
-# rho[0, 3] and rho[1, 2], then the four entries off the X pattern.
-ENTRY_ROWS = np.array([0, 1, 2, 3, 0, 1, 0, 0, 1, 2])
-ENTRY_COLS = np.array([0, 1, 2, 3, 3, 2, 1, 2, 3, 3])
+# The 6 entries of the X pattern on and above the diagonal of a 4x4 density,
+# in the order the reducer writes them: the diagonal (a, b, c, d), then the
+# coherences rho[0, 3] and rho[1, 2].
+ENTRY_ROWS = np.array([0, 1, 2, 3, 0, 1])
+ENTRY_COLS = np.array([0, 1, 2, 3, 3, 2])
 # Every row of a (2, 2, 2, 2) lattice state, the rows of a full stack.
 ALL_ROWS = tuple(range(16))
 
@@ -92,10 +92,11 @@ def pair_entries(amps, pairs, *, live=ALL_ROWS, work=None):
     ``amps`` has shape (len(live), *cells): row s is the flat lattice row
     ``live[s]`` (all 16 by default) of the states of the trailing axes,
     whose cavities hold at most one photon, and every other lattice
-    amplitude is zero.  The result has shape (len(pairs), 10, *cells) and
-    holds the 10 entries on and above the diagonal of each pair's 4x4
-    density in ``ENTRY_ROWS``/``ENTRY_COLS`` order.  The lower triangle is
-    their conjugate mirror, so the density is Hermitian by construction.
+    amplitude is zero.  The result has shape (len(pairs), 6, *cells) and
+    holds the 6 entries of the X pattern on and above the diagonal of each
+    pair's 4x4 density in ``ENTRY_ROWS``/``ENTRY_COLS`` order.  The lower
+    triangle is their conjugate mirror, so the density is Hermitian by
+    construction.  No entry off the X pattern is formed.
     Each pair is an ordered pair of labels from ("A", "a", "B", "b") (such
     as ``("A", "b")`` or ``"Ab"``) and fixes the ordering of its output
     factors.  Kept cavities are reported in (one photon, vacuum) order, so
@@ -130,11 +131,11 @@ def pair_entries(amps, pairs, *, live=ALL_ROWS, work=None):
     products[0] = 0.0
     for start, count in stages:
         np.add(products[1:1 + count], products[start:start + count], out=products[1:1 + count])
-    entries = work.get("reduce.entries", (len(pairs), 10, n))
+    entries = work.get("reduce.entries", (len(pairs), 6, n))
     products.take(place, axis=0, out=entries.reshape(-1, n), mode="clip")
     # the diagonal is real: only the round-off of fused products lands in its imaginary part
     entries[:, :4].imag = 0.0
-    return entries.reshape((len(pairs), 10) + cells)
+    return entries.reshape((len(pairs), 6) + cells)
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,12 +151,14 @@ def _reduction_plan(pairs, live):
     are a prefix: ``left`` and ``right`` list the stack rows of every term,
     first terms first, and ``stages`` the (start, count) of each later term
     in the product rows, which start at 1.  ``place`` gives each
-    (pair, entry) its sum's product row, or row 0 for a sum with no term;
-    ``off_x`` says whether an entry off the X pattern has a term.
+    (pair, entry) its sum's product row, or row 0 for a sum with no term.
+    ``off_x`` is the label of the first pair with an entry off the X
+    pattern that has a term (two rows of M in the stack on a shared
+    column), or None: exactly, with no tolerance.
     """
     positions = np.arange(16).reshape(2, 2, 2, 2)
     stack_row = {row: s for s, row in enumerate(live)}
-    tables, sums = [], []
+    tables, sums, off_x = [], [], None
     for keep in pairs:
         kept_axes = tuple(_AXIS[label] for label in keep)
         traced_axes = tuple(ax for ax in range(4) if ax not in kept_axes)
@@ -163,6 +166,9 @@ def _reduction_plan(pairs, live):
         select = tuple(slice(None, None, -1) if label in CAVITY_SUBSYSTEMS else slice(None) for label in keep)
         table = positions.transpose(kept_axes + traced_axes)[select].reshape(4, 4)
         tables.append(table)
+        if off_x is None and any(r in stack_row and c in stack_row for i, j in ((0, 1), (0, 2), (1, 3), (2, 3))
+                                 for r, c in zip(table[i], table[j])):  # the upper entries off X
+            off_x = "".join(keep)
         sums += [[(stack_row[r], stack_row[c]) for r, c in zip(table[row], table[col])
                   if r in stack_row and c in stack_row] for row, col in zip(ENTRY_ROWS, ENTRY_COLS)]
     counts = [len(terms) for terms in sums]
@@ -177,6 +183,5 @@ def _reduction_plan(pairs, live):
             stages.append((1 + len(left), len(summing)))
         left += [sums[i][k][0] for i in summing]
         right += [sums[i][k][1] for i in summing]
-    off_x = any(sums[10 * slot + entry] for slot in range(len(pairs)) for entry in range(6, 10))
     return (tuple(tables), np.array(left, dtype=np.intp), np.array(right, dtype=np.intp), tuple(stages),
             place, off_x)

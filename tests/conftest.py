@@ -69,13 +69,13 @@ def closed_sampler(kind, alpha, rabi, pairs=("AB",)):
 
 
 def upper_entries(rho):
-    """The 10 upper entries (10, ...) of a 4x4 matrix or stack (..., 4, 4), in ``ENTRY_ROWS``/``ENTRY_COLS`` order."""
+    """The 6 X entries (6, ...) of a 4x4 matrix or stack (..., 4, 4), in ``ENTRY_ROWS``/``ENTRY_COLS`` order."""
     return np.moveaxis(np.asarray(rho)[..., ENTRY_ROWS, ENTRY_COLS], -1, 0)
 
 
 def entry_matrices(entries):
-    """Hermitian 4x4 matrices (..., 4, 4) from their 10 upper entries (10, ...), the lower triangle mirrored."""
-    rho = np.empty(entries.shape[1:] + (4, 4), dtype=complex)
+    """Hermitian X matrices (..., 4, 4) from their 6 X entries (6, ...), the lower triangle mirrored, 0 off X."""
+    rho = np.zeros(entries.shape[1:] + (4, 4), dtype=complex)
     rho[..., ENTRY_ROWS, ENTRY_COLS] = np.moveaxis(entries, 0, -1)
     rho[..., ENTRY_COLS[4:], ENTRY_ROWS[4:]] = np.moveaxis(entries[4:], 0, -1).conj()
     return rho
@@ -88,7 +88,10 @@ def pair_matrices(amps, pairs, **kwargs):
 
 def x_densities(rng, count):
     """The AB densities (count, 4, 4) of ``random_x_states``: X-shaped, off-X entries exactly zero."""
-    return reference.pair_density(random_x_states(rng, count).reshape(2, 2, 2, 2, count), "AB")
+    stack, rows = random_x_states(rng, count)
+    full = np.zeros((16, count), dtype=complex)
+    full[list(rows)] = stack
+    return reference.pair_density(full.reshape(2, 2, 2, 2, count), "AB")
 
 
 def factor_amplitudes(rho):
@@ -104,20 +107,22 @@ def factor_amplitudes(rho):
     return amps.reshape((16,) + amps.shape[4:])
 
 
-def concurrence(rho, x_tol=1e-10):
-    """(C, Q) of a PSD 4x4 density or a (..., 4, 4) stack, through ``pair_values`` on a factor of it."""
-    conc, q = pair_values(factor_amplitudes(rho), ["AB"], x_tol=x_tol)
+def concurrence(rho):
+    """(C, Q = NaN) of a PSD 4x4 density or a (..., 4, 4) stack by the general route of ``pair_values``.
+
+    The density is read through its factor's full 16-row stack, which the X reader refuses.
+    """
+    conc, q = pair_values(factor_amplitudes(rho), ["AB"], general=True)
     return conc[..., 0], q[..., 0]
 
 
-def entry_values(rho, x_tol=1e-10):
-    """(C, Q) of a 4x4 matrix or (..., 4, 4) stack, its X cells checked and read from its 10 upper entries.
+def entry_values(rho):
+    """(C, Q) of an X-shaped 4x4 matrix or (..., 4, 4) stack, checked and read by the X reader from its X entries.
 
-    Cells off the X pattern keep the X formula's values.  The lower
-    triangle is not read: the reader takes it as the conjugate mirror, as
-    the reducer writes it.
+    The lower triangle is not read: the reader takes it as the conjugate
+    mirror, as the reducer writes it.
     """
     entries = upper_entries(rho)
     conc, q = np.empty(entries.shape[1:]), np.empty(entries.shape[1:])
-    _x_values(entries, x_tol, conc, q)
+    _x_values(entries, conc, q)
     return conc, q

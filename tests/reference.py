@@ -271,21 +271,18 @@ def zero_intervals(sample, t_min, t_max, *, tol=1e-12, samples=2049, q_tol=1e-9)
 
 
 def x_rejection(entries):
-    """The error of the X reader's checks of one density given as its 10 upper entries, None when it passes.
+    """The error of the X reader's checks of one X density given as its 6 X entries, None when it passes.
 
-    The trace check (|a + b + c + d - 1| > 1e-8), then, on an X-shaped cell
-    (every off-X entry at most 1e-10), the PSD check from the lower
-    eigenvalue of each 2x2 block, 0.5 (a + d) - sqrt((0.5 (a - d))^2 + |z|^2)
-    and its inner twin, below -1e-8: the reader's tests, in its operation
-    order, one cell at a time.
+    The trace check (|a + b + c + d - 1| > 1e-8), then the PSD check from
+    the lower eigenvalue of each 2x2 block,
+    0.5 (a + d) - sqrt((0.5 (a - d))^2 + |z|^2) and its inner twin, below
+    -1e-8: the reader's tests, in its operation order, one cell at a time.
     """
     entries = np.asarray(entries, dtype=complex)
     a, b, c, d = entries[:4].real
     trace_err = abs(a + b + c + d - 1.0)
     if trace_err > 1e-8:
         return f"invalid density matrix: trace deviates from 1 by {trace_err:.3e}"
-    if np.abs(entries[6:]).max() > 1e-10:
-        return None
     z, w = np.abs(entries[4]), np.abs(entries[5])
     corner = 0.5 * (a + d) - np.sqrt(np.square(0.5 * (a - d)) + np.square(z))
     inner = 0.5 * (b + c) - np.sqrt(np.square(0.5 * (b - c)) + np.square(w))

@@ -81,5 +81,11 @@ def test_knobs_no_caller_sets_are_gone():
     # one assembly for both evolution routes, which differ only in their site factors
     assembly = importlib.import_module("jcpairs.dynamics").amplitudes
     assert list(inspect.signature(assembly).parameters) == ["kind", "alphas", "ts", "site_factors", "work"]
-    # the stream reads at the reader's default X tolerance: only ``values`` takes one
+    # the stream reads every cell as X: only ``values`` can ask for the general route
     assert list(inspect.signature(jcpairs.GridEngine.blocks).parameters) == ["self", "alphas", "ts", "pairs"]
+    # one route per call, chosen by structure: no X tolerance
+    entanglement = importlib.import_module("jcpairs.entanglement")
+    for reader in (jcpairs.GridEngine.values, entanglement.pair_values):
+        assert "x_tol" not in inspect.signature(reader).parameters
+        assert inspect.signature(reader).parameters["general"].default is False
+    assert list(inspect.signature(entanglement._x_values).parameters) == ["entries", "conc", "q"]

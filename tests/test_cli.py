@@ -324,25 +324,6 @@ def test_a_nan_gap_fails_its_check(monkeypatch, stand_in, failing):
                                      "pair AB (tol 1.0e-09)"}
 
 
-class _NumericOffX(GridEngine):
-    """The numeric route with Q = NaN, the mark of a cell off the X pattern, at one cell."""
-
-    def values(self, alphas, ts, pairs=PAIR_LABELS, *, x_tol=1e-10):
-        values = super().values(alphas, ts, pairs, x_tol=x_tol)
-        if self.name == "numeric" and x_tol >= 0:
-            values.q[0, 1, 0] = math.nan
-        return values
-
-
-def test_an_off_x_cell_fails_x_form(monkeypatch):
-    # one cell per family, and no other check reads the evolution routes' Q
-    monkeypatch.setattr(checks, "GridEngine", _NumericOffX)
-    results = checks.run_checks(PARAMS, 1e-9)
-    assert [check for check, ok, _ in results if not ok] == ["x_form"]
-    (detail,) = [detail for check, _, detail in results if check == "x_form"]
-    assert detail.startswith("off-X cells (entry above 1e-10) = 2; ")
-
-
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert run("evolve", "--steps", "0") == 1
     assert run("evolve", "--engine", "warp") == 1

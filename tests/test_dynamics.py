@@ -1,16 +1,19 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import jcpairs.dynamics as dynamics
 import reference
 from conftest import excitation_numbers, lattice_states, route_stack
 from jcpairs import GridEngine, JCParams
 from jcpairs.dynamics import FAMILY_KINDS, HamiltonianPropagator, amplitudes, live_rows
 from jcpairs.entanglement import pair_values
+from jcpairs.jcmodel import site_hamiltonian
 from reference import initial_amplitudes
 
 
@@ -39,9 +42,10 @@ def test_prepare_phi_alpha_zero():
 
 
 def test_prepare_phi_bell():
-    psi = initial_amplitudes("phi", [np.pi / 4]).reshape(16, 1)
+    live = live_rows("phi")
+    psi = initial_amplitudes("phi", [np.pi / 4]).reshape(16, 1)[list(live)]
     assert norms(psi)[0] == pytest.approx(1.0, abs=1e-15)
-    conc, _ = pair_values(psi, ["AB"])
+    conc, _ = pair_values(psi, ["AB"], live=live)
     assert conc[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -203,6 +207,20 @@ def test_the_spectrum_is_exactly_block_diagonal_by_manifold(n_max, res_params, d
             w, v = np.linalg.eigh(ladder[np.ix_(rows, rows)])
             assert np.array_equal(w, propagator._w[levels])
             assert np.array_equal(v, propagator._v[np.ix_(levels, levels)])
+
+
+@pytest.mark.parametrize("levels", [(1, 2), (0, 1)], ids=["counter-rotating", "e0-e1"])
+def test_a_site_coupling_a_populated_block_out_is_refused(levels, monkeypatch, det_params):
+    # the counter-rotating g (|e,1><g,0| + h.c.) and g (|e,0><e,1| + h.c.)
+    # each couple a populated block to (e,1), which the route would not see
+    def coupled(params):
+        h = site_hamiltonian(params)
+        h[levels] = h[levels[::-1]] = params.g
+        return h
+
+    monkeypatch.setattr(dynamics, "site_hamiltonian", coupled)
+    with pytest.raises(ValueError, match=re.escape(f"the site Hamiltonian at {det_params!r}: ")):
+        GridEngine("numeric", "phi", det_params)
 
 
 def test_cross_engine_concurrences(res_params):

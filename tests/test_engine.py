@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import jcpairs.cli as cli
 import jcpairs.engine as engine_module
 import reference
-from conftest import (concurrence, entry_matrices, entry_values, lattice_states, pair_matrices, route_stack,
-                      upper_entries, x_densities)
+from conftest import (entry_matrices, entry_values, lattice_states, pair_matrices, route_stack, upper_entries,
+                      x_densities)
 from jcpairs import PAIR_LABELS, GridEngine, JCParams
 from jcpairs.cli import main
 from jcpairs.dynamics import FAMILY_KINDS, amplitudes
@@ -65,15 +65,15 @@ def time_grid(params, fraction):
 def scalar_results(engine, kind, alpha, params, ts):
     """Per-cell reference on the route's own amplitudes: (Q, C) of each pair, by einsum and textbook formulas.
 
-    Q is None where the reduction is not X-shaped.
+    Every reduction is X-shaped, its entries off the X pattern exactly 0.
     """
     psi = lattice_states(kind, route_stack(engine, kind, [alpha], ts, params))
     out = []
     for it in range(len(ts)):
         cell = psi[..., 0, it]
         rhos = [reference.pair_density(cell, pair) for pair in PAIR_LABELS]
-        out.append([(reference.x_state_q(rho) if reference.off_x(rho) <= 1e-10 else None,
-                     reference.wootters(rho)) for rho in rhos])
+        assert max(map(reference.off_x, rhos)) == 0.0
+        out.append([(reference.x_state_q(rho), reference.wootters(rho)) for rho in rhos])
     return out
 
 
@@ -86,21 +86,17 @@ def test_grid_matches_scalar_path(kind, alpha, params, fraction, engine):
     ts = time_grid(params, fraction)
     grid = GridEngine(engine, kind, params)
     values = grid.values([alpha], ts)
-    # x_tol < 0 sends every cell through the general Wootters route, which
-    # gives no Q: a NaN on every cell shows that values passed it on
-    general = grid.values([alpha], ts, x_tol=-1.0)
+    # general=True sends every cell through the general Wootters route,
+    # which gives no Q: a NaN on every cell shows that values passed it on
+    general = grid.values([alpha], ts, general=True)
     assert np.isnan(general.q).all()
     assert np.max(np.abs(general.concurrence - values.concurrence)) <= 1e-14
     for it, results in enumerate(scalar_results(engine, kind, alpha, params, ts)):
         for ip, (ref_q, ref_c) in enumerate(results):
             q, conc = values.q[0, it, ip], values.concurrence[0, it, ip]
-            if ref_q is None:
-                assert math.isnan(q)
-                assert abs(conc - ref_c) <= 1e-11
-            else:
-                # the entry-exact reference: Q from the entries and 2 max(0, Q)
-                assert abs(q - ref_q) <= 1e-14
-                assert abs(conc - 2.0 * max(0.0, ref_q)) <= 1e-11
+            # the entry-exact reference: Q from the entries and 2 max(0, Q)
+            assert abs(q - ref_q) <= 1e-14
+            assert abs(conc - 2.0 * max(0.0, ref_q)) <= 1e-11
             assert abs(conc - ref_c) <= WOOTTERS_BUDGET
             assert abs(general.concurrence[0, it, ip] - ref_c) <= WOOTTERS_BUDGET
 
@@ -120,8 +116,7 @@ def test_grid_c_is_exact_at_a_rank_deficient_reduction():
     ):
         values = GridEngine("analytic", "phi", params).values([alpha], [t], ("Ab",))
         assert abs(values.concurrence[0, 0, 0] - reference_c) <= 1e-15
-        # x_tol < 0 sends every cell through the general route
-        general = GridEngine("analytic", "phi", params).values([alpha], [t], ("Ab",), x_tol=-1.0)
+        general = GridEngine("analytic", "phi", params).values([alpha], [t], ("Ab",), general=True)
         assert abs(general.concurrence.item() - reference_c) <= 1e-15
 
 
@@ -242,33 +237,12 @@ def test_exactly_hermitian_stack_comes_back_with_the_same_bits(engine, n_max, de
     psi = amplitudes("psi", alpha_grid, t_grid, grid._site_factors, work=Workspace())
     stack = pair_matrices(psi, PAIR_LABELS, live=grid._live)
     assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))  # Hermitian by construction
-    # the 10 upper entries give back the whole matrix, bit for bit
+    # the 6 X entries give back the whole matrix, bit for bit
     assert np.array_equal(entry_matrices(upper_entries(stack)).view(np.uint64), stack.view(np.uint64))
     # symmetrizing gives the same values (only the sign of a zero imaginary
     # part can differ): the reducer's Hermitian matrices need no symmetrizing
     again = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     assert np.array_equal(again, stack)
-
-
-@given(size=st.integers(1, 12), data=st.data())
-def test_off_x_cell_takes_the_general_route(size, data):
-    general = data.draw(st.integers(0, size - 1))
-    rng = np.random.default_rng(size)
-    stack = x_densities(rng, size)
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    psi /= np.linalg.norm(psi)
-    stack[general] = 0.9 * np.outer(psi, psi.conj()) + 0.025 * np.eye(4)
-    conc, q = concurrence(stack)
-    single_c, single_q = concurrence(stack[general])
-    assert single_c.shape == single_q.shape == ()
-    assert single_c == conc[general] and math.isnan(single_q)
-    for i, rho in enumerate(stack):
-        assert conc[i] == pytest.approx(reference.wootters(rho), abs=1e-10)
-        if i == general:
-            assert reference.off_x(rho) > 1e-10 and math.isnan(q[i])
-        else:
-            assert q[i] == pytest.approx(reference.x_state_q(rho), abs=1e-15)
-            assert conc[i] == 2.0 * max(0.0, q[i])
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -425,13 +399,13 @@ def test_engine_validations(res_params):
 
 
 @given(engine=st.sampled_from(("analytic", "numeric")), kind=kinds,
-       params=sites(), x_tol=st.sampled_from((1e-10, -1.0)), order=st.permutations(PAIR_LABELS),
+       params=sites(), general=st.booleans(), order=st.permutations(PAIR_LABELS),
        size=st.integers(1, len(PAIR_LABELS)), alpha_list=st.lists(alphas, min_size=1, max_size=3),
        fraction=st.floats(0.0, 1.0))
 @example(engine="numeric", kind="phi", params=JCParams(omega0=7.0, omega=7.3, g=0.6),
-         x_tol=-1.0, order=["Aa", "AB", "Bb", "ab", "Ba", "Ab"], size=3, alpha_list=[0.4],
+         general=True, order=["Aa", "AB", "Bb", "ab", "Ba", "Ab"], size=3, alpha_list=[0.4],
          fraction=0.3)
-def test_any_pair_order_gives_the_bits_of_the_default_order(engine, kind, params, x_tol, order,
+def test_any_pair_order_gives_the_bits_of_the_default_order(engine, kind, params, general, order,
                                                             size, alpha_list, fraction):
     # an ordered subset of the pairs, traced dimensions interleaved or not:
     # each column has the bits of its pair's column in the default-order
@@ -439,8 +413,8 @@ def test_any_pair_order_gives_the_bits_of_the_default_order(engine, kind, params
     pairs = tuple(order[:size])
     ts = np.linspace(0.0, fraction * 50.0 / params.rabi(1), 5)
     grid = GridEngine(engine, kind, params)
-    every = grid.values(alpha_list, ts, x_tol=x_tol)
-    some = grid.values(alpha_list, ts, pairs, x_tol=x_tol)
+    every = grid.values(alpha_list, ts, general=general)
+    some = grid.values(alpha_list, ts, pairs, general=general)
     cols = [PAIR_LABELS.index(pair) for pair in pairs]
     assert some.pairs == pairs
     for field in ("concurrence", "q"):
@@ -681,9 +655,7 @@ def test_every_route_computes_or_names_what_it_refuses(engine, kind, fields, alp
         values = grid.values(alpha_list, t_list)
     conc, q = values.concurrence, values.q
     assert np.all((conc >= 0.0) & (conc <= 1.0))
-    off_x = np.isnan(q)
-    assert np.isfinite(q[~off_x]).all()
-    assert engine != "closed" or not off_x.any()
+    assert np.isfinite(q).all()  # every route reads every cell as X
 
 
 @st.composite

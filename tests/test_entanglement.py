@@ -11,7 +11,7 @@ from jcpairs import PAIR_LABELS, GridEngine
 from jcpairs.checks import random_x_states
 from jcpairs.dynamics import live_rows
 from jcpairs.entanglement import pair_values
-from jcpairs.linalg import pair_entries
+from jcpairs.linalg import ALL_ROWS
 
 
 def bell_phi_plus():
@@ -21,8 +21,8 @@ def bell_phi_plus():
 
 
 def both_routes(rho):
-    """C of every cell by the X entries and by the general Wootters route (x_tol < 0)."""
-    return concurrence(rho)[0], concurrence(rho, x_tol=-1.0)[0]
+    """C of every cell by the X entries and by the general Wootters route."""
+    return entry_values(rho)[0], concurrence(rho)[0]
 
 
 def test_bell_state_concurrence_is_one():
@@ -39,8 +39,8 @@ def test_product_states_have_zero_concurrence():
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi = np.kron(u / np.linalg.norm(u), v / np.linalg.norm(v))
         states.append(np.outer(psi, psi.conj()))
-    conc, q = concurrence(np.array(states))
-    assert np.all(np.isnan(q))  # random product states are not X-shaped
+    conc, q = concurrence(np.array(states))  # random product states are not X-shaped: the general route
+    assert np.all(np.isnan(q))
     assert np.max(conc) <= 1e-12
 
 
@@ -51,13 +51,13 @@ def test_x_matrix_example_value():
     fast, general = both_routes(rho)
     assert general == pytest.approx(expected, abs=1e-12)
     assert fast == pytest.approx(expected, abs=1e-14)
-    assert concurrence(rho)[1] == pytest.approx(expected / 2, abs=1e-14)
+    assert entry_values(rho)[1] == pytest.approx(expected / 2, abs=1e-14)
 
 
 def test_xstate_pure_corner_coherence():
     rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     rho[0, 3] = rho[3, 0] = 0.3
-    conc, q = concurrence(rho)
+    conc, q = entry_values(rho)
     assert conc == pytest.approx(0.6, abs=1e-14)
     assert q == pytest.approx(0.3, abs=1e-14)
 
@@ -71,12 +71,14 @@ def test_phi_bell_quarter_rabi_q_value(res_params):
 
 
 def test_random_x_states_fast_path_matches_general():
-    states = random_x_states(np.random.default_rng(42), 1000)
-    fast, q = pair_values(states, ["AB"])
-    general, general_q = pair_values(states, ["AB"], x_tol=-1.0)
+    states, rows = random_x_states(np.random.default_rng(42), 1000)
+    fast, q = pair_values(states, ["AB"], live=rows)
+    general, general_q = pair_values(states, ["AB"], live=rows, general=True)
     assert not np.isnan(q).any() and np.isnan(general_q).all()
     assert np.max(np.abs(fast - general)) <= 1e-10
-    rhos = reference.pair_density(states.reshape(2, 2, 2, 2, -1), "AB")
+    full = np.zeros((16, 1000), dtype=complex)
+    full[list(rows)] = states
+    rhos = reference.pair_density(full.reshape(2, 2, 2, 2, -1), "AB")
     assert np.max(np.abs(fast[:, 0] - [reference.wootters(rho) for rho in rhos])) <= 1e-10
 
 
@@ -88,9 +90,25 @@ def test_invalid_density_matrices_are_named():
         entry_values(np.diag([0.6, 0.6, 0.0, -0.2]).astype(complex))
 
 
+def test_x_read_of_a_full_stack_is_refused_naming_the_pair():
+    # every pair of a full 16-row stack has products off the X pattern: the
+    # first requested pair is named, before any cell is read (a NaN cell
+    # would fail the trace check)
+    stack = np.full((16, 3), np.nan, dtype=complex)
+    for pairs in (["AB"], ["Ab", "AB"], [("a", "B")]):
+        with pytest.raises(ValueError, match=f"^the X reader refuses pair {''.join(pairs[0])}: "):
+            pair_values(stack, pairs, live=ALL_ROWS)
+    # the family's live rows have none, whatever the requested pairs
+    for kind in ("phi", "psi"):
+        live = live_rows(kind)
+        pair_values(np.full((len(live), 1), len(live) ** -0.5), PAIR_LABELS, live=live)
+
+
 def test_all_pairwise_initial_phi():
     alphas = np.array([0.0, 0.3, np.pi / 4, 1.2])
-    conc, _ = pair_values(reference.initial_amplitudes("phi", alphas).reshape(16, -1), PAIR_LABELS)
+    live = live_rows("phi")
+    initial = reference.initial_amplitudes("phi", alphas).reshape(16, -1)[list(live)]
+    conc, _ = pair_values(initial, PAIR_LABELS, live=live)
     assert np.max(np.abs(conc[:, 0] - np.abs(np.sin(2 * alphas)))) <= 1e-12
     assert np.max(conc[:, 1:]) <= 1e-12
 
@@ -122,11 +140,15 @@ def test_pair_symmetries(res_params):
 
 
 def test_reductions_stay_x_form(res_params, det_params):
+    # the reader forms no entry off the X pattern: the independent einsum
+    # reduction of the whole lattice states has every one exactly zero
+    off_x = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
     for params in (res_params, det_params):
         for kind in ("phi", "psi"):
             psi = lattice_states(kind, route_stack("analytic", kind, [0.7], np.linspace(0.0, 4.0, 9), params))
-            # the last four of the 10 upper entries are the ones off the X pattern
-            assert np.max(np.abs(pair_entries(psi.reshape(16, 1, 9), PAIR_LABELS)[:, 6:])) <= 1e-10
+            for pair in PAIR_LABELS:
+                rho = reference.pair_density(psi, pair)
+                assert np.max(np.abs(rho)) > 0.1 and not rho[..., off_x].any()
 
 
 def test_results_are_consistent(res_params):

@@ -1,6 +1,6 @@
 """The general Wootters route against 50-digit arithmetic on random amplitude factors.
 
-``pair_values`` reads a cell off the X pattern from its amplitude factor M
+``pair_values(..., general=True)`` reads every cell from its amplitude factor M
 (rho = M M^dag) as the singular values s_i of S = M^T (sigma_y x sigma_y) M.
 The reference here is the textbook formula in ``mpmath`` at 50 digits: rho
 and rho~ = (sigma_y x sigma_y) rho* (sigma_y x sigma_y) from the same float
@@ -51,7 +51,7 @@ def test_factor_route_matches_50_digit_wootters(rank, seed, shrink):
     factor /= np.linalg.norm(factor)
     # the AB pair keeps (A, B) and traces (a, b): M[(A, B), (a, b)] = amps[A, a, B, b]
     amps = factor.reshape(2, 2, d, d).transpose(0, 2, 1, 3).reshape(16)
-    conc, q = pair_values(amps, ["AB"], x_tol=-1.0)
+    conc, q = pair_values(amps, ["AB"], general=True)
     assert math.isnan(q[0])
     assert abs(conc[0] - wootters_50_digits(factor)) <= 4 * (k + 4) * EPS
 

@@ -9,7 +9,7 @@ from jcpairs import JCParams
 from jcpairs.dynamics import FAMILY_KINDS, live_rows
 from jcpairs.entanglement import _SIGMA_YY, PAIR_LABELS
 from jcpairs.jcmodel import site_hamiltonian
-from jcpairs.linalg import SUBSYSTEMS, _reduction_plan, pair_entries
+from jcpairs.linalg import ALL_ROWS, SUBSYSTEMS, _reduction_plan, pair_entries
 from reference import initial_amplitudes, total_hamiltonian
 
 # every ordered pair of distinct subsystems
@@ -108,10 +108,11 @@ def test_all_pair_reduction_matches_one_pair_reductions(route, kind, keeps, alph
     psi, live = route_stack(route, kind, alphas, ts, _SITE), live_rows(kind)
     states = lattice_states(kind, psi)
     entries = pair_entries(psi, keeps, live=live).copy()
-    assert entries.shape == (len(keeps), 10, len(alphas), len(ts))
+    assert entries.shape == (len(keeps), 6, len(alphas), len(ts))
     for slot, keep in enumerate(keeps):
         # the same bits as reducing the pair alone, whatever else is reduced with it
         assert np.array_equal(_bits(entries[slot]), _bits(pair_entries(psi, [keep], live=live)[0]))
+        # the X entries, and the zeros of the entries off the X pattern, which are not formed
         assert np.max(np.abs(entry_matrices(entries[slot]) - reference.pair_density(states, keep))) <= 1e-15
     # the products of the live rows alone give the values of every product
     # of the whole lattice states: a skipped product is an exact zero (only
@@ -127,12 +128,13 @@ def test_all_pair_reduction_matches_one_pair_reductions(route, kind, keeps, alph
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_the_reduction_multiplies_only_rows_of_the_support(kind):
     # a stack holds only the family's live rows: 38 (phi) or 30 (psi)
-    # products of the 240 of a full reduction, no entry off the X pattern
-    # has one, and each reads the stack row of its lattice row
+    # products of the 144 of a full reduction's X entries, no entry off the
+    # X pattern has one, and each reads the stack row of its lattice row
     live = live_rows(kind)
     tables, left, right, _, place, off_x = _reduction_plan(PAIR_LABELS, live)
     assert left.size == right.size == {"phi": 38, "psi": 30}[kind]
-    assert set(left) | set(right) == set(range(len(live))) and not off_x
+    assert set(left) | set(right) == set(range(len(live))) and off_x is None
+    assert _reduction_plan(PAIR_LABELS, ALL_ROWS)[1].size == 6 * 6 * 4
     rng = np.random.default_rng(len(live))
     stack = rng.standard_normal((len(live), 3)) + 1j * rng.standard_normal((len(live), 3))
     full = np.zeros((16, 3), dtype=complex)
