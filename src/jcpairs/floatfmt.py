@@ -1,27 +1,33 @@
 """Exact ``'%.17g' % v`` for float64 arrays, a whole block at a time.
 
 CSV tables print every float with 17 significant digits.  Formatting them
-one value at a time costs about 0.6 us each on a 2-core Xeon; this module
-builds the same bytes with integer array arithmetic, about 0.16 us per
+one value at a time costs about 0.55 us each on a 2-core Xeon; this
+module builds the same bytes with array arithmetic, about 0.09 us per
 value there in chunks of 4096 (the C and Q values of a closed sweep):
 
 1. A finite v = m 2^e (m the 53-bit significand) in the window
    2^-128 <= |v| < 2^53, with |v| in [2^E, 2^(E+1)), has X = floor(log10 |v|)
    = g = floor(log10 2^E), or g + 1 once |v| reaches the double nearest
    10^(g+1): two tables over E.  Then k = 16 - X.
-2. The 17 digits D = round(v 10^k) are computed exactly from the product
-   8m 5^k, shifted right by 3 - e - k bits with round-half-even, the
-   rounding of correctly rounded conversion (Gay 1990) behind ``%.17g``.
-   From 2^-36 up, 5^k is below 2^63 and the product (below 2^119) is
-   formed from 32-bit limbs as two 64-bit words, for the whole chunk at
-   once.  Below 2^-36 (X down to -39, k up to 55) 5^k takes four 32-bit
-   limbs (5^55 < 2^128) and the product (below 2^184) three words; only
-   the cells that need it take this longer product, as a compressed
-   subset, so a chunk without them does the two-word work alone.
-3. X is right when v 10^k >= 10^16 before rounding and D < 10^17 after.
-   Where the double nearest a power of ten lies below it, that one double
-   gets an X one too high, fails the first test and takes the
-   fallback.  (Rounding to 17 digits never carries a double to the next
+2. The 17 digits D = round(v 10^k), rounded half to even as in the
+   correctly rounded conversion (Gay 1990) behind ``%.17g``, come from one
+   double-double product (Dekker 1971).  10^k = H + L with H = fl(10^k)
+   split into halves hh + hl of 26 bits and L = fl(10^k - H), which is 0
+   up to k = 22; |v| = vh + vl, its top 26 significand bits and the other
+   27.  Then p = fl(v H) and e = ((vh hh - p) + vh hl + vl hh) + vl hl
+   give p + e = v H exactly (each product fits 53 bits, each partial sum
+   is a multiple of 2^-77 times the powers of two below v and H, with
+   fewer than 2^53 of them), and e takes v L.  From 10^16 up p is an even
+   integer, so D = p + rint(e), added as 64-bit integers: rint's half to
+   even is D's.  Up to k = 22 this is exact.  Past it (|v| < 1e-6) e is
+   off by less than 5e-15, and a cell within 2^-40 of a half takes the
+   fallback.  NaN, infinities and cells from 2^53 up compute on 2^53.
+3. X is right when v 10^k >= 10^16 before rounding, tested as
+   (p - 10^16) + e >= 0, and D < 10^17 after.  Where the double nearest a
+   power of ten lies below it, that one double gets an X one too high,
+   fails the first test and takes the fallback; no double puts v 10^k
+   within 0.01 of 10^16 otherwise, so e's error past k = 22 never turns
+   the test.  (Rounding to 17 digits never carries a double to the next
    power of ten: neighbouring doubles are at least 1.1e-16 apart relative
    to their size, half a unit of the 17th digit is at most 5e-17.)
 4. The 17 digits go into the last 17 bytes of three little-endian 64-bit
@@ -41,16 +47,17 @@ value there in chunks of 4096 (the C and Q values of a closed sweep):
    merged with the fixed bytes into the rows of a NUL-padded byte matrix.
 
 Zero takes the same path as D = 0 at X = 0.  Only non-finite values,
-|v| < 2^-128 (zero excepted), |v| >= 2^53 and at most one double next to
-each power of ten go through ``'%.17g' % v``, one at a time; a chunk with
-none of them skips that branch.
+|v| < 2^-128 (zero excepted), |v| >= 2^53, at most one double next to
+each power of ten and, below 1e-6, the cells within 2^-40 of a half (the
+exact ties of v 10^k there, such as 3 2^-24 and 2^-25) go through
+``'%.17g' % v``, one at a time; a chunk with none of them skips that
+branch.
 
 Every step writes its temporaries with ``out=`` into 14 word rows and 3
 flag rows as long as the chunk (``_chunk_rows``, 470 KB at 4096 values),
-and the three-word product into 18 word rows as long as its cells, kept
-in the calling thread's ``linalg.Workspace``: each chunk reuses the rows
-of the last one, and only the cells of the fallback take arrays of their
-own.
+kept in the calling thread's ``linalg.Workspace``: each chunk reuses the
+rows of the last one, and only the cells of the fallback take arrays of
+their own.
 """
 
 from __future__ import annotations
@@ -62,9 +69,7 @@ import numpy as np
 
 from .linalg import thread_workspace
 
-# biased exponents of m 2^e, m in [2^52, 2^53), inside the window; from
-# _B_NARROW up, 5^k is below 2^63 and the product takes two words
-_B_MIN, _B_NARROW, _B_MAX = 895, 987, 1075
+_B_MIN, _B_MAX = 895, 1075  # biased exponents of m 2^e, m in [2^52, 2^53), inside the window
 _X_MIN, _X_MAX = -39, 15  # decimal exponents inside the window
 _DIGITS = 17
 # longest text: "-1.7976931348623157e+308" and "-2.2250738585072014e-308" (fallbacks);
@@ -78,16 +83,20 @@ _WORDS = np.dtype("<u8")  # byte j of a text is byte j % 8 of word j // 8 on eve
 def _tables():
     """The arithmetic's tables, built on the first call.
 
-    5^k as four 32-bit limbs (4, 55), column X - X_MIN for k = 16 - X;
-    over the biased exponent b, X - X_MIN at 2^(b - 1023) and the bits of
-    the double nearest the next power of ten (39 and all ones outside the
-    window: X is 0 there); and each (sign, X, digits kept) layout as a
-    column of ten words: the fixed bytes, the masks of the digits before
-    the point and of the text (3 words each), and the bit shift of the
-    first digit down to the text's start.
+    H = fl(10^k), its halves hh and hl and L = fl(10^k - H) as (4, 55)
+    doubles, column X - X_MIN for k = 16 - X; over the biased exponent b,
+    X - X_MIN at 2^(b - 1023) and the bits of the double nearest the next
+    power of ten (39 and all ones outside the window: X is 0 there); and
+    each (sign, X, digits kept) layout as a column of ten words: the fixed
+    bytes, the masks of the digits before the point and of the text (3
+    words each), and the bit shift of the first digit down to the text's
+    start.
     """
-    limbs = np.array([[5**(16 - x) >> 32 * i & 0xFFFFFFFF for x in range(_X_MIN, _X_MAX + 1)]
-                      for i in range(4)], dtype=np.uint64)
+    tens_k = [10**(16 - x) for x in range(_X_MIN, _X_MAX + 1)]
+    h = np.array([float(p) for p in tens_k])  # correctly rounded
+    split = h * (2.0**27 + 1)  # Veltkamp's split: H = hh + hl, each of at most 26 bits
+    hh = split - (split - h)
+    powers = np.array([h, hh, h - hh, [float(p - int(f)) for p, f in zip(tens_k, h.tolist())]])
     guess, tens = np.full(2048, -_X_MIN, dtype=np.uint64), np.full(2048, 2**64 - 1, dtype=np.uint64)
     for b in range(_B_MIN, _B_MAX + 1):
         g = math.floor((b - 1023) * math.log10(2))  # exact: never near an integer here
@@ -114,7 +123,7 @@ def _tables():
         np.copyto(fixed, np.asarray(char, dtype=np.uint8)[..., None],
                   where=where[..., None] & (j == np.asarray(at)[..., None]))
     layouts[:3] = np.moveaxis(fixed.view(_WORDS), -1, 0)
-    return limbs, guess, tens, layouts.reshape(10, -1)
+    return powers, guess, tens, layouts.reshape(10, -1)
 
 
 def _chunk_rows(n):
@@ -122,9 +131,10 @@ def _chunk_rows(n):
 
     The three steps of a chunk share them.  ``_decimal`` leaves D in word
     row 0, X - X_MIN in row 1 and ``ok`` in flag row 0, and works in rows
-    2-10; ``_digit_words`` turns row 0 into the number of digits kept and
-    writes the digit words to rows 2-4, working in rows 5-6; ``_write_chunk``
-    turns row 1 into the layout's column and works in rows 0 and 5-13.
+    2-13, as doubles from row 4; ``_digit_words`` turns row 0 into the
+    number of digits kept and writes the digit words to rows 2-4, working
+    in rows 5-6; ``_write_chunk`` turns row 1 into the layout's column and
+    works in rows 0 and 5-13.
     """
     work = thread_workspace()
     return work.get("format.words", (14, n), _WORDS), work.get("format.flags", (3, n), bool)
@@ -135,121 +145,51 @@ def _decimal(values):
 
     The three are views of this thread's working rows (``_chunk_rows``).
     """
-    limbs, guess, tens = _tables()[:3]
-    words, (ok, flag, zero) = _chunk_rows(values.size)
-    d, x, b, m_lo, m_hi, lo, hi, r, t, mid, tmp = words[:11]
-    np.bitwise_and(values.view(np.uint64), 0x7FFFFFFFFFFFFFFF, out=m_lo)  # the magnitude's bits
-    np.right_shift(m_lo, 52, out=b)
+    powers, guess, tens = _tables()[:3]
+    words, (ok, flag, exact) = _chunk_rows(values.size)
+    d, x, b, tmp = words[:4]
+    floats = words[4:14].view(np.float64)
+    v, vh, vl, p, e, t, h, hh, hl, l = floats
+    bits = v.view(np.uint64)
+    np.bitwise_and(values.view(np.uint64), 0x7FFFFFFFFFFFFFFF, out=bits)  # |v|
+    np.right_shift(bits, 52, out=b)
     np.take(guess, b.view(np.intp), out=x, mode="clip")  # indices below 2^11 read as signed
     np.take(tens, b.view(np.intp), out=tmp, mode="clip")
-    x += np.greater_equal(m_lo, tmp, out=flag)
-    np.subtract(b, _B_MIN, out=tmp)  # wraps below the window
-    np.less_equal(tmp, _B_MAX - _B_MIN, out=ok)
-    wide = np.flatnonzero(np.less(tmp, _B_NARROW - _B_MIN, out=flag))
-    np.equal(m_lo, 0, out=zero)  # written as the one digit "0" (X is 0 already)
+    x += np.greater_equal(bits, tmp, out=flag)
+    b -= _B_MIN  # wraps below the window
+    np.less_equal(b, _B_MAX - _B_MIN, out=ok)
 
-    # 8m 5^k = hi 2^64 + lo from the limbs of 8m (below 2^56) and 5^k (below
-    # 2^63 in the narrow window; the wide cells are redone below)
-    m_lo &= (1 << 52) - 1
-    m_lo |= 1 << 52
-    m_lo <<= 3
-    np.right_shift(m_lo, 32, out=m_hi)
-    m_lo &= 0xFFFFFFFF
-    p_lo, p_hi = tmp, hi
-    np.take(limbs[0], x.view(np.intp), out=p_lo, mode="clip")
-    np.take(limbs[1], x.view(np.intp), out=p_hi, mode="clip")
-    np.multiply(m_lo, p_lo, out=lo)
-    np.multiply(m_lo, p_hi, out=mid)
-    mid += np.multiply(m_hi, p_lo, out=tmp)
-    mid += np.right_shift(lo, 32, out=tmp)
-    hi *= m_hi  # p_hi's row
-    hi += np.right_shift(mid, 32, out=tmp)
-    lo &= 0xFFFFFFFF
-    lo |= np.left_shift(mid, 32, out=mid)
-    # t = floor(2 v 10^k): the shift 3 - e - k less one, in [1, 63] inside the
-    # narrow window; other cells take any shift below 64
-    np.add(x, 1075 + _X_MIN - 14, out=r)
-    r -= b
-    r &= 63
-    np.right_shift(lo, r, out=t)
-    sticky = np.not_equal(np.left_shift(t, r, out=tmp), lo, out=flag)
-    hi <<= 1
-    t |= np.left_shift(hi, np.subtract(63, r, out=tmp), out=hi)
-    if wide.size:
-        _wide_product(words[1:5], wide, t)  # the rows x, b, m_lo and m_hi
-        sticky[wide] = True
-    np.right_shift(t, 1, out=d)
-    np.bitwise_or(sticky, d, out=tmp)
-    tmp &= t
-    tmp &= 1
-    d += tmp  # round half to even
-    ok &= np.greater_equal(t, 2 * 10**16, out=flag)
+    # p + e = |v| H exactly (Dekker), then e += |v| L; NaN, infinities and
+    # cells from 2^53 up compute on 2^53
+    np.fmin(v, 2.0**53, out=v)
+    np.bitwise_and(bits, 0xFFFFFFFFF8000000, out=vh.view(np.uint64))
+    np.subtract(v, vh, out=vl)
+    np.take(powers, x.view(np.intp), axis=1, out=floats[6:], mode="clip")
+    np.multiply(v, h, out=p)
+    np.multiply(vh, hh, out=e)
+    e -= p
+    e += np.multiply(vh, hl, out=t)
+    e += np.multiply(vl, hh, out=t)
+    e += np.multiply(vl, hl, out=t)
+    e += np.multiply(v, l, out=t)
+    # v 10^k >= 10^16 as (p - 10^16) + e: p + (e - 10^16) would lose e
+    np.subtract(p, 1e16, out=t)
+    t += e
+    ok &= np.greater_equal(t, 0.0, out=flag)
+    # D = p + rint(e) as integers, unless L != 0 and e is within 2^-40 of a half
+    np.rint(e, out=t)
+    e -= t
+    np.abs(e, out=e)
+    np.less_equal(e, 0.5 - 2.0**-40, out=flag)
+    flag |= np.equal(l, 0.0, out=exact)
+    ok &= flag
+    np.fmin(p, 2.0**62, out=p)  # no int64 overflow out of the window; still D >= 10^17 there
+    np.copyto(d.view(np.int64), p, casting="unsafe")
+    np.copyto(tmp.view(np.int64), t, casting="unsafe")
+    d += tmp
     ok &= np.less(d, 10**17, out=flag)
-    d[zero] = 0
-    ok |= zero
+    ok |= np.equal(values, 0.0, out=flag)  # D and X are 0 already: the one digit "0"
     return d, x, ok
-
-
-def _wide_product(operands, wide, t):
-    """floor(2 v 10^k) below the narrow window, where 2^-128 <= |v| < 2^-36, into ``t[wide]``.
-
-    ``operands`` holds the chunk's rows x, b, m_lo and m_hi (``_decimal``)
-    and ``wide`` the indices of its cells below the narrow window.  8m 5^k
-    is summed from the 32-bit halves of the limb products into six 32-bit
-    columns (each below 2^34 before the carries), which make three words,
-    and shifted right by r = 3 - e - k - 1, in [63, 127] here.  The shift
-    always drops nonzero bits: 2 v 10^k = m 5^k 2^(e + k + 1) with
-    e + k + 1 <= -60 here, and m has at most 52 trailing zero bits.  The
-    cells' operands, limb products and columns are 18 word rows of the
-    thread's workspace, as long as ``wide`` (and 4 rows of its indices),
-    and every operation reads and writes whole rows or same-shaped
-    contiguous blocks of them: numpy buffers a broadcast or strided
-    operand, which would allocate.
-    """
-    work = thread_workspace()
-    rows = work.get("format.wide", (18, wide.size), _WORDS)
-    index = work.get("format.wide_index", (4, wide.size), np.intp)
-    x, b = rows[:2]
-    m, p, a = rows[2:10], rows[10:14], rows[14:]  # m: m_lo, then m_hi, once per limb
-    np.take(operands[:2], wide, axis=1, out=rows[:2], mode="clip")
-    index[...] = wide
-    np.take(operands[2], index, out=m[:4], mode="clip")
-    np.take(operands[3], index, out=m[4:], mode="clip")
-    np.take(_tables()[0], x.view(np.intp), axis=1, out=p, mode="clip")  # 5^k as (4, n) limbs
-    np.multiply(p, m[:4], out=a)  # the limb products, 8m = m_hi 2^32 + m_lo
-    p *= m[4:]
-    cols, carry = m[:6], m[6]
-    np.bitwise_and(a, 0xFFFFFFFF, out=cols[:4])
-    cols[4:] = 0
-    a >>= 32
-    cols[1:5] += a
-    cols[1:5] += np.bitwise_and(p, 0xFFFFFFFF, out=a)
-    p >>= 32
-    cols[2:] += p
-    for i in range(1, 5):  # column 0 is a0's low half: it carries nothing
-        cols[i + 1] += np.right_shift(cols[i], 32, out=carry)
-    cols &= 0xFFFFFFFF  # the high column of each word is shifted up: its top bits drop anyway
-    w0, w1, w2 = cols[0::2]
-    for low_column, high_column in zip((w0, w1, w2), cols[1::2]):
-        high_column <<= 32
-        low_column |= high_column
-    # floor(w 2^-r) for w = w0 + w1 2^64 + w2 2^128 is the OR of w0 >> r, w1 >> (r - 64),
-    # w1 << (64 - r) and w2 << (128 - r): numpy shifts a uint64 by 64 or more (a
-    # negative count wraps there) to 0, so for r in [63, 127] only the right ones remain
-    shift = 1075 + _X_MIN - 14  # r = x - b + shift
-    x -= b
-    np.add(x, shift, out=carry)
-    w0 >>= carry
-    np.add(x, shift - 64, out=carry)
-    np.right_shift(w1, carry, out=a[0])
-    np.subtract(2**64 + 64 - shift, x, out=carry)
-    w1 <<= carry
-    w1 |= a[0]
-    np.subtract(2**64 + 128 - shift, x, out=carry)
-    w2 <<= carry
-    w0 |= w1
-    w0 |= w2
-    t[wide] = w0
 
 
 def _digit_words(d):

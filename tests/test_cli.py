@@ -1076,30 +1076,33 @@ def test_a_late_reader_refusal_exits_1_naming_its_cell_after_the_rows_before_it(
     assert out.read_bytes() == expected
 
 
-def test_a_warm_repeat_allocates_nothing_in_the_wide_product(tmp_path, monkeypatch):
-    # numeric round-off below 2^-36 takes the three-word product; its rows
-    # are the thread's workspace, so a repeat allocates no array there (the
-    # largest call has 2,826 cells: fresh (6, n) columns alone would be 136 KB)
+def test_a_warm_repeat_allocates_little_in_the_digit_product(tmp_path, monkeypatch):
+    # numeric round-off reaches far below 1e-6, where 10^k takes two doubles;
+    # the digit product's rows are the thread's workspace, so a repeat
+    # allocates no row there (the largest call has 4,092 cells: one fresh
+    # row alone would be 32 KB, and the exponent guess's bool-to-word cast
+    # buffers up to 32 KB)
     argv = ["sweep", "--engine", "numeric", "--n-max", "2", "--alpha-points", "21", "--steps", "400",
             "--output", str(tmp_path / "table.csv")]
     assert main(argv) == 0
-    cells, peaks, real = [], [], floatfmt._wide_product
+    cells, peaks, real = [], [], floatfmt._decimal
 
-    def measured(operands, wide, t):
+    def measured(values):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        real(operands, wide, t)
+        result = real(values)
         peaks.append(tracemalloc.get_traced_memory()[1] - before)
-        cells.append(wide.size)
+        cells.append(values.size)
+        return result
 
-    monkeypatch.setattr(floatfmt, "_wide_product", measured)
+    monkeypatch.setattr(floatfmt, "_decimal", measured)
     tracemalloc.start()
     try:
         assert main(argv) == 0
     finally:
         tracemalloc.stop()
     assert max(cells) > 2000
-    assert max(peaks) < 16_000
+    assert max(peaks) < 40_000
 
 
 def test_requests_after_larger_ones_write_the_bytes_of_a_fresh_process(tmp_path):

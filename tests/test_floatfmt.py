@@ -53,7 +53,8 @@ def neighbours(values, steps=3):
 
 
 POWERS_OF_TEN = [10.0**k for k in range(-39, 18)] + [float(f"1e{k}") for k in range(-39, 18)]
-# 2^-36: where 5^k outgrows two words; 2^-128: the lowest value formatted without '%.17g'
+# 2^-128 and 2^53: the window's edges (from 2^53 up |v| is clamped to 2^53);
+# 2^-36 and 1e-11: 10^k takes two doubles (k = 27); 1e16: past the window
 WINDOW_EDGES = [2.0**-128, 2.0**-36, 1e-11, 2.0**53, 1e16]
 # engine round-off: max_engine_disagreement of `evolve --engine both` (the seed-7
 # requests of the series_fock benchmark workload), and Q of `sweep --engine numeric
@@ -86,7 +87,9 @@ SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623
 def test_pinned_values_match_percent_g(batch):
     values = np.concatenate([np.asarray(batch, dtype=np.float64)] * 2)
     values[len(values) // 2:] *= -1.0
-    assert g17_texts(values) == percent_g(values)
+    with np.errstate(all="raise"):  # no input underflows or overflows the arithmetic
+        texts = g17_texts(values)
+    assert texts == percent_g(values)
 
 
 @pytest.mark.parametrize("bias", [-1e-12, 1e-12])
@@ -94,11 +97,11 @@ def test_wrong_exponent_guesses_fall_back(monkeypatch, bias):
     # thresholds moved off the powers of ten make X one too high (or too
     # low) for values within about 1e-12 of a power of ten; the range checks
     # must catch them
-    limbs, guess, tens, layouts = floatfmt._tables()
+    powers, guess, tens, layouts = floatfmt._tables()
     inside = tens != np.uint64(2**64 - 1)
     moved = tens.copy()
     moved[inside] = (tens[inside].view(np.float64) * (1.0 + bias)).view(np.uint64)
-    monkeypatch.setattr(floatfmt, "_tables", lambda: (limbs, guess, moved, layouts))
+    monkeypatch.setattr(floatfmt, "_tables", lambda: (powers, guess, moved, layouts))
     values = neighbours(POWERS_OF_TEN, steps=50)
     assert not floatfmt._decimal(values)[2].all()  # some guesses are wrong
     assert g17_texts(values) == percent_g(values)
@@ -157,12 +160,36 @@ def test_importing_the_cli_builds_no_table():
 
 
 def test_window_values_take_no_fallback():
-    # 2^-128 <= |v| < 2^53 is formatted by the arithmetic; below 2^-36 by its three-word product
+    # 2^-128 <= |v| < 2^53 is formatted by the arithmetic, past k = 22 too: a
+    # random value is never within 2^-40 of a half there
     rng = np.random.default_rng(7)
     values = 2.0 ** rng.uniform(-128.0, 53.0, 20_000) * rng.choice([-1.0, 1.0], 20_000)
     in_window = [v for v in ROUND_OFF if abs(v) >= 2.0**-128]
     values = np.concatenate([values, in_window, [2.0**-128, np.nextafter(2.0**53, 0.0), 0.0]])
     assert floatfmt._decimal(values)[2].all()
+    assert g17_texts(values) == percent_g(values)
+
+
+def test_power_table_is_ten_to_the_k_as_two_doubles():
+    # H = fl(10^k), L = fl(10^k - H), 0 up to k = 22; H = hh + hl, halves of 26 bits
+    powers = floatfmt._tables()[0]
+    assert powers.shape == (4, 55)
+    for column, (h, hh, hl, low) in enumerate(powers.T.tolist()):
+        k = 16 - (column - 39)
+        assert h == float(10**k) and low == float(10**k - Fraction(h))
+        assert (low == 0.0) == (k <= 22)
+        assert Fraction(hh) + Fraction(hl) == Fraction(h)
+        for half in (hh, hl):
+            n = abs(Fraction(half).numerator)
+            assert n == 0 or (n // (n & -n)).bit_length() <= 26
+
+
+def test_exact_ties_past_k_22_take_the_fallback():
+    # v 10^k is exactly an integer and a half: past k = 22 the product is not
+    # exact, so these cells must not be rounded by it
+    ties = np.array([c * 2.0**-24 for c in range(3, 16, 2)] + [2.0**-25, 3.0 * 2.0**-25])
+    values = np.concatenate([ties, -ties])
+    assert not floatfmt._decimal(values)[2].any()
     assert g17_texts(values) == percent_g(values)
 
 
